@@ -13,7 +13,8 @@
 //! is exactly the per-step simulation work the event core rewrites.
 //! Throughput is reported as site-steps/sec (`sites × steps / secs`)
 //! and VM-decisions/sec; memory as the `VmHWM` peak-RSS proxy from
-//! `/proc/self/status` (0 where unavailable).
+//! `/proc/self/status` (0 where unavailable), reset before each row so
+//! every row reports its own peak.
 
 use std::sync::Mutex;
 use std::time::Instant;
@@ -44,6 +45,14 @@ fn peak_rss_mb() -> f64 {
         }
     }
     0.0
+}
+
+/// Reset the `VmHWM` high-water mark to the current resident set, so the
+/// next [`peak_rss_mb`] reads the peak since this call. Writing `5` to
+/// `/proc/self/clear_refs` does this on Linux; where the write fails the
+/// mark keeps the process-wide peak, which only overstates a row.
+fn reset_peak_rss() {
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
 }
 
 fn fleet_cfg(core: SimCore) -> GroupSimConfig {
@@ -122,6 +131,7 @@ struct Row {
     vm_decisions: u64,
     total_gb: f64,
     dropped_apps: usize,
+    peak_rss_mb: f64,
 }
 
 fn main() {
@@ -144,6 +154,7 @@ fn main() {
     let steps = DAYS as u64 * vb_trace::STEPS_PER_DAY as u64;
     let mut rows: Vec<Row> = Vec::new();
     for (scale, n_sites) in &scales {
+        reset_peak_rss();
         let catalog = Catalog::fleet(SEED, *n_sites);
         let shards = shard_names(&catalog, SHARD_SIZE);
         let policy = FleetPolicy::Greedy;
@@ -184,16 +195,16 @@ fn main() {
             vm_decisions,
             total_gb,
             dropped_apps,
+            peak_rss_mb: peak_rss_mb(),
         });
     }
 
-    let rss = peak_rss_mb();
     let row_json: Vec<String> = rows
         .iter()
         .map(|r| {
             let site_steps = (r.sites as u64 * steps) as f64;
             format!(
-                "    {{\n      \"scale\": \"{}\",\n      \"sites\": {},\n      \"shards\": {},\n      \"days\": {DAYS},\n      \"steps\": {steps},\n      \"policy\": \"{}\",\n      \"event_secs\": {:.6},\n      \"legacy_secs\": {:.6},\n      \"event_steps_per_sec\": {:.1},\n      \"legacy_steps_per_sec\": {:.1},\n      \"speedup\": {:.4},\n      \"vm_decisions\": {},\n      \"vm_decisions_per_sec\": {:.1},\n      \"total_gb\": {:.3},\n      \"dropped_apps\": {},\n      \"peak_rss_mb\": {rss:.1}\n    }}",
+                "    {{\n      \"scale\": \"{}\",\n      \"sites\": {},\n      \"shards\": {},\n      \"days\": {DAYS},\n      \"steps\": {steps},\n      \"policy\": \"{}\",\n      \"event_secs\": {:.6},\n      \"legacy_secs\": {:.6},\n      \"event_steps_per_sec\": {:.1},\n      \"legacy_steps_per_sec\": {:.1},\n      \"speedup\": {:.4},\n      \"vm_decisions\": {},\n      \"vm_decisions_per_sec\": {:.1},\n      \"total_gb\": {:.3},\n      \"dropped_apps\": {},\n      \"peak_rss_mb\": {:.1}\n    }}",
                 r.scale,
                 r.sites,
                 r.shards,
@@ -207,6 +218,7 @@ fn main() {
                 r.vm_decisions as f64 / r.event_secs,
                 r.total_gb,
                 r.dropped_apps,
+                r.peak_rss_mb,
             )
         })
         .collect();

@@ -20,7 +20,8 @@
 
 use crate::vm::{Vm, VmId, VmKind, VmRequest, VmState};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Cluster sizing and policy knobs. Defaults are the paper's setup.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -56,10 +57,50 @@ impl ClusterConfig {
 /// Per-server bookkeeping.
 #[derive(Debug, Clone)]
 struct ServerState {
+    /// Changed only through [`Cluster::set_free_cores`], which keeps
+    /// [`FreeCoreIndex`] in step.
     free_cores: u32,
     free_mem: f64,
     /// Running VMs on this server.
     running: Vec<VmId>,
+}
+
+/// Servers grouped by free-core level: one bitset of server indices per
+/// level `0..=cores_per_server`, 64 servers to a word. A server's bit is
+/// set at exactly one level, its current `free_cores`.
+#[derive(Debug, Clone)]
+struct FreeCoreIndex {
+    words_per_level: usize,
+    bits: Vec<u64>,
+}
+
+impl FreeCoreIndex {
+    /// Every server at level `cores_per_server` (an empty cluster).
+    fn new(n_servers: usize, cores_per_server: u32) -> FreeCoreIndex {
+        let words_per_level = n_servers.div_ceil(64);
+        let levels = cores_per_server as usize + 1;
+        let mut index = FreeCoreIndex {
+            words_per_level,
+            bits: vec![0; levels * words_per_level],
+        };
+        for s in 0..n_servers {
+            index.insert(cores_per_server, s);
+        }
+        index
+    }
+
+    fn level(&self, level: u32) -> &[u64] {
+        let start = level as usize * self.words_per_level;
+        &self.bits[start..start + self.words_per_level]
+    }
+
+    fn insert(&mut self, level: u32, server: usize) {
+        self.bits[level as usize * self.words_per_level + server / 64] |= 1 << (server % 64);
+    }
+
+    fn remove(&mut self, level: u32, server: usize) {
+        self.bits[level as usize * self.words_per_level + server / 64] &= !(1 << (server % 64));
+    }
 }
 
 /// A stable VM evicted by a power shortfall, ready to be re-placed at
@@ -110,8 +151,12 @@ pub struct StepStats {
 pub struct Cluster {
     cfg: ClusterConfig,
     servers: Vec<ServerState>,
+    /// `servers` by free-core level, for best-fit placement.
+    free_index: FreeCoreIndex,
     /// Slab of VMs; freed slots are `None`.
     vms: Vec<Option<Vm>>,
+    /// Indices of the `None` slots of `vms`, lowest first.
+    free_slots: BinaryHeap<Reverse<usize>>,
     /// Rejected requests waiting for power, with their arrival step.
     pending: VecDeque<(VmRequest, u64)>,
     /// Hibernated degradable VMs, oldest first.
@@ -138,9 +183,11 @@ impl Cluster {
             .collect();
         let budget = cfg.total_cores();
         Cluster {
+            free_index: FreeCoreIndex::new(cfg.n_servers, cfg.cores_per_server),
             cfg,
             servers,
             vms: Vec::new(),
+            free_slots: BinaryHeap::new(),
             pending: VecDeque::new(),
             hibernated: VecDeque::new(),
             rr_cursor: 0,
@@ -206,9 +253,10 @@ impl Cluster {
         let _evicted = self.set_power(power_frac, &mut stats);
         self.recover(&mut stats);
         for &req in arrivals {
+            let pending_before = self.pending.len();
             if self.admit(req) {
                 stats.admitted += 1;
-            } else {
+            } else if self.pending.len() > pending_before {
                 stats.queued += 1;
             }
         }
@@ -373,28 +421,51 @@ impl Cluster {
     /// Best-fit placement: the powered server with the fewest free cores
     /// that still fits the request (Protean-style tight packing).
     fn place(&mut self, req: VmRequest, arrived_at: u64, departs_at: u64) -> Option<VmId> {
-        let server = self
-            .servers
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.free_cores >= req.cores && s.free_mem >= req.mem_gb)
-            .min_by_key(|(_, s)| s.free_cores)
-            .map(|(i, _)| i)?;
+        let server = self.best_fit(req.cores, req.mem_gb)?;
         let id = self.alloc_slot(Vm {
             request: req,
             state: VmState::Running(server),
             arrived_at,
             departs_at,
         });
-        self.servers[server].free_cores -= req.cores;
+        self.set_free_cores(server, self.servers[server].free_cores - req.cores);
         self.servers[server].free_mem -= req.mem_gb;
         self.servers[server].running.push(id);
         self.allocated_cores += req.cores;
         Some(id)
     }
 
+    /// The server with the fewest free cores among those with at least
+    /// `cores` free cores and `mem_gb` free memory, the lowest index on
+    /// ties. Levels are searched upward from `cores` and each level's
+    /// servers in index order, so the first server with the memory is
+    /// the answer.
+    fn best_fit(&self, cores: u32, mem_gb: f64) -> Option<usize> {
+        for level in cores..=self.cfg.cores_per_server {
+            for (w, &word) in self.free_index.level(level).iter().enumerate() {
+                let mut rest = word;
+                while rest != 0 {
+                    let s = w * 64 + rest.trailing_zeros() as usize;
+                    if self.servers[s].free_mem >= mem_gb {
+                        return Some(s);
+                    }
+                    rest &= rest - 1;
+                }
+            }
+        }
+        None
+    }
+
+    /// Set server `s`'s free cores and move it to that level of the index.
+    fn set_free_cores(&mut self, s: usize, free_cores: u32) {
+        self.free_index.remove(self.servers[s].free_cores, s);
+        self.free_index.insert(free_cores, s);
+        self.servers[s].free_cores = free_cores;
+    }
+
+    /// Store `vm` in the lowest empty slab slot, or a new one.
     fn alloc_slot(&mut self, vm: Vm) -> VmId {
-        if let Some(idx) = self.vms.iter().position(Option::is_none) {
+        if let Some(Reverse(idx)) = self.free_slots.pop() {
             self.vms[idx] = Some(vm);
             VmId(idx)
         } else {
@@ -408,9 +479,10 @@ impl Cluster {
         let Some(vm) = self.vms[id.0].take() else {
             return;
         };
+        self.free_slots.push(Reverse(id.0));
         match vm.state {
             VmState::Running(s) => {
-                self.servers[s].free_cores += vm.request.cores;
+                self.set_free_cores(s, self.servers[s].free_cores + vm.request.cores);
                 self.servers[s].free_mem += vm.request.mem_gb;
                 self.servers[s].running.retain(|&v| v != id);
                 self.allocated_cores -= vm.request.cores;
@@ -432,7 +504,7 @@ impl Cluster {
         };
         vm.state = VmState::Hibernated(s);
         let cores = vm.request.cores;
-        self.servers[s].free_cores += cores;
+        self.set_free_cores(s, self.servers[s].free_cores + cores);
         self.servers[s].running.retain(|&v| v != id);
         self.allocated_cores -= cores;
         self.hibernated.push_back(id);
@@ -452,12 +524,7 @@ impl Cluster {
         let target = if self.servers[home].free_cores >= req.cores {
             Some(home)
         } else {
-            self.servers
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.free_cores >= req.cores && s.free_mem >= req.mem_gb)
-                .min_by_key(|(_, s)| s.free_cores)
-                .map(|(i, _)| i)
+            self.best_fit(req.cores, req.mem_gb)
         };
         let Some(target) = target else {
             return false;
@@ -469,7 +536,7 @@ impl Cluster {
         // vb-audit: allow(no-panic, id was checked against a live slot at the top of resume)
         let vm = self.vms[id.0].as_mut().expect("vm exists");
         vm.state = VmState::Running(target);
-        self.servers[target].free_cores -= req.cores;
+        self.set_free_cores(target, self.servers[target].free_cores - req.cores);
         self.servers[target].running.push(id);
         self.allocated_cores += req.cores;
         true
@@ -732,6 +799,156 @@ mod tests {
             assert!(c.allocated_cores() <= c.budget_cores, "budget respected");
             for s in &c.servers {
                 assert!(s.free_mem >= -1e-9, "memory over-committed");
+            }
+        }
+    }
+
+    #[test]
+    fn arrivals_wider_than_any_server_are_dropped_not_queued() {
+        let mut c = Cluster::new(ClusterConfig {
+            n_servers: 4,
+            cores_per_server: 16,
+            mem_per_server_gb: 128.0,
+            target_util: 0.7,
+        });
+        let st = c.step(1.0, &[VmRequest::stable(24, 96.0, 10)]);
+        assert_eq!(st.admitted, 0);
+        assert_eq!(
+            st.queued, 0,
+            "a request no server can host never enters the queue"
+        );
+        assert_eq!(st.pending_len, 0);
+    }
+
+    #[test]
+    fn resume_falls_back_to_best_fit_when_home_server_filled_up() {
+        let mut c = Cluster::new(ClusterConfig {
+            n_servers: 3,
+            cores_per_server: 10,
+            mem_per_server_gb: 100.0,
+            target_util: 1.0,
+        });
+        assert!(c.admit(VmRequest::degradable(4, 8.0, 100))); // server 0
+        assert!(c.admit(VmRequest::stable(6, 12.0, 100))); // server 0, now full
+        assert!(c.admit(VmRequest::stable(3, 6.0, 100))); // server 1
+        let mut st = stats();
+        c.set_power(0.4, &mut st); // 12 of 13 cores powered
+        assert_eq!(st.hibernated, 1, "the degradable VM frees server 0's cores");
+        // Best fit hands server 0's freed cores to a new VM meanwhile.
+        assert!(c.admit(VmRequest::stable(3, 6.0, 100)));
+        assert_eq!(c.servers[0].free_cores, 1);
+        let mut st2 = stats();
+        c.set_power(1.0, &mut st2);
+        c.recover(&mut st2);
+        assert_eq!(st2.resumed, 1);
+        // Server 1 (7 free) is a tighter fit than server 2 (10 free).
+        let vm = c.vms[0].as_ref().expect("the degradable VM is live");
+        assert_eq!(vm.state, VmState::Running(1));
+        assert_eq!(c.servers[1].free_cores, 3);
+        assert!(
+            (c.servers[0].free_mem - 82.0).abs() < 1e-9,
+            "memory left home"
+        );
+        assert!(
+            (c.servers[1].free_mem - 86.0).abs() < 1e-9,
+            "and moved along"
+        );
+    }
+
+    /// The linear scan the free-core index replaced, kept as the oracle
+    /// for `best_fit`.
+    fn linear_best_fit(c: &Cluster, cores: u32, mem_gb: f64) -> Option<usize> {
+        c.servers
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.free_cores >= cores && s.free_mem >= mem_gb)
+            .min_by_key(|(_, s)| s.free_cores)
+            .map(|(i, _)| i)
+    }
+
+    fn assert_indexes_match_scans(c: &Cluster) {
+        for (s, server) in c.servers.iter().enumerate() {
+            for level in 0..=c.cfg.cores_per_server {
+                let listed = (c.free_index.level(level)[s / 64] >> (s % 64)) & 1 == 1;
+                assert_eq!(
+                    listed,
+                    level == server.free_cores,
+                    "server {s}, level {level}"
+                );
+            }
+        }
+        let full = c.cfg.mem_per_server_gb;
+        for cores in 1..=c.cfg.cores_per_server {
+            for mem_gb in [0.0, 8.0, 40.0, full / 2.0, full] {
+                assert_eq!(
+                    c.best_fit(cores, mem_gb),
+                    linear_best_fit(c, cores, mem_gb),
+                    "best fit for {cores} cores, {mem_gb} GB"
+                );
+            }
+        }
+        let mut free_slots: Vec<usize> = c.free_slots.iter().map(|&Reverse(i)| i).collect();
+        free_slots.sort_unstable();
+        let empty: Vec<usize> = (0..c.vms.len()).filter(|&i| c.vms[i].is_none()).collect();
+        assert_eq!(free_slots, empty, "free-slot heap vs empty slab slots");
+        // A new VM takes the lowest empty slot, or a new one at the end.
+        let lowest_empty = c.vms.iter().position(Option::is_none);
+        let mut probe = c.clone();
+        let id = probe.alloc_slot(Vm {
+            request: VmRequest::stable(1, 1.0, 1),
+            state: VmState::Running(0),
+            arrived_at: 0,
+            departs_at: 1,
+        });
+        assert_eq!(id.0, lowest_empty.unwrap_or(c.vms.len()), "allocated slot");
+    }
+
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn arb_request() -> impl Strategy<Value = VmRequest> {
+            (1u32..=40, 1u32..=16, 1u32..=120, proptest::bool::ANY).prop_map(
+                |(cores, mem, lifetime, stable)| {
+                    let mem_gb = mem as f64 * 4.0;
+                    if stable {
+                        VmRequest::stable(cores, mem_gb, lifetime)
+                    } else {
+                        VmRequest::degradable(cores, mem_gb, lifetime)
+                    }
+                },
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(16))]
+
+            #[test]
+            fn indexes_match_linear_scans_after_every_step(
+                steps in proptest::collection::vec(
+                    (0.0..=1.0f64, proptest::collection::vec(arb_request(), 0..24)),
+                    1..40,
+                ),
+            ) {
+                // Server counts on both sides of the 64-server word
+                // boundary. At 64 GB a few hibernated VMs keep a server's
+                // memory while freeing its cores, so best fit must skip
+                // servers that have the cores but not the memory.
+                for n_servers in [10, 64, 65, 130] {
+                    for mem_per_server_gb in [512.0, 64.0] {
+                        let mut c = Cluster::new(ClusterConfig {
+                            n_servers,
+                            cores_per_server: 40,
+                            mem_per_server_gb,
+                            target_util: 0.7,
+                        });
+                        assert_indexes_match_scans(&c);
+                        for (power, arrivals) in &steps {
+                            c.step(*power, arrivals);
+                            assert_indexes_match_scans(&c);
+                        }
+                    }
+                }
             }
         }
     }

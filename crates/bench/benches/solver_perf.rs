@@ -125,7 +125,8 @@ fn counter_now(name: &str) -> u64 {
 
 /// One model-size scaling measurement: the same epoch sequence pushed
 /// through the epoch path with the PR-7-era baseline kernel and with
-/// the production kernel (presolve + devex + parallel B&B).
+/// the production kernel (presolve + steepest-edge revised simplex +
+/// parallel B&B).
 struct ScaleRow {
     label: String,
     apps: usize,
@@ -252,9 +253,10 @@ fn main() {
     for (e, m) in models.iter().enumerate() {
         let ep = pivots_now();
         let et = Instant::now();
-        let (sol, next, hit) =
+        let (sol, next, start) =
             solve_mip_epoch(m, MAX_NODES, cache.as_ref()).expect("placement epochs are feasible");
         cache = Some(next);
+        let hit = start.is_warm();
         warm_hits += hit as usize;
         vb_telemetry::series_sample(
             "solver.epoch_series",
@@ -310,7 +312,7 @@ fn main() {
         }
     };
     let mut scale_rows: Vec<ScaleRow> = Vec::new();
-    println!("kernel scaling (baseline vs presolve+devex+parallel):");
+    println!("kernel scaling (baseline vs presolve+steepest-edge+parallel):");
     for (label, mult) in &scales {
         let row = run_scale(label, *mult as usize);
         println!(

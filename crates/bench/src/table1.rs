@@ -89,7 +89,10 @@ pub fn run_on_group_with(seed: u64, names: &[&str], cfg: GroupSimConfig) -> Tabl
                     ("policy", policy.name().into()),
                     ("epochs_planned", st.epochs_planned.into()),
                     ("epoch_warm_hits", st.epoch_warm_hits.into()),
-                    ("epoch_warm_misses", st.epoch_warm_misses.into()),
+                    ("epoch_warm_misses", st.epoch_warm_misses().into()),
+                    ("epoch_cold_first", st.epoch_cold_first.into()),
+                    ("epoch_cold_structure", st.epoch_cold_structure.into()),
+                    ("epoch_cold_repair", st.epoch_cold_repair.into()),
                     ("fallback_epochs", st.fallback_epochs.into()),
                     ("warm_hit_rate", st.warm_hit_rate().into()),
                 ],

@@ -190,7 +190,10 @@ fn epoch_warm_starts_cut_pivots_with_identical_schedules() {
             EPOCHS - 1,
             "every epoch after the first must repair the cached root"
         );
-        assert_eq!(cold_stats.epoch_warm_hits + cold_stats.epoch_warm_misses, 0);
+        assert_eq!(
+            cold_stats.epoch_warm_hits + cold_stats.epoch_warm_misses(),
+            0
+        );
 
         if cold_pivots == 0 {
             // Telemetry compiled out (--no-default-features): the pivot

@@ -54,7 +54,7 @@ use crate::greedy::GreedyPolicy;
 use crate::policy::{Assignment, PlanContext, Policy, SiteSnapshot};
 use crate::sim::STEPS_PER_DAY;
 use serde::{Deserialize, Serialize};
-use vb_solver::{LinExpr, Model, Sense, SolveError, VarId};
+use vb_solver::{EpochStart, LinExpr, Model, Sense, SolveError, VarId};
 
 /// MIP policy configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -158,18 +158,29 @@ pub struct MipStats {
     /// Epochs whose root relaxation was repaired from the previous
     /// epoch's optimal basis instead of solved from scratch.
     pub epoch_warm_hits: usize,
-    /// Epochs solved through a cold root: the first epoch, a structural
-    /// change (apps/sites/buckets moved), a failed warm repair, or
-    /// `reuse_across_epochs = false`.
-    pub epoch_warm_misses: usize,
+    /// Cold roots with no cache to start from: the first epoch, or the
+    /// one after a failed solve.
+    pub epoch_cold_first: usize,
+    /// Cold roots after a structural change (apps, sites or buckets
+    /// moved, so the model skeleton differs).
+    pub epoch_cold_structure: usize,
+    /// Cold roots whose skeleton matched but whose warm repair failed.
+    pub epoch_cold_repair: usize,
     /// Epochs where the exact solve failed and greedy stepped in.
     pub fallback_epochs: usize,
 }
 
 impl MipStats {
+    /// Epochs that tried the warm path and solved a cold root instead
+    /// (the three cold reasons together). `reuse_across_epochs = false`
+    /// never tries, so it counts neither hits nor misses.
+    pub fn epoch_warm_misses(&self) -> usize {
+        self.epoch_cold_first + self.epoch_cold_structure + self.epoch_cold_repair
+    }
+
     /// Warm-start hit rate over solver-planned epochs (0.0 when none).
     pub fn warm_hit_rate(&self) -> f64 {
-        let tried = self.epoch_warm_hits + self.epoch_warm_misses;
+        let tried = self.epoch_warm_hits + self.epoch_warm_misses();
         if tried == 0 {
             0.0
         } else {
@@ -363,12 +374,14 @@ impl MipPolicy {
         // plan is identical — only the pivot count differs.
         let sol = if self.cfg.reuse_across_epochs {
             match vb_solver::solve_mip_epoch(&m, self.cfg.max_nodes, self.cache.as_ref()) {
-                Ok((sol, next_cache, warm_hit)) => {
-                    if warm_hit {
-                        self.stats.epoch_warm_hits += 1;
-                    } else {
-                        self.stats.epoch_warm_misses += 1;
-                    }
+                Ok((sol, next_cache, start)) => {
+                    let count = match start {
+                        EpochStart::Warm => &mut self.stats.epoch_warm_hits,
+                        EpochStart::ColdFirst => &mut self.stats.epoch_cold_first,
+                        EpochStart::ColdStructure => &mut self.stats.epoch_cold_structure,
+                        EpochStart::ColdRepair => &mut self.stats.epoch_cold_repair,
+                    };
+                    *count += 1;
                     self.cache = Some(next_cache);
                     sol
                 }
@@ -778,13 +791,48 @@ mod tests {
         let st = warm.mip_stats().unwrap();
         assert_eq!(st.epochs_planned, 5);
         assert_eq!(st.epoch_warm_hits, 4, "every epoch after the first is warm");
-        assert_eq!(st.epoch_warm_misses, 1);
+        assert_eq!(st.epoch_cold_first, 1);
+        assert_eq!(st.epoch_warm_misses(), 1);
         assert_eq!(st.fallback_epochs, 0);
         assert!((st.warm_hit_rate() - 0.8).abs() < 1e-12);
         // The reuse-disabled policy never attempts the warm path.
         let cst = cold.mip_stats().unwrap();
-        assert_eq!(cst.epoch_warm_hits + cst.epoch_warm_misses, 0);
+        assert_eq!(cst.epoch_warm_hits + cst.epoch_warm_misses(), 0);
         assert_eq!(cst.epochs_planned, 5);
+    }
+
+    #[test]
+    fn changed_app_set_counts_as_a_structure_miss() {
+        let mut policy = MipPolicy::new(MipConfig::mip());
+        for apps in [
+            vec![new_app(0, 30, 48)],
+            vec![new_app(0, 30, 48), new_app(1, 20, 48)],
+        ] {
+            let ctx = PlanContext {
+                now: 0,
+                bucket_steps: 12,
+                sites: vec![
+                    site("a", vec![250.0; 4], vec![40.0; 4]),
+                    site("b", vec![140.0; 4], vec![40.0; 4]),
+                ],
+                new_apps: apps,
+                movable: vec![],
+            };
+            policy.plan(&ctx);
+        }
+        let st = policy.mip_stats().expect("MIP policy reports stats");
+        assert_eq!(st.epochs_planned, 2);
+        assert_eq!(
+            (
+                st.epoch_cold_first,
+                st.epoch_cold_structure,
+                st.epoch_cold_repair
+            ),
+            (1, 1, 0),
+            "a second app changes the model's skeleton"
+        );
+        assert_eq!(st.epoch_warm_hits, 0);
+        assert_eq!(st.epoch_warm_misses(), 2);
     }
 
     #[test]

@@ -1,22 +1,27 @@
 //! Best-first branch & bound for mixed-integer programs.
 //!
-//! Solves the LP relaxation with the [`crate::simplex`] engine; while the
-//! relaxed optimum assigns a fractional value to an integer variable,
-//! branches on the most fractional one with `x ≤ ⌊v⌋` / `x ≥ ⌈v⌉` bound
-//! splits. Nodes are explored best-bound-first, so the first incumbent
-//! found tends to be good and pruning is effective. The search is exact:
-//! it terminates with the true optimum (or `Infeasible`).
+//! Solves the LP relaxation with the engine its [`KernelConfig`] names
+//! — the factorized revised simplex ([`crate::revised`]) in production,
+//! the explicit tableau ([`crate::simplex`]) in the baseline kernel;
+//! while the relaxed optimum assigns a fractional value to an integer
+//! variable, branches on the most fractional one with `x ≤ ⌊v⌋` /
+//! `x ≥ ⌈v⌉` bound splits. Nodes are explored best-bound-first, so the
+//! first incumbent found tends to be good and pruning is effective. The
+//! search is exact: it terminates with the true optimum (or
+//! `Infeasible`).
 //!
 //! Child nodes **warm-start** from their parent's optimal basis: each
-//! node keeps the [`simplex::SimplexState`] of its relaxation (shared
-//! via `Arc` — branching only changes one variable's bounds, never the
+//! node keeps its relaxation's solved state ([`LpState`], held in an
+//! `Arc` — branching only changes one variable's bounds, never the
 //! constraint matrix), and the child repairs primal feasibility with a
 //! dual-simplex phase instead of re-running two full phases from the
-//! all-slack basis. The rounding dive chains warm starts the same way.
-//! Warm and cold solves reach the same optima (pivot order may differ on
-//! degenerate ties, so alternate optimal *vertices* are possible);
-//! [`solve_mip_bounded_with`] exposes a cold mode for differential tests
-//! and pivot-count comparisons.
+//! all-slack basis. A child's revised-simplex state also shares its
+//! parent's LU factors and eta entries instead of copying them (see
+//! [`crate::ftran`]). The rounding dive chains warm starts the same
+//! way. Warm and cold solves reach the same optima (pivot order may
+//! differ on degenerate ties, so alternate optimal *vertices* are
+//! possible); [`solve_mip_bounded_with`] exposes a cold mode for
+//! differential tests and pivot-count comparisons.
 //!
 //! [`solve_mip_epoch`] extends the reuse *across* solves: when the same
 //! model structure is re-solved every scheduling epoch with fresh
@@ -277,6 +282,32 @@ impl EpochCache {
     }
 }
 
+/// How an epoch's root relaxation started, as reported by
+/// [`solve_mip_epoch`]; the three cold cases are counted in
+/// `solver.epoch_cold_first`, `_structure` and `_repair`, which sum to
+/// `solver.epoch_warm_misses`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EpochStart {
+    /// Repaired from the previous epoch's optimal root state.
+    Warm,
+    /// No cache to start from: the first epoch, or the one after a
+    /// failed solve.
+    ColdFirst,
+    /// The model's skeleton differs from the cached one (apps, sites,
+    /// buckets or coefficients changed, or presolve reduced it
+    /// differently).
+    ColdStructure,
+    /// The skeleton matched but the dual-simplex repair failed.
+    ColdRepair,
+}
+
+impl EpochStart {
+    /// Whether the root was warm-started.
+    pub fn is_warm(self) -> bool {
+        self == EpochStart::Warm
+    }
+}
+
 /// Solve one epoch of a repeated MIP, warm-starting the root relaxation
 /// from the previous epoch's optimal state when the model is
 /// structurally identical (same constraint matrix, senses, dimensions,
@@ -285,13 +316,14 @@ impl EpochCache {
 /// On a structure mismatch, absent cache, or failed basis repair the
 /// root falls back to a cold solve — the search result is identical
 /// either way, only the pivot count changes. Returns the solution, the
-/// cache to carry into the next epoch, and whether the warm path was
-/// taken (also counted in `solver.epoch_warm_hits` / `_misses`).
+/// cache to carry into the next epoch, and how the root started (also
+/// counted in `solver.epoch_warm_hits` / `_misses`, the misses split by
+/// [`EpochStart`]'s cold reasons).
 pub fn solve_mip_epoch(
     model: &Model,
     max_nodes: usize,
     cache: Option<&EpochCache>,
-) -> Result<(Solution, EpochCache, bool), SolveError> {
+) -> Result<(Solution, EpochCache, EpochStart), SolveError> {
     solve_mip_epoch_with(model, max_nodes, cache, &KernelConfig::production())
 }
 
@@ -310,7 +342,7 @@ pub fn solve_mip_epoch_with(
     max_nodes: usize,
     cache: Option<&EpochCache>,
     kernel: &KernelConfig,
-) -> Result<(Solution, EpochCache, bool), SolveError> {
+) -> Result<(Solution, EpochCache, EpochStart), SolveError> {
     let _span = vb_telemetry::span!("solver.mip_solve");
     vb_telemetry::counter!("solver.mip_solves").inc();
     model.validate()?;
@@ -326,13 +358,21 @@ pub fn solve_mip_epoch_with(
     // bounds moved), an epoch swapped in new RHS values, and a frozen
     // redundant row can make the repair fail on a feasible model. Any
     // warm failure just means a cold root.
-    let warm_root = cache
-        .filter(|c| c.skeleton.matches(target))
-        .and_then(|c| lp_epoch_warm(target, &c.root_state, kernel.pricing).ok());
-    let hit = warm_root.is_some();
-    if hit {
-        vb_telemetry::counter!("solver.epoch_warm_hits").inc();
-    } else {
+    let (start, warm_root) = match cache {
+        None => (EpochStart::ColdFirst, None),
+        Some(c) if !c.skeleton.matches(target) => (EpochStart::ColdStructure, None),
+        Some(c) => match lp_epoch_warm(target, &c.root_state, kernel.pricing) {
+            Ok(root) => (EpochStart::Warm, Some(root)),
+            Err(_) => (EpochStart::ColdRepair, None),
+        },
+    };
+    match start {
+        EpochStart::Warm => vb_telemetry::counter!("solver.epoch_warm_hits").inc(),
+        EpochStart::ColdFirst => vb_telemetry::counter!("solver.epoch_cold_first").inc(),
+        EpochStart::ColdStructure => vb_telemetry::counter!("solver.epoch_cold_structure").inc(),
+        EpochStart::ColdRepair => vb_telemetry::counter!("solver.epoch_cold_repair").inc(),
+    }
+    if !start.is_warm() {
         vb_telemetry::counter!("solver.epoch_warm_misses").inc();
     }
     let root = match warm_root {
@@ -348,7 +388,7 @@ pub fn solve_mip_epoch_with(
         Some(p) => p.postsolve(model, &sol),
         None => sol,
     };
-    Ok((sol, next, hit))
+    Ok((sol, next, start))
 }
 
 /// The branch & bound search proper, starting from an already-solved
@@ -961,7 +1001,7 @@ mod tests {
         let epochs = [[6.0, 6.0], [5.0, 8.0], [8.0, 4.0], [6.0, 6.0], [7.0, 7.0]];
         for (k, caps) in epochs.into_iter().enumerate() {
             let m = epoch_placement(caps);
-            let (warm, next, hit) = solve_mip_epoch(&m, MAX_NODES, cache.as_ref()).unwrap();
+            let (warm, next, start) = solve_mip_epoch(&m, MAX_NODES, cache.as_ref()).unwrap();
             let cold = solve_mip_bounded_with(&m, MAX_NODES, true).unwrap();
             assert!(
                 (warm.objective - cold.objective).abs() < 1e-9,
@@ -976,7 +1016,12 @@ mod tests {
                     "epoch {k}: placement diverged on var {j}"
                 );
             }
-            assert_eq!(hit, k > 0, "epoch {k}: unexpected warm status");
+            let expected = if k == 0 {
+                EpochStart::ColdFirst
+            } else {
+                EpochStart::Warm
+            };
+            assert_eq!(start, expected, "epoch {k}: unexpected warm status");
             cache = Some(next);
         }
     }
@@ -984,16 +1029,20 @@ mod tests {
     #[test]
     fn epoch_cache_misses_on_structure_change() {
         let m = epoch_placement([6.0, 6.0]);
-        let (_, cache, hit) = solve_mip_epoch(&m, MAX_NODES, None).unwrap();
-        assert!(!hit, "first epoch has no cache to hit");
+        let (_, cache, start) = solve_mip_epoch(&m, MAX_NODES, None).unwrap();
+        assert_eq!(start, EpochStart::ColdFirst, "first epoch has no cache");
         assert_eq!(cache.nnz(), 8 + 8);
 
         // A moved coefficient (app 0 grows) must force the cold path —
         // and still solve correctly.
         let mut grown = epoch_placement([6.0, 6.0]);
         grown.constraints[4].coefs[0].1 = 2.5;
-        let (sol, _, hit) = solve_mip_epoch(&grown, MAX_NODES, Some(&cache)).unwrap();
-        assert!(!hit, "structure change must miss");
+        let (sol, _, start) = solve_mip_epoch(&grown, MAX_NODES, Some(&cache)).unwrap();
+        assert_eq!(
+            start,
+            EpochStart::ColdStructure,
+            "structure change must miss"
+        );
         assert!(sol.objective.is_finite());
     }
 
@@ -1108,7 +1157,7 @@ mod tests {
 
     #[test]
     fn production_kernel_matches_baseline_bit_for_bit() {
-        // Presolve + devex + parallel B&B on vs. off: the objective
+        // Presolve + steepest edge + parallel B&B on vs. off: the objective
         // must be bit-identical (snap() recomputes it from the same
         // cost vector over the same unique-optimum assignment).
         for seed in 0..6u64 {

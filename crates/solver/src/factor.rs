@@ -41,7 +41,9 @@ const MARKOWITZ_CANDS: usize = 4;
 pub(crate) struct SingularBasis;
 
 /// A sparse LU factorization `B = L·U` in elementary-operation form.
-#[derive(Debug, Clone, Default)]
+/// Deliberately not `Clone`: states share one factorization through
+/// `Arc` (see [`crate::ftran`]).
+#[derive(Debug, Default)]
 pub(crate) struct LuFactors {
     m: usize,
     /// Constraint row eliminated at step `k`.

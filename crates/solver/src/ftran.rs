@@ -15,13 +15,21 @@
 //! The file is truncated by [`crate::revised`]'s refactorization policy
 //! (update count or a stability trigger); each eta costs `O(nnz(d̂))`
 //! per solve, so a bounded file keeps solves near the factors' cost.
+//!
+//! Branch and bound clones a node's state for each child, so both the
+//! LU factors and every eta are immutable once built and shared through
+//! `Arc`: a clone copies one pointer per eta, a child's pivots append
+//! etas only to its own file, and a refactorization swaps the factor
+//! pointer without touching the states that still hold the old one.
 
 use crate::factor::LuFactors;
 use crate::simplex::DROP_EPS;
+use std::cell::RefCell;
+use std::sync::Arc;
 
 /// One product-form update: slot `r` was repivoted on column `d̂` with
 /// pivot `d̂_r`; `(rows, vals)` hold the off-pivot nonzeros of `d̂`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Eta {
     r: u32,
     pivot: f64,
@@ -29,29 +37,40 @@ struct Eta {
     vals: Vec<f64>,
 }
 
+thread_local! {
+    /// Triangular-solve scratch, one per thread and reused by every
+    /// solve on it: the factors and etas are shared between states, so
+    /// the buffer cannot live in any one of them.
+    static WORK: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
 /// An LU factorization composed with the eta file accumulated since the
-/// last refactorization. Owns the scratch the triangular solves need,
-/// so solves are allocation-free.
+/// last refactorization. Solves are allocation-free once the calling
+/// thread's scratch has grown to the basis dimension.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BasisFactor {
-    lu: LuFactors,
-    etas: Vec<Eta>,
-    work: Vec<f64>,
+    lu: Arc<LuFactors>,
+    etas: Vec<Arc<Eta>>,
 }
 
 impl BasisFactor {
     /// Wrap a fresh factorization (empty eta file).
-    pub(crate) fn new(lu: LuFactors, m: usize) -> BasisFactor {
+    pub(crate) fn new(lu: LuFactors) -> BasisFactor {
         BasisFactor {
-            lu,
+            lu: Arc::new(lu),
             etas: Vec::new(),
-            work: vec![0.0; m],
         }
     }
 
     /// Updates applied since the last refactorization.
     pub(crate) fn eta_count(&self) -> usize {
         self.etas.len()
+    }
+
+    /// Whether `self` and `other` read the same LU storage.
+    #[cfg(test)]
+    pub(crate) fn shares_lu_with(&self, other: &BasisFactor) -> bool {
+        Arc::ptr_eq(&self.lu, &other.lu)
     }
 
     /// Record the pivot `(slot r, entering column d̂ = B⁻¹a_q)`.
@@ -64,18 +83,18 @@ impl BasisFactor {
                 vals.push(v);
             }
         }
-        self.etas.push(Eta {
+        self.etas.push(Arc::new(Eta {
             r: r as u32,
             pivot: ecol[r],
             rows,
             vals,
-        });
+        }));
     }
 
     /// Solve `B·x = b` in place (`x`: constraint-row indexed in, basis
     /// slot indexed out). Returns the result's nonzero count.
-    pub(crate) fn ftran(&mut self, x: &mut [f64]) -> u64 {
-        self.lu.ftran(x, &mut self.work);
+    pub(crate) fn ftran(&self, x: &mut [f64]) -> u64 {
+        with_work(x.len(), |work| self.lu.ftran(x, work));
         for eta in &self.etas {
             let r = eta.r as usize;
             let t = x[r] / eta.pivot;
@@ -91,7 +110,7 @@ impl BasisFactor {
 
     /// Solve `Bᵀ·y = c` in place (`x`: basis slot indexed in,
     /// constraint-row indexed out). Returns the result's nonzero count.
-    pub(crate) fn btran(&mut self, x: &mut [f64]) -> u64 {
+    pub(crate) fn btran(&self, x: &mut [f64]) -> u64 {
         for eta in self.etas.iter().rev() {
             let r = eta.r as usize;
             let mut t = x[r];
@@ -100,9 +119,20 @@ impl BasisFactor {
             }
             x[r] = t / eta.pivot;
         }
-        self.lu.btran(x, &mut self.work);
+        with_work(x.len(), |work| self.lu.btran(x, work));
         nnz_of(x)
     }
+}
+
+/// Run `f` on this thread's triangular-solve scratch, sized `m`. The LU
+/// solves write every entry before reading it, so its previous contents
+/// never reach a result.
+fn with_work(m: usize, f: impl FnOnce(&mut [f64])) {
+    WORK.with(|w| {
+        let mut w = w.borrow_mut();
+        w.resize(m, 0.0);
+        f(&mut w);
+    });
 }
 
 fn nnz_of(x: &[f64]) -> u64 {
@@ -118,14 +148,14 @@ mod tests {
     fn updated_basis() -> BasisFactor {
         let cols = vec![vec![(0u32, 1.0)], vec![(1u32, 1.0)]];
         let lu = LuFactors::factorize(2, &cols).unwrap();
-        let mut bf = BasisFactor::new(lu, 2);
+        let mut bf = BasisFactor::new(lu);
         bf.push_eta(0, &[2.0, 1.0]);
         bf
     }
 
     #[test]
     fn eta_ftran_matches_direct_solve() {
-        let mut bf = updated_basis();
+        let bf = updated_basis();
         // Solve B'x = (4, 5)ᵀ → x = (2, 3)ᵀ.
         let mut x = [4.0, 5.0];
         let nnz = bf.ftran(&mut x);
@@ -135,7 +165,7 @@ mod tests {
 
     #[test]
     fn eta_btran_matches_direct_solve() {
-        let mut bf = updated_basis();
+        let bf = updated_basis();
         // Solve B'ᵀy = (7, 3)ᵀ; B'ᵀ = [[2, 1], [0, 1]] → y = (2, 3)ᵀ.
         let mut y = [7.0, 3.0];
         let nnz = bf.btran(&mut y);

@@ -26,8 +26,10 @@
 //!   their parent's optimal basis, and [`branch::solve_mip_epoch`]
 //!   carries the optimal root state *across* successive solves of a
 //!   structurally identical model (the co-scheduler's epoch loop).
-//!   The production kernel ([`KernelConfig::production`]) adds devex
-//!   pricing and deterministic parallel node-batch expansion.
+//!   The production kernel ([`KernelConfig::production`]) adds
+//!   presolve, the factorized engine with steepest-edge pricing, and
+//!   deterministic parallel node-batch expansion; child nodes share
+//!   their parent's LU factors and eta entries rather than copying them.
 //! * [`presolve`] — fixed-variable elimination, singleton-row
 //!   substitution, and bound tightening that shrink a model before the
 //!   kernel sees it, with a deterministic postsolve back to the
@@ -68,7 +70,8 @@ pub mod simplex;
 pub mod skeleton;
 
 pub use branch::{
-    solve_mip_epoch, solve_mip_epoch_with, solve_mip_kernel, Engine, EpochCache, KernelConfig,
+    solve_mip_epoch, solve_mip_epoch_with, solve_mip_kernel, Engine, EpochCache, EpochStart,
+    KernelConfig,
 };
 pub use model::{Cmp, LinExpr, Model, Sense, Solution, SolveError, VarId};
 pub use presolve::{PresolveStats, Presolved};

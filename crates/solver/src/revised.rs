@@ -41,6 +41,7 @@ use crate::factor::LuFactors;
 use crate::ftran::BasisFactor;
 use crate::model::{Cmp, Model, Sense, Solution, SolveError, VarId};
 use crate::simplex::{Pricing, BLAND_AFTER, COST_EPS, DEVEX_RESET, DROP_EPS, EPS, FEAS_EPS};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// FTRAN-vs-BTRAN pivot agreement tolerance (relative): worse than this
@@ -105,6 +106,7 @@ struct ArtCol {
 /// devex weights) iterate the nonzeros instead of every column. An
 /// epoch-marked scratch deduplicates the support without a clearing
 /// pass.
+#[derive(Default)]
 struct PriceRow {
     alpha: Vec<f64>,
     support: Vec<u32>,
@@ -113,13 +115,11 @@ struct PriceRow {
 }
 
 impl PriceRow {
-    fn new(cols: usize) -> PriceRow {
-        PriceRow {
-            alpha: vec![0.0; cols],
-            support: Vec::new(),
-            mark: vec![0; cols],
-            epoch: 0,
-        }
+    /// Size the row for `cols` columns, all zero.
+    fn fit(&mut self, cols: usize) {
+        self.clear();
+        self.alpha.resize(cols, 0.0);
+        self.mark.resize(cols, 0);
     }
 
     /// Zero the previous row (via its support) and start a new one.
@@ -143,6 +143,67 @@ impl PriceRow {
         }
         self.alpha[j] += v;
     }
+}
+
+/// The work vectors of one solve. Kept per thread and reused by every
+/// solve on it, because branch and bound runs thousands of short warm
+/// re-solves per MIP. Every reader re-initialises what it reads, so no
+/// result depends on what an earlier solve left behind.
+#[derive(Default)]
+struct Scratch {
+    /// The FTRAN'd entering column `d̂ = B⁻¹a_q`.
+    ecol: Vec<f64>,
+    /// The BTRAN'd unit row `ρ = eᵣᵀB⁻¹`, or the prices `B⁻ᵀc_B`.
+    rho: Vec<f64>,
+    /// Steepest-edge cross-term vector `τ = B⁻ᵀd̂`.
+    tau: Vec<f64>,
+    /// Basic-value shift of a bound or RHS retarget.
+    shift: Vec<f64>,
+    pr: PriceRow,
+    /// Pricing reference weights (steepest-edge or devex).
+    weights: Vec<f64>,
+    /// Maintained entering violations (see [`RevisedState::iterate_with`]).
+    viol: Vec<f64>,
+    /// The current phase's cost vector and its reduced costs.
+    cost: Vec<f64>,
+    d: Vec<f64>,
+}
+
+impl Scratch {
+    /// Size every buffer for a state with `m` rows and `cols` columns.
+    fn fit(&mut self, m: usize, cols: usize) {
+        for v in [
+            &mut self.ecol,
+            &mut self.rho,
+            &mut self.tau,
+            &mut self.shift,
+        ] {
+            v.resize(m, 0.0);
+        }
+        for v in [
+            &mut self.weights,
+            &mut self.viol,
+            &mut self.cost,
+            &mut self.d,
+        ] {
+            v.resize(cols, 0.0);
+        }
+        self.pr.fit(cols);
+    }
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// Run `f` on this thread's [`Scratch`], sized for `m` rows and `cols`
+/// columns.
+fn with_scratch<T>(m: usize, cols: usize, f: impl FnOnce(&mut Scratch) -> T) -> T {
+    SCRATCH.with(|sc| {
+        let mut sc = sc.borrow_mut();
+        sc.fit(m, cols);
+        f(&mut sc)
+    })
 }
 
 /// Per-solve counters, flushed to `vb-telemetry` at loop and solve
@@ -177,7 +238,9 @@ enum Step {
 /// Revised-simplex state: basis, factorization, and bounds — the
 /// factorized counterpart of [`crate::simplex::SimplexState`], reusable
 /// as a warm-start basis under changed bounds or (structurally
-/// identical) changed models.
+/// identical) changed models. A clone shares the constraint matrix,
+/// the LU factors and the eta file's entries with its source, and
+/// copies only the per-column and per-row vectors.
 #[derive(Debug, Clone)]
 pub struct RevisedState {
     mat: Arc<Mat>,
@@ -309,14 +372,10 @@ pub fn solve_lp_epoch_warm(
     }
 
     let mut st = prev.clone();
-    st.apply_rhs(model);
-    st.apply_bounds(&lb, &ub)?;
-    let c2 = st.phase2_costs(model);
-    let mut d = st.reduced_costs(&c2);
-    st.dual_iterate(&mut d, st.art_start)?;
-    st.iterate_with(&mut d, st.art_start, pricing)?;
-    let sol = st.extract(model);
-    st.flush_stats();
+    let sol = with_scratch(st.m, st.cols, |sc| {
+        st.apply_rhs(model, &mut sc.shift);
+        st.reoptimize(model, &lb, &ub, pricing, sc)
+    })?;
     Ok((sol, st))
 }
 
@@ -329,32 +388,33 @@ fn cold_solve(
     params: Params,
 ) -> Result<(Solution, RevisedState), SolveError> {
     let mut st = RevisedState::build(model, lb, ub, params)?;
-
-    // Phase 1: minimise the sum of artificials.
-    if st.art_start < st.cols {
-        let mut c1 = vec![0.0; st.cols];
-        for c in c1.iter_mut().skip(st.art_start) {
-            *c = 1.0;
+    let sol = with_scratch(st.m, st.cols, |sc| {
+        // Phase 1: minimise the sum of artificials.
+        if st.art_start < st.cols {
+            for (j, c) in sc.cost.iter_mut().enumerate() {
+                *c = if j < st.art_start { 0.0 } else { 1.0 };
+            }
+            st.reduced_costs(sc);
+            st.iterate_with(sc, st.cols, pricing)?; // artificials may pivot in phase 1
+            let infeas: f64 = (0..st.m)
+                .filter(|&i| st.basis[i] >= st.art_start)
+                .map(|i| st.xb[i])
+                .sum();
+            if infeas > FEAS_EPS {
+                return Err(SolveError::Infeasible);
+            }
+            st.expel_and_freeze_artificials(sc)?;
         }
-        let mut d = st.reduced_costs(&c1);
-        st.iterate_with(&mut d, st.cols, pricing)?; // artificials may pivot in phase 1
-        let infeas: f64 = (0..st.m)
-            .filter(|&i| st.basis[i] >= st.art_start)
-            .map(|i| st.xb[i])
-            .sum();
-        if infeas > FEAS_EPS {
-            return Err(SolveError::Infeasible);
-        }
-        st.expel_and_freeze_artificials(&mut d)?;
-    }
 
-    // Phase 2: the real objective, artificials barred from entering.
-    let c2 = st.phase2_costs(model);
-    let mut d = st.reduced_costs(&c2);
-    st.iterate_with(&mut d, st.art_start, pricing)?;
+        // Phase 2: the real objective, artificials barred from entering.
+        st.phase2_costs(model, &mut sc.cost);
+        st.reduced_costs(sc);
+        st.iterate_with(sc, st.art_start, pricing)?;
 
-    let sol = st.extract(model);
-    st.flush_stats();
+        let sol = st.extract(model);
+        st.flush_stats();
+        Ok(sol)
+    })?;
     Ok((sol, st))
 }
 
@@ -368,13 +428,9 @@ fn warm_solve(
     pricing: Pricing,
 ) -> Result<(Solution, RevisedState), SolveError> {
     let mut st = parent.clone();
-    st.apply_bounds(lb, ub)?;
-    let c2 = st.phase2_costs(model);
-    let mut d = st.reduced_costs(&c2);
-    st.dual_iterate(&mut d, st.art_start)?;
-    st.iterate_with(&mut d, st.art_start, pricing)?;
-    let sol = st.extract(model);
-    st.flush_stats();
+    let sol = with_scratch(st.m, st.cols, |sc| {
+        st.reoptimize(model, lb, ub, pricing, sc)
+    })?;
     Ok((sol, st))
 }
 
@@ -529,27 +585,53 @@ impl RevisedState {
         Ok(st)
     }
 
-    /// Phase-2 cost vector: the objective over structurals, min sense.
-    fn phase2_costs(&self, model: &Model) -> Vec<f64> {
+    /// Re-optimise in place under new structural bounds: dual-simplex
+    /// repair followed by a primal clean-up pass.
+    fn reoptimize(
+        &mut self,
+        model: &Model,
+        lb: &[f64],
+        ub: &[f64],
+        pricing: Pricing,
+        sc: &mut Scratch,
+    ) -> Result<Solution, SolveError> {
+        self.apply_bounds(lb, ub, &mut sc.shift)?;
+        self.phase2_costs(model, &mut sc.cost);
+        self.reduced_costs(sc);
+        self.dual_iterate(sc, self.art_start)?;
+        self.iterate_with(sc, self.art_start, pricing)?;
+        let sol = self.extract(model);
+        self.flush_stats();
+        Ok(sol)
+    }
+
+    /// Phase-2 cost vector into `c`: the objective over structurals,
+    /// min sense.
+    fn phase2_costs(&self, model: &Model, c: &mut [f64]) {
         let sign = match model.sense {
             Sense::Minimize => 1.0,
             Sense::Maximize => -1.0,
         };
-        let mut c = vec![0.0; self.cols];
+        c.fill(0.0);
         for &(v, coef) in &model.objective {
             c[v.0] += sign * coef;
         }
-        c
     }
 
-    /// Reduced costs `d = c − yᵀA` with `y = B⁻ᵀc_B` (one BTRAN plus a
-    /// constraint-row sweep) — computed on demand at solve boundaries,
-    /// then maintained per pivot from the pricing row.
-    fn reduced_costs(&mut self, c: &[f64]) -> Vec<f64> {
-        let mut y: Vec<f64> = self.basis.iter().map(|&b| c[b]).collect();
-        let mut d = c.to_vec();
+    /// Reduced costs `d = c − yᵀA` of the scratch cost vector, with
+    /// `y = B⁻ᵀc_B` (one BTRAN plus a constraint-row sweep) — computed
+    /// on demand at solve boundaries, then maintained per pivot from the
+    /// pricing row.
+    fn reduced_costs(&mut self, sc: &mut Scratch) {
+        let Scratch {
+            cost: c, rho: y, d, ..
+        } = sc;
+        for (yi, &b) in y.iter_mut().zip(&self.basis) {
+            *yi = c[b];
+        }
+        d.copy_from_slice(c);
         if y.iter().any(|&v| v != 0.0) {
-            self.stats.btran_nnz += self.factor.btran(&mut y);
+            self.stats.btran_nnz += self.factor.btran(y);
             for (i, &p) in y.iter().enumerate() {
                 if p.abs() <= DROP_EPS {
                     continue;
@@ -572,7 +654,6 @@ impl RevisedState {
         for &b in &self.basis {
             d[b] = 0.0;
         }
-        d
     }
 
     fn row_range(&self, i: usize) -> (usize, usize) {
@@ -696,7 +777,7 @@ impl RevisedState {
         // A singular basis is numerical trouble, not infeasibility: use
         // the iteration-limit channel so warm paths fall back to cold.
         let lu = LuFactors::factorize(self.m, &cols).map_err(|_| SolveError::IterationLimit)?;
-        self.factor = BasisFactor::new(lu, self.m);
+        self.factor = BasisFactor::new(lu);
         Ok(())
     }
 
@@ -729,9 +810,15 @@ impl RevisedState {
 
     /// Retarget structural bounds (warm start): nonbasic structurals are
     /// re-seated on a finite bound under the new interval and the basic
-    /// values shifted through one FTRAN of the accumulated column delta.
-    fn apply_bounds(&mut self, lb: &[f64], ub: &[f64]) -> Result<(), SolveError> {
-        let mut shift = vec![0.0; self.m];
+    /// values shifted through one FTRAN of the accumulated column delta
+    /// (batched in `shift`).
+    fn apply_bounds(
+        &mut self,
+        lb: &[f64],
+        ub: &[f64],
+        shift: &mut [f64],
+    ) -> Result<(), SolveError> {
+        shift.fill(0.0);
         let mut any = false;
         for j in 0..self.n {
             let (nl, nu) = (lb[j], ub[j]);
@@ -756,7 +843,7 @@ impl RevisedState {
                 let delta = new - old;
                 if delta != 0.0 {
                     // x_B −= B⁻¹a_j·Δ; batch the columns, solve once.
-                    self.sub_column(j, -delta, &mut shift);
+                    self.sub_column(j, -delta, shift);
                     any = true;
                 }
                 self.at_upper[j] = up;
@@ -765,8 +852,8 @@ impl RevisedState {
             self.ub[j] = nu;
         }
         if any {
-            self.stats.ftran_nnz += self.factor.ftran(&mut shift);
-            for (x, &s) in self.xb.iter_mut().zip(&shift) {
+            self.stats.ftran_nnz += self.factor.ftran(shift);
+            for (x, &s) in self.xb.iter_mut().zip(shift.iter()) {
                 *x -= s;
             }
         }
@@ -774,9 +861,9 @@ impl RevisedState {
     }
 
     /// Retarget the basic values for a model-RHS change (epoch warm
-    /// start): `x_B += B⁻¹·Δb`, one FTRAN.
-    fn apply_rhs(&mut self, model: &Model) {
-        let mut delta = vec![0.0; self.m];
+    /// start): `x_B += B⁻¹·Δb`, one FTRAN of `delta`.
+    fn apply_rhs(&mut self, model: &Model, delta: &mut [f64]) {
+        delta.fill(0.0);
         let mut any = false;
         for (k, c) in model.constraints.iter().enumerate() {
             let d = c.rhs - self.rhs_b[k];
@@ -789,36 +876,42 @@ impl RevisedState {
         if !any {
             return;
         }
-        self.stats.ftran_nnz += self.factor.ftran(&mut delta);
-        for (x, &s) in self.xb.iter_mut().zip(&delta) {
+        self.stats.ftran_nnz += self.factor.ftran(delta);
+        for (x, &s) in self.xb.iter_mut().zip(delta.iter()) {
             *x += s;
         }
     }
 
-    /// Primal bounded-variable simplex on reduced costs `d` until no
-    /// nonbasic column priced below `col_limit` can improve. Pricing
-    /// weights (devex or steepest-edge) live for exactly one call, as in
-    /// the tableau engine, so a solve stays a pure function of
-    /// `(model, bounds, basis)`.
+    /// Primal bounded-variable simplex on the scratch reduced costs `d`
+    /// until no nonbasic column priced below `col_limit` can improve.
+    /// Pricing weights (devex or steepest-edge) live for exactly one
+    /// call, as in the tableau engine, so a solve stays a pure function
+    /// of `(model, bounds, basis)`.
     fn iterate_with(
         &mut self,
-        d: &mut [f64],
+        sc: &mut Scratch,
         col_limit: usize,
         pricing: Pricing,
     ) -> Result<(), SolveError> {
         let max_iter = 20_000 + 100 * (self.m + self.cols);
         let weighted = !matches!(pricing, Pricing::Dantzig);
-        let mut weights = vec![1.0f64; self.cols];
-        let mut ecol = vec![0.0; self.m];
-        let mut rho = vec![0.0; self.m];
-        let mut pr = PriceRow::new(self.cols);
-        let mut tau = vec![0.0; self.m];
+        let Scratch {
+            ecol,
+            rho,
+            tau,
+            pr,
+            weights,
+            viol,
+            d,
+            ..
+        } = sc;
+        weights.fill(1.0);
         // Maintained violation array for the weighted rules: `viol[j]`
         // is the entering violation of candidate `j` (−∞ for basic,
         // fixed, or out-of-limit columns), refreshed from the pricing
         // row's support after every pivot so the entering scan reads
         // two arrays instead of six.
-        let mut viol = vec![f64::NEG_INFINITY; self.cols];
+        viol.fill(f64::NEG_INFINITY);
         let mut active = 0u64;
         if weighted {
             for (j, slot) in viol.iter_mut().enumerate().take(col_limit) {
@@ -836,7 +929,7 @@ impl RevisedState {
             for iter in 0..max_iter {
                 let bland = iter >= self.params.bland_after;
                 let enter = if weighted && !bland {
-                    self.choose_entering_weighted(&viol, active, &weights)
+                    self.choose_entering_weighted(viol, active, weights)
                 } else {
                     self.choose_entering(d, col_limit, bland)
                 };
@@ -844,21 +937,21 @@ impl RevisedState {
                     return Ok(());
                 };
                 let dir = if self.at_upper[enter] { -1.0 } else { 1.0 };
-                self.load_column(enter, &mut ecol);
-                self.stats.ftran_nnz += self.factor.ftran(&mut ecol);
-                match self.ratio_test(enter, dir, &ecol) {
+                self.load_column(enter, ecol);
+                self.stats.ftran_nnz += self.factor.ftran(ecol);
+                match self.ratio_test(enter, dir, ecol) {
                     Step::Unbounded => return Err(SolveError::Unbounded),
                     Step::Flip => {
                         let span = self.ub[enter] - self.lb[enter];
                         let delta = dir * span;
                         #[cfg(feature = "check-invariants")]
                         assert_monotone_step(d[enter], delta, "bound flip");
-                        for (x, &e) in self.xb.iter_mut().zip(&ecol) {
+                        for (x, &e) in self.xb.iter_mut().zip(ecol.iter()) {
                             *x -= e * delta;
                         }
                         self.at_upper[enter] = !self.at_upper[enter];
                         if weighted {
-                            self.refresh_viol(enter, col_limit, d, &mut viol, &mut active);
+                            self.refresh_viol(enter, col_limit, d, viol, &mut active);
                         }
                         self.stats.flips += 1;
                         fresh = false;
@@ -870,8 +963,8 @@ impl RevisedState {
                     } => {
                         rho.fill(0.0);
                         rho[row] = 1.0;
-                        self.stats.btran_nnz += self.factor.btran(&mut rho);
-                        self.pricing_row(&rho, &mut pr);
+                        self.stats.btran_nnz += self.factor.btran(rho);
+                        self.pricing_row(rho, pr);
                         // Stability trigger: the pivot element computed
                         // through FTRAN and through BTRAN must agree.
                         let (pf, pb) = (ecol[row], pr.alpha[enter]);
@@ -891,25 +984,20 @@ impl RevisedState {
                         }
                         if weighted {
                             match pricing {
-                                Pricing::SteepestEdge => self.steepest_update(
-                                    &mut weights,
-                                    enter,
-                                    row,
-                                    &ecol,
-                                    &pr,
-                                    &mut tau,
-                                ),
-                                _ => self.devex_update(&mut weights, enter, row, &pr),
+                                Pricing::SteepestEdge => {
+                                    self.steepest_update(weights, enter, row, ecol, pr, tau)
+                                }
+                                _ => self.devex_update(weights, enter, row, pr),
                             }
                         }
-                        self.pivot_apply(row, enter, target, leave_at_upper, d, &ecol, &pr)?;
+                        self.pivot_apply(row, enter, target, leave_at_upper, d, ecol, pr)?;
                         if weighted {
                             // Reduced costs changed exactly on the
                             // pricing row's support (plus the basis
                             // swap, whose columns the support covers).
                             for idx in 0..pr.support.len() {
                                 let j = pr.support[idx] as usize;
-                                self.refresh_viol(j, col_limit, d, &mut viol, &mut active);
+                                self.refresh_viol(j, col_limit, d, viol, &mut active);
                             }
                         }
                         self.stats.pivots += 1;
@@ -1136,11 +1224,11 @@ impl RevisedState {
     /// engine, with the pricing row reconstructed per iteration by one
     /// BTRAN, and the same stability/refactorization policy as the
     /// primal loop.
-    fn dual_iterate(&mut self, d: &mut [f64], col_limit: usize) -> Result<(), SolveError> {
+    fn dual_iterate(&mut self, sc: &mut Scratch, col_limit: usize) -> Result<(), SolveError> {
         let max_iter = 20_000 + 100 * (self.m + self.cols);
-        let mut ecol = vec![0.0; self.m];
-        let mut rho = vec![0.0; self.m];
-        let mut pr = PriceRow::new(self.cols);
+        let Scratch {
+            ecol, rho, pr, d, ..
+        } = sc;
         let mut fresh = false;
         let result = (|| {
             for _ in 0..max_iter {
@@ -1168,8 +1256,8 @@ impl RevisedState {
 
                 rho.fill(0.0);
                 rho[row] = 1.0;
-                self.stats.btran_nnz += self.factor.btran(&mut rho);
-                self.pricing_row(&rho, &mut pr);
+                self.stats.btran_nnz += self.factor.btran(rho);
+                self.pricing_row(rho, pr);
 
                 // Entering column by the dual ratio test over the row's
                 // entries (ascending scan keeps the tableau tie-breaks).
@@ -1197,15 +1285,15 @@ impl RevisedState {
                 let Some((col, _)) = enter else {
                     return Err(SolveError::Infeasible);
                 };
-                self.load_column(col, &mut ecol);
-                self.stats.ftran_nnz += self.factor.ftran(&mut ecol);
+                self.load_column(col, ecol);
+                self.stats.ftran_nnz += self.factor.ftran(ecol);
                 let (pf, pb) = (ecol[row], pr.alpha[col]);
                 if !fresh && (pf - pb).abs() > STAB_EPS * (1.0 + pf.abs().max(pb.abs())) {
                     self.refactorize()?;
                     fresh = true;
                     continue;
                 }
-                self.pivot_apply(row, col, target, !below, d, &ecol, &pr)?;
+                self.pivot_apply(row, col, target, !below, d, ecol, pr)?;
                 self.stats.pivots += 1;
                 self.stats.dual_pivots += 1;
                 fresh = false;
@@ -1275,22 +1363,22 @@ impl RevisedState {
     /// After phase 1: pivot basic artificials (at value 0) out where a
     /// real column has a nonzero pricing-row entry (redundant rows keep
     /// theirs), then freeze every artificial at `[0, 0]`.
-    fn expel_and_freeze_artificials(&mut self, d: &mut [f64]) -> Result<(), SolveError> {
-        let mut ecol = vec![0.0; self.m];
-        let mut rho = vec![0.0; self.m];
-        let mut pr = PriceRow::new(self.cols);
+    fn expel_and_freeze_artificials(&mut self, sc: &mut Scratch) -> Result<(), SolveError> {
+        let Scratch {
+            ecol, rho, pr, d, ..
+        } = sc;
         for i in 0..self.m {
             if self.basis[i] >= self.art_start {
                 rho.fill(0.0);
                 rho[i] = 1.0;
-                self.stats.btran_nnz += self.factor.btran(&mut rho);
-                self.pricing_row(&rho, &mut pr);
+                self.stats.btran_nnz += self.factor.btran(rho);
+                self.pricing_row(rho, pr);
                 let col = (0..self.art_start)
                     .find(|&j| self.basis_pos[j] == usize::MAX && pr.alpha[j].abs() > 1e-7);
                 if let Some(col) = col {
-                    self.load_column(col, &mut ecol);
-                    self.stats.ftran_nnz += self.factor.ftran(&mut ecol);
-                    self.pivot_apply(i, col, 0.0, false, d, &ecol, &pr)?;
+                    self.load_column(col, ecol);
+                    self.stats.ftran_nnz += self.factor.ftran(ecol);
+                    self.pivot_apply(i, col, 0.0, false, d, ecol, pr)?;
                     self.stats.pivots += 1;
                 }
             }
@@ -1554,6 +1642,85 @@ mod tests {
             warm_sol.objective,
             cold_sol.objective
         );
+    }
+
+    /// max Σ c_j x_j over four resource rows, 0 ≤ x_j ≤ 4: enough
+    /// pivots to leave an eta file behind.
+    fn resource_lp() -> Model {
+        let mut m = Model::new(Sense::Maximize);
+        let x: Vec<VarId> = (0..6).map(|j| m.var(&format!("x{j}"), 0.0, 4.0)).collect();
+        let rows = [
+            ([3.0, 1.0, 2.0, 0.0, 1.0, 2.0], 12.0),
+            ([1.0, 4.0, 0.0, 2.0, 1.0, 1.0], 10.0),
+            ([2.0, 0.0, 3.0, 1.0, 2.0, 0.0], 11.0),
+            ([0.0, 2.0, 1.0, 3.0, 0.0, 2.0], 9.0),
+        ];
+        for (coefs, rhs) in rows {
+            let terms: Vec<(VarId, f64)> = x
+                .iter()
+                .zip(coefs)
+                .filter(|&(_, a)| a != 0.0)
+                .map(|(&v, a)| (v, a))
+                .collect();
+            let e = m.expr(&terms);
+            m.add_le(e, rhs);
+        }
+        let gains = [5.0, 4.0, 6.0, 3.0, 2.0, 4.5];
+        let terms: Vec<(VarId, f64)> = x.iter().copied().zip(gains).collect();
+        let obj = m.expr(&terms);
+        m.set_objective(obj);
+        m
+    }
+
+    fn solution_bits(sol: &Solution) -> Vec<u64> {
+        std::iter::once(sol.objective.to_bits())
+            .chain(sol.values().iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn cloned_states_share_factors_and_survive_a_sibling_refactorization() {
+        let m = resource_lp();
+        let params = Params {
+            refactor_after: 3,
+            bland_after: BLAND_AFTER,
+        };
+        let (_, parent) =
+            solve_lp_state_params(&m, &[], None, Pricing::SteepestEdge, params).unwrap();
+        assert!(
+            parent.factor.eta_count() > 0,
+            "the parent keeps an eta file"
+        );
+        let mut driven = parent.clone();
+        let sibling = parent.clone();
+        assert!(driven.factor.shares_lu_with(&parent.factor));
+        assert!(sibling.factor.shares_lu_with(&parent.factor));
+
+        let resolve = |st: &RevisedState, fix: (VarId, f64, f64)| {
+            let (sol, _) = solve_lp_state(&m, &[fix], Some(st), Pricing::SteepestEdge).unwrap();
+            solution_bits(&sol)
+        };
+        let parent_fix = (VarId(0), 0.0, 1.0);
+        let sibling_fix = (VarId(5), 0.0, 0.5);
+        let parent_before = resolve(&parent, parent_fix);
+        let sibling_before = resolve(&sibling, sibling_fix);
+
+        // Re-optimise one sibling in place under tightened bounds, past
+        // the refactorization interval.
+        let lb = vec![0.0; 6];
+        let ub = vec![0.5, 0.25, 0.5, 0.25, 4.0, 0.5];
+        with_scratch(driven.m, driven.cols, |sc| {
+            driven.reoptimize(&m, &lb, &ub, Pricing::SteepestEdge, sc)
+        })
+        .unwrap();
+        assert!(
+            !driven.factor.shares_lu_with(&parent.factor),
+            "the driven sibling refactorized onto its own factors"
+        );
+        assert!(sibling.factor.shares_lu_with(&parent.factor));
+
+        assert_eq!(resolve(&parent, parent_fix), parent_before);
+        assert_eq!(resolve(&sibling, sibling_fix), sibling_before);
     }
 
     #[test]

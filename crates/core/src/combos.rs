@@ -5,11 +5,12 @@
 //! even when combining just two sites, > 52 % of possible 2-site
 //! combinations improved cov by > 50 %."
 //!
-//! The sweep over all pairs is embarrassingly parallel; trace
-//! generation and the per-pair cov computations are fanned out across
-//! CPU cores with `vb_par` (deterministic ordered map, so the results
-//! are identical at any thread count — see the determinism tests in
-//! `vb-bench`).
+//! The catalog's traces come from one group synthesis, which draws the
+//! weather the sites share once. The sweep over all pairs is
+//! embarrassingly parallel: the per-pair cov computations are fanned out
+//! across CPU cores with `vb_par` (deterministic ordered map, so the
+//! results are identical at any thread count — see the determinism tests
+//! in `vb-bench`).
 
 use serde::{Deserialize, Serialize};
 use vb_stats::{coefficient_of_variation, TimeSeries};
@@ -57,6 +58,9 @@ pub struct ComboStats {
 /// Sweep all site pairs within `latency_threshold_ms`, measuring cov
 /// improvement over `days` days starting at `start_day` (the paper uses
 /// 3-day intervals and a 50 ms threshold).
+///
+/// # Panics
+/// Panics if a site's measured data does not cover the window.
 pub fn search_pairs(
     catalog: &Catalog,
     start_day: u32,
@@ -66,11 +70,13 @@ pub fn search_pairs(
     let sites = catalog.sites();
     let n = sites.len();
 
-    // Generate all traces in parallel (the expensive part).
-    let traces: Vec<TimeSeries> = vb_par::par_map(n, |i| {
-        vb_trace::generate_in(&sites[i], start_day, days, catalog.field())
-            .scale(sites[i].capacity_mw)
-    });
+    // One group call: the sites share most of their weather draws.
+    let traces: Vec<TimeSeries> = catalog
+        .traces(start_day, days)
+        .iter()
+        .zip(sites)
+        .map(|(t, s)| t.scale(s.capacity_mw))
+        .collect();
     let covs: Vec<f64> = traces
         .iter()
         .map(|t| coefficient_of_variation(&t.values))

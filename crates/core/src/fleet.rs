@@ -132,9 +132,10 @@ pub fn shard_names(catalog: &Catalog, shard_size: usize) -> Vec<Vec<String>> {
 /// shard, fanned out over `vb-par` with index-ordered assembly.
 ///
 /// # Errors
-/// Propagates the first (lowest-shard-index) [`SimError`] — in
-/// practice only reachable with an empty catalog, since shard names
-/// come from the catalog itself.
+/// Propagates the first (lowest-shard-index) [`SimError`]: shard names
+/// come from the catalog itself, so that is [`SimError::NoSites`] for
+/// an empty catalog, or [`SimError::Coverage`] when a site's measured
+/// data does not cover the configured days.
 pub fn run_fleet(
     catalog: &Catalog,
     policy: FleetPolicy,
@@ -154,9 +155,14 @@ pub fn run_fleet(
             ..cfg.sim.clone()
         };
         let sim = GroupSim::new(catalog, &names, sim_cfg)?;
+        // The §2.3 readout reads the traces the sim already holds.
+        let (sites, traces) = sim
+            .site_traces()
+            .map(|(site, actual)| (site.clone(), actual.scale(site.capacity_mw)))
+            .unzip();
+        let cov = MultiVb::new(sites, traces).cov();
         let mut policy = policy.build();
         let summary = sim.run(policy.as_mut());
-        let cov = MultiVb::from_catalog(catalog, &names, cfg.sim.start_day, cfg.sim.days).cov();
         Ok(ShardResult {
             sites: shards[i].clone(),
             cov,
@@ -251,6 +257,13 @@ mod tests {
         );
         assert!(run.vm_decisions > 0);
         assert!(run.total_gb >= 0.0);
+        // Each shard's cov, read off the sim's traces, is the catalog's.
+        let (start, days) = (small_cfg().sim.start_day, small_cfg().sim.days);
+        for shard in &run.shards {
+            let names: Vec<&str> = shard.sites.iter().map(String::as_str).collect();
+            let group = MultiVb::from_catalog(&catalog, &names, start, days);
+            assert_eq!(shard.cov.to_bits(), group.cov().to_bits());
+        }
     }
 
     #[test]

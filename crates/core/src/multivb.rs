@@ -30,26 +30,37 @@ pub struct ComboBreakdown {
 }
 
 impl MultiVb {
-    /// Build a group from catalog site names over a day window.
+    /// Build a group from catalog site names over a day window, with the
+    /// catalog's traces (measured data where a site has it) drawn in one
+    /// group call.
     ///
     /// # Panics
-    /// Panics if `names` is empty or contains an unknown site.
+    /// Panics if `names` is empty or contains an unknown site, or if a
+    /// site's measured data does not cover the window.
     pub fn from_catalog(catalog: &Catalog, names: &[&str], start_day: u32, days: u32) -> MultiVb {
         assert!(!names.is_empty(), "need at least one site");
-        let sites: Vec<Site> = names
+        let indices: Vec<usize> = names
             .iter()
             .map(|n| {
                 catalog
-                    .get(n)
+                    .index_of(n)
                     // vb-audit: allow(no-panic, documented `# Panics` contract of the by-name constructor)
                     .unwrap_or_else(|| panic!("unknown site {n}"))
-                    .clone()
             })
             .collect();
-        let traces = names
+        let series = catalog
+            .group_series(&indices, start_day, days, [])
+            // vb-audit: allow(no-panic, documented `# Panics` contract of the by-name constructor)
+            .unwrap_or_else(|e| panic!("{e}"));
+        let (sites, traces) = indices
             .iter()
-            .map(|n| catalog.trace_mw(n, start_day, days))
-            .collect();
+            .zip(series)
+            .map(|(&i, s)| {
+                let site = catalog.sites()[i].clone();
+                let mw = s.actual.scale(site.capacity_mw);
+                (site, mw)
+            })
+            .unzip();
         MultiVb { sites, traces }
     }
 

@@ -3,10 +3,9 @@
 //! # vb-par — deterministic scoped-thread parallelism
 //!
 //! Every figure/table sweep in this workspace is embarrassingly
-//! parallel: independent per-site trace generation, per-pair cov
-//! computations, per-clique scoring, per-policy simulations. This crate
-//! is the one executor they all share, with a contract the experiment
-//! harness depends on:
+//! parallel: per-pair cov computations, per-clique scoring, per-policy
+//! simulations, per-shard fleet runs. This crate is the one executor
+//! they all share, with a contract the experiment harness depends on:
 //!
 //! **Determinism.** [`par_map`] writes each task's result at its input
 //! index, so the output vector is *bit-identical* at any thread count —

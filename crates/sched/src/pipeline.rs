@@ -46,16 +46,20 @@ impl Default for PipelineConfig {
 }
 
 /// Step 1 + 2: enumerate k-cliques of the latency graph and return the
-/// `candidates` steadiest ones (lowest combined cov first).
+/// `candidates` steadiest ones (lowest combined cov first), ranked on
+/// the catalog's traces: measured data where a site has it.
+///
+/// # Panics
+/// Panics if a site's measured data does not cover the ranking window.
 pub fn identify_subgraphs(catalog: &Catalog, cfg: &PipelineConfig) -> Vec<CliqueScore> {
     let graph = SiteGraph::build(catalog.sites().to_vec(), cfg.latency_threshold_ms);
     let cliques = k_cliques(&graph, cfg.k);
-    let sites = catalog.sites();
-    let traces: Vec<TimeSeries> = vb_par::par_map(sites.len(), |i| {
-        let s = &sites[i];
-        vb_trace::generate_in(s, cfg.start_day, cfg.window_days, catalog.field())
-            .scale(s.capacity_mw)
-    });
+    let traces: Vec<TimeSeries> = catalog
+        .traces(cfg.start_day, cfg.window_days)
+        .iter()
+        .zip(catalog.sites())
+        .map(|(t, s)| t.scale(s.capacity_mw))
+        .collect();
     let mut ranked = rank_cliques_by_cov(&graph, &cliques, &traces);
     ranked.truncate(cfg.candidates);
     ranked
@@ -65,7 +69,8 @@ pub fn identify_subgraphs(catalog: &Catalog, cfg: &PipelineConfig) -> Vec<Clique
 /// multi-VB group the experiments run on.
 ///
 /// # Panics
-/// Panics if the graph has no k-clique at all.
+/// Panics if the graph has no k-clique at all, or if a site's measured
+/// data does not cover the ranking window.
 pub fn select_group(catalog: &Catalog, cfg: &PipelineConfig) -> Vec<String> {
     let ranked = identify_subgraphs(catalog, cfg);
     // vb-audit: allow(no-panic, documented `# Panics` contract of this convenience API)
@@ -122,6 +127,35 @@ mod tests {
             best.cov,
             median_single
         );
+    }
+
+    #[test]
+    fn measured_constant_clique_ranks_first() {
+        // Three Europe sites carry measured constant output: their
+        // combined cov is zero, so they must be the top clique. Ranking
+        // on synthetic weather instead would bury them.
+        let europe = Catalog::europe(42);
+        let cfg = PipelineConfig::default();
+        let flat = ["BE-wind", "NL-wind", "DE-solar"];
+        let mut catalog = Catalog::new(42);
+        for site in europe.sites() {
+            if flat.contains(&site.name.as_str()) {
+                let values = vec![0.4; cfg.window_days as usize * vb_trace::STEPS_PER_DAY];
+                let start = cfg.start_day as u64 * 86_400;
+                let data = TimeSeries::with_start(start, vb_trace::INTERVAL_15M, values);
+                catalog.push_measured(site.clone(), data);
+            } else {
+                catalog.push(site.clone());
+            }
+        }
+        let best = &identify_subgraphs(&catalog, &cfg)[0];
+        let names: Vec<&str> = best
+            .nodes
+            .iter()
+            .map(|&i| catalog.sites()[i].name.as_str())
+            .collect();
+        assert_eq!(names, flat);
+        assert_eq!(best.cov, 0.0);
     }
 
     #[test]

@@ -52,7 +52,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use vb_cluster::VmKind;
 use vb_stats::{Cdf, Summary, TimeSeries};
-use vb_trace::{forecast_for, generate_in, Catalog, Horizon, Site, WEEK_AHEAD_STEPS};
+use vb_trace::{Catalog, CoverageError, Horizon, Site, SiteSeries, WEEK_AHEAD_STEPS};
 
 /// Errors constructing a group simulation from a catalog + config.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,6 +61,8 @@ pub enum SimError {
     UnknownSite(String),
     /// The group needs at least one site.
     NoSites,
+    /// A site's measured data does not cover the simulated days.
+    Coverage(CoverageError),
 }
 
 impl std::fmt::Display for SimError {
@@ -70,6 +72,7 @@ impl std::fmt::Display for SimError {
                 write!(f, "unknown site {name:?}: not present in the catalog")
             }
             SimError::NoSites => write!(f, "a group simulation needs at least one site"),
+            SimError::Coverage(e) => write!(f, "{e}"),
         }
     }
 }
@@ -593,10 +596,11 @@ impl GroupSim {
     /// Build a group over the given catalog sites.
     ///
     /// # Errors
-    /// [`SimError::NoSites`] when `site_names` is empty and
-    /// [`SimError::UnknownSite`] when a name is not in the catalog, so
-    /// callers (benches, examples) fail with a diagnostic instead of a
-    /// panic backtrace.
+    /// [`SimError::NoSites`] when `site_names` is empty,
+    /// [`SimError::UnknownSite`] when a name is not in the catalog and
+    /// [`SimError::Coverage`] when a site's measured data does not cover
+    /// the simulated days, so callers (benches, examples) fail with a
+    /// diagnostic instead of a panic backtrace.
     pub fn new(
         catalog: &Catalog,
         site_names: &[&str],
@@ -605,26 +609,32 @@ impl GroupSim {
         if site_names.is_empty() {
             return Err(SimError::NoSites);
         }
-        let field = catalog.field();
+        let indices = site_names
+            .iter()
+            .map(|&name| {
+                catalog
+                    .index_of(name)
+                    .ok_or_else(|| SimError::UnknownSite(name.to_string()))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let n_steps = (cfg.days as u64) * STEPS_PER_DAY as u64;
-        // Per-site trace + forecast generation is the expensive part of
-        // setup; each site is independent, so fan out across cores. The
-        // traces are seeded per site, so the result is identical at any
-        // thread count.
-        let built: Vec<(SiteState, SitePower)> = vb_par::par_map(site_names.len(), |i| {
-            let name = site_names[i];
-            let site = catalog
-                .get(name)
-                .ok_or_else(|| SimError::UnknownSite(name.to_string()))?
-                .clone();
-            let actual = generate_in(&site, cfg.start_day, cfg.days, field);
-            let f3 = forecast_for(&actual, &site, Horizon::Hours3, field);
-            let fd = forecast_for(&actual, &site, Horizon::DayAhead, field);
-            let fw = forecast_for(&actual, &site, Horizon::WeekAhead, field);
+        // Traces and forecasts are the expensive part of setup. One
+        // group call draws the weather the sites share once, and serves
+        // measured data where the catalog has it.
+        let series = {
+            let _span = vb_telemetry::span!("sched.site_traces");
+            catalog.group_series(&indices, cfg.start_day, cfg.days, Horizon::all())
+        }
+        .map_err(SimError::Coverage)?;
+        let built = indices.iter().zip(series).map(|(&i, series)| {
+            let SiteSeries {
+                actual,
+                forecasts: [f3, fd, fw],
+            } = series;
             let power = SitePower::build(&actual, &fd, cfg.cores_per_site, n_steps as usize);
-            Ok((
+            (
                 SiteState {
-                    site,
+                    site: catalog.sites()[i].clone(),
                     actual,
                     f3,
                     fd,
@@ -634,11 +644,9 @@ impl GroupSim {
                     allocated_cores: 0,
                 },
                 power,
-            ))
-        })
-        .into_iter()
-        .collect::<Result<_, SimError>>()?;
-        let (sites, power): (Vec<SiteState>, Vec<SitePower>) = built.into_iter().unzip();
+            )
+        });
+        let (sites, power): (Vec<SiteState>, Vec<SitePower>) = built.unzip();
 
         let budget_total: Vec<u64> = (0..n_steps as usize)
             .map(|t| power.iter().map(|p| p.budgets[t] as u64).sum())
@@ -701,6 +709,12 @@ impl GroupSim {
     /// Total steps the run covers.
     pub fn n_steps(&self) -> u64 {
         self.n_steps
+    }
+
+    /// Each site of the group with its normalized actual trace, in
+    /// group order: the series the run consumes.
+    pub fn site_traces(&self) -> impl ExactSizeIterator<Item = (&Site, &TimeSeries)> {
+        self.sites.iter().map(|s| (&s.site, &s.actual))
     }
 
     /// Run a policy over the whole period and summarise.
@@ -1817,6 +1831,7 @@ mod tests {
     use super::*;
     use crate::greedy::GreedyPolicy;
     use crate::mip::{MipConfig, MipPolicy};
+    use vb_trace::forecast_for;
 
     fn tiny_cfg() -> GroupSimConfig {
         GroupSimConfig {
@@ -1910,6 +1925,58 @@ mod tests {
             .err()
             .expect("empty group must be rejected");
         assert_eq!(err, SimError::NoSites);
+    }
+
+    /// A two-site catalog whose first site carries two days of measured
+    /// output from `start_day`.
+    fn measured_catalog(start_day: u32) -> Catalog {
+        let values = (0..2 * STEPS_PER_DAY as usize)
+            .map(|k| 0.2 + 0.6 * ((k % 7) as f64 / 7.0))
+            .collect();
+        let mut c = Catalog::new(42);
+        c.push_measured(
+            Site::wind("meter", 52.0, 0.0),
+            TimeSeries::with_start(start_day as u64 * 86_400, vb_trace::INTERVAL_15M, values),
+        );
+        c.push(Site::solar("synthetic", 50.8, 4.4));
+        c
+    }
+
+    #[test]
+    fn measured_catalogs_drive_the_simulation() {
+        let cfg = tiny_cfg();
+        let c = measured_catalog(cfg.start_day);
+        let sim = GroupSim::new(&c, &["meter", "synthetic"], cfg.clone()).expect("covered");
+        let traces: Vec<(&Site, &TimeSeries)> = sim.site_traces().collect();
+        assert_eq!(traces[0].0.name, "meter");
+        assert_eq!(traces[0].1, &c.trace("meter", cfg.start_day, cfg.days));
+        assert_eq!(traces[1].1, &c.trace("synthetic", cfg.start_day, cfg.days));
+        assert_eq!(
+            traces[0].1.values[1].to_bits(),
+            (0.2 + 0.6 / 7.0_f64).to_bits()
+        );
+        // The day-ahead budget the runtime plans against forecasts the
+        // measured series, not the synthetic generator.
+        let fd = forecast_for(traces[0].1, traces[0].0, Horizon::DayAhead, c.field());
+        assert_eq!(sim.sites[0].fd, fd);
+    }
+
+    #[test]
+    fn uncovered_measured_windows_are_diagnosed_not_panicked() {
+        let cfg = tiny_cfg();
+        let c = measured_catalog(cfg.start_day + 1);
+        let err = GroupSim::new(&c, &["synthetic", "meter"], cfg)
+            .err()
+            .expect("a window the data does not cover must be rejected");
+        assert_eq!(
+            err,
+            SimError::Coverage(CoverageError::StartsAfter {
+                site: "meter".into()
+            })
+        );
+        assert!(err
+            .to_string()
+            .contains("starts after the requested window"));
     }
 
     /// Regression for the `clamp(1, …)` panic: with `bucket_steps`

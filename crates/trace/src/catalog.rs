@@ -7,10 +7,60 @@
 //! additional solar and wind farms across the continent, all at the
 //! 400 MW capacity §2.3 assumes.
 
+use crate::forecast::Horizon;
 use crate::site::Site;
+use crate::synth::{synthesize, SiteSeries, Source};
 use crate::weather::WeatherField;
-use crate::{generate_in, SourceKind};
+use crate::SourceKind;
 use vb_stats::TimeSeries;
+
+/// Why a site's measured data cannot serve a requested window.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CoverageError {
+    /// The series is not sampled every 15 minutes.
+    Interval {
+        /// Site name.
+        site: String,
+        /// The series' sampling interval.
+        interval_secs: u64,
+    },
+    /// The series starts after the window's first sample.
+    StartsAfter {
+        /// Site name.
+        site: String,
+    },
+    /// The series ends before the window's last sample.
+    EndsBefore {
+        /// Site name.
+        site: String,
+    },
+}
+
+impl std::fmt::Display for CoverageError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CoverageError::Interval {
+                site,
+                interval_secs,
+            } => write!(
+                f,
+                "measured data for {site} must be 15-minute, not {interval_secs} s"
+            ),
+            CoverageError::StartsAfter { site } => write!(
+                f,
+                "measured data for {site} starts after the requested window"
+            ),
+            CoverageError::EndsBefore { site } => {
+                write!(
+                    f,
+                    "measured data for {site} ends before the requested window"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for CoverageError {}
 
 /// A collection of sites sharing one weather field.
 #[derive(Debug, Clone)]
@@ -164,6 +214,11 @@ impl Catalog {
         self.sites.iter().find(|s| s.name == name)
     }
 
+    /// Catalog index of a named site.
+    pub fn index_of(&self, name: &str) -> Option<usize> {
+        self.sites.iter().position(|s| s.name == name)
+    }
+
     /// Sites of one source kind.
     pub fn of_kind(&self, kind: SourceKind) -> Vec<&Site> {
         self.sites.iter().filter(|s| s.kind == kind).collect()
@@ -172,52 +227,70 @@ impl Catalog {
     /// The normalized trace for a named site over `[start_day,
     /// start_day + days)`: the measured data when the site carries some
     /// (panicking if the window is not covered), the synthetic generator
-    /// otherwise.
+    /// otherwise. The one-site call of [`Catalog::group_series`].
     ///
     /// # Panics
     /// Panics if the site is unknown, or if measured data does not cover
     /// the requested window.
     pub fn trace(&self, name: &str, start_day: u32, days: u32) -> TimeSeries {
         let idx = self
-            .sites
-            .iter()
-            .position(|s| s.name == name)
+            .index_of(name)
             .unwrap_or_else(|| panic!("unknown site {name}"));
-        self.trace_at(idx, start_day, days)
-    }
-
-    fn trace_at(&self, idx: usize, start_day: u32, days: u32) -> TimeSeries {
-        match &self.measured[idx] {
-            Some(data) => {
-                let want_start = start_day as u64 * 86_400;
-                let want_len = (days as usize) * crate::STEPS_PER_DAY;
-                assert_eq!(
-                    data.interval_secs,
-                    crate::INTERVAL_15M,
-                    "measured data must be 15-minute"
-                );
-                assert!(
-                    want_start >= data.start_secs,
-                    "measured data for {} starts after the requested window",
-                    self.sites[idx].name
-                );
-                let offset = ((want_start - data.start_secs) / data.interval_secs) as usize;
-                assert!(
-                    offset + want_len <= data.len(),
-                    "measured data for {} ends before the requested window",
-                    self.sites[idx].name
-                );
-                data.slice(offset, offset + want_len)
-            }
-            None => generate_in(&self.sites[idx], start_day, days, &self.field),
-        }
+        self.traces_at(&[idx], start_day, days).swap_remove(0)
     }
 
     /// Traces for all sites over the same window, in catalog order.
+    ///
+    /// # Panics
+    /// Panics if some site's measured data does not cover the window.
     pub fn traces(&self, start_day: u32, days: u32) -> Vec<TimeSeries> {
-        (0..self.sites.len())
-            .map(|i| self.trace_at(i, start_day, days))
+        let all: Vec<usize> = (0..self.sites.len()).collect();
+        self.traces_at(&all, start_day, days)
+    }
+
+    fn traces_at(&self, indices: &[usize], start_day: u32, days: u32) -> Vec<TimeSeries> {
+        self.group_series(indices, start_day, days, [])
+            .unwrap_or_else(|e| panic!("{e}"))
+            .into_iter()
+            .map(|s| s.actual)
             .collect()
+    }
+
+    /// The series of the sites at `indices` (in that order; repeats
+    /// allowed) over `[start_day, start_day + days)`: each site's actual
+    /// generation, from its measured data where it carries some and its
+    /// synthetic generator otherwise, plus a forecast of it at each of
+    /// `horizons`.
+    ///
+    /// This is the catalog's group entry point. The group's weather is
+    /// drawn in one batch, so streams the sites share are drawn once,
+    /// and every series is bit-identical to the site's one-site call
+    /// ([`Catalog::trace`], [`crate::forecast_for`]).
+    ///
+    /// # Errors
+    /// A [`CoverageError`] when a site's measured data does not cover the
+    /// window.
+    ///
+    /// # Panics
+    /// Panics if an index is out of range.
+    pub fn group_series<const H: usize>(
+        &self,
+        indices: &[usize],
+        start_day: u32,
+        days: u32,
+        horizons: [Horizon; H],
+    ) -> Result<Vec<SiteSeries<H>>, CoverageError> {
+        let sources = indices
+            .iter()
+            .map(|&i| match &self.measured[i] {
+                Some(data) => {
+                    let window = measured_window(&self.sites[i], data, start_day, days)?;
+                    Ok(Source::Measured(&self.sites[i], window))
+                }
+                None => Ok(Source::Synthetic(&self.sites[i])),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(synthesize(&self.field, sources, start_day, days, horizons))
     }
 
     /// Generate the trace in megawatts (normalized × capacity).
@@ -230,6 +303,32 @@ impl Catalog {
             .unwrap_or_else(|| panic!("unknown site {name}"));
         self.trace(name, start_day, days).scale(site.capacity_mw)
     }
+}
+
+/// `data` cut to `[start_day, start_day + days)`.
+fn measured_window(
+    site: &Site,
+    data: &TimeSeries,
+    start_day: u32,
+    days: u32,
+) -> Result<TimeSeries, CoverageError> {
+    let site = || site.name.clone();
+    if data.interval_secs != crate::INTERVAL_15M {
+        return Err(CoverageError::Interval {
+            site: site(),
+            interval_secs: data.interval_secs,
+        });
+    }
+    let want_start = start_day as u64 * 86_400;
+    let want_len = days as usize * crate::STEPS_PER_DAY;
+    if want_start < data.start_secs {
+        return Err(CoverageError::StartsAfter { site: site() });
+    }
+    let offset = ((want_start - data.start_secs) / data.interval_secs) as usize;
+    if offset + want_len > data.len() {
+        return Err(CoverageError::EndsBefore { site: site() });
+    }
+    Ok(data.slice(offset, offset + want_len))
 }
 
 #[cfg(test)]
@@ -354,6 +453,46 @@ mod measured_tests {
     #[should_panic(expected = "starts after the requested window")]
     fn measured_window_underrun_panics() {
         measured_catalog().trace("meter", 9, 1);
+    }
+
+    #[test]
+    fn group_series_reports_uncovered_windows() {
+        let c = measured_catalog();
+        let site = || "meter".to_string();
+        assert_eq!(
+            c.group_series(&[0], 11, 2, []).err(),
+            Some(CoverageError::EndsBefore { site: site() })
+        );
+        assert_eq!(
+            c.group_series(&[0], 9, 1, []).err(),
+            Some(CoverageError::StartsAfter { site: site() })
+        );
+        let hourly = TimeSeries::with_start(10 * 86_400, 3_600, vec![0.5; 48]);
+        let coarse = Catalog::from_measured(vec![Site::wind("meter", 52.0, 0.0)], vec![hourly], 1);
+        assert_eq!(
+            coarse.group_series(&[0], 10, 1, []).err(),
+            Some(CoverageError::Interval {
+                site: site(),
+                interval_secs: 3_600
+            })
+        );
+    }
+
+    #[test]
+    fn group_series_forecasts_measured_and_synthetic_sites() {
+        let mut c = measured_catalog();
+        c.push(Site::solar("synthetic", 50.0, 5.0));
+        let series = c
+            .group_series(&[0, 1, 0], 10, 1, Horizon::all())
+            .expect("day 10 is covered");
+        assert!(series[0].actual.values.iter().all(|&v| v == 0.5));
+        assert_eq!(series[1].actual, c.trace("synthetic", 10, 1));
+        assert_eq!(series[0], series[2], "a repeated site gets the same series");
+        for (s, site) in series.iter().zip([&c.sites()[0], &c.sites()[1]]) {
+            for (f, h) in s.forecasts.iter().zip(Horizon::all()) {
+                assert_eq!(f, &crate::forecast_for(&s.actual, site, h, c.field()));
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! information structure the paper's co-scheduler exploits.
 
 use crate::site::{Site, SourceKind};
-use crate::weather::{Channel, WeatherField};
+use crate::weather::{Ar1Request, Channel, WeatherField};
 use serde::{Deserialize, Serialize};
 use vb_stats::TimeSeries;
 
@@ -130,21 +130,47 @@ pub fn forecast_with(
     params: ForecastParams,
     field: &WeatherField,
 ) -> TimeSeries {
-    let n = actual.len();
-    if n == 0 {
+    if actual.is_empty() {
         return actual.clone();
     }
+    let request = error_request(
+        site,
+        horizon,
+        params,
+        actual.start_secs,
+        actual.interval_secs,
+        actual.len(),
+    );
+    degrade(actual, params, &field.ar1_batch(&[request])[0])
+}
+
+/// The error stream of a forecast of the `n`-sample series starting at
+/// `start_secs`: unique per (site, horizon) but deterministic. The time
+/// axis is offset per horizon so the three horizons' errors differ.
+pub(crate) fn error_request(
+    site: &Site,
+    horizon: Horizon,
+    params: ForecastParams,
+    start_secs: u64,
+    interval_secs: u64,
+    n: usize,
+) -> Ar1Request<'_> {
+    Ar1Request {
+        channel: Channel::WindGust,
+        site,
+        rho: params.error_rho,
+        t0: (start_secs / interval_secs) as i64 + horizon.lead_samples() as i64 * 1_000_003,
+        n,
+    }
+}
+
+/// Smooth `actual` and apply the multiplicative error `noise` (the
+/// series of [`error_request`]).
+pub(crate) fn degrade(actual: &TimeSeries, params: ForecastParams, noise: &[f64]) -> TimeSeries {
     let smooth = moving_average(&actual.values, params.smooth_window);
-
-    // Error stream: unique per (site, horizon) but deterministic. Offset
-    // the time axis per horizon so the three horizons' errors differ.
-    let t0 = (actual.start_secs / actual.interval_secs) as i64
-        + horizon.lead_samples() as i64 * 1_000_003;
-    let noise = field.ar1(Channel::WindGust, site, params.error_rho, t0, n);
-
     let values = smooth
         .iter()
-        .zip(&noise)
+        .zip(noise)
         .map(|(&s, &e)| (s * (1.0 + params.mult_sigma * e)).clamp(0.0, 1.0))
         .collect();
     TimeSeries {

@@ -35,7 +35,9 @@
 //!   44 %/75 % at week ahead; Figure 5).
 //! * [`catalog`] — a geo-referenced catalog of European sites, including
 //!   the NO-solar / UK-wind / PT-wind trio of Figure 3, all with the
-//!   400 MW peak capacity the paper assumes.
+//!   400 MW peak capacity the paper assumes. [`Catalog::group_series`]
+//!   synthesizes a site group's traces and forecasts from one batch of
+//!   weather draws, drawing each stream the sites share once.
 //! * [`io`] — CSV and compact binary trace serialization.
 //!
 //! Everything is deterministic given a [`u64`] seed, so experiments and
@@ -46,13 +48,15 @@ pub mod forecast;
 pub mod io;
 pub mod site;
 pub mod solar;
+mod synth;
 pub mod weather;
 pub mod wind;
 
-pub use catalog::Catalog;
+pub use catalog::{Catalog, CoverageError};
 pub use forecast::{forecast_for, Horizon};
 pub use site::{Site, SourceKind};
 pub use solar::SolarModel;
+pub use synth::SiteSeries;
 pub use weather::WeatherField;
 pub use wind::WindModel;
 
@@ -82,12 +86,13 @@ pub fn generate(site: &Site, start_day: u32, days: u32, seed: u64) -> TimeSeries
 }
 
 /// Like [`generate`], but drawing from an existing [`WeatherField`] so
-/// that multiple sites share correlated weather.
+/// that multiple sites share correlated weather. The one-site call of
+/// group synthesis ([`Catalog::group_series`]).
 pub fn generate_in(site: &Site, start_day: u32, days: u32, field: &WeatherField) -> TimeSeries {
-    match site.kind {
-        SourceKind::Solar => SolarModel::default().generate(site, start_day, days, field),
-        SourceKind::Wind => WindModel::default().generate(site, start_day, days, field),
-    }
+    let source = synth::Source::Synthetic(site);
+    synth::synthesize(field, vec![source], start_day, days, [])
+        .swap_remove(0)
+        .actual
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 //!    AR(1) noise on variable days → the spiky trace of Fig 2a).
 
 use crate::site::Site;
-use crate::weather::{Channel, WeatherField};
+use crate::weather::{Ar1Request, Channel, WeatherField};
 use crate::INTERVAL_15M;
 use serde::{Deserialize, Serialize};
 use vb_stats::TimeSeries;
@@ -88,15 +88,45 @@ impl SolarModel {
         days: u32,
         field: &WeatherField,
     ) -> TimeSeries {
+        let drivers = field.ar1_batch(&self.drivers(site, start_day, days));
+        self.shape(site, start_day, days, &drivers[0], &drivers[1])
+    }
+
+    /// The two cloud drivers of a window: fast within-day noise, then
+    /// the slow daily driver that decides each day's regime.
+    pub(crate) fn drivers<'a>(
+        &self,
+        site: &'a Site,
+        start_day: u32,
+        days: u32,
+    ) -> [Ar1Request<'a>; 2] {
+        let n = days as usize * crate::STEPS_PER_DAY;
+        let t0 = start_day as i64 * crate::STEPS_PER_DAY as i64;
+        let cloud = |rho| Ar1Request {
+            channel: Channel::Cloud,
+            site,
+            rho,
+            t0,
+            n,
+        };
+        // Daily driver: heavily smoothed cloud channel — one value per day.
+        [cloud(self.fast_rho), cloud(0.995)]
+    }
+
+    /// The trace of a window from its [`SolarModel::drivers`].
+    pub(crate) fn shape(
+        &self,
+        site: &Site,
+        start_day: u32,
+        days: u32,
+        fast: &[f64],
+        daily: &[f64],
+    ) -> TimeSeries {
         let n = days as usize * crate::STEPS_PER_DAY;
         let t0 = start_day as i64 * crate::STEPS_PER_DAY as i64;
 
-        // Slow daily driver (sampled once per day at local noon) decides
-        // the regime; fast noise shapes within-day transmittance.
-        let fast = field.ar1(Channel::Cloud, site, self.fast_rho, t0, n);
-        // Daily driver: heavily smoothed cloud channel — one value per day.
-        let daily = field.ar1(Channel::Cloud, site, 0.995, t0, n);
-
+        // The slow daily driver (sampled once per day) decides the
+        // regime; fast noise shapes within-day transmittance.
         let mut values = Vec::with_capacity(n);
         #[allow(clippy::needless_range_loop)] // k indexes two driver arrays
         for k in 0..n {

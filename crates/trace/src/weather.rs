@@ -20,6 +20,11 @@
 //!   `(seed, channel, anchor, sample index)` → normal deviate), so any
 //!   time window of any site can be produced independently and
 //!   reproducibly, without storing state.
+//! * The sites of a group read the same anchor streams, so
+//!   `WeatherField::ar1_batch` serves all of a group's driver requests
+//!   at once: it draws each stream's innovations once per merged window
+//!   and filters every request's slice of them, bit-identical to
+//!   serving each request alone.
 
 use crate::site::{haversine_km, Site};
 
@@ -108,95 +113,215 @@ impl WeatherField {
     /// on the same channel are strongly correlated, distant sites nearly
     /// independent, and (on advected channels) eastern sites lag western
     /// ones. Windows are consistent: overlapping windows agree on the
-    /// overlap.
+    /// overlap. This is the one-request call of the batched engine
+    /// behind group synthesis (`Catalog::group_series`).
     pub fn ar1(&self, channel: Channel, site: &Site, rho: f64, t0: i64, n: usize) -> Vec<f64> {
-        assert!((0.0..1.0).contains(&rho), "rho must be in [0, 1)");
+        let request = Ar1Request {
+            channel,
+            site,
+            rho,
+            t0,
+            n,
+        };
+        self.ar1_batch(&[request]).swap_remove(0)
+    }
 
+    /// The driver series of every request, in request order, each
+    /// bit-identical to what [`WeatherField::ar1`] returns for it alone.
+    ///
+    /// A driver is a weighted sum of AR(1)-filtered streams of
+    /// counter-based innovations: one stream per contributing anchor and
+    /// one local to the site. Requests of one site group read the same
+    /// anchor streams over overlapping windows (and a site's own
+    /// drivers read the same local stream), so the engine draws each
+    /// stream's innovations once per merged window, then filters every
+    /// request's slice of it with the request's own `rho`. Windows of
+    /// one stream merge only where they overlap, and only one merged
+    /// window's draws are held at a time.
+    ///
+    /// Each output adds its contributions in the order a lone request
+    /// would (anchor index ascending, then the local stream), which is
+    /// what keeps the sums bit-identical.
+    ///
+    /// # Panics
+    /// Panics if a request's `rho` is outside `[0, 1)`.
+    pub(crate) fn ar1_batch(&self, requests: &[Ar1Request<'_>]) -> Vec<Vec<f64>> {
+        let mut reads = Vec::new();
+        for (out, request) in requests.iter().enumerate() {
+            assert!((0.0..1.0).contains(&request.rho), "rho must be in [0, 1)");
+            if request.n > 0 {
+                self.push_reads(out, request, &mut reads);
+            }
+        }
+        // Stable sort: one key's reads become adjacent and ordered by
+        // window start, and keys run anchors (by index) before local
+        // streams within each channel.
+        reads.sort_by_key(|r| (r.channel, r.local, r.stream, r.start));
+
+        let mut outs: Vec<Vec<f64>> = requests.iter().map(|r| vec![0.0; r.n]).collect();
+        let mut draws = Vec::new();
+        let mut first = 0;
+        while first < reads.len() {
+            let head = &reads[first];
+            let (lo, mut hi) = (head.start, head.end());
+            let mut last = first + 1;
+            while last < reads.len() && reads[last].same_stream(head) && reads[last].start < hi {
+                hi = hi.max(reads[last].end());
+                last += 1;
+            }
+            let key = stream_key(self.seed, head.draw_channel(), head.stream);
+            draws.clear();
+            draws.extend((lo..hi).map(|t| normal(key, t)));
+            for read in &reads[first..last] {
+                read.filter_into(&draws[(read.start - lo) as usize..], &mut outs[read.out]);
+            }
+            first = last;
+        }
+        outs
+    }
+
+    /// Append the reads of one request: each contributing anchor's
+    /// stream, lagged by the site's advection delay, then the site's
+    /// local stream.
+    fn push_reads(&self, out: usize, request: &Ar1Request<'_>, reads: &mut Vec<Read>) {
+        let Ar1Request {
+            channel,
+            site,
+            rho,
+            t0,
+            n,
+        } = *request;
         let corr_km = channel.correlation_km();
         let samples_per_degree = if channel.advected() {
             crate::STEPS_PER_DAY as f64 / ADVECTION_DEG_PER_DAY
         } else {
             0.0
         };
+        let warmup = warmup_samples(rho);
+        let read = |local: bool, stream: u64, start: i64, coef: f64| Read {
+            channel: channel.id(),
+            local,
+            stream,
+            start: start - warmup as i64,
+            warmup,
+            n,
+            rho,
+            coef,
+            out,
+        };
 
-        // Gather contributing anchors and their weights/lags.
-        let mut picks: Vec<(usize, f64, i64)> = Vec::new();
+        // Contributing anchors, weight in `coef` until the scale is known.
+        let first = reads.len();
         for (idx, &(alat, alon)) in self.anchors.iter().enumerate() {
             let d = haversine_km(site.lat, site.lon, alat, alon);
             let w = (-d / corr_km).exp();
             if w >= MIN_WEIGHT {
                 let lag = ((site.lon - alon) * samples_per_degree).round() as i64;
-                picks.push((idx, w, lag));
+                reads.push(read(false, idx as u64, t0 - lag, w));
             }
         }
-
-        let w2: f64 = picks.iter().map(|&(_, w, _)| w * w).sum();
+        let w2: f64 = reads[first..].iter().map(|r| r.coef * r.coef).sum();
         let shared_scale = if w2 > 0.0 {
             ((1.0 - LOCAL_VARIANCE) / w2).sqrt()
         } else {
             0.0
         };
-
-        let mut out = vec![0.0; n];
-        for &(idx, w, lag) in &picks {
-            let series = ar1_stream(self.seed, channel.id(), idx as u64, rho, t0 - lag, n);
-            for (o, s) in out.iter_mut().zip(&series) {
-                *o += shared_scale * w * s;
-            }
+        for r in &mut reads[first..] {
+            r.coef *= shared_scale;
         }
         // Idiosyncratic local component keyed by the site identity.
-        let local = ar1_stream(
-            self.seed,
-            channel.id() ^ 0xdead_beef,
-            site.stream_id(),
-            rho,
-            t0,
-            n,
-        );
-        for (o, l) in out.iter_mut().zip(&local) {
-            *o += LOCAL_VARIANCE.sqrt() * l;
-        }
-        out
+        reads.push(read(true, site.stream_id(), t0, LOCAL_VARIANCE.sqrt()));
     }
 }
 
-/// AR(1)-filter the counter-based white noise of one stream, producing
-/// unit-variance output over `[t0, t0 + n)`. A warm-up long enough for
-/// `rho^warmup < 1e-13` makes the result independent of the window start.
-fn ar1_stream(seed: u64, channel: u64, stream: u64, rho: f64, t0: i64, n: usize) -> Vec<f64> {
-    let warmup = if rho > 0.0 {
+/// One AR(1) driver request: `site`'s driver on `channel` with
+/// per-sample persistence `rho`, over absolute samples `[t0, t0 + n)`.
+/// See [`WeatherField::ar1`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Ar1Request<'a> {
+    /// Driver channel.
+    pub channel: Channel,
+    /// Site whose anchor blend and local stream the driver reads.
+    pub site: &'a Site,
+    /// Per-sample persistence, in `[0, 1)`.
+    pub rho: f64,
+    /// First absolute sample index.
+    pub t0: i64,
+    /// Number of samples.
+    pub n: usize,
+}
+
+/// One stream's share of one request: filter the stream's innovations
+/// over `[start, start + warmup + n)` and add `coef` times the last `n`
+/// filtered values into output `out`.
+#[derive(Debug, Clone, Copy)]
+struct Read {
+    /// Channel id of the request.
+    channel: u64,
+    /// The site's local stream (after every anchor in sort order).
+    local: bool,
+    /// Anchor index, or the site's stream id when `local`.
+    stream: u64,
+    start: i64,
+    warmup: usize,
+    n: usize,
+    rho: f64,
+    coef: f64,
+    out: usize,
+}
+
+impl Read {
+    fn end(&self) -> i64 {
+        self.start + (self.warmup + self.n) as i64
+    }
+
+    fn same_stream(&self, other: &Read) -> bool {
+        (self.channel, self.local, self.stream) == (other.channel, other.local, other.stream)
+    }
+
+    /// Channel word the innovations are hashed with: local streams use
+    /// their own, so a site's local noise never aliases an anchor's.
+    fn draw_channel(&self) -> u64 {
+        if self.local {
+            self.channel ^ 0xdead_beef
+        } else {
+            self.channel
+        }
+    }
+
+    /// AR(1)-filter `innovations` (this read's window onward) into
+    /// unit-variance output and add it, scaled, into `out`.
+    fn filter_into(&self, innovations: &[f64], out: &mut [f64]) {
+        let innov = (1.0 - self.rho * self.rho).sqrt();
+        let (warmup, window) = innovations.split_at(self.warmup);
+        let mut y = 0.0;
+        for &z in warmup {
+            y = self.rho * y + innov * z;
+        }
+        for (o, &z) in out.iter_mut().zip(window) {
+            y = self.rho * y + innov * z;
+            *o += self.coef * y;
+        }
+    }
+}
+
+/// Warm-up samples before an AR(1) window: long enough for
+/// `rho^warmup < 1e-13`, which makes the filtered values independent of
+/// where the window starts.
+fn warmup_samples(rho: f64) -> usize {
+    if rho > 0.0 {
         ((30.0 / (1.0 - rho)).ceil() as usize).min(60_000)
     } else {
         0
-    };
-    let innov = (1.0 - rho * rho).sqrt();
-    let mut y = 0.0;
-    let mut out = Vec::with_capacity(n);
-    for k in 0..(warmup + n) {
-        let t = t0 - warmup as i64 + k as i64;
-        y = rho * y + innov * normal(seed, channel, stream, t);
-        if k >= warmup {
-            out.push(y);
-        }
     }
-    out
 }
 
-/// Counter-based standard normal deviate: hash the coordinates into two
-/// uniforms and apply Box–Muller. Pure function — random access in time.
-fn normal(seed: u64, channel: u64, stream: u64, t: i64) -> f64 {
-    let u1 = uniform(mix4(
-        seed,
-        channel,
-        stream,
-        t as u64 ^ 0x9e37_79b9_7f4a_7c15,
-    ));
-    let u2 = uniform(mix4(
-        seed,
-        channel,
-        stream,
-        (t as u64).wrapping_add(0x5851_f42d_4c95_7f2d),
-    ));
+/// Counter-based standard normal deviate of sample `t` of the stream
+/// keyed `key` ([`stream_key`]): hash the coordinates into two uniforms
+/// and apply Box–Muller. Pure function — random access in time.
+fn normal(key: u64, t: i64) -> f64 {
+    let u1 = uniform(mix(key, t as u64 ^ 0x9e37_79b9_7f4a_7c15));
+    let u2 = uniform(mix(key, (t as u64).wrapping_add(0x5851_f42d_4c95_7f2d)));
     // Guard the log: u1 in (0,1].
     let r = (-2.0 * (1.0 - u1).max(1e-12).ln()).sqrt();
     r * (2.0 * std::f64::consts::PI * u2).cos()
@@ -207,13 +332,19 @@ fn uniform(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// SplitMix64-style mixing of four words.
-fn mix4(a: u64, b: u64, c: u64, d: u64) -> u64 {
-    let mut z = a
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(b.rotate_left(17))
-        .wrapping_add(c.rotate_left(31))
-        .wrapping_add(d.rotate_left(47));
+/// The time-independent words of a stream's SplitMix64-style hash
+/// `(seed, channel, stream, sample)`, summed once per stream: wrapping
+/// addition is associative, so [`mix`] of the key and a sample word is
+/// the hash of all four.
+fn stream_key(seed: u64, channel: u64, stream: u64) -> u64 {
+    seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        .wrapping_add(channel.rotate_left(17))
+        .wrapping_add(stream.rotate_left(31))
+}
+
+/// Add the sample word `d` to a [`stream_key`] and finalize.
+fn mix(key: u64, d: u64) -> u64 {
+    let mut z = key.wrapping_add(d.rotate_left(47));
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
@@ -322,6 +453,40 @@ mod tests {
             at(96),
             at(0)
         );
+    }
+
+    #[test]
+    fn batch_matches_lone_requests_bit_for_bit() {
+        // Overlapping, nested, disjoint, repeated and empty windows over
+        // sites that share anchors: each output must equal its lone call.
+        let f = WeatherField::new(17);
+        let a = Site::wind("a", 52.0, 0.0);
+        let b = Site::solar("b", 50.0, 4.0);
+        let req = |channel, site, rho, t0, n| Ar1Request {
+            channel,
+            site,
+            rho,
+            t0,
+            n,
+        };
+        let requests = [
+            req(Channel::WindRegime, &a, 0.997, -500, 800),
+            req(Channel::Cloud, &b, 0.55, 0, 300),
+            req(Channel::Cloud, &b, 0.995, 0, 300),
+            req(Channel::WindGust, &a, 0.3, -500, 800),
+            req(Channel::WindGust, &b, 0.9, 12_000_036, 300),
+            req(Channel::WindGust, &a, 0.9, 12_000_036, 300),
+            req(Channel::WindRegime, &a, 0.997, -500, 800),
+            req(Channel::Cloud, &a, 0.0, 40, 10),
+            req(Channel::Cloud, &a, 0.5, 0, 0),
+        ];
+        let batch = f.ar1_batch(&requests);
+        assert_eq!(batch.len(), requests.len());
+        for (r, got) in requests.iter().zip(&batch) {
+            let lone = f.ar1(r.channel, r.site, r.rho, r.t0, r.n);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(&lone), "{:?} rho {}", r.channel, r.rho);
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! the occasional cliff from full power to zero).
 
 use crate::site::Site;
-use crate::weather::{Channel, WeatherField};
+use crate::weather::{Ar1Request, Channel, WeatherField};
 use crate::INTERVAL_15M;
 use serde::{Deserialize, Serialize};
 use vb_stats::TimeSeries;
@@ -77,17 +77,54 @@ impl WindModel {
         days: u32,
         field: &WeatherField,
     ) -> TimeSeries {
+        let drivers = field.ar1_batch(&self.drivers(site, start_day, days));
+        self.shape(start_day, days, &drivers[0], &drivers[1])
+    }
+
+    /// Warm-up steps of the OU integration: it starts this far before
+    /// the window so the speed at any absolute instant is independent of
+    /// the window start (the drivers themselves are already
+    /// window-consistent).
+    fn warmup(&self) -> usize {
+        (30.0 / self.reversion).ceil() as usize
+    }
+
+    /// The synoptic regime and gust drivers of a window, both covering
+    /// the OU warm-up too.
+    pub(crate) fn drivers<'a>(
+        &self,
+        site: &'a Site,
+        start_day: u32,
+        days: u32,
+    ) -> [Ar1Request<'a>; 2] {
+        let t0 = start_day as i64 * crate::STEPS_PER_DAY as i64;
+        let warmup = self.warmup();
+        let driver = |channel, rho| Ar1Request {
+            channel,
+            site,
+            rho,
+            t0: t0 - warmup as i64,
+            n: warmup + days as usize * crate::STEPS_PER_DAY,
+        };
+        [
+            driver(Channel::WindRegime, self.regime_rho),
+            driver(Channel::WindGust, 0.3),
+        ]
+    }
+
+    /// The trace of a window from its [`WindModel::drivers`].
+    pub(crate) fn shape(
+        &self,
+        start_day: u32,
+        days: u32,
+        regime: &[f64],
+        gusts: &[f64],
+    ) -> TimeSeries {
         let n = days as usize * crate::STEPS_PER_DAY;
         let t0 = start_day as i64 * crate::STEPS_PER_DAY as i64;
-
-        // Warm the OU integration up from well before the window so the
-        // speed at any absolute instant is independent of the window
-        // start (the drivers themselves are already window-consistent).
-        let warmup = (30.0 / self.reversion).ceil() as usize;
+        let warmup = self.warmup();
         let gen_start = t0 - warmup as i64;
         let total = warmup + n;
-        let regime = field.ar1(Channel::WindRegime, site, self.regime_rho, gen_start, total);
-        let gusts = field.ar1(Channel::WindGust, site, 0.3, gen_start, total);
 
         let mut values = Vec::with_capacity(n);
         let mut v = self.regime_mean(regime[0], start_day);

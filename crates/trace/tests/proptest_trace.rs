@@ -5,6 +5,26 @@ use vb_stats::TimeSeries;
 use vb_trace::io::{from_binary, from_csv, to_binary, to_csv};
 use vb_trace::{forecast_for, generate_in, Catalog, Horizon, Site, SourceKind, WeatherField};
 
+/// A series' sample bits, so equality is bit-for-bit (`-0.0 != 0.0`).
+fn bits(ts: &TimeSeries) -> (u64, u64, Vec<u64>) {
+    let values = ts.values.iter().map(|v| v.to_bits()).collect();
+    (ts.start_secs, ts.interval_secs, values)
+}
+
+/// 1–6 fleet-site indices, one of them listed twice.
+fn arb_group() -> impl Strategy<Value = Vec<usize>> {
+    (proptest::collection::vec(0usize..24, 1..6), 0usize..6).prop_map(|(mut picks, dup)| {
+        picks.push(picks[dup % picks.len()]);
+        picks
+    })
+}
+
+/// A start day that is day 0 a quarter of the time: the drivers'
+/// warm-up then reaches negative sample indices.
+fn arb_start_day() -> impl Strategy<Value = u32> {
+    (0u32..4, 0u32..365).prop_map(|(coin, day)| if coin == 0 { 0 } else { day })
+}
+
 fn arb_site() -> impl Strategy<Value = Site> {
     (
         36.0..66.0f64,
@@ -69,6 +89,29 @@ proptest! {
             prop_assert_eq!(f.interval_secs, actual.interval_secs);
             for &v in &f.values {
                 prop_assert!((0.0..=1.0).contains(&v));
+            }
+        }
+    }
+
+    #[test]
+    fn group_synthesis_matches_one_site_synthesis(
+        group in arb_group(),
+        start in arb_start_day(),
+        days in 1u32..=10,
+        seed in 0u64..50,
+    ) {
+        let catalog = Catalog::fleet(seed, 24);
+        let series = catalog
+            .group_series(&group, start, days, Horizon::all())
+            .expect("synthetic sites cover every window");
+        prop_assert_eq!(series.len(), group.len());
+        for (&i, s) in group.iter().zip(&series) {
+            let site = &catalog.sites()[i];
+            let alone = generate_in(site, start, days, catalog.field());
+            prop_assert_eq!(bits(&s.actual), bits(&alone), "{} trace", site.name);
+            for (f, h) in s.forecasts.iter().zip(Horizon::all()) {
+                let lone = forecast_for(&alone, site, h, catalog.field());
+                prop_assert_eq!(bits(f), bits(&lone), "{} {:?} forecast", site.name, h);
             }
         }
     }

@@ -36,9 +36,10 @@ fn main() {
     // --- The best k-cliques of the 50 ms site graph (Fig 6 step 1) ---
     let graph = SiteGraph::with_default_threshold(catalog.sites().to_vec());
     let traces: Vec<TimeSeries> = catalog
-        .sites()
+        .traces(start_day, days)
         .iter()
-        .map(|s| vb_trace::generate_in(s, start_day, days, catalog.field()).scale(s.capacity_mw))
+        .zip(catalog.sites())
+        .map(|(t, s)| t.scale(s.capacity_mw))
         .collect();
     println!("\nbest multi-VB groups per clique size:");
     for k in 2..=5 {

@@ -278,12 +278,20 @@ mod tests {
         assert_eq!(chunky.resolve_threads(25), 3);
     }
 
+    /// The override outside every [`with_threads`] scope. Read under the
+    /// scope lock, so a sibling test's live scope is never seen; the lock
+    /// may be poisoned by the panic test, whose scope restored it first.
+    fn settled_override() -> Option<usize> {
+        let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        override_threads()
+    }
+
     #[test]
     fn with_threads_scopes_and_restores() {
-        assert_eq!(override_threads(), None);
+        assert_eq!(settled_override(), None);
         let inner = with_threads(3, || ParConfig::default().resolve_threads(1000));
         assert_eq!(inner, 3);
-        assert_eq!(override_threads(), None, "override restored");
+        assert_eq!(settled_override(), None, "override restored");
         // Explicit config still wins over the scope.
         let pinned = with_threads(3, || ParConfig::with_threads(2).resolve_threads(1000));
         assert_eq!(pinned, 2);
@@ -293,7 +301,7 @@ mod tests {
     fn with_threads_restores_on_panic() {
         let result = std::panic::catch_unwind(|| with_threads(5, || panic!("boom")));
         assert!(result.is_err());
-        assert_eq!(override_threads(), None);
+        assert_eq!(settled_override(), None);
     }
 
     #[test]

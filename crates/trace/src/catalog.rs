@@ -24,6 +24,14 @@ pub enum CoverageError {
         /// The series' sampling interval.
         interval_secs: u64,
     },
+    /// The series starts between two 15-minute grid points, so no
+    /// sample of it falls on the window's.
+    OffGrid {
+        /// Site name.
+        site: String,
+        /// The series' first sample time.
+        start_secs: u64,
+    },
     /// The series starts after the window's first sample.
     StartsAfter {
         /// Site name.
@@ -45,6 +53,10 @@ impl std::fmt::Display for CoverageError {
             } => write!(
                 f,
                 "measured data for {site} must be 15-minute, not {interval_secs} s"
+            ),
+            CoverageError::OffGrid { site, start_secs } => write!(
+                f,
+                "measured data for {site} starts at {start_secs} s, off the 15-minute grid"
             ),
             CoverageError::StartsAfter { site } => write!(
                 f,
@@ -319,6 +331,12 @@ fn measured_window(
             interval_secs: data.interval_secs,
         });
     }
+    if !data.start_secs.is_multiple_of(data.interval_secs) {
+        return Err(CoverageError::OffGrid {
+            site: site(),
+            start_secs: data.start_secs,
+        });
+    }
     let want_start = start_day as u64 * 86_400;
     let want_len = days as usize * crate::STEPS_PER_DAY;
     if want_start < data.start_secs {
@@ -474,6 +492,17 @@ mod measured_tests {
             Some(CoverageError::Interval {
                 site: site(),
                 interval_secs: 3_600
+            })
+        );
+        // Day 10 + 450 s: flooring the offset would serve a window 450 s early.
+        let shifted = TimeSeries::with_start(10 * 86_400 + 450, INTERVAL_15M, vec![0.5; 2 * 96]);
+        let off_grid =
+            Catalog::from_measured(vec![Site::wind("meter", 52.0, 0.0)], vec![shifted], 1);
+        assert_eq!(
+            off_grid.group_series(&[0], 11, 1, []).err(),
+            Some(CoverageError::OffGrid {
+                site: site(),
+                start_secs: 864_450
             })
         );
     }

@@ -25,8 +25,16 @@
 //!   at once: it draws each stream's innovations once per merged window
 //!   and filters every request's slice of them, bit-identical to
 //!   serving each request alone.
+//! * Successive groups read the anchor streams over overlapping windows
+//!   too (the studies of one catalog), so each thread keeps the anchor
+//!   windows its last batch read and draws only samples it does not
+//!   hold. Innovations are pure functions of their coordinates, so a
+//!   held sample equals a fresh draw and outputs never depend on what
+//!   the thread synthesized before.
 
 use crate::site::{haversine_km, Site};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Independent driver channels. Using distinct channels guarantees, e.g.,
 /// that cloud cover and wind speed are uncorrelated even at one location.
@@ -136,8 +144,12 @@ impl WeatherField {
     /// drivers read the same local stream), so the engine draws each
     /// stream's innovations once per merged window, then filters every
     /// request's slice of it with the request's own `rho`. Windows of
-    /// one stream merge only where they overlap, and only one merged
-    /// window's draws are held at a time.
+    /// one stream merge only where they overlap.
+    ///
+    /// A local stream's merged window is drawn into one reused buffer.
+    /// An anchor stream's comes from this thread's [`AnchorMemo`], which
+    /// keeps the anchor windows of earlier batches and draws only the
+    /// samples they do not cover.
     ///
     /// Each output adds its contributions in the order a lone request
     /// would (anchor index ascending, then the local stream), which is
@@ -160,23 +172,35 @@ impl WeatherField {
 
         let mut outs: Vec<Vec<f64>> = requests.iter().map(|r| vec![0.0; r.n]).collect();
         let mut draws = Vec::new();
-        let mut first = 0;
-        while first < reads.len() {
-            let head = &reads[first];
-            let (lo, mut hi) = (head.start, head.end());
-            let mut last = first + 1;
-            while last < reads.len() && reads[last].same_stream(head) && reads[last].start < hi {
-                hi = hi.max(reads[last].end());
-                last += 1;
+        ANCHOR_MEMO.with_borrow_mut(|memo| {
+            memo.begin(self.seed);
+            let mut first = 0;
+            while first < reads.len() {
+                let head = &reads[first];
+                let (lo, mut hi) = (head.start, head.end());
+                let mut last = first + 1;
+                while last < reads.len() && reads[last].same_stream(head) && reads[last].start < hi
+                {
+                    hi = hi.max(reads[last].end());
+                    last += 1;
+                }
+                let key = stream_key(self.seed, head.draw_channel(), head.stream);
+                let innovations = if head.local {
+                    draws.clear();
+                    draws.extend((lo..hi).map(|t| normal(key, t)));
+                    &draws[..]
+                } else {
+                    let slot = (head.channel - 1) as usize * self.anchors.len();
+                    memo.window(slot + head.stream as usize, key, lo, hi)
+                };
+                for read in &reads[first..last] {
+                    let window = &innovations[(read.start - lo) as usize..];
+                    read.filter_into(window, &mut outs[read.out]);
+                }
+                first = last;
             }
-            let key = stream_key(self.seed, head.draw_channel(), head.stream);
-            draws.clear();
-            draws.extend((lo..hi).map(|t| normal(key, t)));
-            for read in &reads[first..last] {
-                read.filter_into(&draws[(read.start - lo) as usize..], &mut outs[read.out]);
-            }
-            first = last;
-        }
+            memo.finish();
+        });
         outs
     }
 
@@ -301,6 +325,112 @@ impl Read {
         for (o, &z) in out.iter_mut().zip(window) {
             y = self.rho * y + innov * z;
             *o += self.coef * y;
+        }
+    }
+}
+
+thread_local! {
+    /// This thread's anchor-stream innovations, kept between batches.
+    /// Per thread, so `vb-par` workers need no lock, and memory stays at
+    /// one window set per anchor stream per thread however many catalogs
+    /// a process builds; a worker's memo goes when the worker exits.
+    static ANCHOR_MEMO: RefCell<AnchorMemo> = RefCell::new(AnchorMemo::default());
+}
+
+/// The anchor-stream innovations one thread keeps between
+/// [`WeatherField::ar1_batch`] calls, keyed by (field seed, channel,
+/// anchor index). Each stream holds the windows that served the last
+/// batch reading it, so consecutive studies over overlapping windows
+/// draw each sample once. Local streams (one per site) are not held:
+/// they would grow with the fleet.
+#[derive(Default)]
+struct AnchorMemo {
+    /// Seed of the field every held window belongs to.
+    seed: u64,
+    /// Held windows per anchor stream, indexed `(channel id − 1) ×
+    /// anchors + anchor index`, ascending by start. A window read from a
+    /// longer held one keeps that one, so neighbours may overlap.
+    held: Vec<Vec<Held>>,
+    /// The stream the running batch is reading, and the windows that
+    /// have served it so far.
+    open: Option<usize>,
+    serving: Vec<Held>,
+}
+
+/// Innovations of one anchor stream over `[start, start + draws.len())`.
+struct Held {
+    start: i64,
+    draws: Rc<Vec<f64>>,
+}
+
+impl Held {
+    fn end(&self) -> i64 {
+        self.start + self.draws.len() as i64
+    }
+}
+
+impl AnchorMemo {
+    /// Start a batch of the field `seed`, first closing any stream a
+    /// panicked batch left open. A different seed drops every held
+    /// window before anything is drawn.
+    fn begin(&mut self, seed: u64) {
+        self.finish();
+        if seed != self.seed {
+            self.held.clear();
+            self.seed = seed;
+        }
+    }
+
+    /// The innovations of anchor stream `slot` (hashed with `key`) over
+    /// the merged window `[lo, hi)`. A window inside a held one is read
+    /// from it; any other is built from the samples held windows cover,
+    /// drawing only the rest. A batch passes one stream's windows
+    /// consecutively, ascending and disjoint; when it moves on, the
+    /// windows that served the stream become its held set.
+    fn window(&mut self, slot: usize, key: u64, lo: i64, hi: i64) -> &[f64] {
+        if self.open != Some(slot) {
+            self.finish();
+            self.open = Some(slot);
+            if self.held.len() <= slot {
+                self.held.resize_with(slot + 1, Vec::new);
+            }
+        }
+        let held = &self.held[slot];
+        let served = match held.iter().find(|h| h.start <= lo && hi <= h.end()) {
+            Some(h) => Held {
+                start: h.start,
+                draws: Rc::clone(&h.draws),
+            },
+            None => {
+                let mut draws = Vec::with_capacity((hi - lo) as usize);
+                let mut t = lo;
+                for h in held.iter().take_while(|h| h.start < hi) {
+                    if h.end() <= t {
+                        continue;
+                    }
+                    draws.extend((t..h.start).map(|s| normal(key, s)));
+                    t = t.max(h.start);
+                    let end = h.end().min(hi);
+                    let (from, to) = ((t - h.start) as usize, (end - h.start) as usize);
+                    draws.extend_from_slice(&h.draws[from..to]);
+                    t = end;
+                }
+                draws.extend((t..hi).map(|s| normal(key, s)));
+                Held {
+                    start: lo,
+                    draws: Rc::new(draws),
+                }
+            }
+        };
+        self.serving.push(served);
+        let h = &self.serving[self.serving.len() - 1];
+        &h.draws[(lo - h.start) as usize..(hi - h.start) as usize]
+    }
+
+    /// Make the windows that served the open stream its held set.
+    fn finish(&mut self) {
+        if let Some(slot) = self.open.take() {
+            self.held[slot] = std::mem::take(&mut self.serving);
         }
     }
 }
@@ -480,12 +610,64 @@ mod tests {
             req(Channel::Cloud, &a, 0.0, 40, 10),
             req(Channel::Cloud, &a, 0.5, 0, 0),
         ];
-        let batch = f.ar1_batch(&requests);
+        let bits = |outs: Vec<Vec<f64>>| -> Vec<Vec<u64>> {
+            outs.iter()
+                .map(|v| v.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        // The same call on a fresh thread, whose anchor memo is empty.
+        let cold = |requests: &[Ar1Request<'_>]| {
+            std::thread::scope(|s| {
+                s.spawn(|| bits(f.ar1_batch(requests)))
+                    .join()
+                    .expect("batch on a fresh thread")
+            })
+        };
+        let batch = cold(&requests);
         assert_eq!(batch.len(), requests.len());
         for (r, got) in requests.iter().zip(&batch) {
-            let lone = f.ar1(r.channel, r.site, r.rho, r.t0, r.n);
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(got), bits(&lone), "{:?} rho {}", r.channel, r.rho);
+            assert_eq!(got, &cold(&[*r])[0], "{:?} rho {}", r.channel, r.rho);
+        }
+
+        // Outputs must not depend on what this thread's memo holds.
+        let shifted: Vec<_> = requests
+            .iter()
+            .map(|r| Ar1Request {
+                t0: r.t0 + 300,
+                ..*r
+            })
+            .collect();
+        let errors: Vec<_> = [(12, 0.9), (96, 0.97), (672, 0.99)]
+            .iter()
+            .flat_map(|&(lead, rho)| {
+                let t0 = 36 + lead * 1_000_003;
+                [&a, &b].map(|site| req(Channel::WindGust, site, rho, t0, 300))
+            })
+            .collect();
+        let warmers: [(&str, &dyn Fn()); 4] = [
+            ("another seed", &|| {
+                WeatherField::new(18).ar1_batch(&requests);
+            }),
+            ("shifted window", &|| {
+                f.ar1_batch(&shifted);
+            }),
+            ("forecast-error windows", &|| {
+                f.ar1_batch(&errors);
+            }),
+            ("replaced held windows", &|| {
+                f.ar1_batch(&requests);
+                f.ar1(Channel::WindGust, &b, 0.3, 12_000_200, 50);
+                f.ar1(Channel::WindRegime, &a, 0.5, -300, 600);
+            }),
+        ];
+        for (name, warm) in warmers {
+            warm();
+            assert_eq!(bits(f.ar1_batch(&requests)), batch, "after {name}");
+            for (r, want) in requests.iter().zip(&batch) {
+                warm();
+                let lone = f.ar1(r.channel, r.site, r.rho, r.t0, r.n);
+                assert_eq!(&bits(vec![lone])[0], want, "{:?} after {name}", r.channel);
+            }
         }
     }
 

@@ -5,8 +5,10 @@ use vb_stats::TimeSeries;
 use vb_trace::io::{from_binary, from_csv, to_binary, to_csv};
 use vb_trace::{forecast_for, generate_in, Catalog, Horizon, Site, SourceKind, WeatherField};
 
+type SeriesBits = (u64, u64, Vec<u64>);
+
 /// A series' sample bits, so equality is bit-for-bit (`-0.0 != 0.0`).
-fn bits(ts: &TimeSeries) -> (u64, u64, Vec<u64>) {
+fn bits(ts: &TimeSeries) -> SeriesBits {
     let values = ts.values.iter().map(|v| v.to_bits()).collect();
     (ts.start_secs, ts.interval_secs, values)
 }
@@ -101,18 +103,53 @@ proptest! {
         seed in 0u64..50,
     ) {
         let catalog = Catalog::fleet(seed, 24);
-        let series = catalog
-            .group_series(&group, start, days, Horizon::all())
-            .expect("synthetic sites cover every window");
+        let group_bits = |catalog: &Catalog, start: u32| -> Vec<Vec<SeriesBits>> {
+            catalog
+                .group_series(&group, start, days, Horizon::all())
+                .expect("synthetic sites cover every window")
+                .iter()
+                .map(|s| std::iter::once(&s.actual).chain(&s.forecasts).map(bits).collect())
+                .collect()
+        };
+        // On a fresh thread, whose anchor memo is empty.
+        let series = std::thread::scope(|s| {
+            s.spawn(|| group_bits(&catalog, start)).join().expect("group on a fresh thread")
+        });
         prop_assert_eq!(series.len(), group.len());
         for (&i, s) in group.iter().zip(&series) {
             let site = &catalog.sites()[i];
             let alone = generate_in(site, start, days, catalog.field());
-            prop_assert_eq!(bits(&s.actual), bits(&alone), "{} trace", site.name);
-            for (f, h) in s.forecasts.iter().zip(Horizon::all()) {
+            prop_assert_eq!(&s[0], &bits(&alone), "{} trace", site.name);
+            for (f, h) in s[1..].iter().zip(Horizon::all()) {
                 let lone = forecast_for(&alone, site, h, catalog.field());
-                prop_assert_eq!(bits(f), bits(&lone), "{} {:?} forecast", site.name, h);
+                prop_assert_eq!(f, &bits(&lone), "{} {:?} forecast", site.name, h);
             }
+        }
+
+        // The same call after the thread's memo was filled by other work.
+        let site = &catalog.sites()[group[0]];
+        let other_seed = Catalog::fleet(seed + 50, 24);
+        let warmers: [(&str, &dyn Fn()); 4] = [
+            ("another seed", &|| {
+                group_bits(&other_seed, start);
+            }),
+            ("window 288 samples later", &|| {
+                group_bits(&catalog, start + 3);
+            }),
+            ("forecast-error windows", &|| {
+                let actual = generate_in(site, start, days, catalog.field());
+                for h in Horizon::all() {
+                    forecast_for(&actual, site, h, catalog.field());
+                }
+            }),
+            ("replaced held windows", &|| {
+                group_bits(&catalog, start);
+                generate_in(site, start + 1, 1, catalog.field());
+            }),
+        ];
+        for (name, warm) in warmers {
+            warm();
+            prop_assert_eq!(&group_bits(&catalog, start), &series, "after {}", name);
         }
     }
 

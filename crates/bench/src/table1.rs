@@ -94,6 +94,7 @@ pub fn run_on_group_with(seed: u64, names: &[&str], cfg: GroupSimConfig) -> Tabl
                     ("epoch_cold_structure", st.epoch_cold_structure.into()),
                     ("epoch_cold_repair", st.epoch_cold_repair.into()),
                     ("fallback_epochs", st.fallback_epochs.into()),
+                    ("budget_stops", st.budget_stops.into()),
                     ("warm_hit_rate", st.warm_hit_rate().into()),
                 ],
             );

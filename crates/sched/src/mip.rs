@@ -3,9 +3,16 @@
 //! At each planning epoch the policy builds a mixed-integer program over
 //! the look-ahead horizon:
 //!
-//! * **Decision variables** — a binary `x[a][s]` per (application, site)
-//!   pair, for both the newly arrived apps and the movable existing
-//!   apps (each app goes to exactly one site).
+//! * **Decision variables** — one integer count `n[c][s] ∈ [0, |c|]` per
+//!   (app class, site), with `Σ_s n[c][s] = |c|`. A class groups
+//!   interchangeable apps: newly arrived apps with the same cores and
+//!   the same number of alive buckets in the horizon, and movable apps
+//!   that also share their memory and current site. Their per-app
+//!   binaries `x[a][s]` would be identical columns, so the counts have
+//!   the same LP relaxation while branch & bound no longer searches
+//!   permutations of equal apps. The readout hands each class's counts
+//!   to its members in context order — movable members fill their
+//!   current site first, then sites in index order.
 //! * **Displacement model** — per site `s` and look-ahead bucket `b`,
 //!   `d[s][b] ≥ load[s][b] − capacity[s][b]` with `d ≥ 0` captures how
 //!   many committed cores the forecast power cannot host. Because every
@@ -13,7 +20,8 @@
 //!   `d = max(0, load − capacity)` exactly.
 //! * **O1 (total)** — `min Σ d · gb_per_core + Σ move_cost`: displaced
 //!   capacity, converted to bytes via the memory density, plus the full
-//!   memory of any existing app the plan relocates preemptively.
+//!   memory of any existing app the plan relocates preemptively
+//!   (`move_cost · (|c| − n[c][home])` per movable class).
 //!   Displaced cores are what *force* migrations at run time, so this is
 //!   a convex surrogate of the paper's "total migration bytes": the
 //!   byte-exact objective (positive increments of the displacement
@@ -35,14 +43,19 @@
 //! | MIP-24h  | next 24 hours  | no        |
 //! | MIP-peak | entire period  | yes       |
 //!
-//! The solve is exact (branch & bound over the `vb-solver` simplex);
-//! if the solver ever fails (iteration safety valve), the epoch falls
-//! back to greedy placement, so a simulation always completes.
+//! The solve is anytime: branch & bound over the `vb-solver` simplex
+//! with a node budget ([`MipConfig::max_nodes`]). A search that runs out
+//! of nodes while an open bound still beats the plan is a *budget stop*,
+//! counted in [`MipStats::budget_stops`] with its gap on the
+//! `sched.mip_epoch` series. If the solver fails (iteration safety
+//! valve), returns non-finite values, or returns class counts that do
+//! not partition a class, the epoch falls back to greedy placement, so
+//! a simulation always completes.
 //!
 //! With [`MipConfig::reuse_across_epochs`] (default on) the policy also
 //! caches the solved root relaxation's basis together with the model's
 //! structural fingerprint. When the next epoch builds a structurally
-//! identical model — same apps × sites × buckets, only the
+//! identical model — same app classes × sites × buckets, only the
 //! forecast-driven RHS and objective moved — the root is dual-repaired
 //! from that basis instead of re-solved from scratch; any structural
 //! drift or failed repair falls back to a cold root. The plan is
@@ -54,6 +67,7 @@ use crate::greedy::GreedyPolicy;
 use crate::policy::{Assignment, PlanContext, Policy, SiteSnapshot};
 use crate::sim::STEPS_PER_DAY;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use vb_solver::{EpochStart, LinExpr, Model, Sense, SolveError, VarId};
 
 /// MIP policy configuration.
@@ -89,7 +103,7 @@ pub struct MipConfig {
     pub max_nodes: usize,
     /// Reuse solver state across epochs: cache the model skeleton and
     /// the root relaxation's optimal basis, and warm-start the next
-    /// epoch's root from it when the structure is unchanged (same apps ×
+    /// epoch's root from it when the structure is unchanged (same app classes ×
     /// sites × buckets; only RHS/objective moved). Purely a performance
     /// lever — plans are identical either way, because the branch & bound
     /// below the root is shared and a warm root lands on the same optimum.
@@ -168,6 +182,10 @@ pub struct MipStats {
     pub epoch_cold_repair: usize,
     /// Epochs where the exact solve failed and greedy stepped in.
     pub fallback_epochs: usize,
+    /// Epochs whose branch & bound ran out of nodes while an open node's
+    /// bound still beat the plan's objective (see
+    /// [`vb_solver::Solution::budget_gap`]).
+    pub budget_stops: usize,
 }
 
 impl MipStats {
@@ -226,7 +244,9 @@ impl MipPolicy {
         self.stats
     }
 
-    fn solve(&mut self, ctx: &PlanContext) -> Result<Vec<Assignment>, SolveError> {
+    /// Build and solve the epoch's class-count model. Returns the plan
+    /// and, when branch & bound stopped at its node budget, the gap.
+    fn solve(&mut self, ctx: &PlanContext) -> Result<(Vec<Assignment>, Option<f64>), SolveError> {
         self.stats.epochs_planned += 1;
         let n_sites = ctx.sites.len();
         // Ceiling division: a partial final bucket still belongs to the
@@ -240,45 +260,39 @@ impl MipPolicy {
 
         let mut m = Model::new(Sense::Minimize);
 
-        // Placement binaries for new apps and movable apps.
-        let x_new: Vec<Vec<VarId>> = ctx
-            .new_apps
+        // One integer count per (class, site); the counts of a class
+        // place all of its members.
+        let classes = classify(ctx, buckets, self.cfg.move_cost_factor);
+        let n: Vec<Vec<VarId>> = classes
             .iter()
-            .map(|a| {
+            .enumerate()
+            .map(|(c, class)| {
+                let size = class.members.len() as f64;
                 (0..n_sites)
-                    .map(|s| m.bin_var(&format!("new{}s{s}", a.id.0)))
+                    .map(|s| m.int_var(&format!("c{c}s{s}"), 0.0, size))
                     .collect()
             })
             .collect();
-        let x_mov: Vec<Vec<VarId>> = ctx
-            .movable
-            .iter()
-            .map(|a| {
-                (0..n_sites)
-                    .map(|s| m.bin_var(&format!("mov{}s{s}", a.id.0)))
-                    .collect()
-            })
-            .collect();
-
-        // Each app at exactly one site.
-        for row in x_new.iter().chain(&x_mov) {
+        for (row, class) in n.iter().zip(&classes) {
             let e = LinExpr {
                 terms: row.iter().map(|&v| (v, 1.0)).collect(),
                 constant: 0.0,
             };
-            m.add_eq(e, 1.0);
+            m.add_eq(e, class.members.len() as f64);
         }
 
         let mut objective = LinExpr::zero();
 
-        // Preemptive-move cost: moving app a away from its current site
-        // costs its full memory. mem · (1 − x[a][current]) expands to
-        // constant mem with coefficient −mem on the stay-home binary.
-        for (a, app) in ctx.movable.iter().enumerate() {
-            let cost = app.mem_gb * self.cfg.move_cost_factor;
-            objective = objective
-                .add_const(cost)
-                .add_term(x_mov[a][app.current_site], -cost);
+        // Preemptive-move cost: moving an app away from its current site
+        // costs its full memory. Per class, cost · (|class| − n[home])
+        // expands to the constant cost·|class| with coefficient −cost on
+        // the stay-home count.
+        for (row, class) in n.iter().zip(&classes) {
+            if let Some(home) = class.home {
+                objective = objective
+                    .add_const(class.move_cost * class.members.len() as f64)
+                    .add_term(row[home], -class.move_cost);
+            }
         }
 
         // Displacement variables per (site, bucket). Every objective
@@ -290,17 +304,12 @@ impl MipPolicy {
             for b in 0..buckets {
                 let d = m.var(&format!("d_s{s}b{b}"), 0.0, inf);
 
-                // d ≥ load − capacity. load = committed + Σ cores·x.
-                // Rearranged: d − Σ cores·x ≥ committed − capacity.
+                // d ≥ load − capacity. load = committed + Σ cores·n.
+                // Rearranged: d − Σ cores·n ≥ committed − capacity.
                 let mut lhs = LinExpr::term(d, 1.0);
-                for (a, app) in ctx.new_apps.iter().enumerate() {
-                    if alive(app.spec.lifetime_steps, ctx.bucket_steps, b) {
-                        lhs = lhs.add_term(x_new[a][s], -(app.spec.cores() as f64));
-                    }
-                }
-                for (a, app) in ctx.movable.iter().enumerate() {
-                    if alive(app.remaining_steps, ctx.bucket_steps, b) {
-                        lhs = lhs.add_term(x_mov[a][s], -(app.cores as f64));
+                for (row, class) in n.iter().zip(&classes) {
+                    if b < class.alive_buckets {
+                        lhs = lhs.add_term(row[s], -class.cores);
                     }
                 }
                 let committed = site.committed_cores.get(b).copied().unwrap_or(0.0);
@@ -339,16 +348,11 @@ impl MipPolicy {
                     if cap < 0.05 * site.total_cores as f64 {
                         continue; // dead-site buckets: displacement term rules
                     }
-                    // z ≥ load / cap  →  (committed + Σ cores·x)/cap − z ≤ 0.
+                    // z ≥ load / cap  →  (committed + Σ cores·n)/cap − z ≤ 0.
                     let mut row = LinExpr::term(z_util, -1.0);
-                    for (a, app) in ctx.new_apps.iter().enumerate() {
-                        if alive(app.spec.lifetime_steps, ctx.bucket_steps, b) {
-                            row = row.add_term(x_new[a][s], app.spec.cores() as f64 / cap);
-                        }
-                    }
-                    for (a, app) in ctx.movable.iter().enumerate() {
-                        if alive(app.remaining_steps, ctx.bucket_steps, b) {
-                            row = row.add_term(x_mov[a][s], app.cores as f64 / cap);
+                    for (counts, class) in n.iter().zip(&classes) {
+                        if b < class.alive_buckets {
+                            row = row.add_term(counts[s], class.cores / cap);
                         }
                     }
                     let committed = site.committed_cores.get(b).copied().unwrap_or(0.0);
@@ -394,6 +398,9 @@ impl MipPolicy {
         } else {
             m.solve_bounded(self.cfg.max_nodes)?
         };
+        if sol.budget_gap().is_some() {
+            self.stats.budget_stops += 1;
+        }
         // A solver-tolerance pathology could in principle leave NaN/∞ in
         // the solution; route it into the greedy fallback rather than
         // letting a NaN-poisoned readout abort the whole simulation.
@@ -404,28 +411,113 @@ impl MipPolicy {
             return Err(SolveError::BadModel("non-finite MIP solution".into()));
         }
 
-        // Read the chosen site per app. `total_cmp` keeps the readout
-        // total even under unexpected NaN (belt and braces with the
-        // finiteness check above).
-        let mut out = Vec::new();
-        for (a, app) in ctx.new_apps.iter().enumerate() {
-            let site = (0..n_sites)
-                .max_by(|&i, &j| sol.value(x_new[a][i]).total_cmp(&sol.value(x_new[a][j])))
-                // vb-audit: allow(no-panic, plan() rejects contexts with fewer than 2 sites)
-                .expect("sites non-empty");
-            out.push(Assignment { app: app.id, site });
+        // Hand each class's counts out to its members in context order.
+        let mut new_site = vec![0; ctx.new_apps.len()];
+        let mut mov_site = vec![0; ctx.movable.len()];
+        for (row, class) in n.iter().zip(&classes) {
+            let counts: Vec<f64> = row.iter().map(|&v| sol.value(v)).collect();
+            let sites = spread(&counts, class.members.len(), class.home).ok_or_else(|| {
+                SolveError::BadModel("class counts do not partition the class".into())
+            })?;
+            let dest = if class.home.is_some() {
+                &mut mov_site
+            } else {
+                &mut new_site
+            };
+            for (&member, site) in class.members.iter().zip(sites) {
+                dest[member] = site;
+            }
         }
-        for (a, app) in ctx.movable.iter().enumerate() {
-            let site = (0..n_sites)
-                .max_by(|&i, &j| sol.value(x_mov[a][i]).total_cmp(&sol.value(x_mov[a][j])))
-                // vb-audit: allow(no-panic, plan() rejects contexts with fewer than 2 sites)
-                .expect("sites non-empty");
+        let mut out: Vec<Assignment> = ctx
+            .new_apps
+            .iter()
+            .zip(new_site)
+            .map(|(app, site)| Assignment { app: app.id, site })
+            .collect();
+        for (app, site) in ctx.movable.iter().zip(mov_site) {
             if site != app.current_site {
                 out.push(Assignment { app: app.id, site });
             }
         }
-        Ok(out)
+        Ok((out, sol.budget_gap()))
     }
+}
+
+/// A class of interchangeable apps. New apps share a class when they have
+/// the same cores and the same number of alive buckets within the model
+/// horizon; movable apps must also share their memory and current site.
+/// Members of a class have identical columns in the per-app model, so one
+/// integer count per site replaces their binaries without changing the
+/// LP relaxation.
+struct AppClass {
+    cores: f64,
+    /// Buckets `0..alive_buckets` are the ones the members are alive in.
+    alive_buckets: usize,
+    /// Current site of a movable class; `None` for new apps.
+    home: Option<usize>,
+    /// Cost of moving one member off `home`.
+    move_cost: f64,
+    /// Indices into `ctx.new_apps` (or `ctx.movable` when `home` is set),
+    /// in context order.
+    members: Vec<usize>,
+}
+
+/// Group the epoch's apps into classes, new apps first, each side's
+/// classes in order of first appearance.
+fn classify(ctx: &PlanContext, buckets: usize, move_cost_factor: f64) -> Vec<AppClass> {
+    let alive_buckets = |remaining: u32| {
+        (0..buckets)
+            .take_while(|&b| alive(remaining, ctx.bucket_steps, b))
+            .count()
+    };
+    // (cores, remaining steps, memory, home) per app. New apps carry no
+    // home, so no movable app shares their key.
+    let new = ctx
+        .new_apps
+        .iter()
+        .map(|a| (a.spec.cores(), a.spec.lifetime_steps, 0.0, None));
+    let movable = ctx
+        .movable
+        .iter()
+        .map(|a| (a.cores, a.remaining_steps, a.mem_gb, Some(a.current_site)));
+    let mut classes: Vec<AppClass> = Vec::new();
+    let mut index: BTreeMap<(u32, usize, u64, Option<usize>), usize> = BTreeMap::new();
+    for (i, (cores, remaining, mem_gb, home)) in new.enumerate().chain(movable.enumerate()) {
+        let alive = alive_buckets(remaining);
+        let c = *index
+            .entry((cores, alive, f64::to_bits(mem_gb), home))
+            .or_insert_with(|| {
+                classes.push(AppClass {
+                    cores: cores as f64,
+                    alive_buckets: alive,
+                    home,
+                    move_cost: mem_gb * move_cost_factor,
+                    members: Vec::new(),
+                });
+                classes.len() - 1
+            });
+        classes[c].members.push(i);
+    }
+    classes
+}
+
+/// The site of each of a class's `size` members, in member order, from
+/// the class's per-site counts: members fill `home` first (movable
+/// classes stay put where they can), then the sites in index order.
+/// `None` unless the rounded counts are non-negative and sum to `size`.
+fn spread(counts: &[f64], size: usize, home: Option<usize>) -> Option<Vec<usize>> {
+    let rounded: Vec<f64> = counts.iter().map(|c| c.round()).collect();
+    if rounded.iter().any(|&c| c < 0.0) || rounded.iter().sum::<f64>() != size as f64 {
+        return None;
+    }
+    let order = home
+        .into_iter()
+        .chain((0..counts.len()).filter(|&s| Some(s) != home));
+    let mut sites = Vec::with_capacity(size);
+    for s in order {
+        sites.extend(std::iter::repeat_n(s, rounded[s] as usize));
+    }
+    Some(sites)
 }
 
 /// Is an app with `remaining` steps of lifetime still alive in bucket
@@ -476,8 +568,8 @@ impl Policy for MipPolicy {
                 .collect();
         }
         let warm_hits_before = self.stats.epoch_warm_hits;
-        let (plan, fell_back) = match self.solve(ctx) {
-            Ok(plan) => (plan, 0.0),
+        let (plan, gap, fell_back) = match self.solve(ctx) {
+            Ok((plan, gap)) => (plan, gap, 0.0),
             Err(_) => {
                 self.stats.fallback_epochs += 1;
                 vb_telemetry::counter!("sched.mip_fallbacks").inc();
@@ -488,7 +580,7 @@ impl Policy for MipPolicy {
                         ("epoch_step", ctx.now.into()),
                     ],
                 );
-                (self.fallback.plan(ctx), 1.0)
+                (self.fallback.plan(ctx), None, 1.0)
             }
         };
         vb_telemetry::series_sample(
@@ -502,6 +594,8 @@ impl Policy for MipPolicy {
                     (self.stats.epoch_warm_hits - warm_hits_before) as f64,
                 ),
                 ("fallback", fell_back),
+                ("budget_stop", if gap.is_some() { 1.0 } else { 0.0 }),
+                ("gap", gap.unwrap_or(0.0)),
             ],
         );
         plan
@@ -833,6 +927,75 @@ mod tests {
         );
         assert_eq!(st.epoch_warm_hits, 0);
         assert_eq!(st.epoch_warm_misses(), 2);
+    }
+
+    #[test]
+    fn spread_fills_home_first_then_sites_in_index_order() {
+        assert_eq!(spread(&[1.0, 2.0, 1.0], 4, None), Some(vec![0, 1, 1, 2]));
+        assert_eq!(spread(&[1.0, 2.0, 1.0], 4, Some(1)), Some(vec![1, 1, 0, 2]));
+        // Counts within rounding of integers are accepted; counts that
+        // do not partition the class are not.
+        assert_eq!(
+            spread(&[0.999_999_9, 1.000_000_1], 2, None),
+            Some(vec![0, 1])
+        );
+        assert_eq!(spread(&[1.0, 2.0], 4, None), None);
+        assert_eq!(spread(&[-1.0, 3.0], 2, Some(0)), None);
+    }
+
+    #[test]
+    fn interchangeable_apps_each_come_back_once() {
+        // Six identical new apps form one class, and four identical
+        // movable apps on a site whose power drops to 100 cores form
+        // another. Two of the movable apps (80 cores) fit; moving a
+        // third would cost its memory for nothing. So the plan keeps
+        // the class's first two members home and moves the last two.
+        let ctx = PlanContext {
+            now: 0,
+            bucket_steps: 12,
+            sites: vec![
+                site("doomed", vec![500.0, 100.0, 100.0, 100.0], vec![0.0; 4]),
+                site("ok", vec![500.0; 4], vec![0.0; 4]),
+            ],
+            new_apps: (0..6).map(|i| new_app(i, 2, 48)).collect(),
+            movable: (100..104)
+                .map(|i| MovableApp {
+                    id: AppId(i),
+                    current_site: 0,
+                    cores: 40,
+                    mem_gb: 40.0,
+                    remaining_steps: 48,
+                })
+                .collect(),
+        };
+        let classes = classify(&ctx, 4, 1.0);
+        let sizes: Vec<usize> = classes.iter().map(|c| c.members.len()).collect();
+        assert_eq!(sizes, vec![6, 4]);
+        let cfg = MipConfig {
+            balance_weight: 0.0,
+            ..MipConfig::mip_peak()
+        };
+        let mut pol = MipPolicy::new(cfg);
+        let plan = pol.plan(&ctx);
+        assert_eq!(pol.fallbacks_used(), 0);
+        let new_ids: Vec<usize> = plan.iter().map(|a| a.app.0).filter(|&i| i < 100).collect();
+        assert_eq!(new_ids, vec![0, 1, 2, 3, 4, 5], "each new app exactly once");
+        assert!(plan.iter().all(|a| a.site < 2));
+        let moved: Vec<Assignment> = plan.into_iter().filter(|a| a.app.0 >= 100).collect();
+        assert_eq!(
+            moved,
+            vec![
+                Assignment {
+                    app: AppId(102),
+                    site: 1
+                },
+                Assignment {
+                    app: AppId(103),
+                    site: 1
+                },
+            ],
+            "the first members stay home"
+        );
     }
 
     #[test]

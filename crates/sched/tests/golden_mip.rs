@@ -3,18 +3,17 @@
 //! The three solver-backed policies must produce bit-identical
 //! schedules across solver refactors and performance work: each
 //! constant below is an FNV-1a hash over the bit patterns of every
-//! `PolicySummary` field (the per-step volumes included) of one run,
-//! recorded before branch-and-bound nodes began sharing their parent's
-//! factorization. A digest mismatch means a plan moved — a different
+//! `PolicySummary` field (the per-step volumes included) of one run.
+//! The Table 1 MIP digest dates from before branch-and-bound nodes
+//! began sharing their parent's factorization; the other five were
+//! recorded when the planner moved to one integer count per class of
+//! interchangeable apps and the revised simplex gained its relative
+//! pivot tolerance. A digest mismatch means a plan moved — a different
 //! vertex, incumbent or branching order — not just a changed speed.
 
-use vb_sched::{AppGenConfig, GroupSim, GroupSimConfig, MipConfig, MipPolicy, PolicySummary};
-use vb_trace::Catalog;
+mod common;
 
-const SEED: u64 = 42;
-
-/// The Table 1 multi-VB group (Fig 3 trio).
-const TRIO: [&str; 3] = ["NO-solar", "UK-wind", "PT-wind"];
+use vb_sched::{MipConfig, MipPolicy, PolicySummary};
 
 /// FNV-1a over 64-bit words, byte by byte (little-endian).
 fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
@@ -49,50 +48,21 @@ fn summary_digest(s: &PolicySummary) -> u64 {
     )
 }
 
-fn run(catalog: &Catalog, sites: &[&str], cfg: GroupSimConfig, mip: MipConfig) -> u64 {
-    let mut policy = MipPolicy::new(mip);
-    let summary = GroupSim::new(catalog, sites, cfg)
-        .expect("catalog sites exist")
-        .run(&mut policy);
-    summary_digest(&summary)
-}
-
 /// Table 1: the trio under the default config (7 days from day 120).
 fn table1(mip: MipConfig) -> u64 {
-    run(
-        &Catalog::europe(SEED),
-        &TRIO,
-        GroupSimConfig::default(),
-        mip,
-    )
+    summary_digest(&common::run_table1(&mut MipPolicy::new(mip)))
 }
 
-/// The first 3-site shard of the synthetic fleet under the fleet
-/// bench's application mix (many tiny, mostly degradable apps at a
-/// fixed arrival rate), 3 days at 3 h epochs: mid-size MIPs.
+/// The first 3-site shard of the synthetic fleet: mid-size MIPs.
 fn fleet_shard(mip: MipConfig) -> u64 {
-    let catalog = Catalog::fleet(SEED, 3);
-    let names: Vec<&str> = catalog.sites().iter().map(|s| s.name.as_str()).collect();
-    let cfg = GroupSimConfig {
-        days: 3,
-        app_cfg: Some(AppGenConfig {
-            arrivals_per_step: 4.0,
-            vms_min: 1,
-            vms_max: 2,
-            cores_per_vm: 2,
-            degradable_fraction: 0.95,
-            ..AppGenConfig::default()
-        }),
-        ..GroupSimConfig::default()
-    };
-    run(&catalog, &names, cfg, mip)
+    summary_digest(&common::run_fleet_shard(&mut MipPolicy::new(mip)))
 }
 
 #[test]
 fn table1_mip_24h_matches_golden_digest() {
     assert_eq!(
         table1(MipConfig::mip_24h()),
-        0x202a_5a3f_8083_1b63,
+        0x5636_3b58_8c0e_81ef,
         "Table 1 MIP-24h digest"
     );
 }
@@ -110,7 +80,7 @@ fn table1_mip_matches_golden_digest() {
 fn table1_mip_peak_matches_golden_digest() {
     assert_eq!(
         table1(MipConfig::mip_peak()),
-        0x19fc_bd82_8349_f881,
+        0xc570_f963_e068_7177,
         "Table 1 MIP-peak digest"
     );
 }
@@ -119,7 +89,7 @@ fn table1_mip_peak_matches_golden_digest() {
 fn fleet_shard_mip_24h_matches_golden_digest() {
     assert_eq!(
         fleet_shard(MipConfig::mip_24h()),
-        0x5d1f_ff10_984e_fdd3,
+        0x0a9b_624b_c3ba_b6dc,
         "fleet MIP-24h digest"
     );
 }
@@ -128,7 +98,7 @@ fn fleet_shard_mip_24h_matches_golden_digest() {
 fn fleet_shard_mip_matches_golden_digest() {
     assert_eq!(
         fleet_shard(MipConfig::mip()),
-        0x1131_5195_9d29_3b0d,
+        0xe443_3cbe_fdbc_a31a,
         "fleet MIP digest"
     );
 }
@@ -137,7 +107,7 @@ fn fleet_shard_mip_matches_golden_digest() {
 fn fleet_shard_mip_peak_matches_golden_digest() {
     assert_eq!(
         fleet_shard(MipConfig::mip_peak()),
-        0x5fd3_3dcb_188c_cdea,
+        0x7567_ee8e_d47f_9bad,
         "fleet MIP-peak digest"
     );
 }

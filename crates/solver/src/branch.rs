@@ -399,7 +399,11 @@ pub fn solve_mip_epoch_with(
 /// at most `max_nodes` nodes, and `max_nodes == 0` does no work at all
 /// (not even the rounding dive). When the budget runs out with nodes
 /// still queued, the best incumbent is returned anytime-style, or
-/// [`SolveError::IterationLimit`] if none exists yet.
+/// [`SolveError::IterationLimit`] if none exists yet. If a queued
+/// node's bound still beats that incumbent, the solve is a *budget
+/// stop*: the returned [`Solution::budget_gap`] holds the relative gap,
+/// and the `solver.mip_budget_stops` counter and `solver.mip_gap`
+/// histogram record it.
 ///
 /// # Deterministic parallelism
 ///
@@ -571,20 +575,36 @@ fn solve_mip_from_root(
         }
     }
 
+    // A budget stop: the nodes ran out while the best open node's bound
+    // still beats the incumbent, so the incumbent is not proven optimal.
+    let gap = match (&incumbent, heap.peek()) {
+        (Some(inc), Some(open)) if better(open.bound, inc.objective) => {
+            Some((inc.objective - open.bound).abs() / inc.objective.abs().max(1.0))
+        }
+        _ => None,
+    };
+
     vb_telemetry::counter!("solver.mip_nodes_expanded").add(explored as u64);
     vb_telemetry::counter!("solver.mip_nodes_pruned").add(pruned);
     vb_telemetry::counter!("solver.mip_incumbent_improvements").add(improvements);
     vb_telemetry::histogram!("solver.mip_nodes_per_solve").observe(explored as f64);
+    if let Some(g) = gap {
+        vb_telemetry::counter!("solver.mip_budget_stops").inc();
+        vb_telemetry::histogram!("solver.mip_gap").observe(g);
+    }
     if par_batches > 0 {
         vb_telemetry::counter!("solver.bb_parallel_batches").add(par_batches);
         vb_telemetry::counter!("solver.bb_parallel_nodes").add(par_nodes);
     }
 
-    incumbent.ok_or(if budget_exhausted {
-        SolveError::IterationLimit
-    } else {
-        SolveError::Infeasible
-    })
+    match incumbent {
+        Some(mut inc) => {
+            inc.budget_gap = gap;
+            Ok(inc)
+        }
+        None if budget_exhausted => Err(SolveError::IterationLimit),
+        None => Err(SolveError::Infeasible),
+    }
 }
 
 /// What expanding one node produced: an integral (snapped) candidate
@@ -1153,6 +1173,31 @@ mod tests {
             (s.int_value(x[0]), s.int_value(x[1]), s.int_value(x[2])),
             (0, 1, 1)
         );
+    }
+
+    #[test]
+    fn budget_stops_report_their_gap() {
+        // Seed 24's rounding dive lands on 29 while the optimum is 26.
+        // A one-node budget stops with the root's bound still open below
+        // that incumbent; an exhaustive search proves its optimum and
+        // reports no stop.
+        let m = placement_model(8, 3, 24);
+        let full = solve_mip_bounded(&m, MAX_NODES).unwrap();
+        assert_eq!(full.budget_gap(), None, "an exhaustive search never stops");
+        for kernel in [KernelConfig::baseline(), KernelConfig::production()] {
+            let cut = solve_mip_kernel(&m, 1, &kernel).unwrap();
+            let gap = cut
+                .budget_gap()
+                .expect("a one-node budget stops the search");
+            assert!(gap > 0.0, "{kernel:?}: gap {gap}");
+            assert!(
+                cut.objective > full.objective + 0.5,
+                "{kernel:?}: cut short"
+            );
+            // The open bound the gap measures cannot exceed the optimum.
+            let bound = cut.objective - gap * cut.objective.abs().max(1.0);
+            assert!(bound <= full.objective + 1e-9, "{kernel:?}: bound {bound}");
+        }
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //!   exact steepest-edge pricing ([`Pricing::SteepestEdge`])
 //!   affordable. Selected per kernel via [`branch::Engine`].
 //! * [`branch`] — best-first branch & bound on fractional integer
-//!   variables, giving exact MIP optima; child nodes warm-start from
+//!   variables, exact when the search finishes within its node budget
+//!   (a search cut short reports its gap, [`Solution::budget_gap`]);
+//!   child nodes warm-start from
 //!   their parent's optimal basis, and [`branch::solve_mip_epoch`]
 //!   carries the optimal root state *across* successive solves of a
 //!   structurally identical model (the co-scheduler's epoch loop).
@@ -39,10 +41,8 @@
 //! * [`dense`] — the original row-expansion two-phase simplex, kept as
 //!   an independent oracle for differential testing.
 //!
-//! The scheduler's MIPs are small (tens to a few hundred variables) but
-//! repeat every epoch with only forecast-driven RHS/objective changes,
-//! so the hot path is sparse and persistent; a commercial solver would
-//! return the same optima.
+//! The scheduler's MIPs are small (tens to a few hundred variables) and
+//! are re-solved every epoch, so the hot path is sparse and persistent.
 //!
 //! ```
 //! use vb_solver::{Model, Sense};

@@ -162,11 +162,27 @@ pub struct Solution {
     pub objective: f64,
     /// Value per variable, indexed by [`VarId`].
     values: Vec<f64>,
+    /// Relative gap of a branch & bound search that stopped at its node
+    /// budget (see [`Solution::budget_gap`]).
+    pub(crate) budget_gap: Option<f64>,
 }
 
 impl Solution {
     pub(crate) fn new(objective: f64, values: Vec<f64>) -> Solution {
-        Solution { objective, values }
+        Solution {
+            objective,
+            values,
+            budget_gap: None,
+        }
+    }
+
+    /// `Some(gap)` when branch & bound ran out of nodes while an open
+    /// node's bound still beat the returned incumbent — a *budget stop*
+    /// — with `gap = |incumbent − best open bound| / max(1, |incumbent|)`.
+    /// `None` for a search that finished (the incumbent is optimal) and
+    /// for pure LP solves.
+    pub fn budget_gap(&self) -> Option<f64> {
+        self.budget_gap
     }
 
     /// Value of a variable.

@@ -385,7 +385,9 @@ impl Presolved {
             .map(|&(v, c)| c * values[v.0])
             .sum::<f64>()
             + model.objective_const;
-        Solution::new(objective, values)
+        let mut out = Solution::new(objective, values);
+        out.budget_gap = sol.budget_gap;
+        out
     }
 }
 

@@ -48,6 +48,13 @@ use std::sync::Arc;
 /// means the factors + eta file have degraded and trigger an immediate
 /// refactorization.
 const STAB_EPS: f64 = 1e-7;
+/// Relative pivot tolerance of both ratio tests: a candidate pivot
+/// `α` must exceed `PIVOT_REL · max|α|` over its column (primal) or
+/// row (dual) as well as the absolute [`EPS`]. An absolute test alone
+/// accepted a pivot of 6.5e-9 in a column whose largest entry was 1e6;
+/// two pivots later the basis was near-singular and phase 1 moved
+/// artificials below zero.
+const PIVOT_REL: f64 = 1e-11;
 /// Steepest-edge framework reset: when the maintained weight of the
 /// entering column differs from its exact norm `1 + ‖B⁻¹a_q‖²` by more
 /// than this factor either way, all weights restart at 1.
@@ -1173,23 +1180,25 @@ impl RevisedState {
     }
 
     /// Bounded ratio test for `enter` moving in direction `dir` (its
-    /// FTRAN'd column in `ecol`): identical logic and tie-breaks to the
-    /// tableau engine's.
+    /// FTRAN'd column in `ecol`): the tableau engine's logic and
+    /// tie-breaks, except that entries below [`PIVOT_REL`] of the
+    /// column's largest are never pivots.
     fn ratio_test(&self, enter: usize, dir: f64, ecol: &[f64]) -> Step {
         let span = self.ub[enter] - self.lb[enter]; // may be ∞
+        let tol = pivot_tol(ecol.iter().copied());
         let mut best_step = span;
         let mut best: Option<(usize, f64, bool)> = None; // (row, target, at_upper)
         for (i, &e) in ecol.iter().enumerate() {
             let rate = dir * e;
             let b = self.basis[i];
             let value = self.xb[i];
-            let (limit, target, leave_at_upper) = if rate > EPS {
+            let (limit, target, leave_at_upper) = if rate > tol {
                 if self.lb[b].is_finite() {
                     ((value - self.lb[b]) / rate, self.lb[b], false)
                 } else {
                     continue;
                 }
-            } else if rate < -EPS {
+            } else if rate < -tol {
                 if self.ub[b].is_finite() {
                     ((self.ub[b] - value) / -rate, self.ub[b], true)
                 } else {
@@ -1260,19 +1269,26 @@ impl RevisedState {
                 self.pricing_row(rho, pr);
 
                 // Entering column by the dual ratio test over the row's
-                // entries (ascending scan keeps the tableau tie-breaks).
+                // entries (ascending scan keeps the tableau tie-breaks),
+                // with the primal test's relative pivot tolerance.
+                let candidate =
+                    |j: usize| self.basis_pos[j] == usize::MAX && self.ub[j] - self.lb[j] > EPS;
+                let tol = pivot_tol(
+                    pr.support
+                        .iter()
+                        .map(|&j| j as usize)
+                        .filter(|&j| j < col_limit && candidate(j))
+                        .map(|j| pr.alpha[j]),
+                );
                 let mut enter: Option<(usize, f64)> = None;
                 for (j, &a) in pr.alpha.iter().enumerate().take(col_limit) {
-                    if self.basis_pos[j] != usize::MAX || self.ub[j] - self.lb[j] <= EPS {
-                        continue;
-                    }
-                    if a.abs() <= EPS {
+                    if !candidate(j) || a.abs() <= tol {
                         continue;
                     }
                     let eligible = if below {
-                        (!self.at_upper[j] && a < -EPS) || (self.at_upper[j] && a > EPS)
+                        (!self.at_upper[j] && a < 0.0) || (self.at_upper[j] && a > 0.0)
                     } else {
-                        (!self.at_upper[j] && a > EPS) || (self.at_upper[j] && a < -EPS)
+                        (!self.at_upper[j] && a > 0.0) || (self.at_upper[j] && a < 0.0)
                     };
                     if !eligible {
                         continue;
@@ -1522,6 +1538,12 @@ impl RevisedState {
             );
         }
     }
+}
+
+/// The smallest usable pivot magnitude among `entries`: the absolute
+/// [`EPS`], raised to [`PIVOT_REL`] of the largest entry.
+fn pivot_tol(entries: impl Iterator<Item = f64>) -> f64 {
+    EPS.max(PIVOT_REL * entries.fold(0.0, |m: f64, a| m.max(a.abs())))
 }
 
 /// Objective monotonicity for primal steps (dual repair is exempt) —

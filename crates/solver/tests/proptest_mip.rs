@@ -1,9 +1,11 @@
 //! Property tests: the branch & bound solver must agree with brute-force
-//! enumeration on randomly generated small integer programs, and the LP
-//! relaxation must always bound the MIP optimum.
+//! enumeration on randomly generated small integer programs — through
+//! both the baseline kernel and the production kernel (presolve,
+//! factorized revised simplex, parallel search) — and the LP relaxation
+//! must always bound the MIP optimum.
 
 use proptest::prelude::*;
-use vb_solver::{Model, Sense, VarId};
+use vb_solver::{solve_mip_kernel, KernelConfig, Model, Sense, Solution, SolveError, VarId};
 
 /// A randomly generated bounded integer program:
 /// max/min c·x  s.t.  A x ≤ b,  x ∈ {0..3}^n.
@@ -93,37 +95,60 @@ fn build_model(ip: &RandomIp) -> (Model, Vec<VarId>) {
     (m, vars)
 }
 
+/// The solver's answer must match brute-force enumeration: the same
+/// optimum (or infeasibility), achieved by a feasible assignment.
+fn check_against_brute_force(ip: &RandomIp, vars: &[VarId], sol: Result<Solution, SolveError>) {
+    match (sol, brute_force(ip)) {
+        (Ok(sol), Some((obj, _))) => {
+            prop_assert!(
+                (sol.objective - obj).abs() < 1e-6,
+                "solver {} vs brute force {obj}",
+                sol.objective
+            );
+            // The reported assignment must itself be feasible and
+            // achieve the reported objective.
+            let xs: Vec<i32> = vars.iter().map(|&v| sol.int_value(v) as i32).collect();
+            for (row, &b) in ip.a.iter().zip(&ip.b) {
+                let lhs: i32 = row.iter().zip(&xs).map(|(&a, &v)| a * v).sum();
+                prop_assert!(lhs <= b, "constraint violated: {lhs} > {b}");
+            }
+            let got: i32 = ip.c.iter().zip(&xs).map(|(&c, &v)| c * v).sum();
+            prop_assert!((got as f64 - sol.objective).abs() < 1e-6);
+        }
+        (Err(e), None) => {
+            // x = 0 is always feasible when all b >= 0, so this can't
+            // happen with our generator; still, accept agreement.
+            prop_assert!(
+                matches!(e, SolveError::Infeasible),
+                "unexpected error {e:?}"
+            );
+        }
+        (Ok(sol), None) => prop_assert!(false, "solver found {sol:?}, brute force infeasible"),
+        (Err(e), Some(_)) => prop_assert!(false, "solver failed {e:?} on feasible instance"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(120))]
 
     #[test]
     fn branch_and_bound_matches_brute_force(ip in random_ip(3, 3)) {
-        let expected = brute_force(&ip);
         let (m, vars) = build_model(&ip);
-        match (m.solve(), expected) {
-            (Ok(sol), Some((obj, _))) => {
-                prop_assert!((sol.objective - obj).abs() < 1e-6,
-                    "solver {} vs brute force {obj}", sol.objective);
-                // The reported assignment must itself be feasible and
-                // achieve the reported objective.
-                let xs: Vec<i32> = vars.iter().map(|&v| sol.int_value(v) as i32).collect();
-                for (row, &b) in ip.a.iter().zip(&ip.b) {
-                    let lhs: i32 = row.iter().zip(&xs).map(|(&a, &v)| a * v).sum();
-                    prop_assert!(lhs <= b, "constraint violated: {lhs} > {b}");
-                }
-                let got: i32 = ip.c.iter().zip(&xs).map(|(&c, &v)| c * v).sum();
-                prop_assert!((got as f64 - sol.objective).abs() < 1e-6);
-            }
-            (Err(e), None) => {
-                // x = 0 is always feasible when all b >= 0, so this can't
-                // happen with our generator; still, accept agreement.
-                prop_assert!(matches!(e, vb_solver::SolveError::Infeasible),
-                    "unexpected error {e:?}");
-            }
-            (Ok(sol), None) => prop_assert!(false, "solver found {sol:?}, brute force infeasible"),
-            (Err(e), Some(_)) => prop_assert!(false, "solver failed {e:?} on feasible instance"),
-        }
+        check_against_brute_force(&ip, &vars, m.solve());
     }
+
+    #[test]
+    fn production_kernel_matches_brute_force(ip in random_ip(3, 3)) {
+        // General integers in [0, 3], not just binaries, through the
+        // kernel the scheduler runs.
+        let (m, vars) = build_model(&ip);
+        let sol = solve_mip_kernel(&m, 200_000, &KernelConfig::production());
+        if let Ok(s) = &sol {
+            prop_assert_eq!(s.budget_gap(), None, "an exhaustive search never stops");
+        }
+        check_against_brute_force(&ip, &vars, sol);
+    }
+
 
     #[test]
     fn lp_relaxation_bounds_the_mip(ip in random_ip(4, 2)) {

@@ -18,10 +18,12 @@
 //! all-slack basis. A child's revised-simplex state also shares its
 //! parent's LU factors and eta entries instead of copying them (see
 //! [`crate::ftran`]). The rounding dive chains warm starts the same
-//! way. Warm and cold solves reach the same optima (pivot order may
-//! differ on degenerate ties, so alternate optimal *vertices* are
-//! possible); [`solve_mip_bounded_with`] exposes a cold mode for
-//! differential tests and pivot-count comparisons.
+//! way. Before either replays a fractional root, the root's basis is
+//! refactorized once (`refresh_root`), so no solve below it replays
+//! the root solve's eta file. Warm and cold solves reach the same
+//! optima (pivot order may differ on degenerate ties, so alternate
+//! optimal *vertices* are possible); [`solve_mip_bounded_with`] exposes
+//! a cold mode for differential tests and pivot-count comparisons.
 //!
 //! [`solve_mip_epoch`] extends the reuse *across* solves: when the same
 //! model structure is re-solved every scheduling epoch with fresh
@@ -440,7 +442,8 @@ fn solve_mip_from_root(
         .map(|(i, _)| VarId(i))
         .collect();
 
-    let (root, root_state) = root;
+    let (root, mut root_state) = root;
+    refresh_root(&mut root_state, &root, &int_vars, max_nodes, warm_start);
     let root_state = Arc::new(root_state);
 
     let better = |a: f64, b: f64| match model.sense {
@@ -604,6 +607,29 @@ fn solve_mip_from_root(
         }
         None if budget_exhausted => Err(SolveError::IterationLimit),
         None => Err(SolveError::Infeasible),
+    }
+}
+
+/// Refactorize the root's optimal basis when the dive and the search
+/// will warm-start from it: the root has a fractional integer variable,
+/// the budget is nonzero and warm starts are on. The root's cold solve
+/// leaves its whole eta file behind (on the benchmark's fleet shards
+/// ~38 etas holding ~850 nonzeros, against ~230 in a fresh LU of the
+/// same basis), and every FTRAN and BTRAN below the root would replay
+/// it. Integral roots, zero budgets and cold searches replay nothing
+/// and keep the state as solved; tableau states have no factors.
+fn refresh_root(
+    state: &mut LpState,
+    root: &Solution,
+    int_vars: &[VarId],
+    max_nodes: usize,
+    warm_start: bool,
+) {
+    if max_nodes == 0 || !warm_start || most_fractional(root, int_vars).is_none() {
+        return;
+    }
+    if let LpState::Revised(st) = state {
+        st.refresh_factors();
     }
 }
 
@@ -1197,6 +1223,106 @@ mod tests {
             // The open bound the gap measures cannot exceed the optimum.
             let bound = cut.objective - gap * cut.objective.abs().max(1.0);
             assert!(bound <= full.objective + 1e-9, "{kernel:?}: bound {bound}");
+        }
+    }
+
+    /// `m`'s root relaxation on the production engine, with its integer
+    /// variables.
+    fn factorized_root(m: &Model) -> (Solution, LpState, Vec<VarId>) {
+        let (root, state) = lp_solve(m, &[], None, Pricing::SteepestEdge, Engine::Factorized)
+            .expect("root relaxation solves");
+        let ints = (0..m.vars.len())
+            .filter(|&j| m.vars[j].integer)
+            .map(VarId)
+            .collect();
+        (root, state, ints)
+    }
+
+    fn revised(state: &LpState) -> &RevisedState {
+        match state {
+            LpState::Revised(st) => st,
+            LpState::Tableau(_) => panic!("expected a factorized state"),
+        }
+    }
+
+    /// A revised state's eta count, basis and basic-value bits.
+    fn snapshot(state: &LpState) -> (usize, Vec<usize>, Vec<u64>) {
+        let (etas, basis, xb) = revised(state).basis_snapshot();
+        (etas, basis, xb.iter().map(|v| v.to_bits()).collect())
+    }
+
+    #[test]
+    fn fractional_roots_are_refactorized_before_the_search() {
+        let m = placement_model(8, 3, 24);
+        let (root, mut state, ints) = factorized_root(&m);
+        assert!(
+            most_fractional(&root, &ints).is_some(),
+            "the root is fractional"
+        );
+        let (etas, basis, xb) = revised(&state).basis_snapshot();
+        assert!(etas > 0, "the root solve leaves an eta file");
+
+        refresh_root(&mut state, &root, &ints, MAX_NODES, true);
+        let (fresh_etas, fresh_basis, fresh_xb) = revised(&state).basis_snapshot();
+        assert_eq!(fresh_etas, 0, "the dive and the search start on a bare LU");
+        assert_eq!(fresh_basis, basis, "the refresh keeps the optimal basis");
+        // The refactorization-consistency tolerance of `check-invariants`.
+        for (i, (&f, &h)) in fresh_xb.iter().zip(&xb).enumerate() {
+            assert!(
+                (f - h).abs() <= 1e-4 * (1.0 + h.abs()),
+                "row {i}: solved {h}, recomputed {f}"
+            );
+        }
+    }
+
+    #[test]
+    fn integral_roots_and_zero_budgets_keep_the_solved_state() {
+        // A 3×3 assignment with distinct costs: the relaxation's optimal
+        // vertex is integral, so nothing below the root replays it.
+        let costs = [[4.0, 1.0, 3.0], [2.0, 0.5, 5.0], [3.0, 2.0, 2.5]];
+        let mut m = Model::new(Sense::Minimize);
+        let x: Vec<Vec<VarId>> = (0..3)
+            .map(|a| (0..3).map(|s| m.bin_var(&format!("a{a}s{s}"))).collect())
+            .collect();
+        for row in &x {
+            let e = m.expr(&[(row[0], 1.0), (row[1], 1.0), (row[2], 1.0)]);
+            m.add_eq(e, 1.0);
+        }
+        for s in 0..3 {
+            let terms: Vec<(VarId, f64)> = x.iter().map(|row| (row[s], 1.0)).collect();
+            let e = m.expr(&terms);
+            m.add_le(e, 1.0);
+        }
+        let obj: Vec<(VarId, f64)> = x
+            .iter()
+            .zip(&costs)
+            .flat_map(|(row, c)| row.iter().copied().zip(c.iter().copied()))
+            .collect();
+        let e = m.expr(&obj);
+        m.set_objective(e);
+        let (root, mut state, ints) = factorized_root(&m);
+        assert!(
+            most_fractional(&root, &ints).is_none(),
+            "the root is integral"
+        );
+        let solved = snapshot(&state);
+        assert!(solved.0 > 0, "the root solve leaves an eta file");
+        refresh_root(&mut state, &root, &ints, MAX_NODES, true);
+        assert_eq!(
+            snapshot(&state),
+            solved,
+            "an integral root is left as solved"
+        );
+
+        // A fractional root under a zero budget (no dive, no search) or
+        // a cold search (no warm start) is left as solved too.
+        let m = placement_model(8, 3, 24);
+        let (root, state, ints) = factorized_root(&m);
+        let solved = snapshot(&state);
+        for (budget, warm) in [(0, true), (MAX_NODES, false)] {
+            let mut st = state.clone();
+            refresh_root(&mut st, &root, &ints, budget, warm);
+            assert_eq!(snapshot(&st), solved, "budget {budget}, warm {warm}");
         }
     }
 

@@ -13,8 +13,10 @@
 //!   LU factors.
 //!
 //! The file is truncated by [`crate::revised`]'s refactorization policy
-//! (update count or a stability trigger); each eta costs `O(nnz(d̂))`
-//! per solve, so a bounded file keeps solves near the factors' cost.
+//! (update count, a stability trigger, or branch and bound's root
+//! refresh); each eta costs `O(nnz(d̂))` per solve, so a bounded file
+//! keeps solves near the factors' cost. [`BasisFactor::eta_nnz`] is
+//! that per-solve replay cost.
 //!
 //! Branch and bound clones a node's state for each child, so both the
 //! LU factors and every eta are immutable once built and shared through
@@ -51,6 +53,8 @@ thread_local! {
 pub(crate) struct BasisFactor {
     lu: Arc<LuFactors>,
     etas: Vec<Arc<Eta>>,
+    /// Off-pivot nonzeros summed over `etas`.
+    eta_nnz: u64,
 }
 
 impl BasisFactor {
@@ -59,12 +63,19 @@ impl BasisFactor {
         BasisFactor {
             lu: Arc::new(lu),
             etas: Vec::new(),
+            eta_nnz: 0,
         }
     }
 
     /// Updates applied since the last refactorization.
     pub(crate) fn eta_count(&self) -> usize {
         self.etas.len()
+    }
+
+    /// Off-pivot nonzeros of the eta file: the entries every FTRAN and
+    /// every BTRAN replays on top of the LU solve.
+    pub(crate) fn eta_nnz(&self) -> u64 {
+        self.eta_nnz
     }
 
     /// Whether `self` and `other` read the same LU storage.
@@ -83,6 +94,7 @@ impl BasisFactor {
                 vals.push(v);
             }
         }
+        self.eta_nnz += rows.len() as u64;
         self.etas.push(Arc::new(Eta {
             r: r as u32,
             pivot: ecol[r],
@@ -156,6 +168,7 @@ mod tests {
     #[test]
     fn eta_ftran_matches_direct_solve() {
         let bf = updated_basis();
+        assert_eq!(bf.eta_nnz(), 1, "one off-pivot entry, d̂_1");
         // Solve B'x = (4, 5)ᵀ → x = (2, 3)ᵀ.
         let mut x = [4.0, 5.0];
         let nnz = bf.ftran(&mut x);

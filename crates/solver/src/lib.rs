@@ -31,7 +31,9 @@
 //!   The production kernel ([`KernelConfig::production`]) adds
 //!   presolve, the factorized engine with steepest-edge pricing, and
 //!   deterministic parallel node-batch expansion; child nodes share
-//!   their parent's LU factors and eta entries rather than copying them.
+//!   their parent's LU factors and eta entries rather than copying them,
+//!   and a fractional root is refactorized once so that no node replays
+//!   the root solve's eta file.
 //! * [`presolve`] — fixed-variable elimination, singleton-row
 //!   substitution, and bound tightening that shrink a model before the
 //!   kernel sees it, with a deterministic postsolve back to the

@@ -18,7 +18,10 @@
 //! drift — when the eta file reaches [`Params::refactor_after`] updates
 //! or when a **stability trigger** fires: the pivot element reached via
 //! FTRAN and via BTRAN must agree to [`STAB_EPS`], otherwise the factors
-//! have degraded and the iteration is retried on fresh ones.
+//! have degraded and the iteration is retried on fresh ones. Branch and
+//! bound also rebuilds a fractional root's factors once
+//! (`RevisedState::refresh_factors`), because every solve below the
+//! root would otherwise replay the root solve's eta file.
 //!
 //! Because reduced costs and norms are exact per-iteration quantities
 //! here, **steepest-edge pricing** ([`Pricing::SteepestEdge`]) becomes
@@ -60,10 +63,11 @@ const PIVOT_REL: f64 = 1e-11;
 /// than this factor either way, all weights restart at 1.
 const SE_DRIFT: f64 = 4.0;
 /// Eta updates between scheduled refactorizations. A Markowitz
-/// refactorization at fleet scale costs two orders of magnitude more
-/// than replaying one eta, so the interval is long; the stability
-/// trigger still forces an early rebuild the moment the factors
-/// actually degrade.
+/// refactorization plus the basic-value recompute costs ~80–120 µs on
+/// the benchmark's placement MIPs, one eta carries ~20–30 nonzeros,
+/// and a warm re-solve appends only about two etas, so the interval is
+/// long; the stability trigger still forces an early rebuild the
+/// moment the factors actually degrade.
 const REFACTOR_AFTER: usize = 128;
 
 /// Engine tuning knobs. The defaults are the production policy; tests
@@ -226,6 +230,8 @@ struct Stats {
     devex_resets: u64,
     ftran_nnz: u64,
     btran_nnz: u64,
+    /// Eta-file nonzeros replayed by those FTRANs and BTRANs.
+    eta_nnz: u64,
     refactorizations: u64,
     eta_updates: u64,
     steepest_resets: u64,
@@ -638,7 +644,7 @@ impl RevisedState {
         }
         d.copy_from_slice(c);
         if y.iter().any(|&v| v != 0.0) {
-            self.stats.btran_nnz += self.factor.btran(y);
+            self.btran(y);
             for (i, &p) in y.iter().enumerate() {
                 if p.abs() <= DROP_EPS {
                     continue;
@@ -803,7 +809,7 @@ impl RevisedState {
                 }
             }
         }
-        self.stats.ftran_nnz += self.factor.ftran(&mut r);
+        self.ftran(&mut r);
         #[cfg(feature = "check-invariants")]
         for (i, (&fresh, &held)) in r.iter().zip(&self.xb).enumerate() {
             assert!(
@@ -813,6 +819,36 @@ impl RevisedState {
         }
         self.xb.copy_from_slice(&r);
         Ok(())
+    }
+
+    /// Refactorize a solved state's basis before other solves replay it
+    /// (branch and bound's fractional root): every warm start below
+    /// then solves through a fresh LU instead of the eta file this
+    /// state's own solve left behind. A basis that no longer factorizes
+    /// keeps its eta file and basic values.
+    pub(crate) fn refresh_factors(&mut self) {
+        let _ = self.refactorize();
+        self.flush_stats();
+    }
+
+    /// The eta count, basis and basic values, for tests that compare a
+    /// state before and after a refactorization.
+    #[cfg(test)]
+    pub(crate) fn basis_snapshot(&self) -> (usize, Vec<usize>, Vec<f64>) {
+        (self.factor.eta_count(), self.basis.clone(), self.xb.clone())
+    }
+
+    /// `B⁻¹x` in place, counting the result's and the replayed etas'
+    /// nonzeros.
+    fn ftran(&mut self, x: &mut [f64]) {
+        self.stats.ftran_nnz += self.factor.ftran(x);
+        self.stats.eta_nnz += self.factor.eta_nnz();
+    }
+
+    /// `B⁻ᵀx` in place, counting as [`RevisedState::ftran`] does.
+    fn btran(&mut self, x: &mut [f64]) {
+        self.stats.btran_nnz += self.factor.btran(x);
+        self.stats.eta_nnz += self.factor.eta_nnz();
     }
 
     /// Retarget structural bounds (warm start): nonbasic structurals are
@@ -859,7 +895,7 @@ impl RevisedState {
             self.ub[j] = nu;
         }
         if any {
-            self.stats.ftran_nnz += self.factor.ftran(shift);
+            self.ftran(shift);
             for (x, &s) in self.xb.iter_mut().zip(shift.iter()) {
                 *x -= s;
             }
@@ -883,7 +919,7 @@ impl RevisedState {
         if !any {
             return;
         }
-        self.stats.ftran_nnz += self.factor.ftran(delta);
+        self.ftran(delta);
         for (x, &s) in self.xb.iter_mut().zip(delta.iter()) {
             *x += s;
         }
@@ -945,7 +981,7 @@ impl RevisedState {
                 };
                 let dir = if self.at_upper[enter] { -1.0 } else { 1.0 };
                 self.load_column(enter, ecol);
-                self.stats.ftran_nnz += self.factor.ftran(ecol);
+                self.ftran(ecol);
                 match self.ratio_test(enter, dir, ecol) {
                     Step::Unbounded => return Err(SolveError::Unbounded),
                     Step::Flip => {
@@ -970,7 +1006,7 @@ impl RevisedState {
                     } => {
                         rho.fill(0.0);
                         rho[row] = 1.0;
-                        self.stats.btran_nnz += self.factor.btran(rho);
+                        self.btran(rho);
                         self.pricing_row(rho, pr);
                         // Stability trigger: the pivot element computed
                         // through FTRAN and through BTRAN must agree.
@@ -1043,7 +1079,7 @@ impl RevisedState {
         }
         let aq = ecol[row];
         tau.copy_from_slice(ecol);
-        self.stats.btran_nnz += self.factor.btran(tau);
+        self.btran(tau);
         let leave = self.basis[row];
         for &ju in &pr.support {
             let j = ju as usize;
@@ -1265,7 +1301,7 @@ impl RevisedState {
 
                 rho.fill(0.0);
                 rho[row] = 1.0;
-                self.stats.btran_nnz += self.factor.btran(rho);
+                self.btran(rho);
                 self.pricing_row(rho, pr);
 
                 // Entering column by the dual ratio test over the row's
@@ -1302,7 +1338,7 @@ impl RevisedState {
                     return Err(SolveError::Infeasible);
                 };
                 self.load_column(col, ecol);
-                self.stats.ftran_nnz += self.factor.ftran(ecol);
+                self.ftran(ecol);
                 let (pf, pb) = (ecol[row], pr.alpha[col]);
                 if !fresh && (pf - pb).abs() > STAB_EPS * (1.0 + pf.abs().max(pb.abs())) {
                     self.refactorize()?;
@@ -1387,13 +1423,13 @@ impl RevisedState {
             if self.basis[i] >= self.art_start {
                 rho.fill(0.0);
                 rho[i] = 1.0;
-                self.stats.btran_nnz += self.factor.btran(rho);
+                self.btran(rho);
                 self.pricing_row(rho, pr);
                 let col = (0..self.art_start)
                     .find(|&j| self.basis_pos[j] == usize::MAX && pr.alpha[j].abs() > 1e-7);
                 if let Some(col) = col {
                     self.load_column(col, ecol);
-                    self.stats.ftran_nnz += self.factor.ftran(ecol);
+                    self.ftran(ecol);
                     self.pivot_apply(i, col, 0.0, false, d, ecol, pr)?;
                     self.stats.pivots += 1;
                 }
@@ -1436,6 +1472,7 @@ impl RevisedState {
         vb_telemetry::counter!("solver.pricing_cols_scanned").add(s.scanned);
         vb_telemetry::counter!("solver.ftran_nnz").add(s.ftran_nnz);
         vb_telemetry::counter!("solver.btran_nnz").add(s.btran_nnz);
+        vb_telemetry::counter!("solver.eta_nnz").add(s.eta_nnz);
         if s.dual_pivots > 0 {
             vb_telemetry::counter!("solver.dual_pivots").add(s.dual_pivots);
         }

@@ -10,7 +10,7 @@
 //!
 //! The determinism rule family uses the index one way: compute the set
 //! of functions **reachable from output-affecting entry points**
-//! (`Policy::plan`, `GroupSim::step`, `run_fleet`, `solve_mip_epoch`,
+//! (`Policy::plan`, `GroupSim::step`, `run_fleet`, `solve_mip_kernel`,
 //! and every function in a bench-root file — the paper-figure loops),
 //! then flag nondeterminism sources only inside those extents (plus,
 //! for `unordered-iter`, anywhere in the deterministic-core crates,
@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Functions whose results are artifacts: schedules, fleet runs,
 /// per-epoch MIP solutions. Free functions match by name; `plan` and
 /// `step` only as methods (an `impl` block qualifies them).
-pub const ENTRY_FNS: &[&str] = &["run_fleet", "solve_mip_epoch"];
+pub const ENTRY_FNS: &[&str] = &["run_fleet", "solve_mip_kernel"];
 pub const ENTRY_METHODS: &[&str] = &["plan", "step"];
 
 /// One `fn` definition.

@@ -333,7 +333,7 @@ fn wallclock_sanctioned_layer_is_exempt() {
 fn env_read_positive() {
     let findings = audit("det_env_bad.rs", FileSpec::default());
     assert_eq!(lints(&findings), ["env-read"]);
-    assert_eq!(findings[0].line, 5, "env::var inside solve_mip_epoch");
+    assert_eq!(findings[0].line, 5, "env::var inside solve_mip_kernel");
 }
 
 #[test]

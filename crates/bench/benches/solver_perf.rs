@@ -1,33 +1,25 @@
-//! Cold vs warm cross-epoch solver benchmark, plus model-size scaling.
+//! Solver kernel scaling benchmark.
 //!
-//! Part 1 solves the same Table-1-shaped placement MIP over a sequence
-//! of epochs whose forecasts (RHS) drift while the structure stays
-//! fixed — once with independent cold solves per epoch, once through
-//! [`vb_solver::solve_mip_epoch`]'s cached-root reuse.
-//!
-//! Part 2 scales the instance (`VB_SOLVER_SCALES`, default
+//! Scales a Table-1-shaped placement MIP (`VB_SOLVER_SCALES`, default
 //! `1x,10x,100x` on the app count) into fleet-shaped MIPs where ~60 %
 //! of the apps are pinned to their home site by singleton equality
-//! rows — the shape presolve dissolves — and runs each scale through
-//! the epoch path twice: once with [`KernelConfig::baseline`] (the
-//! pre-presolve/devex/parallel explicit-tableau kernel) and once with
-//! [`KernelConfig::production`] (factorized revised simplex +
-//! steepest-edge), asserting identical optima. Rows report the
-//! production kernel's refactorization and eta-update counts alongside
-//! pivots. Like the fleet bench, a 1000× fleet-shaped row is opt-in:
+//! rows — the shape presolve dissolves — and solves each scale's epochs
+//! cold with [`solve_mip_kernel`] twice: once with
+//! [`KernelConfig::baseline`] (the pre-presolve/devex/parallel
+//! explicit-tableau kernel) and once with [`KernelConfig::production`]
+//! (factorized revised simplex + steepest-edge), asserting identical
+//! optima. Rows report the production kernel's refactorization and
+//! eta-update counts alongside pivots. Like the fleet bench, a
+//! 1000× fleet-shaped row is opt-in:
 //! `VB_SOLVER_SCALES=1x,10x,100x,1000x` (it solves a single epoch at
 //! that size to keep wall-clock sane).
 //!
-//! Both parts are written to `BENCH_solver.json` (override the path
-//! with `VB_BENCH_OUT`; empty string disables the file).
+//! The rows are written to `BENCH_solver.json` (override the path with
+//! `VB_BENCH_OUT`; empty string disables the file).
 
 use std::time::Instant;
-use vb_solver::branch::solve_mip_bounded_with;
-use vb_solver::{
-    solve_mip_epoch, solve_mip_epoch_with, EpochCache, KernelConfig, Model, Sense, VarId,
-};
+use vb_solver::{solve_mip_kernel, KernelConfig, Model, Sense, VarId};
 
-const EPOCHS: usize = 96;
 const APPS: usize = 16;
 const SITES: usize = 3;
 const BUCKETS: usize = 6;
@@ -42,21 +34,16 @@ fn mix(seed: usize) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Epoch `e` of the placement sequence: app demands, placement costs,
-/// and the constraint matrix are epoch-invariant; only the per-site
-/// capacity forecast (the displacement rows' RHS) drifts with `e`.
-fn epoch_model(e: usize) -> Model {
-    scaled_epoch_model(APPS, e, false)
-}
-
-/// [`epoch_model`] parameterized on the app count for the scaling
-/// section. With `pin`, three of every five apps are additionally held
-/// at their home site by a singleton equality row — real fleets pin
-/// most placements (data gravity, licensing, latency) and only the
-/// movable minority is decided per epoch. The singletons are exactly
-/// what presolve folds away, so the scaling rows measure the production
-/// kernel on the model shape it was built for.
-fn scaled_epoch_model(apps: usize, e: usize, pin: bool) -> Model {
+/// Epoch `e` of a placement sequence over `apps` apps: app demands,
+/// placement costs and the constraint matrix are the same every epoch;
+/// only the per-site capacity forecast (the displacement rows' RHS)
+/// drifts with `e`. Three of every five apps are held at their home
+/// site by a singleton equality row — real fleets pin most placements
+/// (data gravity, licensing, latency) and only the movable minority is
+/// decided per epoch. The singletons are exactly what presolve folds
+/// away, so the rows measure the production kernel on the model shape
+/// it was built for.
+fn epoch_model(apps: usize, e: usize) -> Model {
     let mut m = Model::new(Sense::Minimize);
     let x: Vec<Vec<VarId>> = (0..apps)
         .map(|a| {
@@ -70,12 +57,10 @@ fn scaled_epoch_model(apps: usize, e: usize, pin: bool) -> Model {
         let expr = m.expr(&terms);
         m.add_eq(expr, 1.0);
     }
-    if pin {
-        for (a, row) in x.iter().enumerate() {
-            if a % 5 < 3 {
-                let expr = m.expr(&[(row[a % SITES], 1.0)]);
-                m.add_eq(expr, 1.0);
-            }
+    for (a, row) in x.iter().enumerate() {
+        if a % 5 < 3 {
+            let expr = m.expr(&[(row[a % SITES], 1.0)]);
+            m.add_eq(expr, 1.0);
         }
     }
     let cores: Vec<f64> = (0..apps).map(|a| 20.0 * (1.0 + (a % 4) as f64)).collect();
@@ -83,8 +68,7 @@ fn scaled_epoch_model(apps: usize, e: usize, pin: bool) -> Model {
     // positive costs elsewhere, and every site runs a drifting deficit:
     // the root relaxation has a unique, integral optimum (everyone
     // stays home), which is the co-scheduler's common case — epochs are
-    // root-dominated rather than branching-dominated, and the RHS drift
-    // is what the warm repair has to absorb.
+    // root-dominated rather than branching-dominated.
     let home_load: Vec<f64> = (0..SITES)
         .map(|s| (0..apps).filter(|a| a % SITES == s).map(|a| cores[a]).sum())
         .collect();
@@ -123,10 +107,9 @@ fn counter_now(name: &str) -> u64 {
     vb_telemetry::snapshot().counter(name).unwrap_or(0)
 }
 
-/// One model-size scaling measurement: the same epoch sequence pushed
-/// through the epoch path with the PR-7-era baseline kernel and with
-/// the production kernel (presolve + steepest-edge revised simplex +
-/// parallel B&B).
+/// One model-size scaling measurement: the same epoch sequence solved
+/// cold with the PR-7-era baseline kernel and with the production
+/// kernel (presolve + steepest-edge revised simplex + parallel B&B).
 struct ScaleRow {
     label: String,
     apps: usize,
@@ -157,20 +140,18 @@ fn run_scale(label: &str, mult: usize) -> ScaleRow {
     } else {
         8
     };
-    let models: Vec<Model> = (0..epochs)
-        .map(|e| scaled_epoch_model(apps, e, true))
-        .collect();
+    let models: Vec<Model> = (0..epochs).map(|e| epoch_model(apps, e)).collect();
     let run_kernel = |kernel: &KernelConfig| {
         let p = pivots_now();
         let t = Instant::now();
-        let mut cache: Option<EpochCache> = None;
-        let mut objs: Vec<f64> = Vec::with_capacity(epochs);
-        for m in &models {
-            let (sol, next, _hit) = solve_mip_epoch_with(m, MAX_NODES, cache.as_ref(), kernel)
-                .expect("scaled placement epochs are feasible");
-            cache = Some(next);
-            objs.push(sol.objective);
-        }
+        let objs: Vec<f64> = models
+            .iter()
+            .map(|m| {
+                solve_mip_kernel(m, MAX_NODES, kernel)
+                    .expect("scaled placement epochs are feasible")
+                    .objective
+            })
+            .collect();
         (t.elapsed().as_secs_f64(), pivots_now() - p, objs)
     };
     let (baseline_secs, baseline_pivots, base_obj) = run_kernel(&KernelConfig::baseline());
@@ -214,95 +195,6 @@ fn run_scale(label: &str, mult: usize) -> ScaleRow {
 
 fn main() {
     let run = vb_bench::report::BenchRun::start("solver_perf");
-    let models: Vec<Model> = (0..EPOCHS).map(epoch_model).collect();
-
-    // Cold path: every epoch solved from scratch (B&B children still
-    // warm-start from their parents — that part is shared). The bench is
-    // single-threaded, so per-epoch pivot deltas off the global counter
-    // are exact — they go into the `solver.epoch_series` so a regression
-    // can be pinned to the epoch that blew the pivot budget.
-    let p0 = pivots_now();
-    let t0 = Instant::now();
-    let mut cold_obj: Vec<f64> = Vec::with_capacity(EPOCHS);
-    for (e, m) in models.iter().enumerate() {
-        let ep = pivots_now();
-        let et = Instant::now();
-        let sol =
-            solve_mip_bounded_with(m, MAX_NODES, true).expect("placement epochs are feasible");
-        vb_telemetry::series_sample(
-            "solver.epoch_series",
-            "cold",
-            e as u64,
-            &[
-                ("pivots", (pivots_now() - ep) as f64),
-                ("secs", et.elapsed().as_secs_f64()),
-                ("objective", sol.objective),
-            ],
-        );
-        cold_obj.push(sol.objective);
-    }
-    let cold_secs = t0.elapsed().as_secs_f64();
-    let cold_pivots = pivots_now() - p0;
-
-    // Warm path: each epoch's root repaired from the previous optimum.
-    let p1 = pivots_now();
-    let t1 = Instant::now();
-    let mut cache: Option<EpochCache> = None;
-    let mut warm_hits = 0usize;
-    let mut warm_obj: Vec<f64> = Vec::with_capacity(EPOCHS);
-    for (e, m) in models.iter().enumerate() {
-        let ep = pivots_now();
-        let et = Instant::now();
-        let (sol, next, start) =
-            solve_mip_epoch(m, MAX_NODES, cache.as_ref()).expect("placement epochs are feasible");
-        cache = Some(next);
-        let hit = start.is_warm();
-        warm_hits += hit as usize;
-        vb_telemetry::series_sample(
-            "solver.epoch_series",
-            "warm",
-            e as u64,
-            &[
-                ("pivots", (pivots_now() - ep) as f64),
-                ("secs", et.elapsed().as_secs_f64()),
-                ("objective", sol.objective),
-                ("warm_hit", hit as u64 as f64),
-            ],
-        );
-        warm_obj.push(sol.objective);
-    }
-    let warm_secs = t1.elapsed().as_secs_f64();
-    let warm_pivots = pivots_now() - p1;
-
-    let drift = cold_obj
-        .iter()
-        .zip(&warm_obj)
-        .map(|(c, w)| (c - w).abs())
-        .fold(0.0f64, f64::max);
-    assert!(drift < 1e-6, "warm epochs changed an optimum by {drift}");
-
-    let pivot_cut = if cold_pivots > 0 {
-        1.0 - warm_pivots as f64 / cold_pivots as f64
-    } else {
-        0.0
-    };
-    let speedup = if warm_secs > 0.0 {
-        cold_secs / warm_secs
-    } else {
-        0.0
-    };
-    println!("epoch reuse over {EPOCHS} epochs ({APPS} apps x {SITES} sites x {BUCKETS} buckets):");
-    println!("  cold: {cold_secs:.4}s, {cold_pivots} pivots");
-    println!(
-        "  warm: {warm_secs:.4}s, {warm_pivots} pivots ({warm_hits}/{} hits)",
-        EPOCHS - 1
-    );
-    println!(
-        "  speedup {speedup:.2}x, pivots cut {:.0}%",
-        100.0 * pivot_cut
-    );
-
-    // Part 2: model-size scaling, baseline kernel vs production kernel.
     let scales_env = std::env::var("VB_SOLVER_SCALES").unwrap_or_else(|_| "1x,10x,100x".into());
     let scales = match vb_bench::scales::parse_scales(&scales_env, "VB_SOLVER_SCALES") {
         Ok(scales) => scales,
@@ -362,7 +254,7 @@ fn main() {
         .collect();
 
     let json = format!(
-        "{{\n  \"bench\": \"solver_epoch_reuse\",\n  \"epochs\": {EPOCHS},\n  \"apps\": {APPS},\n  \"sites\": {SITES},\n  \"buckets\": {BUCKETS},\n  \"cold_secs\": {cold_secs:.6},\n  \"warm_secs\": {warm_secs:.6},\n  \"speedup\": {speedup:.4},\n  \"cold_pivots\": {cold_pivots},\n  \"warm_pivots\": {warm_pivots},\n  \"pivot_reduction\": {pivot_cut:.4},\n  \"warm_hits\": {warm_hits},\n  \"max_objective_drift\": {drift:.3e},\n  \"scaling\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"solver_scaling\",\n  \"scaling\": [\n{}\n  ]\n}}\n",
         scaling_json.join(",\n")
     );
     // Default next to the workspace root (cargo runs benches from the

@@ -80,7 +80,7 @@ pub fn run_on_group_with(seed: u64, names: &[&str], cfg: GroupSimConfig) -> Tabl
         let summary = GroupSim::new(&catalog, names, cfg.clone())
             .expect("Table 1 sites must exist in the catalog")
             .run(policy.as_mut());
-        // Per-policy solver accounting into the run report, so warm-start
+        // Per-policy solver accounting into the run report, so solver
         // regressions show up in `scripts/diff_run_reports.py`.
         if let Some(st) = policy.mip_stats() {
             vb_telemetry::event(
@@ -88,14 +88,8 @@ pub fn run_on_group_with(seed: u64, names: &[&str], cfg: GroupSimConfig) -> Tabl
                 &[
                     ("policy", policy.name().into()),
                     ("epochs_planned", st.epochs_planned.into()),
-                    ("epoch_warm_hits", st.epoch_warm_hits.into()),
-                    ("epoch_warm_misses", st.epoch_warm_misses().into()),
-                    ("epoch_cold_first", st.epoch_cold_first.into()),
-                    ("epoch_cold_structure", st.epoch_cold_structure.into()),
-                    ("epoch_cold_repair", st.epoch_cold_repair.into()),
                     ("fallback_epochs", st.fallback_epochs.into()),
                     ("budget_stops", st.budget_stops.into()),
-                    ("warm_hit_rate", st.warm_hit_rate().into()),
                 ],
             );
         }

@@ -1,16 +1,10 @@
 //! Pinned determinism contracts: every experiment artifact must be
-//! *identical* — not statistically close — at any thread count, and the
-//! cross-epoch solver warm start must be a pure performance lever (same
-//! schedules, fewer pivots). `vb_par::with_threads` scopes are
-//! serialised process-wide, so these tests cannot interleave their
-//! overrides — the epoch test reads the process-global telemetry
-//! registry and therefore does *all* its work inside one scope.
+//! *identical* — not statistically close — at any thread count.
+//! `vb_par::with_threads` scopes are serialised process-wide, so these
+//! tests cannot interleave their overrides.
 
 use vb_bench::table1;
-use vb_sched::policy::{AppId, MovableApp, NewApp, PlanContext, SitePlanInfo};
-use vb_sched::{
-    identify_subgraphs, AppSpec, GroupSimConfig, MipConfig, MipPolicy, PipelineConfig, Policy,
-};
+use vb_sched::{identify_subgraphs, GroupSimConfig, PipelineConfig};
 use vb_trace::Catalog;
 
 /// Short Table 1 run (the full bench uses 7 days; 2 keeps CI fast).
@@ -49,166 +43,6 @@ fn clique_ranking_bit_matches_sequential() {
             "clique ranking diverged at {threads} threads"
         );
     }
-}
-
-/// One Table-1-shaped planning epoch: three sites × six forecast
-/// buckets, eight resident movable apps, one arriving app. Epoch `e`
-/// drifts the committed load and the capacity forecasts (RHS-only
-/// changes: the app mix — hence the constraint matrix — is fixed).
-///
-/// The instance is built so the integer optimum is *unique* every
-/// epoch: all sites run a strict deficit in buckets 2–5, so moving any
-/// resident strictly loses (it saves no displacement and pays the move
-/// cost), while buckets 0–1 carry per-site slack
-/// `σ = 20 + 25·((s+e)%3) + 2b` — strictly ordered sums, so the
-/// arriving app has exactly one
-/// cheapest home, rotating with `e`. Warm- and cold-root solves must
-/// therefore land on bit-identical schedules.
-fn epoch_ctx(e: usize) -> PlanContext {
-    let movable_cores: [(u32, usize); 8] = [
-        (80, 0),
-        (60, 1),
-        (40, 2),
-        (120, 0),
-        (100, 1),
-        (60, 2),
-        (80, 0),
-        (40, 1),
-    ];
-    let resident: [f64; 3] = movable_cores.iter().fold([0.0; 3], |mut acc, &(c, s)| {
-        acc[s] += c as f64;
-        acc
-    });
-    let sites = (0..3)
-        .map(|s| {
-            let committed: Vec<f64> = (0..6)
-                .map(|b| 40.0 + 5.0 * e as f64 + 7.0 * s as f64 + 3.0 * b as f64)
-                .collect();
-            let capacity: Vec<f64> = committed
-                .iter()
-                .enumerate()
-                .map(|(b, &c)| {
-                    let load = c + resident[s];
-                    if b < 2 {
-                        // Slack for the arriving app, strictly ordered
-                        // across sites and rotating with the epoch.
-                        load + 20.0 + 25.0 * ((s + e) % 3) as f64 + 2.0 * b as f64
-                    } else {
-                        // Strict deficit: residents stay put.
-                        load - (10.0 + 2.0 * s as f64 + e as f64 + b as f64)
-                    }
-                })
-                .collect();
-            SitePlanInfo {
-                name: format!("site{s}"),
-                total_cores: 1_000,
-                current_budget_cores: capacity[0] as u32,
-                allocated_cores: committed[0] as u32,
-                capacity_forecast_cores: capacity,
-                committed_cores: committed,
-            }
-        })
-        .collect();
-    PlanContext {
-        now: 12 * e as u64,
-        bucket_steps: 12,
-        sites,
-        new_apps: vec![NewApp {
-            id: AppId(100),
-            spec: AppSpec {
-                n_vms: 25, // 100 cores, alive in buckets 0–1 only
-                cores_per_vm: 4,
-                mem_per_vm_gb: 16.0,
-                kind: vb_cluster::VmKind::Stable,
-                lifetime_steps: 24,
-            },
-        }],
-        movable: movable_cores
-            .iter()
-            .enumerate()
-            .map(|(i, &(cores, site))| MovableApp {
-                id: AppId(i),
-                current_site: site,
-                cores,
-                mem_gb: cores as f64 * 4.0,
-                remaining_steps: 72,
-            })
-            .collect(),
-    }
-}
-
-/// Pinned acceptance check for cross-epoch solver-state reuse: on
-/// back-to-back Table-1-shaped epochs the warm path must produce
-/// bit-identical schedules with a large (≥ 40 %) cut in total simplex
-/// pivots versus cold per-epoch solves.
-#[test]
-fn epoch_warm_starts_cut_pivots_with_identical_schedules() {
-    const EPOCHS: usize = 12;
-    // `balance_weight = 0`: the balance rows' coefficients depend on the
-    // capacity forecast, which moves every epoch — with them in the
-    // model the skeleton would (correctly) never match. The Table-1
-    // displacement/move model is what the reuse path accelerates.
-    let cfg = MipConfig {
-        balance_weight: 0.0,
-        ..MipConfig::mip()
-    };
-
-    let run = |reuse: bool| {
-        let mut policy = MipPolicy::new(MipConfig {
-            reuse_across_epochs: reuse,
-            ..cfg.clone()
-        });
-        vb_telemetry::reset();
-        let plans: Vec<_> = (0..EPOCHS).map(|e| policy.plan(&epoch_ctx(e))).collect();
-        let pivots = vb_telemetry::snapshot()
-            .counter("solver.pivots")
-            .unwrap_or(0);
-        let stats = policy.mip_stats().expect("MIP policy reports stats");
-        (plans, pivots, stats)
-    };
-
-    // Single scope: the telemetry registry is process-global and the
-    // other tests in this binary also emit into it.
-    vb_par::with_threads(1, || {
-        let (cold_plans, cold_pivots, cold_stats) = run(false);
-        let (warm_plans, warm_pivots, warm_stats) = run(true);
-
-        assert_eq!(warm_plans, cold_plans, "schedules must be bit-identical");
-        // The instance is built so the arriving app's cheapest site
-        // rotates with the epoch — the plans are non-trivial.
-        for (e, plan) in warm_plans.iter().enumerate() {
-            assert_eq!(plan.len(), 1, "epoch {e}: exactly the arriving app");
-            assert_eq!(plan[0].app, AppId(100));
-            assert_eq!(plan[0].site, (14 - e) % 3, "epoch {e}: unique optimum");
-        }
-
-        assert_eq!(cold_stats.fallback_epochs, 0);
-        assert_eq!(warm_stats.fallback_epochs, 0);
-        assert_eq!(warm_stats.epochs_planned, EPOCHS);
-        assert_eq!(
-            warm_stats.epoch_warm_hits,
-            EPOCHS - 1,
-            "every epoch after the first must repair the cached root"
-        );
-        assert_eq!(
-            cold_stats.epoch_warm_hits + cold_stats.epoch_warm_misses(),
-            0
-        );
-
-        if cold_pivots == 0 {
-            // Telemetry compiled out (--no-default-features): the pivot
-            // counters stay zero and the ratio below is meaningless.
-            return;
-        }
-        eprintln!(
-            "epoch reuse: {warm_pivots} pivots vs {cold_pivots} cold ({:.0}% saved)",
-            100.0 * (1.0 - warm_pivots as f64 / cold_pivots as f64)
-        );
-        assert!(
-            (warm_pivots as f64) <= 0.6 * cold_pivots as f64,
-            "cross-epoch reuse saved too little: {warm_pivots} warm vs {cold_pivots} cold pivots"
-        );
-    });
 }
 
 /// Cross-thread span nesting: the causal span *tree* recorded for a
@@ -336,11 +170,11 @@ fn fleet_runs_bit_match_sequential() {
 /// node batches through `vb_par::par_map`, and the contract is that the
 /// incumbent sequence — hence the returned schedule — is *bit*-identical
 /// at any `VB_THREADS`. Branching-heavy placement epochs (tight
-/// capacities, near-tied costs) are driven through the epoch path at 1
-/// and 8 threads and every value is compared by bit pattern.
+/// capacities, near-tied costs) are solved cold by the production
+/// kernel at 1 and 8 threads and every value is compared by bit pattern.
 #[test]
 fn parallel_branch_and_bound_bit_matches_sequential() {
-    use vb_solver::{solve_mip_epoch, EpochCache, Model, Sense, Solution, VarId};
+    use vb_solver::{solve_mip_kernel, KernelConfig, Model, Sense, Solution, VarId};
 
     /// SplitMix64 → uniform in [0, 1); keeps the instances arbitrary but
     /// reproducible without pulling in a PRNG crate.
@@ -402,13 +236,10 @@ fn parallel_branch_and_bound_bit_matches_sequential() {
     }
 
     fn run() -> Vec<Solution> {
-        let mut cache: Option<EpochCache> = None;
         (0..6)
             .map(|e| {
-                let (sol, next, _hit) = solve_mip_epoch(&epoch_mip(e), 200_000, cache.as_ref())
-                    .expect("epoch MIP solves");
-                cache = Some(next);
-                sol
+                solve_mip_kernel(&epoch_mip(e), 200_000, &KernelConfig::production())
+                    .expect("epoch MIP solves")
             })
             .collect()
     }

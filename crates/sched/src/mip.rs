@@ -50,25 +50,17 @@
 //! `sched.mip_epoch` series. If the solver fails (iteration safety
 //! valve), returns non-finite values, or returns class counts that do
 //! not partition a class, the epoch falls back to greedy placement, so
-//! a simulation always completes.
-//!
-//! With [`MipConfig::reuse_across_epochs`] (default on) the policy also
-//! caches the solved root relaxation's basis together with the model's
-//! structural fingerprint. When the next epoch builds a structurally
-//! identical model — same app classes × sites × buckets, only the
-//! forecast-driven RHS and objective moved — the root is dual-repaired
-//! from that basis instead of re-solved from scratch; any structural
-//! drift or failed repair falls back to a cold root. The plan is
-//! bit-identical either way (the branch & bound below the root is
-//! shared); only the simplex pivot count drops. [`MipStats`] counts
-//! hits, misses, and greedy fallbacks per policy.
+//! a simulation always completes. Every epoch builds a fresh model and
+//! solves it cold with the production kernel
+//! ([`vb_solver::KernelConfig::production`]). [`MipStats`] counts
+//! planned epochs, budget stops and greedy fallbacks per policy.
 
 use crate::greedy::GreedyPolicy;
 use crate::policy::{Assignment, PlanContext, Policy, SiteSnapshot};
 use crate::sim::STEPS_PER_DAY;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use vb_solver::{EpochStart, LinExpr, Model, Sense, SolveError, VarId};
+use vb_solver::{KernelConfig, LinExpr, Model, Sense, SolveError, VarId};
 
 /// MIP policy configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -101,13 +93,6 @@ pub struct MipConfig {
     pub balance_weight: f64,
     /// Branch & bound node budget per epoch (anytime solve).
     pub max_nodes: usize,
-    /// Reuse solver state across epochs: cache the model skeleton and
-    /// the root relaxation's optimal basis, and warm-start the next
-    /// epoch's root from it when the structure is unchanged (same app classes ×
-    /// sites × buckets; only RHS/objective moved). Purely a performance
-    /// lever — plans are identical either way, because the branch & bound
-    /// below the root is shared and a warm root lands on the same optimum.
-    pub reuse_across_epochs: bool,
     /// Display name (Table 1 row label).
     pub name: String,
 }
@@ -123,7 +108,6 @@ impl MipConfig {
             move_cost_factor: 6.0,
             balance_weight: 4.0,
             max_nodes: 400,
-            reuse_across_epochs: true,
             name: "MIP".into(),
         }
     }
@@ -138,7 +122,6 @@ impl MipConfig {
             move_cost_factor: 6.0,
             balance_weight: 4.0,
             max_nodes: 400,
-            reuse_across_epochs: true,
             name: "MIP-24h".into(),
         }
     }
@@ -153,33 +136,20 @@ impl MipConfig {
             move_cost_factor: 2.5,
             balance_weight: 4.0,
             max_nodes: 400,
-            reuse_across_epochs: true,
             name: "MIP-peak".into(),
         }
     }
 }
 
 /// Per-run solver statistics of a MIP policy: how many epochs were
-/// planned through the exact solver, how often the cross-epoch warm
-/// start paid off, and how often the epoch degraded to greedy. Surfaced
-/// in run reports so regressions in the reuse machinery show up in
-/// `scripts/diff_run_reports.py`.
+/// planned through the exact solver, how many stopped at the node
+/// budget, and how often the epoch degraded to greedy. Surfaced in run
+/// reports so regressions show up in `scripts/diff_run_reports.py`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MipStats {
     /// Epochs that reached the MIP solve (excludes empty and
     /// single-site epochs, which never build a model).
     pub epochs_planned: usize,
-    /// Epochs whose root relaxation was repaired from the previous
-    /// epoch's optimal basis instead of solved from scratch.
-    pub epoch_warm_hits: usize,
-    /// Cold roots with no cache to start from: the first epoch, or the
-    /// one after a failed solve.
-    pub epoch_cold_first: usize,
-    /// Cold roots after a structural change (apps, sites or buckets
-    /// moved, so the model skeleton differs).
-    pub epoch_cold_structure: usize,
-    /// Cold roots whose skeleton matched but whose warm repair failed.
-    pub epoch_cold_repair: usize,
     /// Epochs where the exact solve failed and greedy stepped in.
     pub fallback_epochs: usize,
     /// Epochs whose branch & bound ran out of nodes while an open node's
@@ -188,33 +158,11 @@ pub struct MipStats {
     pub budget_stops: usize,
 }
 
-impl MipStats {
-    /// Epochs that tried the warm path and solved a cold root instead
-    /// (the three cold reasons together). `reuse_across_epochs = false`
-    /// never tries, so it counts neither hits nor misses.
-    pub fn epoch_warm_misses(&self) -> usize {
-        self.epoch_cold_first + self.epoch_cold_structure + self.epoch_cold_repair
-    }
-
-    /// Warm-start hit rate over solver-planned epochs (0.0 when none).
-    pub fn warm_hit_rate(&self) -> f64 {
-        let tried = self.epoch_warm_hits + self.epoch_warm_misses();
-        if tried == 0 {
-            0.0
-        } else {
-            self.epoch_warm_hits as f64 / tried as f64
-        }
-    }
-}
-
 /// The MIP policy (all three paper variants).
 #[derive(Debug, Clone)]
 pub struct MipPolicy {
     cfg: MipConfig,
     fallback: GreedyPolicy,
-    /// Last epoch's model skeleton + optimal root state, reused to
-    /// warm-start the next structurally identical epoch.
-    cache: Option<vb_solver::EpochCache>,
     stats: MipStats,
 }
 
@@ -224,7 +172,6 @@ impl MipPolicy {
         MipPolicy {
             cfg,
             fallback: GreedyPolicy::new(),
-            cache: None,
             stats: MipStats::default(),
         }
     }
@@ -371,33 +318,8 @@ impl MipPolicy {
         m.set_objective(objective);
         // Anytime solve: epochs arrive every 3 simulated hours; a node
         // budget keeps planning latency bounded while the root dive
-        // guarantees a good incumbent. With cross-epoch reuse on, the
-        // root relaxation is repaired from the previous epoch's optimal
-        // basis whenever the model structure is unchanged; both paths
-        // run the same branch & bound below the root, so the resulting
-        // plan is identical — only the pivot count differs.
-        let sol = if self.cfg.reuse_across_epochs {
-            match vb_solver::solve_mip_epoch(&m, self.cfg.max_nodes, self.cache.as_ref()) {
-                Ok((sol, next_cache, start)) => {
-                    let count = match start {
-                        EpochStart::Warm => &mut self.stats.epoch_warm_hits,
-                        EpochStart::ColdFirst => &mut self.stats.epoch_cold_first,
-                        EpochStart::ColdStructure => &mut self.stats.epoch_cold_structure,
-                        EpochStart::ColdRepair => &mut self.stats.epoch_cold_repair,
-                    };
-                    *count += 1;
-                    self.cache = Some(next_cache);
-                    sol
-                }
-                Err(e) => {
-                    // A failed epoch leaves no state worth trusting.
-                    self.cache = None;
-                    return Err(e);
-                }
-            }
-        } else {
-            m.solve_bounded(self.cfg.max_nodes)?
-        };
+        // guarantees a good incumbent.
+        let sol = vb_solver::solve_mip_kernel(&m, self.cfg.max_nodes, &KernelConfig::production())?;
         if sol.budget_gap().is_some() {
             self.stats.budget_stops += 1;
         }
@@ -405,9 +327,6 @@ impl MipPolicy {
         // the solution; route it into the greedy fallback rather than
         // letting a NaN-poisoned readout abort the whole simulation.
         if !sol.objective.is_finite() || sol.values().iter().any(|v| !v.is_finite()) {
-            // Don't warm-start the next epoch from a basis that produced
-            // non-finite values.
-            self.cache = None;
             return Err(SolveError::BadModel("non-finite MIP solution".into()));
         }
 
@@ -567,7 +486,6 @@ impl Policy for MipPolicy {
                 .map(|a| Assignment { app: a.id, site: 0 })
                 .collect();
         }
-        let warm_hits_before = self.stats.epoch_warm_hits;
         let (plan, gap, fell_back) = match self.solve(ctx) {
             Ok((plan, gap)) => (plan, gap, 0.0),
             Err(_) => {
@@ -589,10 +507,6 @@ impl Policy for MipPolicy {
             ctx.now,
             &[
                 ("moves_planned", plan.len() as f64),
-                (
-                    "warm_hit",
-                    (self.stats.epoch_warm_hits - warm_hits_before) as f64,
-                ),
                 ("fallback", fell_back),
                 ("budget_stop", if gap.is_some() { 1.0 } else { 0.0 }),
                 ("gap", gap.unwrap_or(0.0)),
@@ -845,58 +759,7 @@ mod tests {
     }
 
     #[test]
-    fn epoch_reuse_matches_cold_plans_and_counts_hits() {
-        // Five epochs over the same apps × sites × buckets with drifting
-        // forecasts. The capacities are chosen so each epoch has a
-        // *unique* zero-cost placement (new0→a, new1→b, movable stays),
-        // hence warm and cold roots must converge to the same plan.
-        // balance_weight = 0 keeps the constraint matrix free of
-        // capacity-dependent coefficients, so only the RHS moves between
-        // epochs and the skeleton matches.
-        let cfg = MipConfig {
-            balance_weight: 0.0,
-            ..MipConfig::mip()
-        };
-        let mut warm = MipPolicy::new(cfg.clone());
-        let mut cold = MipPolicy::new(MipConfig {
-            reuse_across_epochs: false,
-            ..cfg
-        });
-        for e in 0..5 {
-            let drift = 5.0 * e as f64;
-            let ctx = PlanContext {
-                now: 0,
-                bucket_steps: 12,
-                sites: vec![
-                    site("a", vec![250.0 + drift; 4], vec![40.0; 4]),
-                    site("b", vec![140.0 - 3.0 * drift / 5.0; 4], vec![40.0; 4]),
-                ],
-                new_apps: vec![new_app(0, 30, 48), new_app(1, 20, 48)],
-                movable: vec![MovableApp {
-                    id: AppId(9),
-                    current_site: 0,
-                    cores: 80,
-                    mem_gb: 320.0,
-                    remaining_steps: 48,
-                }],
-            };
-            assert_eq!(warm.plan(&ctx), cold.plan(&ctx), "epoch {e}");
-        }
-        let st = warm.mip_stats().unwrap();
-        assert_eq!(st.epochs_planned, 5);
-        assert_eq!(st.epoch_warm_hits, 4, "every epoch after the first is warm");
-        assert_eq!(st.epoch_cold_first, 1);
-        assert_eq!(st.epoch_warm_misses(), 1);
-        assert_eq!(st.fallback_epochs, 0);
-        assert!((st.warm_hit_rate() - 0.8).abs() < 1e-12);
-        // The reuse-disabled policy never attempts the warm path.
-        let cst = cold.mip_stats().unwrap();
-        assert_eq!(cst.epoch_warm_hits + cst.epoch_warm_misses(), 0);
-        assert_eq!(cst.epochs_planned, 5);
-    }
-
-    #[test]
-    fn changed_app_set_counts_as_a_structure_miss() {
+    fn planned_epochs_are_counted() {
         let mut policy = MipPolicy::new(MipConfig::mip());
         for apps in [
             vec![new_app(0, 30, 48)],
@@ -916,17 +779,7 @@ mod tests {
         }
         let st = policy.mip_stats().expect("MIP policy reports stats");
         assert_eq!(st.epochs_planned, 2);
-        assert_eq!(
-            (
-                st.epoch_cold_first,
-                st.epoch_cold_structure,
-                st.epoch_cold_repair
-            ),
-            (1, 1, 0),
-            "a second app changes the model's skeleton"
-        );
-        assert_eq!(st.epoch_warm_hits, 0);
-        assert_eq!(st.epoch_warm_misses(), 2);
+        assert_eq!(st.fallback_epochs, 0);
     }
 
     #[test]

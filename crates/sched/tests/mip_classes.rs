@@ -26,7 +26,7 @@ mod common;
 
 use vb_sched::policy::SiteSnapshot;
 use vb_sched::{Assignment, MipConfig, MipPolicy, MipStats, PlanContext, Policy, PolicySummary};
-use vb_solver::{solve_mip_epoch, LinExpr, Model, Sense, VarId};
+use vb_solver::{solve_mip_kernel, KernelConfig, LinExpr, Model, Sense, VarId};
 
 /// One epoch that reached the solver.
 struct Epoch {
@@ -265,7 +265,7 @@ fn check(label: &str, run: fn(&mut dyn Policy) -> PolicySummary, mip: MipConfig)
             .solve_relaxation(&pins)
             .unwrap_or_else(|err| panic!("{label} epoch {k}: plan infeasible: {err}"))
             .objective;
-        let (ref_sol, _, _) = solve_mip_epoch(&r.model, mip.max_nodes, None)
+        let ref_sol = solve_mip_kernel(&r.model, mip.max_nodes, &KernelConfig::production())
             .unwrap_or_else(|err| panic!("{label} epoch {k}: reference failed: {err}"));
         let ref_obj = ref_sol.objective;
         let tol = 1e-6 * ref_obj.abs().max(1.0);

@@ -7,8 +7,9 @@
 //! variable, branches on the most fractional one with `x ≤ ⌊v⌋` /
 //! `x ≥ ⌈v⌉` bound splits. Nodes are explored best-bound-first, so the
 //! first incumbent found tends to be good and pruning is effective. The
-//! search is exact: it terminates with the true optimum (or
-//! `Infeasible`).
+//! search is anytime: one that finishes within its node budget returns
+//! the true optimum (or `Infeasible`); one cut short returns its best
+//! incumbent with the open gap ([`Solution::budget_gap`]).
 //!
 //! Child nodes **warm-start** from their parent's optimal basis: each
 //! node keeps its relaxation's solved state ([`LpState`], held in an
@@ -25,16 +26,15 @@
 //! optimal *vertices* are possible); [`solve_mip_bounded_with`] exposes
 //! a cold mode for differential tests and pivot-count comparisons.
 //!
-//! [`solve_mip_epoch`] extends the reuse *across* solves: when the same
-//! model structure is re-solved every scheduling epoch with fresh
-//! RHS/objective values, the previous epoch's optimal root state seeds
-//! the new root relaxation (gated by [`ModelSkeleton`]), and only the
-//! pivot count changes — the search below the root is identical.
+//! Every root is a cold solve. The co-scheduler builds a new model each
+//! epoch: arrivals change its app classes, and its load-balance rows
+//! carry coefficients that follow the capacity forecast, so no epoch
+//! re-solves the previous epoch's constraint matrix.
 //!
 //! # The production kernel
 //!
-//! [`solve_mip_epoch`] runs the full production pipeline described by
-//! [`KernelConfig::production`]: the model is shrunk by
+//! [`solve_mip_kernel`] with [`KernelConfig::production`] is what the
+//! co-scheduler runs every epoch: the model is shrunk by
 //! [`crate::presolve`], relaxations run on the factorized revised
 //! simplex ([`Engine::Factorized`], [`crate::revised`]) with exact
 //! steepest-edge pricing ([`Pricing::SteepestEdge`]), and the search
@@ -54,7 +54,6 @@ use crate::model::{Model, Sense, Solution, SolveError, VarId};
 use crate::presolve::{self, Presolved};
 use crate::revised::{self, RevisedState};
 use crate::simplex::{self, Pricing, SimplexState};
-use crate::skeleton::ModelSkeleton;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -105,8 +104,8 @@ pub struct KernelConfig {
 impl KernelConfig {
     /// The full production kernel: presolve + the factorized
     /// revised-simplex engine with steepest-edge pricing + parallel
-    /// search. What [`solve_mip_epoch`] (and through it `MipPolicy` and
-    /// the fleet path) runs.
+    /// search. What `MipPolicy` (and through it the fleet path) runs
+    /// through [`solve_mip_kernel`].
     pub fn production() -> KernelConfig {
         KernelConfig {
             presolve: true,
@@ -130,8 +129,8 @@ impl KernelConfig {
 }
 
 /// A solved relaxation state from either engine. Branch & bound nodes
-/// and the epoch cache carry this, so one search (and one cache) works
-/// against both engines; warm starts dispatch on the variant.
+/// carry this, so one search works against both engines; warm starts
+/// dispatch on the variant.
 #[derive(Debug, Clone)]
 // Both variants boxed: nodes move `LpState` values around constantly,
 // and the engine states are hundreds of bytes of inline header.
@@ -162,20 +161,6 @@ fn lp_solve(
             Engine::Factorized => revised::solve_lp_state(model, overrides, None, pricing)
                 .map(|(s, st)| (s, LpState::Revised(Box::new(st)))),
         },
-    }
-}
-
-/// Cross-epoch warm solve on whichever engine produced `prev`.
-fn lp_epoch_warm(
-    model: &Model,
-    prev: &LpState,
-    pricing: Pricing,
-) -> Result<(Solution, LpState), SolveError> {
-    match prev {
-        LpState::Tableau(st) => simplex::solve_lp_epoch_warm_priced(model, st, pricing)
-            .map(|(s, st)| (s, LpState::Tableau(Box::new(st)))),
-        LpState::Revised(st) => revised::solve_lp_epoch_warm(model, st, pricing)
-            .map(|(s, st)| (s, LpState::Revised(Box::new(st)))),
     }
 }
 
@@ -267,135 +252,8 @@ pub fn solve_mip_kernel(
     })
 }
 
-/// Cross-epoch solver cache: the structural fingerprint of the last
-/// epoch's model plus its optimal root-relaxation state. Produced and
-/// consumed by [`solve_mip_epoch`]; opaque to callers.
-#[derive(Debug, Clone)]
-pub struct EpochCache {
-    skeleton: ModelSkeleton,
-    root_state: LpState,
-}
-
-impl EpochCache {
-    /// Nonzero count of the cached constraint matrix (exposed so
-    /// schedulers can report model sparsity without rebuilding it).
-    pub fn nnz(&self) -> usize {
-        self.skeleton.nnz()
-    }
-}
-
-/// How an epoch's root relaxation started, as reported by
-/// [`solve_mip_epoch`]; the three cold cases are counted in
-/// `solver.epoch_cold_first`, `_structure` and `_repair`, which sum to
-/// `solver.epoch_warm_misses`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EpochStart {
-    /// Repaired from the previous epoch's optimal root state.
-    Warm,
-    /// No cache to start from: the first epoch, or the one after a
-    /// failed solve.
-    ColdFirst,
-    /// The model's skeleton differs from the cached one (apps, sites,
-    /// buckets or coefficients changed, or presolve reduced it
-    /// differently).
-    ColdStructure,
-    /// The skeleton matched but the dual-simplex repair failed.
-    ColdRepair,
-}
-
-impl EpochStart {
-    /// Whether the root was warm-started.
-    pub fn is_warm(self) -> bool {
-        self == EpochStart::Warm
-    }
-}
-
-/// Solve one epoch of a repeated MIP, warm-starting the root relaxation
-/// from the previous epoch's optimal state when the model is
-/// structurally identical (same constraint matrix, senses, dimensions,
-/// and integrality — objective, RHS, and variable bounds may differ).
-///
-/// On a structure mismatch, absent cache, or failed basis repair the
-/// root falls back to a cold solve — the search result is identical
-/// either way, only the pivot count changes. Returns the solution, the
-/// cache to carry into the next epoch, and how the root started (also
-/// counted in `solver.epoch_warm_hits` / `_misses`, the misses split by
-/// [`EpochStart`]'s cold reasons).
-pub fn solve_mip_epoch(
-    model: &Model,
-    max_nodes: usize,
-    cache: Option<&EpochCache>,
-) -> Result<(Solution, EpochCache, EpochStart), SolveError> {
-    solve_mip_epoch_with(model, max_nodes, cache, &KernelConfig::production())
-}
-
-/// [`solve_mip_epoch`] with an explicit [`KernelConfig`].
-///
-/// With presolve enabled, the cache fingerprints (and the warm start
-/// repairs) the *reduced* model — the tableau the kernel actually
-/// iterates on. Reductions are a deterministic function of the model,
-/// so structurally identical epochs reduce identically and keep
-/// hitting; an epoch whose bounds/RHS shift the reduction (e.g. a
-/// newly choked site fixes extra binaries) changes the reduced
-/// skeleton and falls back to a cold root, which is correct — just
-/// slower for that epoch.
-pub fn solve_mip_epoch_with(
-    model: &Model,
-    max_nodes: usize,
-    cache: Option<&EpochCache>,
-    kernel: &KernelConfig,
-) -> Result<(Solution, EpochCache, EpochStart), SolveError> {
-    let _span = vb_telemetry::span!("solver.mip_solve");
-    vb_telemetry::counter!("solver.mip_solves").inc();
-    model.validate()?;
-
-    let pre = kernel
-        .presolve
-        .then(|| presolve::presolve_mip(model))
-        .transpose()?;
-    let target = pre.as_ref().map_or(model, Presolved::reduced);
-
-    // `Err(Infeasible)` from the repair is NOT trusted as a certificate
-    // here: unlike the branch-and-bound warm start (same model, only
-    // bounds moved), an epoch swapped in new RHS values, and a frozen
-    // redundant row can make the repair fail on a feasible model. Any
-    // warm failure just means a cold root.
-    let (start, warm_root) = match cache {
-        None => (EpochStart::ColdFirst, None),
-        Some(c) if !c.skeleton.matches(target) => (EpochStart::ColdStructure, None),
-        Some(c) => match lp_epoch_warm(target, &c.root_state, kernel.pricing) {
-            Ok(root) => (EpochStart::Warm, Some(root)),
-            Err(_) => (EpochStart::ColdRepair, None),
-        },
-    };
-    match start {
-        EpochStart::Warm => vb_telemetry::counter!("solver.epoch_warm_hits").inc(),
-        EpochStart::ColdFirst => vb_telemetry::counter!("solver.epoch_cold_first").inc(),
-        EpochStart::ColdStructure => vb_telemetry::counter!("solver.epoch_cold_structure").inc(),
-        EpochStart::ColdRepair => vb_telemetry::counter!("solver.epoch_cold_repair").inc(),
-    }
-    if !start.is_warm() {
-        vb_telemetry::counter!("solver.epoch_warm_misses").inc();
-    }
-    let root = match warm_root {
-        Some(r) => r,
-        None => lp_solve(target, &[], None, kernel.pricing, kernel.engine)?,
-    };
-    let next = EpochCache {
-        skeleton: ModelSkeleton::of(target),
-        root_state: root.1.clone(),
-    };
-    let sol = solve_mip_from_root(target, max_nodes, true, root, kernel)?;
-    let sol = match &pre {
-        Some(p) => p.postsolve(model, &sol),
-        None => sol,
-    };
-    Ok((sol, next, start))
-}
-
 /// The branch & bound search proper, starting from an already-solved
-/// root relaxation (cold or epoch-warm — the search below it is
-/// identical, so warm and cold epochs produce the same schedule).
+/// root relaxation.
 ///
 /// The node budget counts *popped* nodes: the search pops and expands
 /// at most `max_nodes` nodes, and `max_nodes == 0` does no work at all
@@ -1005,91 +863,6 @@ mod tests {
         let e = m.expr(&obj_terms);
         m.set_objective(e);
         m
-    }
-
-    /// A small placement MIP with a parameterised capacity vector — the
-    /// same structure every epoch, only the capacity RHS moves. Distinct
-    /// costs make the integer optimum unique.
-    fn epoch_placement(caps: [f64; 2]) -> Model {
-        let mut m = Model::new(Sense::Minimize);
-        let sizes = [2.0, 3.0, 1.0, 4.0];
-        let costs = [[1.0, 6.0], [5.0, 2.0], [3.0, 4.0], [7.0, 1.5]];
-        let mut x = Vec::new();
-        for a in 0..4 {
-            let row: Vec<VarId> = (0..2).map(|s| m.bin_var(&format!("a{a}s{s}"))).collect();
-            let terms: Vec<(VarId, f64)> = row.iter().map(|&v| (v, 1.0)).collect();
-            let e = m.expr(&terms);
-            m.add_eq(e, 1.0);
-            x.push(row);
-        }
-        for s in 0..2 {
-            let terms: Vec<(VarId, f64)> =
-                x.iter().zip(&sizes).map(|(row, &c)| (row[s], c)).collect();
-            let e = m.expr(&terms);
-            m.add_le(e, caps[s]);
-        }
-        let mut obj = Vec::new();
-        for (a, row) in x.iter().enumerate() {
-            for (s, &v) in row.iter().enumerate() {
-                obj.push((v, costs[a][s]));
-            }
-        }
-        let e = m.expr(&obj);
-        m.set_objective(e);
-        m
-    }
-
-    #[test]
-    fn epoch_warm_solves_match_the_cold_path() {
-        // Cross-epoch reuse must change only the pivot count, never the
-        // schedule: every epoch's solution must equal the cold solve's.
-        let mut cache: Option<EpochCache> = None;
-        let epochs = [[6.0, 6.0], [5.0, 8.0], [8.0, 4.0], [6.0, 6.0], [7.0, 7.0]];
-        for (k, caps) in epochs.into_iter().enumerate() {
-            let m = epoch_placement(caps);
-            let (warm, next, start) = solve_mip_epoch(&m, MAX_NODES, cache.as_ref()).unwrap();
-            let cold = solve_mip_bounded_with(&m, MAX_NODES, true).unwrap();
-            assert!(
-                (warm.objective - cold.objective).abs() < 1e-9,
-                "epoch {k}: warm obj {} vs cold {}",
-                warm.objective,
-                cold.objective
-            );
-            for j in 0..8 {
-                assert_eq!(
-                    warm.int_value(VarId(j)),
-                    cold.int_value(VarId(j)),
-                    "epoch {k}: placement diverged on var {j}"
-                );
-            }
-            let expected = if k == 0 {
-                EpochStart::ColdFirst
-            } else {
-                EpochStart::Warm
-            };
-            assert_eq!(start, expected, "epoch {k}: unexpected warm status");
-            cache = Some(next);
-        }
-    }
-
-    #[test]
-    fn epoch_cache_misses_on_structure_change() {
-        let m = epoch_placement([6.0, 6.0]);
-        let (_, cache, start) = solve_mip_epoch(&m, MAX_NODES, None).unwrap();
-        assert_eq!(start, EpochStart::ColdFirst, "first epoch has no cache");
-        assert_eq!(cache.nnz(), 8 + 8);
-
-        // A moved coefficient (app 0 grows) must force the cold path —
-        // and still solve correctly.
-        let mut grown = epoch_placement([6.0, 6.0]);
-        grown.constraints[4].coefs[0].1 = 2.5;
-        let (sol, _, start) = solve_mip_epoch(&grown, MAX_NODES, Some(&cache)).unwrap();
-        assert_eq!(
-            start,
-            EpochStart::ColdStructure,
-            "structure change must miss"
-        );
-        assert!(sol.objective.is_finite());
     }
 
     #[test]

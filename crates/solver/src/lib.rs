@@ -24,11 +24,9 @@
 //! * [`branch`] — best-first branch & bound on fractional integer
 //!   variables, exact when the search finishes within its node budget
 //!   (a search cut short reports its gap, [`Solution::budget_gap`]);
-//!   child nodes warm-start from
-//!   their parent's optimal basis, and [`branch::solve_mip_epoch`]
-//!   carries the optimal root state *across* successive solves of a
-//!   structurally identical model (the co-scheduler's epoch loop).
-//!   The production kernel ([`KernelConfig::production`]) adds
+//!   child nodes warm-start from their parent's optimal basis. The
+//!   production kernel ([`KernelConfig::production`], run by
+//!   [`solve_mip_kernel`] for every co-scheduler epoch) adds
 //!   presolve, the factorized engine with steepest-edge pricing, and
 //!   deterministic parallel node-batch expansion; child nodes share
 //!   their parent's LU factors and eta entries rather than copying them,
@@ -38,13 +36,12 @@
 //!   substitution, and bound tightening that shrink a model before the
 //!   kernel sees it, with a deterministic postsolve back to the
 //!   original variable space.
-//! * [`skeleton`] — the structural fingerprint ([`ModelSkeleton`]) that
-//!   gates cross-epoch state reuse.
 //! * [`dense`] — the original row-expansion two-phase simplex, kept as
 //!   an independent oracle for differential testing.
 //!
 //! The scheduler's MIPs are small (tens to a few hundred variables) and
-//! are re-solved every epoch, so the hot path is sparse and persistent.
+//! are built afresh every epoch, so the hot path is the sparse cold
+//! root plus warm-started branch and bound below it.
 //!
 //! ```
 //! use vb_solver::{Model, Sense};
@@ -69,13 +66,8 @@ pub mod model;
 pub mod presolve;
 pub mod revised;
 pub mod simplex;
-pub mod skeleton;
 
-pub use branch::{
-    solve_mip_epoch, solve_mip_epoch_with, solve_mip_kernel, Engine, EpochCache, EpochStart,
-    KernelConfig,
-};
+pub use branch::{solve_mip_kernel, Engine, KernelConfig};
 pub use model::{Cmp, LinExpr, Model, Sense, Solution, SolveError, VarId};
 pub use presolve::{PresolveStats, Presolved};
 pub use simplex::Pricing;
-pub use skeleton::ModelSkeleton;

@@ -110,7 +110,7 @@ impl LinExpr {
 }
 
 /// A model variable's metadata.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Variable {
     pub name: String,
     pub lb: f64,
@@ -122,7 +122,7 @@ pub(crate) struct Variable {
 /// only nonzero `(var, coef)` entries, sorted by variable id with
 /// duplicates already summed (the canonical form produced by
 /// [`LinExpr::canonicalize`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Constraint {
     pub coefs: Vec<(VarId, f64)>,
     pub cmp: Cmp,
@@ -203,7 +203,7 @@ impl Solution {
 }
 
 /// An optimization model under construction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Model {
     pub(crate) sense: Sense,
     pub(crate) vars: Vec<Variable>,
@@ -309,19 +309,6 @@ impl Model {
         self.validate()?;
         if self.vars.iter().any(|v| v.integer) {
             branch::solve_mip(self)
-        } else {
-            simplex::solve_lp(self, &[])
-        }
-    }
-
-    /// Solve with a branch & bound node budget: an *anytime* solve that
-    /// returns the best incumbent found when the budget runs out (exact
-    /// when the search finishes earlier). Continuous models ignore the
-    /// budget.
-    pub fn solve_bounded(&self, max_nodes: usize) -> Result<Solution, SolveError> {
-        self.validate()?;
-        if self.vars.iter().any(|v| v.integer) {
-            branch::solve_mip_bounded(self, max_nodes)
         } else {
             simplex::solve_lp(self, &[])
         }

@@ -20,10 +20,7 @@
 //! instances with a unique optimum, the same optimal assignment — as
 //! the original. Every reduction is a pure function of the input model
 //! (no randomness, no iteration-order dependence on hash maps), so the
-//! reduced model and the postsolved solution are deterministic: the
-//! epoch kernel can fingerprint the *reduced* model with
-//! [`crate::skeleton::ModelSkeleton`] and keep its cross-epoch warm
-//! starts.
+//! reduced model and the postsolved solution are deterministic.
 //!
 //! Infeasibility discovered here (crossed bounds, an inconsistent
 //! constant row) is a valid certificate and surfaces as
@@ -225,8 +222,7 @@ fn run(model: &Model, integrality: bool) -> Result<Presolved, SolveError> {
     vb_telemetry::counter!("solver.presolve_bounds_tightened").add(stats.bounds_tightened as u64);
 
     // Assemble the reduced model. Kept variables and surviving rows
-    // stay in original order, so the reduction is deterministic and the
-    // reduced skeleton is stable across structurally identical epochs.
+    // stay in original order, so the reduction is deterministic.
     let mut reduced = Model::new(model.sense);
     let mut old2new = vec![usize::MAX; n];
     let mut keep = Vec::new();
@@ -531,7 +527,7 @@ mod tests {
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.keep, b.keep);
         assert_eq!(a.fixed, b.fixed);
-        assert!(crate::skeleton::ModelSkeleton::of(a.reduced()).matches(b.reduced()));
+        assert_eq!(a.reduced(), b.reduced());
     }
 }
 
@@ -579,7 +575,6 @@ mod invariant_tests {
 
     #[test]
     fn invariants_hold_on_presolved_epoch_resolves() {
-        let mut prev: Option<simplex::SimplexState> = None;
         for (k, caps) in [[6.0, 6.0], [5.0, 8.0], [8.0, 4.0], [7.0, 7.0]]
             .into_iter()
             .enumerate()
@@ -587,22 +582,7 @@ mod invariant_tests {
             let m = pinned_placement(caps);
             let pre = presolve_mip(&m).expect("feasible epochs");
             assert!(pre.num_fixed() >= 1, "epoch {k}: the pin must fold");
-            let st = match prev.take() {
-                Some(p) => match simplex::solve_lp_epoch_warm(pre.reduced(), &p) {
-                    Ok((_, st)) => st,
-                    Err(_) => {
-                        simplex::solve_lp_state(pre.reduced(), &[], None)
-                            .expect("cold fallback")
-                            .1
-                    }
-                },
-                None => {
-                    simplex::solve_lp_state(pre.reduced(), &[], None)
-                        .expect("cold root")
-                        .1
-                }
-            };
-            prev = Some(st);
+            simplex::solve_lp_state(pre.reduced(), &[], None).expect("cold root");
         }
     }
 }

@@ -33,12 +33,11 @@
 //! fallback.
 //!
 //! The state mirrors [`crate::simplex::SimplexState`]'s warm-start
-//! surface — bound overrides with dual-simplex repair, and cross-epoch
-//! RHS/bound retargeting — so branch & bound and the epoch cache use
-//! either engine interchangeably. Column layout, tolerances, tie-break
-//! rules, and the two-phase construction are identical to the tableau
-//! engine; in exact arithmetic the two produce the same pivots, and both
-//! are deterministic functions of the model.
+//! surface — bound overrides with dual-simplex repair — so branch &
+//! bound uses either engine interchangeably. Column layout, tolerances,
+//! tie-break rules, and the two-phase construction are identical to the
+//! tableau engine; in exact arithmetic the two produce the same pivots,
+//! and both are deterministic functions of the model.
 
 use crate::factor::LuFactors;
 use crate::ftran::BasisFactor;
@@ -168,7 +167,7 @@ struct Scratch {
     rho: Vec<f64>,
     /// Steepest-edge cross-term vector `τ = B⁻ᵀd̂`.
     tau: Vec<f64>,
-    /// Basic-value shift of a bound or RHS retarget.
+    /// Basic-value shift of a bound retarget.
     shift: Vec<f64>,
     pr: PriceRow,
     /// Pricing reference weights (steepest-edge or devex).
@@ -268,7 +267,7 @@ pub struct RevisedState {
     basis_pos: Vec<usize>,
     /// Current value of each row's basic variable.
     xb: Vec<f64>,
-    /// Model right-hand side the state was last retargeted against.
+    /// Model right-hand side of each row.
     rhs_b: Vec<f64>,
     factor: BasisFactor,
     n: usize,
@@ -348,48 +347,6 @@ pub fn solve_lp_state_params(
     }
 
     cold_solve(model, lb, ub, pricing, params)
-}
-
-/// Re-solve a *structurally identical* model from a previous epoch's
-/// optimal factorized state — same contract as
-/// [`crate::simplex::solve_lp_epoch_warm_priced`]: the caller gates
-/// structure with [`crate::skeleton::ModelSkeleton`], the RHS delta is
-/// retargeted through one FTRAN, bounds re-applied, and the basis
-/// repaired dual-simplex-first. `Err(Infeasible)` is not a certificate.
-pub fn solve_lp_epoch_warm(
-    model: &Model,
-    prev: &RevisedState,
-    pricing: Pricing,
-) -> Result<(Solution, RevisedState), SolveError> {
-    let _span = vb_telemetry::span!("solver.lp_solve");
-    vb_telemetry::counter!("solver.lp_solves").inc();
-
-    let n = model.vars.len();
-    if prev.n != n || prev.m != model.constraints.len() {
-        return Err(SolveError::BadModel(
-            "epoch warm start requires identical model dimensions".into(),
-        ));
-    }
-    let lb: Vec<f64> = model.vars.iter().map(|v| v.lb).collect();
-    let ub: Vec<f64> = model.vars.iter().map(|v| v.ub).collect();
-    for j in 0..n {
-        if lb[j] > ub[j] + EPS {
-            return Err(SolveError::Infeasible);
-        }
-        if !lb[j].is_finite() {
-            return Err(SolveError::BadModel(format!(
-                "variable {} must have a finite lower bound",
-                model.vars[j].name
-            )));
-        }
-    }
-
-    let mut st = prev.clone();
-    let sol = with_scratch(st.m, st.cols, |sc| {
-        st.apply_rhs(model, &mut sc.shift);
-        st.reoptimize(model, &lb, &ub, pricing, sc)
-    })?;
-    Ok((sol, st))
 }
 
 /// Full two-phase solve from the logical basis.
@@ -901,28 +858,6 @@ impl RevisedState {
             }
         }
         Ok(())
-    }
-
-    /// Retarget the basic values for a model-RHS change (epoch warm
-    /// start): `x_B += B⁻¹·Δb`, one FTRAN of `delta`.
-    fn apply_rhs(&mut self, model: &Model, delta: &mut [f64]) {
-        delta.fill(0.0);
-        let mut any = false;
-        for (k, c) in model.constraints.iter().enumerate() {
-            let d = c.rhs - self.rhs_b[k];
-            if d != 0.0 {
-                delta[k] = d;
-                self.rhs_b[k] = c.rhs;
-                any = true;
-            }
-        }
-        if !any {
-            return;
-        }
-        self.ftran(delta);
-        for (x, &s) in self.xb.iter_mut().zip(delta.iter()) {
-            *x += s;
-        }
     }
 
     /// Primal bounded-variable simplex on the scratch reduced costs `d`
@@ -1678,23 +1613,6 @@ mod tests {
             solve_lp_state(&m, &[(x, 0.0, 1.0)], Some(&root), Pricing::SteepestEdge).unwrap();
         let (cold_sol, _) =
             solve_lp_state(&m, &[(x, 0.0, 1.0)], None, Pricing::SteepestEdge).unwrap();
-        assert!(
-            (warm_sol.objective - cold_sol.objective).abs() < 1e-9,
-            "warm {} vs cold {}",
-            warm_sol.objective,
-            cold_sol.objective
-        );
-    }
-
-    #[test]
-    fn epoch_warm_tracks_rhs_and_bound_moves() {
-        let mut m = sample_lp();
-        let (_, state) = solve_lp_state(&m, &[], None, Pricing::SteepestEdge).unwrap();
-        // Move the RHS and a bound, re-solve warm and cold.
-        m.constraints[2].rhs = 16.0;
-        m.vars[0].ub = 3.0;
-        let (warm_sol, _) = solve_lp_epoch_warm(&m, &state, Pricing::SteepestEdge).unwrap();
-        let (cold_sol, _) = solve_lp_state(&m, &[], None, Pricing::SteepestEdge).unwrap();
         assert!(
             (warm_sol.objective - cold_sol.objective).abs() < 1e-9,
             "warm {} vs cold {}",

@@ -21,26 +21,13 @@
 //! solves are deterministic for a given model — Table 1 / Fig 4 outputs
 //! stay reproducible.
 //!
-//! The engine exposes its final state ([`SimplexState`]) so callers can
-//! **warm-start** follow-up solves:
-//!
-//! * Branch & bound children ([`solve_lp_state`] with `warm`): same
-//!   model, only variable bounds differ. The child clones its parent's
-//!   optimal tableau, applies the branching bound change (which
-//!   preserves dual feasibility — reduced costs do not depend on
-//!   bounds), repairs primal feasibility with a dual-simplex phase, and
-//!   finishes with a primal clean-up pass.
-//! * Cross-epoch re-solves ([`solve_lp_epoch_warm`]): a *structurally
-//!   identical* model — same constraint matrix, senses, and integrality
-//!   — whose objective, right-hand sides, and variable bounds moved
-//!   (the MIP co-scheduler re-plans the same sites × apps × buckets
-//!   model every epoch with fresh forecasts). Because the tableau
-//!   coefficients depend only on the constraint matrix and the basis,
-//!   the retained state stays valid; the basic values are retargeted
-//!   through the logical-column block (`Δr = T_logical · Δb`), bounds
-//!   re-applied, and the previous optimal basis repaired with the same
-//!   dual-simplex pass. Callers gate structure equality with
-//!   [`crate::skeleton::ModelSkeleton`].
+//! The engine exposes its final state ([`SimplexState`]) so branch &
+//! bound children can **warm-start** ([`solve_lp_state`] with `warm`):
+//! same model, only variable bounds differ. The child clones its
+//! parent's optimal tableau, applies the branching bound change (which
+//! preserves dual feasibility — reduced costs do not depend on bounds),
+//! repairs primal feasibility with a dual-simplex phase, and finishes
+//! with a primal clean-up pass.
 //!
 //! Construction of a cold solve:
 //!
@@ -294,69 +281,6 @@ pub fn solve_lp_state_priced(
     cold_solve(model, lb, ub, pricing)
 }
 
-/// Re-solve a *structurally identical* model from a previous epoch's
-/// optimal state: same constraint matrix (pattern, values, and senses),
-/// but the objective, right-hand sides, and variable bounds may all have
-/// moved. The retained tableau stays valid — its coefficients depend
-/// only on the matrix and the basis — so the solve retargets the basic
-/// values for the RHS delta through the logical-column block, re-applies
-/// the bounds, and repairs the previous optimal basis with a
-/// dual-simplex phase plus a primal clean-up pass.
-///
-/// Structure equality is the *caller's* contract (gate with
-/// [`crate::skeleton::ModelSkeleton::matches`]); only the dimensions are
-/// checked here. `Err(Infeasible)` can also mean the repair could not
-/// recover the basis (e.g. a frozen redundant row turned inconsistent),
-/// so callers should fall back to a cold solve rather than trust it as a
-/// certificate.
-pub fn solve_lp_epoch_warm(
-    model: &Model,
-    prev: &SimplexState,
-) -> Result<(Solution, SimplexState), SolveError> {
-    solve_lp_epoch_warm_priced(model, prev, Pricing::Dantzig)
-}
-
-/// [`solve_lp_epoch_warm`] with an explicit [`Pricing`] rule for the
-/// primal clean-up pass.
-pub fn solve_lp_epoch_warm_priced(
-    model: &Model,
-    prev: &SimplexState,
-    pricing: Pricing,
-) -> Result<(Solution, SimplexState), SolveError> {
-    let _span = vb_telemetry::span!("solver.lp_solve");
-    vb_telemetry::counter!("solver.lp_solves").inc();
-
-    let n = model.vars.len();
-    if prev.n != n || prev.m != model.constraints.len() {
-        return Err(SolveError::BadModel(
-            "epoch warm start requires identical model dimensions".into(),
-        ));
-    }
-    let lb: Vec<f64> = model.vars.iter().map(|v| v.lb).collect();
-    let ub: Vec<f64> = model.vars.iter().map(|v| v.ub).collect();
-    for j in 0..n {
-        if lb[j] > ub[j] + EPS {
-            return Err(SolveError::Infeasible);
-        }
-        if !lb[j].is_finite() {
-            return Err(SolveError::BadModel(format!(
-                "variable {} must have a finite lower bound",
-                model.vars[j].name
-            )));
-        }
-    }
-
-    let mut st = prev.clone();
-    st.apply_rhs(model);
-    st.apply_bounds(&lb, &ub)?;
-    let c2 = st.phase2_costs(model);
-    let mut d = st.reduced_costs(&c2);
-    st.dual_iterate(&mut d, st.art_start)?;
-    st.iterate_with(&mut d, st.art_start, pricing)?;
-    let sol = st.extract(model);
-    Ok((sol, st))
-}
-
 /// Full two-phase bounded-variable solve from the logical basis.
 fn cold_solve(
     model: &Model,
@@ -417,24 +341,18 @@ fn warm_solve(
 }
 
 /// Sparse bounded-variable simplex tableau, reusable as a warm-start
-/// basis by later solves of the same model under different bounds (and,
-/// via [`solve_lp_epoch_warm`], by later solves of structurally
-/// identical models under different objective/RHS/bounds).
+/// basis by later solves of the same model under different bounds.
 ///
 /// Columns are laid out `[structural | logical (one per row) |
 /// artificial]`; `rhs[i]` holds the *current value* of row `i`'s basic
 /// variable (not the textbook `B⁻¹b` — nonbasic variables at nonzero
-/// bounds are folded in), while `rhs_b` remembers the model RHS the
-/// state was built against so an epoch re-solve can retarget by delta.
+/// bounds are folded in).
 #[derive(Debug, Clone)]
 pub struct SimplexState {
     /// Sparse tableau rows over all `cols` columns.
     rows: Vec<SpRow>,
     /// Current value of each row's basic variable.
     rhs: Vec<f64>,
-    /// Model right-hand side each row was built against (pre sign-flip),
-    /// used to retarget `rhs` when an epoch changes the model RHS.
-    rhs_b: Vec<f64>,
     /// Basic column per row.
     basis: Vec<usize>,
     /// Row index per column (`usize::MAX` when nonbasic).
@@ -526,7 +444,6 @@ impl SimplexState {
 
         let mut rows = Vec::with_capacity(m);
         let mut rhs = vec![0.0; m];
-        let mut rhs_b = Vec::with_capacity(m);
         let mut basis = vec![usize::MAX; m];
         let mut at_upper = vec![false; cols];
         let mut next_art = art_start;
@@ -539,7 +456,6 @@ impl SimplexState {
                 row.push(v.0, a);
             }
             row.push(n + i, 1.0); // logical
-            rhs_b.push(c.rhs);
             if needs_art[i] {
                 let sigma = if resid[i] >= 0.0 { 1.0 } else { -1.0 };
                 if sigma < 0.0 {
@@ -567,7 +483,6 @@ impl SimplexState {
         let st = SimplexState {
             rows,
             rhs,
-            rhs_b,
             basis,
             basis_pos,
             at_upper,
@@ -667,39 +582,6 @@ impl SimplexState {
             self.ub[j] = nu;
         }
         Ok(())
-    }
-
-    /// Retarget the basic values for a model-RHS change (epoch warm
-    /// start). The tableau `T = B⁻¹A₀` depends only on the constraint
-    /// matrix and the basis, and the logical-column block of `T` *is*
-    /// the row basis inverse (build-time sign flips cancel against the
-    /// flipped initial logical identity), so a RHS move `Δb` shifts each
-    /// basic value by `Σ_k T[i][n+k]·Δb_k`.
-    fn apply_rhs(&mut self, model: &Model) {
-        let mut delta = vec![0.0; self.m];
-        let mut any = false;
-        for (k, c) in model.constraints.iter().enumerate() {
-            let d = c.rhs - self.rhs_b[k];
-            if d != 0.0 {
-                delta[k] = d;
-                self.rhs_b[k] = c.rhs;
-                any = true;
-            }
-        }
-        if !any {
-            return;
-        }
-        for i in 0..self.m {
-            // Only the logical block [n, n+m) contributes.
-            let row = &self.rows[i];
-            let lo = row.idx.partition_point(|&c| (c as usize) < self.n);
-            let hi = row.idx.partition_point(|&c| (c as usize) < self.n + self.m);
-            let mut shift = 0.0;
-            for k in lo..hi {
-                shift += row.val[k] * delta[row.idx[k] as usize - self.n];
-            }
-            self.rhs[i] += shift;
-        }
     }
 
     /// Primal bounded-variable simplex on reduced costs `d` until no
@@ -1583,98 +1465,6 @@ mod tests {
         let s = m.solve().unwrap();
         assert!(s.objective.abs() < 1e-6);
     }
-
-    /// The classic product-mix LP with a parameterised RHS — the same
-    /// structure every "epoch", only `b` moves.
-    fn epoch_model(b: [f64; 3]) -> (Model, [VarId; 2]) {
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.var("x", 0.0, f64::INFINITY);
-        let y = m.var("y", 0.0, f64::INFINITY);
-        let e = m.expr(&[(x, 1.0)]);
-        m.add_le(e, b[0]);
-        let e = m.expr(&[(y, 2.0)]);
-        m.add_le(e, b[1]);
-        let e = m.expr(&[(x, 3.0), (y, 2.0)]);
-        m.add_le(e, b[2]);
-        let obj = m.expr(&[(x, 3.0), (y, 5.0)]);
-        m.set_objective(obj);
-        (m, [x, y])
-    }
-
-    #[test]
-    fn epoch_warm_start_matches_cold_on_rhs_changes() {
-        let (base, _) = epoch_model([4.0, 12.0, 18.0]);
-        let (_, mut st) = solve_lp_state(&base, &[], None).unwrap();
-        for b in [
-            [5.0, 10.0, 20.0],
-            [3.0, 14.0, 15.0],
-            [6.0, 8.0, 18.0],
-            [4.0, 12.0, 18.0],
-        ] {
-            let (next, vars) = epoch_model(b);
-            let (warm, st2) = solve_lp_epoch_warm(&next, &st).unwrap();
-            let cold = solve_lp(&next, &[]).unwrap();
-            assert!(
-                (warm.objective - cold.objective).abs() < 1e-6,
-                "b {b:?}: warm {} vs cold {}",
-                warm.objective,
-                cold.objective
-            );
-            for v in vars {
-                assert!(
-                    (warm.value(v) - cold.value(v)).abs() < 1e-6,
-                    "b {b:?}: vertex diverged on {v:?}"
-                );
-            }
-            st = st2;
-        }
-    }
-
-    #[test]
-    fn epoch_warm_start_handles_ge_rows_and_objective_changes() {
-        // min c·(x, y) s.t. x + y >= b — phase 1 ran on the base solve
-        // (sign-flipped artificial row), and later epochs move both the
-        // RHS and the objective.
-        let build = |b: f64, cx: f64, cy: f64| {
-            let mut m = Model::new(Sense::Minimize);
-            let x = m.var("x", 0.0, f64::INFINITY);
-            let y = m.var("y", 0.0, f64::INFINITY);
-            let e = m.expr(&[(x, 1.0), (y, 1.0)]);
-            m.add_ge(e, b);
-            let obj = m.expr(&[(x, cx), (y, cy)]);
-            m.set_objective(obj);
-            m
-        };
-        let (_, mut st) = solve_lp_state(&build(10.0, 2.0, 3.0), &[], None).unwrap();
-        for (b, cx, cy) in [(13.0, 2.0, 3.0), (7.0, 4.0, 1.0), (9.0, 1.0, 1.0)] {
-            let next = build(b, cx, cy);
-            let (warm, st2) = solve_lp_epoch_warm(&next, &st).unwrap();
-            let cold = solve_lp(&next, &[]).unwrap();
-            assert!(
-                (warm.objective - cold.objective).abs() < 1e-6,
-                "(b={b}, c=({cx},{cy})): warm {} vs cold {}",
-                warm.objective,
-                cold.objective
-            );
-            st = st2;
-        }
-    }
-
-    #[test]
-    fn epoch_warm_start_rejects_dimension_mismatch() {
-        let (base, _) = epoch_model([4.0, 12.0, 18.0]);
-        let (_, st) = solve_lp_state(&base, &[], None).unwrap();
-        let mut other = Model::new(Sense::Maximize);
-        let x = other.var("x", 0.0, 10.0);
-        let e = other.expr(&[(x, 1.0)]);
-        other.add_le(e, 5.0);
-        let obj = other.expr(&[(x, 1.0)]);
-        other.set_objective(obj);
-        assert!(matches!(
-            solve_lp_epoch_warm(&other, &st).unwrap_err(),
-            SolveError::BadModel(_)
-        ));
-    }
 }
 
 #[cfg(all(test, feature = "check-invariants"))]
@@ -1683,20 +1473,20 @@ mod invariant_tests {
     use crate::model::{Model, Sense};
 
     // With the feature live, every pivot of these solves runs the full
-    // invariant suite; the tests just have to drive enough pivots
-    // through all three entry points (cold, bound warm, epoch warm).
+    // invariant suite; the test just has to drive enough pivots through
+    // both entry points (cold and bound warm).
 
-    fn production_model(rhs: [f64; 3]) -> Model {
+    fn production_model() -> Model {
         let mut m = Model::new(Sense::Maximize);
         let x = m.var("x", 0.0, 40.0);
         let y = m.var("y", 0.0, 30.0);
         let z = m.var("z", 0.0, 20.0);
         let e = m.expr(&[(x, 1.0), (y, 2.0), (z, 1.0)]);
-        m.add_le(e, rhs[0]);
+        m.add_le(e, 40.0);
         let e = m.expr(&[(x, 3.0), (y, 1.0)]);
-        m.add_le(e, rhs[1]);
+        m.add_le(e, 60.0);
         let e = m.expr(&[(x, 1.0), (y, 1.0), (z, 3.0)]);
-        m.add_ge(e, rhs[2]);
+        m.add_ge(e, 10.0);
         let obj = m.expr(&[(x, 3.0), (y, 5.0), (z, 4.0)]);
         m.set_objective(obj);
         m
@@ -1704,7 +1494,7 @@ mod invariant_tests {
 
     #[test]
     fn invariants_hold_across_cold_and_warm_solves() {
-        let model = production_model([40.0, 60.0, 10.0]);
+        let model = production_model();
         let (sol, st) = solve_lp_state(&model, &[], None).expect("cold solve");
         assert!(sol.objective.is_finite());
         st.assert_invariants("test readback");
@@ -1713,23 +1503,5 @@ mod invariant_tests {
         let x = VarId(0);
         let (_, st2) = solve_lp_state(&model, &[(x, 0.0, 5.0)], Some(&st)).expect("warm solve");
         st2.assert_invariants("warm readback");
-    }
-
-    #[test]
-    fn invariants_hold_across_epoch_resolves() {
-        let mut prev: Option<SimplexState> = None;
-        for step in 0..6 {
-            let bump = step as f64;
-            let model = production_model([40.0 + bump, 60.0 - 2.0 * bump, 10.0 + bump]);
-            let st = match prev.take() {
-                Some(p) => match solve_lp_epoch_warm(&model, &p) {
-                    Ok((_, st)) => st,
-                    Err(_) => solve_lp_state(&model, &[], None).expect("fallback").1,
-                },
-                None => solve_lp_state(&model, &[], None).expect("cold").1,
-            };
-            st.assert_invariants("epoch readback");
-            prev = Some(st);
-        }
     }
 }

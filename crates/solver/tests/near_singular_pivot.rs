@@ -20,7 +20,7 @@
 use vb_solver::dense::solve_lp_reference;
 use vb_solver::presolve::presolve_mip;
 use vb_solver::revised;
-use vb_solver::{solve_mip_epoch, Cmp, LinExpr, Model, Pricing, Sense, VarId};
+use vb_solver::{solve_mip_kernel, Cmp, KernelConfig, LinExpr, Model, Pricing, Sense, VarId};
 
 const EPOCH: &str = include_str!("data/near_singular_epoch.txt");
 
@@ -77,7 +77,8 @@ fn load() -> (Model, Vec<(LinExpr, Cmp, f64)>) {
 fn captured_epoch_solves_with_feasible_integral_plan() {
     let (m, rows) = load();
     assert_eq!((m.num_vars(), m.num_constraints()), (172, 113));
-    let (sol, _, _) = solve_mip_epoch(&m, 400, None).expect("the epoch is feasible");
+    let sol =
+        solve_mip_kernel(&m, 400, &KernelConfig::production()).expect("the epoch is feasible");
     let x = sol.values();
     for (k, (e, cmp, rhs)) in rows.iter().enumerate() {
         let lhs = e.eval(x);

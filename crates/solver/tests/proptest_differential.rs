@@ -6,12 +6,7 @@
 //!    with duplicate terms (the canonicalization path);
 //! 2. Table-1-shaped placement MIP relaxations, at the root and under
 //!    branch-style bound overrides warm-started from the root basis;
-//! 3. cross-epoch reuse — re-solving a structurally identical model
-//!    with perturbed RHS/objective/bounds through
-//!    [`vb_solver::simplex::solve_lp_epoch_warm`] must agree with a
-//!    cold solve of the perturbed model whenever the repair succeeds
-//!    (a failed repair is allowed: callers fall back to a cold root);
-//! 4. presolve round-trips — presolve → solve the reduced model →
+//! 3. presolve round-trips — presolve → solve the reduced model →
 //!    postsolve must agree with a direct solve of the original, on both
 //!    random sparse LPs and placement relaxations with branch-style
 //!    singleton fixings (the rows presolve eliminates outright).
@@ -19,7 +14,7 @@
 use proptest::prelude::*;
 use vb_solver::dense::solve_lp_reference;
 use vb_solver::presolve::presolve_lp;
-use vb_solver::simplex::{solve_lp, solve_lp_epoch_warm, solve_lp_state};
+use vb_solver::simplex::{solve_lp, solve_lp_state};
 use vb_solver::{Model, Sense, Solution, SolveError, VarId};
 
 const TOL: f64 = 1e-6;
@@ -63,11 +58,8 @@ fn sparse_lp(n: usize, m_rows: usize) -> impl Strategy<Value = SparseLp> {
         })
 }
 
-/// Materialize the spec, with per-row RHS shifts, a uniform objective
-/// shift, and per-variable upper-bound shifts (all zero for the base
-/// model). The constraint *structure* depends only on the spec, so any
-/// two builds of the same spec are epoch-compatible.
-fn build(lp: &SparseLp, rhs_shift: &[i32], obj_shift: i32, ub_shift: &[i32]) -> Model {
+/// Materialize the spec.
+fn build(lp: &SparseLp) -> Model {
     let sense = if lp.maximize {
         Sense::Maximize
     } else {
@@ -78,14 +70,9 @@ fn build(lp: &SparseLp, rhs_shift: &[i32], obj_shift: i32, ub_shift: &[i32]) -> 
         .bounds
         .iter()
         .enumerate()
-        .map(|(j, &(lb, w))| {
-            let shift = ub_shift.get(j).copied().unwrap_or(0);
-            // Shrinks clamp at the lower bound so the box stays valid.
-            let ub = (lb + w + shift).max(lb);
-            m.var(&format!("x{j}"), lb as f64, ub as f64)
-        })
+        .map(|(j, &(lb, w))| m.var(&format!("x{j}"), lb as f64, (lb + w) as f64))
         .collect();
-    for (r, (entries, cmp, rhs)) in lp.rows.iter().enumerate() {
+    for (entries, cmp, rhs) in &lp.rows {
         let mut terms = Vec::new();
         for (j, &(keep, c)) in entries.iter().enumerate() {
             if keep >= 4 || c == 0 {
@@ -102,7 +89,7 @@ fn build(lp: &SparseLp, rhs_shift: &[i32], obj_shift: i32, ub_shift: &[i32]) -> 
             continue;
         }
         let e = m.expr(&terms);
-        let rhs = (rhs + rhs_shift.get(r).copied().unwrap_or(0)) as f64;
+        let rhs = *rhs as f64;
         match cmp {
             0 => m.add_le(e, rhs),
             1 => m.add_ge(e, rhs),
@@ -113,7 +100,7 @@ fn build(lp: &SparseLp, rhs_shift: &[i32], obj_shift: i32, ub_shift: &[i32]) -> 
     let obj: Vec<(VarId, f64)> = vars
         .iter()
         .zip(&lp.obj)
-        .map(|(&v, &c)| (v, (c + obj_shift) as f64))
+        .map(|(&v, &c)| (v, c as f64))
         .collect();
     let e = m.expr(&obj);
     m.set_objective(e);
@@ -211,7 +198,7 @@ proptest! {
 
     #[test]
     fn sparse_lps_agree_with_the_dense_oracle(lp in sparse_lp(6, 4)) {
-        let m = build(&lp, &[], 0, &[]);
+        let m = build(&lp);
         assert_agree(&solve_lp(&m, &[]), &solve_lp_reference(&m, &[]));
     }
 
@@ -236,44 +223,8 @@ proptest! {
     }
 
     #[test]
-    fn epoch_warm_resolves_agree_with_cold_solves(
-        lp in sparse_lp(6, 4),
-        rhs_shift in proptest::collection::vec(-2..=2i32, 4),
-        obj_shift in -2..=2i32,
-        ub_shift in proptest::collection::vec(-1..=1i32, 6),
-    ) {
-        let base = build(&lp, &[], 0, &[]);
-        let Ok((sol0, state0)) = solve_lp_state(&base, &[], None) else {
-            // Infeasible/unbounded base: nothing to carry across epochs.
-            return;
-        };
-
-        // Epoch with nothing changed: the retained state is already
-        // optimal, so the repair must succeed and reproduce the optimum.
-        let (same, _) = solve_lp_epoch_warm(&base, &state0)
-            .expect("unchanged epoch must warm-start");
-        assert!(
-            (same.objective - sol0.objective).abs() < TOL,
-            "unchanged epoch drifted: {} vs {}",
-            same.objective,
-            sol0.objective
-        );
-
-        // Perturbed epoch: when the dual repair succeeds it must match a
-        // cold solve of the perturbed model (and the dense oracle). A
-        // failed repair is not a feasibility certificate — callers fall
-        // back to a cold root — so `Err` makes no claim here.
-        let next = build(&lp, &rhs_shift, obj_shift, &ub_shift);
-        if let Ok((warm, _)) = solve_lp_epoch_warm(&next, &state0) {
-            let cold = solve_lp(&next, &[]);
-            assert_agree(&Ok(warm), &cold);
-            assert_agree(&cold, &solve_lp_reference(&next, &[]));
-        }
-    }
-
-    #[test]
     fn presolve_round_trips_on_random_sparse_lps(lp in sparse_lp(6, 4)) {
-        let m = build(&lp, &[], 0, &[]);
+        let m = build(&lp);
         let direct = solve_lp(&m, &[]);
         match presolve_lp(&m) {
             // Presolve may prove infeasibility on its own; the direct

@@ -8,10 +8,9 @@ Compares a freshly produced bench result (`BENCH_solver.json`,
 when the run regressed past the tolerance band for any key. The rule
 table is selected by the file's `bench` field:
 
-* `solver_epoch_reuse` — the flat solver warm-start baseline, plus
-  per-scale `scaling` rows (`1x`, `10x`, `100x` model sizes comparing
-  the production kernel against the pre-presolve baseline kernel)
-  flattened to `{scale}.{key}` entries;
+* `solver_scaling` — per-scale `scaling` rows (`1x`, `10x`, `100x`
+  model sizes comparing the production kernel against the pre-presolve
+  baseline kernel) flattened to `{scale}.{key}` entries;
 * `fleet_sim` — per-scale rows (`10x`, `100x`, ...) flattened to
   `{scale}.{key}` entries so every scale is gated independently.
 
@@ -37,11 +36,12 @@ in *both* directions: a key present on one side only — current missing
 a baseline key, or current carrying a key the baseline has never seen —
 fails the gate. (An earlier version only checked that the rule table's
 keys existed in each file, so a renamed or extra key in either file
-slid through as "nothing to compare".)
+slid through as "nothing to compare".) A key both sides carry must
+also have a rule; one without fails the gate rather than pass ungated.
 
-Tolerances can be overridden per key on the command line, e.g.
-`warm_secs=3.0`, or per flattened fleet key (`10x.event_secs=4.0`); a
-bare row key (`event_secs=4.0`) applies to that key in every row.
+Tolerances can be overridden per flattened key on the command line,
+e.g. `10x.event_secs=4.0`; a bare row key (`event_secs=4.0`) applies to
+that key in every row.
 Improvements never fail the gate (they print a hint to refresh the
 baseline instead).
 """
@@ -53,24 +53,8 @@ import sys
 #   exact      — current == baseline
 #   ratio      — current <= tol * baseline (bigger is worse)
 #   ratio_min  — current >= baseline / tol (smaller is worse)
-#   slack_min  — current >= baseline - tol (smaller is worse)
 #   abs_max    — current <= tol (baseline-independent ceiling)
 #   rel        — |current - baseline| <= tol * max(|baseline|, 1)
-SOLVER_RULES = {
-    "epochs": ("exact", None),
-    "apps": ("exact", None),
-    "sites": ("exact", None),
-    "buckets": ("exact", None),
-    "warm_hits": ("exact", None),
-    "cold_secs": ("ratio", 2.0),
-    "warm_secs": ("ratio", 2.0),
-    "speedup": ("ratio_min", 2.0),
-    "cold_pivots": ("ratio", 1.1),
-    "warm_pivots": ("ratio", 1.1),
-    "pivot_reduction": ("slack_min", 0.05),
-    "max_objective_drift": ("abs_max", 1e-6),
-}
-
 SOLVER_ROW_RULES = {
     # Structural: a drifting model size means a different experiment.
     "apps": ("exact", None),
@@ -169,9 +153,9 @@ def flatten_rows(data, path, rows_key, row_rules, flat, rules, rows_filter):
 def flatten(data, path, rows_filter=None):
     """(flat key -> value, flat key -> rule) for one bench file."""
     bench = data.get("bench")
-    if bench == "solver_epoch_reuse":
+    if bench == "solver_scaling":
         flat = {k: v for k, v in data.items() if k not in ("bench", "scaling")}
-        rules = dict(SOLVER_RULES)
+        rules = {}
         flatten_rows(data, path, "scaling", SOLVER_ROW_RULES, flat, rules, rows_filter)
         return flat, rules
     if bench == "fleet_sim":
@@ -202,8 +186,6 @@ def check(key, rule, tol, cur, base):
         return cur <= tol * base, f"must stay <= {tol:g}x baseline"
     if rule == "ratio_min":
         return cur >= base / tol, f"must stay >= baseline/{tol:g}"
-    if rule == "slack_min":
-        return cur >= base - tol, f"must stay >= baseline - {tol:g}"
     if rule == "abs_max":
         return cur <= tol, f"must stay <= {tol:g}"
     if rule == "rel":
@@ -234,6 +216,12 @@ def run_gate(current_path, baseline_path, rows_filter=None, overrides=None):
     # A scale present in both files gated by the union of both rule
     # derivations (identical by construction once the key sets match).
     rules.update({k: v for k, v in base_rules.items() if k not in rules})
+    # A key both files carry but no rule covers would pass ungated.
+    unruled = sorted(set(cur_flat) - set(rules))
+    if unruled:
+        print(f"keys without a gate rule: {', '.join(unruled)}")
+        print("perf gate FAILED: every key must have a gate rule")
+        return 1
 
     failures = []
     improvements = []
@@ -270,7 +258,7 @@ def main(argv):
 
     rows_filter = None
     overrides = {}
-    known = {**SOLVER_RULES, **SOLVER_ROW_RULES, **FLEET_ROW_RULES, **FLEET_TOP_RULES}
+    known = {**SOLVER_ROW_RULES, **FLEET_ROW_RULES, **FLEET_TOP_RULES}
     for arg in argv[3:]:
         if arg.startswith("--rows="):
             rows_filter = [r for r in arg[len("--rows=") :].split(",") if r]

@@ -22,21 +22,7 @@ import check_bench
 
 
 def solver_result(**updates):
-    base = {
-        "bench": "solver_epoch_reuse",
-        "epochs": 96,
-        "apps": 16,
-        "sites": 3,
-        "buckets": 6,
-        "cold_secs": 0.02,
-        "warm_secs": 0.002,
-        "speedup": 10.0,
-        "cold_pivots": 7000,
-        "warm_pivots": 70,
-        "pivot_reduction": 0.99,
-        "warm_hits": 95,
-        "max_objective_drift": 1e-12,
-    }
+    base = {"bench": "solver_scaling", "scaling": [solver_scale_row("100x")]}
     base.update(updates)
     return base
 
@@ -112,17 +98,20 @@ class SolverGateTests(GateHarness):
         self.assertIn("perf gate passed", out)
 
     def test_wallclock_regression_fails(self):
-        code, out = self.gate(solver_result(warm_secs=0.1), solver_result())
+        code, out = self.gate(
+            solver_result(scaling=[solver_scale_row("100x", kernel_secs=0.5)]),
+            solver_result(),
+        )
         self.assertEqual(code, 1, out)
-        self.assertIn("warm_secs", out)
+        self.assertIn("100x.kernel_secs", out)
 
     def test_missing_key_in_current_fails(self):
         # Direction 1: the current result lost a key the baseline has.
         current = solver_result()
-        del current["speedup"]
+        del current["scaling"][0]["speedup"]
         code, out = self.gate(current, solver_result())
         self.assertEqual(code, 1, out)
-        self.assertIn("only in baseline: speedup", out)
+        self.assertIn("only in baseline: 100x.speedup", out)
 
     def test_extra_key_in_current_fails(self):
         # Direction 2 (the old gate's blind spot): the current result
@@ -130,6 +119,26 @@ class SolverGateTests(GateHarness):
         code, out = self.gate(solver_result(new_metric=1.0), solver_result())
         self.assertEqual(code, 1, out)
         self.assertIn("only in current result: new_metric", out)
+
+    def test_removed_flat_key_fails(self):
+        # The cross-epoch warm-start keys left the solver bench; a result
+        # that still carries one is a key-set mismatch.
+        code, out = self.gate(solver_result(warm_hits=95), solver_result())
+        self.assertEqual(code, 1, out)
+        self.assertIn("only in current result: warm_hits", out)
+
+    def test_key_without_a_rule_fails(self):
+        # Present on both sides, so the key sets match, but no rule gates
+        # it: failing beats passing it unchecked.
+        code, out = self.gate(solver_result(warm_hits=95), solver_result(warm_hits=95))
+        self.assertEqual(code, 1, out)
+        self.assertIn("keys without a gate rule: warm_hits", out)
+
+    def test_old_kind_name_is_unknown(self):
+        old = solver_result(bench="solver_epoch_reuse")
+        with self.assertRaises(SystemExit) as exit_:
+            self.gate(old, old)
+        self.assertIn("unknown bench kind 'solver_epoch_reuse'", str(exit_.exception.code))
 
     def test_bench_kind_mismatch_fails(self):
         code, out = self.gate(fleet_result([fleet_row("10x")]), solver_result())

@@ -58,12 +58,18 @@ pub fn run(seed: u64) -> Fig4Report {
 
     // The three-month per-source simulations are independent; run them
     // in parallel (the Fig 4a week run above is cheap by comparison).
+    // Everything after the simulation runs here, in source order, so
+    // last-value gauges such as `net.wan_busy_fraction` do not depend on
+    // which worker finishes last.
     const SOURCES: [(&str, &str); 2] = [("wind", "BE-wind"), ("solar", "BE-solar")];
-    let sources = vb_par::par_map(SOURCES.len(), |i| {
-        {
-            let (label, site) = SOURCES[i];
-            let power = catalog.trace(site, 60, 90); // 3 months from March
-            let out = simulate_paper_site(&power, seed);
+    let runs = vb_par::par_map(SOURCES.len(), |i| {
+        let power = catalog.trace(SOURCES[i].1, 60, 90); // 3 months from March
+        simulate_paper_site(&power, seed)
+    });
+    let sources = SOURCES
+        .iter()
+        .zip(runs)
+        .map(|(&(label, _), out)| {
             let outs = out.out_gb();
             let ins = out.in_gb();
             let all: Vec<f64> = outs.iter().zip(&ins).map(|(a, b)| a + b).collect();
@@ -90,8 +96,8 @@ pub fn run(seed: u64) -> Fig4Report {
                 peak_out_gb: outs.iter().copied().fold(0.0, f64::max),
                 busy_fraction: wan.busy_fraction(&all, 900.0),
             }
-        }
-    });
+        })
+        .collect();
 
     Fig4Report { week, sources, wan }
 }

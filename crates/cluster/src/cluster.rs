@@ -61,8 +61,34 @@ struct ServerState {
     /// [`FreeCoreIndex`] in step.
     free_cores: u32,
     free_mem: f64,
-    /// Running VMs on this server.
+    /// Running VMs on this server. Changed only through
+    /// [`Cluster::push_running`] and [`Cluster::drop_running`], which
+    /// keep `running_of_kind` and [`Cluster::candidates`] in step.
     running: Vec<VmId>,
+    /// How many of `running` are of each kind, by [`kind_slot`].
+    running_of_kind: [u32; 2],
+}
+
+/// Index of a VM kind in the per-kind tables.
+fn kind_slot(kind: VmKind) -> usize {
+    match kind {
+        VmKind::Stable => 0,
+        VmKind::Degradable => 1,
+    }
+}
+
+/// The lowest set bit at or after `from` in a bitset of servers, else
+/// the lowest set bit before it: the next server in round-robin order.
+fn next_set_cyclic(bits: &[u64], from: usize) -> Option<usize> {
+    let w0 = from / 64;
+    let ahead = bits.get(w0)? & (!0u64 << (from % 64));
+    if ahead != 0 {
+        return Some(w0 * 64 + ahead.trailing_zeros() as usize);
+    }
+    (w0 + 1..bits.len())
+        .chain(0..=w0)
+        .find(|&w| bits[w] != 0)
+        .map(|w| w * 64 + bits[w].trailing_zeros() as usize)
 }
 
 /// Servers grouped by free-core level: one bitset of server indices per
@@ -72,6 +98,8 @@ struct ServerState {
 struct FreeCoreIndex {
     words_per_level: usize,
     bits: Vec<u64>,
+    /// Servers at each level, so best fit skips the empty ones.
+    len: Vec<u32>,
 }
 
 impl FreeCoreIndex {
@@ -82,6 +110,7 @@ impl FreeCoreIndex {
         let mut index = FreeCoreIndex {
             words_per_level,
             bits: vec![0; levels * words_per_level],
+            len: vec![0; levels],
         };
         for s in 0..n_servers {
             index.insert(cores_per_server, s);
@@ -96,10 +125,114 @@ impl FreeCoreIndex {
 
     fn insert(&mut self, level: u32, server: usize) {
         self.bits[level as usize * self.words_per_level + server / 64] |= 1 << (server % 64);
+        self.len[level as usize] += 1;
     }
 
     fn remove(&mut self, level: u32, server: usize) {
         self.bits[level as usize * self.words_per_level + server / 64] &= !(1 << (server % 64));
+        self.len[level as usize] -= 1;
+    }
+}
+
+/// The step at which [`Cluster::advance`] expires a VM departing at
+/// `departs_at`, seen at step `now`: its departure, or the next step for
+/// a VM whose lifetime is already over (a zero-lifetime arrival).
+/// [`Cluster::advance`] expires VMs before it moves the clock, so this
+/// stays a live VM's due step from placement to removal.
+fn due_step(departs_at: u64, now: u64) -> u64 {
+    departs_at.max(now + 1)
+}
+
+/// End of a [`DepartureWheel`] list.
+const NIL: u32 = u32::MAX;
+
+/// Longest span, in steps, the departure wheel widens to. A VM due
+/// farther ahead shares its bucket with nearer ones and is passed over
+/// until its own step comes round.
+const MAX_WHEEL_SPAN: u64 = 1 << 16;
+
+/// Live VMs by the step they expire at, so [`Cluster::advance`] visits
+/// only the VMs due. A circular wheel of `heads.len()` buckets (zero or
+/// a power of two), each a doubly linked list threaded through the slab
+/// slots: a VM due at step `t` is listed in bucket `t % heads.len()`.
+/// The wheel widens to the longest remaining lifetime placed (up to
+/// [`MAX_WHEEL_SPAN`]), so a bucket normally holds one step's VMs. It
+/// holds one link pair per slab slot and one head per bucket, and lists
+/// every VM, running or hibernated, from placement to removal.
+#[derive(Debug, Clone, Default)]
+struct DepartureWheel {
+    heads: Vec<u32>,
+    /// `(prev, next)` of each slab slot in its bucket's list.
+    links: Vec<(u32, u32)>,
+}
+
+impl DepartureWheel {
+    fn bucket(&self, due: u64) -> usize {
+        (due & (self.heads.len() as u64 - 1)) as usize
+    }
+
+    /// List `slot`, due at step `due`. `due_of` gives the due step of
+    /// every slot already listed, for relisting when the wheel widens.
+    fn insert(&mut self, slot: usize, due: u64, now: u64, due_of: impl Fn(usize) -> u64) {
+        let span = (due - now).min(MAX_WHEEL_SPAN);
+        if span > self.heads.len() as u64 {
+            self.widen(span.next_power_of_two() as usize, due_of);
+        }
+        if slot >= self.links.len() {
+            self.links.resize(slot + 1, (NIL, NIL));
+        }
+        self.link(slot, due);
+    }
+
+    fn link(&mut self, slot: usize, due: u64) {
+        let b = self.bucket(due);
+        let head = self.heads[b];
+        // Slab slots stay far below u32::MAX: each holds a VM.
+        self.links[slot] = (NIL, head);
+        if head != NIL {
+            self.links[head as usize].0 = slot as u32;
+        }
+        self.heads[b] = slot as u32;
+    }
+
+    /// Unlink `slot`, listed at step `due`.
+    fn remove(&mut self, slot: usize, due: u64) {
+        let (prev, next) = self.links[slot];
+        if prev == NIL {
+            let b = self.bucket(due);
+            self.heads[b] = next;
+        } else {
+            self.links[prev as usize].1 = next;
+        }
+        if next != NIL {
+            self.links[next as usize].0 = prev;
+        }
+    }
+
+    /// Append the slots listed in step `due`'s bucket to `out`: the VMs
+    /// due then, and any due a whole number of wheel turns later.
+    fn listed_at(&self, due: u64, out: &mut Vec<usize>) {
+        if self.heads.is_empty() {
+            return;
+        }
+        let mut s = self.heads[self.bucket(due)];
+        while s != NIL {
+            out.push(s as usize);
+            s = self.links[s as usize].1;
+        }
+    }
+
+    /// Relist every slot in a wheel of `len` buckets.
+    fn widen(&mut self, len: usize, due_of: impl Fn(usize) -> u64) {
+        let old = std::mem::replace(&mut self.heads, vec![NIL; len]);
+        for head in old {
+            let mut s = head;
+            while s != NIL {
+                let next = self.links[s as usize].1;
+                self.link(s as usize, due_of(s as usize));
+                s = next;
+            }
+        }
     }
 }
 
@@ -153,10 +286,18 @@ pub struct Cluster {
     servers: Vec<ServerState>,
     /// `servers` by free-core level, for best-fit placement.
     free_index: FreeCoreIndex,
+    /// Per kind (by [`kind_slot`]), the servers running at least one VM
+    /// of that kind: the round-robin eviction candidates.
+    candidates: [Vec<u64>; 2],
     /// Slab of VMs; freed slots are `None`.
     vms: Vec<Option<Vm>>,
     /// Indices of the `None` slots of `vms`, lowest first.
     free_slots: BinaryHeap<Reverse<usize>>,
+    /// Every live slab slot, by the step it expires at.
+    departures: DepartureWheel,
+    /// Scratch list of the slots [`Cluster::advance`] expires, kept for
+    /// its capacity.
+    due_slots: Vec<usize>,
     /// Rejected requests waiting for power, with their arrival step.
     pending: VecDeque<(VmRequest, u64)>,
     /// Hibernated degradable VMs, oldest first.
@@ -169,6 +310,10 @@ pub struct Cluster {
     allocated_cores: u32,
     /// Power budget in cores, set by [`Cluster::set_power`].
     budget_cores: u32,
+    /// VMs expired by [`Cluster::advance`] so far.
+    vm_expirations: u64,
+    /// Servers the eviction passes have visited so far.
+    victim_visits: u64,
 }
 
 impl Cluster {
@@ -179,21 +324,28 @@ impl Cluster {
                 free_cores: cfg.cores_per_server,
                 free_mem: cfg.mem_per_server_gb,
                 running: Vec::new(),
+                running_of_kind: [0; 2],
             })
             .collect();
         let budget = cfg.total_cores();
+        let words = cfg.n_servers.div_ceil(64);
         Cluster {
             free_index: FreeCoreIndex::new(cfg.n_servers, cfg.cores_per_server),
+            candidates: [vec![0; words], vec![0; words]],
             cfg,
             servers,
             vms: Vec::new(),
             free_slots: BinaryHeap::new(),
+            departures: DepartureWheel::default(),
+            due_slots: Vec::new(),
             pending: VecDeque::new(),
             hibernated: VecDeque::new(),
             rr_cursor: 0,
             now: 0,
             allocated_cores: 0,
             budget_cores: budget,
+            vm_expirations: 0,
+            victim_visits: 0,
         }
     }
 
@@ -236,6 +388,17 @@ impl Cluster {
         self.pending.len()
     }
 
+    /// VMs whose lifetime ended while resident, over the cluster's life.
+    pub fn vm_expirations(&self) -> u64 {
+        self.vm_expirations
+    }
+
+    /// Servers visited by the eviction passes of [`Cluster::set_power`]
+    /// over the cluster's life: one per hibernated or evicted VM.
+    pub fn victim_visits(&self) -> u64 {
+        self.victim_visits
+    }
+
     /// Run one full step: advance time, expire VMs, apply the power
     /// budget (evicting if needed), recover capacity, then process fresh
     /// arrivals. Evicted stable VMs are dropped (single-site semantics);
@@ -267,22 +430,28 @@ impl Cluster {
     /// Advance the clock one step and expire finished VMs (running,
     /// hibernated, and pending).
     pub fn advance(&mut self) {
-        self.now += 1;
-        let now = self.now;
-        // Expire resident VMs.
-        for id in 0..self.vms.len() {
-            let expired = self.vms[id].as_ref().is_some_and(|vm| vm.expired(now));
-            if expired {
-                self.remove_vm(VmId(id));
-            }
+        // Expire the VMs due at the new step, lowest slab slot first: the
+        // order that fixes each server's `free_mem` sum. Their bucket also
+        // lists VMs due whole wheel turns later, which stay.
+        let mut due = std::mem::take(&mut self.due_slots);
+        let next = self.now + 1;
+        self.departures.listed_at(next, &mut due);
+        due.retain(|&slot| self.vms[slot].as_ref().is_some_and(|vm| vm.expired(next)));
+        due.sort_unstable();
+        for &slot in &due {
+            self.remove_vm(VmId(slot));
         }
+        self.vm_expirations += due.len() as u64;
+        due.clear();
+        self.due_slots = due;
+        self.now = next;
         self.hibernated.retain(|id| {
             // remove_vm above already dropped expired ones from the slab.
             self.vms[id.0].is_some()
         });
         // Expire pending requests whose lifetime has lapsed.
         self.pending
-            .retain(|(req, arrived)| arrived + req.lifetime_steps as u64 > now);
+            .retain(|(req, arrived)| arrived + req.lifetime_steps as u64 > next);
     }
 
     /// Apply a power budget. Returns the stable VMs evicted to satisfy
@@ -298,7 +467,7 @@ impl Cluster {
         }
 
         // 1) Hibernate degradable VMs, round-robin over servers.
-        self.for_each_rr_victim(budget, true, |cluster, id| {
+        self.for_each_rr_victim(budget, VmKind::Degradable, |cluster, id| {
             cluster.hibernate(id);
             stats.hibernated += 1;
         });
@@ -306,7 +475,7 @@ impl Cluster {
         // 2) Migrate out stable VMs, round-robin over servers.
         if self.allocated_cores > budget {
             let mut out = Vec::new();
-            self.for_each_rr_victim(budget, false, |cluster, id| {
+            self.for_each_rr_victim(budget, VmKind::Stable, |cluster, id| {
                 // vb-audit: allow(no-panic, for_each_rr_victim only yields ids of live vm slots)
                 let vm = cluster.vms[id.0].as_ref().expect("victim exists");
                 out.push(EvictedVm {
@@ -428,20 +597,30 @@ impl Cluster {
             arrived_at,
             departs_at,
         });
+        let (vms, now) = (&self.vms, self.now);
+        self.departures
+            .insert(id.0, due_step(departs_at, now), now, |slot| {
+                vms[slot]
+                    .as_ref()
+                    .map_or(0, |vm| due_step(vm.departs_at, now))
+            });
         self.set_free_cores(server, self.servers[server].free_cores - req.cores);
         self.servers[server].free_mem -= req.mem_gb;
-        self.servers[server].running.push(id);
+        self.push_running(server, id, req.kind);
         self.allocated_cores += req.cores;
         Some(id)
     }
 
     /// The server with the fewest free cores among those with at least
     /// `cores` free cores and `mem_gb` free memory, the lowest index on
-    /// ties. Levels are searched upward from `cores` and each level's
-    /// servers in index order, so the first server with the memory is
-    /// the answer.
+    /// ties. Non-empty levels are searched upward from `cores` and each
+    /// level's servers in index order, so the first server with the
+    /// memory is the answer.
     fn best_fit(&self, cores: u32, mem_gb: f64) -> Option<usize> {
         for level in cores..=self.cfg.cores_per_server {
+            if self.free_index.len[level as usize] == 0 {
+                continue;
+            }
             for (w, &word) in self.free_index.level(level).iter().enumerate() {
                 let mut rest = word;
                 while rest != 0 {
@@ -463,6 +642,26 @@ impl Cluster {
         self.servers[s].free_cores = free_cores;
     }
 
+    /// Add `id`, of `kind`, to server `s`'s run list.
+    fn push_running(&mut self, s: usize, id: VmId, kind: VmKind) {
+        let server = &mut self.servers[s];
+        server.running.push(id);
+        let k = kind_slot(kind);
+        server.running_of_kind[k] += 1;
+        self.candidates[k][s / 64] |= 1 << (s % 64);
+    }
+
+    /// Take `id`, of `kind`, off server `s`'s run list.
+    fn drop_running(&mut self, s: usize, id: VmId, kind: VmKind) {
+        let server = &mut self.servers[s];
+        server.running.retain(|&v| v != id);
+        let k = kind_slot(kind);
+        server.running_of_kind[k] -= 1;
+        if server.running_of_kind[k] == 0 {
+            self.candidates[k][s / 64] &= !(1 << (s % 64));
+        }
+    }
+
     /// Store `vm` in the lowest empty slab slot, or a new one.
     fn alloc_slot(&mut self, vm: Vm) -> VmId {
         if let Some(Reverse(idx)) = self.free_slots.pop() {
@@ -480,11 +679,13 @@ impl Cluster {
             return;
         };
         self.free_slots.push(Reverse(id.0));
+        self.departures
+            .remove(id.0, due_step(vm.departs_at, self.now));
         match vm.state {
             VmState::Running(s) => {
                 self.set_free_cores(s, self.servers[s].free_cores + vm.request.cores);
                 self.servers[s].free_mem += vm.request.mem_gb;
-                self.servers[s].running.retain(|&v| v != id);
+                self.drop_running(s, id, vm.request.kind);
                 self.allocated_cores -= vm.request.cores;
             }
             VmState::Hibernated(s) => {
@@ -503,9 +704,9 @@ impl Cluster {
             return;
         };
         vm.state = VmState::Hibernated(s);
-        let cores = vm.request.cores;
+        let (cores, kind) = (vm.request.cores, vm.request.kind);
         self.set_free_cores(s, self.servers[s].free_cores + cores);
-        self.servers[s].running.retain(|&v| v != id);
+        self.drop_running(s, id, kind);
         self.allocated_cores -= cores;
         self.hibernated.push_back(id);
     }
@@ -537,38 +738,45 @@ impl Cluster {
         let vm = self.vms[id.0].as_mut().expect("vm exists");
         vm.state = VmState::Running(target);
         self.set_free_cores(target, self.servers[target].free_cores - req.cores);
-        self.servers[target].running.push(id);
+        self.push_running(target, id, req.kind);
         self.allocated_cores += req.cores;
         true
     }
 
-    /// Visit running VMs in round-robin order over servers (one victim
-    /// per server visit), calling `evict` until the allocation fits the
-    /// budget or no candidate remains. `degradable_only` selects the
-    /// hibernation pass vs the migration pass.
+    /// Evict running VMs of `kind` in round-robin order over servers
+    /// (one victim per server visit, the last of that kind on its run
+    /// list), calling `evict` until the allocation fits the budget or no
+    /// candidate remains. Each visit jumps straight to the next server
+    /// holding a candidate, so a pass with none (the hibernation pass of
+    /// an all-stable cluster) visits no server. The cursor ends one past
+    /// the last victim's server, or where it was if there was none: where
+    /// a visit of every server in turn leaves it.
     fn for_each_rr_victim(
         &mut self,
         budget: u32,
-        degradable_only: bool,
+        kind: VmKind,
         mut evict: impl FnMut(&mut Cluster, VmId),
     ) {
-        let n = self.servers.len();
-        let mut visited_without_victim = 0usize;
-        while self.allocated_cores > budget && visited_without_victim < n {
-            let s = self.rr_cursor % n;
-            self.rr_cursor = (self.rr_cursor + 1) % n;
-            let victim = self.servers[s].running.iter().rev().copied().find(|id| {
-                // vb-audit: allow(no-panic, server run-lists reference only live vm slots)
-                let vm = self.vms[id.0].as_ref().expect("listed vm exists");
-                degradable_only == (vm.request.kind == VmKind::Degradable)
-            });
-            match victim {
-                Some(id) => {
-                    evict(self, id);
-                    visited_without_victim = 0;
-                }
-                None => visited_without_victim += 1,
-            }
+        let k = kind_slot(kind);
+        while self.allocated_cores > budget {
+            let Some(s) = next_set_cyclic(&self.candidates[k], self.rr_cursor) else {
+                break;
+            };
+            self.victim_visits += 1;
+            self.rr_cursor = (s + 1) % self.servers.len();
+            let victim = self.servers[s]
+                .running
+                .iter()
+                .rev()
+                .copied()
+                .find(|id| {
+                    // vb-audit: allow(no-panic, server run-lists reference only live vm slots)
+                    let vm = self.vms[id.0].as_ref().expect("listed vm exists");
+                    vm.request.kind == kind
+                })
+                // vb-audit: allow(no-panic, a candidate server runs a vm of the kind by construction)
+                .expect("candidate server has a victim");
+            evict(self, victim);
         }
     }
 }
@@ -855,6 +1063,53 @@ mod tests {
         );
     }
 
+    #[test]
+    fn departures_beyond_the_wheel_span_wait_their_turn() {
+        let mut c = Cluster::new(small_cfg());
+        // Same bucket once the wheel stops widening, a turn apart.
+        let far = MAX_WHEEL_SPAN + 5;
+        assert!(c.place_migrated(VmRequest::stable(2, 8.0, 100), far));
+        assert!(c.place_migrated(VmRequest::stable(3, 8.0, 100), 5));
+        assert_eq!(c.departures.heads.len() as u64, MAX_WHEEL_SPAN);
+        for _ in 0..5 {
+            c.advance();
+        }
+        assert_eq!(c.allocated_cores(), 2, "only the near VM is due at step 5");
+        while c.now() + 1 < far {
+            c.advance();
+        }
+        assert_eq!(c.allocated_cores(), 2);
+        c.advance();
+        assert_eq!(c.allocated_cores(), 0, "the far VM leaves at its own step");
+        assert_eq!(c.vm_expirations(), 2);
+    }
+
+    #[test]
+    fn zero_lifetime_arrivals_leave_at_the_next_step() {
+        let mut c = Cluster::new(small_cfg());
+        assert!(c.admit(VmRequest::stable(2, 8.0, 0)));
+        assert_eq!(c.allocated_cores(), 2);
+        c.advance();
+        assert_eq!(c.allocated_cores(), 0);
+        assert_eq!(c.vm_expirations(), 1);
+    }
+
+    #[test]
+    fn expiry_runs_in_slab_order() {
+        // Both VMs leave server 0 at step 5. Added back in slot order its
+        // memory returns to exactly 100 GB; in the other order, f64
+        // rounding leaves 99.99999999999999.
+        let mut c = Cluster::new(small_cfg());
+        assert!(c.admit(VmRequest::stable(1, 0.2, 5)));
+        assert!(c.admit(VmRequest::stable(1, 16.1, 5)));
+        for _ in 0..5 {
+            assert_advance_matches_sweep(&c);
+            c.advance();
+        }
+        assert_eq!(c.servers[0].free_mem, 100.0);
+        assert_eq!(c.vm_expirations(), 2);
+    }
+
     /// The linear scan the free-core index replaced, kept as the oracle
     /// for `best_fit`.
     fn linear_best_fit(c: &Cluster, cores: u32, mem_gb: f64) -> Option<usize> {
@@ -864,6 +1119,94 @@ mod tests {
             .filter(|(_, s)| s.free_cores >= cores && s.free_mem >= mem_gb)
             .min_by_key(|(_, s)| s.free_cores)
             .map(|(i, _)| i)
+    }
+
+    /// Hibernate or migrate out `id`, as the two passes of `set_power` do.
+    fn evict(c: &mut Cluster, id: VmId, kind: VmKind) {
+        match kind {
+            VmKind::Degradable => c.hibernate(id),
+            VmKind::Stable => c.remove_vm(id),
+        }
+    }
+
+    /// The full cycles `for_each_rr_victim` replaced, kept as the oracle
+    /// for its victims and cursor: visit every server in turn from the
+    /// cursor, one victim per visit, until the allocation fits or a whole
+    /// cycle finds none.
+    fn linear_rr_victims(c: &mut Cluster, budget: u32, kind: VmKind) -> Vec<VmId> {
+        let n = c.servers.len();
+        let mut victims = Vec::new();
+        let mut visited_without_victim = 0;
+        while c.allocated_cores > budget && visited_without_victim < n {
+            let s = c.rr_cursor % n;
+            c.rr_cursor = (c.rr_cursor + 1) % n;
+            let victim = c.servers[s]
+                .running
+                .iter()
+                .rev()
+                .copied()
+                .find(|id| c.vms[id.0].as_ref().expect("listed").request.kind == kind);
+            match victim {
+                Some(id) => {
+                    evict(c, id, kind);
+                    victims.push(id);
+                    visited_without_victim = 0;
+                }
+                None => visited_without_victim += 1,
+            }
+        }
+        victims
+    }
+
+    /// The slab sweep the departure wheel replaced, kept as the oracle
+    /// for `advance`: every VM whose lifetime is over leaves, lowest slot
+    /// first.
+    fn linear_advance(c: &mut Cluster) {
+        let next = c.now + 1;
+        for slot in 0..c.vms.len() {
+            if c.vms[slot].as_ref().is_some_and(|vm| vm.expired(next)) {
+                c.remove_vm(VmId(slot));
+            }
+        }
+        c.now = next;
+        c.hibernated.retain(|id| c.vms[id.0].is_some());
+        c.pending
+            .retain(|(req, arrived)| arrived + req.lifetime_steps as u64 > next);
+    }
+
+    /// `advance` leaves the state the slab sweep left, down to the bits
+    /// of every server's free memory.
+    fn assert_advance_matches_sweep(c: &Cluster) {
+        let mut want = c.clone();
+        linear_advance(&mut want);
+        let mut got = c.clone();
+        got.advance();
+        for (s, (g, w)) in got.servers.iter().zip(&want.servers).enumerate() {
+            assert_eq!(
+                g.free_mem.to_bits(),
+                w.free_mem.to_bits(),
+                "server {s} memory"
+            );
+            assert_eq!(g.free_cores, w.free_cores, "server {s} cores");
+            assert_eq!(g.running, w.running, "server {s} run list");
+        }
+        let departures = |c: &Cluster| -> Vec<Option<u64>> {
+            c.vms
+                .iter()
+                .map(|v| v.as_ref().map(|vm| vm.departs_at))
+                .collect()
+        };
+        assert_eq!(departures(&got), departures(&want), "slab after expiry");
+        assert_eq!(got.hibernated, want.hibernated, "hibernated queue");
+        assert_eq!(got.pending, want.pending, "pending queue");
+        assert_eq!(
+            (got.now, got.allocated_cores),
+            (want.now, want.allocated_cores)
+        );
+        assert_eq!(got.vm_expirations - c.vm_expirations, {
+            let live = |c: &Cluster| c.vms.iter().flatten().count();
+            (live(c) - live(&want)) as u64
+        });
     }
 
     fn assert_indexes_match_scans(c: &Cluster) {
@@ -877,6 +1220,14 @@ mod tests {
                 );
             }
         }
+        for level in 0..=c.cfg.cores_per_server {
+            let at_level = c.servers.iter().filter(|s| s.free_cores == level);
+            assert_eq!(
+                c.free_index.len[level as usize] as usize,
+                at_level.count(),
+                "servers at level {level}"
+            );
+        }
         let full = c.cfg.mem_per_server_gb;
         for cores in 1..=c.cfg.cores_per_server {
             for mem_gb in [0.0, 8.0, 40.0, full / 2.0, full] {
@@ -886,6 +1237,45 @@ mod tests {
                     "best fit for {cores} cores, {mem_gb} GB"
                 );
             }
+        }
+        // Eviction candidates: per kind, a count of each server's running
+        // VMs and a bit for the servers with any.
+        for (s, server) in c.servers.iter().enumerate() {
+            for kind in [VmKind::Stable, VmKind::Degradable] {
+                let k = kind_slot(kind);
+                let running = server
+                    .running
+                    .iter()
+                    .filter(|id| c.vms[id.0].as_ref().expect("listed").request.kind == kind)
+                    .count();
+                assert_eq!(server.running_of_kind[k] as usize, running, "server {s}");
+                let bit = (c.candidates[k][s / 64] >> (s % 64)) & 1 == 1;
+                assert_eq!(bit, running > 0, "candidate bit of server {s}, {kind:?}");
+            }
+        }
+        // The departure wheel lists each live slot once, in the bucket of
+        // its due step, with consistent back links.
+        let wheel = &c.departures;
+        let mut listed = vec![0usize; c.vms.len()];
+        for (b, &head) in wheel.heads.iter().enumerate() {
+            let (mut prev, mut slot) = (NIL, head);
+            while slot != NIL {
+                let s = slot as usize;
+                let vm = c.vms[s].as_ref().expect("wheel lists a live slot");
+                let due = due_step(vm.departs_at, c.now);
+                assert!(due > c.now, "slot {s} overdue");
+                assert_eq!(wheel.bucket(due), b, "slot {s} due at {due}");
+                assert_eq!(wheel.links[s].0, prev, "back link of slot {s}");
+                listed[s] += 1;
+                (prev, slot) = (slot, wheel.links[s].1);
+            }
+        }
+        for (s, vm) in c.vms.iter().enumerate() {
+            assert_eq!(
+                listed[s],
+                vm.is_some() as usize,
+                "wheel entries of slot {s}"
+            );
         }
         let mut free_slots: Vec<usize> = c.free_slots.iter().map(|&Reverse(i)| i).collect();
         free_slots.sort_unstable();
@@ -901,6 +1291,23 @@ mod tests {
             departs_at: 1,
         });
         assert_eq!(id.0, lowest_empty.unwrap_or(c.vms.len()), "allocated slot");
+        // Both eviction passes pick the same victims as the full cycles,
+        // and leave the cursor where they did.
+        for kind in [VmKind::Degradable, VmKind::Stable] {
+            for budget in [c.allocated_cores / 2, 0] {
+                let mut oracle = c.clone();
+                let want = linear_rr_victims(&mut oracle, budget, kind);
+                let mut fast = c.clone();
+                let mut got = Vec::new();
+                fast.for_each_rr_victim(budget, kind, |f, id| {
+                    got.push(id);
+                    evict(f, id, kind);
+                });
+                assert_eq!(got, want, "{kind:?} victims down to {budget} cores");
+                assert_eq!(fast.rr_cursor, oracle.rr_cursor, "cursor after {kind:?}");
+                assert_eq!(fast.victim_visits - c.victim_visits, got.len() as u64);
+            }
+        }
     }
 
     mod differential {
@@ -926,7 +1333,11 @@ mod tests {
             #[test]
             fn indexes_match_linear_scans_after_every_step(
                 steps in proptest::collection::vec(
-                    (0.0..=1.0f64, proptest::collection::vec(arb_request(), 0..24)),
+                    (
+                        0.0..=1.0f64,
+                        proptest::collection::vec(arb_request(), 0..24),
+                        proptest::collection::vec((arb_request(), 1u64..=3_000), 0..4),
+                    ),
                     1..40,
                 ),
             ) {
@@ -943,8 +1354,16 @@ mod tests {
                             target_util: 0.7,
                         });
                         assert_indexes_match_scans(&c);
-                        for (power, arrivals) in &steps {
+                        for (power, arrivals, migrated) in &steps {
+                            assert_advance_matches_sweep(&c);
                             c.step(*power, arrivals);
+                            // Migrated-in VMs keep their remaining lifetime,
+                            // which can reach past the wheel's current span
+                            // (steady-state prefill residuals reach 1,344
+                            // steps), so the wheel widens mid-run.
+                            for &(req, ahead) in migrated {
+                                c.place_migrated(req, c.now() + ahead);
+                            }
                             assert_indexes_match_scans(&c);
                         }
                     }

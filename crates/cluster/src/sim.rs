@@ -102,21 +102,36 @@ pub fn simulate(
         .map(|&p| {
             let arrivals = workload.step();
             let stats = cluster.step(p, &arrivals);
-            vb_telemetry::counter!("cluster.migrations_out").add(stats.migrations_out as u64);
-            vb_telemetry::counter!("cluster.migrations_in").add(stats.migrations_in as u64);
-            vb_telemetry::float_counter!("cluster.out_gb").add(stats.out_gb);
-            vb_telemetry::float_counter!("cluster.in_gb").add(stats.in_gb);
-            if stats.migrations_out > 0 || stats.hibernated > 0 {
-                // The power budget could not host the resident
-                // population: a genuine power deficit.
-                vb_telemetry::counter!("cluster.power_deficit_steps").inc();
-            }
-            vb_telemetry::gauge!("cluster.utilization").set(stats.utilization);
             vb_telemetry::histogram!("cluster.step_out_gb").observe(stats.out_gb);
             stats
         })
         .collect();
+    emit_run_totals(&cluster, &steps);
     SimOutput { steps }
+}
+
+/// Add one run's totals to the cluster metrics, once per run: each sum
+/// is taken in step order here, so the metrics do not depend on which of
+/// several concurrent runs finishes first.
+fn emit_run_totals(cluster: &Cluster, steps: &[StepStats]) {
+    let (mut out_gb, mut in_gb) = (0.0, 0.0);
+    let (mut migrations_out, mut migrations_in, mut deficit_steps) = (0, 0, 0);
+    for s in steps {
+        out_gb += s.out_gb;
+        in_gb += s.in_gb;
+        migrations_out += s.migrations_out as u64;
+        migrations_in += s.migrations_in as u64;
+        // The power budget could not host the resident population: a
+        // genuine power deficit.
+        deficit_steps += (s.migrations_out > 0 || s.hibernated > 0) as u64;
+    }
+    vb_telemetry::counter!("cluster.migrations_out").add(migrations_out);
+    vb_telemetry::counter!("cluster.migrations_in").add(migrations_in);
+    vb_telemetry::float_counter!("cluster.out_gb").add(out_gb);
+    vb_telemetry::float_counter!("cluster.in_gb").add(in_gb);
+    vb_telemetry::counter!("cluster.power_deficit_steps").add(deficit_steps);
+    vb_telemetry::counter!("cluster.vm_expirations").add(cluster.vm_expirations());
+    vb_telemetry::counter!("cluster.victim_visits").add(cluster.victim_visits());
 }
 
 /// Convenience: the paper's exact setup — a ≈700-server site at 70 %

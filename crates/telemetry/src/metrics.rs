@@ -57,18 +57,51 @@ impl Counter {
     }
 }
 
-/// Monotonic `f64` accumulator (bits stored in an `AtomicU64`).
-#[derive(Debug)]
-pub struct FloatCounter {
-    bits: AtomicU64,
+/// An `f64` total that does not depend on the order of its terms, so
+/// workers adding concurrently leave the same value at any thread count.
+/// Each term is rounded to a multiple of 2^-64 and added to a 128-bit
+/// two's-complement fixed-point total held in two words; integer
+/// additions commute exactly, and the carry out of the low word reaches
+/// the high word whatever the interleaving. Terms below 2^-64 in
+/// magnitude round away; a total must stay below 2^63 in magnitude.
+#[derive(Debug, Default)]
+struct FixedSum {
+    lo: AtomicU64,
+    hi: AtomicU64,
 }
 
-impl Default for FloatCounter {
-    fn default() -> FloatCounter {
-        FloatCounter {
-            bits: AtomicU64::new(0f64.to_bits()),
-        }
+/// 2^64: one unit of [`FixedSum`]'s high word.
+const FIXED_ONE: f64 = 18_446_744_073_709_551_616.0;
+
+impl FixedSum {
+    #[inline]
+    fn add(&self, v: f64) {
+        // Saturating cast; NaN adds nothing.
+        let bits = (v * FIXED_ONE).round() as i128 as u128;
+        let lo = bits as u64;
+        let prev = self.lo.fetch_add(lo, Ordering::Relaxed);
+        let carry = prev.overflowing_add(lo).1 as u64;
+        self.hi
+            .fetch_add(((bits >> 64) as u64).wrapping_add(carry), Ordering::Relaxed);
     }
+
+    fn get(&self) -> f64 {
+        let hi = self.hi.load(Ordering::Relaxed) as u128;
+        let lo = self.lo.load(Ordering::Relaxed) as u128;
+        ((hi << 64 | lo) as i128) as f64 / FIXED_ONE
+    }
+
+    fn reset(&self) {
+        self.lo.store(0, Ordering::Relaxed);
+        self.hi.store(0, Ordering::Relaxed);
+    }
+}
+
+/// Monotonic `f64` accumulator whose total does not depend on the order
+/// of the additions (see [`FixedSum`]).
+#[derive(Debug, Default)]
+pub struct FloatCounter {
+    sum: FixedSum,
 }
 
 impl FloatCounter {
@@ -79,27 +112,17 @@ impl FloatCounter {
     /// Add `v` (typically non-negative; no sign restriction enforced).
     #[inline]
     pub fn add(&self, v: f64) {
-        let mut cur = self.bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self
-                .bits
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
+        self.sum.add(v);
     }
 
     /// Current value.
     #[inline]
     pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
+        self.sum.get()
     }
 
     pub(crate) fn reset(&self) {
-        self.bits.store(0f64.to_bits(), Ordering::Relaxed);
+        self.sum.reset();
     }
 }
 
@@ -142,13 +165,14 @@ impl Gauge {
 /// Fixed-bucket histogram: `counts[i]` records observations `<=
 /// bounds[i]` (and greater than the previous bound); one extra overflow
 /// bucket catches the rest. Also tracks count / sum / min / max of the
-/// raw observations with atomic fast paths.
+/// raw observations with atomic fast paths; like every statistic here,
+/// the sum does not depend on the order of the observations.
 #[derive(Debug)]
 pub struct Histogram {
     bounds: Vec<f64>,
     counts: Vec<AtomicU64>,
     count: AtomicU64,
-    sum_bits: AtomicU64,
+    sum: FixedSum,
     min_bits: AtomicU64,
     max_bits: AtomicU64,
 }
@@ -163,7 +187,7 @@ impl Histogram {
             bounds: bounds.to_vec(),
             counts: (0..bounds.len() + 1).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
-            sum_bits: AtomicU64::new(0f64.to_bits()),
+            sum: FixedSum::default(),
             min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
             max_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
         }
@@ -174,7 +198,7 @@ impl Histogram {
         let idx = self.bounds.partition_point(|&b| b < v);
         self.counts[idx].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        update_f64(&self.sum_bits, |s| s + v);
+        self.sum.add(v);
         update_f64(&self.min_bits, |m| m.min(v));
         update_f64(&self.max_bits, |m| m.max(v));
     }
@@ -196,7 +220,7 @@ impl Histogram {
                 .map(|c| c.load(Ordering::Relaxed))
                 .collect(),
             count,
-            sum: f64::from_bits(self.sum_bits.load(Ordering::Relaxed)),
+            sum: self.sum.get(),
             min: if count == 0 {
                 0.0
             } else {
@@ -215,7 +239,7 @@ impl Histogram {
             c.store(0, Ordering::Relaxed);
         }
         self.count.store(0, Ordering::Relaxed);
-        self.sum_bits.store(0f64.to_bits(), Ordering::Relaxed);
+        self.sum.reset();
         self.min_bits
             .store(f64::INFINITY.to_bits(), Ordering::Relaxed);
         self.max_bits

@@ -61,6 +61,48 @@ fn concurrent_increments_are_not_lost() {
 }
 
 #[test]
+fn float_sums_do_not_depend_on_the_order_of_their_terms() {
+    // f64 addition is not associative: these terms summed left to right
+    // and right to left differ, and both lose digits to the 1e10 pair.
+    let terms: [f64; 9] = [0.1, 1e10, 0.2, -1e10, 0.3, 7.123_456_789, 1e-7, 0.75, 0.75];
+    let forward = terms.iter().fold(0.0, |s, &t| s + t);
+    let backward = terms.iter().rev().fold(0.0, |s, &t| s + t);
+    assert_ne!(
+        forward.to_bits(),
+        backward.to_bits(),
+        "terms must expose order"
+    );
+
+    static BOUNDS: [f64; 1] = [1.0];
+    for &t in &terms {
+        float_counter!("test.float.forward").add(t);
+        histogram!("test.hist.forward", &BOUNDS).observe(t);
+    }
+    for &t in terms.iter().rev() {
+        float_counter!("test.float.backward").add(t);
+        histogram!("test.hist.backward", &BOUNDS).observe(t);
+    }
+    let a = float_counter!("test.float.forward").get();
+    let b = float_counter!("test.float.backward").get();
+    assert_eq!(a.to_bits(), b.to_bits());
+    let exact = 0.1 + 0.2 + 0.3 + 7.123_456_789 + 1e-7 + 1.5;
+    assert!((a - exact).abs() < 1e-12, "{a} vs {exact}");
+    let snap = vb_telemetry::snapshot();
+    let h = |name| snap.histogram(name).expect("registered").sum;
+    assert_eq!(h("test.hist.forward").to_bits(), a.to_bits());
+    assert_eq!(h("test.hist.backward").to_bits(), a.to_bits());
+
+    // Carries out of the low word, and negative totals.
+    let c = float_counter!("test.float.carry");
+    for _ in 0..4 {
+        c.add(0.75);
+    }
+    assert_eq!(c.get(), 3.0);
+    c.add(-3.5);
+    assert_eq!(c.get(), -0.5);
+}
+
+#[test]
 fn gauge_keeps_the_last_value() {
     let g = gauge!("test.gauge.last");
     g.set(0.25);

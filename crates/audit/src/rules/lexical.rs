@@ -127,19 +127,20 @@ pub fn run(file: &PreparedFile, manifest: &Manifest) -> Vec<Finding> {
     findings
 }
 
-/// Find `pat` in `code` at a position not preceded by an identifier
-/// character (so `counter!(` never matches inside `float_counter!(`,
-/// and `panic!` never matches `some_panic!`).
+/// Find `pat` in `code`. A pattern that starts with an identifier
+/// character must not be preceded by one (so `counter!(` never matches
+/// inside `float_counter!(`, and `panic!` never matches `some_panic!`);
+/// one that starts with `.` matches after any receiver, `x.unwrap()`
+/// included.
 fn find_token(code: &str, pat: &str) -> Option<usize> {
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
     let chars: Vec<char> = code.chars().collect();
     let pat_chars: Vec<char> = pat.chars().collect();
+    let bounded = pat_chars.first().is_some_and(|&c| is_ident(c));
     let mut i = 0;
     while i + pat_chars.len() <= chars.len() {
         if chars[i..i + pat_chars.len()] == pat_chars[..] {
-            let prev_ok = i == 0 || {
-                let p = chars[i - 1];
-                !(p.is_ascii_alphanumeric() || p == '_')
-            };
+            let prev_ok = !bounded || i == 0 || !is_ident(chars[i - 1]);
             if prev_ok {
                 return Some(i);
             }

@@ -62,10 +62,12 @@ fn div_guard() -> FileSpec {
 #[test]
 fn no_panic_positive() {
     let findings = audit("no_panic_bad.rs", no_panic());
-    assert_eq!(lints(&findings), ["no-panic", "no-panic", "no-panic"]);
+    assert_eq!(lints(&findings), ["no-panic"; 5]);
     assert_eq!(findings[0].line, 4, "unwrap");
     assert_eq!(findings[1].line, 8, "expect");
     assert_eq!(findings[2].line, 12, "panic!");
+    assert_eq!(findings[3].line, 16, "unwrap on an identifier");
+    assert_eq!(findings[4].line, 20, "expect on an identifier");
 }
 
 #[test]

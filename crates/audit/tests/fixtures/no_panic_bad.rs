@@ -11,3 +11,11 @@ pub fn labelled(xs: &[f64]) -> f64 {
 pub fn boom() {
     panic!("unreachable by construction");
 }
+
+pub fn named(x: Option<f64>) -> f64 {
+    x.unwrap()
+}
+
+pub fn victim(victim: Option<usize>) -> usize {
+    victim.expect("candidate server has a victim")
+}

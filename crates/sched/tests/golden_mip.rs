@@ -13,13 +13,19 @@
 //! checked the new plans against the per-app model, and each old → new
 //! value is recorded with its cause in `CHANGES.md`.
 //!
-//! The Table 1 MIP digest dates from before branch-and-bound nodes
-//! began sharing their parent's factorization. MIP-24h and the three
-//! fleet digests were recorded when the planner moved to one integer
-//! count per class of interchangeable apps and the revised simplex
-//! gained its relative pivot tolerance. Table 1 MIP-peak was re-pinned
-//! when branch and bound began refactorizing a fractional root's basis
-//! before replaying it.
+//! All six digests were re-pinned when presolve began dropping implied
+//! rows and fixing dominated columns: the reduced models are smaller,
+//! so every LP runs on another basis, and where several plans tie or a
+//! budget-stopped search ends early another incumbent can win.
+//!
+//! | digest | before | after |
+//! |---|---|---|
+//! | Table 1 MIP-24h | `0x5636_3b58_8c0e_81ef` | `0xaa0c_0f96_cb09_9735` |
+//! | Table 1 MIP | `0x48b3_437e_8b90_aa83` | `0x18a9_9898_d4ff_47d9` |
+//! | Table 1 MIP-peak | `0x9908_5bc8_6f68_2c5b` | `0xedbd_85ec_cdc8_96e1` |
+//! | fleet MIP-24h | `0x0a9b_624b_c3ba_b6dc` | `0xed9b_969f_a375_3855` |
+//! | fleet MIP | `0xe443_3cbe_fdbc_a31a` | `0xb073_34f6_dbd9_1ad5` |
+//! | fleet MIP-peak | `0x7567_ee8e_d47f_9bad` | `0xc6a8_aa19_f1a6_3902` |
 
 mod common;
 
@@ -72,7 +78,7 @@ fn fleet_shard(mip: MipConfig) -> u64 {
 fn table1_mip_24h_matches_golden_digest() {
     assert_eq!(
         table1(MipConfig::mip_24h()),
-        0x5636_3b58_8c0e_81ef,
+        0xaa0c_0f96_cb09_9735,
         "Table 1 MIP-24h digest"
     );
 }
@@ -81,7 +87,7 @@ fn table1_mip_24h_matches_golden_digest() {
 fn table1_mip_matches_golden_digest() {
     assert_eq!(
         table1(MipConfig::mip()),
-        0x48b3_437e_8b90_aa83,
+        0x18a9_9898_d4ff_47d9,
         "Table 1 MIP digest"
     );
 }
@@ -90,7 +96,7 @@ fn table1_mip_matches_golden_digest() {
 fn table1_mip_peak_matches_golden_digest() {
     assert_eq!(
         table1(MipConfig::mip_peak()),
-        0x9908_5bc8_6f68_2c5b,
+        0xedbd_85ec_cdc8_96e1,
         "Table 1 MIP-peak digest"
     );
 }
@@ -99,7 +105,7 @@ fn table1_mip_peak_matches_golden_digest() {
 fn fleet_shard_mip_24h_matches_golden_digest() {
     assert_eq!(
         fleet_shard(MipConfig::mip_24h()),
-        0x0a9b_624b_c3ba_b6dc,
+        0xed9b_969f_a375_3855,
         "fleet MIP-24h digest"
     );
 }
@@ -108,7 +114,7 @@ fn fleet_shard_mip_24h_matches_golden_digest() {
 fn fleet_shard_mip_matches_golden_digest() {
     assert_eq!(
         fleet_shard(MipConfig::mip()),
-        0xe443_3cbe_fdbc_a31a,
+        0xb073_34f6_dbd9_1ad5,
         "fleet MIP digest"
     );
 }
@@ -117,7 +123,7 @@ fn fleet_shard_mip_matches_golden_digest() {
 fn fleet_shard_mip_peak_matches_golden_digest() {
     assert_eq!(
         fleet_shard(MipConfig::mip_peak()),
-        0x7567_ee8e_d47f_9bad,
+        0xc6a8_aa19_f1a6_3902,
         "fleet MIP-peak digest"
     );
 }

@@ -33,9 +33,10 @@
 //!   and a fractional root is refactorized once so that no node replays
 //!   the root solve's eta file.
 //! * [`presolve`] — fixed-variable elimination, singleton-row
-//!   substitution, and bound tightening that shrink a model before the
-//!   kernel sees it, with a deterministic postsolve back to the
-//!   original variable space.
+//!   substitution, bound tightening, implied-row removal and dual
+//!   fixing of dominated columns that shrink a model before the kernel
+//!   sees it, with a deterministic postsolve back to the original
+//!   variable space.
 //! * [`dense`] — the original row-expansion two-phase simplex, kept as
 //!   an independent oracle for differential testing.
 //!

@@ -20,7 +20,9 @@
 use vb_solver::dense::solve_lp_reference;
 use vb_solver::presolve::presolve_mip;
 use vb_solver::revised;
-use vb_solver::{solve_mip_kernel, Cmp, KernelConfig, LinExpr, Model, Pricing, Sense, VarId};
+use vb_solver::{
+    solve_mip_kernel, Cmp, KernelConfig, LinExpr, Model, PresolveStats, Pricing, Sense, VarId,
+};
 
 const EPOCH: &str = include_str!("data/near_singular_epoch.txt");
 
@@ -117,4 +119,44 @@ fn cold_root_of_the_presolved_epoch_matches_the_dense_oracle() {
         root.objective,
         oracle.objective
     );
+}
+
+#[test]
+fn presolve_shrinks_the_epoch_to_a_pinned_size() {
+    // 172 columns × 113 rows before presolve. Most displacement rows
+    // are implied by the count bounds, which leaves their displacement
+    // columns dominated at 0.
+    let (m, _) = load();
+    let pre = presolve_mip(&m).expect("presolve succeeds");
+    let reduced = pre.reduced();
+    assert_eq!((reduced.num_vars(), reduced.num_constraints()), (111, 52));
+    assert_eq!(
+        pre.stats,
+        PresolveStats {
+            vars_fixed: 61,
+            rows_removed: 61,
+            bounds_tightened: 0
+        }
+    );
+    // The reduced relaxation keeps the original's optimum...
+    let (root, _) = revised::solve_lp_state(reduced, &[], None, Pricing::SteepestEdge)
+        .expect("cold root solves");
+    let lp = solve_lp_reference(&m, &[]).expect("relaxation solves");
+    assert!(
+        (root.objective - lp.objective).abs() <= 1e-9 * lp.objective.abs(),
+        "reduced root {} vs original relaxation {}",
+        root.objective,
+        lp.objective
+    );
+    // ...and the 400-node search stops on the same plan with or
+    // without presolve.
+    let with = solve_mip_kernel(&m, 400, &KernelConfig::production()).expect("plan");
+    let without = KernelConfig {
+        presolve: false,
+        ..KernelConfig::production()
+    };
+    let without = solve_mip_kernel(&m, 400, &without).expect("plan");
+    assert_eq!(with.objective.to_bits(), without.objective.to_bits());
+    assert_eq!(with.objective, 3100.7104039919705);
+    assert!(with.budget_gap().is_some(), "the budget stops this search");
 }

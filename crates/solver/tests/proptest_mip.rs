@@ -2,7 +2,9 @@
 //! enumeration on randomly generated small integer programs — through
 //! both the baseline kernel and the production kernel (presolve,
 //! factorized revised simplex, parallel search) — and the LP relaxation
-//! must always bound the MIP optimum.
+//! must always bound the MIP optimum. Presolve's reductions, implied
+//! rows and dual fixing included, must not move a finished search's
+//! optimum.
 
 use proptest::prelude::*;
 use vb_solver::{solve_mip_kernel, KernelConfig, Model, Sense, Solution, SolveError, VarId};
@@ -71,6 +73,13 @@ fn brute_force(ip: &RandomIp) -> Option<(f64, Vec<i32>)> {
 }
 
 fn build_model(ip: &RandomIp) -> (Model, Vec<VarId>) {
+    build_mixed_model(ip, &vec![false; ip.a.len()])
+}
+
+/// [`build_model`] with every row whose `flip` is set written as
+/// `−a·x ≥ −b`: the same feasible set, so brute force still applies,
+/// but presolve sees `≥` rows and the mirrored column locks.
+fn build_mixed_model(ip: &RandomIp, flip: &[bool]) -> (Model, Vec<VarId>) {
     let sense = if ip.maximize {
         Sense::Maximize
     } else {
@@ -80,10 +89,19 @@ fn build_model(ip: &RandomIp) -> (Model, Vec<VarId>) {
     let vars: Vec<VarId> = (0..ip.c.len())
         .map(|i| m.int_var(&format!("x{i}"), 0.0, 3.0))
         .collect();
-    for (row, &b) in ip.a.iter().zip(&ip.b) {
-        let terms: Vec<(VarId, f64)> = vars.iter().zip(row).map(|(&v, &a)| (v, a as f64)).collect();
+    for ((row, &b), &flip) in ip.a.iter().zip(&ip.b).zip(flip) {
+        let sign = if flip { -1.0 } else { 1.0 };
+        let terms: Vec<(VarId, f64)> = vars
+            .iter()
+            .zip(row)
+            .map(|(&v, &a)| (v, sign * a as f64))
+            .collect();
         let e = m.expr(&terms);
-        m.add_le(e, b as f64);
+        if flip {
+            m.add_ge(e, -(b as f64));
+        } else {
+            m.add_le(e, b as f64);
+        }
     }
     let obj_terms: Vec<(VarId, f64)> = vars
         .iter()
@@ -93,6 +111,14 @@ fn build_model(ip: &RandomIp) -> (Model, Vec<VarId>) {
     let e = m.expr(&obj_terms);
     m.set_objective(e);
     (m, vars)
+}
+
+/// A finished search: an answer that no node budget cut short.
+fn finished(sol: &Result<Solution, SolveError>) -> bool {
+    match sol {
+        Ok(s) => s.budget_gap().is_none(),
+        Err(e) => !matches!(e, SolveError::IterationLimit),
+    }
 }
 
 /// The solver's answer must match brute-force enumeration: the same
@@ -149,6 +175,32 @@ proptest! {
         check_against_brute_force(&ip, &vars, sol);
     }
 
+    #[test]
+    fn presolve_keeps_a_finished_search_optimal(
+        ip in random_ip(4, 3),
+        flip in proptest::collection::vec(any::<bool>(), 3),
+        budget in 1usize..48,
+    ) {
+        // The production kernel with and without presolve, under a
+        // budget small enough that some searches stop: whenever neither
+        // does, both reach the brute-force optimum.
+        let (m, vars) = build_mixed_model(&ip, &flip);
+        let on = solve_mip_kernel(&m, budget, &KernelConfig::production());
+        let off = KernelConfig { presolve: false, ..KernelConfig::production() };
+        let off = solve_mip_kernel(&m, budget, &off);
+        if finished(&on) && finished(&off) {
+            if let (Ok(a), Ok(b)) = (&on, &off) {
+                prop_assert!(
+                    (a.objective - b.objective).abs() < 1e-6,
+                    "presolve {} vs none {}",
+                    a.objective,
+                    b.objective
+                );
+            }
+            check_against_brute_force(&ip, &vars, on);
+            check_against_brute_force(&ip, &vars, off);
+        }
+    }
 
     #[test]
     fn lp_relaxation_bounds_the_mip(ip in random_ip(4, 2)) {

@@ -191,10 +191,67 @@ impl MipPolicy {
         self.stats
     }
 
+    /// The class-count model `plan` solves for the epoch `ctx`, as
+    /// `solve_mip_kernel` receives it (before presolve): lets tests drive
+    /// the solver on real planning epochs.
+    #[doc(hidden)]
+    pub fn epoch_model(&self, ctx: &PlanContext) -> Model {
+        self.build_model(ctx).0
+    }
+
     /// Build and solve the epoch's class-count model. Returns the plan
     /// and, when branch & bound stopped at its node budget, the gap.
     fn solve(&mut self, ctx: &PlanContext) -> Result<(Vec<Assignment>, Option<f64>), SolveError> {
         self.stats.epochs_planned += 1;
+        let (m, classes, n) = self.build_model(ctx);
+        // Anytime solve: epochs arrive every 3 simulated hours; a node
+        // budget keeps planning latency bounded while the root dive
+        // guarantees a good incumbent.
+        let sol = vb_solver::solve_mip_kernel(&m, self.cfg.max_nodes, &KernelConfig::production())?;
+        if sol.budget_gap().is_some() {
+            self.stats.budget_stops += 1;
+        }
+        // A solver-tolerance pathology could in principle leave NaN/∞ in
+        // the solution; route it into the greedy fallback rather than
+        // letting a NaN-poisoned readout abort the whole simulation.
+        if !sol.objective.is_finite() || sol.values().iter().any(|v| !v.is_finite()) {
+            return Err(SolveError::BadModel("non-finite MIP solution".into()));
+        }
+
+        // Hand each class's counts out to its members in context order.
+        let mut new_site = vec![0; ctx.new_apps.len()];
+        let mut mov_site = vec![0; ctx.movable.len()];
+        for (row, class) in n.iter().zip(&classes) {
+            let counts: Vec<f64> = row.iter().map(|&v| sol.value(v)).collect();
+            let sites = spread(&counts, class.members.len(), class.home).ok_or_else(|| {
+                SolveError::BadModel("class counts do not partition the class".into())
+            })?;
+            let dest = if class.home.is_some() {
+                &mut mov_site
+            } else {
+                &mut new_site
+            };
+            for (&member, site) in class.members.iter().zip(sites) {
+                dest[member] = site;
+            }
+        }
+        let mut out: Vec<Assignment> = ctx
+            .new_apps
+            .iter()
+            .zip(new_site)
+            .map(|(app, site)| Assignment { app: app.id, site })
+            .collect();
+        for (app, site) in ctx.movable.iter().zip(mov_site) {
+            if site != app.current_site {
+                out.push(Assignment { app: app.id, site });
+            }
+        }
+        Ok((out, sol.budget_gap()))
+    }
+
+    /// The epoch's class-count model, its classes, and each class's
+    /// count variable per site.
+    fn build_model(&self, ctx: &PlanContext) -> (Model, Vec<AppClass>, Vec<Vec<VarId>>) {
         let n_sites = ctx.sites.len();
         // Ceiling division: a partial final bucket still belongs to the
         // look-ahead (a 100-step horizon with 12-step buckets must plan
@@ -316,49 +373,7 @@ impl MipPolicy {
         }
 
         m.set_objective(objective);
-        // Anytime solve: epochs arrive every 3 simulated hours; a node
-        // budget keeps planning latency bounded while the root dive
-        // guarantees a good incumbent.
-        let sol = vb_solver::solve_mip_kernel(&m, self.cfg.max_nodes, &KernelConfig::production())?;
-        if sol.budget_gap().is_some() {
-            self.stats.budget_stops += 1;
-        }
-        // A solver-tolerance pathology could in principle leave NaN/∞ in
-        // the solution; route it into the greedy fallback rather than
-        // letting a NaN-poisoned readout abort the whole simulation.
-        if !sol.objective.is_finite() || sol.values().iter().any(|v| !v.is_finite()) {
-            return Err(SolveError::BadModel("non-finite MIP solution".into()));
-        }
-
-        // Hand each class's counts out to its members in context order.
-        let mut new_site = vec![0; ctx.new_apps.len()];
-        let mut mov_site = vec![0; ctx.movable.len()];
-        for (row, class) in n.iter().zip(&classes) {
-            let counts: Vec<f64> = row.iter().map(|&v| sol.value(v)).collect();
-            let sites = spread(&counts, class.members.len(), class.home).ok_or_else(|| {
-                SolveError::BadModel("class counts do not partition the class".into())
-            })?;
-            let dest = if class.home.is_some() {
-                &mut mov_site
-            } else {
-                &mut new_site
-            };
-            for (&member, site) in class.members.iter().zip(sites) {
-                dest[member] = site;
-            }
-        }
-        let mut out: Vec<Assignment> = ctx
-            .new_apps
-            .iter()
-            .zip(new_site)
-            .map(|(app, site)| Assignment { app: app.id, site })
-            .collect();
-        for (app, site) in ctx.movable.iter().zip(mov_site) {
-            if site != app.current_site {
-                out.push(Assignment { app: app.id, site });
-            }
-        }
-        Ok((out, sol.budget_gap()))
+        (m, classes, n)
     }
 }
 

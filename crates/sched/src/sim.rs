@@ -63,6 +63,13 @@ pub enum SimError {
     NoSites,
     /// A site's measured data does not cover the simulated days.
     Coverage(CoverageError),
+    /// A [`GroupSimConfig`] field holds a value no simulation can run on.
+    Config {
+        /// The field's name.
+        field: &'static str,
+        /// What is wrong with its value.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -73,6 +80,9 @@ impl std::fmt::Display for SimError {
             }
             SimError::NoSites => write!(f, "a group simulation needs at least one site"),
             SimError::Coverage(e) => write!(f, "{e}"),
+            SimError::Config { field, reason } => {
+                write!(f, "invalid GroupSimConfig::{field}: {reason}")
+            }
         }
     }
 }
@@ -146,6 +156,38 @@ pub struct GroupSimConfig {
     pub core: SimCore,
     /// Seed for workload generation.
     pub seed: u64,
+}
+
+impl GroupSimConfig {
+    /// Reject values no simulation can run on: an empty period, a zero
+    /// planning cadence, and an admission headroom outside (0, 1] (a
+    /// NaN target would size an infinite workload, one above 1 admits
+    /// more cores than a site has powered).
+    ///
+    /// # Errors
+    /// [`SimError::Config`] naming the first offending field.
+    pub fn validate(&self) -> Result<(), SimError> {
+        let bad = |field, reason: String| Err(SimError::Config { field, reason });
+        if self.days == 0 {
+            return bad(
+                "days",
+                "the simulated period must be at least one day".into(),
+            );
+        }
+        if self.epoch_steps == 0 {
+            return bad(
+                "epoch_steps",
+                "the planning cadence must be at least one step".into(),
+            );
+        }
+        if !(self.target_util > 0.0 && self.target_util <= 1.0) {
+            return bad(
+                "target_util",
+                format!("must be a fraction in (0, 1], not {}", self.target_util),
+            );
+        }
+        Ok(())
+    }
 }
 
 impl Default for GroupSimConfig {
@@ -599,13 +641,16 @@ impl GroupSim {
     /// [`SimError::NoSites`] when `site_names` is empty,
     /// [`SimError::UnknownSite`] when a name is not in the catalog and
     /// [`SimError::Coverage`] when a site's measured data does not cover
-    /// the simulated days, so callers (benches, examples) fail with a
-    /// diagnostic instead of a panic backtrace.
+    /// the simulated days or holds a non-finite sample, and
+    /// [`SimError::Config`] when [`GroupSimConfig::validate`] rejects
+    /// `cfg`, so callers (benches, examples) fail with a diagnostic
+    /// instead of a panic backtrace or a hang.
     pub fn new(
         catalog: &Catalog,
         site_names: &[&str],
         cfg: GroupSimConfig,
     ) -> Result<GroupSim, SimError> {
+        cfg.validate()?;
         if site_names.is_empty() {
             return Err(SimError::NoSites);
         }

@@ -1,0 +1,122 @@
+//! Degenerate `GroupSimConfig`s and non-finite measured traces fail
+//! `GroupSim::new` with a typed error, instead of panicking (`days = 0`
+//! in `Summary::of`, `epoch_steps = 0` as a remainder by zero) or
+//! hanging (a NaN `target_util` or trace sample sizes a workload whose
+//! Poisson sampler never returns). Cases that used to hang run on a
+//! worker thread under a wall-clock bound, so a regression fails the
+//! test instead of stalling the suite.
+
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
+use vb_sched::{GreedyPolicy, GroupSim, GroupSimConfig, SimError};
+use vb_stats::TimeSeries;
+use vb_trace::{Catalog, CoverageError, Site, INTERVAL_15M};
+
+/// Generous for a two-day, one-site run; a hang never finishes.
+const BOUND: Duration = Duration::from_secs(60);
+
+fn small() -> GroupSimConfig {
+    GroupSimConfig {
+        cores_per_site: 400,
+        days: 2,
+        ..GroupSimConfig::default()
+    }
+}
+
+/// Build the group and, if that succeeds, run it under Greedy, on a
+/// worker thread; the construction error, or `None` for a finished run.
+/// A worker still busy after [`BOUND`] fails the test (and is left
+/// behind); a worker's panic is re-raised.
+fn build_and_run(catalog: Catalog, cfg: GroupSimConfig) -> Option<SimError> {
+    let (tx, rx) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let out = GroupSim::new(&catalog, &["NO-solar"], cfg)
+            .map(|sim| sim.run(&mut GreedyPolicy::new()))
+            .err();
+        tx.send(out).expect("the test waits for the result");
+    });
+    match rx.recv_timeout(BOUND) {
+        Ok(out) => {
+            worker.join().expect("the worker sent its result");
+            out
+        }
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("GroupSim::new or the run did not finish within {BOUND:?}")
+        }
+        Err(RecvTimeoutError::Disconnected) => std::panic::resume_unwind(
+            worker
+                .join()
+                .expect_err("the worker dropped its sender by panicking"),
+        ),
+    }
+}
+
+fn config_field(err: Option<SimError>) -> &'static str {
+    match err {
+        Some(SimError::Config { field, .. }) => field,
+        other => panic!("expected SimError::Config, got {other:?}"),
+    }
+}
+
+#[test]
+fn zero_days_is_a_config_error() {
+    let cfg = GroupSimConfig { days: 0, ..small() };
+    let err = GroupSim::new(&Catalog::europe(42), &["NO-solar"], cfg).err();
+    assert_eq!(config_field(err), "days");
+}
+
+#[test]
+fn zero_epoch_steps_is_a_config_error() {
+    let cfg = GroupSimConfig {
+        epoch_steps: 0,
+        ..small()
+    };
+    let err = GroupSim::new(&Catalog::europe(42), &["NO-solar"], cfg).err();
+    assert_eq!(config_field(err), "epoch_steps");
+}
+
+#[test]
+fn target_util_outside_the_unit_interval_is_a_config_error() {
+    for bad in [0.0, -0.5, 1.5, 5.0, f64::INFINITY, f64::NEG_INFINITY] {
+        let cfg = GroupSimConfig {
+            target_util: bad,
+            ..small()
+        };
+        let err = GroupSim::new(&Catalog::europe(42), &["NO-solar"], cfg).err();
+        assert_eq!(config_field(err), "target_util", "target_util {bad}");
+    }
+    // The edge of the interval is a valid target.
+    let cfg = GroupSimConfig {
+        target_util: 1.0,
+        ..small()
+    };
+    assert!(GroupSim::new(&Catalog::europe(42), &["NO-solar"], cfg).is_ok());
+}
+
+#[test]
+fn nan_target_util_fails_within_the_bound() {
+    let cfg = GroupSimConfig {
+        target_util: f64::NAN,
+        ..small()
+    };
+    assert_eq!(
+        config_field(build_and_run(Catalog::europe(42), cfg)),
+        "target_util"
+    );
+}
+
+#[test]
+fn nan_measured_sample_fails_within_the_bound() {
+    // Measured data for days 120–121 with one NaN at the start of day 121.
+    let mut values = vec![0.4; 2 * 96];
+    values[96] = f64::NAN;
+    let data = TimeSeries::with_start(120 * 86_400, INTERVAL_15M, values);
+    let catalog = Catalog::from_measured(vec![Site::solar("NO-solar", 60.0, 10.0)], vec![data], 42);
+    assert_eq!(
+        build_and_run(catalog, small()),
+        Some(SimError::Coverage(CoverageError::NonFinite {
+            site: "NO-solar".into(),
+            offset: 96
+        }))
+    );
+}

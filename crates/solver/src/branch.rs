@@ -19,7 +19,13 @@
 //! all-slack basis. A child's revised-simplex state also shares its
 //! parent's LU factors and eta entries instead of copying them (see
 //! [`crate::ftran`]). The rounding dive chains warm starts the same
-//! way. Before either replays a fractional root, the root's basis is
+//! way. On the factorized engine a node's two children (and a dive
+//! level's two candidate fixings) re-solve through one
+//! `revised::Siblings`, which computes the parent's reduced costs and
+//! the branching row's pricing row once for both and applies only the
+//! branched bound; their pivots and plans are bit-identical to two
+//! independent warm starts (`check_sibling_resolves` checks it).
+//! Before either replays a fractional root, the root's basis is
 //! refactorized once (`refresh_root`), so no solve below it replays
 //! the root solve's eta file. Warm and cold solves reach the same
 //! optima (pivot order may differ on degenerate ties, so alternate
@@ -55,7 +61,7 @@ use crate::presolve::{self, Presolved};
 use crate::revised::{self, RevisedState};
 use crate::simplex::{self, Pricing, SimplexState};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 /// Integrality tolerance: values this close to an integer count as
@@ -161,6 +167,43 @@ fn lp_solve(
             Engine::Factorized => revised::solve_lp_state(model, overrides, None, pricing)
                 .map(|(s, st)| (s, LpState::Revised(Box::new(st)))),
         },
+    }
+}
+
+/// A solver for children of one parent state, each changing one
+/// variable's bounds: called with a child's full override list.
+type ChildSolve<'s> =
+    dyn FnMut(&[(VarId, f64, f64)]) -> Result<(Solution, LpState), SolveError> + 's;
+
+/// Run `f` with a solver for the children of `parent` that each change
+/// `var`'s bounds. Factorized warm starts go through one
+/// [`revised::Siblings`], which shares the parent's preparation between
+/// them; tableau and cold solves run [`lp_solve`] per child.
+fn with_children<T>(
+    model: &Model,
+    parent: &LpState,
+    var: VarId,
+    warm_start: bool,
+    pricing: Pricing,
+    engine: Engine,
+    f: impl FnOnce(&mut ChildSolve<'_>) -> T,
+) -> T {
+    match parent {
+        LpState::Revised(st) if warm_start => revised::with_siblings(model, st, pricing, |sib| {
+            f(&mut |overrides| {
+                sib.solve(overrides, var)
+                    .map(|(s, st)| (s, LpState::Revised(Box::new(st))))
+            })
+        }),
+        _ => f(&mut |overrides| {
+            lp_solve(
+                model,
+                overrides,
+                warm_start.then_some(parent),
+                pricing,
+                engine,
+            )
+        }),
     }
 }
 
@@ -523,28 +566,56 @@ fn expand(
         // Integral: candidate incumbent (round off the epsilon).
         return Expansion::Integral(snap(model, &node.relaxed, int_vars));
     };
-    let floor = value.floor();
-    let mut children = Vec::with_capacity(2);
-    for (lo, hi) in [(f64::NEG_INFINITY, floor), (floor + 1.0, f64::INFINITY)] {
-        let mut overrides = node.overrides.clone();
-        let (base_lb, base_ub) = effective_bounds(model, &overrides, var);
-        let new_lb = base_lb.max(lo);
-        let new_ub = base_ub.min(hi);
-        if new_lb > new_ub + INT_EPS {
-            continue;
-        }
-        overrides.retain(|&(v, _, _)| v != var);
-        overrides.push((var, new_lb, new_ub));
-        let parent = warm_start.then(|| &*node.state);
-        if let Ok((relaxed, state)) = lp_solve(model, &overrides, parent, pricing, engine) {
-            children.push(Child {
+    let branches = branch_overrides(model, &node.overrides, var, value);
+    let solved: Vec<_> = with_children(
+        model,
+        &node.state,
+        var,
+        warm_start,
+        pricing,
+        engine,
+        |solve| branches.iter().map(|o| solve(o)).collect(),
+    );
+    let children = branches
+        .into_iter()
+        .zip(solved)
+        .filter_map(|(overrides, res)| {
+            let (relaxed, state) = res.ok()?;
+            Some(Child {
                 overrides,
                 relaxed,
                 state: Arc::new(state),
-            });
-        }
-    }
+            })
+        })
+        .collect();
     Expansion::Children(children)
+}
+
+/// The override lists of the down (`var ≤ ⌊value⌋`) and up
+/// (`var ≥ ⌈value⌉`) children of a node with `overrides`, skipping a
+/// side whose interval is empty.
+fn branch_overrides(
+    model: &Model,
+    overrides: &[(VarId, f64, f64)],
+    var: VarId,
+    value: f64,
+) -> Vec<Vec<(VarId, f64, f64)>> {
+    let floor = value.floor();
+    let (base_lb, base_ub) = effective_bounds(model, overrides, var);
+    [(f64::NEG_INFINITY, floor), (floor + 1.0, f64::INFINITY)]
+        .into_iter()
+        .filter_map(|(lo, hi)| {
+            let new_lb = base_lb.max(lo);
+            let new_ub = base_ub.min(hi);
+            if new_lb > new_ub + INT_EPS {
+                return None;
+            }
+            let mut child = overrides.to_vec();
+            child.retain(|&(v, _, _)| v != var);
+            child.push((var, new_lb, new_ub));
+            Some(child)
+        })
+        .collect()
 }
 
 /// Greedy rounding dive: repeatedly fix the most fractional integer
@@ -576,24 +647,143 @@ fn dive(
             value.ceil()
         })
         .clamp(lb.ceil(), ub.floor());
-        let mut fixed = false;
-        for candidate in [nearest, other] {
-            let mut trial = overrides.clone();
-            trial.retain(|&(v, _, _)| v != var);
-            trial.push((var, candidate, candidate));
-            let parent = warm_start.then_some(&state);
-            if let Ok((sol, st)) = lp_solve(model, &trial, parent, pricing, engine) {
-                overrides = trial;
-                relaxed = sol;
-                state = st;
-                fixed = true;
-                break;
+        let fixed = with_children(model, &state, var, warm_start, pricing, engine, |solve| {
+            [nearest, other].into_iter().find_map(|candidate| {
+                let mut trial = overrides.clone();
+                trial.retain(|&(v, _, _)| v != var);
+                trial.push((var, candidate, candidate));
+                let (sol, st) = solve(&trial).ok()?;
+                Some((trial, sol, st))
+            })
+        });
+        (overrides, relaxed, state) = fixed?;
+    }
+}
+
+/// What [`check_sibling_resolves`] compared.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SiblingCheck {
+    /// Nodes whose children were solved both ways.
+    pub nodes: usize,
+    /// Children solved both ways.
+    pub children: usize,
+    /// Children both ways proved infeasible.
+    pub infeasible: usize,
+    /// Nodes whose first child refactorized before the second solved.
+    pub refactorized_first: usize,
+    /// Children that took their first pricing row from a sibling.
+    pub shared_rows: u64,
+}
+
+/// Differential check of the sibling re-solve. Walks `model`'s branch
+/// and bound tree breadth first from its root relaxation (refreshed
+/// like the search's) on the production engine under `params`, up to
+/// `max_nodes` branched nodes, without pruning. Every node's children
+/// are solved twice: through one `revised::Siblings`, and through
+/// independent [`revised::solve_lp_state_params`] warm starts from the
+/// node with the children's full override lists. Returns what it
+/// compared, or names the first child whose outcome, objective, values,
+/// basis, bound sides, basic values, eta count, or pivot, eta-update or
+/// refactorization count differs in any bit.
+#[doc(hidden)]
+pub fn check_sibling_resolves(
+    model: &Model,
+    max_nodes: usize,
+    params: revised::Params,
+) -> Result<SiblingCheck, String> {
+    let pricing = Pricing::SteepestEdge;
+    let int_vars: Vec<VarId> = (0..model.vars.len())
+        .filter(|&j| model.vars[j].integer)
+        .map(VarId)
+        .collect();
+    let (root, mut root_state) = revised::solve_lp_state_params(model, &[], None, pricing, params)
+        .map_err(|e| format!("root relaxation: {e:?}"))?;
+    if most_fractional(&root, &int_vars).is_some() {
+        root_state.refresh_factors();
+    }
+    let bits = |sol: &Solution| -> Vec<u64> {
+        std::iter::once(sol.objective.to_bits())
+            .chain(sol.values().iter().map(|v| v.to_bits()))
+            .collect()
+    };
+    let snapshot = |st: &RevisedState| {
+        let (etas, basis, at_upper, xb) = st.basis_snapshot();
+        let xb: Vec<u64> = xb.iter().map(|v| v.to_bits()).collect();
+        (etas, basis, at_upper, xb)
+    };
+
+    let mut check = SiblingCheck::default();
+    let mut queue = VecDeque::from([(Vec::new(), root, root_state)]);
+    while let Some((overrides, relaxed, parent)) = queue.pop_front() {
+        if check.nodes == max_nodes {
+            break;
+        }
+        let Some((var, value)) = most_fractional(&relaxed, &int_vars) else {
+            continue;
+        };
+        check.nodes += 1;
+        let branches = branch_overrides(model, &overrides, var, value);
+        let shared: Vec<_> = revised::with_siblings(model, &parent, pricing, |sib| {
+            branches
+                .iter()
+                .map(|o| {
+                    let before = revised::thread_work();
+                    let res = sib.solve(o, var);
+                    (res, revised::thread_work().since(before))
+                })
+                .collect()
+        });
+        let two = branches.len() == 2;
+        for (k, (o, (res, work))) in branches.into_iter().zip(shared).enumerate() {
+            let before = revised::thread_work();
+            let alone = revised::solve_lp_state_params(model, &o, Some(&parent), pricing, params);
+            let alone_work = revised::thread_work().since(before);
+            let at = || format!("node {} child {k} ({:?})", check.nodes, o.last());
+            check.children += 1;
+            check.shared_rows += work.shared_rows;
+            if k == 0 && two && work.refactorizations > 0 {
+                check.refactorized_first += 1;
+            }
+            let counts = |w: revised::Work| (w.pivots, w.eta_updates, w.refactorizations);
+            if counts(work) != counts(alone_work) {
+                return Err(format!(
+                    "{}: (pivots, eta updates, refactorizations) {:?} through siblings, {:?} alone",
+                    at(),
+                    counts(work),
+                    counts(alone_work)
+                ));
+            }
+            match (res, alone) {
+                (Ok((sol, st)), Ok((sol_alone, st_alone))) => {
+                    if bits(&sol) != bits(&sol_alone) {
+                        return Err(format!("{}: objective or values differ", at()));
+                    }
+                    if snapshot(&st) != snapshot(&st_alone) {
+                        return Err(format!(
+                            "{}: eta count, basis, bound sides or basic values differ",
+                            at()
+                        ));
+                    }
+                    queue.push_back((o, sol, st));
+                }
+                (Err(e), Err(e_alone)) if e == e_alone => {
+                    if e == SolveError::Infeasible {
+                        check.infeasible += 1;
+                    }
+                }
+                (res, alone) => {
+                    return Err(format!(
+                        "{}: {:?} through siblings, {:?} alone",
+                        at(),
+                        res.err(),
+                        alone.err()
+                    ))
+                }
             }
         }
-        if !fixed {
-            return None;
-        }
     }
+    Ok(check)
 }
 
 /// Current bounds of `var` under the model plus overrides.
@@ -1020,7 +1210,7 @@ mod tests {
 
     /// A revised state's eta count, basis and basic-value bits.
     fn snapshot(state: &LpState) -> (usize, Vec<usize>, Vec<u64>) {
-        let (etas, basis, xb) = revised(state).basis_snapshot();
+        let (etas, basis, _, xb) = revised(state).basis_snapshot();
         (etas, basis, xb.iter().map(|v| v.to_bits()).collect())
     }
 
@@ -1032,11 +1222,11 @@ mod tests {
             most_fractional(&root, &ints).is_some(),
             "the root is fractional"
         );
-        let (etas, basis, xb) = revised(&state).basis_snapshot();
+        let (etas, basis, _, xb) = revised(&state).basis_snapshot();
         assert!(etas > 0, "the root solve leaves an eta file");
 
         refresh_root(&mut state, &root, &ints, MAX_NODES, true);
-        let (fresh_etas, fresh_basis, fresh_xb) = revised(&state).basis_snapshot();
+        let (fresh_etas, fresh_basis, _, fresh_xb) = revised(&state).basis_snapshot();
         assert_eq!(fresh_etas, 0, "the dive and the search start on a bare LU");
         assert_eq!(fresh_basis, basis, "the refresh keeps the optimal basis");
         // The refactorization-consistency tolerance of `check-invariants`.
@@ -1096,6 +1286,35 @@ mod tests {
             let mut st = state.clone();
             refresh_root(&mut st, &root, &ints, budget, warm);
             assert_eq!(snapshot(&st), solved, "budget {budget}, warm {warm}");
+        }
+    }
+
+    #[test]
+    fn sibling_resolves_match_independent_warm_starts() {
+        // Capacity-bound placements: some children are infeasible, and a
+        // two-eta refactorization interval makes first children
+        // refactorize before their siblings solve.
+        let short = revised::Params {
+            refactor_after: 2,
+            ..revised::Params::default()
+        };
+        for params in [revised::Params::default(), short] {
+            let mut total = SiblingCheck::default();
+            for seed in 20..32u64 {
+                let m = placement_model(8, 3, seed);
+                let c = check_sibling_resolves(&m, 200, params)
+                    .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+                total.nodes += c.nodes;
+                total.children += c.children;
+                total.infeasible += c.infeasible;
+                total.refactorized_first += c.refactorized_first;
+                total.shared_rows += c.shared_rows;
+            }
+            assert!(total.nodes > 0 && total.infeasible > 0, "{total:?}");
+            assert!(total.shared_rows > 0, "{total:?}");
+            if params.refactor_after == 2 {
+                assert!(total.refactorized_first > 0, "{total:?}");
+            }
         }
     }
 

@@ -21,6 +21,13 @@
 //! holds the per-step multiplier lists, `U` the surviving pivot-row
 //! entries keyed by basis slot (plus a transposed copy keyed by step,
 //! built once per factorization, for the BTRAN forward solve).
+//!
+//! A **unit basis** — one nonzero per column, on distinct rows, each at
+//! least the absolute pivot floor, as every cold root's logical and
+//! artificial start is — skips the search: step `k` is slot `k`,
+//! pivoting on that column's entry, with `L` and `U` empty. That is
+//! exactly what the Markowitz loop emits for such a basis, where every
+//! count is 1 and ties go to the lowest slot.
 
 use crate::simplex::DROP_EPS;
 use std::cmp::Reverse;
@@ -44,6 +51,7 @@ pub(crate) struct SingularBasis;
 /// Deliberately not `Clone`: states share one factorization through
 /// `Arc` (see [`crate::ftran`]).
 #[derive(Debug, Default)]
+#[cfg_attr(test, derive(PartialEq))]
 pub(crate) struct LuFactors {
     m: usize,
     /// Constraint row eliminated at step `k`.
@@ -78,6 +86,51 @@ impl LuFactors {
         cols: &[Vec<(u32, f64)>],
     ) -> Result<LuFactors, SingularBasis> {
         debug_assert_eq!(cols.len(), m);
+        if let Some(unit) = LuFactors::unit(m, cols) {
+            return Ok(unit);
+        }
+        LuFactors::markowitz(m, cols)
+    }
+
+    /// The factors of a unit basis (see the module doc), or `None` when
+    /// some column has other than one nonzero, two columns share a row,
+    /// or an entry is below [`PIVOT_ABS`].
+    fn unit(m: usize, cols: &[Vec<(u32, f64)>]) -> Option<LuFactors> {
+        let mut pivot_row = Vec::with_capacity(m);
+        let mut u_diag = Vec::with_capacity(m);
+        let mut row_taken = vec![false; m];
+        for col in cols {
+            let mut nonzeros = col.iter().filter(|&&(_, v)| v != 0.0);
+            let (Some(&(r, v)), None) = (nonzeros.next(), nonzeros.next()) else {
+                return None;
+            };
+            // `>=` is false for NaN, which Markowitz rejects too.
+            let fits = v.abs() >= PIVOT_ABS && !std::mem::replace(&mut row_taken[r as usize], true);
+            if !fits {
+                return None;
+            }
+            pivot_row.push(r);
+            u_diag.push(v);
+        }
+        Some(LuFactors {
+            m,
+            pivot_row,
+            pivot_slot: (0..m as u32).collect(),
+            l_starts: vec![0; m + 1],
+            l_rows: Vec::new(),
+            l_vals: Vec::new(),
+            u_starts: vec![0; m + 1],
+            u_slots: Vec::new(),
+            u_vals: Vec::new(),
+            u_diag,
+            ut_starts: vec![0; m + 1],
+            ut_steps: Vec::new(),
+            ut_vals: Vec::new(),
+        })
+    }
+
+    /// The bounded Markowitz factorization (see the module doc).
+    fn markowitz(m: usize, cols: &[Vec<(u32, f64)>]) -> Result<LuFactors, SingularBasis> {
         // Working rows: rows[i] = [(slot, value), ...] over active slots,
         // kept sorted by slot so candidate validation can binary-search
         // a wide row instead of scanning it.
@@ -465,6 +518,74 @@ mod tests {
         lu.ftran(&mut [], &mut []);
         lu.btran(&mut [], &mut []);
         assert!(lu.l_vals.is_empty() && lu.u_vals.is_empty());
+    }
+
+    /// SplitMix64 stream in [0, 1).
+    fn uniform(state: &mut u64) -> f64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) as f64 / (u64::MAX as f64 + 1.0)
+    }
+
+    #[test]
+    fn unit_bases_skip_markowitz_with_identical_factors() {
+        let mut state = 7u64;
+        for m in [1usize, 2, 5, 17, 40] {
+            for _ in 0..20 {
+                // A random signed permutation with magnitudes from 1e-3
+                // to 1e3 (logical and artificial columns are ±1).
+                let mut rows: Vec<u32> = (0..m as u32).collect();
+                for i in (1..m).rev() {
+                    let j = (uniform(&mut state) * (i + 1) as f64) as usize;
+                    rows.swap(i, j);
+                }
+                let cols: Vec<Vec<(u32, f64)>> = rows
+                    .iter()
+                    .map(|&r| {
+                        let mag = 10f64.powf(6.0 * uniform(&mut state) - 3.0);
+                        let sign = if uniform(&mut state) < 0.5 { -1.0 } else { 1.0 };
+                        vec![(r, sign * mag)]
+                    })
+                    .collect();
+                let unit = LuFactors::unit(m, &cols).expect("a signed permutation is a unit basis");
+                let markowitz = LuFactors::markowitz(m, &cols).expect("nonsingular");
+                assert_eq!(unit, markowitz, "m = {m}, rows {rows:?}");
+                assert_eq!(LuFactors::factorize(m, &cols).unwrap(), markowitz);
+
+                // One two-entry column is not a unit basis: factorize
+                // falls back to Markowitz.
+                if m > 1 {
+                    let mut wide = cols.clone();
+                    let other = (wide[0][0].0 + 1) % m as u32;
+                    wide[0].push((other, 0.5));
+                    assert!(LuFactors::unit(m, &wide).is_none());
+                    assert_eq!(
+                        LuFactors::factorize(m, &wide).unwrap(),
+                        LuFactors::markowitz(m, &wide).unwrap()
+                    );
+                }
+            }
+        }
+        // Explicit zeros do not count as entries.
+        let cols = vec![vec![(1u32, 0.0), (0, 2.0)], vec![(1, -3.0)]];
+        assert_eq!(
+            LuFactors::unit(2, &cols),
+            Some(LuFactors::markowitz(2, &cols).unwrap())
+        );
+    }
+
+    #[test]
+    fn singular_unit_shaped_bases_are_rejected_by_markowitz() {
+        // Two unit columns on one row, and a pivot below the floor.
+        for cols in [
+            vec![vec![(0u32, 1.0)], vec![(0u32, 1.0)]],
+            vec![vec![(0u32, 1.0)], vec![(1u32, 1e-12)]],
+        ] {
+            assert!(LuFactors::unit(2, &cols).is_none());
+            assert!(LuFactors::factorize(2, &cols).is_err());
+        }
     }
 
     #[test]

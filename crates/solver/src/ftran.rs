@@ -23,38 +23,60 @@
 //! `Arc`: a clone copies one pointer per eta, a child's pivots append
 //! etas only to its own file, and a refactorization swaps the factor
 //! pointer without touching the states that still hold the old one.
+//!
+//! An eta is one exact-size `Arc<[(u32, f64)]>`: entry 0 is the header
+//! `(r, d̂_r)` and the rest are the off-pivot `(row, d̂_i)` nonzeros,
+//! gathered in a per-thread buffer and copied out in one allocation. A
+//! clone reserves room for `ETA_RESERVE` more etas, so a child's own
+//! pivots do not regrow the file it inherited.
 
 use crate::factor::LuFactors;
 use crate::simplex::DROP_EPS;
 use std::cell::RefCell;
 use std::sync::Arc;
 
+/// Room a clone reserves for etas of its own: a warm re-solve below a
+/// branch-and-bound node appends about two.
+const ETA_RESERVE: usize = 4;
+
 /// One product-form update: slot `r` was repivoted on column `d̂` with
-/// pivot `d̂_r`; `(rows, vals)` hold the off-pivot nonzeros of `d̂`.
-#[derive(Debug)]
-struct Eta {
-    r: u32,
-    pivot: f64,
-    rows: Vec<u32>,
-    vals: Vec<f64>,
-}
+/// pivot `d̂_r`. Entry 0 is `(r, d̂_r)`; the rest are the off-pivot
+/// nonzeros `(i, d̂_i)` in row order.
+type Eta = Arc<[(u32, f64)]>;
 
 thread_local! {
     /// Triangular-solve scratch, one per thread and reused by every
     /// solve on it: the factors and etas are shared between states, so
     /// the buffer cannot live in any one of them.
     static WORK: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+    /// Gather buffer for a new eta's entries, copied out once at its
+    /// exact size.
+    static ETA_BUF: RefCell<Vec<(u32, f64)>> = const { RefCell::new(Vec::new()) };
 }
 
 /// An LU factorization composed with the eta file accumulated since the
 /// last refactorization. Solves are allocation-free once the calling
 /// thread's scratch has grown to the basis dimension.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct BasisFactor {
     lu: Arc<LuFactors>,
-    etas: Vec<Arc<Eta>>,
+    etas: Vec<Eta>,
     /// Off-pivot nonzeros summed over `etas`.
     eta_nnz: u64,
+}
+
+impl Clone for BasisFactor {
+    /// Share the factors and every eta, with room for the clone's own
+    /// etas.
+    fn clone(&self) -> BasisFactor {
+        let mut etas = Vec::with_capacity(self.etas.len() + ETA_RESERVE);
+        etas.extend(self.etas.iter().cloned());
+        BasisFactor {
+            lu: Arc::clone(&self.lu),
+            etas,
+            eta_nnz: self.eta_nnz,
+        }
+    }
 }
 
 impl BasisFactor {
@@ -86,21 +108,19 @@ impl BasisFactor {
 
     /// Record the pivot `(slot r, entering column d̂ = B⁻¹a_q)`.
     pub(crate) fn push_eta(&mut self, r: usize, ecol: &[f64]) {
-        let mut rows = Vec::new();
-        let mut vals = Vec::new();
-        for (i, &v) in ecol.iter().enumerate() {
-            if i != r && v.abs() > DROP_EPS {
-                rows.push(i as u32);
-                vals.push(v);
+        let eta: Eta = ETA_BUF.with(|buf| {
+            let mut buf = buf.borrow_mut();
+            buf.clear();
+            buf.push((r as u32, ecol[r]));
+            for (i, &v) in ecol.iter().enumerate() {
+                if i != r && v.abs() > DROP_EPS {
+                    buf.push((i as u32, v));
+                }
             }
-        }
-        self.eta_nnz += rows.len() as u64;
-        self.etas.push(Arc::new(Eta {
-            r: r as u32,
-            pivot: ecol[r],
-            rows,
-            vals,
-        }));
+            Arc::from(&buf[..])
+        });
+        self.eta_nnz += eta.len() as u64 - 1;
+        self.etas.push(eta);
     }
 
     /// Solve `B·x = b` in place (`x`: constraint-row indexed in, basis
@@ -108,11 +128,12 @@ impl BasisFactor {
     pub(crate) fn ftran(&self, x: &mut [f64]) -> u64 {
         with_work(x.len(), |work| self.lu.ftran(x, work));
         for eta in &self.etas {
-            let r = eta.r as usize;
-            let t = x[r] / eta.pivot;
+            let (r, pivot) = eta[0];
+            let r = r as usize;
+            let t = x[r] / pivot;
             x[r] = t;
             if t != 0.0 {
-                for (&i, &v) in eta.rows.iter().zip(&eta.vals) {
+                for &(i, v) in &eta[1..] {
                     x[i as usize] -= v * t;
                 }
             }
@@ -124,12 +145,13 @@ impl BasisFactor {
     /// constraint-row indexed out). Returns the result's nonzero count.
     pub(crate) fn btran(&self, x: &mut [f64]) -> u64 {
         for eta in self.etas.iter().rev() {
-            let r = eta.r as usize;
+            let (r, pivot) = eta[0];
+            let r = r as usize;
             let mut t = x[r];
-            for (&i, &v) in eta.rows.iter().zip(&eta.vals) {
+            for &(i, v) in &eta[1..] {
                 t -= v * x[i as usize];
             }
-            x[r] = t / eta.pivot;
+            x[r] = t / pivot;
         }
         with_work(x.len(), |work| self.lu.btran(x, work));
         nnz_of(x)

@@ -10,8 +10,10 @@
 //! * the entering column `d̂ = B⁻¹a_q` by one **FTRAN**,
 //! * the pricing row `α = eᵣᵀB⁻¹A` by one **BTRAN** plus a sweep of the
 //!   constraint rows, and
-//! * reduced costs by the classic `d = c − (B⁻ᵀc_B)ᵀA` only when a
-//!   solve starts; between pivots `d` is updated from the pricing row.
+//! * reduced costs by the classic `d = c − (B⁻ᵀc_B)ᵀA` once per basis a
+//!   solve starts from — per phase in a cold solve, once per parent for
+//!   all of a branch-and-bound node's children (`Siblings`); between
+//!   pivots `d` is updated from the pricing row.
 //!
 //! Each pivot appends one eta. The factorization is rebuilt — and the
 //! basic values recomputed from the model data, shedding accumulated
@@ -38,12 +40,20 @@
 //! tie-break rules, and the two-phase construction are identical to the
 //! tableau engine; in exact arithmetic the two produce the same pivots,
 //! and both are deterministic functions of the model.
+//!
+//! Branch and bound re-solves a node's two children through one
+//! `Siblings` rather than two independent warm starts: each child
+//! changes one bound of a clone of the same parent, so the children
+//! share the parent's reduced costs and, when both leave on the same
+//! row, the first dual pricing row, and each applies only its one
+//! changed bound. Every shared value is what each clone would compute
+//! itself, so the pivots match independent warm starts bit for bit.
 
 use crate::factor::LuFactors;
 use crate::ftran::BasisFactor;
 use crate::model::{Cmp, Model, Sense, Solution, SolveError, VarId};
 use crate::simplex::{Pricing, BLAND_AFTER, COST_EPS, DEVEX_RESET, DROP_EPS, EPS, FEAS_EPS};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 /// FTRAN-vs-BTRAN pivot agreement tolerance (relative): worse than this
@@ -90,9 +100,10 @@ impl Default for Params {
     }
 }
 
-/// Constraint matrix in both row- and column-major sparse form, shared
-/// (via `Arc`) by every state cloned off one solve — branch & bound
-/// clones states per node, and the matrix never changes.
+/// Constraint matrix in both row- and column-major sparse form, plus
+/// the right-hand side, shared (via `Arc`) by every state cloned off
+/// one solve — branch & bound clones states per node, and neither ever
+/// changes.
 #[derive(Debug)]
 struct Mat {
     row_starts: Vec<u32>,
@@ -101,6 +112,8 @@ struct Mat {
     col_starts: Vec<u32>,
     col_rows: Vec<u32>,
     col_vals: Vec<f64>,
+    /// Model right-hand side of each row.
+    rhs_b: Vec<f64>,
 }
 
 /// A phase-1 artificial: the unit column `sign·e_row`.
@@ -177,6 +190,23 @@ struct Scratch {
     /// The current phase's cost vector and its reduced costs.
     cost: Vec<f64>,
     d: Vec<f64>,
+    /// What the children of one parent share ([`Siblings`]).
+    share: Share,
+}
+
+/// The parent preparation of a [`Siblings`] run, filled by whichever
+/// child needs it first. Every clone of one parent holds the same
+/// basis, factors and costs until its first pivot, so these are exactly
+/// the values each child would compute itself.
+#[derive(Default)]
+struct Share {
+    /// The parent basis's phase-2 reduced costs, once `d_ready`.
+    d: Vec<f64>,
+    d_ready: bool,
+    /// The pricing row of leaving row `row` through the parent's
+    /// factors: the first dual pricing row of the child that chose it.
+    pr: PriceRow,
+    row: Option<usize>,
 }
 
 impl Scratch {
@@ -234,6 +264,47 @@ struct Stats {
     refactorizations: u64,
     eta_updates: u64,
     steepest_resets: u64,
+    /// First dual pricing rows taken from a sibling ([`Share`]).
+    shared_rows: u64,
+}
+
+/// The work counts this thread's solves have flushed, so a caller can
+/// attribute pivots to one solve without the process-wide telemetry
+/// registry (which concurrent tests share).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Work {
+    pub(crate) pivots: u64,
+    pub(crate) eta_updates: u64,
+    pub(crate) refactorizations: u64,
+    pub(crate) shared_rows: u64,
+}
+
+impl Work {
+    /// The work done since `before` was read.
+    pub(crate) fn since(self, before: Work) -> Work {
+        Work {
+            pivots: self.pivots - before.pivots,
+            eta_updates: self.eta_updates - before.eta_updates,
+            refactorizations: self.refactorizations - before.refactorizations,
+            shared_rows: self.shared_rows - before.shared_rows,
+        }
+    }
+}
+
+thread_local! {
+    static FLUSHED: Cell<Work> = const {
+        Cell::new(Work {
+            pivots: 0,
+            eta_updates: 0,
+            refactorizations: 0,
+            shared_rows: 0,
+        })
+    };
+}
+
+/// This thread's flushed [`Work`] so far.
+pub(crate) fn thread_work() -> Work {
+    FLUSHED.with(Cell::get)
 }
 
 /// Outcome of the primal ratio test (mirrors the tableau engine's).
@@ -267,8 +338,6 @@ pub struct RevisedState {
     basis_pos: Vec<usize>,
     /// Current value of each row's basic variable.
     xb: Vec<f64>,
-    /// Model right-hand side of each row.
-    rhs_b: Vec<f64>,
     factor: BasisFactor,
     n: usize,
     m: usize,
@@ -307,101 +376,176 @@ pub fn solve_lp_state_params(
     let _span = vb_telemetry::span!("solver.lp_solve");
     vb_telemetry::counter!("solver.lp_solves").inc();
 
-    let n = model.vars.len();
-    let mut lb: Vec<f64> = model.vars.iter().map(|v| v.lb).collect();
-    let mut ub: Vec<f64> = model.vars.iter().map(|v| v.ub).collect();
-    for &(v, l, u) in bound_overrides {
-        lb[v.0] = l;
-        ub[v.0] = u;
-    }
-    for j in 0..n {
-        if lb[j] > ub[j] + EPS {
-            return Err(SolveError::Infeasible);
-        }
-        if !lb[j].is_finite() {
-            return Err(SolveError::BadModel(format!(
-                "variable {} must have a finite lower bound",
-                model.vars[j].name
-            )));
-        }
-    }
-
+    let (lb, ub) = structural_bounds(model, bound_overrides)?;
     if let Some(parent) = warm {
-        if parent.n == n && parent.m == model.constraints.len() {
-            match warm_solve(model, &lb, &ub, parent, pricing) {
-                Ok(done) => {
-                    vb_telemetry::counter!("solver.warm_start_hits").inc();
-                    return Ok(done);
-                }
-                // A proven-infeasible child is a successful warm start.
-                Err(SolveError::Infeasible) => {
-                    vb_telemetry::counter!("solver.warm_start_hits").inc();
-                    return Err(SolveError::Infeasible);
-                }
-                // Numerical trouble: re-solve from scratch.
-                Err(_) => vb_telemetry::counter!("solver.warm_start_misses").inc(),
+        if parent.n == lb.len() && parent.m == model.constraints.len() {
+            let mut st = parent.clone();
+            let bounds = BoundStep::All { lb: &lb, ub: &ub };
+            let res = with_scratch(st.m, st.cols, |sc| {
+                st.reoptimize(model, bounds, pricing, sc)
+            });
+            if let Some(done) = warm_outcome(res, st) {
+                return done;
             }
         } else {
             vb_telemetry::counter!("solver.warm_start_misses").inc();
         }
     }
 
-    cold_solve(model, lb, ub, pricing, params)
-}
-
-/// Full two-phase solve from the logical basis.
-fn cold_solve(
-    model: &Model,
-    lb: Vec<f64>,
-    ub: Vec<f64>,
-    pricing: Pricing,
-    params: Params,
-) -> Result<(Solution, RevisedState), SolveError> {
     let mut st = RevisedState::build(model, lb, ub, params)?;
-    let sol = with_scratch(st.m, st.cols, |sc| {
-        // Phase 1: minimise the sum of artificials.
-        if st.art_start < st.cols {
-            for (j, c) in sc.cost.iter_mut().enumerate() {
-                *c = if j < st.art_start { 0.0 } else { 1.0 };
-            }
-            st.reduced_costs(sc);
-            st.iterate_with(sc, st.cols, pricing)?; // artificials may pivot in phase 1
-            let infeas: f64 = (0..st.m)
-                .filter(|&i| st.basis[i] >= st.art_start)
-                .map(|i| st.xb[i])
-                .sum();
-            if infeas > FEAS_EPS {
-                return Err(SolveError::Infeasible);
-            }
-            st.expel_and_freeze_artificials(sc)?;
-        }
-
-        // Phase 2: the real objective, artificials barred from entering.
-        st.phase2_costs(model, &mut sc.cost);
-        st.reduced_costs(sc);
-        st.iterate_with(sc, st.art_start, pricing)?;
-
-        let sol = st.extract(model);
-        st.flush_stats();
-        Ok(sol)
-    })?;
+    let sol = with_scratch(st.m, st.cols, |sc| st.solve_cold(model, pricing, sc))?;
     Ok((sol, st))
 }
 
-/// Re-optimise `parent` under new structural bounds: dual-simplex repair
-/// followed by a primal clean-up pass.
-fn warm_solve(
+/// The structural bounds under `overrides` (the last entry for a column
+/// wins), or the error a solve reports for them.
+fn structural_bounds(
     model: &Model,
-    lb: &[f64],
-    ub: &[f64],
+    overrides: &[(VarId, f64, f64)],
+) -> Result<(Vec<f64>, Vec<f64>), SolveError> {
+    let mut lb: Vec<f64> = model.vars.iter().map(|v| v.lb).collect();
+    let mut ub: Vec<f64> = model.vars.iter().map(|v| v.ub).collect();
+    for &(v, l, u) in overrides {
+        lb[v.0] = l;
+        ub[v.0] = u;
+    }
+    for j in 0..lb.len() {
+        check_bounds(model, j, lb[j], ub[j])?;
+    }
+    Ok((lb, ub))
+}
+
+/// A crossed interval is an infeasible child; a solve needs a finite
+/// lower bound on every structural.
+fn check_bounds(model: &Model, j: usize, lb: f64, ub: f64) -> Result<(), SolveError> {
+    if lb > ub + EPS {
+        return Err(SolveError::Infeasible);
+    }
+    if !lb.is_finite() {
+        return Err(SolveError::BadModel(format!(
+            "variable {} must have a finite lower bound",
+            model.vars[j].name
+        )));
+    }
+    Ok(())
+}
+
+/// Count a warm re-solve's outcome. A proven-infeasible child is a
+/// successful warm start; `None` is numerical trouble, after which the
+/// caller re-solves from scratch.
+fn warm_outcome(
+    res: Result<Solution, SolveError>,
+    st: RevisedState,
+) -> Option<Result<(Solution, RevisedState), SolveError>> {
+    match res {
+        Ok(sol) => {
+            vb_telemetry::counter!("solver.warm_start_hits").inc();
+            Some(Ok((sol, st)))
+        }
+        Err(SolveError::Infeasible) => {
+            vb_telemetry::counter!("solver.warm_start_hits").inc();
+            Some(Err(SolveError::Infeasible))
+        }
+        Err(_) => {
+            vb_telemetry::counter!("solver.warm_start_misses").inc();
+            None
+        }
+    }
+}
+
+/// Re-solves of the children of one parent state — the two children of
+/// a branch-and-bound node, or the candidate fixings of one rounding-dive
+/// level. Each child clones the parent and changes one structural
+/// column's bounds, so until its first pivot it holds the parent's
+/// basis, factors and costs. The children therefore share:
+///
+/// * the parent basis's fresh reduced costs, computed by the first child
+///   that needs them;
+/// * the first dual pricing row `α = (eᵣᵀB⁻¹)A`, when a child's first
+///   leave scan picks the row an earlier sibling's first scan picked
+///   (the branching variable's row, in practice). The leave rule is
+///   unchanged;
+/// * no bound rebuild: a child applies only its one changed column.
+///
+/// Each shared value is bit-identical to what the child would compute,
+/// so every child's pivots, basis, values and counters equal those of
+/// an independent [`solve_lp_state`] warm start from the parent.
+pub(crate) struct Siblings<'a> {
+    model: &'a Model,
+    parent: &'a RevisedState,
+    pricing: Pricing,
+    sc: &'a mut Scratch,
+}
+
+/// Run `f` over the [`Siblings`] of `parent`, on this thread's scratch.
+pub(crate) fn with_siblings<T>(
+    model: &Model,
     parent: &RevisedState,
     pricing: Pricing,
-) -> Result<(Solution, RevisedState), SolveError> {
-    let mut st = parent.clone();
-    let sol = with_scratch(st.m, st.cols, |sc| {
-        st.reoptimize(model, lb, ub, pricing, sc)
-    })?;
-    Ok((sol, st))
+    f: impl FnOnce(&mut Siblings<'_>) -> T,
+) -> T {
+    SCRATCH.with(|sc| {
+        let mut sc = sc.borrow_mut();
+        sc.share.d_ready = false;
+        sc.share.row = None;
+        f(&mut Siblings {
+            model,
+            parent,
+            pricing,
+            sc: &mut sc,
+        })
+    })
+}
+
+impl Siblings<'_> {
+    /// Solve the child whose structural bounds are `overrides`, which
+    /// must differ from the bounds the parent was solved under (on this
+    /// `model`) only at `var`. Same result, counters and cold fallback
+    /// (under the parent's [`Params`]) as
+    /// `solve_lp_state_params(model, overrides, Some(parent), ..)`.
+    pub(crate) fn solve(
+        &mut self,
+        overrides: &[(VarId, f64, f64)],
+        var: VarId,
+    ) -> Result<(Solution, RevisedState), SolveError> {
+        let _span = vb_telemetry::span!("solver.lp_solve");
+        vb_telemetry::counter!("solver.lp_solves").inc();
+
+        let (model, parent) = (self.model, self.parent);
+        let col = var.0;
+        let (lb, ub) = overrides
+            .iter()
+            .rev()
+            .find(|&&(v, _, _)| v == var)
+            .map_or((model.vars[col].lb, model.vars[col].ub), |&(_, l, u)| {
+                (l, u)
+            });
+        check_bounds(model, col, lb, ub)?;
+        let mut st = parent.clone();
+        self.sc.fit(st.m, st.cols);
+        let bounds = BoundStep::One { col, lb, ub };
+        let res = st.reoptimize(model, bounds, self.pricing, self.sc);
+        if let Some(done) = warm_outcome(res, st) {
+            return done;
+        }
+
+        let (lb, ub) = structural_bounds(model, overrides)?;
+        let mut st = RevisedState::build(model, lb, ub, parent.params)?;
+        self.sc.fit(st.m, st.cols);
+        let sol = st.solve_cold(model, self.pricing, self.sc)?;
+        Ok((sol, st))
+    }
+}
+
+/// The bounds a re-optimisation applies.
+#[derive(Clone, Copy)]
+enum BoundStep<'a> {
+    /// Every structural column's bounds (the public warm start).
+    All { lb: &'a [f64], ub: &'a [f64] },
+    /// One structural column's new interval; every other column keeps
+    /// the state's bounds. This is a [`Siblings`] re-solve, which also
+    /// shares the parent preparation in the scratch's [`Share`].
+    One { col: usize, lb: f64, ub: f64 },
 }
 
 impl RevisedState {
@@ -532,6 +676,7 @@ impl RevisedState {
                 col_starts,
                 col_rows,
                 col_vals,
+                rhs_b,
             }),
             arts: Arc::new(arts),
             lb,
@@ -540,7 +685,6 @@ impl RevisedState {
             basis,
             basis_pos,
             xb,
-            rhs_b,
             factor: BasisFactor::default(),
             n,
             m,
@@ -555,24 +699,73 @@ impl RevisedState {
         Ok(st)
     }
 
-    /// Re-optimise in place under new structural bounds: dual-simplex
-    /// repair followed by a primal clean-up pass.
-    fn reoptimize(
+    /// Both phases from the starting basis [`RevisedState::build`] set
+    /// up. Telemetry is flushed once, on every exit.
+    fn solve_cold(
         &mut self,
         model: &Model,
-        lb: &[f64],
-        ub: &[f64],
         pricing: Pricing,
         sc: &mut Scratch,
     ) -> Result<Solution, SolveError> {
-        self.apply_bounds(lb, ub, &mut sc.shift)?;
-        self.phase2_costs(model, &mut sc.cost);
-        self.reduced_costs(sc);
-        self.dual_iterate(sc, self.art_start)?;
-        self.iterate_with(sc, self.art_start, pricing)?;
-        let sol = self.extract(model);
+        let result = (|| {
+            // Phase 1: minimise the sum of artificials.
+            if self.art_start < self.cols {
+                for (j, c) in sc.cost.iter_mut().enumerate() {
+                    *c = if j < self.art_start { 0.0 } else { 1.0 };
+                }
+                self.reduced_costs(sc);
+                self.iterate_with(sc, self.cols, pricing)?; // artificials may pivot in phase 1
+                let infeas: f64 = (0..self.m)
+                    .filter(|&i| self.basis[i] >= self.art_start)
+                    .map(|i| self.xb[i])
+                    .sum();
+                if infeas > FEAS_EPS {
+                    return Err(SolveError::Infeasible);
+                }
+                self.expel_and_freeze_artificials(sc)?;
+            }
+
+            // Phase 2: the real objective, artificials barred from entering.
+            self.phase2_costs(model, &mut sc.cost);
+            self.reduced_costs(sc);
+            self.iterate_with(sc, self.art_start, pricing)?;
+            Ok(self.extract(model))
+        })();
         self.flush_stats();
-        Ok(sol)
+        result
+    }
+
+    /// Re-optimise in place after a bound step: dual-simplex repair
+    /// followed by a primal clean-up pass. A sibling re-solve
+    /// ([`BoundStep::One`]) takes its reduced costs and first dual
+    /// pricing row from the scratch's [`Share`], or leaves them there.
+    /// Telemetry is flushed once, on every exit.
+    fn reoptimize(
+        &mut self,
+        model: &Model,
+        bounds: BoundStep<'_>,
+        pricing: Pricing,
+        sc: &mut Scratch,
+    ) -> Result<Solution, SolveError> {
+        let share = matches!(bounds, BoundStep::One { .. });
+        let result = (|| {
+            self.apply_bounds(bounds, &mut sc.shift)?;
+            if share && sc.share.d_ready {
+                sc.d.copy_from_slice(&sc.share.d);
+            } else {
+                self.phase2_costs(model, &mut sc.cost);
+                self.reduced_costs(sc);
+                if share {
+                    sc.share.d.clone_from(&sc.d);
+                    sc.share.d_ready = true;
+                }
+            }
+            self.dual_iterate(sc, self.art_start, share)?;
+            self.iterate_with(sc, self.art_start, pricing)?;
+            Ok(self.extract(model))
+        })();
+        self.flush_stats();
+        result
     }
 
     /// Phase-2 cost vector into `c`: the objective over structurals,
@@ -757,7 +950,7 @@ impl RevisedState {
     fn refactorize(&mut self) -> Result<(), SolveError> {
         self.stats.refactorizations += 1;
         self.factorize_basis()?;
-        let mut r = self.rhs_b.clone();
+        let mut r = self.mat.rhs_b.clone();
         for j in 0..self.cols {
             if self.basis_pos[j] == usize::MAX {
                 let v = self.nonbasic_value(j);
@@ -788,11 +981,15 @@ impl RevisedState {
         self.flush_stats();
     }
 
-    /// The eta count, basis and basic values, for tests that compare a
-    /// state before and after a refactorization.
-    #[cfg(test)]
-    pub(crate) fn basis_snapshot(&self) -> (usize, Vec<usize>, Vec<f64>) {
-        (self.factor.eta_count(), self.basis.clone(), self.xb.clone())
+    /// The eta count, basis, bound sides and basic values: what two
+    /// solves that took the same pivots agree on exactly.
+    pub(crate) fn basis_snapshot(&self) -> (usize, Vec<usize>, Vec<bool>, Vec<f64>) {
+        (
+            self.factor.eta_count(),
+            self.basis.clone(),
+            self.at_upper.clone(),
+            self.xb.clone(),
+        )
     }
 
     /// `B⁻¹x` in place, counting the result's and the replayed etas'
@@ -811,46 +1008,21 @@ impl RevisedState {
     /// Retarget structural bounds (warm start): nonbasic structurals are
     /// re-seated on a finite bound under the new interval and the basic
     /// values shifted through one FTRAN of the accumulated column delta
-    /// (batched in `shift`).
-    fn apply_bounds(
-        &mut self,
-        lb: &[f64],
-        ub: &[f64],
-        shift: &mut [f64],
-    ) -> Result<(), SolveError> {
+    /// (batched in `shift`). A [`BoundStep::One`] is the single-column
+    /// case: a column whose interval is unchanged contributes no delta,
+    /// so the shift it batches is bit-identical.
+    fn apply_bounds(&mut self, bounds: BoundStep<'_>, shift: &mut [f64]) -> Result<(), SolveError> {
         shift.fill(0.0);
-        let mut any = false;
-        for j in 0..self.n {
-            let (nl, nu) = (lb[j], ub[j]);
-            if self.basis_pos[j] == usize::MAX {
-                let old = self.nonbasic_value(j);
-                let (new, up) = if self.at_upper[j] {
-                    if nu.is_finite() {
-                        (nu, true)
-                    } else {
-                        (nl, false)
-                    }
-                } else if nl.is_finite() {
-                    (nl, false)
-                } else {
-                    (nu, true)
-                };
-                if !new.is_finite() {
-                    return Err(SolveError::BadModel(
-                        "warm start requires a finite bound per nonbasic variable".into(),
-                    ));
+        let any = match bounds {
+            BoundStep::All { lb, ub } => {
+                let mut any = false;
+                for j in 0..self.n {
+                    any |= self.retarget(j, lb[j], ub[j], shift)?;
                 }
-                let delta = new - old;
-                if delta != 0.0 {
-                    // x_B −= B⁻¹a_j·Δ; batch the columns, solve once.
-                    self.sub_column(j, -delta, shift);
-                    any = true;
-                }
-                self.at_upper[j] = up;
+                any
             }
-            self.lb[j] = nl;
-            self.ub[j] = nu;
-        }
+            BoundStep::One { col, lb, ub } => self.retarget(col, lb, ub, shift)?,
+        };
         if any {
             self.ftran(shift);
             for (x, &s) in self.xb.iter_mut().zip(shift.iter()) {
@@ -858,6 +1030,48 @@ impl RevisedState {
             }
         }
         Ok(())
+    }
+
+    /// Give structural `j` the interval `[nl, nu]`. A nonbasic `j` is
+    /// re-seated on a finite bound and its move batched into `shift`;
+    /// returns whether it moved.
+    fn retarget(
+        &mut self,
+        j: usize,
+        nl: f64,
+        nu: f64,
+        shift: &mut [f64],
+    ) -> Result<bool, SolveError> {
+        let mut moved = false;
+        if self.basis_pos[j] == usize::MAX {
+            let old = self.nonbasic_value(j);
+            let (new, up) = if self.at_upper[j] {
+                if nu.is_finite() {
+                    (nu, true)
+                } else {
+                    (nl, false)
+                }
+            } else if nl.is_finite() {
+                (nl, false)
+            } else {
+                (nu, true)
+            };
+            if !new.is_finite() {
+                return Err(SolveError::BadModel(
+                    "warm start requires a finite bound per nonbasic variable".into(),
+                ));
+            }
+            let delta = new - old;
+            if delta != 0.0 {
+                // x_B −= B⁻¹a_j·Δ; batch the columns, solve once.
+                self.sub_column(j, -delta, shift);
+                moved = true;
+            }
+            self.at_upper[j] = up;
+        }
+        self.lb[j] = nl;
+        self.ub[j] = nu;
+        Ok(moved)
     }
 
     /// Primal bounded-variable simplex on the scratch reduced costs `d`
@@ -903,90 +1117,82 @@ impl RevisedState {
         // Set right after a stability refactorization so one bad pivot
         // cannot refactorize in a loop.
         let mut fresh = false;
-        let result = (|| {
-            for iter in 0..max_iter {
-                let bland = iter >= self.params.bland_after;
-                let enter = if weighted && !bland {
-                    self.choose_entering_weighted(viol, active, weights)
-                } else {
-                    self.choose_entering(d, col_limit, bland)
-                };
-                let Some(enter) = enter else {
-                    return Ok(());
-                };
-                let dir = if self.at_upper[enter] { -1.0 } else { 1.0 };
-                self.load_column(enter, ecol);
-                self.ftran(ecol);
-                match self.ratio_test(enter, dir, ecol) {
-                    Step::Unbounded => return Err(SolveError::Unbounded),
-                    Step::Flip => {
-                        let span = self.ub[enter] - self.lb[enter];
-                        let delta = dir * span;
-                        #[cfg(feature = "check-invariants")]
-                        assert_monotone_step(d[enter], delta, "bound flip");
-                        for (x, &e) in self.xb.iter_mut().zip(ecol.iter()) {
-                            *x -= e * delta;
-                        }
-                        self.at_upper[enter] = !self.at_upper[enter];
-                        if weighted {
-                            self.refresh_viol(enter, col_limit, d, viol, &mut active);
-                        }
-                        self.stats.flips += 1;
-                        fresh = false;
+        for iter in 0..max_iter {
+            let bland = iter >= self.params.bland_after;
+            let enter = if weighted && !bland {
+                self.choose_entering_weighted(viol, active, weights)
+            } else {
+                self.choose_entering(d, col_limit, bland)
+            };
+            let Some(enter) = enter else {
+                return Ok(());
+            };
+            let dir = if self.at_upper[enter] { -1.0 } else { 1.0 };
+            self.load_column(enter, ecol);
+            self.ftran(ecol);
+            match self.ratio_test(enter, dir, ecol) {
+                Step::Unbounded => return Err(SolveError::Unbounded),
+                Step::Flip => {
+                    let span = self.ub[enter] - self.lb[enter];
+                    let delta = dir * span;
+                    #[cfg(feature = "check-invariants")]
+                    assert_monotone_step(d[enter], delta, "bound flip");
+                    for (x, &e) in self.xb.iter_mut().zip(ecol.iter()) {
+                        *x -= e * delta;
                     }
-                    Step::Pivot {
-                        row,
-                        target,
-                        leave_at_upper,
-                    } => {
-                        rho.fill(0.0);
-                        rho[row] = 1.0;
-                        self.btran(rho);
-                        self.pricing_row(rho, pr);
-                        // Stability trigger: the pivot element computed
-                        // through FTRAN and through BTRAN must agree.
-                        let (pf, pb) = (ecol[row], pr.alpha[enter]);
-                        if !fresh && (pf - pb).abs() > STAB_EPS * (1.0 + pf.abs().max(pb.abs())) {
-                            self.refactorize()?;
-                            fresh = true;
-                            continue;
-                        }
-                        #[cfg(feature = "check-invariants")]
-                        assert_monotone_step(
-                            d[enter],
-                            (self.xb[row] - target) / ecol[row],
-                            "pivot",
-                        );
-                        if (self.xb[row] - target).abs() <= EPS {
-                            self.stats.degenerate += 1;
-                        }
-                        if weighted {
-                            match pricing {
-                                Pricing::SteepestEdge => {
-                                    self.steepest_update(weights, enter, row, ecol, pr, tau)
-                                }
-                                _ => self.devex_update(weights, enter, row, pr),
-                            }
-                        }
-                        self.pivot_apply(row, enter, target, leave_at_upper, d, ecol, pr)?;
-                        if weighted {
-                            // Reduced costs changed exactly on the
-                            // pricing row's support (plus the basis
-                            // swap, whose columns the support covers).
-                            for idx in 0..pr.support.len() {
-                                let j = pr.support[idx] as usize;
-                                self.refresh_viol(j, col_limit, d, viol, &mut active);
-                            }
-                        }
-                        self.stats.pivots += 1;
-                        fresh = false;
+                    self.at_upper[enter] = !self.at_upper[enter];
+                    if weighted {
+                        self.refresh_viol(enter, col_limit, d, viol, &mut active);
                     }
+                    self.stats.flips += 1;
+                    fresh = false;
+                }
+                Step::Pivot {
+                    row,
+                    target,
+                    leave_at_upper,
+                } => {
+                    rho.fill(0.0);
+                    rho[row] = 1.0;
+                    self.btran(rho);
+                    self.pricing_row(rho, pr);
+                    // Stability trigger: the pivot element computed
+                    // through FTRAN and through BTRAN must agree.
+                    let (pf, pb) = (ecol[row], pr.alpha[enter]);
+                    if !fresh && (pf - pb).abs() > STAB_EPS * (1.0 + pf.abs().max(pb.abs())) {
+                        self.refactorize()?;
+                        fresh = true;
+                        continue;
+                    }
+                    #[cfg(feature = "check-invariants")]
+                    assert_monotone_step(d[enter], (self.xb[row] - target) / ecol[row], "pivot");
+                    if (self.xb[row] - target).abs() <= EPS {
+                        self.stats.degenerate += 1;
+                    }
+                    if weighted {
+                        match pricing {
+                            Pricing::SteepestEdge => {
+                                self.steepest_update(weights, enter, row, ecol, pr, tau)
+                            }
+                            _ => self.devex_update(weights, enter, row, pr),
+                        }
+                    }
+                    self.pivot_apply(row, enter, target, leave_at_upper, d, ecol, pr)?;
+                    if weighted {
+                        // Reduced costs changed exactly on the
+                        // pricing row's support (plus the basis
+                        // swap, whose columns the support covers).
+                        for idx in 0..pr.support.len() {
+                            let j = pr.support[idx] as usize;
+                            self.refresh_viol(j, col_limit, d, viol, &mut active);
+                        }
+                    }
+                    self.stats.pivots += 1;
+                    fresh = false;
                 }
             }
-            Err(SolveError::IterationLimit)
-        })();
-        self.flush_stats();
-        result
+        }
+        Err(SolveError::IterationLimit)
     }
 
     /// Exact steepest-edge update (Forrest–Goldfarb): reference weights
@@ -1203,92 +1409,118 @@ impl RevisedState {
     /// Dual simplex repair: same leaving/entering rules as the tableau
     /// engine, with the pricing row reconstructed per iteration by one
     /// BTRAN, and the same stability/refactorization policy as the
-    /// primal loop.
-    fn dual_iterate(&mut self, sc: &mut Scratch, col_limit: usize) -> Result<(), SolveError> {
+    /// primal loop. With `share`, the first iteration's pricing row is
+    /// the sibling [`Share`]'s when both chose the same leaving row, and
+    /// lands there when no sibling has chosen one yet.
+    fn dual_iterate(
+        &mut self,
+        sc: &mut Scratch,
+        col_limit: usize,
+        share: bool,
+    ) -> Result<(), SolveError> {
         let max_iter = 20_000 + 100 * (self.m + self.cols);
         let Scratch {
-            ecol, rho, pr, d, ..
+            ecol,
+            rho,
+            pr: own,
+            d,
+            share: shared,
+            ..
         } = sc;
         let mut fresh = false;
-        let result = (|| {
-            for _ in 0..max_iter {
-                // Leaving row: the largest bound violation.
-                let mut leave: Option<(usize, f64, bool)> = None; // (row, viol, below)
-                for i in 0..self.m {
-                    let b = self.basis[i];
-                    let v = self.xb[i];
-                    let (viol, below) = if v < self.lb[b] - FEAS_EPS {
-                        (self.lb[b] - v, true)
-                    } else if v > self.ub[b] + FEAS_EPS {
-                        (v - self.ub[b], false)
-                    } else {
-                        continue;
-                    };
-                    if leave.is_none_or(|(_, w, _)| viol > w) {
-                        leave = Some((i, viol, below));
-                    }
-                }
-                let Some((row, _, below)) = leave else {
-                    return Ok(()); // primal feasible
+        for iter in 0..max_iter {
+            // Leaving row: the largest bound violation.
+            let mut leave: Option<(usize, f64, bool)> = None; // (row, viol, below)
+            for i in 0..self.m {
+                let b = self.basis[i];
+                let v = self.xb[i];
+                let (viol, below) = if v < self.lb[b] - FEAS_EPS {
+                    (self.lb[b] - v, true)
+                } else if v > self.ub[b] + FEAS_EPS {
+                    (v - self.ub[b], false)
+                } else {
+                    continue;
                 };
-                let b = self.basis[row];
-                let target = if below { self.lb[b] } else { self.ub[b] };
+                if leave.is_none_or(|(_, w, _)| viol > w) {
+                    leave = Some((i, viol, below));
+                }
+            }
+            let Some((row, _, below)) = leave else {
+                return Ok(()); // primal feasible
+            };
+            let b = self.basis[row];
+            let target = if below { self.lb[b] } else { self.ub[b] };
 
+            // Until its first pivot a sibling holds the parent's factors,
+            // so its first pricing row of a given leaving row is the
+            // parent's.
+            let pr: &PriceRow = if share && iter == 0 && shared.row == Some(row) {
+                self.stats.shared_rows += 1;
+                &shared.pr
+            } else {
+                let into = if share && iter == 0 && shared.row.is_none() {
+                    shared.pr.fit(self.cols);
+                    shared.row = Some(row);
+                    &mut shared.pr
+                } else {
+                    &mut *own
+                };
                 rho.fill(0.0);
                 rho[row] = 1.0;
                 self.btran(rho);
-                self.pricing_row(rho, pr);
+                self.pricing_row(rho, into);
+                into
+            };
 
-                // Entering column by the dual ratio test over the row's
-                // entries (ascending scan keeps the tableau tie-breaks),
-                // with the primal test's relative pivot tolerance.
-                let candidate =
-                    |j: usize| self.basis_pos[j] == usize::MAX && self.ub[j] - self.lb[j] > EPS;
-                let tol = pivot_tol(
-                    pr.support
-                        .iter()
-                        .map(|&j| j as usize)
-                        .filter(|&j| j < col_limit && candidate(j))
-                        .map(|j| pr.alpha[j]),
-                );
-                let mut enter: Option<(usize, f64)> = None;
-                for (j, &a) in pr.alpha.iter().enumerate().take(col_limit) {
-                    if !candidate(j) || a.abs() <= tol {
-                        continue;
-                    }
-                    let eligible = if below {
-                        (!self.at_upper[j] && a < 0.0) || (self.at_upper[j] && a > 0.0)
-                    } else {
-                        (!self.at_upper[j] && a > 0.0) || (self.at_upper[j] && a < 0.0)
-                    };
-                    if !eligible {
-                        continue;
-                    }
-                    let ratio = (d[j] / a).abs();
-                    if enter.is_none_or(|(_, r)| ratio < r - EPS) {
-                        enter = Some((j, ratio));
-                    }
-                }
-                let Some((col, _)) = enter else {
-                    return Err(SolveError::Infeasible);
-                };
-                self.load_column(col, ecol);
-                self.ftran(ecol);
-                let (pf, pb) = (ecol[row], pr.alpha[col]);
-                if !fresh && (pf - pb).abs() > STAB_EPS * (1.0 + pf.abs().max(pb.abs())) {
-                    self.refactorize()?;
-                    fresh = true;
+            // Entering column by the dual ratio test over the row's
+            // entries (ascending scan keeps the tableau tie-breaks),
+            // with the primal test's relative pivot tolerance. Zero
+            // entries, most of the row, are skipped before the
+            // candidate checks.
+            let candidate =
+                |j: usize| self.basis_pos[j] == usize::MAX && self.ub[j] - self.lb[j] > EPS;
+            let tol = pivot_tol(
+                pr.support
+                    .iter()
+                    .map(|&j| j as usize)
+                    .filter(|&j| j < col_limit && candidate(j))
+                    .map(|j| pr.alpha[j]),
+            );
+            let mut enter: Option<(usize, f64)> = None;
+            for (j, &a) in pr.alpha.iter().enumerate().take(col_limit) {
+                if a.abs() <= tol || !candidate(j) {
                     continue;
                 }
-                self.pivot_apply(row, col, target, !below, d, ecol, pr)?;
-                self.stats.pivots += 1;
-                self.stats.dual_pivots += 1;
-                fresh = false;
+                let eligible = if below {
+                    (!self.at_upper[j] && a < 0.0) || (self.at_upper[j] && a > 0.0)
+                } else {
+                    (!self.at_upper[j] && a > 0.0) || (self.at_upper[j] && a < 0.0)
+                };
+                if !eligible {
+                    continue;
+                }
+                let ratio = (d[j] / a).abs();
+                if enter.is_none_or(|(_, r)| ratio < r - EPS) {
+                    enter = Some((j, ratio));
+                }
             }
-            Err(SolveError::IterationLimit)
-        })();
-        self.flush_stats();
-        result
+            let Some((col, _)) = enter else {
+                return Err(SolveError::Infeasible);
+            };
+            self.load_column(col, ecol);
+            self.ftran(ecol);
+            let (pf, pb) = (ecol[row], pr.alpha[col]);
+            if !fresh && (pf - pb).abs() > STAB_EPS * (1.0 + pf.abs().max(pb.abs())) {
+                self.refactorize()?;
+                fresh = true;
+                continue;
+            }
+            self.pivot_apply(row, col, target, !below, d, ecol, pr)?;
+            self.stats.pivots += 1;
+            self.stats.dual_pivots += 1;
+            fresh = false;
+        }
+        Err(SolveError::IterationLimit)
     }
 
     /// Apply a pivot: `col` becomes basic at `row`, the leaving variable
@@ -1398,11 +1630,21 @@ impl RevisedState {
         Solution::new(objective, x)
     }
 
-    /// Add the per-solve counters to telemetry and zero them (safe to
-    /// call repeatedly; loop boundaries and solve exits both flush).
+    /// Add the per-solve counters to telemetry and to this thread's
+    /// [`Work`], and zero them. Every solve flushes once, on each of
+    /// its exits.
     fn flush_stats(&mut self) {
         let s = self.stats;
         self.stats = Stats::default();
+        FLUSHED.with(|w| {
+            let t = w.get();
+            w.set(Work {
+                pivots: t.pivots + s.pivots,
+                eta_updates: t.eta_updates + s.eta_updates,
+                refactorizations: t.refactorizations + s.refactorizations,
+                shared_rows: t.shared_rows + s.shared_rows,
+            });
+        });
         vb_telemetry::counter!("solver.pivots").add(s.pivots);
         vb_telemetry::counter!("solver.pricing_cols_scanned").add(s.scanned);
         vb_telemetry::counter!("solver.ftran_nnz").add(s.ftran_nnz);
@@ -1431,6 +1673,9 @@ impl RevisedState {
         }
         if s.steepest_resets > 0 {
             vb_telemetry::counter!("solver.steepest_resets").add(s.steepest_resets);
+        }
+        if s.shared_rows > 0 {
+            vb_telemetry::counter!("solver.shared_pricing_rows").add(s.shared_rows);
         }
     }
 
@@ -1477,8 +1722,8 @@ impl RevisedState {
 
         // ‖A·x − b‖ residual, accumulated column-wise with a per-row
         // magnitude scale so well-conditioned rows get a tight check.
-        let mut resid: Vec<f64> = self.rhs_b.iter().map(|&b| -b).collect();
-        let mut scale: Vec<f64> = self.rhs_b.iter().map(|&b| b.abs()).collect();
+        let mut resid: Vec<f64> = self.mat.rhs_b.iter().map(|&b| -b).collect();
+        let mut scale: Vec<f64> = self.mat.rhs_b.iter().map(|&b| b.abs()).collect();
         for j in 0..self.cols {
             let v = if self.basis_pos[j] != usize::MAX {
                 self.xb[self.basis_pos[j]]
@@ -1687,7 +1932,8 @@ mod tests {
         let lb = vec![0.0; 6];
         let ub = vec![0.5, 0.25, 0.5, 0.25, 4.0, 0.5];
         with_scratch(driven.m, driven.cols, |sc| {
-            driven.reoptimize(&m, &lb, &ub, Pricing::SteepestEdge, sc)
+            let bounds = BoundStep::All { lb: &lb, ub: &ub };
+            driven.reoptimize(&m, bounds, Pricing::SteepestEdge, sc)
         })
         .unwrap();
         assert!(

@@ -42,6 +42,13 @@ pub enum CoverageError {
         /// Site name.
         site: String,
     },
+    /// A sample inside the window is NaN or infinite.
+    NonFinite {
+        /// Site name.
+        site: String,
+        /// The sample's step after the window's first sample.
+        offset: usize,
+    },
 }
 
 impl std::fmt::Display for CoverageError {
@@ -68,6 +75,10 @@ impl std::fmt::Display for CoverageError {
                     "measured data for {site} ends before the requested window"
                 )
             }
+            CoverageError::NonFinite { site, offset } => write!(
+                f,
+                "measured data for {site} holds a non-finite sample {offset} steps into the requested window"
+            ),
         }
     }
 }
@@ -281,7 +292,7 @@ impl Catalog {
     ///
     /// # Errors
     /// A [`CoverageError`] when a site's measured data does not cover the
-    /// window.
+    /// window or holds a NaN or infinite sample inside it.
     ///
     /// # Panics
     /// Panics if an index is out of range.
@@ -317,7 +328,7 @@ impl Catalog {
     }
 }
 
-/// `data` cut to `[start_day, start_day + days)`.
+/// `data` cut to `[start_day, start_day + days)`, every sample finite.
 fn measured_window(
     site: &Site,
     data: &TimeSeries,
@@ -346,7 +357,14 @@ fn measured_window(
     if offset + want_len > data.len() {
         return Err(CoverageError::EndsBefore { site: site() });
     }
-    Ok(data.slice(offset, offset + want_len))
+    let window = data.slice(offset, offset + want_len);
+    if let Some(offset) = window.values.iter().position(|v| !v.is_finite()) {
+        return Err(CoverageError::NonFinite {
+            site: site(),
+            offset,
+        });
+    }
+    Ok(window)
 }
 
 #[cfg(test)]
@@ -505,6 +523,29 @@ mod measured_tests {
                 start_secs: 864_450
             })
         );
+    }
+
+    #[test]
+    fn group_series_rejects_non_finite_measured_samples() {
+        // Two days from day 10; the window is day 11.
+        let site = || "meter".to_string();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut values = vec![0.5; 2 * 96];
+            values[96 + 7] = bad;
+            let data = TimeSeries::with_start(10 * 86_400, INTERVAL_15M, values);
+            let c = Catalog::from_measured(vec![Site::wind("meter", 52.0, 0.0)], vec![data], 1);
+            assert_eq!(
+                c.group_series(&[0], 11, 1, []).err(),
+                Some(CoverageError::NonFinite {
+                    site: site(),
+                    offset: 7
+                }),
+                "{bad}"
+            );
+            // Outside the window the sample is never served.
+            let day10 = c.group_series(&[0], 10, 1, []).expect("day 10 is finite");
+            assert!(day10[0].actual.values.iter().all(|&v| v == 0.5));
+        }
     }
 
     #[test]

@@ -4,13 +4,11 @@
 //! `1x,10x,100x` on the app count) into fleet-shaped MIPs where ~60 %
 //! of the apps are pinned to their home site by singleton equality
 //! rows — the shape presolve dissolves — and solves each scale's epochs
-//! cold with [`solve_mip_kernel`] twice: once with
-//! [`KernelConfig::baseline`] (the pre-presolve/devex/parallel
-//! explicit-tableau kernel) and once with [`KernelConfig::production`]
-//! (factorized revised simplex + steepest-edge), asserting identical
-//! optima. Rows report the production kernel's refactorization and
-//! eta-update counts alongside pivots. Like the fleet bench, a
-//! 1000× fleet-shaped row is opt-in:
+//! cold with [`solve_mip_kernel`], as the co-scheduler does. Each row
+//! reports the wall-clock next to the exact work behind it: LP solves,
+//! pivots, eta updates, refactorizations, branch-and-bound nodes,
+//! presolve fixings, and the sum of the epochs' optimal objectives.
+//! Like the fleet bench, a 1000× fleet-shaped row is opt-in:
 //! `VB_SOLVER_SCALES=1x,10x,100x,1000x` (it solves a single epoch at
 //! that size to keep wall-clock sane).
 //!
@@ -18,7 +16,7 @@
 //! `VB_BENCH_OUT`; empty string disables the file).
 
 use std::time::Instant;
-use vb_solver::{solve_mip_kernel, KernelConfig, Model, Sense, VarId};
+use vb_solver::{solve_mip_kernel, Model, Sense, VarId};
 
 const APPS: usize = 16;
 const SITES: usize = 3;
@@ -41,8 +39,8 @@ fn mix(seed: usize) -> f64 {
 /// site by a singleton equality row — real fleets pin most placements
 /// (data gravity, licensing, latency) and only the movable minority is
 /// decided per epoch. The singletons are exactly what presolve folds
-/// away, so the rows measure the production kernel on the model shape
-/// it was built for.
+/// away, so the rows measure the solver on the model shape it was
+/// built for.
 fn epoch_model(apps: usize, e: usize) -> Model {
     let mut m = Model::new(Sense::Minimize);
     let x: Vec<Vec<VarId>> = (0..apps)
@@ -99,33 +97,37 @@ fn epoch_model(apps: usize, e: usize) -> Model {
     m
 }
 
-fn pivots_now() -> u64 {
-    counter_now("solver.pivots")
-}
-
 fn counter_now(name: &str) -> u64 {
     vb_telemetry::snapshot().counter(name).unwrap_or(0)
 }
 
-/// One model-size scaling measurement: the same epoch sequence solved
-/// cold with the PR-7-era baseline kernel and with the production
-/// kernel (presolve + steepest-edge revised simplex + parallel B&B).
+/// One model-size scaling measurement: the epoch sequence solved cold
+/// by `solve_mip_kernel` (presolve + revised simplex + parallel B&B).
 struct ScaleRow {
     label: String,
     apps: usize,
     vars: usize,
     rows: usize,
     epochs: usize,
-    baseline_secs: f64,
     kernel_secs: f64,
-    speedup: f64,
-    baseline_pivots: u64,
     kernel_pivots: u64,
     presolve_vars_fixed: u64,
     refactorizations: u64,
     eta_updates: u64,
-    max_objective_drift: f64,
+    lp_solves: u64,
+    nodes_expanded: u64,
+    objective_sum: f64,
 }
+
+/// The telemetry counters a row reports, as deltas over its solves.
+const COUNTERS: [&str; 6] = [
+    "solver.pivots",
+    "solver.presolve_vars_fixed",
+    "solver.refactorizations",
+    "solver.eta_updates",
+    "solver.lp_solves",
+    "solver.mip_nodes_expanded",
+];
 
 fn run_scale(label: &str, mult: usize) -> ScaleRow {
     let apps = APPS * mult;
@@ -141,55 +143,33 @@ fn run_scale(label: &str, mult: usize) -> ScaleRow {
         8
     };
     let models: Vec<Model> = (0..epochs).map(|e| epoch_model(apps, e)).collect();
-    let run_kernel = |kernel: &KernelConfig| {
-        let p = pivots_now();
-        let t = Instant::now();
-        let objs: Vec<f64> = models
-            .iter()
-            .map(|m| {
-                solve_mip_kernel(m, MAX_NODES, kernel)
-                    .expect("scaled placement epochs are feasible")
-                    .objective
-            })
-            .collect();
-        (t.elapsed().as_secs_f64(), pivots_now() - p, objs)
-    };
-    let (baseline_secs, baseline_pivots, base_obj) = run_kernel(&KernelConfig::baseline());
-    let fixed0 = counter_now("solver.presolve_vars_fixed");
-    let refac0 = counter_now("solver.refactorizations");
-    let eta0 = counter_now("solver.eta_updates");
-    let (kernel_secs, kernel_pivots, kern_obj) = run_kernel(&KernelConfig::production());
-    let presolve_vars_fixed = counter_now("solver.presolve_vars_fixed") - fixed0;
-    let refactorizations = counter_now("solver.refactorizations") - refac0;
-    let eta_updates = counter_now("solver.eta_updates") - eta0;
-    let max_objective_drift = base_obj
+    let before = COUNTERS.map(counter_now);
+    let t = Instant::now();
+    let objective_sum: f64 = models
         .iter()
-        .zip(&kern_obj)
-        .map(|(b, k)| (b - k).abs())
-        .fold(0.0f64, f64::max);
-    assert!(
-        max_objective_drift < 1e-6,
-        "{label}: production kernel changed an optimum by {max_objective_drift}"
-    );
+        .map(|m| {
+            solve_mip_kernel(m, MAX_NODES)
+                .expect("scaled placement epochs are feasible")
+                .objective
+        })
+        .sum();
+    let kernel_secs = t.elapsed().as_secs_f64();
+    let [kernel_pivots, presolve_vars_fixed, refactorizations, eta_updates, lp_solves, nodes_expanded] =
+        std::array::from_fn(|k| counter_now(COUNTERS[k]) - before[k]);
     ScaleRow {
         label: label.to_string(),
         apps,
         vars: models[0].num_vars(),
         rows: models[0].num_constraints(),
         epochs,
-        baseline_secs,
         kernel_secs,
-        speedup: if kernel_secs > 0.0 {
-            baseline_secs / kernel_secs
-        } else {
-            0.0
-        },
-        baseline_pivots,
         kernel_pivots,
         presolve_vars_fixed,
         refactorizations,
         eta_updates,
-        max_objective_drift,
+        lp_solves,
+        nodes_expanded,
+        objective_sum,
     }
 }
 
@@ -204,28 +184,27 @@ fn main() {
         }
     };
     let mut scale_rows: Vec<ScaleRow> = Vec::new();
-    println!("kernel scaling (baseline vs presolve+steepest-edge+parallel):");
+    println!("kernel scaling (presolve + revised simplex + parallel B&B):");
     for (label, mult) in &scales {
         let row = run_scale(label, *mult as usize);
         println!(
             "  {}: {} apps ({} vars x {} rows) x {} epochs: \
-             baseline {:.4}s/{} pivots, kernel {:.4}s/{} pivots, \
-             speedup {:.2}x, {} vars presolved away, \
-             {} refactorizations, {} eta updates, drift {:.1e}",
+             {:.4}s, {} LP solves, {} pivots, {} eta updates, \
+             {} refactorizations, {} nodes, {} vars presolved away, \
+             objective sum {}",
             row.label,
             row.apps,
             row.vars,
             row.rows,
             row.epochs,
-            row.baseline_secs,
-            row.baseline_pivots,
             row.kernel_secs,
+            row.lp_solves,
             row.kernel_pivots,
-            row.speedup,
-            row.presolve_vars_fixed,
-            row.refactorizations,
             row.eta_updates,
-            row.max_objective_drift,
+            row.refactorizations,
+            row.nodes_expanded,
+            row.presolve_vars_fixed,
+            row.objective_sum,
         );
         scale_rows.push(row);
     }
@@ -234,21 +213,20 @@ fn main() {
         .iter()
         .map(|r| {
             format!(
-                "    {{\n      \"scale\": \"{}\",\n      \"apps\": {},\n      \"vars\": {},\n      \"rows\": {},\n      \"epochs\": {},\n      \"baseline_secs\": {:.6},\n      \"kernel_secs\": {:.6},\n      \"speedup\": {:.4},\n      \"baseline_pivots\": {},\n      \"kernel_pivots\": {},\n      \"presolve_vars_fixed\": {},\n      \"refactorizations\": {},\n      \"eta_updates\": {},\n      \"max_objective_drift\": {:.3e}\n    }}",
+                "    {{\n      \"scale\": \"{}\",\n      \"apps\": {},\n      \"vars\": {},\n      \"rows\": {},\n      \"epochs\": {},\n      \"kernel_secs\": {:.6},\n      \"kernel_pivots\": {},\n      \"presolve_vars_fixed\": {},\n      \"refactorizations\": {},\n      \"eta_updates\": {},\n      \"lp_solves\": {},\n      \"nodes_expanded\": {},\n      \"objective_sum\": {}\n    }}",
                 r.label,
                 r.apps,
                 r.vars,
                 r.rows,
                 r.epochs,
-                r.baseline_secs,
                 r.kernel_secs,
-                r.speedup,
-                r.baseline_pivots,
                 r.kernel_pivots,
                 r.presolve_vars_fixed,
                 r.refactorizations,
                 r.eta_updates,
-                r.max_objective_drift,
+                r.lp_solves,
+                r.nodes_expanded,
+                r.objective_sum,
             )
         })
         .collect();

@@ -166,15 +166,15 @@ fn fleet_runs_bit_match_sequential() {
     }
 }
 
-/// Deterministic parallel branch & bound: the production kernel expands
-/// node batches through `vb_par::par_map`, and the contract is that the
+/// Deterministic parallel branch & bound: the search expands node
+/// batches through `vb_par::par_map`, and the contract is that the
 /// incumbent sequence — hence the returned schedule — is *bit*-identical
 /// at any `VB_THREADS`. Branching-heavy placement epochs (tight
-/// capacities, near-tied costs) are solved cold by the production
-/// kernel at 1 and 8 threads and every value is compared by bit pattern.
+/// capacities, near-tied costs) are solved cold by `solve_mip_kernel`
+/// at 1 and 8 threads and every value is compared by bit pattern.
 #[test]
 fn parallel_branch_and_bound_bit_matches_sequential() {
-    use vb_solver::{solve_mip_kernel, KernelConfig, Model, Sense, Solution, VarId};
+    use vb_solver::{solve_mip_kernel, Model, Sense, Solution, VarId};
 
     /// SplitMix64 → uniform in [0, 1); keeps the instances arbitrary but
     /// reproducible without pulling in a PRNG crate.
@@ -237,10 +237,7 @@ fn parallel_branch_and_bound_bit_matches_sequential() {
 
     fn run() -> Vec<Solution> {
         (0..6)
-            .map(|e| {
-                solve_mip_kernel(&epoch_mip(e), 200_000, &KernelConfig::production())
-                    .expect("epoch MIP solves")
-            })
+            .map(|e| solve_mip_kernel(&epoch_mip(e), 200_000).expect("epoch MIP solves"))
             .collect()
     }
 

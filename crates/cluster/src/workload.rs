@@ -16,6 +16,7 @@ use crate::vm::{VmKind, VmRequest};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use vb_stats::sample::{poisson, standard_normal};
 
 /// Discrete VM shape mix: (cores, memory GB per core, probability).
 /// Small VMs dominate, as in the Azure trace.
@@ -180,35 +181,6 @@ impl Workload {
     }
 }
 
-/// Poisson sample via inversion (rates here are modest) with a normal
-/// approximation fallback for large rates.
-fn poisson(rng: &mut StdRng, rate: f64) -> usize {
-    if rate <= 0.0 {
-        return 0;
-    }
-    if rate > 500.0 {
-        let z = standard_normal(rng);
-        return (rate + rate.sqrt() * z).round().max(0.0) as usize;
-    }
-    let l = (-rate).exp();
-    let mut k = 0usize;
-    let mut p = 1.0;
-    loop {
-        p *= rng.gen::<f64>();
-        if p <= l {
-            return k;
-        }
-        k += 1;
-    }
-}
-
-/// Standard normal via Box–Muller.
-fn standard_normal(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.gen::<f64>().max(1e-12);
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,13 +267,5 @@ mod tests {
         let cfg = WorkloadConfig::for_cluster(28_000, 0.7);
         let implied = cfg.arrivals_per_step * cfg.mean_cores() * cfg.mean_lifetime_steps();
         assert!((implied - 19_600.0).abs() < 1.0, "implied cores {implied}");
-    }
-
-    #[test]
-    fn poisson_large_rate_uses_normal_approx() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let n = poisson(&mut rng, 10_000.0);
-        assert!((9_000..11_000).contains(&n), "n {n}");
-        assert_eq!(poisson(&mut rng, 0.0), 0);
     }
 }

@@ -10,6 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use vb_cluster::VmKind;
+use vb_stats::sample::{poisson, standard_normal};
 
 /// An application request.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -154,28 +155,6 @@ impl AppGen {
             lifetime_steps: lifetime,
         }
     }
-}
-
-fn poisson(rng: &mut StdRng, rate: f64) -> usize {
-    if rate <= 0.0 {
-        return 0;
-    }
-    let l = (-rate).exp();
-    let mut k = 0usize;
-    let mut p = 1.0;
-    loop {
-        p *= rng.gen::<f64>();
-        if p <= l {
-            return k;
-        }
-        k += 1;
-    }
-}
-
-fn standard_normal(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.gen::<f64>().max(1e-12);
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]

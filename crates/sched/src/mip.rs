@@ -51,8 +51,8 @@
 //! valve), returns non-finite values, or returns class counts that do
 //! not partition a class, the epoch falls back to greedy placement, so
 //! a simulation always completes. Every epoch builds a fresh model and
-//! solves it cold with the production kernel
-//! ([`vb_solver::KernelConfig::production`]). [`MipStats`] counts
+//! solves it cold with [`vb_solver::solve_mip_kernel`] (presolve, then
+//! branch and bound over the revised simplex). [`MipStats`] counts
 //! planned epochs, budget stops and greedy fallbacks per policy.
 
 use crate::greedy::GreedyPolicy;
@@ -60,7 +60,7 @@ use crate::policy::{Assignment, PlanContext, Policy, SiteSnapshot};
 use crate::sim::STEPS_PER_DAY;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use vb_solver::{KernelConfig, LinExpr, Model, Sense, SolveError, VarId};
+use vb_solver::{LinExpr, Model, Sense, SolveError, VarId};
 
 /// MIP policy configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -207,7 +207,7 @@ impl MipPolicy {
         // Anytime solve: epochs arrive every 3 simulated hours; a node
         // budget keeps planning latency bounded while the root dive
         // guarantees a good incumbent.
-        let sol = vb_solver::solve_mip_kernel(&m, self.cfg.max_nodes, &KernelConfig::production())?;
+        let sol = vb_solver::solve_mip_kernel(&m, self.cfg.max_nodes)?;
         if sol.budget_gap().is_some() {
             self.stats.budget_stops += 1;
         }

@@ -160,9 +160,11 @@ pub struct GroupSimConfig {
 
 impl GroupSimConfig {
     /// Reject values no simulation can run on: an empty period, a zero
-    /// planning cadence, and an admission headroom outside (0, 1] (a
-    /// NaN target would size an infinite workload, one above 1 admits
-    /// more cores than a site has powered).
+    /// planning cadence, an admission headroom outside (0, 1] (a NaN
+    /// target would size an infinite workload, one above 1 admits more
+    /// cores than a site has powered), and an explicit `app_cfg` whose
+    /// arrival rate is negative or not finite (the Poisson sampler
+    /// would silently draw no arrivals from it).
     ///
     /// # Errors
     /// [`SimError::Config`] naming the first offending field.
@@ -185,6 +187,15 @@ impl GroupSimConfig {
                 "target_util",
                 format!("must be a fraction in (0, 1], not {}", self.target_util),
             );
+        }
+        if let Some(app) = &self.app_cfg {
+            let rate = app.arrivals_per_step;
+            if !(rate.is_finite() && rate >= 0.0) {
+                return bad(
+                    "app_cfg.arrivals_per_step",
+                    format!("must be a finite, non-negative rate, not {rate}"),
+                );
+            }
         }
         Ok(())
     }

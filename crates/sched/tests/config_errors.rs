@@ -2,13 +2,14 @@
 //! `GroupSim::new` with a typed error, instead of panicking (`days = 0`
 //! in `Summary::of`, `epoch_steps = 0` as a remainder by zero) or
 //! hanging (a NaN `target_util` or trace sample sizes a workload whose
-//! Poisson sampler never returns). Cases that used to hang run on a
+//! Poisson sampler never returned, and so did a NaN arrival rate in an
+//! explicit `app_cfg`). Cases that used to hang run on a
 //! worker thread under a wall-clock bound, so a regression fails the
 //! test instead of stalling the suite.
 
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
-use vb_sched::{GreedyPolicy, GroupSim, GroupSimConfig, SimError};
+use vb_sched::{AppGenConfig, GreedyPolicy, GroupSim, GroupSimConfig, SimError};
 use vb_stats::TimeSeries;
 use vb_trace::{Catalog, CoverageError, Site, INTERVAL_15M};
 
@@ -119,4 +120,37 @@ fn nan_measured_sample_fails_within_the_bound() {
             offset: 96
         }))
     );
+}
+
+fn with_arrival_rate(rate: f64) -> GroupSimConfig {
+    GroupSimConfig {
+        app_cfg: Some(AppGenConfig {
+            arrivals_per_step: rate,
+            ..AppGenConfig::default()
+        }),
+        ..small()
+    }
+}
+
+#[test]
+fn nan_arrival_rate_fails_within_the_bound() {
+    // A NaN rate used to spin forever in the Poisson sampler.
+    assert_eq!(
+        config_field(build_and_run(
+            Catalog::europe(42),
+            with_arrival_rate(f64::NAN)
+        )),
+        "app_cfg.arrivals_per_step"
+    );
+}
+
+#[test]
+fn negative_or_infinite_arrival_rate_is_a_config_error() {
+    for bad in [-1.0, f64::INFINITY, f64::NEG_INFINITY] {
+        let err = GroupSim::new(&Catalog::europe(42), &["NO-solar"], with_arrival_rate(bad)).err();
+        assert_eq!(config_field(err), "app_cfg.arrivals_per_step", "rate {bad}");
+    }
+    // No arrivals at all is a valid (if idle) workload.
+    let cfg = with_arrival_rate(0.0);
+    assert!(GroupSim::new(&Catalog::europe(42), &["NO-solar"], cfg).is_ok());
 }

@@ -1,8 +1,6 @@
 //! Best-first branch & bound for mixed-integer programs.
 //!
-//! Solves the LP relaxation with the engine its [`KernelConfig`] names
-//! — the factorized revised simplex ([`crate::revised`]) in production,
-//! the explicit tableau ([`crate::simplex`]) in the baseline kernel;
+//! Solves the LP relaxation on the revised simplex ([`crate::revised`]);
 //! while the relaxed optimum assigns a fractional value to an integer
 //! variable, branches on the most fractional one with `x ≤ ⌊v⌋` /
 //! `x ≥ ⌈v⌉` bound splits. Nodes are explored best-bound-first, so the
@@ -12,54 +10,51 @@
 //! incumbent with the open gap ([`Solution::budget_gap`]).
 //!
 //! Child nodes **warm-start** from their parent's optimal basis: each
-//! node keeps its relaxation's solved state ([`LpState`], held in an
+//! node keeps its relaxation's solved [`RevisedState`] (held in an
 //! `Arc` — branching only changes one variable's bounds, never the
 //! constraint matrix), and the child repairs primal feasibility with a
 //! dual-simplex phase instead of re-running two full phases from the
-//! all-slack basis. A child's revised-simplex state also shares its
-//! parent's LU factors and eta entries instead of copying them (see
-//! [`crate::ftran`]). The rounding dive chains warm starts the same
-//! way. On the factorized engine a node's two children (and a dive
-//! level's two candidate fixings) re-solve through one
-//! `revised::Siblings`, which computes the parent's reduced costs and
-//! the branching row's pricing row once for both and applies only the
-//! branched bound; their pivots and plans are bit-identical to two
-//! independent warm starts (`check_sibling_resolves` checks it).
-//! Before either replays a fractional root, the root's basis is
-//! refactorized once (`refresh_root`), so no solve below it replays
-//! the root solve's eta file. Warm and cold solves reach the same
-//! optima (pivot order may differ on degenerate ties, so alternate
-//! optimal *vertices* are possible); [`solve_mip_bounded_with`] exposes
-//! a cold mode for differential tests and pivot-count comparisons.
+//! all-slack basis. A child's state also shares its parent's LU factors
+//! and eta entries instead of copying them. The rounding dive chains
+//! warm starts the same way. A node's two children (and a dive level's
+//! two candidate fixings) re-solve through one `revised::Siblings`,
+//! which computes the parent's reduced costs and the branching row's
+//! pricing row once for both and applies only the branched bound; their
+//! pivots and plans are bit-identical to two independent warm starts
+//! (`check_sibling_resolves` checks it). Before either replays a
+//! fractional root, the root's basis is refactorized once
+//! (`refresh_root`), so no solve below it replays the root solve's eta
+//! file. Warm and cold solves reach the same optima (pivot order may
+//! differ on degenerate ties, so alternate optimal *vertices* are
+//! possible); [`solve_mip_bounded_with`] exposes a cold mode for
+//! differential tests and pivot-count comparisons.
 //!
 //! Every root is a cold solve. The co-scheduler builds a new model each
 //! epoch: arrivals change its app classes, and its load-balance rows
 //! carry coefficients that follow the capacity forecast, so no epoch
 //! re-solves the previous epoch's constraint matrix.
 //!
-//! # The production kernel
+//! # Deterministic parallel search
 //!
-//! [`solve_mip_kernel`] with [`KernelConfig::production`] is what the
-//! co-scheduler runs every epoch: the model is shrunk by
-//! [`crate::presolve`], relaxations run on the factorized revised
-//! simplex ([`Engine::Factorized`], [`crate::revised`]) with exact
-//! steepest-edge pricing ([`Pricing::SteepestEdge`]), and the search
-//! expands node *batches* in parallel through `vb-par`. Each node
-//! carries its engine's state ([`LpState`]), so children warm-start on
-//! whichever engine solved the parent. Parallelism is deterministic by
-//! construction — see [`solve_mip_from_root`]: batch membership is
-//! chosen sequentially, per-node expansion is a pure function of the
-//! node, results are applied in batch index order, and heap ties break
-//! on a monotone insertion counter — so the incumbent sequence (and
-//! the returned schedule) is bit-identical at any `VB_THREADS`.
-//! [`KernelConfig::baseline`] pins the PR 7 behaviour (no presolve,
-//! Dantzig pricing, serial search) for differential tests and the
-//! `solver_perf` scaling comparison.
+//! The search expands node *batches* of up to 16 nodes in parallel
+//! through `vb-par`. Parallelism is deterministic by construction:
+//! batch membership is chosen sequentially, per-node expansion is a
+//! pure function of the node, results are applied in batch index order,
+//! and heap ties break on a monotone insertion counter — so the
+//! incumbent sequence (and the returned schedule) is bit-identical at
+//! any `VB_THREADS`.
+//!
+//! # The co-scheduler's entry point
+//!
+//! [`solve_mip_kernel`] is what the co-scheduler runs every epoch: the
+//! model is first shrunk by [`crate::presolve`], and the solution is
+//! postsolved back to the original variable space. [`solve_mip`],
+//! [`solve_mip_bounded`] and [`solve_mip_bounded_with`] run the same
+//! search on the model as given.
 
 use crate::model::{Model, Sense, Solution, SolveError, VarId};
-use crate::presolve::{self, Presolved};
+use crate::presolve;
 use crate::revised::{self, RevisedState};
-use crate::simplex::{self, Pricing, SimplexState};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
@@ -78,132 +73,28 @@ const MAX_NODES: usize = 200_000;
 /// `VB_THREADS` and parallelism changes wall-clock only.
 const PAR_BATCH: usize = 16;
 
-/// Which LP engine solves the relaxations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Explicit sparse tableau ([`crate::simplex`]): every pivot
-    /// rewrites the tableau rows. The PR 7/8 engine, kept as the
-    /// differential baseline.
-    #[default]
-    Tableau,
-    /// Revised simplex on a factorized LU basis ([`crate::revised`]):
-    /// per-pivot FTRAN/BTRAN solves plus eta-file updates with periodic
-    /// refactorization, instead of a tableau sweep.
-    Factorized,
-}
-
-/// Which kernel layers a MIP solve runs with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KernelConfig {
-    /// Shrink the model with [`crate::presolve`] before solving and
-    /// postsolve the solution back to the original variable space.
-    pub presolve: bool,
-    /// Entering-column pricing rule for every LP relaxation.
-    pub pricing: Pricing,
-    /// Expand branch & bound nodes in deterministic parallel batches.
-    pub parallel: bool,
-    /// LP engine for every relaxation (cold solves pick it directly;
-    /// warm starts stay on the engine that produced the parent state).
-    pub engine: Engine,
-}
-
-impl KernelConfig {
-    /// The full production kernel: presolve + the factorized
-    /// revised-simplex engine with steepest-edge pricing + parallel
-    /// search. What `MipPolicy` (and through it the fleet path) runs
-    /// through [`solve_mip_kernel`].
-    pub fn production() -> KernelConfig {
-        KernelConfig {
-            presolve: true,
-            pricing: Pricing::SteepestEdge,
-            parallel: true,
-            engine: Engine::Factorized,
-        }
-    }
-
-    /// The PR 7 kernel, layer for layer: no presolve, cyclic Dantzig
-    /// pricing on the explicit tableau, serial best-first search. The
-    /// differential baseline.
-    pub fn baseline() -> KernelConfig {
-        KernelConfig {
-            presolve: false,
-            pricing: Pricing::Dantzig,
-            parallel: false,
-            engine: Engine::Tableau,
-        }
-    }
-}
-
-/// A solved relaxation state from either engine. Branch & bound nodes
-/// carry this, so one search works against both engines; warm starts
-/// dispatch on the variant.
-#[derive(Debug, Clone)]
-// Both variants boxed: nodes move `LpState` values around constantly,
-// and the engine states are hundreds of bytes of inline header.
-enum LpState {
-    Tableau(Box<SimplexState>),
-    Revised(Box<RevisedState>),
-}
-
-/// Solve a relaxation, warm-starting on the engine that produced
-/// `warm` when present, else cold on `engine`.
-fn lp_solve(
-    model: &Model,
-    overrides: &[(VarId, f64, f64)],
-    warm: Option<&LpState>,
-    pricing: Pricing,
-    engine: Engine,
-) -> Result<(Solution, LpState), SolveError> {
-    match warm {
-        Some(LpState::Tableau(st)) => {
-            simplex::solve_lp_state_priced(model, overrides, Some(st), pricing)
-                .map(|(s, st)| (s, LpState::Tableau(Box::new(st))))
-        }
-        Some(LpState::Revised(st)) => revised::solve_lp_state(model, overrides, Some(st), pricing)
-            .map(|(s, st)| (s, LpState::Revised(Box::new(st)))),
-        None => match engine {
-            Engine::Tableau => simplex::solve_lp_state_priced(model, overrides, None, pricing)
-                .map(|(s, st)| (s, LpState::Tableau(Box::new(st)))),
-            Engine::Factorized => revised::solve_lp_state(model, overrides, None, pricing)
-                .map(|(s, st)| (s, LpState::Revised(Box::new(st)))),
-        },
-    }
-}
-
 /// A solver for children of one parent state, each changing one
 /// variable's bounds: called with a child's full override list.
 type ChildSolve<'s> =
-    dyn FnMut(&[(VarId, f64, f64)]) -> Result<(Solution, LpState), SolveError> + 's;
+    dyn FnMut(&[(VarId, f64, f64)]) -> Result<(Solution, RevisedState), SolveError> + 's;
 
 /// Run `f` with a solver for the children of `parent` that each change
-/// `var`'s bounds. Factorized warm starts go through one
-/// [`revised::Siblings`], which shares the parent's preparation between
-/// them; tableau and cold solves run [`lp_solve`] per child.
+/// `var`'s bounds. Warm starts go through one [`revised::Siblings`],
+/// which shares the parent's preparation between them; with
+/// `warm_start` off every child solves cold.
 fn with_children<T>(
     model: &Model,
-    parent: &LpState,
+    parent: &RevisedState,
     var: VarId,
     warm_start: bool,
-    pricing: Pricing,
-    engine: Engine,
     f: impl FnOnce(&mut ChildSolve<'_>) -> T,
 ) -> T {
-    match parent {
-        LpState::Revised(st) if warm_start => revised::with_siblings(model, st, pricing, |sib| {
-            f(&mut |overrides| {
-                sib.solve(overrides, var)
-                    .map(|(s, st)| (s, LpState::Revised(Box::new(st))))
-            })
-        }),
-        _ => f(&mut |overrides| {
-            lp_solve(
-                model,
-                overrides,
-                warm_start.then_some(parent),
-                pricing,
-                engine,
-            )
-        }),
+    if warm_start {
+        revised::with_siblings(model, parent, |sib| {
+            f(&mut |overrides| sib.solve(overrides, var))
+        })
+    } else {
+        f(&mut |overrides| revised::solve_lp_state(model, overrides, None))
     }
 }
 
@@ -236,63 +127,24 @@ pub fn solve_mip_bounded_with(
     let _span = vb_telemetry::span!("solver.mip_solve");
     vb_telemetry::counter!("solver.mip_solves").inc();
     // Root relaxation is always a cold solve.
-    let kernel = KernelConfig::baseline();
-    let root = lp_solve(model, &[], None, kernel.pricing, kernel.engine)?;
-    solve_mip_from_root(model, max_nodes, warm_start, root, &kernel)
+    let root = revised::solve_lp_state(model, &[], None)?;
+    solve_mip_from_root(model, max_nodes, warm_start, root)
 }
 
-/// [`solve_mip_bounded_with`] with an explicit [`Pricing`] rule, run on
-/// the engine that owns that rule in production ([`Engine::Factorized`]
-/// for steepest-edge, the tableau otherwise) — lets pivot-accounting
-/// tests exercise each pricing variant end to end through branch &
-/// bound without configuring a full kernel.
-pub fn solve_mip_bounded_priced(
-    model: &Model,
-    max_nodes: usize,
-    warm_start: bool,
-    pricing: Pricing,
-) -> Result<Solution, SolveError> {
-    let _span = vb_telemetry::span!("solver.mip_solve");
-    vb_telemetry::counter!("solver.mip_solves").inc();
-    let engine = match pricing {
-        Pricing::SteepestEdge => Engine::Factorized,
-        _ => Engine::Tableau,
-    };
-    let kernel = KernelConfig {
-        presolve: false,
-        pricing,
-        parallel: false,
-        engine,
-    };
-    let root = lp_solve(model, &[], None, pricing, engine)?;
-    solve_mip_from_root(model, max_nodes, warm_start, root, &kernel)
-}
-
-/// Solve with an explicit [`KernelConfig`]: presolve the model (when
-/// enabled), search with the configured pricing and parallelism, and
-/// postsolve back to the original variable space. The incumbent
-/// objective is always recomputed from the *original* model's cost
-/// vector, so every config returns bit-identical objectives for the
-/// same integer assignment.
-pub fn solve_mip_kernel(
-    model: &Model,
-    max_nodes: usize,
-    kernel: &KernelConfig,
-) -> Result<Solution, SolveError> {
+/// The co-scheduler's MIP solve: presolve the model, search the reduced
+/// model with warm starts, and postsolve back to the original variable
+/// space. The incumbent objective is always recomputed from the
+/// *original* model's cost vector, so for the same integer assignment
+/// it is bit-identical to [`solve_mip_bounded`] on the unreduced model.
+pub fn solve_mip_kernel(model: &Model, max_nodes: usize) -> Result<Solution, SolveError> {
     let _span = vb_telemetry::span!("solver.mip_solve");
     vb_telemetry::counter!("solver.mip_solves").inc();
     model.validate()?;
-    let pre = kernel
-        .presolve
-        .then(|| presolve::presolve_mip(model))
-        .transpose()?;
-    let target = pre.as_ref().map_or(model, Presolved::reduced);
-    let root = lp_solve(target, &[], None, kernel.pricing, kernel.engine)?;
-    let sol = solve_mip_from_root(target, max_nodes, true, root, kernel)?;
-    Ok(match &pre {
-        Some(p) => p.postsolve(model, &sol),
-        None => sol,
-    })
+    let pre = presolve::presolve_mip(model)?;
+    let target = pre.reduced();
+    let root = revised::solve_lp_state(target, &[], None)?;
+    let sol = solve_mip_from_root(target, max_nodes, true, root)?;
+    Ok(pre.postsolve(model, &sol))
 }
 
 /// The branch & bound search proper, starting from an already-solved
@@ -310,9 +162,9 @@ pub fn solve_mip_kernel(
 ///
 /// # Deterministic parallelism
 ///
-/// With `kernel.parallel`, up to [`PAR_BATCH`] nodes are expanded per
-/// round through `vb_par::par_map`. Determinism at any thread count
-/// follows from four properties:
+/// Up to [`PAR_BATCH`] nodes are expanded per round through
+/// `vb_par::par_map`. Determinism at any thread count follows from four
+/// properties:
 ///
 /// 1. batch *membership* is decided sequentially (pops, budget, and
 ///    prune checks happen before any parallel work, against the same
@@ -325,15 +177,11 @@ pub fn solve_mip_kernel(
 /// 4. heap ties on equal bounds break on a monotone insertion counter
 ///    ([`Node::seq`]), so the pop order never depends on
 ///    `BinaryHeap`'s internal layout of equal keys.
-///
-/// The serial path is the same loop with a batch size of 1, which is
-/// exactly the PR 7 search (modulo the budget fix above).
 fn solve_mip_from_root(
     model: &Model,
     max_nodes: usize,
     warm_start: bool,
-    root: (Solution, LpState),
-    kernel: &KernelConfig,
+    root: (Solution, RevisedState),
 ) -> Result<Solution, SolveError> {
     let int_vars: Vec<VarId> = model
         .vars
@@ -369,19 +217,10 @@ fn solve_mip_from_root(
     // incumbent in ~|int_vars| LP solves, making bounded solves anytime
     // — skipped entirely under a zero budget, which asked for no work.
     let mut incumbent: Option<Solution> = if max_nodes > 0 {
-        dive(
-            model,
-            &int_vars,
-            root,
-            &root_state,
-            warm_start,
-            kernel.pricing,
-            kernel.engine,
-        )
+        dive(model, &int_vars, root, &root_state, warm_start)
     } else {
         None
     };
-    let batch_cap = if kernel.parallel { PAR_BATCH } else { 1 };
     let mut explored = 0usize;
     let mut pruned = 0u64;
     let mut improvements = 0u64;
@@ -395,7 +234,7 @@ fn solve_mip_from_root(
         // node is actually processed (pruned or expanded) — the budget
         // can no longer eat a node it never looked at.
         let mut batch: Vec<Node> = Vec::new();
-        while batch.len() < batch_cap && explored < max_nodes {
+        while batch.len() < PAR_BATCH && explored < max_nodes {
             let Some(node) = heap.pop() else { break };
             explored += 1;
             // Bound pruning: the node's relaxation bound cannot beat
@@ -419,28 +258,12 @@ fn solve_mip_from_root(
             par_batches += 1;
             par_nodes += batch.len() as u64;
             vb_par::par_map(batch.len(), |i| {
-                expand(
-                    model,
-                    &int_vars,
-                    &batch[i],
-                    warm_start,
-                    kernel.pricing,
-                    kernel.engine,
-                )
+                expand(model, &int_vars, &batch[i], warm_start)
             })
         } else {
             batch
                 .iter()
-                .map(|n| {
-                    expand(
-                        model,
-                        &int_vars,
-                        n,
-                        warm_start,
-                        kernel.pricing,
-                        kernel.engine,
-                    )
-                })
+                .map(|n| expand(model, &int_vars, n, warm_start))
                 .collect()
         };
 
@@ -518,19 +341,16 @@ fn solve_mip_from_root(
 /// ~38 etas holding ~850 nonzeros, against ~230 in a fresh LU of the
 /// same basis), and every FTRAN and BTRAN below the root would replay
 /// it. Integral roots, zero budgets and cold searches replay nothing
-/// and keep the state as solved; tableau states have no factors.
+/// and keep the state as solved.
 fn refresh_root(
-    state: &mut LpState,
+    state: &mut RevisedState,
     root: &Solution,
     int_vars: &[VarId],
     max_nodes: usize,
     warm_start: bool,
 ) {
-    if max_nodes == 0 || !warm_start || most_fractional(root, int_vars).is_none() {
-        return;
-    }
-    if let LpState::Revised(st) = state {
-        st.refresh_factors();
+    if max_nodes > 0 && warm_start && most_fractional(root, int_vars).is_some() {
+        state.refresh_factors();
     }
 }
 
@@ -546,7 +366,7 @@ enum Expansion {
 struct Child {
     overrides: Vec<(VarId, f64, f64)>,
     relaxed: Solution,
-    state: Arc<LpState>,
+    state: Arc<RevisedState>,
 }
 
 /// Expand one node: branch on its most fractional integer variable and
@@ -554,28 +374,15 @@ struct Child {
 /// pure function of the node — no incumbent checks, no heap access —
 /// so batches of nodes can expand in parallel with bit-identical
 /// results in any interleaving.
-fn expand(
-    model: &Model,
-    int_vars: &[VarId],
-    node: &Node,
-    warm_start: bool,
-    pricing: Pricing,
-    engine: Engine,
-) -> Expansion {
+fn expand(model: &Model, int_vars: &[VarId], node: &Node, warm_start: bool) -> Expansion {
     let Some((var, value)) = most_fractional(&node.relaxed, int_vars) else {
         // Integral: candidate incumbent (round off the epsilon).
         return Expansion::Integral(snap(model, &node.relaxed, int_vars));
     };
     let branches = branch_overrides(model, &node.overrides, var, value);
-    let solved: Vec<_> = with_children(
-        model,
-        &node.state,
-        var,
-        warm_start,
-        pricing,
-        engine,
-        |solve| branches.iter().map(|o| solve(o)).collect(),
-    );
+    let solved: Vec<_> = with_children(model, &node.state, var, warm_start, |solve| {
+        branches.iter().map(|o| solve(o)).collect()
+    });
     let children = branches
         .into_iter()
         .zip(solved)
@@ -623,15 +430,12 @@ fn branch_overrides(
 /// infeasibility) until the relaxation is integral. Returns the rounded
 /// solution when the dive survives to the bottom. Each fix warm-starts
 /// from the previous level's basis.
-#[allow(clippy::too_many_arguments)]
 fn dive(
     model: &Model,
     int_vars: &[VarId],
     mut relaxed: Solution,
-    root_state: &LpState,
+    root_state: &RevisedState,
     warm_start: bool,
-    pricing: Pricing,
-    engine: Engine,
 ) -> Option<Solution> {
     let mut overrides: Vec<(VarId, f64, f64)> = Vec::new();
     let mut state = root_state.clone();
@@ -647,7 +451,7 @@ fn dive(
             value.ceil()
         })
         .clamp(lb.ceil(), ub.floor());
-        let fixed = with_children(model, &state, var, warm_start, pricing, engine, |solve| {
+        let fixed = with_children(model, &state, var, warm_start, |solve| {
             [nearest, other].into_iter().find_map(|candidate| {
                 let mut trial = overrides.clone();
                 trial.retain(|&(v, _, _)| v != var);
@@ -678,7 +482,7 @@ pub struct SiblingCheck {
 
 /// Differential check of the sibling re-solve. Walks `model`'s branch
 /// and bound tree breadth first from its root relaxation (refreshed
-/// like the search's) on the production engine under `params`, up to
+/// like the search's) under engine `params`, up to
 /// `max_nodes` branched nodes, without pruning. Every node's children
 /// are solved twice: through one `revised::Siblings`, and through
 /// independent [`revised::solve_lp_state_params`] warm starts from the
@@ -692,12 +496,11 @@ pub fn check_sibling_resolves(
     max_nodes: usize,
     params: revised::Params,
 ) -> Result<SiblingCheck, String> {
-    let pricing = Pricing::SteepestEdge;
     let int_vars: Vec<VarId> = (0..model.vars.len())
         .filter(|&j| model.vars[j].integer)
         .map(VarId)
         .collect();
-    let (root, mut root_state) = revised::solve_lp_state_params(model, &[], None, pricing, params)
+    let (root, mut root_state) = revised::solve_lp_state_params(model, &[], None, params)
         .map_err(|e| format!("root relaxation: {e:?}"))?;
     if most_fractional(&root, &int_vars).is_some() {
         root_state.refresh_factors();
@@ -724,7 +527,7 @@ pub fn check_sibling_resolves(
         };
         check.nodes += 1;
         let branches = branch_overrides(model, &overrides, var, value);
-        let shared: Vec<_> = revised::with_siblings(model, &parent, pricing, |sib| {
+        let shared: Vec<_> = revised::with_siblings(model, &parent, |sib| {
             branches
                 .iter()
                 .map(|o| {
@@ -737,7 +540,7 @@ pub fn check_sibling_resolves(
         let two = branches.len() == 2;
         for (k, (o, (res, work))) in branches.into_iter().zip(shared).enumerate() {
             let before = revised::thread_work();
-            let alone = revised::solve_lp_state_params(model, &o, Some(&parent), pricing, params);
+            let alone = revised::solve_lp_state_params(model, &o, Some(&parent), params);
             let alone_work = revised::thread_work().since(before);
             let at = || format!("node {} child {k} ({:?})", check.nodes, o.last());
             check.children += 1;
@@ -817,7 +620,7 @@ fn most_fractional(sol: &Solution, int_vars: &[VarId]) -> Option<(VarId, f64)> {
 /// the rounding drift into incumbent comparisons, where it can flip
 /// which of two near-tied incumbents survives. Recomputing in the
 /// model's own term order also makes the objective bit-identical for
-/// the same assignment no matter which kernel path produced it.
+/// the same assignment no matter which search path produced it.
 fn snap(model: &Model, sol: &Solution, int_vars: &[VarId]) -> Solution {
     let mut values = sol.values().to_vec();
     for &v in int_vars {
@@ -845,7 +648,7 @@ struct Node {
     seq: u64,
     overrides: Vec<(VarId, f64, f64)>,
     relaxed: Solution,
-    state: Arc<LpState>,
+    state: Arc<RevisedState>,
 }
 
 impl PartialEq for Node {
@@ -1151,16 +954,21 @@ mod tests {
 
     #[test]
     fn single_node_budget_returns_the_dive_incumbent() {
-        // max_nodes = 1 pops exactly the root: the budget no longer
-        // counts a node it never processed, and the dive incumbent
-        // (which reaches the true optimum here) is returned anytime-
-        // style.
-        let (m, x) = knapsack();
+        // max_nodes = 1 pops exactly the root: the budget counts no node
+        // it never processed, and the dive's incumbent is returned
+        // anytime-style. Which vertex the dive lands on is the
+        // engine's business; the contract is that the incumbent is
+        // feasible (≤ the optimum 220) and reports a gap exactly when
+        // it falls short of the optimum.
+        let (m, _) = knapsack();
         let s = solve_mip_bounded(&m, 1).unwrap();
-        assert!((s.objective - 220.0).abs() < 1e-6, "obj {}", s.objective);
+        assert!(s.objective <= 220.0 + 1e-6, "obj {}", s.objective);
         assert_eq!(
-            (s.int_value(x[0]), s.int_value(x[1]), s.int_value(x[2])),
-            (0, 1, 1)
+            s.budget_gap().is_some(),
+            s.objective < 220.0 - 1e-6,
+            "obj {}, gap {:?}",
+            s.objective,
+            s.budget_gap()
         );
     }
 
@@ -1173,27 +981,33 @@ mod tests {
         let m = placement_model(8, 3, 24);
         let full = solve_mip_bounded(&m, MAX_NODES).unwrap();
         assert_eq!(full.budget_gap(), None, "an exhaustive search never stops");
-        for kernel in [KernelConfig::baseline(), KernelConfig::production()] {
-            let cut = solve_mip_kernel(&m, 1, &kernel).unwrap();
+        for presolve in [false, true] {
+            let cut = if presolve {
+                solve_mip_kernel(&m, 1)
+            } else {
+                solve_mip_bounded(&m, 1)
+            }
+            .unwrap();
             let gap = cut
                 .budget_gap()
                 .expect("a one-node budget stops the search");
-            assert!(gap > 0.0, "{kernel:?}: gap {gap}");
+            assert!(gap > 0.0, "presolve {presolve}: gap {gap}");
             assert!(
                 cut.objective > full.objective + 0.5,
-                "{kernel:?}: cut short"
+                "presolve {presolve}: cut short"
             );
             // The open bound the gap measures cannot exceed the optimum.
             let bound = cut.objective - gap * cut.objective.abs().max(1.0);
-            assert!(bound <= full.objective + 1e-9, "{kernel:?}: bound {bound}");
+            assert!(
+                bound <= full.objective + 1e-9,
+                "presolve {presolve}: bound {bound}"
+            );
         }
     }
 
-    /// `m`'s root relaxation on the production engine, with its integer
-    /// variables.
-    fn factorized_root(m: &Model) -> (Solution, LpState, Vec<VarId>) {
-        let (root, state) = lp_solve(m, &[], None, Pricing::SteepestEdge, Engine::Factorized)
-            .expect("root relaxation solves");
+    /// `m`'s root relaxation, with its integer variables.
+    fn factorized_root(m: &Model) -> (Solution, RevisedState, Vec<VarId>) {
+        let (root, state) = revised::solve_lp_state(m, &[], None).expect("root relaxation solves");
         let ints = (0..m.vars.len())
             .filter(|&j| m.vars[j].integer)
             .map(VarId)
@@ -1201,16 +1015,9 @@ mod tests {
         (root, state, ints)
     }
 
-    fn revised(state: &LpState) -> &RevisedState {
-        match state {
-            LpState::Revised(st) => st,
-            LpState::Tableau(_) => panic!("expected a factorized state"),
-        }
-    }
-
-    /// A revised state's eta count, basis and basic-value bits.
-    fn snapshot(state: &LpState) -> (usize, Vec<usize>, Vec<u64>) {
-        let (etas, basis, _, xb) = revised(state).basis_snapshot();
+    /// A state's eta count, basis and basic-value bits.
+    fn snapshot(state: &RevisedState) -> (usize, Vec<usize>, Vec<u64>) {
+        let (etas, basis, _, xb) = state.basis_snapshot();
         (etas, basis, xb.iter().map(|v| v.to_bits()).collect())
     }
 
@@ -1222,11 +1029,11 @@ mod tests {
             most_fractional(&root, &ints).is_some(),
             "the root is fractional"
         );
-        let (etas, basis, _, xb) = revised(&state).basis_snapshot();
+        let (etas, basis, _, xb) = state.basis_snapshot();
         assert!(etas > 0, "the root solve leaves an eta file");
 
         refresh_root(&mut state, &root, &ints, MAX_NODES, true);
-        let (fresh_etas, fresh_basis, _, fresh_xb) = revised(&state).basis_snapshot();
+        let (fresh_etas, fresh_basis, _, fresh_xb) = state.basis_snapshot();
         assert_eq!(fresh_etas, 0, "the dive and the search start on a bare LU");
         assert_eq!(fresh_basis, basis, "the refresh keeps the optimal basis");
         // The refactorization-consistency tolerance of `check-invariants`.
@@ -1319,26 +1126,26 @@ mod tests {
     }
 
     #[test]
-    fn production_kernel_matches_baseline_bit_for_bit() {
-        // Presolve + steepest edge + parallel B&B on vs. off: the objective
-        // must be bit-identical (snap() recomputes it from the same
-        // cost vector over the same unique-optimum assignment).
+    fn presolve_matches_the_unreduced_search_bit_for_bit() {
+        // Presolve on vs. off: the objective must be bit-identical
+        // (snap() recomputes it from the original cost vector over the
+        // same unique-optimum assignment).
         for seed in 0..6u64 {
             let m = placement_model(8, 3, seed * 11 + 5);
-            let base = solve_mip_kernel(&m, MAX_NODES, &KernelConfig::baseline()).unwrap();
-            let prod = solve_mip_kernel(&m, MAX_NODES, &KernelConfig::production()).unwrap();
+            let plain = solve_mip_bounded(&m, MAX_NODES).unwrap();
+            let pre = solve_mip_kernel(&m, MAX_NODES).unwrap();
             assert_eq!(
-                base.objective.to_bits(),
-                prod.objective.to_bits(),
-                "seed {seed}: kernel objective drifted: {} vs {}",
-                base.objective,
-                prod.objective
+                plain.objective.to_bits(),
+                pre.objective.to_bits(),
+                "seed {seed}: presolve moved the objective: {} vs {}",
+                plain.objective,
+                pre.objective
             );
         }
     }
 
     #[test]
-    fn production_kernel_presolves_pinned_placements() {
+    fn presolve_round_trips_pinned_placements() {
         // A model with singleton pins must survive the reduce/postsolve
         // round trip: pinned vars come back in the full solution.
         let mut m = Model::new(Sense::Minimize);
@@ -1354,7 +1161,7 @@ mod tests {
         m.add_eq(e2, 1.0);
         let obj = m.expr(&[(a, 1.0), (b, 9.0), (c, 5.0), (d, 2.0)]);
         m.set_objective(obj);
-        let s = solve_mip_kernel(&m, MAX_NODES, &KernelConfig::production()).unwrap();
+        let s = solve_mip_kernel(&m, MAX_NODES).unwrap();
         assert_eq!(
             (
                 s.int_value(a),

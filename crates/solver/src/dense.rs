@@ -1,13 +1,13 @@
 //! Reference dense two-phase primal simplex (row-expansion path).
 //!
-//! This is the original `vb-solver` LP engine, retained verbatim as a
-//! differential-testing oracle for the bounded-variable engine in
-//! [`crate::simplex`]. It materialises every finite upper bound as an
+//! This is the original `vb-solver` LP engine, retained verbatim as the
+//! differential-testing oracle for the revised simplex in
+//! [`crate::revised`]. It materialises every finite upper bound as an
 //! extra `≤` row, which is simple and easy to audit but makes
 //! bound-heavy models (e.g. MIPs full of binaries) pay one tableau row
-//! per bound. Production solves go through [`crate::simplex::solve_lp`];
-//! this path is only called from tests and benches that cross-check the
-//! two engines against each other.
+//! per bound. Every solve in this crate goes through
+//! [`crate::revised::solve_lp_state`]; this path is only called from
+//! tests that cross-check the two engines against each other.
 //!
 //! The implementation follows the textbook construction:
 //!

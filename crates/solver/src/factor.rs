@@ -29,7 +29,7 @@
 //! exactly what the Markowitz loop emits for such a basis, where every
 //! count is 1 and ties go to the lowest slot.
 
-use crate::simplex::DROP_EPS;
+use crate::tolerance::DROP_EPS;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 

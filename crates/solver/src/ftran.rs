@@ -31,7 +31,7 @@
 //! pivots do not regrow the file it inherited.
 
 use crate::factor::LuFactors;
-use crate::simplex::DROP_EPS;
+use crate::tolerance::DROP_EPS;
 use std::cell::RefCell;
 use std::sync::Arc;
 

@@ -11,30 +11,23 @@
 //! * [`model`] — a small modelling layer: variables with bounds and
 //!   integrality, linear expressions, `≤ / ≥ / =` constraints, and a
 //!   minimise/maximise objective.
-//! * [`simplex`] — a sparse bounded-variable primal simplex for the LP
-//!   relaxations (variable bounds never become tableau rows; rows store
-//!   nonzeros only and pivots touch only nonzero columns), with
-//!   candidate-list partial pricing, a dual-simplex warm-start path,
-//!   and a Bland-rule fallback for anti-cycling.
-//! * [`revised`] — the factorized production engine: the same simplex
-//!   on a sparse Markowitz-ordered LU basis with eta-file updates and
-//!   periodic refactorization instead of an explicit tableau, making
-//!   exact steepest-edge pricing ([`Pricing::SteepestEdge`])
-//!   affordable. Selected per kernel via [`branch::Engine`].
+//! * [`revised`] — the LP engine: a bounded-variable revised simplex on
+//!   a sparse Markowitz-ordered LU basis with eta-file updates and
+//!   periodic refactorization (variable bounds never become rows),
+//!   exact steepest-edge pricing with a Bland-rule fallback for
+//!   anti-cycling, and a dual-simplex warm-start path.
 //! * [`branch`] — best-first branch & bound on fractional integer
 //!   variables, exact when the search finishes within its node budget
 //!   (a search cut short reports its gap, [`Solution::budget_gap`]);
-//!   child nodes warm-start from their parent's optimal basis. The
-//!   production kernel ([`KernelConfig::production`], run by
-//!   [`solve_mip_kernel`] for every co-scheduler epoch) adds
-//!   presolve, the factorized engine with steepest-edge pricing, and
-//!   deterministic parallel node-batch expansion; child nodes share
-//!   their parent's LU factors and eta entries rather than copying them,
-//!   and a fractional root is refactorized once so that no node replays
-//!   the root solve's eta file.
+//!   child nodes warm-start from their parent's optimal basis, sharing
+//!   its LU factors and eta entries rather than copying them, and node
+//!   batches expand in deterministic parallel. [`solve_mip_kernel`],
+//!   run for every co-scheduler epoch, adds presolve; a fractional
+//!   root is refactorized once so that no node replays the root
+//!   solve's eta file.
 //! * [`presolve`] — fixed-variable elimination, singleton-row
 //!   substitution, bound tightening, implied-row removal and dual
-//!   fixing of dominated columns that shrink a model before the kernel
+//!   fixing of dominated columns that shrink a model before the search
 //!   sees it, with a deterministic postsolve back to the original
 //!   variable space.
 //! * [`dense`] — the original row-expansion two-phase simplex, kept as
@@ -66,9 +59,8 @@ pub(crate) mod ftran;
 pub mod model;
 pub mod presolve;
 pub mod revised;
-pub mod simplex;
+pub(crate) mod tolerance;
 
-pub use branch::{solve_mip_kernel, Engine, KernelConfig};
+pub use branch::solve_mip_kernel;
 pub use model::{Cmp, LinExpr, Model, Sense, Solution, SolveError, VarId};
 pub use presolve::{PresolveStats, Presolved};
-pub use simplex::Pricing;

@@ -3,11 +3,12 @@
 //! A thin, explicit modelling layer: create variables (continuous or
 //! integer, with bounds), build [`LinExpr`] linear expressions over them,
 //! add `≤ / ≥ / =` constraints, set an objective, and call
-//! [`Model::solve`]. Solving dispatches to the pure-LP simplex when no
-//! integer variable exists and to branch & bound otherwise.
+//! [`Model::solve`]. Solving runs the revised simplex
+//! ([`crate::revised`]) when no integer variable exists and branch &
+//! bound over it ([`crate::branch`]) otherwise.
 
 use crate::branch;
-use crate::simplex;
+use crate::revised;
 
 /// Coefficients at or below this magnitude are dropped during
 /// canonicalization — they are numerical noise and would only bloat the
@@ -310,7 +311,7 @@ impl Model {
         if self.vars.iter().any(|v| v.integer) {
             branch::solve_mip(self)
         } else {
-            simplex::solve_lp(self, &[])
+            revised::solve_lp_state(self, &[], None).map(|(sol, _)| sol)
         }
     }
 
@@ -321,7 +322,7 @@ impl Model {
         bound_overrides: &[(VarId, f64, f64)],
     ) -> Result<Solution, SolveError> {
         self.validate()?;
-        simplex::solve_lp(self, bound_overrides)
+        revised::solve_lp_state(self, bound_overrides, None).map(|(sol, _)| sol)
     }
 
     pub(crate) fn validate(&self) -> Result<(), SolveError> {

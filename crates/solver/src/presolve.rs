@@ -496,7 +496,11 @@ impl Presolved {
 mod tests {
     use super::*;
     use crate::model::Sense;
-    use crate::simplex;
+    use crate::revised;
+
+    fn solve_lp(m: &Model, overrides: &[(VarId, f64, f64)]) -> Result<Solution, SolveError> {
+        revised::solve_lp_state(m, overrides, None).map(|(sol, _)| sol)
+    }
 
     /// min 2x + 3y + z  s.t.  z = 4 (singleton eq), x + y ≥ 3,
     /// y ≤ 2 (singleton le), x,y ∈ [0, 10].
@@ -526,9 +530,9 @@ mod tests {
         assert_eq!(pre.reduced().num_vars(), 2);
         assert_eq!(pre.reduced().num_constraints(), 1);
 
-        let red_sol = simplex::solve_lp(pre.reduced(), &[]).unwrap();
+        let red_sol = solve_lp(pre.reduced(), &[]).unwrap();
         let full = pre.postsolve(&m, &red_sol);
-        let direct = simplex::solve_lp(&m, &[]).unwrap();
+        let direct = solve_lp(&m, &[]).unwrap();
         // Optimum: x = 3, y = 0, z = 4 → 2·3 + 1·4 = 10.
         assert!((full.objective - direct.objective).abs() < 1e-9);
         assert!((full.objective - 10.0).abs() < 1e-6);
@@ -551,7 +555,7 @@ mod tests {
         m.set_objective(obj);
         let pre = presolve_mip(&m).unwrap();
         assert_eq!(pre.num_fixed(), 1);
-        let red_sol = simplex::solve_lp(pre.reduced(), &[]).unwrap();
+        let red_sol = solve_lp(pre.reduced(), &[]).unwrap();
         // Reduced objective carries the 30 from y.
         assert!((red_sol.objective - 32.0).abs() < 1e-9);
         let full = pre.postsolve(&m, &red_sol);
@@ -592,7 +596,7 @@ mod tests {
         // The relaxation is feasible (x ∈ [0.6, 0.5]... exactly not —
         // but LP-mode presolve must agree with the simplex on it).
         let lp = presolve_lp(&m);
-        let direct = simplex::solve_lp(&m, &[]);
+        let direct = solve_lp(&m, &[]);
         assert_eq!(lp.is_err(), direct.is_err());
     }
 
@@ -627,7 +631,7 @@ mod tests {
         // now-singleton assignment row: the whole model dissolves.
         assert_eq!(pre.num_fixed(), 2);
         assert_eq!(pre.reduced().num_vars(), 0);
-        let red_sol = simplex::solve_lp(pre.reduced(), &[]).unwrap();
+        let red_sol = solve_lp(pre.reduced(), &[]).unwrap();
         let full = pre.postsolve(&m, &red_sol);
         assert!((full.objective - 1.0).abs() < 1e-9);
         assert_eq!((full.values()[0], full.values()[1]), (1.0, 0.0));
@@ -660,7 +664,7 @@ mod tests {
             let r = pre.reduced();
             assert_eq!((r.num_vars(), r.num_constraints()), (2, 1));
             assert_eq!(r.constraints[0].rhs, 3.0, "the binding row survives");
-            let red_sol = simplex::solve_lp(r, &[]).unwrap();
+            let red_sol = solve_lp(r, &[]).unwrap();
             assert!((pre.postsolve(&m, &red_sol).objective - 3.0).abs() < 1e-9);
         }
     }
@@ -704,9 +708,9 @@ mod tests {
         assert_eq!(fixed_at(&pre, 1), Some(4.0), "v at its upper bound");
         assert_eq!(fixed_at(&pre, 2), None, "u is held by the `=` row");
         assert_eq!(fixed_at(&pre, 3), None, "t is held by the `=` row");
-        let red_sol = simplex::solve_lp(pre.reduced(), &[]).unwrap();
+        let red_sol = solve_lp(pre.reduced(), &[]).unwrap();
         let full = pre.postsolve(&m, &red_sol);
-        let direct = simplex::solve_lp(&m, &[]).unwrap();
+        let direct = solve_lp(&m, &[]).unwrap();
         // Optimum: x = 1, v = 4, u = 2, t = 0 → 1 − 4 + 2 = −1.
         assert!((full.objective - direct.objective).abs() < 1e-9);
         assert!((full.objective + 1.0).abs() < 1e-9);
@@ -751,7 +755,7 @@ mod tests {
         let pre = presolve_lp(&m).unwrap();
         assert_eq!(pre.num_fixed(), 0);
         assert_eq!(pre.reduced().num_constraints(), 3);
-        let red_sol = simplex::solve_lp(pre.reduced(), &[]).unwrap();
+        let red_sol = solve_lp(pre.reduced(), &[]).unwrap();
         // x ≥ 1 + y with y ≥ 0: x = 1.
         assert!((pre.postsolve(&m, &red_sol).objective - 1.0).abs() < 1e-9);
     }
@@ -787,11 +791,11 @@ mod tests {
 mod invariant_tests {
     //! With `check-invariants` live, these solves run the pivot-level
     //! algebraic self-checks against *presolved* models — the reduced
-    //! tableaux the production kernel actually iterates on.
+    //! models `solve_mip_kernel` actually iterates on.
 
     use super::*;
     use crate::model::Sense;
-    use crate::simplex;
+    use crate::revised;
 
     fn pinned_placement(caps: [f64; 2]) -> Model {
         let mut m = Model::new(Sense::Minimize);
@@ -834,7 +838,7 @@ mod invariant_tests {
             let m = pinned_placement(caps);
             let pre = presolve_mip(&m).expect("feasible epochs");
             assert!(pre.num_fixed() >= 1, "epoch {k}: the pin must fold");
-            simplex::solve_lp_state(pre.reduced(), &[], None).expect("cold root");
+            revised::solve_lp_state(pre.reduced(), &[], None).expect("cold root");
         }
     }
 }

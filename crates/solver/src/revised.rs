@@ -1,11 +1,10 @@
-//! Revised simplex on a factorized LU basis — the production LP engine.
+//! Revised simplex on a factorized LU basis — the LP engine behind
+//! every solve in this crate.
 //!
-//! The explicit-tableau engine ([`crate::simplex`]) pays for every pivot
-//! by rewriting all tableau rows (a sparse Gauss–Jordan sweep); on the
-//! fleet-shaped 100×+ models the rows densify and that sweep dominates
-//! the solve. This engine keeps the basis as a sparse LU factorization
-//! ([`crate::factor`]) plus a product-form eta file ([`crate::ftran`])
-//! instead, and reconstructs per-iteration data on demand:
+//! The basis is kept as a sparse Markowitz-ordered LU factorization
+//! plus a product-form eta file (the crate-private `factor` and `ftran`
+//! modules) rather than as an explicit tableau, and per-iteration data
+//! is reconstructed on demand:
 //!
 //! * the entering column `d̂ = B⁻¹a_q` by one **FTRAN**,
 //! * the pricing row `α = eᵣᵀB⁻¹A` by one **BTRAN** plus a sweep of the
@@ -19,27 +18,46 @@
 //! basic values recomputed from the model data, shedding accumulated
 //! drift — when the eta file reaches [`Params::refactor_after`] updates
 //! or when a **stability trigger** fires: the pivot element reached via
-//! FTRAN and via BTRAN must agree to [`STAB_EPS`], otherwise the factors
-//! have degraded and the iteration is retried on fresh ones. Branch and
-//! bound also rebuilds a fractional root's factors once
+//! FTRAN and via BTRAN must agree to a relative `1e-7`, otherwise the
+//! factors have degraded and the iteration is retried on fresh ones.
+//! Branch and bound also rebuilds a fractional root's factors once
 //! (`RevisedState::refresh_factors`), because every solve below the
 //! root would otherwise replay the root solve's eta file.
 //!
-//! Because reduced costs and norms are exact per-iteration quantities
-//! here, **steepest-edge pricing** ([`Pricing::SteepestEdge`]) becomes
-//! affordable: the exact reference weights `γ_j = 1 + ‖B⁻¹a_j‖²` are
-//! maintained by the Forrest–Goldfarb recurrence (one extra BTRAN per
-//! pivot), with a reset to the unit framework whenever the maintained
-//! entering weight drifts a factor [`SE_DRIFT`] from its exact value.
-//! Devex and Dantzig remain available and share the Bland anti-cycling
-//! fallback.
+//! Entering columns are priced by **steepest edge**: the reference
+//! weights `γ_j = 1 + ‖B⁻¹a_j‖²` are maintained by the Forrest–Goldfarb
+//! recurrence (one extra BTRAN per pivot), with a reset to the unit
+//! framework whenever the maintained entering weight drifts a factor of
+//! 4 from its exact value. After [`Params::bland_after`] primal
+//! iterations the entering choice falls back to Bland's lowest-index
+//! rule, which guarantees termination on cycling-prone models. Every
+//! tie breaks by lowest index, so a solve is a deterministic function
+//! of the model.
 //!
-//! The state mirrors [`crate::simplex::SimplexState`]'s warm-start
-//! surface — bound overrides with dual-simplex repair — so branch &
-//! bound uses either engine interchangeably. Column layout, tolerances,
-//! tie-break rules, and the two-phase construction are identical to the
-//! tableau engine; in exact arithmetic the two produce the same pivots,
-//! and both are deterministic functions of the model.
+//! Construction of a cold solve:
+//!
+//! 1. Every constraint `a·x ⋈ b` becomes an equality `a·x + s = b` with
+//!    a *logical* variable `s` bounded by the constraint type
+//!    (`≤`: `s ∈ [0, ∞)`, `≥`: `s ∈ (−∞, 0]`, `=`: `s ∈ [0, 0]`).
+//!    Variable bounds never become rows: every column carries its own
+//!    `[lb, ub]`, nonbasic columns sit at either bound, and the ratio
+//!    test admits **bound flips**, so a model with thousands of
+//!    placement binaries solves with one row per *constraint*.
+//! 2. Structural variables start nonbasic at their lower bound; rows
+//!    whose residual fits the logical's interval take the logical as the
+//!    initial basic variable, the rest get a signed phase-1 artificial.
+//! 3. **Phase 1** minimises the sum of artificials (positive optimum ⇒
+//!    infeasible), then artificials are expelled and frozen at zero.
+//! 4. **Phase 2** minimises the real objective (maximisation by
+//!    negation) with artificials barred from entering.
+//!
+//! A solved [`RevisedState`] is a **warm start** for the same model
+//! under different variable bounds — exactly branch and bound's
+//! setting: the child clones its parent's state, applies the new
+//! bounds (which preserves dual feasibility — reduced costs do not
+//! depend on bounds), repairs primal feasibility with a dual-simplex
+//! phase, and finishes with a primal clean-up pass. A clone shares the
+//! constraint matrix, LU factors and eta entries with its parent.
 //!
 //! Branch and bound re-solves a node's two children through one
 //! `Siblings` rather than two independent warm starts: each child
@@ -52,7 +70,7 @@
 use crate::factor::LuFactors;
 use crate::ftran::BasisFactor;
 use crate::model::{Cmp, Model, Sense, Solution, SolveError, VarId};
-use crate::simplex::{Pricing, BLAND_AFTER, COST_EPS, DEVEX_RESET, DROP_EPS, EPS, FEAS_EPS};
+use crate::tolerance::{BLAND_AFTER, COST_EPS, DROP_EPS, EPS, FEAS_EPS};
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
@@ -126,7 +144,7 @@ struct ArtCol {
 /// Dense pricing row plus its support list. `α` stays dense for O(1)
 /// reads; the support records every column the sweep touched, so the
 /// per-pivot consumers (reduced-cost update, steepest-edge cross terms,
-/// devex weights) iterate the nonzeros instead of every column. An
+/// violation refresh) iterate the nonzeros instead of every column. An
 /// epoch-marked scratch deduplicates the support without a clearing
 /// pass.
 #[derive(Default)]
@@ -183,7 +201,7 @@ struct Scratch {
     /// Basic-value shift of a bound retarget.
     shift: Vec<f64>,
     pr: PriceRow,
-    /// Pricing reference weights (steepest-edge or devex).
+    /// Steepest-edge reference weights.
     weights: Vec<f64>,
     /// Maintained entering violations (see [`RevisedState::iterate_with`]).
     viol: Vec<f64>,
@@ -255,8 +273,6 @@ struct Stats {
     flips: u64,
     degenerate: u64,
     scanned: u64,
-    devex_pivots: u64,
-    devex_resets: u64,
     ftran_nnz: u64,
     btran_nnz: u64,
     /// Eta-file nonzeros replayed by those FTRANs and BTRANs.
@@ -307,7 +323,7 @@ pub(crate) fn thread_work() -> Work {
     FLUSHED.with(Cell::get)
 }
 
-/// Outcome of the primal ratio test (mirrors the tableau engine's).
+/// Outcome of the primal ratio test.
 enum Step {
     Flip,
     Pivot {
@@ -318,18 +334,17 @@ enum Step {
     Unbounded,
 }
 
-/// Revised-simplex state: basis, factorization, and bounds — the
-/// factorized counterpart of [`crate::simplex::SimplexState`], reusable
-/// as a warm-start basis under changed bounds or (structurally
-/// identical) changed models. A clone shares the constraint matrix,
-/// the LU factors and the eta file's entries with its source, and
-/// copies only the per-column and per-row vectors.
+/// Revised-simplex state: basis, factorization, and bounds, reusable
+/// as a warm-start basis for the same model under changed bounds. A
+/// clone shares the constraint matrix, the LU factors and the eta
+/// file's entries with its source, and copies only the per-column and
+/// per-row vectors.
 #[derive(Debug, Clone)]
 pub struct RevisedState {
     mat: Arc<Mat>,
     arts: Arc<Vec<ArtCol>>,
     /// Per-column bounds and bound side, laid out
-    /// `[structural | logical | artificial]` like the tableau engine.
+    /// `[structural | logical | artificial]`.
     lb: Vec<f64>,
     ub: Vec<f64>,
     at_upper: Vec<bool>,
@@ -347,19 +362,20 @@ pub struct RevisedState {
     stats: Stats,
 }
 
-/// Solve a model's LP relaxation on the factorized engine and return the
-/// optimal state alongside the solution. Semantics match
-/// [`crate::simplex::solve_lp_state_priced`]: `bound_overrides` impose
-/// branching bounds, and `warm` (a previous state of the *same* model)
-/// starts from that basis with a dual-simplex repair, falling back to a
-/// cold solve on numerical trouble.
+/// Solve a model's LP relaxation (integrality dropped) and return the
+/// optimal state alongside the solution. `bound_overrides` impose
+/// `(var, lb, ub)` bounds (branch and bound's branching bounds; the
+/// last entry for a variable wins), and `warm` (a previous state of the
+/// *same* model) starts from that basis with a dual-simplex repair,
+/// falling back to a cold solve on numerical trouble. Warm and cold
+/// solves reach the same optimum, though on degenerate ties possibly a
+/// different optimal vertex.
 pub fn solve_lp_state(
     model: &Model,
     bound_overrides: &[(VarId, f64, f64)],
     warm: Option<&RevisedState>,
-    pricing: Pricing,
 ) -> Result<(Solution, RevisedState), SolveError> {
-    solve_lp_state_params(model, bound_overrides, warm, pricing, Params::default())
+    solve_lp_state_params(model, bound_overrides, warm, Params::default())
 }
 
 /// [`solve_lp_state`] with explicit engine [`Params`] (test hook: small
@@ -370,7 +386,6 @@ pub fn solve_lp_state_params(
     model: &Model,
     bound_overrides: &[(VarId, f64, f64)],
     warm: Option<&RevisedState>,
-    pricing: Pricing,
     params: Params,
 ) -> Result<(Solution, RevisedState), SolveError> {
     let _span = vb_telemetry::span!("solver.lp_solve");
@@ -381,9 +396,7 @@ pub fn solve_lp_state_params(
         if parent.n == lb.len() && parent.m == model.constraints.len() {
             let mut st = parent.clone();
             let bounds = BoundStep::All { lb: &lb, ub: &ub };
-            let res = with_scratch(st.m, st.cols, |sc| {
-                st.reoptimize(model, bounds, pricing, sc)
-            });
+            let res = with_scratch(st.m, st.cols, |sc| st.reoptimize(model, bounds, sc));
             if let Some(done) = warm_outcome(res, st) {
                 return done;
             }
@@ -393,7 +406,7 @@ pub fn solve_lp_state_params(
     }
 
     let mut st = RevisedState::build(model, lb, ub, params)?;
-    let sol = with_scratch(st.m, st.cols, |sc| st.solve_cold(model, pricing, sc))?;
+    let sol = with_scratch(st.m, st.cols, |sc| st.solve_cold(model, sc))?;
     Ok((sol, st))
 }
 
@@ -473,7 +486,6 @@ fn warm_outcome(
 pub(crate) struct Siblings<'a> {
     model: &'a Model,
     parent: &'a RevisedState,
-    pricing: Pricing,
     sc: &'a mut Scratch,
 }
 
@@ -481,7 +493,6 @@ pub(crate) struct Siblings<'a> {
 pub(crate) fn with_siblings<T>(
     model: &Model,
     parent: &RevisedState,
-    pricing: Pricing,
     f: impl FnOnce(&mut Siblings<'_>) -> T,
 ) -> T {
     SCRATCH.with(|sc| {
@@ -491,7 +502,6 @@ pub(crate) fn with_siblings<T>(
         f(&mut Siblings {
             model,
             parent,
-            pricing,
             sc: &mut sc,
         })
     })
@@ -524,7 +534,7 @@ impl Siblings<'_> {
         let mut st = parent.clone();
         self.sc.fit(st.m, st.cols);
         let bounds = BoundStep::One { col, lb, ub };
-        let res = st.reoptimize(model, bounds, self.pricing, self.sc);
+        let res = st.reoptimize(model, bounds, self.sc);
         if let Some(done) = warm_outcome(res, st) {
             return done;
         }
@@ -532,7 +542,7 @@ impl Siblings<'_> {
         let (lb, ub) = structural_bounds(model, overrides)?;
         let mut st = RevisedState::build(model, lb, ub, parent.params)?;
         self.sc.fit(st.m, st.cols);
-        let sol = st.solve_cold(model, self.pricing, self.sc)?;
+        let sol = st.solve_cold(model, self.sc)?;
         Ok((sol, st))
     }
 }
@@ -550,10 +560,7 @@ enum BoundStep<'a> {
 
 impl RevisedState {
     /// Build the initial state: logicals basic where the residual fits
-    /// their interval, artificials elsewhere — the same starting basis
-    /// as the tableau engine (whose sign-flip normalisation is replaced
-    /// here by signed artificial columns `σ·e_i`; the implied tableau is
-    /// identical either way).
+    /// their interval, signed artificial columns `σ·e_i` elsewhere.
     fn build(
         model: &Model,
         mut lb: Vec<f64>,
@@ -701,12 +708,7 @@ impl RevisedState {
 
     /// Both phases from the starting basis [`RevisedState::build`] set
     /// up. Telemetry is flushed once, on every exit.
-    fn solve_cold(
-        &mut self,
-        model: &Model,
-        pricing: Pricing,
-        sc: &mut Scratch,
-    ) -> Result<Solution, SolveError> {
+    fn solve_cold(&mut self, model: &Model, sc: &mut Scratch) -> Result<Solution, SolveError> {
         let result = (|| {
             // Phase 1: minimise the sum of artificials.
             if self.art_start < self.cols {
@@ -714,7 +716,7 @@ impl RevisedState {
                     *c = if j < self.art_start { 0.0 } else { 1.0 };
                 }
                 self.reduced_costs(sc);
-                self.iterate_with(sc, self.cols, pricing)?; // artificials may pivot in phase 1
+                self.iterate_with(sc, self.cols)?; // artificials may pivot in phase 1
                 let infeas: f64 = (0..self.m)
                     .filter(|&i| self.basis[i] >= self.art_start)
                     .map(|i| self.xb[i])
@@ -728,7 +730,7 @@ impl RevisedState {
             // Phase 2: the real objective, artificials barred from entering.
             self.phase2_costs(model, &mut sc.cost);
             self.reduced_costs(sc);
-            self.iterate_with(sc, self.art_start, pricing)?;
+            self.iterate_with(sc, self.art_start)?;
             Ok(self.extract(model))
         })();
         self.flush_stats();
@@ -744,7 +746,6 @@ impl RevisedState {
         &mut self,
         model: &Model,
         bounds: BoundStep<'_>,
-        pricing: Pricing,
         sc: &mut Scratch,
     ) -> Result<Solution, SolveError> {
         let share = matches!(bounds, BoundStep::One { .. });
@@ -761,7 +762,7 @@ impl RevisedState {
                 }
             }
             self.dual_iterate(sc, self.art_start, share)?;
-            self.iterate_with(sc, self.art_start, pricing)?;
+            self.iterate_with(sc, self.art_start)?;
             Ok(self.extract(model))
         })();
         self.flush_stats();
@@ -1076,17 +1077,10 @@ impl RevisedState {
 
     /// Primal bounded-variable simplex on the scratch reduced costs `d`
     /// until no nonbasic column priced below `col_limit` can improve.
-    /// Pricing weights (devex or steepest-edge) live for exactly one
-    /// call, as in the tableau engine, so a solve stays a pure function
-    /// of `(model, bounds, basis)`.
-    fn iterate_with(
-        &mut self,
-        sc: &mut Scratch,
-        col_limit: usize,
-        pricing: Pricing,
-    ) -> Result<(), SolveError> {
+    /// Steepest-edge weights live for exactly one call, so a solve
+    /// stays a pure function of `(model, bounds, basis)`.
+    fn iterate_with(&mut self, sc: &mut Scratch, col_limit: usize) -> Result<(), SolveError> {
         let max_iter = 20_000 + 100 * (self.m + self.cols);
-        let weighted = !matches!(pricing, Pricing::Dantzig);
         let Scratch {
             ecol,
             rho,
@@ -1098,31 +1092,28 @@ impl RevisedState {
             ..
         } = sc;
         weights.fill(1.0);
-        // Maintained violation array for the weighted rules: `viol[j]`
-        // is the entering violation of candidate `j` (−∞ for basic,
-        // fixed, or out-of-limit columns), refreshed from the pricing
-        // row's support after every pivot so the entering scan reads
-        // two arrays instead of six.
+        // Maintained violation array: `viol[j]` is the entering
+        // violation of candidate `j` (−∞ for basic, fixed, or
+        // out-of-limit columns), refreshed from the pricing row's
+        // support after every pivot so the entering scan reads two
+        // arrays instead of six.
         viol.fill(f64::NEG_INFINITY);
         let mut active = 0u64;
-        if weighted {
-            for (j, slot) in viol.iter_mut().enumerate().take(col_limit) {
-                let v = self.entering_viol(j, d);
-                if v != f64::NEG_INFINITY {
-                    active += 1;
-                }
-                *slot = v;
+        for (j, slot) in viol.iter_mut().enumerate().take(col_limit) {
+            let v = self.entering_viol(j, d);
+            if v != f64::NEG_INFINITY {
+                active += 1;
             }
+            *slot = v;
         }
         // Set right after a stability refactorization so one bad pivot
         // cannot refactorize in a loop.
         let mut fresh = false;
         for iter in 0..max_iter {
-            let bland = iter >= self.params.bland_after;
-            let enter = if weighted && !bland {
-                self.choose_entering_weighted(viol, active, weights)
+            let enter = if iter < self.params.bland_after {
+                self.choose_entering_steepest(viol, active, weights)
             } else {
-                self.choose_entering(d, col_limit, bland)
+                self.choose_entering_bland(d, col_limit)
             };
             let Some(enter) = enter else {
                 return Ok(());
@@ -1141,9 +1132,7 @@ impl RevisedState {
                         *x -= e * delta;
                     }
                     self.at_upper[enter] = !self.at_upper[enter];
-                    if weighted {
-                        self.refresh_viol(enter, col_limit, d, viol, &mut active);
-                    }
+                    self.refresh_viol(enter, col_limit, d, viol, &mut active);
                     self.stats.flips += 1;
                     fresh = false;
                 }
@@ -1169,23 +1158,14 @@ impl RevisedState {
                     if (self.xb[row] - target).abs() <= EPS {
                         self.stats.degenerate += 1;
                     }
-                    if weighted {
-                        match pricing {
-                            Pricing::SteepestEdge => {
-                                self.steepest_update(weights, enter, row, ecol, pr, tau)
-                            }
-                            _ => self.devex_update(weights, enter, row, pr),
-                        }
-                    }
+                    self.steepest_update(weights, enter, row, ecol, pr, tau);
                     self.pivot_apply(row, enter, target, leave_at_upper, d, ecol, pr)?;
-                    if weighted {
-                        // Reduced costs changed exactly on the
-                        // pricing row's support (plus the basis
-                        // swap, whose columns the support covers).
-                        for idx in 0..pr.support.len() {
-                            let j = pr.support[idx] as usize;
-                            self.refresh_viol(j, col_limit, d, viol, &mut active);
-                        }
+                    // Reduced costs changed exactly on the pricing
+                    // row's support (plus the basis swap, whose columns
+                    // the support covers).
+                    for idx in 0..pr.support.len() {
+                        let j = pr.support[idx] as usize;
+                        self.refresh_viol(j, col_limit, d, viol, &mut active);
                     }
                     self.stats.pivots += 1;
                     fresh = false;
@@ -1239,41 +1219,6 @@ impl RevisedState {
         weights[enter] = 1.0;
     }
 
-    /// Devex reference-weight update on the dense pricing row — the same
-    /// recurrence as the tableau engine's (`w_j ← max(w_j, (α_j/α_q)²·
-    /// w_q)`), with the [`DEVEX_RESET`] overflow reset.
-    fn devex_update(&mut self, w: &mut [f64], enter: usize, row: usize, pr: &PriceRow) {
-        let aq = pr.alpha[enter];
-        let wq = w[enter].max(1.0);
-        let leave = self.basis[row];
-        let mut wmax = 0.0f64;
-        for &ju in &pr.support {
-            let j = ju as usize;
-            if j == enter {
-                continue;
-            }
-            let a = pr.alpha[j];
-            if a == 0.0 {
-                continue;
-            }
-            let p = a / aq;
-            let cand = p * p * wq;
-            if cand > w[j] {
-                w[j] = cand;
-            }
-            if w[j] > wmax {
-                wmax = w[j];
-            }
-        }
-        w[leave] = (wq / (aq * aq)).max(1.0);
-        w[enter] = 1.0;
-        self.stats.devex_pivots += 1;
-        if wmax.max(w[leave]) > DEVEX_RESET {
-            w.fill(1.0);
-            self.stats.devex_resets += 1;
-        }
-    }
-
     /// Violation of candidate `j` under the current reduced costs:
     /// positive means entering improves the objective; −∞ marks basic
     /// or fixed columns (never eligible).
@@ -1312,11 +1257,11 @@ impl RevisedState {
         }
     }
 
-    /// Weighted entering choice: the candidate maximising `viol²/w`
-    /// over all positive violations, ties on lowest index. `viol` is
-    /// the maintained violation array (−∞ for non-candidates) and
-    /// `active` the number of live candidates it holds.
-    fn choose_entering_weighted(&mut self, viol: &[f64], active: u64, w: &[f64]) -> Option<usize> {
+    /// Steepest-edge entering choice: the candidate maximising
+    /// `viol²/w` over all positive violations, ties on lowest index.
+    /// `viol` is the maintained violation array (−∞ for non-candidates)
+    /// and `active` the number of live candidates it holds.
+    fn choose_entering_steepest(&mut self, viol: &[f64], active: u64, w: &[f64]) -> Option<usize> {
         self.stats.scanned += active;
         let mut best = None;
         let mut best_score = 0.0f64;
@@ -1332,34 +1277,27 @@ impl RevisedState {
         best
     }
 
-    /// Dantzig (largest violation) or Bland (lowest index) entering
-    /// choice over a full scan. The revised engine always scans fully:
-    /// reduced costs are dense and up to date, so partial pricing would
-    /// save nothing.
-    fn choose_entering(&mut self, d: &[f64], col_limit: usize, bland: bool) -> Option<usize> {
-        let mut best = None;
-        let mut best_score = COST_EPS;
+    /// Bland's anti-cycling entering choice: the lowest-index column
+    /// whose reduced cost improves the objective.
+    fn choose_entering_bland(&mut self, d: &[f64], col_limit: usize) -> Option<usize> {
         for (j, &dj) in d.iter().enumerate().take(col_limit) {
             if self.basis_pos[j] != usize::MAX || self.ub[j] - self.lb[j] <= EPS {
                 continue;
             }
             self.stats.scanned += 1;
             let score = if self.at_upper[j] { dj } else { -dj };
-            if score > best_score {
-                if bland {
-                    return Some(j);
-                }
-                best_score = score;
-                best = Some(j);
+            if score > COST_EPS {
+                return Some(j);
             }
         }
-        best
+        None
     }
 
     /// Bounded ratio test for `enter` moving in direction `dir` (its
-    /// FTRAN'd column in `ecol`): the tableau engine's logic and
-    /// tie-breaks, except that entries below [`PIVOT_REL`] of the
-    /// column's largest are never pivots.
+    /// FTRAN'd column in `ecol`): the smallest step to a basic
+    /// variable's bound, ties on the lowest basic column index, a bound
+    /// flip when the entering column's own span is shorter. Entries
+    /// below [`PIVOT_REL`] of the column's largest are never pivots.
     fn ratio_test(&self, enter: usize, dir: f64, ecol: &[f64]) -> Step {
         let span = self.ub[enter] - self.lb[enter]; // may be ∞
         let tol = pivot_tol(ecol.iter().copied());
@@ -1406,10 +1344,11 @@ impl RevisedState {
         }
     }
 
-    /// Dual simplex repair: same leaving/entering rules as the tableau
-    /// engine, with the pricing row reconstructed per iteration by one
-    /// BTRAN, and the same stability/refactorization policy as the
-    /// primal loop. With `share`, the first iteration's pricing row is
+    /// Dual simplex repair: the leaving row is the largest bound
+    /// violation, the entering column the dual ratio test's minimum,
+    /// with the pricing row reconstructed per iteration by one BTRAN,
+    /// and the same stability/refactorization policy as the primal
+    /// loop. With `share`, the first iteration's pricing row is
     /// the sibling [`Share`]'s when both chose the same leaving row, and
     /// lands there when no sibling has chosen one yet.
     fn dual_iterate(
@@ -1473,7 +1412,7 @@ impl RevisedState {
             };
 
             // Entering column by the dual ratio test over the row's
-            // entries (ascending scan keeps the tableau tie-breaks),
+            // entries (the ascending scan breaks ties on lowest index),
             // with the primal test's relative pivot tolerance. Zero
             // entries, most of the row, are skipped before the
             // candidate checks.
@@ -1659,12 +1598,6 @@ impl RevisedState {
         if s.degenerate > 0 {
             vb_telemetry::counter!("solver.degenerate_pivots").add(s.degenerate);
         }
-        if s.devex_pivots > 0 {
-            vb_telemetry::counter!("solver.devex_pivots").add(s.devex_pivots);
-        }
-        if s.devex_resets > 0 {
-            vb_telemetry::counter!("solver.devex_resets").add(s.devex_resets);
-        }
         if s.refactorizations > 0 {
             vb_telemetry::counter!("solver.refactorizations").add(s.refactorizations);
         }
@@ -1682,13 +1615,11 @@ impl RevisedState {
     /// Algebraic self-checks behind the `check-invariants` feature:
     ///
     /// 1. `basis`/`basis_pos` form a consistent bijection and every
-    ///    nonbasic column sits on a finite bound (as in the tableau
-    ///    engine);
+    ///    nonbasic column sits on a finite bound;
     /// 2. the **constraint residual** `‖A·x − b‖` is small row by row,
-    ///    with `x` assembled from the basic values and nonbasic bounds —
-    ///    the factorized engine's counterpart of the tableau's unit
-    ///    basic-column check (and the check the refactorization-
-    ///    consistency assert complements from the other side).
+    ///    with `x` assembled from the basic values and nonbasic bounds
+    ///    (the check the refactorization-consistency assert complements
+    ///    from the other side).
     #[cfg(feature = "check-invariants")]
     fn assert_invariants(&self, ctx: &str) {
         assert_eq!(self.basis.len(), self.m, "basis length drifted after {ctx}");
@@ -1763,8 +1694,7 @@ fn pivot_tol(entries: impl Iterator<Item = f64>) -> f64 {
     EPS.max(PIVOT_REL * entries.fold(0.0, |m: f64, a| m.max(a.abs())))
 }
 
-/// Objective monotonicity for primal steps (dual repair is exempt) —
-/// identical to the tableau engine's check.
+/// Objective monotonicity for primal steps (dual repair is exempt).
 #[cfg(feature = "check-invariants")]
 fn assert_monotone_step(d_enter: f64, travel: f64, what: &str) {
     let change = d_enter * travel;
@@ -1778,8 +1708,11 @@ fn assert_monotone_step(d_enter: f64, travel: f64, what: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Model, Sense};
-    use crate::simplex;
+    use crate::model::{LinExpr, Model, Sense};
+
+    fn lp(m: &Model) -> Result<Solution, SolveError> {
+        solve_lp_state(m, &[], None).map(|(sol, _)| sol)
+    }
 
     fn sample_lp() -> Model {
         // max 3x + 5y s.t. x<=4, 2y<=12, 3x+2y<=18 -> x=2,y=6, obj 36.
@@ -1798,12 +1731,11 @@ mod tests {
     }
 
     #[test]
-    fn matches_tableau_on_classic_lp() {
-        let m = sample_lp();
-        for pricing in [Pricing::Dantzig, Pricing::Devex, Pricing::SteepestEdge] {
-            let (sol, _) = solve_lp_state(&m, &[], None, pricing).unwrap();
-            assert!((sol.objective - 36.0).abs() < 1e-6, "obj {}", sol.objective);
-        }
+    fn classic_two_variable_max() {
+        let sol = lp(&sample_lp()).unwrap();
+        assert!((sol.objective - 36.0).abs() < 1e-6, "obj {}", sol.objective);
+        let v = sol.values();
+        assert!((v[0] - 2.0).abs() < 1e-6 && (v[1] - 6.0).abs() < 1e-6);
     }
 
     #[test]
@@ -1818,22 +1750,36 @@ mod tests {
         m.add_eq(e, 1.0);
         let obj = m.expr(&[(x, 1.0), (y, 1.0)]);
         m.set_objective(obj);
-        let (sol, _) = solve_lp_state(&m, &[], None, Pricing::SteepestEdge).unwrap();
+        let sol = lp(&m).unwrap();
         assert!((sol.objective - 3.0).abs() < 1e-6);
         let v = sol.values();
         assert!((v[0] - 2.0).abs() < 1e-6 && (v[1] - 1.0).abs() < 1e-6);
+
+        // min 2x + 3y s.t. x + y >= 10: the `≥` row starts on a phase-1
+        // artificial, and everything lands on the cheaper x, obj 20.
+        let mut m = Model::new(Sense::Minimize);
+        let x = m.var("x", 0.0, f64::INFINITY);
+        let y = m.var("y", 0.0, f64::INFINITY);
+        let e = m.expr(&[(x, 1.0), (y, 1.0)]);
+        m.add_ge(e, 10.0);
+        let obj = m.expr(&[(x, 2.0), (y, 3.0)]);
+        m.set_objective(obj);
+        let sol = lp(&m).unwrap();
+        assert!((sol.objective - 20.0).abs() < 1e-6);
+        assert!((sol.value(x) - 10.0).abs() < 1e-6);
     }
 
     #[test]
     fn infeasible_and_unbounded_are_reported() {
-        let mut m = Model::new(Sense::Minimize);
-        let x = m.var("x", 0.0, 1.0);
-        let e = m.expr(&[(x, 1.0)]);
-        m.add_ge(e, 2.0);
-        assert!(matches!(
-            solve_lp_state(&m, &[], None, Pricing::SteepestEdge),
-            Err(SolveError::Infeasible)
-        ));
+        for (ub, rhs) in [(1.0, 2.0), (5.0, 10.0)] {
+            let mut m = Model::new(Sense::Minimize);
+            let x = m.var("x", 0.0, ub);
+            let e = m.expr(&[(x, 1.0)]);
+            m.add_ge(e, rhs);
+            let obj = m.expr(&[(x, 1.0)]);
+            m.set_objective(obj);
+            assert_eq!(lp(&m).unwrap_err(), SolveError::Infeasible, "x ≤ {ub}");
+        }
 
         let mut m = Model::new(Sense::Maximize);
         let x = m.var("x", 0.0, f64::INFINITY);
@@ -1842,28 +1788,242 @@ mod tests {
         m.add_le(e, 1.0);
         let obj = m.expr(&[(x, 1.0)]);
         m.set_objective(obj);
-        assert!(matches!(
-            solve_lp_state(&m, &[], None, Pricing::SteepestEdge),
-            Err(SolveError::Unbounded)
-        ));
+        assert_eq!(lp(&m).unwrap_err(), SolveError::Unbounded);
+
+        // No constraint rows at all: an unbounded column alone.
+        let mut m = Model::new(Sense::Maximize);
+        let x = m.var("x", 0.0, f64::INFINITY);
+        let obj = m.expr(&[(x, 1.0)]);
+        m.set_objective(obj);
+        assert_eq!(m.solve().unwrap_err(), SolveError::Unbounded);
+    }
+
+    #[test]
+    fn respects_variable_bounds_without_constraint_rows() {
+        // max x + y with x in [1, 3], y in [0, 2]: no constraints at all,
+        // so the basis is empty and the solve is pure bound flips.
+        let mut m = Model::new(Sense::Maximize);
+        let x = m.var("x", 1.0, 3.0);
+        let y = m.var("y", 0.0, 2.0);
+        let obj = m.expr(&[(x, 1.0), (y, 1.0)]);
+        m.set_objective(obj);
+        let s = m.solve().unwrap();
+        assert!((s.objective - 5.0).abs() < 1e-6);
+        assert!((s.value(x) - 3.0).abs() < 1e-6);
+        assert!((s.value(y) - 2.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn negative_lower_bounds_work() {
+        // min x with x in [-5, 5], x >= -3  ->  x = -3.
+        let mut m = Model::new(Sense::Minimize);
+        let x = m.var("x", -5.0, 5.0);
+        let e = m.expr(&[(x, 1.0)]);
+        m.add_ge(e, -3.0);
+        let obj = m.expr(&[(x, 1.0)]);
+        m.set_objective(obj);
+        let s = m.solve().unwrap();
+        assert!((s.value(x) + 3.0).abs() < 1e-6, "x = {}", s.value(x));
+    }
+
+    #[test]
+    fn objective_constant_is_carried_through() {
+        let mut m = Model::new(Sense::Minimize);
+        let x = m.var("x", 2.0, 10.0);
+        let obj = LinExpr::term(x, 1.0).add_const(100.0);
+        m.set_objective(obj);
+        let s = m.solve().unwrap();
+        assert!((s.objective - 102.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn bound_overrides_tighten_the_relaxation() {
+        let mut m = Model::new(Sense::Maximize);
+        let x = m.var("x", 0.0, 10.0);
+        let obj = m.expr(&[(x, 1.0)]);
+        m.set_objective(obj);
+        let s = m.solve_relaxation(&[(x, 0.0, 4.0)]).unwrap();
+        assert!((s.objective - 4.0).abs() < 1e-6);
+        // Contradictory override is infeasible.
+        assert_eq!(
+            m.solve_relaxation(&[(x, 6.0, 4.0)]).unwrap_err(),
+            SolveError::Infeasible
+        );
+    }
+
+    #[test]
+    fn redundant_equalities_are_fine() {
+        // x + y = 2 stated twice (redundant row must not break phase 1).
+        let mut m = Model::new(Sense::Maximize);
+        let x = m.var("x", 0.0, 2.0);
+        let y = m.var("y", 0.0, 2.0);
+        let e1 = m.expr(&[(x, 1.0), (y, 1.0)]);
+        m.add_eq(e1, 2.0);
+        let e2 = m.expr(&[(x, 2.0), (y, 2.0)]);
+        m.add_eq(e2, 4.0);
+        let obj = m.expr(&[(x, 1.0)]);
+        m.set_objective(obj);
+        let s = m.solve().unwrap();
+        assert!((s.objective - 2.0).abs() < 1e-6);
+    }
+
+    /// Beale's classic cycling LP: Dantzig's rule cycles forever on it
+    /// without an anti-cycling safeguard. Optimum is -0.05.
+    fn beale() -> Model {
+        let mut m = Model::new(Sense::Minimize);
+        let x4 = m.var("x4", 0.0, f64::INFINITY);
+        let x5 = m.var("x5", 0.0, f64::INFINITY);
+        let x6 = m.var("x6", 0.0, f64::INFINITY);
+        let x7 = m.var("x7", 0.0, f64::INFINITY);
+        let e1 = m.expr(&[(x4, 0.25), (x5, -60.0), (x6, -0.04), (x7, 9.0)]);
+        m.add_le(e1, 0.0);
+        let e2 = m.expr(&[(x4, 0.5), (x5, -90.0), (x6, -0.02), (x7, 3.0)]);
+        m.add_le(e2, 0.0);
+        let e3 = m.expr(&[(x6, 1.0)]);
+        m.add_le(e3, 1.0);
+        let obj = m.expr(&[(x4, -0.75), (x5, 150.0), (x6, -0.02), (x7, 6.0)]);
+        m.set_objective(obj);
+        m
+    }
+
+    #[test]
+    fn beales_cycling_example_terminates() {
+        // Under steepest edge, and with Bland's rule from the start.
+        let bland = Params {
+            bland_after: 0,
+            ..Params::default()
+        };
+        for params in [Params::default(), bland] {
+            let (s, _) = solve_lp_state_params(&beale(), &[], None, params).unwrap();
+            assert!((s.objective + 0.05).abs() < 1e-6, "obj {}", s.objective);
+        }
+    }
+
+    #[test]
+    fn binaries_add_no_rows() {
+        // 40 bounded variables, 1 constraint: the basis has exactly one
+        // row (bounds never materialise as rows).
+        let mut m = Model::new(Sense::Maximize);
+        let xs: Vec<VarId> = (0..40).map(|i| m.var(&format!("x{i}"), 0.0, 1.0)).collect();
+        let terms: Vec<(VarId, f64)> = xs.iter().map(|&v| (v, 1.0)).collect();
+        let e = m.expr(&terms);
+        m.add_le(e, 3.5);
+        let obj = m.expr(&terms);
+        m.set_objective(obj);
+        let (sol, st) = solve_lp_state(&m, &[], None).unwrap();
+        assert_eq!(st.m, 1, "bounds must not materialise as rows");
+        assert!((sol.objective - 3.5).abs() < 1e-6);
     }
 
     #[test]
     fn warm_start_with_branching_bounds() {
         let m = sample_lp();
-        let (_, root) = solve_lp_state(&m, &[], None, Pricing::SteepestEdge).unwrap();
+        let (_, root) = solve_lp_state(&m, &[], None).unwrap();
         // Branch x <= 1: warm must agree with cold.
         let x = VarId(0);
-        let (warm_sol, _) =
-            solve_lp_state(&m, &[(x, 0.0, 1.0)], Some(&root), Pricing::SteepestEdge).unwrap();
-        let (cold_sol, _) =
-            solve_lp_state(&m, &[(x, 0.0, 1.0)], None, Pricing::SteepestEdge).unwrap();
+        let (warm_sol, _) = solve_lp_state(&m, &[(x, 0.0, 1.0)], Some(&root)).unwrap();
+        let (cold_sol, _) = solve_lp_state(&m, &[(x, 0.0, 1.0)], None).unwrap();
         assert!(
             (warm_sol.objective - cold_sol.objective).abs() < 1e-9,
             "warm {} vs cold {}",
             warm_sol.objective,
             cold_sol.objective
         );
+
+        // max x + y s.t. x + y <= 3, x,y in [0, 2]: optimum 3. Force
+        // x <= 1 -> still 3 (y=2, x=1); force x = 2 -> x=2, y=1.
+        let mut m = Model::new(Sense::Maximize);
+        let x = m.var("x", 0.0, 2.0);
+        let y = m.var("y", 0.0, 2.0);
+        let e = m.expr(&[(x, 1.0), (y, 1.0)]);
+        m.add_le(e, 3.0);
+        let obj = m.expr(&[(x, 1.0), (y, 1.0)]);
+        m.set_objective(obj);
+        let (root, st) = solve_lp_state(&m, &[], None).unwrap();
+        assert!((root.objective - 3.0).abs() < 1e-6);
+        let (a, _) = solve_lp_state(&m, &[(x, 0.0, 1.0)], Some(&st)).unwrap();
+        assert!((a.objective - 3.0).abs() < 1e-6, "obj {}", a.objective);
+        assert!(a.value(x) <= 1.0 + 1e-6);
+        let (b, _) = solve_lp_state(&m, &[(x, 2.0, 2.0)], Some(&st)).unwrap();
+        assert!((b.objective - 3.0).abs() < 1e-6);
+        assert!((b.value(x) - 2.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn warm_start_detects_infeasible_children() {
+        // x + y >= 4 with x,y in [0,2]: feasible only at x=y=2. Fixing
+        // x to 0 from the parent optimum must come back Infeasible.
+        let mut m = Model::new(Sense::Minimize);
+        let x = m.var("x", 0.0, 2.0);
+        let y = m.var("y", 0.0, 2.0);
+        let e = m.expr(&[(x, 1.0), (y, 1.0)]);
+        m.add_ge(e, 4.0);
+        let obj = m.expr(&[(x, 1.0), (y, 2.0)]);
+        m.set_objective(obj);
+        let (root, st) = solve_lp_state(&m, &[], None).unwrap();
+        assert!((root.objective - 6.0).abs() < 1e-6);
+        assert_eq!(
+            solve_lp_state(&m, &[(x, 0.0, 0.0)], Some(&st)).unwrap_err(),
+            SolveError::Infeasible
+        );
+    }
+
+    #[test]
+    fn warm_start_chain_matches_cold_solves() {
+        // A chain of progressively tighter bounds, warm vs cold.
+        let mut m = Model::new(Sense::Maximize);
+        let vars: Vec<VarId> = (0..6).map(|i| m.var(&format!("v{i}"), 0.0, 4.0)).collect();
+        for k in 0..3 {
+            let terms: Vec<(VarId, f64)> = vars
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| (v, 1.0 + ((i + k) % 3) as f64))
+                .collect();
+            let e = m.expr(&terms);
+            m.add_le(e, 10.0 + k as f64);
+        }
+        let terms: Vec<(VarId, f64)> = vars
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (v, 1.0 + (i % 4) as f64))
+            .collect();
+        let e = m.expr(&terms);
+        m.set_objective(e);
+
+        let mut overrides: Vec<(VarId, f64, f64)> = Vec::new();
+        let (_, mut state) = solve_lp_state(&m, &[], None).unwrap();
+        for (step, &v) in vars.iter().enumerate() {
+            overrides.push((v, 0.0, 3.0 - (step % 3) as f64));
+            let warm = solve_lp_state(&m, &overrides, Some(&state)).unwrap();
+            let cold = solve_lp_state(&m, &overrides, None).unwrap();
+            assert!(
+                (warm.0.objective - cold.0.objective).abs() < 1e-6,
+                "step {step}: warm {} vs cold {}",
+                warm.0.objective,
+                cold.0.objective
+            );
+            state = warm.1;
+        }
+    }
+
+    #[test]
+    fn degenerate_bound_heavy_instance() {
+        // Many variables share one tight equality; lots of degenerate
+        // pivots, exercising the tie-breaks.
+        let mut m = Model::new(Sense::Minimize);
+        let xs: Vec<VarId> = (0..12).map(|i| m.var(&format!("x{i}"), 0.0, 1.0)).collect();
+        let terms: Vec<(VarId, f64)> = xs.iter().map(|&v| (v, 1.0)).collect();
+        let e = m.expr(&terms);
+        m.add_eq(e, 0.0); // forces everything to 0
+        let obj_terms: Vec<(VarId, f64)> = xs
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (v, 1.0 - (i as f64) * 0.1))
+            .collect();
+        let e = m.expr(&obj_terms);
+        m.set_objective(e);
+        let s = m.solve().unwrap();
+        assert!(s.objective.abs() < 1e-6);
     }
 
     /// max Σ c_j x_j over four resource rows, 0 ≤ x_j ≤ 4: enough
@@ -1907,8 +2067,7 @@ mod tests {
             refactor_after: 3,
             bland_after: BLAND_AFTER,
         };
-        let (_, parent) =
-            solve_lp_state_params(&m, &[], None, Pricing::SteepestEdge, params).unwrap();
+        let (_, parent) = solve_lp_state_params(&m, &[], None, params).unwrap();
         assert!(
             parent.factor.eta_count() > 0,
             "the parent keeps an eta file"
@@ -1919,7 +2078,7 @@ mod tests {
         assert!(sibling.factor.shares_lu_with(&parent.factor));
 
         let resolve = |st: &RevisedState, fix: (VarId, f64, f64)| {
-            let (sol, _) = solve_lp_state(&m, &[fix], Some(st), Pricing::SteepestEdge).unwrap();
+            let (sol, _) = solve_lp_state(&m, &[fix], Some(st)).unwrap();
             solution_bits(&sol)
         };
         let parent_fix = (VarId(0), 0.0, 1.0);
@@ -1933,7 +2092,7 @@ mod tests {
         let ub = vec![0.5, 0.25, 0.5, 0.25, 4.0, 0.5];
         with_scratch(driven.m, driven.cols, |sc| {
             let bounds = BoundStep::All { lb: &lb, ub: &ub };
-            driven.reoptimize(&m, bounds, Pricing::SteepestEdge, sc)
+            driven.reoptimize(&m, bounds, sc)
         })
         .unwrap();
         assert!(
@@ -1955,10 +2114,49 @@ mod tests {
             refactor_after: 2,
             bland_after: 3,
         };
-        let (sol, st) = solve_lp_state_params(&m, &[], None, Pricing::SteepestEdge, tight).unwrap();
+        let (sol, st) = solve_lp_state_params(&m, &[], None, tight).unwrap();
         assert!((sol.objective - 36.0).abs() < 1e-6);
         assert!(st.params.refactor_after == 2);
-        let (dense_sol, _) = simplex::solve_lp_state(&m, &[], None).unwrap();
-        assert!((sol.objective - dense_sol.objective).abs() < 1e-9);
+        let default = lp(&m).unwrap();
+        assert!((sol.objective - default.objective).abs() < 1e-9);
+    }
+}
+
+#[cfg(all(test, feature = "check-invariants"))]
+mod invariant_tests {
+    use super::*;
+    use crate::model::{Model, Sense};
+
+    // With the feature live, every pivot of these solves runs the full
+    // invariant suite; the test just has to drive enough pivots through
+    // both entry points (cold and bound warm).
+
+    fn production_model() -> Model {
+        let mut m = Model::new(Sense::Maximize);
+        let x = m.var("x", 0.0, 40.0);
+        let y = m.var("y", 0.0, 30.0);
+        let z = m.var("z", 0.0, 20.0);
+        let e = m.expr(&[(x, 1.0), (y, 2.0), (z, 1.0)]);
+        m.add_le(e, 40.0);
+        let e = m.expr(&[(x, 3.0), (y, 1.0)]);
+        m.add_le(e, 60.0);
+        let e = m.expr(&[(x, 1.0), (y, 1.0), (z, 3.0)]);
+        m.add_ge(e, 10.0);
+        let obj = m.expr(&[(x, 3.0), (y, 5.0), (z, 4.0)]);
+        m.set_objective(obj);
+        m
+    }
+
+    #[test]
+    fn invariants_hold_across_cold_and_warm_solves() {
+        let model = production_model();
+        let (sol, st) = solve_lp_state(&model, &[], None).expect("cold solve");
+        assert!(sol.objective.is_finite());
+        st.assert_invariants("test readback");
+
+        // Branch-and-bound style bound tightening over the warm basis.
+        let x = VarId(0);
+        let (_, st2) = solve_lp_state(&model, &[(x, 0.0, 5.0)], Some(&st)).expect("warm solve");
+        st2.assert_invariants("warm readback");
     }
 }

@@ -1,6 +1,6 @@
-//! Differential tests: the bounded-variable simplex (the production
-//! path) against the original row-expansion two-phase simplex kept in
-//! [`vb_solver::dense`] as an oracle.
+//! Differential tests: the revised simplex ([`vb_solver::revised`], the
+//! engine behind every solve) against the original row-expansion
+//! two-phase simplex kept in [`vb_solver::dense`] as an oracle.
 //!
 //! Three layers of agreement:
 //!
@@ -8,17 +8,22 @@
 //!    objective value within tolerance;
 //! 2. warm-started LPs — re-solving under branch-style bound overrides
 //!    from a parent basis matches the oracle cold solve;
-//! 3. Table-1-shaped placement MIPs — the production branch & bound
-//!    (bounded-variable LPs + warm starts) matches a reference branch &
-//!    bound driven entirely by the row-expansion oracle.
+//! 3. Table-1-shaped placement MIPs — branch & bound (revised-simplex
+//!    LPs + warm starts) matches a reference branch & bound driven
+//!    entirely by the row-expansion oracle.
 
 use rand::{Rng, SeedableRng};
 use vb_solver::branch::solve_mip_bounded_with;
 use vb_solver::dense::solve_lp_reference;
-use vb_solver::simplex::{solve_lp, solve_lp_state};
+use vb_solver::revised::solve_lp_state;
 use vb_solver::{Model, Sense, Solution, SolveError, VarId};
 
 const TOL: f64 = 1e-6;
+
+/// The revised simplex's LP solve, without its state.
+fn solve_lp(m: &Model, overrides: &[(VarId, f64, f64)]) -> Result<Solution, SolveError> {
+    solve_lp_state(m, overrides, None).map(|(sol, _)| sol)
+}
 
 /// A random bounded LP plus the metadata an integration test cannot read
 /// back out of the (deliberately opaque) `Model`: the variable handles
@@ -86,13 +91,13 @@ fn assert_agree(new: &Result<Solution, SolveError>, old: &Result<Solution, Solve
     match (new, old) {
         (Ok(a), Ok(b)) => assert!(
             (a.objective - b.objective).abs() < TOL,
-            "{tag}: objectives diverge: bounded-variable {} vs row-expansion {}",
+            "{tag}: objectives diverge: revised {} vs row-expansion {}",
             a.objective,
             b.objective
         ),
         (Err(SolveError::Infeasible), Err(SolveError::Infeasible)) => {}
         (Err(SolveError::Unbounded), Err(SolveError::Unbounded)) => {}
-        (a, b) => panic!("{tag}: status diverges: bounded-variable {a:?} vs row-expansion {b:?}"),
+        (a, b) => panic!("{tag}: status diverges: revised {a:?} vs row-expansion {b:?}"),
     }
 }
 

@@ -17,12 +17,11 @@
 //! `r le|ge|eq RHS VAR:COEF…` per row, and `o CONSTANT VAR:COEF…` for
 //! the objective.
 
+use vb_solver::branch::solve_mip_bounded;
 use vb_solver::dense::solve_lp_reference;
 use vb_solver::presolve::presolve_mip;
 use vb_solver::revised;
-use vb_solver::{
-    solve_mip_kernel, Cmp, KernelConfig, LinExpr, Model, PresolveStats, Pricing, Sense, VarId,
-};
+use vb_solver::{solve_mip_kernel, Cmp, LinExpr, Model, PresolveStats, Sense, VarId};
 
 const EPOCH: &str = include_str!("data/near_singular_epoch.txt");
 
@@ -79,8 +78,7 @@ fn load() -> (Model, Vec<(LinExpr, Cmp, f64)>) {
 fn captured_epoch_solves_with_feasible_integral_plan() {
     let (m, rows) = load();
     assert_eq!((m.num_vars(), m.num_constraints()), (172, 113));
-    let sol =
-        solve_mip_kernel(&m, 400, &KernelConfig::production()).expect("the epoch is feasible");
+    let sol = solve_mip_kernel(&m, 400).expect("the epoch is feasible");
     let x = sol.values();
     for (k, (e, cmp, rhs)) in rows.iter().enumerate() {
         let lhs = e.eval(x);
@@ -104,13 +102,12 @@ fn captured_epoch_solves_with_feasible_integral_plan() {
 
 #[test]
 fn cold_root_of_the_presolved_epoch_matches_the_dense_oracle() {
-    // The production kernel's cold root runs on the presolved model:
+    // `solve_mip_kernel`'s cold root runs on the presolved model:
     // exactly the solve that pivoted on the near-zero entry.
     let (m, _) = load();
     let pre = presolve_mip(&m).expect("presolve succeeds");
     let reduced = pre.reduced();
-    let (root, _) = revised::solve_lp_state(reduced, &[], None, Pricing::SteepestEdge)
-        .expect("cold root solves");
+    let (root, _) = revised::solve_lp_state(reduced, &[], None).expect("cold root solves");
     let oracle = solve_lp_reference(reduced, &[]).expect("oracle solves");
     let tol = 1e-6 * oracle.objective.abs().max(1.0);
     assert!(
@@ -139,8 +136,7 @@ fn presolve_shrinks_the_epoch_to_a_pinned_size() {
         }
     );
     // The reduced relaxation keeps the original's optimum...
-    let (root, _) = revised::solve_lp_state(reduced, &[], None, Pricing::SteepestEdge)
-        .expect("cold root solves");
+    let (root, _) = revised::solve_lp_state(reduced, &[], None).expect("cold root solves");
     let lp = solve_lp_reference(&m, &[]).expect("relaxation solves");
     assert!(
         (root.objective - lp.objective).abs() <= 1e-9 * lp.objective.abs(),
@@ -150,12 +146,8 @@ fn presolve_shrinks_the_epoch_to_a_pinned_size() {
     );
     // ...and the 400-node search stops on the same plan with or
     // without presolve.
-    let with = solve_mip_kernel(&m, 400, &KernelConfig::production()).expect("plan");
-    let without = KernelConfig {
-        presolve: false,
-        ..KernelConfig::production()
-    };
-    let without = solve_mip_kernel(&m, 400, &without).expect("plan");
+    let with = solve_mip_kernel(&m, 400).expect("plan");
+    let without = solve_mip_bounded(&m, 400).expect("plan");
     assert_eq!(with.objective.to_bits(), without.objective.to_bits());
     assert_eq!(with.objective, 3100.7104039919705);
     assert!(with.budget_gap().is_some(), "the budget stops this search");

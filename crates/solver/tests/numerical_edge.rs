@@ -7,8 +7,8 @@
 //!    rows and pivots make little or no objective progress. Solved
 //!    with a tiny `refactor_after` so the scheduled-refactorization
 //!    path runs every couple of pivots, and with a tiny `bland_after`
-//!    so the Bland anti-cycling fallback engages *under steepest-edge
-//!    pricing* (the weighted rule must coexist with index-order entry);
+//!    so the Bland anti-cycling fallback takes over from steepest-edge
+//!    pricing (the weighted rule must coexist with index-order entry);
 //! 2. **rank-deficient-after-presolve** LPs — singleton equality rows
 //!    fix a subset of variables; presolve substitutes them out, which
 //!    can leave duplicated or zeroed rows in the reduced model. The
@@ -16,15 +16,14 @@
 //!    the redundant rows' artificials) and postsolve must agree with
 //!    the oracle on the original.
 //!
-//! Every case cross-checks all three pricing rules, so steepest-edge
-//! weight maintenance is differentially pinned to Dantzig on exactly
-//! the instances where degeneracy makes weights drift.
+//! Degeneracy is exactly where steepest-edge weights drift, so these
+//! instances pin the weight maintenance and its resets to the oracle.
 
 use proptest::prelude::*;
 use vb_solver::dense::solve_lp_reference;
 use vb_solver::presolve::presolve_lp;
 use vb_solver::revised::{self, Params};
-use vb_solver::{Model, Pricing, Sense, Solution, SolveError, VarId};
+use vb_solver::{Model, Sense, Solution, SolveError, VarId};
 
 const TOL: f64 = 1e-6;
 
@@ -176,42 +175,34 @@ fn build_pinned(spec: &PinnedSpec) -> Model {
     m
 }
 
-const PRICINGS: [Pricing; 3] = [Pricing::Dantzig, Pricing::Devex, Pricing::SteepestEdge];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Near-degenerate instances under a refactorize-every-2-pivots
     /// schedule: the scheduled refactorization path (fresh Markowitz
     /// factorization + recomputed basic values) must be invisible in
-    /// the results under every pricing rule.
+    /// the results.
     #[test]
     fn degenerate_with_tiny_refactor_interval_matches_oracle(spec in degenerate_spec(6)) {
         let m = build_degenerate(&spec);
         let oracle = solve_lp_reference(&m, &[]);
-        for pricing in PRICINGS {
-            let params = Params { refactor_after: 2, ..Params::default() };
-            let got = revised::solve_lp_state_params(&m, &[], None, pricing, params)
-                .map(|(sol, _)| sol);
-            assert_agree(&format!("refactor_after=2 {pricing:?}"), &got, &oracle);
-        }
+        let params = Params { refactor_after: 2, ..Params::default() };
+        let got = revised::solve_lp_state_params(&m, &[], None, params).map(|(sol, _)| sol);
+        assert_agree("refactor_after=2", &got, &oracle);
     }
 
     /// The same instances with the Bland anti-cycling fallback forced
     /// almost immediately (`bland_after: 3`): index-order entry must
-    /// override steepest-edge/devex weights without disagreeing with
-    /// the oracle — degeneracy-heavy models are exactly where Bland
-    /// engages in production.
+    /// override the steepest-edge weights without disagreeing with the
+    /// oracle — degeneracy-heavy models are exactly where Bland engages
+    /// in production.
     #[test]
     fn degenerate_bland_fallback_matches_oracle(spec in degenerate_spec(6)) {
         let m = build_degenerate(&spec);
         let oracle = solve_lp_reference(&m, &[]);
-        for pricing in PRICINGS {
-            let params = Params { bland_after: 3, ..Params::default() };
-            let got = revised::solve_lp_state_params(&m, &[], None, pricing, params)
-                .map(|(sol, _)| sol);
-            assert_agree(&format!("bland_after=3 {pricing:?}"), &got, &oracle);
-        }
+        let params = Params { bland_after: 3, ..Params::default() };
+        let got = revised::solve_lp_state_params(&m, &[], None, params).map(|(sol, _)| sol);
+        assert_agree("bland_after=3", &got, &oracle);
     }
 
     /// Rank-deficient-after-presolve round trip: presolve the pinned
@@ -227,11 +218,9 @@ proptest! {
             // must agree.
             Err(e) => assert_agree("presolve-infeasible", &Err(e), &oracle),
             Ok(pre) => {
-                for pricing in PRICINGS {
-                    let got = revised::solve_lp_state(pre.reduced(), &[], None, pricing)
-                        .map(|(sol, _)| pre.postsolve(&m, &sol));
-                    assert_agree(&format!("presolve {pricing:?}"), &got, &oracle);
-                }
+                let got = revised::solve_lp_state(pre.reduced(), &[], None)
+                    .map(|(sol, _)| pre.postsolve(&m, &sol));
+                assert_agree("presolve", &got, &oracle);
             }
         }
     }

@@ -1,8 +1,8 @@
 //! Property-based differential tests against the row-expansion oracle
 //! ([`vb_solver::dense::solve_lp_reference`]):
 //!
-//! 1. random *sparse* bounded LPs — the CSR production simplex and the
-//!    dense oracle agree on status and objective, including expressions
+//! 1. random *sparse* bounded LPs — the revised simplex and the dense
+//!    oracle agree on status and objective, including expressions
 //!    with duplicate terms (the canonicalization path);
 //! 2. Table-1-shaped placement MIP relaxations, at the root and under
 //!    branch-style bound overrides warm-started from the root basis;
@@ -14,10 +14,15 @@
 use proptest::prelude::*;
 use vb_solver::dense::solve_lp_reference;
 use vb_solver::presolve::presolve_lp;
-use vb_solver::simplex::{solve_lp, solve_lp_state};
+use vb_solver::revised::solve_lp_state;
 use vb_solver::{Model, Sense, Solution, SolveError, VarId};
 
 const TOL: f64 = 1e-6;
+
+/// The revised simplex's LP solve, without its state.
+fn solve_lp(m: &Model, overrides: &[(VarId, f64, f64)]) -> Result<Solution, SolveError> {
+    solve_lp_state(m, overrides, None).map(|(sol, _)| sol)
+}
 
 /// Declarative spec of a random sparse bounded LP. Per row entry:
 /// `(keep, coef)` — the term is present iff `keep < 4` and `coef != 0`

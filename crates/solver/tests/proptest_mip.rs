@@ -1,13 +1,14 @@
 //! Property tests: the branch & bound solver must agree with brute-force
-//! enumeration on randomly generated small integer programs — through
-//! both the baseline kernel and the production kernel (presolve,
-//! factorized revised simplex, parallel search) — and the LP relaxation
-//! must always bound the MIP optimum. Presolve's reductions, implied
+//! enumeration on randomly generated small integer programs — with and
+//! without presolve (`solve_mip_kernel`, the co-scheduler's entry
+//! point, and `Model::solve`) — and the LP relaxation must always bound
+//! the MIP optimum. Presolve's reductions, implied
 //! rows and dual fixing included, must not move a finished search's
 //! optimum.
 
 use proptest::prelude::*;
-use vb_solver::{solve_mip_kernel, KernelConfig, Model, Sense, Solution, SolveError, VarId};
+use vb_solver::branch::solve_mip_bounded;
+use vb_solver::{solve_mip_kernel, Model, Sense, Solution, SolveError, VarId};
 
 /// A randomly generated bounded integer program:
 /// max/min c·x  s.t.  A x ≤ b,  x ∈ {0..3}^n.
@@ -166,9 +167,9 @@ proptest! {
     #[test]
     fn production_kernel_matches_brute_force(ip in random_ip(3, 3)) {
         // General integers in [0, 3], not just binaries, through the
-        // kernel the scheduler runs.
+        // entry point the scheduler runs.
         let (m, vars) = build_model(&ip);
-        let sol = solve_mip_kernel(&m, 200_000, &KernelConfig::production());
+        let sol = solve_mip_kernel(&m, 200_000);
         if let Ok(s) = &sol {
             prop_assert_eq!(s.budget_gap(), None, "an exhaustive search never stops");
         }
@@ -181,13 +182,12 @@ proptest! {
         flip in proptest::collection::vec(any::<bool>(), 3),
         budget in 1usize..48,
     ) {
-        // The production kernel with and without presolve, under a
-        // budget small enough that some searches stop: whenever neither
-        // does, both reach the brute-force optimum.
+        // The search with and without presolve, under a budget small
+        // enough that some searches stop: whenever neither does, both
+        // reach the brute-force optimum.
         let (m, vars) = build_mixed_model(&ip, &flip);
-        let on = solve_mip_kernel(&m, budget, &KernelConfig::production());
-        let off = KernelConfig { presolve: false, ..KernelConfig::production() };
-        let off = solve_mip_kernel(&m, budget, &off);
+        let on = solve_mip_kernel(&m, budget);
+        let off = solve_mip_bounded(&m, budget);
         if finished(&on) && finished(&off) {
             if let (Ok(a), Ok(b)) = (&on, &off) {
                 prop_assert!(

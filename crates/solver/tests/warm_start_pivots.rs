@@ -7,8 +7,8 @@
 //! registry, so it must not race with other tests mutating it.
 
 use rand::{Rng, SeedableRng};
-use vb_solver::branch::solve_mip_bounded_priced;
-use vb_solver::{Model, Pricing, Sense, VarId};
+use vb_solver::branch::solve_mip_bounded_with;
+use vb_solver::{Model, Sense, VarId};
 
 /// Same shape as `vb-sched`'s MipPolicy output: app-site binaries, one
 /// site per app, per-site/bucket displacement vars and costs.
@@ -59,12 +59,12 @@ fn placement_mip(rng: &mut rand::rngs::StdRng, apps: usize, sites: usize, bucket
     m
 }
 
-fn pivots_for(models: &[Model], warm: bool, pricing: Pricing) -> (u64, Vec<f64>) {
+fn pivots_for(models: &[Model], warm: bool) -> (u64, Vec<f64>) {
     vb_telemetry::reset();
     let objectives: Vec<f64> = models
         .iter()
         .map(|m| {
-            solve_mip_bounded_priced(m, 200_000, warm, pricing)
+            solve_mip_bounded_with(m, 200_000, warm)
                 .expect("placement MIPs are feasible")
                 .objective
         })
@@ -73,10 +73,6 @@ fn pivots_for(models: &[Model], warm: bool, pricing: Pricing) -> (u64, Vec<f64>)
     (snap.counter("solver.pivots").unwrap_or(0), objectives)
 }
 
-/// One test fn (not one per pricing rule): the assertions read the
-/// process-global telemetry registry, so the runs must stay sequential.
-/// Steepest-edge rides the factorized engine, Dantzig/devex the
-/// tableau — the warm-start contract must hold on both.
 #[test]
 fn warm_starts_cut_total_pivots_without_changing_placements() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x7AB1E5);
@@ -84,28 +80,26 @@ fn warm_starts_cut_total_pivots_without_changing_placements() {
         .map(|case| placement_mip(&mut rng, 4 + case % 3, 2 + case % 2, 3))
         .collect();
 
-    for pricing in [Pricing::Dantzig, Pricing::Devex, Pricing::SteepestEdge] {
-        let (cold_pivots, cold_obj) = pivots_for(&models, false, pricing);
-        if cold_pivots == 0 {
-            // Telemetry compiled out (--no-default-features): counters
-            // stay zero and the ratio below is meaningless.
-            return;
-        }
-        let (warm_pivots, warm_obj) = pivots_for(&models, true, pricing);
+    let (cold_pivots, cold_obj) = pivots_for(&models, false);
+    if cold_pivots == 0 {
+        // Telemetry compiled out (--no-default-features): counters stay
+        // zero and the ratio below is meaningless.
+        return;
+    }
+    let (warm_pivots, warm_obj) = pivots_for(&models, true);
 
-        for (case, (c, w)) in cold_obj.iter().zip(&warm_obj).enumerate() {
-            assert!(
-                (c - w).abs() < 1e-6,
-                "{pricing:?} case {case}: warm objective {w} diverges from cold {c}"
-            );
-        }
-        eprintln!(
-            "{pricing:?} warm starts: {warm_pivots} pivots vs {cold_pivots} cold ({:.0}% saved)",
-            100.0 * (1.0 - warm_pivots as f64 / cold_pivots as f64)
-        );
+    for (case, (c, w)) in cold_obj.iter().zip(&warm_obj).enumerate() {
         assert!(
-            (warm_pivots as f64) <= 0.7 * cold_pivots as f64,
-            "{pricing:?} warm start saved too little: {warm_pivots} warm vs {cold_pivots} cold"
+            (c - w).abs() < 1e-6,
+            "case {case}: warm objective {w} diverges from cold {c}"
         );
     }
+    eprintln!(
+        "warm starts: {warm_pivots} pivots vs {cold_pivots} cold ({:.0}% saved)",
+        100.0 * (1.0 - warm_pivots as f64 / cold_pivots as f64)
+    );
+    assert!(
+        (warm_pivots as f64) <= 0.7 * cold_pivots as f64,
+        "warm start saved too little: {warm_pivots} warm vs {cold_pivots} cold"
+    );
 }

@@ -22,6 +22,9 @@
 //!   §2.3 ("minimum power level in the window multiplied by the size of a
 //!   window").
 //!
+//! [`sample`] holds the Poisson and normal samplers that the VM and
+//! application arrival generators share.
+//!
 //! All of those live here so the higher layers can share one tested
 //! implementation.
 
@@ -29,6 +32,7 @@ pub mod cdf;
 pub mod error;
 pub mod hist;
 pub mod report;
+pub mod sample;
 pub mod series;
 pub mod summary;
 

@@ -98,7 +98,7 @@ impl FixedSum {
 }
 
 /// Monotonic `f64` accumulator whose total does not depend on the order
-/// of the additions (see [`FixedSum`]).
+/// of the additions: it sums in 128-bit fixed point, exact to 2^-64.
 #[derive(Debug, Default)]
 pub struct FloatCounter {
     sum: FixedSum,

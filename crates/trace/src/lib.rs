@@ -67,8 +67,8 @@ pub const INTERVAL_15M: u64 = 900;
 
 /// Samples per day at the 15-minute interval (24 h × 4). The canonical
 /// horizon constant: every `96` in the workspace must trace back here or
-/// to [`DAY_AHEAD_STEPS`] (enforced by vb-audit's `horizon-literal`
-/// lint).
+/// to vb-sched's `DAY_AHEAD_STEPS` (enforced by vb-audit's
+/// `horizon-literal` lint).
 pub const STEPS_PER_DAY: usize = 96;
 
 /// Steps in a week-ahead horizon (7 × [`STEPS_PER_DAY`]).

@@ -1,7 +1,7 @@
 //! Wind generation model.
 //!
 //! Per Fig 2a, wind production "exhibits sharp peaks and valleys
-//! (depending on weather conditions), but rarely go[es] down to zero";
+//! (depending on weather conditions), but rarely go\[es\] down to zero";
 //! per Fig 2b its median is at most ~20 % of peak capacity with a ~2×
 //! p99/p75 tail ratio.
 //!

@@ -34,18 +34,28 @@ def solver_scale_row(scale, **updates):
         "vars": 4818,
         "rows": 2578,
         "epochs": 2,
-        "baseline_secs": 0.5,
         "kernel_secs": 0.12,
-        "speedup": 4.2,
-        "baseline_pivots": 4000,
-        "kernel_pivots": 2000,
+        "kernel_pivots": 3435,
         "presolve_vars_fixed": 5760,
-        "refactorizations": 40,
-        "eta_updates": 1900,
-        "max_objective_drift": 0.0,
+        "refactorizations": 26,
+        "eta_updates": 3435,
+        "lp_solves": 2,
+        "nodes_expanded": 2,
+        "objective_sum": 926572,
     }
     row.update(updates)
     return row
+
+
+# The solver row keys gated exactly: work counts and the objective sum.
+EXACT_WORK_KEYS = (
+    "kernel_pivots",
+    "eta_updates",
+    "refactorizations",
+    "lp_solves",
+    "nodes_expanded",
+    "objective_sum",
+)
 
 
 def fleet_row(scale, **updates):
@@ -108,10 +118,10 @@ class SolverGateTests(GateHarness):
     def test_missing_key_in_current_fails(self):
         # Direction 1: the current result lost a key the baseline has.
         current = solver_result()
-        del current["scaling"][0]["speedup"]
+        del current["scaling"][0]["lp_solves"]
         code, out = self.gate(current, solver_result())
         self.assertEqual(code, 1, out)
-        self.assertIn("only in baseline: 100x.speedup", out)
+        self.assertIn("only in baseline: 100x.lp_solves", out)
 
     def test_extra_key_in_current_fails(self):
         # Direction 2 (the old gate's blind spot): the current result
@@ -151,17 +161,43 @@ class SolverGateTests(GateHarness):
             solver_result(scaling=rows), solver_result(scaling=rows)
         )
         self.assertEqual(code, 0, out)
-        self.assertIn("100x.speedup", out)
+        self.assertIn("100x.kernel_pivots", out)
 
-    def test_scaling_speedup_collapse_fails(self):
-        # The production kernel losing its edge over the baseline kernel
-        # (e.g. presolve silently disabled) must trip the gate.
-        code, out = self.gate(
-            solver_result(scaling=[solver_scale_row("100x", speedup=1.1)]),
-            solver_result(scaling=[solver_scale_row("100x")]),
+    def test_leftover_speedup_key_is_unknown(self):
+        # The baseline-kernel ratio left the solver rows with the
+        # tableau engine it divided by; a row still carrying it has no
+        # rule and must not pass.
+        stale = solver_result(scaling=[solver_scale_row("100x", speedup=4.2)])
+        with self.assertRaises(SystemExit) as exit_:
+            self.gate(stale, solver_result())
+        self.assertIn(
+            "no gate rule for scaling row key `speedup`", str(exit_.exception.code)
         )
-        self.assertEqual(code, 1, out)
-        self.assertIn("100x.speedup", out)
+
+    def test_exact_work_keys_pass_when_equal(self):
+        for key in EXACT_WORK_KEYS:
+            with self.subTest(key=key):
+                code, out = self.gate(solver_result(), solver_result())
+                self.assertEqual(code, 0, out)
+                self.assertRegex(out, rf"100x\.{key} .* ok \(exact match required\)")
+
+    def test_exact_work_keys_fail_on_any_change(self):
+        # Fewer is a change as much as more: the solver took another path.
+        for key in EXACT_WORK_KEYS:
+            base = solver_scale_row("100x")[key]
+            for moved in (base + 1, base - 1):
+                with self.subTest(key=key, value=moved):
+                    code, out = self.gate(
+                        solver_result(scaling=[solver_scale_row("100x", **{key: moved})]),
+                        solver_result(),
+                    )
+                    self.assertEqual(code, 1, out)
+                    self.assertRegex(out, rf"100x\.{key} .* FAIL \(exact match required\)")
+
+    def test_exact_work_tolerance_cannot_be_overridden(self):
+        with self.assertRaises(SystemExit) as exit_:
+            check_bench.main(["check_bench.py", "cur.json", "base.json", "kernel_pivots=1.1"])
+        self.assertIn("gated exactly", str(exit_.exception.code))
 
     def test_scaling_presolve_reduction_drift_fails(self):
         code, out = self.gate(
@@ -171,43 +207,13 @@ class SolverGateTests(GateHarness):
         self.assertEqual(code, 1, out)
         self.assertIn("100x.presolve_vars_fixed", out)
 
-    def test_scaling_refactorization_blowup_fails(self):
-        # A degraded eta/update path shows up as the factorized kernel
-        # refactorizing far more often than the committed baseline.
+    def test_scaling_wallclock_within_band_passes(self):
         code, out = self.gate(
-            solver_result(scaling=[solver_scale_row("100x", refactorizations=80)]),
-            solver_result(scaling=[solver_scale_row("100x")]),
-        )
-        self.assertEqual(code, 1, out)
-        self.assertIn("100x.refactorizations", out)
-
-    def test_scaling_eta_updates_within_band_pass(self):
-        # Small cross-platform drift in the stability trigger is not a
-        # regression: eta updates have a 1.25x band, not bit-equality.
-        code, out = self.gate(
-            solver_result(scaling=[solver_scale_row("100x", eta_updates=2100)]),
-            solver_result(scaling=[solver_scale_row("100x")]),
+            solver_result(scaling=[solver_scale_row("100x", kernel_secs=0.2)]),
+            solver_result(),
         )
         self.assertEqual(code, 0, out)
-        self.assertIn("100x.eta_updates", out)
-
-    def test_scaling_eta_updates_blowup_fails(self):
-        code, out = self.gate(
-            solver_result(scaling=[solver_scale_row("100x", eta_updates=4000)]),
-            solver_result(scaling=[solver_scale_row("100x")]),
-        )
-        self.assertEqual(code, 1, out)
-        self.assertIn("100x.eta_updates", out)
-
-    def test_scaling_objective_drift_fails(self):
-        code, out = self.gate(
-            solver_result(
-                scaling=[solver_scale_row("100x", max_objective_drift=1e-3)]
-            ),
-            solver_result(scaling=[solver_scale_row("100x")]),
-        )
-        self.assertEqual(code, 1, out)
-        self.assertIn("100x.max_objective_drift", out)
+        self.assertIn("100x.kernel_secs", out)
 
     def test_vanished_scaling_row_fails(self):
         code, out = self.gate(

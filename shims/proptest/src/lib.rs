@@ -214,7 +214,7 @@ pub mod collection {
     use std::fmt::Debug;
     use std::ops::{Range, RangeInclusive};
 
-    /// Length specification for [`vec`]: a fixed count or a range.
+    /// Length specification for [`vec()`]: a fixed count or a range.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,
@@ -250,7 +250,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,
@@ -366,7 +366,8 @@ fn generate_from_pattern(pattern: &str, rng: &mut TestRng) -> String {
 // Runner and config
 // ---------------------------------------------------------------------------
 
-/// `proptest::test_runner` (subset): [`ProptestConfig`] and the case loop.
+/// `proptest::test_runner` (subset): [`ProptestConfig`](test_runner::ProptestConfig)
+/// and the case loop.
 pub mod test_runner {
     use super::{Strategy, TestRng};
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

@@ -1,25 +1,29 @@
-//! Fleet-scale simulation benchmark: event-driven vs legacy step core.
+//! Fleet-scale simulation benchmark: the event-driven step core on
+//! sharded fleets.
 //!
 //! Runs sharded fleets at paper-scale multiples of the Table 1 group —
 //! 10× (30 sites) and 100× (300 sites) by default, 1000× opt-in via
-//! `VB_FLEET_SCALES=10x,100x,1000x` — under both step drivers, asserts
-//! the runs are **bit-identical**, and writes the throughput comparison
-//! to `BENCH_fleet.json` (`VB_BENCH_OUT` overrides the path; empty
-//! string disables the file, `check_bench.py` gates the committed
-//! baseline).
+//! `VB_FLEET_SCALES=10x,100x,1000x` — under Greedy, and writes each
+//! scale's row to `BENCH_fleet.json` (`VB_BENCH_OUT` overrides the
+//! path; empty string disables the file, `check_bench.py` gates the
+//! committed baseline).
 //!
-//! Shard *construction* (trace + forecast generation) is identical
-//! under either driver and excluded from the timers; the timed region
-//! is exactly the per-step simulation work the event core rewrites.
-//! Throughput is reported as site-steps/sec (`sites × steps / secs`)
-//! and VM-decisions/sec; memory as the `VmHWM` peak-RSS proxy from
-//! `/proc/self/status` (0 where unavailable), reset before each row so
-//! every row reports its own peak.
+//! Each row times shard construction (trace and forecast synthesis,
+//! `build_secs`) and the step loop (`event_secs`) separately, and
+//! reports next to them the work behind the step loop: the
+//! `sched.event_wakeups`, `sched.stale_events` and `sched.transfers`
+//! counters as deltas over the timed run, and the summed VM decisions,
+//! migration volume and dropped apps. Throughput is reported as
+//! site-steps/sec (`sites × steps / secs`) and VM-decisions/sec; memory
+//! as the `VmHWM` peak-RSS proxy from `/proc/self/status` (0 where
+//! unavailable), reset before each row so every row reports its own
+//! peak.
 
 use std::sync::Mutex;
 use std::time::Instant;
+use vb_bench::report::counter_now;
 use vb_core::fleet::{shard_names, FleetPolicy};
-use vb_sched::{AppGenConfig, GroupSim, GroupSimConfig, PolicySummary, SimCore};
+use vb_sched::{AppGenConfig, GroupSim, GroupSimConfig, PolicySummary};
 use vb_trace::Catalog;
 
 /// Sites per shard: the Table 1 multi-VB group size.
@@ -55,11 +59,10 @@ fn reset_peak_rss() {
     let _ = std::fs::write("/proc/self/clear_refs", "5");
 }
 
-fn fleet_cfg(core: SimCore) -> GroupSimConfig {
+fn fleet_cfg() -> GroupSimConfig {
     GroupSimConfig {
         days: DAYS,
         seed: SEED,
-        core,
         // Fixed per-shard arrival rate (rather than auto-sizing per
         // shard's weather draw): every shard sees a comparable workload
         // and the fleet's total VM count scales linearly with the site
@@ -69,10 +72,9 @@ fn fleet_cfg(core: SimCore) -> GroupSimConfig {
         // rather than migrating), at calm ~15 % occupancy: 4/step ×
         // ~198-step mean lifetime × ~3 cores ≈ 2.4 k cores against
         // ≈ 17–20 k admissible. Quiescent steps are the fleet norm the
-        // event core exploits; the twelve-week horizon exposes the
-        // legacy core's registry-scan growth (its per-step scans walk
-        // every app ever admitted, so its aggregate cost grows with the
-        // square of the run length while the event core stays linear).
+        // event core exploits, and over the twelve-week horizon any
+        // per-step work that walks every app ever admitted would grow
+        // with the square of the run length.
         epoch_steps: vb_sched::STEPS_PER_DAY,
         app_cfg: Some(AppGenConfig {
             arrivals_per_step: 4.0,
@@ -86,29 +88,42 @@ fn fleet_cfg(core: SimCore) -> GroupSimConfig {
     }
 }
 
-/// Build every shard's sim (untimed), then run them all (timed),
-/// returning per-shard summaries in shard order plus the wall-clock of
-/// the timed region.
-fn run_shards(
-    catalog: &Catalog,
-    shards: &[Vec<String>],
-    policy: FleetPolicy,
-    core: SimCore,
-) -> (Vec<PolicySummary>, f64) {
+/// The telemetry counters a row reports, as deltas over its step loop.
+const COUNTERS: [&str; 3] = [
+    "sched.event_wakeups",
+    "sched.stale_events",
+    "sched.transfers",
+];
+
+/// One scale's shards: summaries in shard order, the wall-clock of
+/// shard construction and of the step loop, and the [`COUNTERS`]
+/// deltas over the step loop.
+struct ShardRuns {
+    summaries: Vec<PolicySummary>,
+    build_secs: f64,
+    event_secs: f64,
+    counts: [u64; 3],
+}
+
+/// Build every shard's sim, then run them all, timing each stage.
+fn run_shards(catalog: &Catalog, shards: &[Vec<String>], policy: FleetPolicy) -> ShardRuns {
+    let t0 = Instant::now();
     let sims: Vec<Mutex<Option<GroupSim>>> = vb_par::par_map(shards.len(), |i| {
         let names: Vec<&str> = shards[i].iter().map(String::as_str).collect();
         let cfg = GroupSimConfig {
             // Same per-shard seed derivation as `vb_core::fleet::run_fleet`.
             seed: SEED.wrapping_add(1 + i as u64),
-            ..fleet_cfg(core)
+            ..fleet_cfg()
         };
         GroupSim::new(catalog, &names, cfg).expect("fleet catalog names resolve")
     })
     .into_iter()
     .map(|sim| Mutex::new(Some(sim)))
     .collect();
+    let build_secs = t0.elapsed().as_secs_f64();
 
-    let t0 = Instant::now();
+    let before = COUNTERS.map(counter_now);
+    let t1 = Instant::now();
     let summaries = vb_par::par_map(shards.len(), |i| {
         let sim = sims[i]
             .lock()
@@ -118,7 +133,13 @@ fn run_shards(
         let mut policy = policy.build();
         sim.run(policy.as_mut())
     });
-    (summaries, t0.elapsed().as_secs_f64())
+    let event_secs = t1.elapsed().as_secs_f64();
+    ShardRuns {
+        summaries,
+        build_secs,
+        event_secs,
+        counts: std::array::from_fn(|k| counter_now(COUNTERS[k]) - before[k]),
+    }
 }
 
 struct Row {
@@ -126,9 +147,12 @@ struct Row {
     sites: usize,
     shards: usize,
     policy: &'static str,
+    build_secs: f64,
     event_secs: f64,
-    legacy_secs: f64,
     vm_decisions: u64,
+    event_wakeups: u64,
+    stale_events: u64,
+    transfers: u64,
     total_gb: f64,
     dropped_apps: usize,
     peak_rss_mb: f64,
@@ -159,16 +183,16 @@ fn main() {
         let shards = shard_names(&catalog, SHARD_SIZE);
         let policy = FleetPolicy::Greedy;
 
-        let (legacy, legacy_secs) = run_shards(&catalog, &shards, policy, SimCore::Legacy);
-        let (event, event_secs) = run_shards(&catalog, &shards, policy, SimCore::EventDriven);
-        assert_eq!(
-            legacy, event,
-            "{scale}: event-driven fleet diverged from the legacy core"
-        );
+        let ShardRuns {
+            summaries,
+            build_secs,
+            event_secs,
+            counts: [event_wakeups, stale_events, transfers],
+        } = run_shards(&catalog, &shards, policy);
 
-        let vm_decisions: u64 = event.iter().map(|s| s.vm_decisions).sum();
-        let total_gb: f64 = event.iter().map(|s| s.total_gb).sum();
-        let dropped_apps: usize = event.iter().map(|s| s.dropped_apps).sum();
+        let vm_decisions: u64 = summaries.iter().map(|s| s.vm_decisions).sum();
+        let total_gb: f64 = summaries.iter().map(|s| s.total_gb).sum();
+        let dropped_apps: usize = summaries.iter().map(|s| s.dropped_apps).sum();
         let site_steps = (*n_sites as u64 * steps) as f64;
         println!(
             "{scale}: {n_sites} sites x {steps} steps, {} shards [{}]",
@@ -176,11 +200,10 @@ fn main() {
             policy.name()
         );
         println!(
-            "  legacy {legacy_secs:.3}s ({:.0} site-steps/s) | event {event_secs:.3}s ({:.0} site-steps/s) | speedup {:.1}x",
-            site_steps / legacy_secs,
-            site_steps / event_secs,
-            legacy_secs / event_secs
+            "  build {build_secs:.3}s | run {event_secs:.3}s ({:.0} site-steps/s)",
+            site_steps / event_secs
         );
+        println!("  {event_wakeups} wake-ups, {stale_events} stale events, {transfers} transfers");
         println!(
             "  {vm_decisions} VM decisions ({:.0}/s), {total_gb:.1} GB moved, {dropped_apps} dropped",
             vm_decisions as f64 / event_secs
@@ -190,9 +213,12 @@ fn main() {
             sites: *n_sites,
             shards: shards.len(),
             policy: policy.name(),
+            build_secs,
             event_secs,
-            legacy_secs,
             vm_decisions,
+            event_wakeups,
+            stale_events,
+            transfers,
             total_gb,
             dropped_apps,
             peak_rss_mb: peak_rss_mb(),
@@ -204,18 +230,19 @@ fn main() {
         .map(|r| {
             let site_steps = (r.sites as u64 * steps) as f64;
             format!(
-                "    {{\n      \"scale\": \"{}\",\n      \"sites\": {},\n      \"shards\": {},\n      \"days\": {DAYS},\n      \"steps\": {steps},\n      \"policy\": \"{}\",\n      \"event_secs\": {:.6},\n      \"legacy_secs\": {:.6},\n      \"event_steps_per_sec\": {:.1},\n      \"legacy_steps_per_sec\": {:.1},\n      \"speedup\": {:.4},\n      \"vm_decisions\": {},\n      \"vm_decisions_per_sec\": {:.1},\n      \"total_gb\": {:.3},\n      \"dropped_apps\": {},\n      \"peak_rss_mb\": {:.1}\n    }}",
+                "    {{\n      \"scale\": \"{}\",\n      \"sites\": {},\n      \"shards\": {},\n      \"days\": {DAYS},\n      \"steps\": {steps},\n      \"policy\": \"{}\",\n      \"build_secs\": {:.6},\n      \"event_secs\": {:.6},\n      \"event_steps_per_sec\": {:.1},\n      \"vm_decisions\": {},\n      \"vm_decisions_per_sec\": {:.1},\n      \"event_wakeups\": {},\n      \"stale_events\": {},\n      \"transfers\": {},\n      \"total_gb\": {:.3},\n      \"dropped_apps\": {},\n      \"peak_rss_mb\": {:.1}\n    }}",
                 r.scale,
                 r.sites,
                 r.shards,
                 r.policy,
+                r.build_secs,
                 r.event_secs,
-                r.legacy_secs,
                 site_steps / r.event_secs,
-                site_steps / r.legacy_secs,
-                r.legacy_secs / r.event_secs,
                 r.vm_decisions,
                 r.vm_decisions as f64 / r.event_secs,
+                r.event_wakeups,
+                r.stale_events,
+                r.transfers,
                 r.total_gb,
                 r.dropped_apps,
                 r.peak_rss_mb,

@@ -16,6 +16,7 @@
 //! `VB_BENCH_OUT`; empty string disables the file).
 
 use std::time::Instant;
+use vb_bench::report::counter_now;
 use vb_solver::{solve_mip_kernel, Model, Sense, VarId};
 
 const APPS: usize = 16;
@@ -95,10 +96,6 @@ fn epoch_model(apps: usize, e: usize) -> Model {
     let expr = m.expr(&objective);
     m.set_objective(expr);
     m
-}
-
-fn counter_now(name: &str) -> u64 {
-    vb_telemetry::snapshot().counter(name).unwrap_or(0)
 }
 
 /// One model-size scaling measurement: the epoch sequence solved cold

@@ -12,6 +12,13 @@
 use std::time::Instant;
 use vb_telemetry::RunReport;
 
+/// A telemetry counter's current value, 0 before it first fires (a
+/// counter registers on first use). Bench rows report a counter as the
+/// difference of two reads around the measured work.
+pub fn counter_now(name: &str) -> u64 {
+    vb_telemetry::snapshot().counter(name).unwrap_or(0)
+}
+
 /// Scope of one bench-target execution.
 pub struct BenchRun {
     name: &'static str,

@@ -129,20 +129,19 @@ fn span_forests_bit_match_across_thread_counts() {
 /// index-ordered assembly — must be bit-identical at any thread count:
 /// each shard's workload stream is a pure function of (base seed, shard
 /// index), and assembly is by shard index, never completion order. This
-/// is the scaling contract of the event-driven fleet core: adding
-/// threads may only change wall-clock, never a single reported byte.
+/// is the scaling contract of the fleet runner: adding threads may only
+/// change wall-clock, never a single reported byte.
 #[test]
 fn fleet_runs_bit_match_sequential() {
     use vb_core::fleet::{run_fleet, FleetConfig, FleetPolicy};
-    use vb_sched::{AppGenConfig, SimCore};
+    use vb_sched::AppGenConfig;
 
     let catalog = Catalog::fleet(42, 9);
-    let cfg = |core| FleetConfig {
+    let cfg = FleetConfig {
         shard_size: 3,
         sim: GroupSimConfig {
             days: 2,
             seed: 42,
-            core,
             // Pin an explicit arrival rate so shards are busy enough
             // that a scheduling divergence could actually surface.
             app_cfg: Some(AppGenConfig {
@@ -152,18 +151,16 @@ fn fleet_runs_bit_match_sequential() {
             ..GroupSimConfig::default()
         },
     };
-    for core in [SimCore::EventDriven, SimCore::Legacy] {
-        let sequential = vb_par::with_threads(1, || {
-            run_fleet(&catalog, FleetPolicy::Greedy, &cfg(core)).expect("fleet runs")
-        });
-        let parallel = vb_par::with_threads(8, || {
-            run_fleet(&catalog, FleetPolicy::Greedy, &cfg(core)).expect("fleet runs")
-        });
-        assert_eq!(
-            parallel, sequential,
-            "{core:?} fleet run diverged between 1 and 8 threads"
-        );
-    }
+    let sequential = vb_par::with_threads(1, || {
+        run_fleet(&catalog, FleetPolicy::Greedy, &cfg).expect("fleet runs")
+    });
+    let parallel = vb_par::with_threads(8, || {
+        run_fleet(&catalog, FleetPolicy::Greedy, &cfg).expect("fleet runs")
+    });
+    assert_eq!(
+        parallel, sequential,
+        "fleet run diverged between 1 and 8 threads"
+    );
 }
 
 /// Deterministic parallel branch & bound: the search expands node

@@ -207,7 +207,6 @@ pub fn run_fleet(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vb_sched::SimCore;
 
     fn small_cfg() -> FleetConfig {
         FleetConfig {
@@ -273,18 +272,5 @@ mod tests {
             run_fleet(&catalog, FleetPolicy::Greedy, &small_cfg()).err(),
             Some(SimError::NoSites)
         );
-    }
-
-    #[test]
-    fn fleet_runs_agree_across_cores() {
-        // The shard layer must preserve the per-group legacy/event
-        // equivalence (the deep differential lives in vb-sched).
-        let catalog = Catalog::fleet(3, 6);
-        let mut cfg = small_cfg();
-        cfg.sim.core = SimCore::Legacy;
-        let legacy = run_fleet(&catalog, FleetPolicy::Greedy, &cfg).expect("fleet runs");
-        cfg.sim.core = SimCore::EventDriven;
-        let event = run_fleet(&catalog, FleetPolicy::Greedy, &cfg).expect("fleet runs");
-        assert_eq!(legacy, event);
     }
 }

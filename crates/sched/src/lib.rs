@@ -46,6 +46,6 @@ pub use pipeline::{identify_subgraphs, select_group, PipelineConfig};
 pub use policy::{Assignment, PlanContext, Policy, SitePlanInfo};
 pub use replication::{ReplicationModel, ReplicationReport, StandbyMode};
 pub use sim::{
-    day_ahead_window, DetailedRun, GroupSim, GroupSimConfig, GroupStepStats, PolicySummary,
-    SimCore, SimError, DAY_AHEAD_STEPS, STEPS_PER_DAY,
+    DetailedRun, GroupSim, GroupSimConfig, GroupStepStats, PolicySummary, SimError,
+    DAY_AHEAD_STEPS, STEPS_PER_DAY,
 };

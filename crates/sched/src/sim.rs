@@ -22,28 +22,22 @@
 //! power traces (same seeds), so differences are purely placement
 //! quality.
 //!
-//! ## Two step drivers, one semantics
+//! ## The event-driven step core
 //!
-//! The per-step work can be driven two ways, selected by
-//! [`GroupSimConfig::core`]:
+//! A step visits only what can change at it. Time-bucketed event queues
+//! hold app expirations, site power threats and preemptive-drain
+//! deadlines, and incremental group counters replace per-step totals,
+//! so a quiescent site costs nothing per step. Power budgets and
+//! day-ahead forecast minima are precomputed per site once at
+//! construction, and "when does this site next violate X?" is answered
+//! by a bucketed threshold scan instead of a per-step re-check.
 //!
-//! * [`SimCore::Legacy`] — the original full-scan loop: every site and
-//!   every registered app is visited at every step. Kept verbatim as the
-//!   differential oracle and the baseline the `fleet_perf` bench
-//!   measures speedups against.
-//! * [`SimCore::EventDriven`] (default) — time-bucketed event queues
-//!   (app expirations, site power threats, preemptive-drain deadlines)
-//!   plus incremental group counters, so quiescent sites cost nothing
-//!   per step. Power budgets and day-ahead forecast minima are
-//!   precomputed per site once at construction; "when does this site
-//!   next violate X?" is answered by a bucketed threshold scan instead
-//!   of a per-step re-check.
-//!
-//! Both drivers share every phase helper (eviction, re-hosting,
-//! recovery, draining, planning), and the event driver's lazy-arming
-//! invariant — an armed wake-up step is never later than the earliest
-//! real violation — makes the two bit-identical. That equivalence is
-//! pinned by `tests/event_equivalence.rs` across all four policies.
+//! The core's invariant is lazy arming: an armed wake-up step is never
+//! later than the earliest real violation, and a wake-up gone moot is
+//! a no-op. A step therefore does exactly what a visit to every site
+//! and every app would have done. `tests/golden_steps.rs` pins every
+//! per-step stat of eight runs bit for bit, at the values such a full
+//! scan produces.
 
 use crate::app::{AppGen, AppGenConfig, AppSpec};
 use crate::policy::{AppId, MovableApp, NewApp, PlanContext, Policy, SitePlanInfo, SiteSnapshot};
@@ -108,16 +102,6 @@ const EVENT_BUCKET_STEPS: usize = (STEPS_PER_DAY / 2) as usize;
 /// Sentinel for "no wake-up armed" in the event queues.
 const NOT_ARMED: u64 = u64::MAX;
 
-/// Which per-step driver [`GroupSim::run_detailed`] uses. See the
-/// module docs; the two are bit-identical by construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SimCore {
-    /// Original full-scan loop — every site/app visited every step.
-    Legacy,
-    /// Event queues + incremental counters (default).
-    EventDriven,
-}
-
 /// Configuration of a group simulation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GroupSimConfig {
@@ -152,8 +136,6 @@ pub struct GroupSimConfig {
     /// subgraph — the paper's latency constraint on splitting/moving
     /// apps. `None` treats all sites as one group.
     pub subgraphs: Option<Vec<Vec<usize>>>,
-    /// Which step driver runs the simulation (bit-identical results).
-    pub core: SimCore,
     /// Seed for workload generation.
     pub seed: u64,
 }
@@ -214,7 +196,6 @@ impl Default for GroupSimConfig {
             max_movable: 0,
             moves_per_step: 2,
             subgraphs: None,
-            core: SimCore::EventDriven,
             seed: 42,
         }
     }
@@ -346,13 +327,15 @@ struct SiteState {
     allocated_cores: u32,
 }
 
-/// Precomputed per-site power readouts shared by both step drivers.
+/// Precomputed per-site power readouts.
 ///
-/// `budgets[t]` is exactly what the legacy loop derived per step
-/// (`floor(clamp(actual[t]) × cores_per_site)`), and `fd_min24[t]` is
-/// exactly the fold the legacy snapshot took over the day-ahead window
-/// `[t, min(t + DAY_AHEAD_STEPS, len))` — `+∞` marks an empty window.
-/// The `*_bucket_min` arrays hold per-[`EVENT_BUCKET_STEPS`] minima so
+/// `budgets[t]` is step `t`'s powered-core budget,
+/// `floor(clamp(actual[t], 0, 1) × cores_per_site)`, and `fd_min24[t]`
+/// is the day-ahead forecast's minimum over
+/// `[t, min(t + DAY_AHEAD_STEPS, len))`, `+∞` for an empty window. Every
+/// reader sees this window shorten over the last day: steps past the
+/// horizon are never played, so risk there cannot affect the run. The
+/// `*_bucket_min` arrays hold per-[`EVENT_BUCKET_STEPS`] minima so
 /// threshold scans skip whole buckets that cannot contain a violation.
 #[derive(Debug, Clone)]
 struct SitePower {
@@ -432,7 +415,7 @@ impl SitePower {
 
     /// Earliest step `t >= from` where the day-ahead admissible floor
     /// drops below `stable` cores: `fd_min24[t] × cores × util <
-    /// stable`, exactly the legacy drain trigger `stable −
+    /// stable`, exactly `drain_site`'s trigger `stable −
     /// forecast_min_24h_cores > 0`. Skipping a bucket is sound because
     /// multiplying by a non-negative constant is weakly monotone under
     /// IEEE rounding: `bucket_min × c ≥ stable` implies every step in
@@ -513,12 +496,10 @@ pub struct DetailedRun {
 }
 
 /// Event-core state: time-bucketed wake-up queues plus incrementally
-/// maintained group counters. All counters are kept up to date in both
-/// drivers (they are O(1) per mutation); only the queues and the
-/// touched-site tracking are gated on `enabled`.
+/// maintained group counters, each O(1) per mutation.
 #[derive(Debug, Default)]
 struct EventState {
-    enabled: bool,
+    /// The policy drains preemptively: drain wake-ups are armed.
     drain_enabled: bool,
     /// `expiry[t]`: apps whose `departs_at == t` (only `t < n_steps`).
     expiry: Vec<Vec<AppId>>,
@@ -531,7 +512,8 @@ struct EventState {
     armed_drain: Vec<u64>,
     /// Ascending worklist for the drain phase; sites tipped into
     /// deficit *during* the phase (by a drain move landing on them)
-    /// join it live, mirroring the legacy ascending site scan.
+    /// join it live, so the phase drains every site in deficit in
+    /// ascending site order, as a scan over all sites would.
     drain_worklist: BinaryHeap<Reverse<usize>>,
     in_drain_phase: bool,
     /// True once this step's drain phase has run (or was skipped):
@@ -540,7 +522,7 @@ struct EventState {
     /// Site currently being drained (for the ascending-order rule).
     drain_pos: usize,
     /// Resident hibernated apps per site — the O(1) "anything to
-    /// resume here?" test both drivers' recovery scans lean on.
+    /// resume here?" test of the recovery phase.
     hibernated_per_site: Vec<u32>,
     /// Lower bound on the smallest hibernated app's cores per site
     /// (`u32::MAX` when none). Only tightened on hibernate and reset
@@ -548,11 +530,12 @@ struct EventState {
     /// low after a resume — stale-low keeps the skip test in
     /// [`GroupSim::resume_site`] sound.
     min_hib_cores: Vec<u32>,
-    /// Incremental group totals (== the legacy per-step full scans).
+    /// Group totals, updated by every attach, detach, hibernate and
+    /// resume: Σ per-site allocations and the resident hibernated apps.
     group_allocated: u64,
     hibernated_apps: usize,
-    /// Running stable (non-hibernated) cores per site — stable apps
-    /// never hibernate, so this tracks exactly the legacy drain scan.
+    /// Running stable cores per site. Stable apps never hibernate, so
+    /// this equals the sum `drain_site` takes over the site's residents.
     stable_cores: Vec<u64>,
     /// Sites whose allocation changed this step (stamp = step + 1).
     touched_stamp: Vec<u64>,
@@ -654,8 +637,9 @@ impl GroupSim {
     /// [`SimError::Coverage`] when a site's measured data does not cover
     /// the simulated days or holds a non-finite sample, and
     /// [`SimError::Config`] when [`GroupSimConfig::validate`] rejects
-    /// `cfg`, so callers (benches, examples) fail with a diagnostic
-    /// instead of a panic backtrace or a hang.
+    /// `cfg` or a subgraph names a site index outside the group, so
+    /// callers (benches, examples) fail with a diagnostic instead of a
+    /// panic backtrace or a hang.
     pub fn new(
         catalog: &Catalog,
         site_names: &[&str],
@@ -664,6 +648,16 @@ impl GroupSim {
         cfg.validate()?;
         if site_names.is_empty() {
             return Err(SimError::NoSites);
+        }
+        // Re-hosting and draining index the group's sites by subgraph
+        // member, so an out-of-range member would panic mid-run.
+        let n_sites = site_names.len();
+        let mut members = cfg.subgraphs.iter().flatten().flatten();
+        if let Some(bad) = members.find(|&&i| i >= n_sites) {
+            return Err(SimError::Config {
+                field: "subgraphs",
+                reason: format!("site index {bad} is outside the group's {n_sites} sites"),
+            });
         }
         let indices = site_names
             .iter()
@@ -720,9 +714,7 @@ impl GroupSim {
             AppGenConfig::sized_for(target)
         });
         let gen = AppGen::new(app_cfg, cfg.seed);
-        let n_sites = sites.len();
         let ev = EventState {
-            enabled: cfg.core == SimCore::EventDriven,
             drain_enabled: false,
             expiry: vec![Vec::new(); n_steps as usize],
             threat: vec![Vec::new(); n_steps as usize],
@@ -781,9 +773,7 @@ impl GroupSim {
     /// Run a policy and keep the full per-step telemetry alongside the
     /// summary (used by the figure benches and diagnostics).
     pub fn run_detailed(mut self, policy: &mut dyn Policy) -> DetailedRun {
-        let event = self.cfg.core == SimCore::EventDriven;
-        self.ev.enabled = event;
-        self.ev.drain_enabled = event && policy.preemptive_drain();
+        self.ev.drain_enabled = policy.preemptive_drain();
         let _run_span = vb_telemetry::span!("sched.group_run");
         vb_telemetry::event(
             "sched.run_start",
@@ -830,18 +820,10 @@ impl GroupSim {
             };
 
             // 1. Expirations.
-            if event {
-                self.expire_event();
-            } else {
-                self.expire_scan();
-            }
+            self.expire();
 
             // 2. Actual power → budgets; hibernate/evict as needed.
-            let evicted = if event {
-                self.apply_power_event()
-            } else {
-                self.apply_power_scan()
-            };
+            let evicted = self.apply_power();
 
             // 3. Re-place evicted apps on sibling sites (within their
             // subgraph when Fig 6 step-2 groups are configured).
@@ -849,9 +831,7 @@ impl GroupSim {
                 self.try_rehost(id, origin, policy, &mut stats);
             }
 
-            // 4. Resume hibernated apps; relaunch queued apps. Shared
-            // by both drivers: `resume_site` returns in O(1) for sites
-            // with nothing hibernated (the fleet norm), and with an
+            // 4. Resume hibernated apps; relaunch queued apps. With an
             // empty queue the relaunch loop calls no policy hooks, so
             // skipping it cannot change behavior.
             for s in 0..self.sites.len() {
@@ -868,12 +848,8 @@ impl GroupSim {
             // 4c. Preemptive drain (MIP-peak): gradually move apps off
             // sites whose day-ahead forecast shows a capacity deficit,
             // before the dip forces an eviction burst.
-            if policy.preemptive_drain() {
-                if event {
-                    self.drain_step_event(policy, &mut stats);
-                } else {
-                    self.drain_step_scan(policy, &mut stats);
-                }
+            if self.ev.drain_enabled {
+                self.drain_step(policy, &mut stats);
             }
             self.ev.drain_phase_done = true;
 
@@ -884,48 +860,29 @@ impl GroupSim {
                 self.plan_epoch(batch, policy);
             }
 
-            // 6. Bookkeeping: the legacy driver derives the totals by
-            // full scans; the event driver reads its incremental
-            // counters (pinned equal by the differential tests).
+            // 6. Bookkeeping from the incremental counters. The deficit
+            // is the sum of per-site shortfalls, not the group-level
+            // difference: surplus at one site cannot power another.
+            // Only sites whose allocation changed this step (or whose
+            // power threat fired) can carry one: an untouched
+            // overloaded site would have had its armed threat fire this
+            // step, and threat processing always restores
+            // alloc ≤ budget before later phases re-raise it (touching
+            // the site).
             stats.queued_apps = self.queue.len();
             stats.budget_cores = self.budget_total[step as usize];
-            let power_deficit_cores: u64;
-            if event {
-                stats.hibernated_apps = self.ev.hibernated_apps;
-                stats.allocated_cores = self.ev.group_allocated;
-                // Only sites whose allocation changed this step (or
-                // whose power threat fired) can carry a deficit: any
-                // untouched overloaded site would have had its armed
-                // threat fire this step, and threat processing always
-                // restores alloc ≤ budget before later phases re-raise
-                // it (touching the site).
-                let touched = std::mem::take(&mut self.ev.touched);
-                power_deficit_cores = touched
-                    .iter()
-                    .map(|&s| {
-                        (self.sites[s].allocated_cores as u64)
-                            .saturating_sub(self.budget_at(s, step) as u64)
-                    })
-                    .sum();
-                self.ev.touched = touched;
-                self.ev.touched.clear();
-            } else {
-                stats.hibernated_apps = self
-                    .apps
-                    .iter()
-                    .filter(|a| a.hibernated && a.site.is_some())
-                    .count();
-                stats.allocated_cores = self.sites.iter().map(|s| s.allocated_cores as u64).sum();
-                // Per-site shortfall, not the group-level difference:
-                // surplus at one site cannot power another, so only
-                // positive per-site deficits count.
-                power_deficit_cores = (0..self.sites.len())
-                    .map(|s| {
-                        (self.sites[s].allocated_cores as u64)
-                            .saturating_sub(self.budget_at(s, step) as u64)
-                    })
-                    .sum();
-            }
+            stats.hibernated_apps = self.ev.hibernated_apps;
+            stats.allocated_cores = self.ev.group_allocated;
+            let power_deficit_cores: u64 = self
+                .ev
+                .touched
+                .iter()
+                .map(|&s| {
+                    (self.sites[s].allocated_cores as u64)
+                        .saturating_sub(self.budget_at(s, step) as u64)
+                })
+                .sum();
+            self.ev.touched.clear();
             tot_transfers += stats.transfers as u64;
             tot_rehost_gb += stats.rehost_gb;
             tot_relaunch_gb += stats.relaunch_gb;
@@ -977,12 +934,9 @@ impl GroupSim {
             })
     }
 
-    /// Mark a site's allocation as changed this step (event driver's
+    /// Mark a site's allocation as changed this step (for the step's
     /// deficit bookkeeping); deduplicated via step stamps.
     fn touch(&mut self, s: usize) {
-        if !self.ev.enabled {
-            return;
-        }
         let stamp = self.now + 1;
         if self.ev.touched_stamp[s] != stamp {
             self.ev.touched_stamp[s] = stamp;
@@ -997,13 +951,9 @@ impl GroupSim {
     /// as a no-op (the lazy-invalidation half of the invariant *armed
     /// step ≤ earliest real violation*).
     fn arm_threat(&mut self, s: usize) {
-        if !self.ev.enabled {
-            return;
-        }
         // The power phase for the current step has already run by the
-        // time any allocation increase can happen, so the next check
-        // that could fire is at `now + 1` — exactly when the legacy
-        // loop would next compare this site's budget.
+        // time any allocation increase can happen, so the earliest step
+        // whose power phase can see the new allocation is `now + 1`.
         let from = (self.now + 1) as usize;
         match self.power[s].next_budget_below(from, self.sites[s].allocated_cores) {
             Some(t) => {
@@ -1024,11 +974,12 @@ impl GroupSim {
     /// (Re-)arm site `s`'s preemptive-drain wake-up: the earliest step
     /// where the day-ahead admissible floor drops below the site's
     /// stable cores. The target step must respect the phase the step
-    /// loop is in: before this step's drain phase, the site may still
-    /// be processed *this* step (ascending order, like the legacy
-    /// scan); afterwards the next opportunity is the following step.
+    /// loop is in: before this step's drain phase, or during it ahead
+    /// of the site being drained (sites drain in ascending order), the
+    /// site may still be processed *this* step; afterwards the next
+    /// opportunity is the following step.
     fn arm_drain(&mut self, s: usize) {
-        if !self.ev.enabled || !self.ev.drain_enabled {
+        if !self.ev.drain_enabled {
             return;
         }
         let from = if self.ev.in_drain_phase {
@@ -1062,19 +1013,12 @@ impl GroupSim {
         }
     }
 
-    /// Legacy phase 1: scan every registered app for expiry.
-    fn expire_scan(&mut self) {
-        let now = self.now;
-        for id in 0..self.apps.len() {
-            if self.apps[id].site.is_some() && self.apps[id].departs_at <= now {
-                self.detach(AppId(id));
-            }
-        }
-        self.drop_expired_queued();
-    }
-
-    /// Event phase 1: only apps whose departure bucket is due.
-    fn expire_event(&mut self) {
+    /// Phase 1: detach the apps whose departure bucket is due, and drop
+    /// queued ones. Every app departing inside the run sits in the
+    /// bucket of its departure step, so this detaches exactly the
+    /// residents with `departs_at == now`, and the queue is swept only
+    /// when one of its apps is due.
+    fn expire(&mut self) {
         let now = self.now as usize;
         let due = match self.ev.expiry.get_mut(now) {
             Some(bucket) => std::mem::take(bucket),
@@ -1112,19 +1056,13 @@ impl GroupSim {
         self.dropped_apps += before - self.queue.len();
     }
 
-    /// Legacy phase 2: every site re-checks its budget every step.
-    fn apply_power_scan(&mut self) -> Vec<(AppId, usize)> {
-        let mut evicted = Vec::new();
-        for s in 0..self.sites.len() {
-            self.apply_power_site(s, &mut evicted);
-        }
-        evicted
-    }
-
-    /// Event phase 2: only sites whose armed power threat fires now.
-    /// Entries whose armed step moved on (the site re-armed after an
-    /// allocation change) are stale and skipped.
-    fn apply_power_event(&mut self) -> Vec<(AppId, usize)> {
+    /// Phase 2: only sites whose armed power threat fires now. Every
+    /// allocation increase and every firing re-arms its site at the
+    /// first later step whose budget falls below the allocation (a
+    /// decrease only leaves that step early), so no other site can be
+    /// over budget here. Entries whose armed step moved on (the site
+    /// re-armed after an allocation change) are stale and skipped.
+    fn apply_power(&mut self) -> Vec<(AppId, usize)> {
         let mut evicted = Vec::new();
         let now = self.now as usize;
         let entries = match self.ev.threat.get_mut(now) {
@@ -1162,7 +1100,7 @@ impl GroupSim {
     }
 
     /// Hibernate degradable then evict stable apps at one overloaded
-    /// site (oldest resident first) — shared by both drivers.
+    /// site (oldest resident first).
     fn apply_power_site(&mut self, s: usize, evicted: &mut Vec<(AppId, usize)>) {
         let budget = self.budget_at(s, self.now);
 
@@ -1250,11 +1188,10 @@ impl GroupSim {
     }
 
     /// Resume hibernated apps at one site where its budget allows,
-    /// oldest resident first — shared by both drivers.
+    /// oldest resident first. Called for every site every step.
     fn resume_site(&mut self, s: usize) {
         // Nothing hibernated here: the scan would visit every resident
-        // for nothing (the legacy driver calls this for every site,
-        // every step).
+        // for nothing.
         if self.ev.hibernated_per_site[s] == 0 {
             return;
         }
@@ -1343,8 +1280,8 @@ impl GroupSim {
 
     /// Per-site state snapshots for runtime re-hosting decisions. The
     /// day-ahead minimum comes from the precomputed sliding-window
-    /// minima — identical to the legacy per-step fold over
-    /// [`day_ahead_window`], including the documented tail shortening.
+    /// minima, clipped at the run's end like every day-ahead readout
+    /// (see [`SitePower`]).
     fn snapshots(&self) -> Vec<SiteSnapshot> {
         let now = self.now as usize;
         (0..self.sites.len())
@@ -1357,8 +1294,8 @@ impl GroupSim {
                     .copied()
                     .unwrap_or(f64::INFINITY);
                 // `+∞` marks an empty window (past the forecast end,
-                // unreachable while `now < n_steps`); the legacy fold
-                // reported 0.0 there.
+                // unreachable while `now < n_steps`); it reads as no
+                // admissible capacity.
                 let min_frac = if raw.is_finite() { raw } else { 0.0 };
                 SiteSnapshot {
                     budget_cores: budget,
@@ -1391,9 +1328,9 @@ impl GroupSim {
                     slot: 0,
                 });
                 // Lifetimes are ≥ 1 step, so the bucket is always ahead
-                // of the current step; departures past the horizon never
-                // fire (the legacy scan never saw them expire either).
-                if self.ev.enabled && departs_at < self.n_steps {
+                // of the current step; an app departing past the
+                // horizon stays until the run ends and needs no bucket.
+                if departs_at < self.n_steps {
                     self.ev.expiry[departs_at as usize].push(id);
                 }
                 NewApp { id, spec }
@@ -1453,25 +1390,14 @@ impl GroupSim {
         vb_telemetry::counter!("sched.moves_executed").add(executed as u64);
     }
 
-    /// Legacy phase 4c: scan every site in ascending order for a
-    /// day-ahead capacity deficit, draining as budget allows.
-    fn drain_step_scan(&mut self, policy: &mut dyn Policy, stats: &mut GroupStepStats) {
-        let mut moved = 0usize;
-        for s in 0..self.sites.len() {
-            if moved >= self.cfg.moves_per_step {
-                break;
-            }
-            self.drain_site(s, policy, stats, &mut moved);
-        }
-        vb_telemetry::counter!("sched.drain_moves").add(moved as u64);
-    }
-
-    /// Event phase 4c: only sites whose armed drain deadline fires now,
-    /// processed in ascending site order via a worklist. A drain move
-    /// landing on a *later* site can tip it into deficit mid-phase;
-    /// `arm_drain`'s phase-aware `from` pushes such sites back into the
-    /// live worklist, reproducing the legacy ascending scan exactly.
-    fn drain_step_event(&mut self, policy: &mut dyn Policy, stats: &mut GroupStepStats) {
+    /// Phase 4c: only sites whose armed drain deadline fires now,
+    /// processed in ascending site order via a worklist, until
+    /// `moves_per_step` drain moves have run. A drain move landing on
+    /// a *later* site can tip it into deficit mid-phase; `arm_drain`'s
+    /// phase-aware `from` pushes such a site into the live worklist,
+    /// so it still drains this step. A site passed over at the cap
+    /// re-arms for the next step its deficit holds.
+    fn drain_step(&mut self, policy: &mut dyn Policy, stats: &mut GroupStepStats) {
         self.ev.in_drain_phase = true;
         self.ev.drain_pos = 0;
         let now = self.now as usize;
@@ -1498,7 +1424,7 @@ impl GroupSim {
             self.ev.drain_pos = s;
             if moved < self.cfg.moves_per_step {
                 // `drain_site` re-derives the deficit from live state,
-                // so a wake-up gone moot is a no-op, same as legacy.
+                // so a wake-up gone moot is a no-op.
                 self.drain_site(s, policy, stats, &mut moved);
             }
             self.arm_drain(s);
@@ -1641,8 +1567,7 @@ impl GroupSim {
     /// precomputed window minimum: `∃t: forecast[t] × cores <
     /// committed` holds iff it holds at the window minimum (multiplying
     /// by a non-negative constant preserves order), and an empty tail
-    /// window (`+∞` minimum) is risk-free, matching the legacy
-    /// `any()` over an empty slice.
+    /// window (`+∞` minimum) is risk-free: no step is left to violate.
     fn site_at_risk(&self, s: usize) -> bool {
         let committed = self.sites[s].allocated_cores as f64;
         let min_frac = self.power[s]
@@ -1763,8 +1688,8 @@ impl GroupSim {
         }
     }
 
-    /// Push an app onto the relaunch queue (tracking membership for the
-    /// event driver's expiry handling).
+    /// Push an app onto the relaunch queue (tracking membership, so
+    /// `expire` knows when a due app sits in the queue).
     fn queue_push(&mut self, id: AppId) {
         self.apps[id.0].in_queue = true;
         self.queue.push(id);
@@ -1866,22 +1791,6 @@ impl GroupSim {
     }
 }
 
-/// The day-ahead readout window at step `now` over a series of length
-/// `len`: `[now, now + DAY_AHEAD_STEPS)` clipped to the series end.
-///
-/// Near the end of the run the window *intentionally* shortens: steps
-/// past the simulated horizon are never played, so capacity risk there
-/// cannot affect the run, and scanning past `len` would require
-/// forecast data that does not exist. Every consumer — `site_at_risk`,
-/// the `forecast_min_24h_cores` snapshot, and the event core's
-/// precomputed minima — shares this same clipped window, so the final
-/// day's readouts are consistently (and deliberately) less
-/// conservative rather than divergently so. Pinned by the
-/// `day_ahead_window_*` regression tests.
-pub fn day_ahead_window(now: usize, len: usize) -> (usize, usize) {
-    (now.min(len), (now + DAY_AHEAD_STEPS).min(len))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1902,6 +1811,14 @@ mod tests {
 
     fn catalog() -> Catalog {
         Catalog::europe(42)
+    }
+
+    /// The day-ahead readout window at step `now` over a series of
+    /// length `len`: `[now, now + DAY_AHEAD_STEPS)` clipped to the
+    /// series end, the window `SitePower::fd_min24` precomputes minima
+    /// over. The brute-force reference for the sliding-window minima.
+    fn day_ahead_window(now: usize, len: usize) -> (usize, usize) {
+        (now.min(len), (now + DAY_AHEAD_STEPS).min(len))
     }
 
     #[test]

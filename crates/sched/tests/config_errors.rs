@@ -1,6 +1,7 @@
 //! Degenerate `GroupSimConfig`s and non-finite measured traces fail
 //! `GroupSim::new` with a typed error, instead of panicking (`days = 0`
-//! in `Summary::of`, `epoch_steps = 0` as a remainder by zero) or
+//! in `Summary::of`, `epoch_steps = 0` as a remainder by zero, a
+//! subgraph member outside the group as an index out of bounds) or
 //! hanging (a NaN `target_util` or trace sample sizes a workload whose
 //! Poisson sampler never returned, and so did a NaN arrival rate in an
 //! explicit `app_cfg`). Cases that used to hang run on a
@@ -153,4 +154,22 @@ fn negative_or_infinite_arrival_rate_is_a_config_error() {
     // No arrivals at all is a valid (if idle) workload.
     let cfg = with_arrival_rate(0.0);
     assert!(GroupSim::new(&Catalog::europe(42), &["NO-solar"], cfg).is_ok());
+}
+
+#[test]
+fn out_of_range_subgraph_member_is_a_config_error() {
+    // Site 7 of a 2-site group would panic mid-run, where re-hosting
+    // indexes the group's site snapshots by subgraph member.
+    let cfg = GroupSimConfig {
+        subgraphs: Some(vec![vec![0, 7], vec![1]]),
+        ..small()
+    };
+    let err = GroupSim::new(&Catalog::europe(42), &["NO-solar", "UK-wind"], cfg).err();
+    assert_eq!(config_field(err), "subgraphs");
+    // Every member in range is a valid structure.
+    let cfg = GroupSimConfig {
+        subgraphs: Some(vec![vec![0], vec![1]]),
+        ..small()
+    };
+    assert!(GroupSim::new(&Catalog::europe(42), &["NO-solar", "UK-wind"], cfg).is_ok());
 }

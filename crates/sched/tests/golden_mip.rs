@@ -11,7 +11,9 @@
 //! round a pivot differently and lead the search to another incumbent.
 //! Such a move is re-pinned on purpose, only after `mip_classes.rs` has
 //! checked the new plans against the per-app model, and each old → new
-//! value is recorded with its cause in `CHANGES.md`.
+//! value is recorded with its cause in `CHANGES.md`. A moved plan also
+//! moves the MIP-planned step digests of `golden_steps.rs`; re-pin them
+//! in the same change, for the same cause.
 //!
 //! All six digests were re-pinned when presolve began dropping implied
 //! rows and fixing dominated columns: the reduced models are smaller,
@@ -29,40 +31,8 @@
 
 mod common;
 
-use vb_sched::{MipConfig, MipPolicy, PolicySummary};
-
-/// FNV-1a over 64-bit words, byte by byte (little-endian).
-fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
-fn summary_digest(s: &PolicySummary) -> u64 {
-    let head = s.policy.bytes().map(u64::from).chain([
-        s.total_gb.to_bits(),
-        s.p99_gb.to_bits(),
-        s.peak_gb.to_bits(),
-        s.std_gb.to_bits(),
-        s.zero_fraction.to_bits(),
-        s.per_step_gb.len() as u64,
-    ]);
-    let tail = [
-        s.unavailable_app_steps,
-        s.preemptive_moves as u64,
-        s.dropped_apps as u64,
-        s.vm_decisions,
-    ];
-    fnv1a(
-        head.chain(s.per_step_gb.iter().map(|v| v.to_bits()))
-            .chain(tail),
-    )
-}
+use common::summary_digest;
+use vb_sched::{MipConfig, MipPolicy};
 
 /// Table 1: the trio under the default config (7 days from day 120).
 fn table1(mip: MipConfig) -> u64 {

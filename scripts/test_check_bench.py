@@ -66,13 +66,14 @@ def fleet_row(scale, **updates):
         "days": 84,
         "steps": 8064,
         "policy": "Greedy",
+        "build_secs": 0.3,
         "event_secs": 0.2,
-        "legacy_secs": 3.0,
         "event_steps_per_sec": 1_200_000.0,
-        "legacy_steps_per_sec": 80_000.0,
-        "speedup": 15.0,
         "vm_decisions": 532_000,
         "vm_decisions_per_sec": 2_600_000.0,
+        "event_wakeups": 16_700,
+        "stale_events": 135,
+        "transfers": 36_900,
         "total_gb": 888_000.0,
         "dropped_apps": 1000,
         "peak_rss_mb": 120.0,
@@ -83,6 +84,12 @@ def fleet_row(scale, **updates):
 
 def fleet_result(rows):
     return {"bench": "fleet_sim", "shard_size": 3, "rows": rows}
+
+
+# The fleet row's step-loop work counts, each moved just inside and
+# just past its 1 % relative band around `fleet_row`'s value.
+FLEET_COUNTS_WITHIN_BAND = {"event_wakeups": 16_860, "stale_events": 136, "transfers": 36_540}
+FLEET_COUNTS_PAST_BAND = {"event_wakeups": 16_900, "stale_events": 137, "transfers": 36_500}
 
 
 class GateHarness(unittest.TestCase):
@@ -243,15 +250,60 @@ class FleetGateTests(GateHarness):
         code, out = self.gate(fleet_result(rows), fleet_result(rows))
         self.assertEqual(code, 0, out)
 
-    def test_speedup_collapse_fails(self):
-        # The event core losing its edge (e.g. the O(1) detach path
-        # regressing to a full-list retain) must trip the gate.
+    def test_work_counts_pass_within_the_band(self):
+        # Libm feeds the counts, so a drift under 1 % passes.
+        for key, moved in FLEET_COUNTS_WITHIN_BAND.items():
+            with self.subTest(key=key):
+                code, out = self.gate(
+                    fleet_result([fleet_row("10x", **{key: moved})]),
+                    fleet_result([fleet_row("10x")]),
+                )
+                self.assertEqual(code, 0, out)
+                self.assertRegex(out, rf"10x\.{key} .* ok \(must stay within 0.01 relative\)")
+
+    def test_work_counts_fail_past_the_band(self):
+        # More wake-ups or transfers than the baseline's band is the
+        # event core doing other work (a lost skip, a wake-up storm),
+        # and fewer is as much a change.
+        for key, moved in FLEET_COUNTS_PAST_BAND.items():
+            with self.subTest(key=key):
+                code, out = self.gate(
+                    fleet_result([fleet_row("10x", **{key: moved})]),
+                    fleet_result([fleet_row("10x")]),
+                )
+                self.assertEqual(code, 1, out)
+                self.assertRegex(out, rf"10x\.{key} .* FAIL \(must stay within 0.01 relative\)")
+
+    def test_build_secs_within_band_passes(self):
         code, out = self.gate(
-            fleet_result([fleet_row("10x", speedup=4.0)]),
+            fleet_result([fleet_row("10x", build_secs=0.55)]),
+            fleet_result([fleet_row("10x")]),
+        )
+        self.assertEqual(code, 0, out)
+        self.assertRegex(out, r"10x\.build_secs .* ok")
+
+    def test_build_secs_regression_fails(self):
+        # Shard construction (trace and forecast synthesis) slowing
+        # past 2x trips the gate like the step loop would.
+        code, out = self.gate(
+            fleet_result([fleet_row("10x", build_secs=0.7)]),
             fleet_result([fleet_row("10x")]),
         )
         self.assertEqual(code, 1, out)
-        self.assertIn("10x.speedup", out)
+        self.assertRegex(out, r"10x\.build_secs .* FAIL")
+
+    def test_leftover_legacy_keys_are_unknown(self):
+        # The legacy-core timers and the legacy/event ratio left the
+        # fleet rows with the full-scan driver they measured; a row
+        # still carrying one has no rule and must not pass.
+        for key, value in (("speedup", 14.7), ("legacy_secs", 3.2)):
+            with self.subTest(key=key):
+                stale = fleet_result([fleet_row("10x", **{key: value})])
+                with self.assertRaises(SystemExit) as exit_:
+                    self.gate(stale, fleet_result([fleet_row("10x")]))
+                self.assertIn(
+                    f"no gate rule for rows row key `{key}`", str(exit_.exception.code)
+                )
 
     def test_missing_scale_row_fails(self):
         # A vanished 100x row is a key-set mismatch, not a silent skip.
@@ -261,7 +313,7 @@ class FleetGateTests(GateHarness):
         )
         self.assertEqual(code, 1, out)
         self.assertIn("only in baseline", out)
-        self.assertIn("100x.speedup", out)
+        self.assertIn("100x.event_wakeups", out)
 
     def test_extra_scale_row_fails(self):
         code, out = self.gate(

@@ -24,6 +24,7 @@ use std::time::Instant;
 use vb_bench::report::counter_now;
 use vb_core::fleet::{shard_names, FleetPolicy};
 use vb_sched::{AppGenConfig, GroupSim, GroupSimConfig, PolicySummary};
+use vb_telemetry::Json;
 use vb_trace::Catalog;
 
 /// Sites per shard: the Table 1 multi-VB group size.
@@ -142,22 +143,6 @@ fn run_shards(catalog: &Catalog, shards: &[Vec<String>], policy: FleetPolicy) ->
     }
 }
 
-struct Row {
-    scale: String,
-    sites: usize,
-    shards: usize,
-    policy: &'static str,
-    build_secs: f64,
-    event_secs: f64,
-    vm_decisions: u64,
-    event_wakeups: u64,
-    stale_events: u64,
-    transfers: u64,
-    total_gb: f64,
-    dropped_apps: usize,
-    peak_rss_mb: f64,
-}
-
 fn main() {
     let run = vb_bench::report::BenchRun::start("fleet_perf");
     let scales_env = std::env::var("VB_FLEET_SCALES").unwrap_or_else(|_| "10x,100x".to_string());
@@ -176,7 +161,7 @@ fn main() {
         };
 
     let steps = DAYS as u64 * vb_trace::STEPS_PER_DAY as u64;
-    let mut rows: Vec<Row> = Vec::new();
+    let mut rows: Vec<Json> = Vec::new();
     for (scale, n_sites) in &scales {
         reset_peak_rss();
         let catalog = Catalog::fleet(SEED, *n_sites);
@@ -208,64 +193,40 @@ fn main() {
             "  {vm_decisions} VM decisions ({:.0}/s), {total_gb:.1} GB moved, {dropped_apps} dropped",
             vm_decisions as f64 / event_secs
         );
-        rows.push(Row {
-            scale: scale.clone(),
-            sites: *n_sites,
-            shards: shards.len(),
-            policy: policy.name(),
-            build_secs,
-            event_secs,
-            vm_decisions,
-            event_wakeups,
-            stale_events,
-            transfers,
-            total_gb,
-            dropped_apps,
-            peak_rss_mb: peak_rss_mb(),
-        });
+        rows.push(Json::Obj(vec![
+            ("scale".into(), scale.as_str().into()),
+            ("sites".into(), (*n_sites).into()),
+            ("shards".into(), shards.len().into()),
+            ("days".into(), DAYS.into()),
+            ("steps".into(), steps.into()),
+            ("policy".into(), policy.name().into()),
+            ("build_secs".into(), build_secs.into()),
+            ("event_secs".into(), event_secs.into()),
+            (
+                "event_steps_per_sec".into(),
+                (site_steps / event_secs).into(),
+            ),
+            ("vm_decisions".into(), vm_decisions.into()),
+            (
+                "vm_decisions_per_sec".into(),
+                (vm_decisions as f64 / event_secs).into(),
+            ),
+            ("event_wakeups".into(), event_wakeups.into()),
+            ("stale_events".into(), stale_events.into()),
+            ("transfers".into(), transfers.into()),
+            ("total_gb".into(), total_gb.into()),
+            ("dropped_apps".into(), dropped_apps.into()),
+            ("peak_rss_mb".into(), peak_rss_mb().into()),
+        ]));
     }
 
-    let row_json: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            let site_steps = (r.sites as u64 * steps) as f64;
-            format!(
-                "    {{\n      \"scale\": \"{}\",\n      \"sites\": {},\n      \"shards\": {},\n      \"days\": {DAYS},\n      \"steps\": {steps},\n      \"policy\": \"{}\",\n      \"build_secs\": {:.6},\n      \"event_secs\": {:.6},\n      \"event_steps_per_sec\": {:.1},\n      \"vm_decisions\": {},\n      \"vm_decisions_per_sec\": {:.1},\n      \"event_wakeups\": {},\n      \"stale_events\": {},\n      \"transfers\": {},\n      \"total_gb\": {:.3},\n      \"dropped_apps\": {},\n      \"peak_rss_mb\": {:.1}\n    }}",
-                r.scale,
-                r.sites,
-                r.shards,
-                r.policy,
-                r.build_secs,
-                r.event_secs,
-                site_steps / r.event_secs,
-                r.vm_decisions,
-                r.vm_decisions as f64 / r.event_secs,
-                r.event_wakeups,
-                r.stale_events,
-                r.transfers,
-                r.total_gb,
-                r.dropped_apps,
-                r.peak_rss_mb,
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"fleet_sim\",\n  \"shard_size\": {SHARD_SIZE},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        row_json.join(",\n")
+    vb_bench::report::write_bench_json(
+        "BENCH_fleet.json",
+        &[
+            ("bench", "fleet_sim".into()),
+            ("shard_size", SHARD_SIZE.into()),
+            ("rows", Json::Arr(rows)),
+        ],
     );
-    let path = std::env::var("VB_BENCH_OUT")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json").into());
-    if !path.is_empty() {
-        // The run-report dir is only created at `run.finish()`, after
-        // this write — create the parent here so pointing VB_BENCH_OUT
-        // into a fresh VB_REPORT_DIR (the CI fleet job does) works.
-        if let Some(parent) = std::path::Path::new(&path).parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        match std::fs::write(&path, &json) {
-            Ok(()) => println!("wrote {path}"),
-            Err(err) => eprintln!("could not write {path}: {err}"),
-        }
-    }
     run.finish();
 }

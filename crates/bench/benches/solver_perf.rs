@@ -18,6 +18,7 @@
 use std::time::Instant;
 use vb_bench::report::counter_now;
 use vb_solver::{solve_mip_kernel, Model, Sense, VarId};
+use vb_telemetry::Json;
 
 const APPS: usize = 16;
 const SITES: usize = 3;
@@ -180,7 +181,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let mut scale_rows: Vec<ScaleRow> = Vec::new();
+    let mut rows: Vec<Json> = Vec::new();
     println!("kernel scaling (presolve + revised simplex + parallel B&B):");
     for (label, mult) in &scales {
         let row = run_scale(label, *mult as usize);
@@ -203,49 +204,29 @@ fn main() {
             row.presolve_vars_fixed,
             row.objective_sum,
         );
-        scale_rows.push(row);
+        rows.push(Json::Obj(vec![
+            ("scale".into(), row.label.into()),
+            ("apps".into(), row.apps.into()),
+            ("vars".into(), row.vars.into()),
+            ("rows".into(), row.rows.into()),
+            ("epochs".into(), row.epochs.into()),
+            ("kernel_secs".into(), row.kernel_secs.into()),
+            ("kernel_pivots".into(), row.kernel_pivots.into()),
+            ("presolve_vars_fixed".into(), row.presolve_vars_fixed.into()),
+            ("refactorizations".into(), row.refactorizations.into()),
+            ("eta_updates".into(), row.eta_updates.into()),
+            ("lp_solves".into(), row.lp_solves.into()),
+            ("nodes_expanded".into(), row.nodes_expanded.into()),
+            ("objective_sum".into(), row.objective_sum.into()),
+        ]));
     }
 
-    let scaling_json: Vec<String> = scale_rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\n      \"scale\": \"{}\",\n      \"apps\": {},\n      \"vars\": {},\n      \"rows\": {},\n      \"epochs\": {},\n      \"kernel_secs\": {:.6},\n      \"kernel_pivots\": {},\n      \"presolve_vars_fixed\": {},\n      \"refactorizations\": {},\n      \"eta_updates\": {},\n      \"lp_solves\": {},\n      \"nodes_expanded\": {},\n      \"objective_sum\": {}\n    }}",
-                r.label,
-                r.apps,
-                r.vars,
-                r.rows,
-                r.epochs,
-                r.kernel_secs,
-                r.kernel_pivots,
-                r.presolve_vars_fixed,
-                r.refactorizations,
-                r.eta_updates,
-                r.lp_solves,
-                r.nodes_expanded,
-                r.objective_sum,
-            )
-        })
-        .collect();
-
-    let json = format!(
-        "{{\n  \"bench\": \"solver_scaling\",\n  \"scaling\": [\n{}\n  ]\n}}\n",
-        scaling_json.join(",\n")
+    vb_bench::report::write_bench_json(
+        "BENCH_solver.json",
+        &[
+            ("bench", "solver_scaling".into()),
+            ("scaling", Json::Arr(rows)),
+        ],
     );
-    // Default next to the workspace root (cargo runs benches from the
-    // package directory), overridable with VB_BENCH_OUT.
-    let path = std::env::var("VB_BENCH_OUT")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_solver.json").into());
-    if !path.is_empty() {
-        // Create the parent dir: VB_BENCH_OUT may point into a report
-        // dir that only exists after `run.finish()` (see fleet_perf).
-        if let Some(parent) = std::path::Path::new(&path).parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        match std::fs::write(&path, &json) {
-            Ok(()) => println!("wrote {path}"),
-            Err(err) => eprintln!("could not write {path}: {err}"),
-        }
-    }
     run.finish();
 }

@@ -8,15 +8,63 @@
 //! file). Setting `VB_RUN_REPORT=1` additionally prints the span/counter
 //! summary to stdout — the gated replacement for the old ad-hoc
 //! "[target completed in Ns]" progress lines.
+//!
+//! The perf benches (`solver_perf`, `fleet_perf`) also write their rows
+//! to a `BENCH_*.json` file through [`write_bench_json`], which
+//! `scripts/check_bench.py` gates against the committed baseline.
 
 use std::time::Instant;
-use vb_telemetry::RunReport;
+use vb_telemetry::{Json, RunReport};
 
 /// A telemetry counter's current value, 0 before it first fires (a
 /// counter registers on first use). Bench rows report a counter as the
 /// difference of two reads around the measured work.
 pub fn counter_now(name: &str) -> u64 {
     vb_telemetry::snapshot().counter(name).unwrap_or(0)
+}
+
+/// Write a perf bench's result document, the JSON object of `fields`, to
+/// `VB_BENCH_OUT`, by default `file` next to the workspace root (cargo
+/// runs benches from the package directory). An empty `VB_BENCH_OUT`
+/// skips the file. The parent directory is created, since `VB_BENCH_OUT`
+/// may point into a report directory that only exists after
+/// [`BenchRun::finish`].
+pub fn write_bench_json(file: &str, fields: &[(&str, Json)]) {
+    let path = std::env::var("VB_BENCH_OUT")
+        .unwrap_or_else(|_| format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR")));
+    if path.is_empty() {
+        return;
+    }
+    if let Some(parent) = std::path::Path::new(&path).parent() {
+        let _ = std::fs::create_dir_all(parent);
+    }
+    match std::fs::write(&path, bench_json(fields)) {
+        Ok(()) => println!("wrote {path}"),
+        Err(err) => eprintln!("could not write {path}: {err}"),
+    }
+}
+
+/// The object of `fields` as compact JSON, except that each element of a
+/// top-level array gets a line of its own, so a re-recorded baseline
+/// diffs row by row.
+fn bench_json(fields: &[(&str, Json)]) -> String {
+    let mut out = String::from("{");
+    for (i, (key, value)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&Json::from(*key).emit());
+        out.push(':');
+        match value {
+            Json::Arr(rows) => {
+                let rows: Vec<String> = rows.iter().map(Json::emit).collect();
+                out.push_str(&format!("[\n{}\n]", rows.join(",\n")));
+            }
+            other => out.push_str(&other.emit()),
+        }
+    }
+    out.push_str("}\n");
+    out
 }
 
 /// Scope of one bench-target execution.
@@ -166,6 +214,37 @@ fn fmt_ns(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bench_json_parses_back_with_one_row_per_line() {
+        let row = |scale: &str, secs: f64| {
+            Json::Obj(vec![
+                ("scale".into(), scale.into()),
+                ("pivots".into(), 323u64.into()),
+                ("secs".into(), secs.into()),
+                ("objective_sum".into(), Json::Num(37_912.0)),
+            ])
+        };
+        let fields = [
+            ("bench", Json::from("solver_scaling")),
+            (
+                "scaling",
+                Json::Arr(vec![row("1x", 0.001946), row("10x", 1e-7)]),
+            ),
+        ];
+        let text = bench_json(&fields);
+        let doc = fields.map(|(k, v)| (k.to_string(), v));
+        assert_eq!(Json::parse(&text), Ok(Json::Obj(doc.into())));
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 4, "{text}");
+        assert_eq!(lines[0], r#"{"bench":"solver_scaling","scaling":["#);
+        assert_eq!(
+            lines[1],
+            r#"{"scale":"1x","pivots":323,"secs":0.001946,"objective_sum":37912.0},"#
+        );
+        assert!(lines[2].starts_with(r#"{"scale":"10x","#), "{text}");
+        assert_eq!(lines[3], "]}");
+    }
 
     #[test]
     fn fmt_ns_picks_sensible_units() {

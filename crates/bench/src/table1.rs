@@ -8,8 +8,7 @@
 //! volume CDFs and zero-fractions (Fig 7).
 
 use vb_sched::{
-    select_group, GreedyPolicy, GroupSim, GroupSimConfig, MipConfig, MipPolicy, PipelineConfig,
-    Policy, PolicySummary,
+    GreedyPolicy, GroupSim, GroupSimConfig, MipConfig, MipPolicy, Policy, PolicySummary,
 };
 use vb_stats::report::{thousands, Table};
 use vb_stats::Cdf;
@@ -35,20 +34,6 @@ impl Table1Report {
 /// archetypal multi-VB group).
 pub fn run(seed: u64) -> Table1Report {
     run_on_group(seed, &["NO-solar", "UK-wind", "PT-wind"])
-}
-
-/// Run on the pipeline-selected best k-clique instead.
-pub fn run_pipeline_group(seed: u64, k: usize) -> Table1Report {
-    let catalog = Catalog::europe(seed);
-    let group = select_group(
-        &catalog,
-        &PipelineConfig {
-            k,
-            ..PipelineConfig::default()
-        },
-    );
-    let names: Vec<&str> = group.iter().map(|s| s.as_str()).collect();
-    run_on_group(seed, &names)
 }
 
 /// Run the four policies over one group.

@@ -19,12 +19,11 @@
 //! until power returns or their lifetime lapses.
 
 use crate::vm::{Vm, VmId, VmKind, VmRequest, VmState};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Cluster sizing and policy knobs. Defaults are the paper's setup.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Number of servers (paper: ≈700).
     pub n_servers: usize,
@@ -247,7 +246,7 @@ pub struct EvictedVm {
 }
 
 /// Outcome of one simulation step.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StepStats {
     /// Step index (15-minute intervals since simulation start).
     pub step: u64,

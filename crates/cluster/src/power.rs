@@ -10,14 +10,13 @@
 //! versus left unharvested.
 
 use crate::cluster::StepStats;
-use serde::{Deserialize, Serialize};
 
 /// A linear server power model (idle/active per core + base).
 ///
 /// Defaults approximate a dual-socket 40-core server: ~150 W platform
 /// base (fans, disks, NIC), ~2.5 W per powered-but-idle core, and ~7.5 W
 /// of additional draw per busy core.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// Platform base draw per server with any core powered, W.
     pub server_base_w: f64,
@@ -62,7 +61,7 @@ impl PowerModel {
 }
 
 /// Energy accounting over one simulated run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyReport {
     /// Energy the site's power budget made available, MWh.
     pub available_mwh: f64,

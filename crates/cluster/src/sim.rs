@@ -8,11 +8,10 @@
 
 use crate::cluster::{Cluster, ClusterConfig, StepStats};
 use crate::workload::{Workload, WorkloadConfig};
-use serde::{Deserialize, Serialize};
 use vb_stats::TimeSeries;
 
 /// Result of a single-site simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimOutput {
     /// One entry per trace step (warm-up excluded).
     pub steps: Vec<StepStats>,

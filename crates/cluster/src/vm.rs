@@ -1,9 +1,7 @@
 //! Virtual machines: shapes, kinds and lifetimes.
 
-use serde::{Deserialize, Serialize};
-
 /// The two application classes of §2.3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VmKind {
     /// Requires cloud-level availability; a power shortfall forces a
     /// *migration* (WAN traffic equal to the VM's memory).
@@ -24,7 +22,7 @@ impl VmKind {
 }
 
 /// A request to run one VM.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VmRequest {
     /// vCPU cores.
     pub cores: u32,

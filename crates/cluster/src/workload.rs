@@ -15,7 +15,6 @@
 use crate::vm::{VmKind, VmRequest};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use vb_stats::sample::{poisson, standard_normal};
 
 /// Discrete VM shape mix: (cores, memory GB per core, probability).
@@ -31,7 +30,7 @@ const SHAPES: &[(u32, f64, f64)] = &[
 ];
 
 /// Workload generator configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadConfig {
     /// Mean arrivals per 15-minute step.
     pub arrivals_per_step: f64,

@@ -12,12 +12,11 @@
 //! results are identical at any thread count — see the determinism tests
 //! in `vb-bench`).
 
-use serde::{Deserialize, Serialize};
 use vb_stats::{coefficient_of_variation, TimeSeries};
 use vb_trace::Catalog;
 
 /// cov improvement of one site pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PairImprovement {
     /// First site name.
     pub a: String,
@@ -40,7 +39,7 @@ pub struct PairImprovement {
 }
 
 /// Aggregate statistics of a pair sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComboStats {
     /// Pairs examined (within the latency threshold).
     pub pairs: usize,

@@ -18,10 +18,9 @@
 //!    price the value of multi-VB aggregation.
 
 use crate::energy::EnergyBreakdown;
-use serde::{Deserialize, Serialize};
 
 /// §2.1 cost/price parameters. Defaults are the paper's numbers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EconomicModel {
     /// Share of data-center operating cost that is power (paper: 20 %).
     pub power_share_of_opex: f64,
@@ -53,7 +52,7 @@ impl Default for EconomicModel {
 }
 
 /// The value of a site's energy under the stable/degradable price split.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyValue {
     /// Revenue from energy hosting stable VMs.
     pub stable_revenue: f64,

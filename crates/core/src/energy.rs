@@ -6,11 +6,10 @@
 //! window, it can reliably be used for stable VMs, and all remaining
 //! energy (called as variable energy) for degradable VMs."
 
-use serde::{Deserialize, Serialize};
 use vb_stats::TimeSeries;
 
 /// The §2.3 energy split over a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyBreakdown {
     /// Guaranteed (window-min) energy, MWh.
     pub stable_mwh: f64,

@@ -17,7 +17,6 @@
 //! independence is exactly what makes the fan-out deterministic and
 //! embarrassingly parallel.
 
-use serde::{Deserialize, Serialize};
 use vb_sched::{GroupSim, GroupSimConfig, PolicySummary, SimError};
 use vb_trace::Catalog;
 
@@ -25,7 +24,7 @@ use crate::multivb::MultiVb;
 
 /// Which placement policy every shard runs (shards never mix policies
 /// within one fleet run — the comparison axis is across runs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetPolicy {
     /// Greedy most-headroom placement (Table 1 row 1).
     Greedy,
@@ -62,7 +61,7 @@ impl FleetPolicy {
 }
 
 /// Fleet run configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Sites per shard (the paper's multi-VB groups are 2–5 sites; the
     /// Table 1 group is 3). The last shard may be smaller.
@@ -83,7 +82,7 @@ impl Default for FleetConfig {
 }
 
 /// One shard's outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardResult {
     /// Site names in this shard (catalog order).
     pub sites: Vec<String>,
@@ -97,7 +96,7 @@ pub struct ShardResult {
 /// A whole fleet's outcome: per-shard results in shard order plus the
 /// fleet-wide aggregates. `PartialEq` so determinism tests can assert
 /// bit-identity of entire runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetRun {
     /// Policy every shard ran.
     pub policy: String,

@@ -6,7 +6,6 @@
 //! energy production and can reduce overall variability by 3.7×."
 
 use crate::energy::{decompose, EnergyBreakdown};
-use serde::{Deserialize, Serialize};
 use vb_stats::{coefficient_of_variation, TimeSeries};
 use vb_trace::{Catalog, Site};
 
@@ -19,7 +18,7 @@ pub struct MultiVb {
 }
 
 /// One Figure 3b bar: a site combination with its energy split.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ComboBreakdown {
     /// `+`-joined site names, e.g. `"NO+UK+PT"`.
     pub label: String,

@@ -15,13 +15,12 @@
 //! so it always spends the next MWh where that count is smallest —
 //! optimal because each window's cost curve is convex.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use vb_stats::TimeSeries;
 
 /// Result of a purchase optimization.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PurchasePlan {
     /// Energy bought from the grid, MWh (≤ the budget).
     pub purchased_mwh: f64,

@@ -12,11 +12,10 @@
 //! that multi-VB aggregation delivers for free.
 
 use crate::energy::{decompose, EnergyBreakdown};
-use serde::{Deserialize, Serialize};
 use vb_stats::TimeSeries;
 
 /// A grid-scale battery co-located with one site.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Battery {
     /// Usable energy capacity, MWh.
     pub capacity_mwh: f64,
@@ -38,7 +37,7 @@ impl Battery {
 }
 
 /// Result of smoothing a trace through a battery.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SmoothedOutput {
     /// Power delivered to the data center, MW per sample.
     pub delivered: TimeSeries,

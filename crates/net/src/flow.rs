@@ -7,11 +7,10 @@
 //! §3.1) can be expressed in seconds of transfer delay rather than only
 //! in bytes.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// One pending transfer on the link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Transfer {
     /// Remaining volume, GB.
     remaining_gb: f64,
@@ -20,7 +19,7 @@ struct Transfer {
 }
 
 /// Per-interval link telemetry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkStats {
     /// Interval index.
     pub interval: u64,

@@ -1,6 +1,5 @@
 //! The latency-thresholded VB site graph (Fig 6's input graph).
 
-use serde::{Deserialize, Serialize};
 use vb_trace::Site;
 
 /// The paper's multi-VB proximity threshold: 50 ms RTT.
@@ -8,7 +7,7 @@ pub const DEFAULT_LATENCY_THRESHOLD_MS: f64 = 50.0;
 
 /// An undirected graph over VB sites with edges between pairs whose RTT
 /// is below a threshold.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SiteGraph {
     sites: Vec<Site>,
     /// Dense symmetric adjacency, `adj[i][j] == true` iff edge (i, j).

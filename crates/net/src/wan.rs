@@ -11,13 +11,11 @@
 //! * §5: "migration occurs only 2-4 % of the time assuming 200 Gbps WAN
 //!   link per VB site."
 
-use serde::{Deserialize, Serialize};
-
 /// Gigabytes → gigabits.
 const GBIT_PER_GBYTE: f64 = 8.0;
 
 /// Per-site WAN model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WanModel {
     /// Provisioned per-site WAN link capacity in Gbps (paper: 200).
     pub site_link_gbps: f64,

@@ -8,12 +8,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use vb_cluster::VmKind;
 use vb_stats::sample::{poisson, standard_normal};
 
 /// An application request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppSpec {
     /// Number of identical VMs.
     pub n_vms: u32,
@@ -47,7 +46,7 @@ impl AppSpec {
 }
 
 /// Application arrival generator configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AppGenConfig {
     /// Mean app arrivals per 15-minute step.
     pub arrivals_per_step: f64,

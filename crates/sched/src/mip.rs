@@ -58,12 +58,11 @@
 use crate::greedy::GreedyPolicy;
 use crate::policy::{Assignment, PlanContext, Policy, SiteSnapshot};
 use crate::sim::STEPS_PER_DAY;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use vb_solver::{LinExpr, Model, Sense, SolveError, VarId};
 
 /// MIP policy configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MipConfig {
     /// Look-ahead horizon in 15-minute steps (e.g. 672 = 7 days for
     /// "MIP", 96 = 24 h for "MIP-24h"). The effective horizon is capped

@@ -12,13 +12,12 @@
 //!    "any state-of-the-art approach can be used for this step" — the
 //!    workspace uses `vb-cluster`'s Protean-style best-fit.
 
-use serde::{Deserialize, Serialize};
 use vb_net::{k_cliques, rank_cliques_by_cov, CliqueScore, SiteGraph};
 use vb_stats::TimeSeries;
 use vb_trace::Catalog;
 
 /// Pipeline knobs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// Clique size (paper: k = 2 to 5).
     pub k: usize,

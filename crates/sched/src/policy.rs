@@ -9,14 +9,13 @@
 //! executes them and charges any preemptive move as migration traffic.
 
 use crate::app::AppSpec;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of an application inside the group simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AppId(pub usize);
 
 /// What the policy knows about one site at planning time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SitePlanInfo {
     /// Site name (for reports).
     pub name: String,
@@ -37,7 +36,7 @@ pub struct SitePlanInfo {
 
 /// An existing application offered to the policy for preemptive
 /// re-placement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MovableApp {
     /// The app's identifier.
     pub id: AppId,
@@ -52,7 +51,7 @@ pub struct MovableApp {
 }
 
 /// A newly arrived application awaiting placement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NewApp {
     /// The app's identifier.
     pub id: AppId,
@@ -61,7 +60,7 @@ pub struct NewApp {
 }
 
 /// Everything a policy sees at one planning epoch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlanContext {
     /// Current step (15-minute intervals since simulation start).
     pub now: u64,
@@ -86,7 +85,7 @@ impl PlanContext {
 }
 
 /// One placement decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Assignment {
     /// Which app to place or move.
     pub app: AppId,
@@ -96,7 +95,7 @@ pub struct Assignment {
 
 /// Per-site snapshot handed to [`Policy::choose_rehost`] when the
 /// runtime needs a new home for an evicted or queued application.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SiteSnapshot {
     /// Powered cores right now.
     pub budget_cores: u32,

@@ -24,11 +24,10 @@
 //! bursty one.
 
 use crate::sim::DetailedRun;
-use serde::{Deserialize, Serialize};
 use vb_stats::Summary;
 
 /// Which standby flavour to model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StandbyMode {
     /// Continuous dirty-memory streaming (Remus-style hot standby).
     Hot,
@@ -37,7 +36,7 @@ pub enum StandbyMode {
 }
 
 /// Replication-cost parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReplicationModel {
     /// Hot (continuous streaming) or cold (periodic checkpoints).
     pub mode: StandbyMode,
@@ -63,7 +62,7 @@ impl Default for ReplicationModel {
 }
 
 /// The replication-vs-migration comparison for one run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReplicationReport {
     /// The standby flavour this report models.
     pub mode: StandbyMode,
@@ -129,16 +128,6 @@ impl ReplicationReport {
             f64::INFINITY
         } else {
             self.total_gb / self.migration_total_gb
-        }
-    }
-
-    /// How much smoother replication is: migration peak / replication
-    /// peak (replication's selling point is the absence of bursts).
-    pub fn peak_ratio(&self) -> f64 {
-        if self.peak_gb <= 0.0 {
-            f64::INFINITY
-        } else {
-            self.migration_peak_gb / self.peak_gb
         }
     }
 }

@@ -41,7 +41,6 @@
 
 use crate::app::{AppGen, AppGenConfig, AppSpec};
 use crate::policy::{AppId, MovableApp, NewApp, PlanContext, Policy, SitePlanInfo, SiteSnapshot};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use vb_cluster::VmKind;
@@ -103,7 +102,7 @@ const EVENT_BUCKET_STEPS: usize = (STEPS_PER_DAY / 2) as usize;
 const NOT_ARMED: u64 = u64::MAX;
 
 /// Configuration of a group simulation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GroupSimConfig {
     /// Cores per site (paper: ≈700 servers × 40 cores).
     pub cores_per_site: u32,
@@ -202,7 +201,7 @@ impl Default for GroupSimConfig {
 }
 
 /// Per-step group telemetry.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GroupStepStats {
     /// Step index (15-minute intervals since simulation start).
     pub step: u64,
@@ -231,7 +230,7 @@ pub struct GroupStepStats {
 
 /// Aggregate result of one policy run — one Table 1 row plus the Fig 7
 /// CDF series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicySummary {
     /// Policy name (Table 1 row label).
     pub policy: String,
@@ -487,7 +486,7 @@ fn sliding_window_min(values: &[f64], window: usize, out_len: usize) -> Vec<f64>
 }
 
 /// Per-step telemetry plus the run summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DetailedRun {
     /// Per-step group telemetry.
     pub steps: Vec<GroupStepStats>,

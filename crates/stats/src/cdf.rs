@@ -6,10 +6,9 @@
 //! so the type tracks how many samples were dropped by a zero filter.
 
 use crate::summary::percentile_of_sorted;
-use serde::{Deserialize, Serialize};
 
 /// An empirical CDF over a finite sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cdf {
     /// Samples in ascending order.
     sorted: Vec<f64>,

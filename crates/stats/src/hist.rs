@@ -1,10 +1,8 @@
 //! Histograms, including the log-spaced variant used for migration-burst
 //! distributions (Fig 4b/7 span 10¹–10⁵ GB, so linear bins are useless).
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-bin histogram.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     /// Bin edges, ascending; bin `i` covers `[edges[i], edges[i+1])`.
     edges: Vec<f64>,

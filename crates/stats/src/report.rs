@@ -1,114 +1,11 @@
-//! Plain-text tables and a minimal JSON emitter for experiment output.
+//! Plain-text tables for experiment output.
 //!
 //! The bench harness regenerates the paper's tables and figure series as
-//! text. A tiny hand-rolled emitter keeps the workspace inside the
-//! approved dependency set (no `serde_json`): experiment results are
-//! simple trees of numbers and strings, which [`Json`] covers.
+//! text: [`Table`] lays out rows in fixed-width columns, in the style of
+//! the paper's Table 1, and [`thousands`] formats its GB figures. Machine-
+//! readable output goes through `vb_telemetry::Json`.
 
 use std::fmt::Write as _;
-
-/// A minimal JSON value for experiment reports.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// JSON `null`.
-    Null,
-    /// JSON boolean.
-    Bool(bool),
-    /// JSON number (non-finite values serialize as `null`).
-    Num(f64),
-    /// JSON string.
-    Str(String),
-    /// JSON array.
-    Arr(Vec<Json>),
-    /// JSON object (insertion-ordered key/value pairs).
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Convenience constructor for object literals.
-    pub fn obj(fields: Vec<(&str, Json)>) -> Json {
-        Json::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
-    }
-
-    /// Convenience constructor for number arrays.
-    pub fn nums(values: &[f64]) -> Json {
-        Json::Arr(values.iter().map(|&v| Json::Num(v)).collect())
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    // Integral values print without a trailing ".0" to stay
-                    // close to what a human would write in a table.
-                    if n.fract() == 0.0 && n.abs() < 1e15 {
-                        let _ = write!(out, "{}", *n as i64);
-                    } else {
-                        let _ = write!(out, "{n}");
-                    }
-                } else {
-                    // JSON has no Inf/NaN; encode as null like most emitters.
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    Json::Str(k.clone()).write(out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-impl std::fmt::Display for Json {
-    /// Serialize to a compact JSON string.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out);
-        f.write_str(&out)
-    }
-}
 
 /// A fixed-width plain-text table, in the style of the paper's Table 1.
 #[derive(Debug, Clone)]
@@ -132,12 +29,6 @@ impl Table {
         row.resize(self.headers.len(), String::new());
         self.rows.push(row);
         self
-    }
-
-    /// Append a row of display-formatted cells.
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
     }
 
     /// Number of data rows.
@@ -214,33 +105,6 @@ pub fn thousands(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_scalars_serialize() {
-        assert_eq!(Json::Null.to_string(), "null");
-        assert_eq!(Json::Bool(true).to_string(), "true");
-        assert_eq!(Json::Num(3.0).to_string(), "3");
-        assert_eq!(Json::Num(3.5).to_string(), "3.5");
-        assert_eq!(Json::Num(f64::NAN).to_string(), "null");
-        assert_eq!(Json::Str("a\"b".into()).to_string(), "\"a\\\"b\"");
-    }
-
-    #[test]
-    fn json_composites_serialize() {
-        let j = Json::obj(vec![
-            ("name", Json::Str("solar".into())),
-            ("values", Json::nums(&[1.0, 2.5])),
-        ]);
-        assert_eq!(j.to_string(), r#"{"name":"solar","values":[1,2.5]}"#);
-    }
-
-    #[test]
-    fn json_escapes_control_characters() {
-        assert_eq!(
-            Json::Str("a\nb\t\u{1}".into()).to_string(),
-            "\"a\\nb\\t\\u0001\""
-        );
-    }
 
     #[test]
     fn table_renders_aligned_columns() {

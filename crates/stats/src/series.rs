@@ -6,8 +6,6 @@
 //! offset, an interval, and a dense `Vec<f64>`, and provides the windowed
 //! and element-wise operations the evaluation needs.
 
-use serde::{Deserialize, Serialize};
-
 /// Seconds in one hour; used when converting power (MW) to energy (MWh).
 pub const SECS_PER_HOUR: u64 = 3_600;
 
@@ -18,7 +16,7 @@ pub const SECS_PER_HOUR: u64 = 3_600;
 /// For power traces the value is the average power (MW, or normalized to
 /// peak capacity) over that span, which makes energy integration exact:
 /// `energy = value * interval`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     /// Offset of sample 0 from the trace epoch, in seconds.
     pub start_secs: u64,
@@ -73,12 +71,6 @@ impl TimeSeries {
     /// Duration covered by the whole series, in seconds.
     pub fn duration_secs(&self) -> u64 {
         self.len() as u64 * self.interval_secs
-    }
-
-    /// Samples per hour. Fractional when the interval exceeds an hour.
-    pub fn samples_per_hour(&self) -> f64 {
-        // vb-audit: allow(div-guard, interval_secs > 0 is enforced by every constructor)
-        SECS_PER_HOUR as f64 / self.interval_secs as f64
     }
 
     /// Index of the sample covering wall-clock second `t`, if in range.

@@ -1,9 +1,6 @@
 //! Scalar summaries: mean, standard deviation, percentiles and the
 //! coefficient of variation the paper uses to rank site combinations.
 
-use crate::series::TimeSeries;
-use serde::{Deserialize, Serialize};
-
 /// Arithmetic mean; 0 for an empty slice.
 pub fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {
@@ -75,7 +72,7 @@ pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
 }
 
 /// One-shot descriptive summary of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub count: usize,
@@ -123,14 +120,6 @@ impl Summary {
             max: *sorted.last().expect("non-empty"),
             total: values.iter().sum(),
         }
-    }
-
-    /// Summarise a time series' samples.
-    ///
-    /// # Panics
-    /// Panics if the series is empty.
-    pub fn of_series(series: &TimeSeries) -> Summary {
-        Summary::of(&series.values)
     }
 
     /// Tail-to-upper-quartile ratio (p99 / p75), the "high tail" metric of

@@ -19,11 +19,10 @@
 
 use crate::site::{Site, SourceKind};
 use crate::weather::{Ar1Request, Channel, WeatherField};
-use serde::{Deserialize, Serialize};
 use vb_stats::TimeSeries;
 
 /// Forecast lead time, mirroring Figure 5's three horizons.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Horizon {
     /// 3 hours ahead — MAPE target 8.5–9 %.
     Hours3,
@@ -59,7 +58,7 @@ impl Horizon {
 }
 
 /// Error-model parameters for one (horizon, source) pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ForecastParams {
     /// Width (in samples) of the centred moving average applied to the
     /// actuals: forecasts can't see fast fluctuations.

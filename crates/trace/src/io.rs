@@ -1,6 +1,8 @@
 //! Trace serialization: a simple CSV form for interoperability with
-//! plotting tools, and a compact binary codec (via `bytes`) for caching
-//! long simulation inputs.
+//! plotting tools, and a multi-site dataset CSV, the form real ELIA and
+//! EMHIRES exports are converted to. Both parsers reject a non-finite
+//! number (`NaN`, `inf`, or a literal that overflows `f64`) with a typed
+//! error.
 //!
 //! CSV layout (one sample per line):
 //!
@@ -11,7 +13,6 @@
 //! 900,0.012345
 //! ```
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt::Write as _;
 use vb_stats::TimeSeries;
 
@@ -27,8 +28,6 @@ pub enum TraceIoError {
         /// The offending line's content.
         content: String,
     },
-    /// Binary payload truncated or wrong magic.
-    BadBinary(&'static str),
 }
 
 impl std::fmt::Display for TraceIoError {
@@ -38,7 +37,6 @@ impl std::fmt::Display for TraceIoError {
             TraceIoError::BadLine { line_no, content } => {
                 write!(f, "bad trace line {line_no}: {content}")
             }
-            TraceIoError::BadBinary(why) => write!(f, "bad binary trace: {why}"),
         }
     }
 }
@@ -74,14 +72,14 @@ pub fn from_csv(text: &str) -> Result<TimeSeries, TraceIoError> {
         if line.is_empty() || line == "time_secs,value" {
             continue;
         }
-        let value = line
-            .split(',')
-            .nth(1)
-            .and_then(|v| v.trim().parse::<f64>().ok())
-            .ok_or_else(|| TraceIoError::BadLine {
-                line_no: line_no + 1,
-                content: line.to_string(),
-            })?;
+        let value =
+            line.split(',')
+                .nth(1)
+                .and_then(finite)
+                .ok_or_else(|| TraceIoError::BadLine {
+                    line_no: line_no + 1,
+                    content: line.to_string(),
+                })?;
         values.push(value);
     }
     Ok(TimeSeries {
@@ -89,6 +87,11 @@ pub fn from_csv(text: &str) -> Result<TimeSeries, TraceIoError> {
         interval_secs,
         values,
     })
+}
+
+/// `text` as a finite `f64`; `None` for a malformed, NaN or infinite one.
+fn finite(text: &str) -> Option<f64> {
+    text.trim().parse::<f64>().ok().filter(|v| v.is_finite())
 }
 
 fn parse_header(header: &str) -> Result<(u64, u64), TraceIoError> {
@@ -109,51 +112,6 @@ fn parse_header(header: &str) -> Result<(u64, u64), TraceIoError> {
         (Some(i), Some(s)) if i > 0 => Ok((i, s)),
         _ => Err(bad()),
     }
-}
-
-const BINARY_MAGIC: u32 = 0x5642_5452; // "VBTR"
-
-/// Encode a series into the compact binary form:
-/// `magic u32 | start u64 | interval u64 | len u64 | f64 × len`
-/// (all little-endian).
-pub fn to_binary(series: &TimeSeries) -> Bytes {
-    let mut buf = BytesMut::with_capacity(28 + 8 * series.len());
-    buf.put_u32_le(BINARY_MAGIC);
-    buf.put_u64_le(series.start_secs);
-    buf.put_u64_le(series.interval_secs);
-    buf.put_u64_le(series.len() as u64);
-    for &v in &series.values {
-        buf.put_f64_le(v);
-    }
-    buf.freeze()
-}
-
-/// Decode the binary form produced by [`to_binary`].
-pub fn from_binary(mut data: Bytes) -> Result<TimeSeries, TraceIoError> {
-    if data.remaining() < 28 {
-        return Err(TraceIoError::BadBinary("truncated header"));
-    }
-    if data.get_u32_le() != BINARY_MAGIC {
-        return Err(TraceIoError::BadBinary("wrong magic"));
-    }
-    let start_secs = data.get_u64_le();
-    let interval_secs = data.get_u64_le();
-    if interval_secs == 0 {
-        return Err(TraceIoError::BadBinary("zero interval"));
-    }
-    let len = data.get_u64_le() as usize;
-    if data.remaining() < len * 8 {
-        return Err(TraceIoError::BadBinary("truncated payload"));
-    }
-    let mut values = Vec::with_capacity(len);
-    for _ in 0..len {
-        values.push(data.get_f64_le());
-    }
-    Ok(TimeSeries {
-        start_secs,
-        interval_secs,
-        values,
-    })
 }
 
 #[cfg(test)]
@@ -192,36 +150,23 @@ mod tests {
             from_csv(bad_line),
             Err(TraceIoError::BadLine { .. })
         ));
+        for cell in ["NaN", "inf", "-inf", "1e400"] {
+            let csv =
+                format!("# interval_secs=900 start_secs=0\ntime_secs,value\n0,0.5\n900,{cell}");
+            let content = format!("900,{cell}");
+            assert_eq!(
+                from_csv(&csv),
+                Err(TraceIoError::BadLine {
+                    line_no: 4,
+                    content
+                })
+            );
+        }
     }
 
     #[test]
     fn csv_rejects_zero_interval() {
         assert!(from_csv("# interval_secs=0 start_secs=0\n").is_err());
-    }
-
-    #[test]
-    fn binary_round_trips() {
-        let s = sample();
-        assert_eq!(from_binary(to_binary(&s)).unwrap(), s);
-    }
-
-    #[test]
-    fn binary_rejects_corruption() {
-        let bytes = to_binary(&sample());
-        assert!(matches!(
-            from_binary(bytes.slice(0..10)),
-            Err(TraceIoError::BadBinary("truncated header"))
-        ));
-        assert!(matches!(
-            from_binary(bytes.slice(0..30)),
-            Err(TraceIoError::BadBinary("truncated payload"))
-        ));
-        let mut corrupted = BytesMut::from(&bytes[..]);
-        corrupted[0] ^= 0xff;
-        assert!(matches!(
-            from_binary(corrupted.freeze()),
-            Err(TraceIoError::BadBinary("wrong magic"))
-        ));
     }
 
     #[test]
@@ -313,9 +258,9 @@ pub fn dataset_from_csv(text: &str) -> Result<(Vec<crate::Site>, Vec<TimeSeries>
             "wind" => SourceKind::Wind,
             _ => return Err(bad()),
         };
-        let lat: f64 = parts[2].parse().map_err(|_| bad())?;
-        let lon: f64 = parts[3].parse().map_err(|_| bad())?;
-        let cap: f64 = parts[4].parse().map_err(|_| bad())?;
+        let lat = finite(parts[2]).ok_or_else(bad)?;
+        let lon = finite(parts[3]).ok_or_else(bad)?;
+        let cap = finite(parts[4]).ok_or_else(bad)?;
         let site = match kind {
             SourceKind::Solar => Site::solar(parts[0], lat, lon),
             SourceKind::Wind => Site::wind(parts[0], lat, lon),
@@ -342,7 +287,7 @@ pub fn dataset_from_csv(text: &str) -> Result<(Vec<crate::Site>, Vec<TimeSeries>
             });
         }
         for (col, cell) in columns.iter_mut().zip(&cells[1..]) {
-            let v: f64 = cell.trim().parse().map_err(|_| TraceIoError::BadLine {
+            let v = finite(cell).ok_or_else(|| TraceIoError::BadLine {
                 line_no: line_no + 1,
                 content: line.to_string(),
             })?;
@@ -412,6 +357,32 @@ mod dataset_tests {
             dataset_from_csv(bad_row),
             Err(TraceIoError::BadLine { .. })
         ));
+        // A non-finite site field or sample: NaN, ±inf, or a literal that
+        // overflows f64.
+        for site in [
+            "# site a solar NaN 2 3",
+            "# site a solar 1 inf 3",
+            "# site a wind 1 2 -inf",
+            "# site a wind 1e400 2 3",
+        ] {
+            let csv = format!("# interval_secs=900 start_secs=0\n{site}\ntime_secs,a\n0,0.1");
+            let header = TraceIoError::BadHeader(site.to_string());
+            assert_eq!(dataset_from_csv(&csv), Err(header));
+        }
+        for cell in ["NaN", "inf", "1e400"] {
+            let csv = format!(
+                "# interval_secs=900 start_secs=0\n# site a solar 1 2 3\n# site b wind 4 5 6\n\
+                 time_secs,a,b\n0,0.1,0.2\n900,0.3,{cell}"
+            );
+            let content = format!("900,0.3,{cell}");
+            assert_eq!(
+                dataset_from_csv(&csv),
+                Err(TraceIoError::BadLine {
+                    line_no: 6,
+                    content
+                })
+            );
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //!   400 MW peak capacity the paper assumes. [`Catalog::group_series`]
 //!   synthesizes a site group's traces and forecasts from one batch of
 //!   weather draws, drawing each stream the sites share once.
-//! * [`io`] — CSV and compact binary trace serialization.
+//! * [`io`] — CSV trace and dataset serialization.
 //!
 //! Everything is deterministic given a [`u64`] seed, so experiments and
 //! tests are reproducible bit-for-bit.

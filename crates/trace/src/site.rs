@@ -6,8 +6,6 @@
 //! model here (great-circle distance at a fraction of the speed of light
 //! plus a fixed processing overhead) provides that proximity notion.
 
-use serde::{Deserialize, Serialize};
-
 /// The paper's assumed per-farm peak capacity (§2.3).
 pub const DEFAULT_CAPACITY_MW: f64 = 400.0;
 
@@ -15,7 +13,7 @@ pub const DEFAULT_CAPACITY_MW: f64 = 400.0;
 pub const EARTH_RADIUS_KM: f64 = 6_371.0;
 
 /// Which renewable source powers a site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SourceKind {
     /// Photovoltaic generation (diurnal, zero at night).
     Solar,
@@ -40,7 +38,7 @@ impl std::fmt::Display for SourceKind {
 }
 
 /// A renewable farm co-located with a VB edge data center.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Site {
     /// Human-readable identifier, e.g. `"NO-solar"`.
     pub name: String,

@@ -20,11 +20,10 @@
 use crate::site::Site;
 use crate::weather::{Ar1Request, Channel, WeatherField};
 use crate::INTERVAL_15M;
-use serde::{Deserialize, Serialize};
 use vb_stats::TimeSeries;
 
 /// Cloud-cover class of a whole day, as in Fig 2a's annotations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DayRegime {
     /// Mostly clear sky: transmittance near 0.9.
     Clear,
@@ -36,7 +35,7 @@ pub enum DayRegime {
 
 /// Tunable solar model. [`SolarModel::default`] is calibrated to the
 /// paper's Figure 2 statistics (see `tests/calibration.rs`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SolarModel {
     /// Transmittance on clear days.
     pub clear_transmittance: f64,

@@ -23,12 +23,11 @@
 use crate::site::Site;
 use crate::weather::{Ar1Request, Channel, WeatherField};
 use crate::INTERVAL_15M;
-use serde::{Deserialize, Serialize};
 use vb_stats::TimeSeries;
 
 /// Tunable wind model; [`WindModel::default`] is calibrated against the
 /// paper's Figure 2 statistics (see `tests/calibration.rs`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WindModel {
     /// Long-run mean wind speed (m/s) in the neutral regime.
     pub base_speed: f64,

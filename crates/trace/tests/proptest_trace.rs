@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use vb_stats::TimeSeries;
-use vb_trace::io::{from_binary, from_csv, to_binary, to_csv};
+use vb_trace::io::{from_csv, to_csv};
 use vb_trace::{forecast_for, generate_in, Catalog, Horizon, Site, SourceKind, WeatherField};
 
 type SeriesBits = (u64, u64, Vec<u64>);
@@ -166,17 +166,6 @@ proptest! {
         for (a, b) in ts.values.iter().zip(&parsed.values) {
             prop_assert!((a - b).abs() < 1e-6, "CSV keeps 6 decimals");
         }
-    }
-
-    #[test]
-    fn binary_roundtrip_is_exact(
-        values in proptest::collection::vec(-1e6..1e6f64, 0..200),
-        start in 0u64..1_000_000,
-        interval in 1u64..100_000,
-    ) {
-        let ts = TimeSeries::with_start(start, interval, values);
-        let back = from_binary(to_binary(&ts)).unwrap();
-        prop_assert_eq!(back, ts);
     }
 
     #[test]

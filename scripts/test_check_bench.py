@@ -95,13 +95,19 @@ FLEET_COUNTS_PAST_BAND = {"event_wakeups": 16_900, "stale_events": 137, "transfe
 class GateHarness(unittest.TestCase):
     def gate(self, current, baseline, rows_filter=None, overrides=None):
         """Run the gate over two in-memory results; return (code, output)."""
+        return self.gate_text(
+            json.dumps(current), json.dumps(baseline), rows_filter, overrides
+        )
+
+    def gate_text(self, current, baseline, rows_filter=None, overrides=None):
+        """Run the gate over two result files' text; return (code, output)."""
         with tempfile.TemporaryDirectory() as tmp:
             cur_path = os.path.join(tmp, "current.json")
             base_path = os.path.join(tmp, "baseline.json")
             with open(cur_path, "w") as fh:
-                json.dump(current, fh)
+                fh.write(current)
             with open(base_path, "w") as fh:
-                json.dump(baseline, fh)
+                fh.write(baseline)
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 code = check_bench.run_gate(cur_path, base_path, rows_filter, overrides)
@@ -242,6 +248,37 @@ class SolverGateTests(GateHarness):
         )
         self.assertEqual(code, 0, out)
         self.assertNotIn("100x.", out)
+
+    def test_bench_writer_format_passes_against_a_pretty_baseline(self):
+        # `vb_bench::report::write_bench_json` writes one compact row per
+        # line and f64 values at full precision, so an integral objective
+        # sum reads `37912.0`; committed baselines are pretty-printed with
+        # `37912`. The gate compares numbers, not text: the pair passes,
+        # and an objective one off still fails the exact rule.
+        row = solver_scale_row(
+            "1x", apps=16, vars=66, rows=44, epochs=8, kernel_secs=0.001946,
+            kernel_pivots=323, presolve_vars_fixed=240, refactorizations=0,
+            eta_updates=323, lp_solves=8, nodes_expanded=8, objective_sum=37912,
+        )
+        baseline = json.dumps(solver_result(scaling=[row]), indent=2)
+        self.assertIn('"objective_sum": 37912\n', baseline)
+        for objective, expected in (("37912.0", 0), ("37913.0", 1)):
+            current = (
+                '{"bench":"solver_scaling","scaling":[\n'
+                '{"scale":"1x","apps":16,"vars":66,"rows":44,"epochs":8,'
+                '"kernel_secs":0.001946,"kernel_pivots":323,'
+                '"presolve_vars_fixed":240,"refactorizations":0,'
+                '"eta_updates":323,"lp_solves":8,"nodes_expanded":8,'
+                f'"objective_sum":{objective}}}\n'
+                "]}\n"
+            )
+            with self.subTest(objective=objective):
+                code, out = self.gate_text(current, baseline)
+                self.assertEqual(code, expected, out)
+                verdict = "ok" if expected == 0 else "FAIL"
+                self.assertRegex(
+                    out, rf"1x\.objective_sum .* {verdict} \(exact match required\)"
+                )
 
 
 class FleetGateTests(GateHarness):

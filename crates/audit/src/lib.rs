@@ -89,6 +89,7 @@ pub fn spec_for(rel: &str) -> FileSpec {
         "crates/cluster/src/",
         "crates/net/src/",
         "crates/core/src/",
+        "crates/stats/src/",
     ]);
     let div_guard = rel == "crates/net/src/wan.rs" || rel.starts_with("crates/stats/src/");
     // The deterministic core: crates whose data structures feed

@@ -3,7 +3,7 @@
 //! | lint              | rule                                                        |
 //! |-------------------|-------------------------------------------------------------|
 //! | `no-panic`        | no `.unwrap()` / `.expect(` / `panic!` in library code of   |
-//! |                   | the instrumented crates (sched, cluster, net, core)         |
+//! |                   | sched, cluster, net, core and stats                         |
 //! | `float-cmp`       | no `.partial_cmp(` — float ordering must use `total_cmp`    |
 //! | `horizon-literal` | no naked `96` / `672` outside the `STEPS_PER_DAY` /         |
 //! |                   | `DAY_AHEAD_STEPS` definitions                               |

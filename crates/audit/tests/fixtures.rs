@@ -254,6 +254,25 @@ fn no_panic_lint_is_path_scoped() {
     assert_eq!(findings, [], "expected clean, got: {findings:#?}");
 }
 
+#[test]
+fn no_panic_covers_the_hot_path_crates_and_vb_stats() {
+    for rel in [
+        "crates/sched/src/sim.rs",
+        "crates/cluster/src/cluster.rs",
+        "crates/net/src/wan.rs",
+        "crates/core/src/fleet.rs",
+        "crates/stats/src/summary.rs",
+    ] {
+        assert!(vb_audit::spec_for(rel).no_panic, "{rel} is in scope");
+    }
+    for rel in [
+        "crates/stats/tests/proptest_stats.rs",
+        "crates/solver/src/branch.rs",
+    ] {
+        assert!(!vb_audit::spec_for(rel).no_panic, "{rel} is out of scope");
+    }
+}
+
 // ---- determinism family ------------------------------------------------
 
 #[test]

@@ -86,9 +86,6 @@ fn ablate_peak_weight(catalog: &Catalog, cfg: &GroupSimConfig) {
     for w in [0.0, 12.0, 24.0, 48.0] {
         let mut mc = MipConfig::mip_peak();
         mc.peak_weight = w;
-        if w == 0.0 {
-            mc.minimize_peak = false;
-        }
         let s = GroupSim::new(catalog, &TRIO, cfg.clone())
             .expect("benchmark sites must exist in the catalog")
             .run(&mut MipPolicy::new(mc));

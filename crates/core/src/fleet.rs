@@ -26,7 +26,8 @@ use crate::multivb::MultiVb;
 /// within one fleet run — the comparison axis is across runs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetPolicy {
-    /// Greedy most-headroom placement (Table 1 row 1).
+    /// Greedy placement on the site with the most available power, the
+    /// paper's baseline (Table 1 row 1).
     Greedy,
     /// MIP with a 24 h look-ahead (Table 1 row 2).
     Mip24h,

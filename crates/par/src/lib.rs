@@ -34,8 +34,7 @@
 //! `par.worker_tasks` histogram (work-sharing balance across workers)
 //! and `par.busy` spans. Each fan-out also captures the caller's trace
 //! context and adopts it on every worker, so worker span timelines nest
-//! under the span that launched the `par_map`. All of it compiles out
-//! with the workspace-wide `telemetry` feature.
+//! under the span that launched the `par_map`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -68,11 +68,11 @@ pub struct MipConfig {
     /// "MIP", 96 = 24 h for "MIP-24h"). The effective horizon is capped
     /// by the forecast vectors the context carries.
     pub horizon_steps: u32,
-    /// Include the O2 peak objective ("MIP-peak").
-    pub minimize_peak: bool,
-    /// Weight λ of the peak term relative to total bytes. The paper
-    /// treats O2 as second-order; a moderate weight implements that
-    /// priority ordering.
+    /// Weight λ of the O2 peak objective ("MIP-peak") relative to total
+    /// bytes. The paper treats O2 as second-order; a moderate weight
+    /// implements that priority ordering. A positive weight also turns
+    /// on preemptive draining ([`Policy::preemptive_drain`]); at 0 the
+    /// model has no peak variable and the policy never drains.
     pub peak_weight: f64,
     /// GB of migration traffic per displaced core (≈ VM memory per
     /// core; 4 GB for the default workload).
@@ -101,7 +101,6 @@ impl MipConfig {
     pub fn mip() -> MipConfig {
         MipConfig {
             horizon_steps: 7 * STEPS_PER_DAY,
-            minimize_peak: false,
             peak_weight: 0.0,
             gb_per_core: 4.0,
             move_cost_factor: 6.0,
@@ -115,7 +114,6 @@ impl MipConfig {
     pub fn mip_24h() -> MipConfig {
         MipConfig {
             horizon_steps: STEPS_PER_DAY,
-            minimize_peak: false,
             peak_weight: 0.0,
             gb_per_core: 4.0,
             move_cost_factor: 6.0,
@@ -129,7 +127,6 @@ impl MipConfig {
     pub fn mip_peak() -> MipConfig {
         MipConfig {
             horizon_steps: 7 * STEPS_PER_DAY,
-            minimize_peak: true,
             peak_weight: 24.0,
             gb_per_core: 4.0,
             move_cost_factor: 2.5,
@@ -302,7 +299,7 @@ impl MipPolicy {
         // term is non-decreasing in d, so the optimum pins
         // d = max(0, load − capacity) exactly.
         let inf = f64::INFINITY;
-        let peak_z = self.cfg.minimize_peak.then(|| m.var("peak", 0.0, inf));
+        let peak_z = (self.cfg.peak_weight > 0.0).then(|| m.var("peak", 0.0, inf));
         for (s, site) in ctx.sites.iter().enumerate() {
             for b in 0..buckets {
                 let d = m.var(&format!("d_s{s}b{b}"), 0.0, inf);
@@ -465,7 +462,7 @@ impl Policy for MipPolicy {
     }
 
     fn preemptive_drain(&self) -> bool {
-        self.cfg.minimize_peak
+        self.cfg.peak_weight > 0.0
     }
 
     /// Forecast-aware re-hosting: among sites that can admit the app

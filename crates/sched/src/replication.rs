@@ -99,11 +99,7 @@ impl ReplicationModel {
                 }
             })
             .collect();
-        let summary = Summary::of(if per_step.is_empty() {
-            &[0.0]
-        } else {
-            &per_step
-        });
+        let summary = Summary::of(&per_step);
         ReplicationReport {
             mode: self.mode,
             total_gb: summary.total,

@@ -145,7 +145,7 @@ fn reference(ctx: &PlanContext, cfg: &MipConfig) -> Reference {
         )
         .collect();
     let inf = f64::INFINITY;
-    let peak_z = cfg.minimize_peak.then(|| m.var("peak", 0.0, inf));
+    let peak_z = (cfg.peak_weight > 0.0).then(|| m.var("peak", 0.0, inf));
     for (s, site) in ctx.sites.iter().enumerate() {
         for b in 0..buckets {
             let d = m.var(&format!("d_s{s}b{b}"), 0.0, inf);

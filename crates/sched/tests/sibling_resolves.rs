@@ -15,9 +15,8 @@
 //! refactorizes before its sibling solves, and on the largest planning
 //! epochs of `golden_mip.rs`'s two scenarios under MIP: the fleet shard
 //! and the Table 1 trio. Kept in its own test
-//! binary: with telemetry compiled in it also checks that
-//! `solver.shared_pricing_rows` counted the shared rows, and the
-//! registry is process-global.
+//! binary: it also checks that `solver.shared_pricing_rows` counted the
+//! shared rows, and the registry is process-global.
 
 mod common;
 
@@ -220,18 +219,12 @@ fn sibling_resolves_match_independent_warm_starts() {
         );
     }
 
-    // With telemetry compiled in, the production counter saw the shares.
-    if vb_telemetry::snapshot()
-        .counter("solver.lp_solves")
-        .unwrap_or(0)
-        > 0
-    {
-        let shared_after = vb_telemetry::snapshot()
-            .counter("solver.shared_pricing_rows")
-            .unwrap_or(0);
-        assert!(
-            shared_after > shared_before,
-            "solver.shared_pricing_rows counted no shared row"
-        );
-    }
+    // The production counter saw the shares.
+    let shared_after = vb_telemetry::snapshot()
+        .counter("solver.shared_pricing_rows")
+        .unwrap_or(0);
+    assert!(
+        shared_after > shared_before,
+        "solver.shared_pricing_rows counted no shared row"
+    );
 }

@@ -81,11 +81,7 @@ fn warm_starts_cut_total_pivots_without_changing_placements() {
         .collect();
 
     let (cold_pivots, cold_obj) = pivots_for(&models, false);
-    if cold_pivots == 0 {
-        // Telemetry compiled out (--no-default-features): counters stay
-        // zero and the ratio below is meaningless.
-        return;
-    }
+    assert!(cold_pivots > 0, "solver.pivots counted no cold pivot");
     let (warm_pivots, warm_obj) = pivots_for(&models, true);
 
     for (case, (c, w)) in cold_obj.iter().zip(&warm_obj).enumerate() {

@@ -30,7 +30,6 @@
 
 pub mod cdf;
 pub mod error;
-pub mod hist;
 pub mod report;
 pub mod sample;
 pub mod series;
@@ -38,6 +37,5 @@ pub mod summary;
 
 pub use cdf::Cdf;
 pub use error::{mae, mape, mape_above, rmse};
-pub use hist::{autocorrelation, Histogram};
 pub use series::TimeSeries;
 pub use summary::{coefficient_of_variation, mean, percentile, std_dev, Summary};

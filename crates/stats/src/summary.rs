@@ -72,7 +72,7 @@ pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
 }
 
 /// One-shot descriptive summary of a sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Summary {
     /// Number of samples.
     pub count: usize,
@@ -99,25 +99,25 @@ pub struct Summary {
 }
 
 impl Summary {
-    /// Summarise a slice of samples.
-    ///
-    /// # Panics
-    /// Panics if `values` is empty.
+    /// Summarise a slice of samples. An empty slice gives the zero
+    /// summary: `count` 0 and every statistic 0.0.
     pub fn of(values: &[f64]) -> Summary {
-        assert!(!values.is_empty(), "summary of empty slice");
         let mut sorted = values.to_vec();
         sorted.sort_by(|a, b| a.total_cmp(b));
+        let (Some(&min), Some(&max)) = (sorted.first(), sorted.last()) else {
+            return Summary::default();
+        };
         Summary {
             count: values.len(),
             mean: mean(values),
             std: std_dev(values),
             cov: coefficient_of_variation(values),
-            min: sorted[0],
+            min,
             p25: percentile_of_sorted(&sorted, 25.0),
             p50: percentile_of_sorted(&sorted, 50.0),
             p75: percentile_of_sorted(&sorted, 75.0),
             p99: percentile_of_sorted(&sorted, 99.0),
-            max: *sorted.last().expect("non-empty"),
+            max,
             total: values.iter().sum(),
         }
     }
@@ -237,6 +237,29 @@ mod tests {
         assert_eq!(s.p50, 3.0);
         assert_eq!(s.total, 110.0);
         assert!((s.mean - 22.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn summary_of_empty_is_zero() {
+        let s = Summary::of(&[]);
+        assert_eq!(
+            s,
+            Summary {
+                count: 0,
+                mean: 0.0,
+                std: 0.0,
+                cov: 0.0,
+                min: 0.0,
+                p25: 0.0,
+                p50: 0.0,
+                p75: 0.0,
+                p99: 0.0,
+                max: 0.0,
+                total: 0.0,
+            }
+        );
+        assert_eq!(s.tail_ratio(), 0.0);
+        assert_eq!(s.p99_over_p50(), 0.0);
     }
 
     #[test]

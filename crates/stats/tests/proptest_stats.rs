@@ -2,8 +2,7 @@
 
 use proptest::prelude::*;
 use vb_stats::{
-    autocorrelation, coefficient_of_variation, mae, mape, mean, percentile, rmse, std_dev, Cdf,
-    Histogram, Summary, TimeSeries,
+    coefficient_of_variation, mae, mape, mean, percentile, rmse, std_dev, Cdf, Summary, TimeSeries,
 };
 
 fn samples() -> impl Strategy<Value = Vec<f64>> {
@@ -98,21 +97,6 @@ proptest! {
         let noisy: Vec<f64> = v.iter().map(|x| x + 1.0).collect();
         prop_assert!(mae(&v, &noisy) >= 0.0);
         prop_assert!(rmse(&v, &noisy) >= mae(&v, &noisy) - 1e-9);
-    }
-
-    #[test]
-    fn histogram_conserves_samples(v in samples()) {
-        let mut h = Histogram::linear(-1e3, 1e3, 20);
-        h.record_all(&v);
-        prop_assert_eq!(h.total(), v.len() as u64);
-        let binned: u64 = h.rows().iter().map(|r| r.2).sum();
-        prop_assert_eq!(binned + h.underflow() + h.overflow(), v.len() as u64);
-    }
-
-    #[test]
-    fn autocorrelation_is_bounded(v in samples(), lag in 1usize..10) {
-        let r = autocorrelation(&v, lag);
-        prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&r), "r = {r}");
     }
 
     #[test]

@@ -3,9 +3,6 @@
 //! forest, break wall-clock down per phase (span name), and rank the
 //! slowest individual spans — e.g. the top-k slowest `sched.sim_epoch`
 //! epochs of a run.
-//!
-//! Compiled unconditionally (it reads files, it does not record), so the
-//! `trace_analyze` binary works even in `--no-default-features` builds.
 
 use crate::report::Json;
 use std::collections::BTreeMap;

@@ -26,13 +26,6 @@
 //!   spans and prints per-phase wall-clock breakdowns and top-k slowest
 //!   spans (also available as the `trace_analyze` binary).
 //!
-//! ## Compile-out
-//!
-//! Everything is gated behind the `telemetry` cargo feature (on by
-//! default). With `--no-default-features` the same API exists but every
-//! handle is a unit struct with `#[inline]` empty methods: call sites in
-//! the solver, scheduler and simulators compile to nothing.
-//!
 //! ```
 //! let _span = vb_telemetry::span!("example.work");
 //! vb_telemetry::counter!("example.iterations").add(10);
@@ -58,36 +51,17 @@ pub use trace::{
     trace_events, TraceAdoptGuard, TraceContext, TraceEvent, TracePhase,
 };
 
-#[cfg(feature = "telemetry")]
 mod metrics;
-#[cfg(feature = "telemetry")]
 mod registry;
-#[cfg(feature = "telemetry")]
 mod span;
 
-#[cfg(feature = "telemetry")]
 pub use metrics::{Counter, FloatCounter, Gauge, Histogram};
-#[cfg(feature = "telemetry")]
 pub use registry::{event, events, global, reset, snapshot, Registry};
-#[cfg(feature = "telemetry")]
 pub use span::SpanGuard;
 
-#[cfg(feature = "telemetry")]
 #[doc(hidden)]
 pub mod cells {
     pub use crate::metrics::{CounterCell, FloatCounterCell, GaugeCell, HistogramCell};
-}
-
-#[cfg(not(feature = "telemetry"))]
-mod noop;
-#[cfg(not(feature = "telemetry"))]
-pub use noop::{
-    event, events, reset, snapshot, Counter, FloatCounter, Gauge, Histogram, SpanGuard,
-};
-#[cfg(not(feature = "telemetry"))]
-#[doc(hidden)]
-pub mod cells {
-    pub use crate::noop::{CounterCell, FloatCounterCell, GaugeCell, HistogramCell};
 }
 
 /// Monotonic counter handle for the named metric.

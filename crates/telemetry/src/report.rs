@@ -446,8 +446,7 @@ pub struct RunReport {
 
 impl RunReport {
     /// Bundle the global registry's current events, recorded series and
-    /// metrics under `name`. With the `telemetry` feature off this
-    /// returns an empty report.
+    /// metrics under `name`.
     pub fn capture(name: &str) -> RunReport {
         RunReport {
             name: name.to_string(),

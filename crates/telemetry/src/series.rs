@@ -24,9 +24,10 @@
 //! backfilled with zeros, and columns missing from a sample are padded
 //! with zeros, so every column always has exactly one value per epoch.
 
+use std::sync::{Mutex, MutexGuard, OnceLock};
+
 /// One recorded series: parallel `epochs` / per-column value vectors.
-/// Plain data — shared by the live store, the no-op build, and the
-/// run-report serializer.
+/// Plain data — shared by the live store and the run-report serializer.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SeriesData {
     pub name: String,
@@ -56,161 +57,127 @@ impl SeriesData {
     }
 }
 
-#[cfg(feature = "telemetry")]
-mod imp {
-    use super::SeriesData;
-    use std::sync::{Mutex, MutexGuard, OnceLock};
+fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
 
-    fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-        m.lock().unwrap_or_else(|e| e.into_inner())
+fn store() -> &'static Mutex<Vec<SeriesData>> {
+    static STORE: OnceLock<Mutex<Vec<SeriesData>>> = OnceLock::new();
+    STORE.get_or_init(|| Mutex::new(Vec::new()))
+}
+
+/// Append one row to the `(name, instance)` series. Sampling the
+/// same column twice at one epoch keeps the last value.
+pub fn series_sample(name: &'static str, instance: &str, epoch: u64, columns: &[(&str, f64)]) {
+    let mut all = lock_or_recover(store());
+    if !all.iter().any(|s| s.name == name && s.instance == instance) {
+        all.push(SeriesData {
+            name: name.to_string(),
+            instance: instance.to_string(),
+            ..SeriesData::default()
+        });
     }
-
-    fn store() -> &'static Mutex<Vec<SeriesData>> {
-        static STORE: OnceLock<Mutex<Vec<SeriesData>>> = OnceLock::new();
-        STORE.get_or_init(|| Mutex::new(Vec::new()))
-    }
-
-    /// Append one row to the `(name, instance)` series. Sampling the
-    /// same column twice at one epoch keeps the last value.
-    pub fn series_sample(name: &'static str, instance: &str, epoch: u64, columns: &[(&str, f64)]) {
-        let mut all = lock_or_recover(store());
-        if !all.iter().any(|s| s.name == name && s.instance == instance) {
-            all.push(SeriesData {
-                name: name.to_string(),
-                instance: instance.to_string(),
-                ..SeriesData::default()
-            });
-        }
-        let Some(buf) = all
-            .iter_mut()
-            .find(|s| s.name == name && s.instance == instance)
-        else {
-            return;
+    let Some(buf) = all
+        .iter_mut()
+        .find(|s| s.name == name && s.instance == instance)
+    else {
+        return;
+    };
+    buf.epochs.push(epoch);
+    let rows = buf.epochs.len();
+    for &(col, v) in columns {
+        let idx = match buf.columns.iter().position(|(c, _)| c == col) {
+            Some(i) => i,
+            None => {
+                // New column mid-series: backfill earlier epochs.
+                buf.columns.push((col.to_string(), vec![0.0; rows - 1]));
+                buf.columns.len() - 1
+            }
         };
-        buf.epochs.push(epoch);
-        let rows = buf.epochs.len();
-        for &(col, v) in columns {
-            let idx = match buf.columns.iter().position(|(c, _)| c == col) {
-                Some(i) => i,
-                None => {
-                    // New column mid-series: backfill earlier epochs.
-                    buf.columns.push((col.to_string(), vec![0.0; rows - 1]));
-                    buf.columns.len() - 1
-                }
-            };
-            let vals = &mut buf.columns[idx].1;
-            if vals.len() == rows {
-                vals[rows - 1] = v;
-            } else {
-                vals.resize(rows - 1, 0.0);
-                vals.push(v);
-            }
-        }
-        for (_, vals) in &mut buf.columns {
-            if vals.len() < rows {
-                vals.resize(rows, 0.0);
-            }
+        let vals = &mut buf.columns[idx].1;
+        if vals.len() == rows {
+            vals[rows - 1] = v;
+        } else {
+            vals.resize(rows - 1, 0.0);
+            vals.push(v);
         }
     }
-
-    /// Append many rows to the `(name, instance)` series in one store
-    /// lock — the hot-loop batching form of [`series_sample`]. A tight
-    /// per-step loop (the group simulator samples every one of its
-    /// thousands of steps, from every fleet-shard thread at once) pays
-    /// one global mutex acquisition per *run* instead of per step; the
-    /// resulting store content is identical to calling `series_sample`
-    /// once per row with the same columns. Every column slice must be
-    /// parallel to `epochs`.
-    pub fn series_extend(
-        name: &'static str,
-        instance: &str,
-        epochs: &[u64],
-        columns: &[(&str, &[f64])],
-    ) {
-        if epochs.is_empty() {
-            return;
+    for (_, vals) in &mut buf.columns {
+        if vals.len() < rows {
+            vals.resize(rows, 0.0);
         }
-        let mut all = lock_or_recover(store());
-        if !all.iter().any(|s| s.name == name && s.instance == instance) {
-            all.push(SeriesData {
-                name: name.to_string(),
-                instance: instance.to_string(),
-                ..SeriesData::default()
-            });
-        }
-        let Some(buf) = all
-            .iter_mut()
-            .find(|s| s.name == name && s.instance == instance)
-        else {
-            return;
-        };
-        let start = buf.epochs.len();
-        buf.epochs.extend_from_slice(epochs);
-        let rows = buf.epochs.len();
-        for &(col, vals) in columns {
-            debug_assert_eq!(vals.len(), epochs.len(), "column {col} not parallel");
-            let idx = match buf.columns.iter().position(|(c, _)| c == col) {
-                Some(i) => i,
-                None => {
-                    // New column mid-series: backfill earlier epochs.
-                    buf.columns.push((col.to_string(), vec![0.0; start]));
-                    buf.columns.len() - 1
-                }
-            };
-            let out = &mut buf.columns[idx].1;
-            out.resize(start, 0.0);
-            out.extend(vals.iter().copied().take(epochs.len()));
-        }
-        for (_, vals) in &mut buf.columns {
-            if vals.len() < rows {
-                vals.resize(rows, 0.0);
-            }
-        }
-    }
-
-    /// Copy of every recorded series, sorted by `(name, instance)` for
-    /// deterministic reports regardless of recorder thread interleaving.
-    pub fn series_snapshot() -> Vec<SeriesData> {
-        let mut all = lock_or_recover(store()).clone();
-        all.sort_by(|a, b| (&a.name, &a.instance).cmp(&(&b.name, &b.instance)));
-        all
-    }
-
-    /// Drop every recorded series (between runs).
-    pub(crate) fn reset_series() {
-        lock_or_recover(store()).clear();
     }
 }
 
-#[cfg(feature = "telemetry")]
-pub(crate) use imp::reset_series;
-#[cfg(feature = "telemetry")]
-pub use imp::{series_extend, series_sample, series_snapshot};
-
-/// Samples are dropped when telemetry is compiled out.
-#[cfg(not(feature = "telemetry"))]
-#[inline(always)]
-pub fn series_sample(_name: &'static str, _instance: &str, _epoch: u64, _columns: &[(&str, f64)]) {}
-
-/// Samples are dropped when telemetry is compiled out.
-#[cfg(not(feature = "telemetry"))]
-#[inline(always)]
+/// Append many rows to the `(name, instance)` series in one store
+/// lock — the hot-loop batching form of [`series_sample`]. A tight
+/// per-step loop (the group simulator samples every one of its
+/// thousands of steps, from every fleet-shard thread at once) pays
+/// one global mutex acquisition per *run* instead of per step; the
+/// resulting store content is identical to calling `series_sample`
+/// once per row with the same columns. Every column slice must be
+/// parallel to `epochs`.
 pub fn series_extend(
-    _name: &'static str,
-    _instance: &str,
-    _epochs: &[u64],
-    _columns: &[(&str, &[f64])],
+    name: &'static str,
+    instance: &str,
+    epochs: &[u64],
+    columns: &[(&str, &[f64])],
 ) {
+    if epochs.is_empty() {
+        return;
+    }
+    let mut all = lock_or_recover(store());
+    if !all.iter().any(|s| s.name == name && s.instance == instance) {
+        all.push(SeriesData {
+            name: name.to_string(),
+            instance: instance.to_string(),
+            ..SeriesData::default()
+        });
+    }
+    let Some(buf) = all
+        .iter_mut()
+        .find(|s| s.name == name && s.instance == instance)
+    else {
+        return;
+    };
+    let start = buf.epochs.len();
+    buf.epochs.extend_from_slice(epochs);
+    let rows = buf.epochs.len();
+    for &(col, vals) in columns {
+        debug_assert_eq!(vals.len(), epochs.len(), "column {col} not parallel");
+        let idx = match buf.columns.iter().position(|(c, _)| c == col) {
+            Some(i) => i,
+            None => {
+                // New column mid-series: backfill earlier epochs.
+                buf.columns.push((col.to_string(), vec![0.0; start]));
+                buf.columns.len() - 1
+            }
+        };
+        let out = &mut buf.columns[idx].1;
+        out.resize(start, 0.0);
+        out.extend(vals.iter().copied().take(epochs.len()));
+    }
+    for (_, vals) in &mut buf.columns {
+        if vals.len() < rows {
+            vals.resize(rows, 0.0);
+        }
+    }
 }
 
-/// Always empty when telemetry is compiled out.
-#[cfg(not(feature = "telemetry"))]
-#[inline]
+/// Copy of every recorded series, sorted by `(name, instance)` for
+/// deterministic reports regardless of recorder thread interleaving.
 pub fn series_snapshot() -> Vec<SeriesData> {
-    Vec::new()
+    let mut all = lock_or_recover(store()).clone();
+    all.sort_by(|a, b| (&a.name, &a.instance).cmp(&(&b.name, &b.instance)));
+    all
 }
 
-#[cfg(all(test, feature = "telemetry"))]
+/// Drop every recorded series (between runs).
+pub(crate) fn reset_series() {
+    lock_or_recover(store()).clear();
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -1,5 +1,5 @@
-//! Plain-data snapshot types shared by the live registry, the no-op
-//! build, and the run-report serializer.
+//! Plain-data snapshot types shared by the live registry and the
+//! run-report serializer.
 
 /// A point-in-time copy of every registered metric, sorted by name.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -44,16 +44,6 @@ impl Snapshot {
     /// Look up span timing stats by name.
     pub fn span(&self, name: &str) -> Option<&SpanStat> {
         self.spans.iter().find(|(n, _)| n == name).map(|(_, s)| s)
-    }
-
-    /// True when nothing was recorded (always the case with the
-    /// `telemetry` feature disabled).
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.float_counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.spans.is_empty()
     }
 }
 

@@ -7,11 +7,10 @@
 //! The hot path touches only thread-local state. Each thread appends
 //! [`TraceEvent`]s to a private buffer and flushes it into the bounded
 //! process-global collector in one lock acquisition when either the
-//! buffer fills ([`VB_TRACE_THREAD_CAPACITY`], default 16 384 events) or
-//! the thread's outermost span closes. The collector itself is bounded
-//! ([`VB_TRACE_CAPACITY`], default 1 048 576 events); once full, further
-//! events are dropped and counted in [`trace_drops`] — recording never
-//! blocks and never grows without bound.
+//! buffer fills (16 384 events) or the thread's outermost span closes.
+//! The collector itself holds at most 1 048 576 events; once full,
+//! further events are dropped and counted in [`trace_drops`] — recording
+//! never blocks and never grows without bound.
 //!
 //! ## Cross-thread causality
 //!
@@ -22,12 +21,14 @@
 //! children of the span that launched them.
 //!
 //! Recording can be switched off at runtime with [`set_trace_enabled`]
-//! or by setting `VB_TRACE=0`; with `--no-default-features` the whole
-//! module compiles to no-ops (`trace_events` returns an empty vec).
+//! or by setting `VB_TRACE=0`.
 //!
 //! [`span!`]: crate::span!
-//! [`VB_TRACE_THREAD_CAPACITY`]: self#recording-design
-//! [`VB_TRACE_CAPACITY`]: self#recording-design
+
+use std::cell::{Cell, RefCell};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::time::Instant;
 
 use crate::report::Json;
 
@@ -57,9 +58,8 @@ pub struct TraceEvent {
 /// A captured parent-span link, handed to worker threads so their spans
 /// nest under the capturing thread's innermost open span. `Copy` + cheap
 /// so `vb-par` can clone it into every worker closure.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct TraceContext {
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     pub(crate) parent: u64,
 }
 
@@ -99,287 +99,212 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     Json::Arr(arr).emit()
 }
 
-#[cfg(feature = "telemetry")]
-mod imp {
-    use super::{TraceContext, TraceEvent, TracePhase};
-    use std::cell::{Cell, RefCell};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Mutex, MutexGuard, OnceLock};
-    use std::time::Instant;
+/// See `registry::lock_or_recover`: telemetry must survive lock
+/// poisoning from unrelated panics.
+fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
 
-    /// See `registry::lock_or_recover`: telemetry must survive lock
-    /// poisoning from unrelated panics.
-    fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-        m.lock().unwrap_or_else(|e| e.into_inner())
-    }
+fn trace_epoch() -> Instant {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    *EPOCH.get_or_init(Instant::now)
+}
 
-    fn trace_epoch() -> Instant {
-        static EPOCH: OnceLock<Instant> = OnceLock::new();
-        *EPOCH.get_or_init(Instant::now)
-    }
+fn now_ns() -> u64 {
+    trace_epoch().elapsed().as_nanos().min(u64::MAX as u128) as u64
+}
 
-    fn now_ns() -> u64 {
-        trace_epoch().elapsed().as_nanos().min(u64::MAX as u128) as u64
-    }
+fn enabled_flag() -> &'static AtomicBool {
+    static FLAG: OnceLock<AtomicBool> = OnceLock::new();
+    FLAG.get_or_init(|| {
+        let off = matches!(
+            std::env::var("VB_TRACE").as_deref(),
+            Ok("0") | Ok("off") | Ok("false")
+        );
+        AtomicBool::new(!off)
+    })
+}
 
-    fn enabled_flag() -> &'static AtomicBool {
-        static FLAG: OnceLock<AtomicBool> = OnceLock::new();
-        FLAG.get_or_init(|| {
-            let off = matches!(
-                std::env::var("VB_TRACE").as_deref(),
-                Ok("0") | Ok("off") | Ok("false")
-            );
-            AtomicBool::new(!off)
-        })
-    }
+/// Turn trace recording on or off at runtime. Span timing aggregates
+/// are unaffected; only timeline records stop.
+pub fn set_trace_enabled(on: bool) {
+    enabled_flag().store(on, Ordering::Relaxed);
+}
 
-    /// Turn trace recording on or off at runtime. Span timing aggregates
-    /// are unaffected; only timeline records stop.
-    pub fn set_trace_enabled(on: bool) {
-        enabled_flag().store(on, Ordering::Relaxed);
-    }
+/// True when timeline records are being collected.
+pub fn trace_enabled() -> bool {
+    enabled_flag().load(Ordering::Relaxed)
+}
 
-    /// True when timeline records are being collected.
-    pub fn trace_enabled() -> bool {
-        enabled_flag().load(Ordering::Relaxed)
-    }
+/// Events a thread buffers before flushing them into the collector.
+const THREAD_CAPACITY: usize = 16 * 1024;
 
-    fn env_capacity(var: &str, default: usize) -> usize {
-        std::env::var(var)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(|v| v.max(16))
-            .unwrap_or(default)
-    }
+/// Events the global collector holds before it starts dropping.
+const GLOBAL_CAPACITY: usize = 1 << 20;
 
-    fn thread_capacity() -> usize {
-        static CAP: OnceLock<usize> = OnceLock::new();
-        *CAP.get_or_init(|| env_capacity("VB_TRACE_THREAD_CAPACITY", 16 * 1024))
-    }
+fn collector() -> &'static Mutex<Vec<TraceEvent>> {
+    static COLLECTOR: OnceLock<Mutex<Vec<TraceEvent>>> = OnceLock::new();
+    COLLECTOR.get_or_init(|| Mutex::new(Vec::new()))
+}
 
-    fn global_capacity() -> usize {
-        static CAP: OnceLock<usize> = OnceLock::new();
-        *CAP.get_or_init(|| env_capacity("VB_TRACE_CAPACITY", 1 << 20))
-    }
+static DROPPED: AtomicU64 = AtomicU64::new(0);
 
-    fn collector() -> &'static Mutex<Vec<TraceEvent>> {
-        static COLLECTOR: OnceLock<Mutex<Vec<TraceEvent>>> = OnceLock::new();
-        COLLECTOR.get_or_init(|| Mutex::new(Vec::new()))
-    }
+/// Number of trace events discarded because the global collector was
+/// full. Zero for paper-sized runs; a non-zero value means the timeline
+/// has holes (drain it with [`trace_events`] more often).
+pub fn trace_drops() -> u64 {
+    DROPPED.load(Ordering::Relaxed)
+}
 
-    static DROPPED: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static TID: Cell<u64> = const { Cell::new(0) };
+    static ADOPTED: Cell<u64> = const { Cell::new(0) };
+    static OPEN: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    static BUF: RefCell<Vec<TraceEvent>> = const { RefCell::new(Vec::new()) };
+}
 
-    /// Number of trace events discarded because the global collector was
-    /// full. Zero for paper-sized runs at the default capacity; a
-    /// non-zero value means the timeline has holes and `VB_TRACE_CAPACITY`
-    /// should be raised.
-    pub fn trace_drops() -> u64 {
-        DROPPED.load(Ordering::Relaxed)
-    }
-
-    thread_local! {
-        static TID: Cell<u64> = const { Cell::new(0) };
-        static ADOPTED: Cell<u64> = const { Cell::new(0) };
-        static OPEN: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-        static BUF: RefCell<Vec<TraceEvent>> = const { RefCell::new(Vec::new()) };
-    }
-
-    fn tid() -> u64 {
-        TID.with(|t| {
-            let mut v = t.get();
-            if v == 0 {
-                static NEXT_TID: AtomicU64 = AtomicU64::new(1);
-                v = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-                t.set(v);
-            }
-            v
-        })
-    }
-
-    fn push(ev: TraceEvent) {
-        BUF.with(|b| {
-            let mut buf = b.borrow_mut();
-            buf.push(ev);
-            if buf.len() >= thread_capacity() {
-                flush_buf(&mut buf);
-            }
-        });
-    }
-
-    fn flush_buf(buf: &mut Vec<TraceEvent>) {
-        if buf.is_empty() {
-            return;
+fn tid() -> u64 {
+    TID.with(|t| {
+        let mut v = t.get();
+        if v == 0 {
+            static NEXT_TID: AtomicU64 = AtomicU64::new(1);
+            v = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+            t.set(v);
         }
-        let mut global = lock_or_recover(collector());
-        let room = global_capacity().saturating_sub(global.len());
-        if room >= buf.len() {
-            global.append(buf);
-        } else {
-            let overflow = (buf.len() - room) as u64;
-            global.extend(buf.drain(..room));
-            DROPPED.fetch_add(overflow, Ordering::Relaxed);
-            buf.clear();
+        v
+    })
+}
+
+fn push(ev: TraceEvent) {
+    BUF.with(|b| {
+        let mut buf = b.borrow_mut();
+        buf.push(ev);
+        if buf.len() >= THREAD_CAPACITY {
+            flush_buf(&mut buf);
         }
-    }
+    });
+}
 
-    /// Flush this thread's private buffer into the global collector.
-    /// Called when the thread's outermost span closes and by
-    /// [`trace_events`].
-    pub(crate) fn flush_thread() {
-        BUF.with(|b| flush_buf(&mut b.borrow_mut()));
+fn flush_buf(buf: &mut Vec<TraceEvent>) {
+    if buf.is_empty() {
+        return;
     }
+    let mut global = lock_or_recover(collector());
+    let room = GLOBAL_CAPACITY.saturating_sub(global.len());
+    if room >= buf.len() {
+        global.append(buf);
+    } else {
+        let overflow = (buf.len() - room) as u64;
+        global.extend(buf.drain(..room));
+        DROPPED.fetch_add(overflow, Ordering::Relaxed);
+        buf.clear();
+    }
+}
 
-    /// Record a span opening. Returns the span id to hand back to
-    /// [`end_span`], or 0 when recording is disabled.
-    pub(crate) fn begin_span(name: &'static str) -> u64 {
-        if !trace_enabled() {
-            return 0;
+/// Flush this thread's private buffer into the global collector.
+/// Called when the thread's outermost span closes and by
+/// [`trace_events`].
+pub(crate) fn flush_thread() {
+    BUF.with(|b| flush_buf(&mut b.borrow_mut()));
+}
+
+/// Record a span opening. Returns the span id to hand back to
+/// [`end_span`], or 0 when recording is disabled.
+pub(crate) fn begin_span(name: &'static str) -> u64 {
+    if !trace_enabled() {
+        return 0;
+    }
+    static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+    let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+    let parent = OPEN
+        .with(|s| s.borrow().last().copied())
+        .unwrap_or_else(|| ADOPTED.with(Cell::get));
+    push(TraceEvent {
+        phase: TracePhase::Begin,
+        id,
+        parent,
+        tid: tid(),
+        ts_ns: now_ns(),
+        name,
+    });
+    OPEN.with(|s| s.borrow_mut().push(id));
+    id
+}
+
+/// Record a span closing. `id` 0 (recording was off at open) is a
+/// no-op so Begin/End records always pair up.
+pub(crate) fn end_span(id: u64, name: &'static str) {
+    if id == 0 {
+        return;
+    }
+    OPEN.with(|s| {
+        let mut open = s.borrow_mut();
+        // RAII guards close innermost-first; search from the top in
+        // case a guard was leaked and drop everything above it.
+        if let Some(pos) = open.iter().rposition(|&v| v == id) {
+            open.truncate(pos);
         }
-        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
-        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-        let parent = OPEN
-            .with(|s| s.borrow().last().copied())
-            .unwrap_or_else(|| ADOPTED.with(Cell::get));
-        push(TraceEvent {
-            phase: TracePhase::Begin,
-            id,
-            parent,
-            tid: tid(),
-            ts_ns: now_ns(),
-            name,
-        });
-        OPEN.with(|s| s.borrow_mut().push(id));
-        id
-    }
+    });
+    push(TraceEvent {
+        phase: TracePhase::End,
+        id,
+        parent: 0,
+        tid: tid(),
+        ts_ns: now_ns(),
+        name,
+    });
+}
 
-    /// Record a span closing. `id` 0 (recording was off at open) is a
-    /// no-op so Begin/End records always pair up.
-    pub(crate) fn end_span(id: u64, name: &'static str) {
-        if id == 0 {
-            return;
-        }
-        OPEN.with(|s| {
-            let mut open = s.borrow_mut();
-            // RAII guards close innermost-first; search from the top in
-            // case a guard was leaked and drop everything above it.
-            if let Some(pos) = open.iter().rposition(|&v| v == id) {
-                open.truncate(pos);
-            }
-        });
-        push(TraceEvent {
-            phase: TracePhase::End,
-            id,
-            parent: 0,
-            tid: tid(),
-            ts_ns: now_ns(),
-            name,
-        });
-    }
+/// Capture the calling thread's innermost open span as a parent link
+/// for spans opened on another thread.
+pub fn trace_context() -> TraceContext {
+    let parent = OPEN
+        .with(|s| s.borrow().last().copied())
+        .unwrap_or_else(|| ADOPTED.with(Cell::get));
+    TraceContext { parent }
+}
 
-    /// Capture the calling thread's innermost open span as a parent link
-    /// for spans opened on another thread.
-    pub fn trace_context() -> TraceContext {
-        let parent = OPEN
-            .with(|s| s.borrow().last().copied())
-            .unwrap_or_else(|| ADOPTED.with(Cell::get));
-        TraceContext { parent }
-    }
+/// Guard restoring the previously adopted context on drop.
+#[must_use = "the adopted context lasts only while the guard lives"]
+#[derive(Debug)]
+pub struct TraceAdoptGuard {
+    prev: u64,
+}
 
-    /// Guard restoring the previously adopted context on drop.
-    #[must_use = "the adopted context lasts only while the guard lives"]
-    #[derive(Debug)]
-    pub struct TraceAdoptGuard {
-        prev: u64,
-    }
+/// Install `ctx` as the parent for root spans this thread opens while
+/// the returned guard lives. Dropping the guard restores the previous
+/// context and flushes the thread's trace buffer (worker threads
+/// usually exit right after).
+pub fn adopt_trace(ctx: TraceContext) -> TraceAdoptGuard {
+    let prev = ADOPTED.with(|a| a.replace(ctx.parent));
+    TraceAdoptGuard { prev }
+}
 
-    /// Install `ctx` as the parent for root spans this thread opens while
-    /// the returned guard lives. Dropping the guard restores the previous
-    /// context and flushes the thread's trace buffer (worker threads
-    /// usually exit right after).
-    pub fn adopt_trace(ctx: TraceContext) -> TraceAdoptGuard {
-        let prev = ADOPTED.with(|a| a.replace(ctx.parent));
-        TraceAdoptGuard { prev }
-    }
-
-    impl Drop for TraceAdoptGuard {
-        fn drop(&mut self) {
-            ADOPTED.with(|a| a.set(self.prev));
-            flush_thread();
-        }
-    }
-
-    /// Drain every collected trace event (flushing the calling thread's
-    /// buffer first). Buffers of other threads that still have open
-    /// spans are not visible — drain from the thread that owns the run,
-    /// after its fan-outs have joined.
-    pub fn trace_events() -> Vec<TraceEvent> {
+impl Drop for TraceAdoptGuard {
+    fn drop(&mut self) {
+        ADOPTED.with(|a| a.set(self.prev));
         flush_thread();
-        std::mem::take(&mut *lock_or_recover(collector()))
-    }
-
-    /// Clear collected events, the calling thread's buffer, and the drop
-    /// counter (span ids keep incrementing so ids stay process-unique).
-    pub(crate) fn reset_trace() {
-        BUF.with(|b| b.borrow_mut().clear());
-        lock_or_recover(collector()).clear();
-        DROPPED.store(0, Ordering::Relaxed);
     }
 }
 
-#[cfg(feature = "telemetry")]
-pub use imp::{
-    adopt_trace, set_trace_enabled, trace_context, trace_drops, trace_enabled, trace_events,
-    TraceAdoptGuard,
-};
-#[cfg(feature = "telemetry")]
-pub(crate) use imp::{begin_span, end_span, flush_thread, reset_trace};
-
-#[cfg(not(feature = "telemetry"))]
-mod imp {
-    use super::{TraceContext, TraceEvent};
-
-    #[inline(always)]
-    pub fn set_trace_enabled(_on: bool) {}
-
-    #[inline(always)]
-    pub fn trace_enabled() -> bool {
-        false
-    }
-
-    #[inline(always)]
-    pub fn trace_drops() -> u64 {
-        0
-    }
-
-    #[inline(always)]
-    pub fn trace_context() -> TraceContext {
-        TraceContext::default()
-    }
-
-    /// No-op adopt guard.
-    #[must_use = "the adopted context lasts only while the guard lives"]
-    #[derive(Debug)]
-    pub struct TraceAdoptGuard;
-
-    #[inline(always)]
-    pub fn adopt_trace(_ctx: TraceContext) -> TraceAdoptGuard {
-        TraceAdoptGuard
-    }
-
-    /// Always empty when telemetry is compiled out.
-    #[inline]
-    pub fn trace_events() -> Vec<TraceEvent> {
-        Vec::new()
-    }
+/// Drain every collected trace event (flushing the calling thread's
+/// buffer first). Buffers of other threads that still have open
+/// spans are not visible — drain from the thread that owns the run,
+/// after its fan-outs have joined.
+pub fn trace_events() -> Vec<TraceEvent> {
+    flush_thread();
+    std::mem::take(&mut *lock_or_recover(collector()))
 }
 
-#[cfg(not(feature = "telemetry"))]
-pub use imp::{
-    adopt_trace, set_trace_enabled, trace_context, trace_drops, trace_enabled, trace_events,
-    TraceAdoptGuard,
-};
+/// Clear collected events, the calling thread's buffer, and the drop
+/// counter (span ids keep incrementing so ids stay process-unique).
+pub(crate) fn reset_trace() {
+    BUF.with(|b| b.borrow_mut().clear());
+    lock_or_recover(collector()).clear();
+    DROPPED.store(0, Ordering::Relaxed);
+}
 
-#[cfg(all(test, feature = "telemetry"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -4,8 +4,6 @@
 //! Metric names are unique per test: the registry is process-global and
 //! the test harness runs tests concurrently in one process.
 
-#![cfg(feature = "telemetry")]
-
 use vb_telemetry::{counter, float_counter, gauge, histogram, span};
 
 #[test]

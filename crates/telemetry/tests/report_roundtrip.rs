@@ -6,7 +6,6 @@
 
 use vb_telemetry::{Json, RunReport};
 
-#[cfg(feature = "telemetry")]
 #[test]
 fn capture_serialize_parse_roundtrip() {
     use vb_telemetry::{counter, event, float_counter, gauge, histogram, span};
@@ -54,23 +53,6 @@ fn capture_serialize_parse_roundtrip() {
 
     // A second serialization of the parsed report is byte-identical.
     assert_eq!(parsed.to_jsonl(), jsonl);
-}
-
-#[cfg(not(feature = "telemetry"))]
-#[test]
-fn capture_is_empty_when_compiled_out() {
-    // The API surface still exists; everything no-ops.
-    let _span = vb_telemetry::span!("disabled.run");
-    vb_telemetry::counter!("disabled.steps").add(7);
-    vb_telemetry::event("epoch_planned", &[("epoch", Json::from(1u64))]);
-
-    let report = RunReport::capture("disabled");
-    assert!(report.events.is_empty());
-    assert!(report.snapshot.is_empty());
-
-    // Reports still serialize and parse (as an empty run).
-    let back = RunReport::parse_jsonl(&report.to_jsonl()).expect("parse");
-    assert_eq!(back, report);
 }
 
 #[test]

@@ -235,6 +235,13 @@ pub fn dataset_to_csv(sites: &[crate::Site], traces: &[TimeSeries]) -> String {
 
 /// Parse the dataset CSV produced by [`dataset_to_csv`] (or hand-built
 /// from a real dataset export) back into sites and aligned traces.
+///
+/// A `# site` line's last four fields are the kind, latitude, longitude
+/// and capacity; everything before them, trimmed, is the name, so a name
+/// may contain spaces. A latitude outside [−90, 90], a longitude outside
+/// [−180, 180] or a capacity that is not positive is a
+/// [`TraceIoError::BadHeader`]; a sample outside the normalized range
+/// [0, 1] is a [`TraceIoError::BadLine`].
 pub fn dataset_from_csv(text: &str) -> Result<(Vec<crate::Site>, Vec<TimeSeries>), TraceIoError> {
     use crate::{Site, SourceKind};
     let mut lines = text.lines().enumerate().peekable();
@@ -248,22 +255,21 @@ pub fn dataset_from_csv(text: &str) -> Result<(Vec<crate::Site>, Vec<TimeSeries>
         let Some(rest) = line.strip_prefix("# site ") else {
             break;
         };
-        let parts: Vec<&str> = rest.split_whitespace().collect();
         let bad = || TraceIoError::BadHeader(line.to_string());
-        if parts.len() != 5 {
-            return Err(bad());
-        }
-        let kind = match parts[1] {
+        let (name, [kind, lat, lon, cap]) = site_fields(rest).ok_or_else(bad)?;
+        let kind = match kind {
             "solar" => SourceKind::Solar,
             "wind" => SourceKind::Wind,
             _ => return Err(bad()),
         };
-        let lat = finite(parts[2]).ok_or_else(bad)?;
-        let lon = finite(parts[3]).ok_or_else(bad)?;
-        let cap = finite(parts[4]).ok_or_else(bad)?;
+        let in_range =
+            |text: &str, lo: f64, hi: f64| finite(text).filter(|v| (lo..=hi).contains(v));
+        let lat = in_range(lat, -90.0, 90.0).ok_or_else(bad)?;
+        let lon = in_range(lon, -180.0, 180.0).ok_or_else(bad)?;
+        let cap = finite(cap).filter(|&c| c > 0.0).ok_or_else(bad)?;
         let site = match kind {
-            SourceKind::Solar => Site::solar(parts[0], lat, lon),
-            SourceKind::Wind => Site::wind(parts[0], lat, lon),
+            SourceKind::Solar => Site::solar(name, lat, lon),
+            SourceKind::Wind => Site::wind(name, lat, lon),
         }
         .with_capacity(cap);
         sites.push(site);
@@ -287,10 +293,12 @@ pub fn dataset_from_csv(text: &str) -> Result<(Vec<crate::Site>, Vec<TimeSeries>
             });
         }
         for (col, cell) in columns.iter_mut().zip(&cells[1..]) {
-            let v = finite(cell).ok_or_else(|| TraceIoError::BadLine {
-                line_no: line_no + 1,
-                content: line.to_string(),
-            })?;
+            let v = finite(cell)
+                .filter(|v| (0.0..=1.0).contains(v))
+                .ok_or_else(|| TraceIoError::BadLine {
+                    line_no: line_no + 1,
+                    content: line.to_string(),
+                })?;
             col.push(v);
         }
     }
@@ -303,6 +311,20 @@ pub fn dataset_from_csv(text: &str) -> Result<(Vec<crate::Site>, Vec<TimeSeries>
         })
         .collect();
     Ok((sites, traces))
+}
+
+/// Split the body of a `# site` line into its name and its last four
+/// whitespace-separated fields (kind, latitude, longitude, capacity);
+/// `None` when a field or the name is missing.
+fn site_fields(rest: &str) -> Option<(&str, [&str; 4])> {
+    let mut head = rest.trim();
+    let mut fields = [""; 4];
+    for field in fields.iter_mut().rev() {
+        let (h, tok) = head.rsplit_once(char::is_whitespace)?;
+        *field = tok;
+        head = h.trim_end();
+    }
+    (!head.is_empty()).then_some((head, fields))
 }
 
 #[cfg(test)]
@@ -325,15 +347,28 @@ mod dataset_tests {
     #[test]
     fn dataset_round_trips() {
         let (sites, traces) = sample();
-        let csv = dataset_to_csv(&sites, &traces);
-        let (sites2, traces2) = dataset_from_csv(&csv).unwrap();
-        assert_eq!(sites2, sites);
-        assert_eq!(traces2.len(), 2);
-        for (a, b) in traces.iter().zip(&traces2) {
-            assert_eq!(a.start_secs, b.start_secs);
-            assert_eq!(a.interval_secs, b.interval_secs);
-            for (x, y) in a.values.iter().zip(&b.values) {
-                assert!((x - y).abs() < 1e-6);
+        // A name with spaces, and the edges of every accepted range.
+        let edge_sites = vec![
+            Site::solar("NO solar", 59.3, 10.5),
+            Site::wind("far  north east", 90.0, 180.0).with_capacity(0.5),
+            Site::solar("far south west", -90.0, -180.0),
+        ];
+        let edge_traces = vec![
+            TimeSeries::with_start(0, 900, vec![0.0, 1.0]),
+            TimeSeries::with_start(0, 900, vec![1.0, 0.0]),
+            TimeSeries::with_start(0, 900, vec![0.5, 0.5]),
+        ];
+        for (sites, traces) in [(sites, traces), (edge_sites, edge_traces)] {
+            let csv = dataset_to_csv(&sites, &traces);
+            let (sites2, traces2) = dataset_from_csv(&csv).unwrap();
+            assert_eq!(sites2, sites);
+            assert_eq!(traces2.len(), traces.len());
+            for (a, b) in traces.iter().zip(&traces2) {
+                assert_eq!(a.start_secs, b.start_secs);
+                assert_eq!(a.interval_secs, b.interval_secs);
+                for (x, y) in a.values.iter().zip(&b.values) {
+                    assert!((x - y).abs() < 1e-6);
+                }
             }
         }
     }
@@ -357,19 +392,30 @@ mod dataset_tests {
             dataset_from_csv(bad_row),
             Err(TraceIoError::BadLine { .. })
         ));
-        // A non-finite site field or sample: NaN, ±inf, or a literal that
-        // overflows f64.
+        // A site field that is not finite (NaN, ±inf, or a literal that
+        // overflows f64), an out-of-range coordinate, a capacity that is
+        // not positive, or a missing name or field.
         for site in [
             "# site a solar NaN 2 3",
             "# site a solar 1 inf 3",
             "# site a wind 1 2 -inf",
             "# site a wind 1e400 2 3",
+            "# site a solar 500 2 3",
+            "# site a solar -90.5 2 3",
+            "# site a wind 1 -900 3",
+            "# site a wind 1 180.5 3",
+            "# site a solar 1 2 0",
+            "# site a solar 1 2 -5",
+            "# site solar 1 2 3",
+            "# site a b 1 2 3",
+            "# site a solar 1 2",
         ] {
             let csv = format!("# interval_secs=900 start_secs=0\n{site}\ntime_secs,a\n0,0.1");
             let header = TraceIoError::BadHeader(site.to_string());
             assert_eq!(dataset_from_csv(&csv), Err(header));
         }
-        for cell in ["NaN", "inf", "1e400"] {
+        // A sample that is not finite or lies outside [0, 1].
+        for cell in ["NaN", "inf", "1e400", "7.5", "1.000001", "-3", "-0.1"] {
             let csv = format!(
                 "# interval_secs=900 start_secs=0\n# site a solar 1 2 3\n# site b wind 4 5 6\n\
                  time_secs,a,b\n0,0.1,0.2\n900,0.3,{cell}"

@@ -6,9 +6,6 @@
 //! ```sh
 //! cargo run --release --example telemetry_demo
 //! ```
-//!
-//! Build with `--no-default-features` to see the same program run with
-//! telemetry compiled out (both reports come back empty).
 
 use virtual_battery::vb_sched::{GreedyPolicy, GroupSim, GroupSimConfig, MipConfig, MipPolicy};
 use virtual_battery::vb_telemetry::{self, RunReport};
@@ -66,11 +63,6 @@ fn main() {
 
     let greedy = run_policy(&catalog, &mut GreedyPolicy::new());
     let mip = run_policy(&catalog, &mut MipPolicy::new(MipConfig::mip_peak()));
-
-    if greedy.snapshot.is_empty() {
-        println!("\n(telemetry compiled out — rebuild without --no-default-features for the full report)");
-        return;
-    }
 
     println!("\n== what the telemetry layer saw ==");
     println!("{:<34} {:>16} {:>16}", "metric", "Greedy", "MIP-peak");

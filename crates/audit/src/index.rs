@@ -10,8 +10,9 @@
 //!
 //! The determinism rule family uses the index one way: compute the set
 //! of functions **reachable from output-affecting entry points**
-//! (`Policy::plan`, `GroupSim::step`, `run_fleet`, `solve_mip_kernel`,
-//! and every function in a bench-root file — the paper-figure loops),
+//! (`Policy::plan`, `GroupSim::step`, the fleet driver's `build_fleet`
+//! and `run_fleet`, `solve_mip_kernel`, and every function in a
+//! bench-root file — the paper-figure loops),
 //! then flag nondeterminism sources only inside those extents (plus,
 //! for `unordered-iter`, anywhere in the deterministic-core crates,
 //! where struct fields feed schedules without passing through a
@@ -20,10 +21,10 @@
 use crate::tokens::{is_keyword, Tok, TokKind};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Functions whose results are artifacts: schedules, fleet runs,
-/// per-epoch MIP solutions. Free functions match by name; `plan` and
-/// `step` only as methods (an `impl` block qualifies them).
-pub const ENTRY_FNS: &[&str] = &["run_fleet", "solve_mip_kernel"];
+/// Functions whose results are artifacts: schedules, fleet builds and
+/// runs, per-epoch MIP solutions. Free functions match by name; `plan`
+/// and `step` only as methods (an `impl` block qualifies them).
+pub const ENTRY_FNS: &[&str] = &["build_fleet", "run_fleet", "solve_mip_kernel"];
 pub const ENTRY_METHODS: &[&str] = &["plan", "step"];
 
 /// One `fn` definition.

@@ -12,7 +12,8 @@
 //!    definitions, `use` imports and a lightweight call graph, built in
 //!    one pass over all crates, with taint reachability from the
 //!    output-affecting entry points (`Policy::plan`, `GroupSim::step`,
-//!    `run_fleet`, `solve_mip_kernel`, the bench figure loops).
+//!    `build_fleet`, `run_fleet`, `solve_mip_kernel`, the bench figure
+//!    loops).
 //!
 //! The rules ([`rules`]) run on top: the per-line lexical lints, the
 //! determinism family (`unordered-iter`, `wallclock-in-logic`,

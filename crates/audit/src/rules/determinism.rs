@@ -20,7 +20,8 @@
 //!
 //! Scope: a line is checked when it sits inside the extent of a
 //! *tainted* function (reachable from `Policy::plan`, `GroupSim::step`,
-//! `run_fleet`, `solve_mip_kernel`, or a bench figure loop), or — for
+//! `build_fleet`, `run_fleet`, `solve_mip_kernel`, or a bench figure
+//! loop), or — for
 //! every rule here — anywhere in a deterministic-core crate
 //! (`spec.det_core`), where struct fields and module-level items feed
 //! the same outputs without sitting inside a function body. Sanctioned

@@ -13,9 +13,7 @@ use vb_sched::{
     PipelineConfig, Policy,
 };
 use vb_stats::report::{thousands, Table};
-use vb_trace::Catalog;
-
-const TRIO: [&str; 3] = ["NO-solar", "UK-wind", "PT-wind"];
+use vb_trace::{Catalog, TRIO};
 
 fn run_policy(
     catalog: &Catalog,
@@ -141,7 +139,7 @@ fn ablate_subgraphs(catalog: &Catalog) {
     println!("== Ablation: subgraph (latency) constraint — Fig 6 step 2 ==");
     // Four sites; compare free re-hosting across all of them against
     // two disjoint 2-site subgraphs (apps stay within their group).
-    let names = ["NO-solar", "UK-wind", "PT-wind", "ES-wind"];
+    let names = [TRIO[0], TRIO[1], TRIO[2], "ES-wind"];
     let mut t = Table::new(&[
         "Structure",
         "Total (GB)",

@@ -19,9 +19,7 @@ use vb_core::{decompose, required_capacity_for_stable_fraction, EconomicModel, M
 use vb_net::WanModel;
 use vb_sched::{GreedyPolicy, GroupSim, GroupSimConfig, ReplicationModel, StandbyMode};
 use vb_stats::report::{thousands, Table};
-use vb_trace::Catalog;
-
-const TRIO: [&str; 3] = ["NO-solar", "UK-wind", "PT-wind"];
+use vb_trace::{Catalog, TRIO};
 
 fn battery_vs_multivb(catalog: &Catalog) {
     println!("== §1: chemical battery vs multi-VB aggregation ==");

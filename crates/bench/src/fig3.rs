@@ -16,10 +16,7 @@ use vb_core::energy::WINDOW_3_DAYS;
 use vb_core::multivb::ComboBreakdown;
 use vb_core::{optimize_purchase, search_pairs, ComboStats, MultiVb, PurchasePlan};
 use vb_stats::TimeSeries;
-use vb_trace::Catalog;
-
-/// The Figure 3 trio, as named in the paper.
-pub const TRIO: [&str; 3] = ["NO-solar", "UK-wind", "PT-wind"];
+use vb_trace::{Catalog, TRIO};
 
 /// Everything Figure 3 shows.
 #[derive(Debug, Clone)]

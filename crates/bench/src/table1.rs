@@ -7,12 +7,11 @@
 //! of the per-interval migration volume (Table 1) plus the per-policy
 //! volume CDFs and zero-fractions (Fig 7).
 
-use vb_sched::{
-    GreedyPolicy, GroupSim, GroupSimConfig, MipConfig, MipPolicy, Policy, PolicySummary,
-};
+use vb_core::fleet::FleetPolicy;
+use vb_sched::{GroupSim, GroupSimConfig, PolicySummary};
 use vb_stats::report::{thousands, Table};
 use vb_stats::Cdf;
-use vb_trace::Catalog;
+use vb_trace::{Catalog, TRIO};
 
 /// The full Table 1 / Fig 7 report.
 #[derive(Debug, Clone)]
@@ -33,16 +32,11 @@ impl Table1Report {
 /// Run the Table 1 experiment on the Figure 3 trio (the paper's
 /// archetypal multi-VB group).
 pub fn run(seed: u64) -> Table1Report {
-    run_on_group(seed, &["NO-solar", "UK-wind", "PT-wind"])
-}
-
-/// Run the four policies over one group.
-pub fn run_on_group(seed: u64, names: &[&str]) -> Table1Report {
     let cfg = GroupSimConfig {
         seed,
         ..GroupSimConfig::default()
     };
-    run_on_group_with(seed, names, cfg)
+    run_on_group_with(seed, &TRIO, cfg)
 }
 
 /// Run the four policies over one group with an explicit sim config
@@ -55,13 +49,8 @@ pub fn run_on_group(seed: u64, names: &[&str]) -> Table1Report {
 /// so the report is identical at any thread count.
 pub fn run_on_group_with(seed: u64, names: &[&str], cfg: GroupSimConfig) -> Table1Report {
     let catalog = Catalog::europe(seed);
-    let rows = vb_par::par_map(4, |p| {
-        let mut policy: Box<dyn Policy> = match p {
-            0 => Box::new(GreedyPolicy::new()),
-            1 => Box::new(MipPolicy::new(MipConfig::mip_24h())),
-            2 => Box::new(MipPolicy::new(MipConfig::mip())),
-            _ => Box::new(MipPolicy::new(MipConfig::mip_peak())),
-        };
+    let rows = vb_par::par_map(FleetPolicy::ALL.len(), |p| {
+        let mut policy = FleetPolicy::ALL[p].build();
         let summary = GroupSim::new(&catalog, names, cfg.clone())
             .expect("Table 1 sites must exist in the catalog")
             .run(policy.as_mut());
@@ -140,6 +129,7 @@ pub fn print(report: &Table1Report) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vb_sched::{GreedyPolicy, MipConfig, MipPolicy};
 
     #[test]
     fn table1_shape_holds() {
@@ -150,13 +140,12 @@ mod tests {
             days: 3,
             ..GroupSimConfig::default()
         };
-        let names = ["NO-solar", "UK-wind", "PT-wind"];
         let mut greedy = GreedyPolicy::new();
         let mut mip = MipPolicy::new(MipConfig::mip());
-        let g = GroupSim::new(&catalog, &names, cfg.clone())
+        let g = GroupSim::new(&catalog, &TRIO, cfg.clone())
             .unwrap()
             .run(&mut greedy);
-        let m = GroupSim::new(&catalog, &names, cfg).unwrap().run(&mut mip);
+        let m = GroupSim::new(&catalog, &TRIO, cfg).unwrap().run(&mut mip);
         // Short windows are noisy (the 7-day bench run shows MIP ahead);
         // guard only against gross regressions here.
         assert!(

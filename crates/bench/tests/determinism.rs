@@ -5,7 +5,7 @@
 
 use vb_bench::table1;
 use vb_sched::{identify_subgraphs, GroupSimConfig, PipelineConfig};
-use vb_trace::Catalog;
+use vb_trace::{Catalog, TRIO};
 
 /// Short Table 1 run (the full bench uses 7 days; 2 keeps CI fast).
 fn short_cfg() -> GroupSimConfig {
@@ -17,12 +17,10 @@ fn short_cfg() -> GroupSimConfig {
 
 #[test]
 fn table1_rows_bit_match_sequential() {
-    let names = ["NO-solar", "UK-wind", "PT-wind"];
-    let sequential = vb_par::with_threads(1, || table1::run_on_group_with(7, &names, short_cfg()));
+    let sequential = vb_par::with_threads(1, || table1::run_on_group_with(7, &TRIO, short_cfg()));
     for threads in [2, 8] {
-        let parallel = vb_par::with_threads(threads, || {
-            table1::run_on_group_with(7, &names, short_cfg())
-        });
+        let parallel =
+            vb_par::with_threads(threads, || table1::run_on_group_with(7, &TRIO, short_cfg()));
         assert_eq!(parallel.group, sequential.group);
         assert_eq!(
             parallel.rows, sequential.rows,
@@ -128,38 +126,58 @@ fn span_forests_bit_match_across_thread_counts() {
 /// index-ordered assembly — must be bit-identical at any thread count:
 /// each shard's workload stream is a pure function of (base seed, shard
 /// index), and assembly is by shard index, never completion order. This
-/// is the scaling contract of the fleet runner: adding threads may only
-/// change wall-clock, never a single reported byte.
+/// is the scaling contract of the fleet driver `fleet_perf` times:
+/// adding threads may only change wall-clock, never a single reported
+/// byte, the per-step series of the run report included.
 #[test]
 fn fleet_runs_bit_match_sequential() {
-    use vb_core::fleet::{run_fleet, FleetConfig, FleetPolicy};
+    use vb_core::fleet::{build_fleet, run_fleet, FleetPolicy};
     use vb_sched::AppGenConfig;
 
     let catalog = Catalog::fleet(42, 9);
-    let cfg = FleetConfig {
-        shard_size: 3,
-        sim: GroupSimConfig {
-            days: 2,
-            seed: 42,
-            // Pin an explicit arrival rate so shards are busy enough
-            // that a scheduling divergence could actually surface.
-            app_cfg: Some(AppGenConfig {
-                arrivals_per_step: 1.0,
-                ..AppGenConfig::default()
-            }),
-            ..GroupSimConfig::default()
-        },
+    let cfg = GroupSimConfig {
+        days: 2,
+        seed: 42,
+        // Pin an explicit arrival rate so shards are busy enough that a
+        // scheduling divergence could actually surface.
+        app_cfg: Some(AppGenConfig {
+            arrivals_per_step: 1.0,
+            ..AppGenConfig::default()
+        }),
+        ..GroupSimConfig::default()
     };
-    let sequential = vb_par::with_threads(1, || {
-        run_fleet(&catalog, FleetPolicy::Greedy, &cfg).expect("fleet runs")
-    });
-    let parallel = vb_par::with_threads(8, || {
-        run_fleet(&catalog, FleetPolicy::Greedy, &cfg).expect("fleet runs")
-    });
+    // The reset and the series readout stay inside one serialised
+    // `with_threads` scope, so no other test's run lands between them.
+    let run = |threads| {
+        vb_par::with_threads(threads, || {
+            vb_telemetry::reset();
+            let fleet_run = run_fleet(
+                build_fleet(&catalog, &cfg).expect("fleet builds"),
+                FleetPolicy::Greedy,
+            );
+            let series: Vec<_> = vb_telemetry::series_snapshot()
+                .into_iter()
+                .filter(|s| s.name == "sched.step_series")
+                .collect();
+            (fleet_run, series)
+        })
+    };
+    let (sequential, sequential_series) = run(1);
+    let (parallel, parallel_series) = run(8);
     assert_eq!(
         parallel, sequential,
         "fleet run diverged between 1 and 8 threads"
     );
+    assert_eq!(
+        parallel_series, sequential_series,
+        "step series diverged between 1 and 8 threads"
+    );
+    // Each shard records its own series instance, one row per step.
+    assert_eq!(sequential_series.len(), sequential.shards.len());
+    let steps: Vec<u64> = (0..2 * 96).collect();
+    for s in &sequential_series {
+        assert_eq!(s.epochs, steps, "{}", s.instance);
+    }
 }
 
 /// Deterministic parallel branch & bound: the search expands node

@@ -9,10 +9,10 @@
 use std::time::Instant;
 use vb_bench::table1;
 use vb_sched::GroupSimConfig;
+use vb_trace::TRIO;
 
 #[test]
 fn traced_table1_run_is_cheap_and_lossless() {
-    let names = ["NO-solar", "UK-wind", "PT-wind"];
     let cfg = || GroupSimConfig {
         days: 2,
         ..GroupSimConfig::default()
@@ -23,7 +23,7 @@ fn traced_table1_run_is_cheap_and_lossless() {
     vb_par::with_threads(4, || {
         // Warm-up so allocator and page-cache effects hit neither side.
         vb_telemetry::reset();
-        let _ = table1::run_on_group_with(7, &names, cfg());
+        let _ = table1::run_on_group_with(7, &TRIO, cfg());
 
         // Best of two timed runs, and the rows of the last one.
         let time_run = |trace_on: bool| {
@@ -33,7 +33,7 @@ fn traced_table1_run_is_cheap_and_lossless() {
             for _ in 0..2 {
                 vb_telemetry::reset();
                 let t = Instant::now();
-                rows = table1::run_on_group_with(7, &names, cfg()).rows;
+                rows = table1::run_on_group_with(7, &TRIO, cfg()).rows;
                 best = best.min(t.elapsed().as_secs_f64());
             }
             (best, rows)

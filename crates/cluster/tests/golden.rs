@@ -17,7 +17,7 @@ use vb_cluster::{
     simulate, simulate_paper_site, Cluster, ClusterConfig, StepStats, VmKind, Workload,
     WorkloadConfig,
 };
-use vb_trace::{Catalog, STEPS_PER_DAY};
+use vb_trace::{Catalog, STEPS_PER_DAY, TRIO};
 
 const START_DAY: u32 = 60;
 const DAYS: u32 = 14;
@@ -114,7 +114,7 @@ fn degradable_sites_and_primitives_match_golden_digest() {
     let catalog = Catalog::europe(SEED);
     let mut words = Vec::new();
     let mut hibernated = 0usize;
-    for site in ["NO-solar", "UK-wind", "PT-wind"] {
+    for site in TRIO {
         let power = catalog.trace(site, START_DAY, DAYS);
         let cfg = ClusterConfig::default();
         let workload = degradable_workload(&cfg, vb_stats::mean(&power.values));

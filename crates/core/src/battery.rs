@@ -1,12 +1,11 @@
 //! A single Virtual Battery: renewable farm + co-located edge data
 //! center (Figure 1's proposed architecture).
 //!
-//! The `VirtualBattery` couples a [`vb_trace::Site`] with the cluster
-//! simulator of `vb-cluster` and the §2.3 energy analysis, providing the
-//! one-site view that multi-VB groups and the co-scheduler build upon.
+//! The `VirtualBattery` couples a [`vb_trace::Site`] with its generation
+//! trace and the §2.3 energy analysis, providing the one-site view that
+//! multi-VB groups and the co-scheduler build upon.
 
 use crate::energy::{decompose, EnergyBreakdown};
-use vb_cluster::{simulate_paper_site, SimOutput};
 use vb_stats::{coefficient_of_variation, Summary, TimeSeries};
 use vb_trace::{forecast_for, Catalog, Horizon, Site};
 
@@ -79,13 +78,6 @@ impl VirtualBattery {
     pub fn forecast(&self, catalog: &Catalog, horizon: Horizon) -> TimeSeries {
         forecast_for(&self.normalized, &self.site, horizon, catalog.field())
     }
-
-    /// Run the paper's §3 single-site cluster simulation against this
-    /// VB's power (Figure 4): ≈700 servers, Azure-like workload, 70 %
-    /// admission target.
-    pub fn simulate_cluster(&self, seed: u64) -> SimOutput {
-        simulate_paper_site(&self.normalized, seed)
-    }
 }
 
 #[cfg(test)]
@@ -128,12 +120,5 @@ mod tests {
         let (catalog, vb) = vb();
         let f = vb.forecast(&catalog, Horizon::Hours3);
         assert_eq!(f.len(), vb.normalized().len());
-    }
-
-    #[test]
-    fn cluster_simulation_runs_over_the_trace() {
-        let (_, vb) = vb();
-        let out = vb.simulate_cluster(1);
-        assert_eq!(out.steps.len(), vb.normalized().len());
     }
 }

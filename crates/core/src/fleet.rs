@@ -2,14 +2,15 @@
 //! modular data centers" regime, run as many independent multi-VB
 //! groups.
 //!
-//! A fleet is sharded into fixed-size site groups in catalog order;
-//! each shard is an independent [`vb_sched::GroupSim`] (its own traces,
-//! workload stream, and policy instance) solved under the configured
-//! policy and fanned out over [`vb_par::par_map`]. Because results are
-//! assembled by shard index and every shard is seeded from `(base seed,
-//! shard index)`, a fleet run is **bit-identical at any thread count**
-//! — pinned by the fleet determinism test in
-//! `crates/bench/tests/determinism.rs`.
+//! The one shard driver, in two phases. [`build_fleet`] shards a catalog
+//! into [`SHARD_SIZE`]-site groups in catalog order and builds each
+//! shard's [`vb_sched::GroupSim`] (its own traces and workload stream).
+//! [`run_fleet`] runs every shard under one policy and sums the shard
+//! summaries into a [`FleetRun`]. Both phases fan out over
+//! [`vb_par::par_map`]. Because results are assembled by shard index
+//! and every shard is seeded from `(base seed, shard index)`, a fleet
+//! run is **bit-identical at any thread count**, pinned by the fleet
+//! determinism test in `crates/bench/tests/determinism.rs`.
 //!
 //! Shards are deliberately *independent*: no WAN traffic crosses a
 //! shard boundary, matching the paper's model where an application is
@@ -17,10 +18,13 @@
 //! independence is exactly what makes the fan-out deterministic and
 //! embarrassingly parallel.
 
+use std::sync::{Mutex, PoisonError};
 use vb_sched::{GroupSim, GroupSimConfig, PolicySummary, SimError};
 use vb_trace::Catalog;
 
-use crate::multivb::MultiVb;
+/// Sites per fleet shard: the Table 1 multi-VB group size (the paper's
+/// groups are 2–5 sites). The last shard of a catalog may be smaller.
+pub const SHARD_SIZE: usize = 3;
 
 /// Which placement policy every shard runs (shards never mix policies
 /// within one fleet run — the comparison axis is across runs).
@@ -38,6 +42,14 @@ pub enum FleetPolicy {
 }
 
 impl FleetPolicy {
+    /// The four §3.1 policies, in Table 1 row order.
+    pub const ALL: [FleetPolicy; 4] = [
+        FleetPolicy::Greedy,
+        FleetPolicy::Mip24h,
+        FleetPolicy::Mip,
+        FleetPolicy::MipPeak,
+    ];
+
     /// The policy's display name (matches the Table 1 row labels).
     pub fn name(self) -> &'static str {
         match self {
@@ -61,25 +73,11 @@ impl FleetPolicy {
     }
 }
 
-/// Fleet run configuration.
-#[derive(Debug, Clone)]
-pub struct FleetConfig {
-    /// Sites per shard (the paper's multi-VB groups are 2–5 sites; the
-    /// Table 1 group is 3). The last shard may be smaller.
-    pub shard_size: usize,
-    /// Per-shard simulation config. Each shard derives its own workload
-    /// seed from `sim.seed` and the shard index, so shards see distinct
-    /// (but reproducible) arrival streams.
-    pub sim: GroupSimConfig,
-}
-
-impl Default for FleetConfig {
-    fn default() -> FleetConfig {
-        FleetConfig {
-            shard_size: 3,
-            sim: GroupSimConfig::default(),
-        }
-    }
+/// One shard of a built fleet: its sites and its simulator, ready to
+/// run once.
+pub struct FleetShard {
+    sites: Vec<String>,
+    sim: GroupSim,
 }
 
 /// One shard's outcome.
@@ -87,9 +85,6 @@ impl Default for FleetConfig {
 pub struct ShardResult {
     /// Site names in this shard (catalog order).
     pub sites: Vec<String>,
-    /// Coefficient of variation of the shard's combined trace — the
-    /// §2.3 complementarity readout, via [`MultiVb`].
-    pub cov: f64,
     /// The shard's policy-run summary.
     pub summary: PolicySummary,
 }
@@ -128,48 +123,59 @@ pub fn shard_names(catalog: &Catalog, shard_size: usize) -> Vec<Vec<String>> {
         .collect()
 }
 
-/// Run a policy over the whole fleet, one independent [`GroupSim`] per
-/// shard, fanned out over `vb-par` with index-ordered assembly.
+/// Build the fleet: one independent [`GroupSim`] per [`SHARD_SIZE`]-site
+/// shard of the catalog, in shard order. `cfg.seed` is the base seed:
+/// shard `i` draws its workload from `cfg.seed + 1 + i`, so shards see
+/// distinct but reproducible arrival streams.
 ///
 /// # Errors
-/// Propagates the first (lowest-shard-index) [`SimError`]: shard names
-/// come from the catalog itself, so that is [`SimError::NoSites`] for
-/// an empty catalog, or [`SimError::Coverage`] when a site's measured
-/// data does not cover the configured days.
-pub fn run_fleet(
-    catalog: &Catalog,
-    policy: FleetPolicy,
-    cfg: &FleetConfig,
-) -> Result<FleetRun, SimError> {
-    let _span = vb_telemetry::span!("core.fleet_run");
-    let shards = shard_names(catalog, cfg.shard_size);
+/// Returns the lowest-index shard's [`SimError`]: shard names come from
+/// the catalog itself, so that is [`SimError::NoSites`] for an empty
+/// catalog, or [`SimError::Coverage`] when a site's measured data does
+/// not cover the configured days.
+pub fn build_fleet(catalog: &Catalog, cfg: &GroupSimConfig) -> Result<Vec<FleetShard>, SimError> {
+    let _span = vb_telemetry::span!("core.fleet_build");
+    let shards = shard_names(catalog, SHARD_SIZE);
     if shards.is_empty() {
         return Err(SimError::NoSites);
     }
-    let results: Vec<Result<ShardResult, SimError>> = vb_par::par_map(shards.len(), |i| {
+    vb_par::par_map(shards.len(), |i| {
         let names: Vec<&str> = shards[i].iter().map(String::as_str).collect();
-        let sim_cfg = GroupSimConfig {
-            // Decorrelate shard workloads while keeping each shard's
-            // stream a pure function of (base seed, shard index).
-            seed: cfg.sim.seed.wrapping_add(1 + i as u64),
-            ..cfg.sim.clone()
+        let shard_cfg = GroupSimConfig {
+            seed: cfg.seed.wrapping_add(1 + i as u64),
+            ..cfg.clone()
         };
-        let sim = GroupSim::new(catalog, &names, sim_cfg)?;
-        // The §2.3 readout reads the traces the sim already holds.
-        let (sites, traces) = sim
-            .site_traces()
-            .map(|(site, actual)| (site.clone(), actual.scale(site.capacity_mw)))
-            .unzip();
-        let cov = MultiVb::new(sites, traces).cov();
-        let mut policy = policy.build();
-        let summary = sim.run(policy.as_mut());
-        Ok(ShardResult {
+        Ok(FleetShard {
             sites: shards[i].clone(),
-            cov,
-            summary,
+            sim: GroupSim::new(catalog, &names, shard_cfg)?,
         })
+    })
+    .into_iter()
+    .collect()
+}
+
+/// Run every shard of a built fleet under `policy`, fanned out over
+/// `vb-par` with index-ordered assembly, and sum the shard summaries in
+/// shard order.
+pub fn run_fleet(shards: Vec<FleetShard>, policy: FleetPolicy) -> FleetRun {
+    let _span = vb_telemetry::span!("core.fleet_run");
+    // Each worker takes its shard's simulator out of a slot: a run
+    // consumes its `GroupSim`.
+    let slots: Vec<Mutex<Option<FleetShard>>> =
+        shards.into_iter().map(|s| Mutex::new(Some(s))).collect();
+    let shards: Vec<ShardResult> = vb_par::par_map(slots.len(), |i| {
+        // `take` cannot panic, so a poisoned slot still holds valid data.
+        // vb-audit: allow(float-reduce-order, each lock guards one shard's slot, which one task takes; nothing accumulates)
+        let mut slot = slots[i].lock().unwrap_or_else(PoisonError::into_inner);
+        // vb-audit: allow(no-panic, par_map runs each index exactly once, so every slot is still full)
+        let FleetShard { sites, sim } = slot.take().expect("each shard slot is taken once");
+        drop(slot);
+        let mut policy = policy.build();
+        ShardResult {
+            sites,
+            summary: sim.run(policy.as_mut()),
+        }
     });
-    let shards: Vec<ShardResult> = results.into_iter().collect::<Result<_, _>>()?;
     for (i, shard) in shards.iter().enumerate() {
         vb_telemetry::series_sample(
             "core.fleet_shards",
@@ -180,7 +186,6 @@ pub fn run_fleet(
                 ("total_gb", shard.summary.total_gb),
                 ("vm_decisions", shard.summary.vm_decisions as f64),
                 ("dropped_apps", shard.summary.dropped_apps as f64),
-                ("cov", shard.cov),
             ],
         );
     }
@@ -201,30 +206,26 @@ pub fn run_fleet(
             ("total_gb", run.total_gb.into()),
         ],
     );
-    Ok(run)
+    run
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn small_cfg() -> FleetConfig {
-        FleetConfig {
-            shard_size: 3,
-            sim: GroupSimConfig {
-                cores_per_site: 400,
-                days: 1,
-                seed: 7,
-                // The auto-sized workload at 400-core sites is sparse
-                // enough that a 1-day run can see zero arrivals; pin an
-                // explicit rate so the aggregation asserts are
-                // non-vacuous.
-                app_cfg: Some(vb_sched::AppGenConfig {
-                    arrivals_per_step: 0.5,
-                    ..vb_sched::AppGenConfig::default()
-                }),
-                ..GroupSimConfig::default()
-            },
+    fn small_cfg() -> GroupSimConfig {
+        GroupSimConfig {
+            cores_per_site: 400,
+            days: 1,
+            seed: 7,
+            // The auto-sized workload at 400-core sites is sparse enough
+            // that a 1-day run can see zero arrivals; pin an explicit
+            // rate so the aggregation asserts are non-vacuous.
+            app_cfg: Some(vb_sched::AppGenConfig {
+                arrivals_per_step: 0.5,
+                ..vb_sched::AppGenConfig::default()
+            }),
+            ..GroupSimConfig::default()
         }
     }
 
@@ -244,7 +245,8 @@ mod tests {
     #[test]
     fn fleet_run_aggregates_shards() {
         let catalog = Catalog::fleet(1, 6);
-        let run = run_fleet(&catalog, FleetPolicy::Greedy, &small_cfg()).expect("fleet runs");
+        let fleet = build_fleet(&catalog, &small_cfg()).expect("fleet builds");
+        let run = run_fleet(fleet, FleetPolicy::Greedy);
         assert_eq!(run.policy, "Greedy");
         assert_eq!(run.shards.len(), 2);
         assert_eq!(
@@ -256,12 +258,18 @@ mod tests {
         );
         assert!(run.vm_decisions > 0);
         assert!(run.total_gb >= 0.0);
-        // Each shard's cov, read off the sim's traces, is the catalog's.
-        let (start, days) = (small_cfg().sim.start_day, small_cfg().sim.days);
-        for shard in &run.shards {
+        // Shard `i` is the `i`-th group of the catalog, seeded `base + 1 + i`.
+        for (i, shard) in run.shards.iter().enumerate() {
+            assert_eq!(shard.sites, shard_names(&catalog, SHARD_SIZE)[i]);
             let names: Vec<&str> = shard.sites.iter().map(String::as_str).collect();
-            let group = MultiVb::from_catalog(&catalog, &names, start, days);
-            assert_eq!(shard.cov.to_bits(), group.cov().to_bits());
+            let cfg = GroupSimConfig {
+                seed: small_cfg().seed + 1 + i as u64,
+                ..small_cfg()
+            };
+            let alone = GroupSim::new(&catalog, &names, cfg)
+                .expect("shard sites exist")
+                .run(FleetPolicy::Greedy.build().as_mut());
+            assert_eq!(shard.summary, alone, "shard {i}");
         }
     }
 
@@ -269,7 +277,7 @@ mod tests {
     fn empty_catalog_is_an_error() {
         let catalog = Catalog::fleet(1, 0);
         assert_eq!(
-            run_fleet(&catalog, FleetPolicy::Greedy, &small_cfg()).err(),
+            build_fleet(&catalog, &small_cfg()).err(),
             Some(SimError::NoSites)
         );
     }

@@ -31,6 +31,11 @@
 //! * [`storage`] — the chemical-battery baseline the paper argues
 //!   against: how many MWh of Li-ion would match what aggregation gives
 //!   for free.
+//! * [`fleet`] — the fleet regime of the follow-up study (arXiv
+//!   2406.02252): the one shard driver. [`build_fleet`] builds one
+//!   `GroupSim` per 3-site shard of a catalog, and [`run_fleet`] runs
+//!   them all under one of the four [`FleetPolicy`] variants and sums
+//!   the shards into a [`FleetRun`], bit-identical at any thread count.
 //!
 //! The substrates live in their own crates and are re-exported here:
 //! traces ([`vb_trace`]), statistics ([`vb_stats`]), the LP/MIP solver
@@ -52,7 +57,9 @@ pub use battery::VirtualBattery;
 pub use combos::{search_pairs, ComboStats, PairImprovement};
 pub use economics::{EconomicModel, EnergyValue};
 pub use energy::{decompose, EnergyBreakdown};
-pub use fleet::{run_fleet, shard_names, FleetConfig, FleetPolicy, FleetRun, ShardResult};
+pub use fleet::{
+    build_fleet, run_fleet, shard_names, FleetPolicy, FleetRun, FleetShard, ShardResult, SHARD_SIZE,
+};
 pub use multivb::MultiVb;
 pub use purchase::{optimize_purchase, PurchasePlan};
 pub use storage::{required_capacity_for_stable_fraction, Battery};

@@ -165,7 +165,7 @@ mod tests {
 
     fn group() -> MultiVb {
         let catalog = Catalog::europe(42);
-        MultiVb::from_catalog(&catalog, &["NO-solar", "UK-wind", "PT-wind"], 120, 3)
+        MultiVb::from_catalog(&catalog, &vb_trace::TRIO, 120, 3)
     }
 
     #[test]

@@ -278,12 +278,7 @@ mod tests {
         // 4 000 MWh purchase (leverage 3). On the NO+UK+PT combination,
         // a small budget should show leverage well above 1.
         let catalog = vb_trace::Catalog::europe(42);
-        let g = crate::multivb::MultiVb::from_catalog(
-            &catalog,
-            &["NO-solar", "UK-wind", "PT-wind"],
-            120,
-            3,
-        );
+        let g = crate::multivb::MultiVb::from_catalog(&catalog, &vb_trace::TRIO, 120, 3);
         let combined = g.combined();
         let total = combined.energy();
         let p = optimize_purchase(&combined, combined.len(), total * 0.15);

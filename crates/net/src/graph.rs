@@ -87,19 +87,6 @@ impl SiteGraph {
         (0..self.len()).filter(|&j| self.adj[i][j]).collect()
     }
 
-    /// Number of edges.
-    pub fn edge_count(&self) -> usize {
-        let mut count = 0;
-        for i in 0..self.len() {
-            for j in (i + 1)..self.len() {
-                if self.adj[i][j] {
-                    count += 1;
-                }
-            }
-        }
-        count
-    }
-
     /// Do the given nodes form a clique (pairwise connected)?
     pub fn is_clique(&self, nodes: &[usize]) -> bool {
         for (a, &i) in nodes.iter().enumerate() {
@@ -147,7 +134,6 @@ mod tests {
         assert!(g.is_edge(1, 2));
         assert!(g.is_edge(0, 2));
         assert!(!g.is_edge(0, 3), "the outlier exceeds the threshold");
-        assert_eq!(g.edge_count(), 3);
     }
 
     #[test]

@@ -123,22 +123,6 @@ impl WanModel {
         vb_telemetry::gauge!("net.wan_busy_fraction").set(fraction);
         fraction
     }
-
-    /// Peak link utilization over a series of per-interval volumes: the
-    /// largest fraction of the interval the link would need to run at
-    /// full rate (can exceed 1.0 when the link is overwhelmed). Returns
-    /// 0.0 for a non-positive (or NaN) `interval_secs`.
-    pub fn peak_utilization(&self, gb_per_interval: &[f64], interval_secs: f64) -> f64 {
-        if interval_secs.is_nan() || interval_secs <= 0.0 {
-            return 0.0;
-        }
-        let peak = gb_per_interval
-            .iter()
-            .map(|&gb| self.drain_secs(gb) / interval_secs)
-            .fold(0.0, f64::max);
-        vb_telemetry::gauge!("net.wan_peak_utilization").set(peak);
-        peak
-    }
 }
 
 #[cfg(test)]
@@ -217,7 +201,6 @@ mod tests {
         let wan = WanModel::default();
         for secs in [0.0, -900.0, f64::NAN] {
             assert_eq!(wan.busy_fraction(&[100.0], secs), 0.0);
-            assert_eq!(wan.peak_utilization(&[100.0], secs), 0.0);
         }
     }
 
@@ -246,14 +229,5 @@ mod tests {
             };
             assert_eq!(wan.share_fraction(10_000.0), 0.0);
         }
-    }
-
-    #[test]
-    fn peak_utilization_reports_overload() {
-        let wan = WanModel::default();
-        // 900 s at 200 Gbps = 22 500 GB per interval at full blast.
-        assert!((wan.peak_utilization(&[22_500.0], 900.0) - 1.0).abs() < 1e-9);
-        assert!(wan.peak_utilization(&[45_000.0], 900.0) > 1.9);
-        assert_eq!(wan.peak_utilization(&[], 900.0), 0.0);
     }
 }

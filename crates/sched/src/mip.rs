@@ -177,11 +177,6 @@ impl MipPolicy {
         &self.cfg
     }
 
-    /// How many epochs fell back to greedy (0 in healthy runs).
-    pub fn fallbacks_used(&self) -> usize {
-        self.stats.fallback_epochs
-    }
-
     /// Solver statistics accumulated so far in this run.
     pub fn stats(&self) -> MipStats {
         self.stats
@@ -514,7 +509,7 @@ impl Policy for MipPolicy {
         };
         vb_telemetry::series_sample(
             "sched.mip_epoch",
-            self.cfg.name.as_str(),
+            &crate::sim::series_instance(&self.cfg.name, ctx.sites.iter().map(|s| s.name.as_str())),
             ctx.now,
             &[
                 ("moves_planned", plan.len() as f64),
@@ -653,7 +648,7 @@ mod tests {
                 site: 1
             }]
         );
-        assert_eq!(pol.fallbacks_used(), 0);
+        assert_eq!(pol.stats().fallback_epochs, 0);
     }
 
     #[test]
@@ -841,7 +836,7 @@ mod tests {
         };
         let mut pol = MipPolicy::new(cfg);
         let plan = pol.plan(&ctx);
-        assert_eq!(pol.fallbacks_used(), 0);
+        assert_eq!(pol.stats().fallback_epochs, 0);
         let new_ids: Vec<usize> = plan.iter().map(|a| a.app.0).filter(|&i| i < 100).collect();
         assert_eq!(new_ids, vec![0, 1, 2, 3, 4, 5], "each new app exactly once");
         assert!(plan.iter().all(|a| a.site < 2));

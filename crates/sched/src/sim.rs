@@ -541,6 +541,22 @@ struct EventState {
     touched: Vec<usize>,
 }
 
+/// The telemetry series instance of one run: the policy name and the
+/// group's sites, `"Greedy@NO-solar+UK-wind+PT-wind"`. Fleet shards run
+/// one policy concurrently, so a key of the policy name alone would
+/// append every shard's rows to one series, in completion order.
+pub(crate) fn series_instance<'a>(
+    policy: &str,
+    sites: impl IntoIterator<Item = &'a str>,
+) -> String {
+    let mut key = policy.to_string();
+    for (i, site) in sites.into_iter().enumerate() {
+        key.push(if i == 0 { '@' } else { '+' });
+        key.push_str(site);
+    }
+    key
+}
+
 /// Locally-buffered rows of the per-step `sched.step_series`, flushed
 /// to the global series store in one batch at the end of a run (the
 /// store is one process-global mutex; see `run_detailed`).
@@ -758,12 +774,6 @@ impl GroupSim {
         self.n_steps
     }
 
-    /// Each site of the group with its normalized actual trace, in
-    /// group order: the series the run consumes.
-    pub fn site_traces(&self) -> impl ExactSizeIterator<Item = (&Site, &TimeSeries)> {
-        self.sites.iter().map(|s| (&s.site, &s.actual))
-    }
-
     /// Run a policy over the whole period and summarise.
     pub fn run(self, policy: &mut dyn Policy) -> PolicySummary {
         self.run_detailed(policy).summary
@@ -898,7 +908,10 @@ impl GroupSim {
         vb_telemetry::float_counter!("sched.move_gb").add(tot_move_gb);
         vb_telemetry::float_counter!("sched.stranded_gb").add(tot_stranded_gb);
         vb_telemetry::gauge!("sched.queued_apps").set(self.queue.len() as f64);
-        series.flush(policy.name());
+        series.flush(&series_instance(
+            policy.name(),
+            self.sites.iter().map(|s| s.site.name.as_str()),
+        ));
         let summary = PolicySummary::from_steps(
             policy.name(),
             &steps,
@@ -1795,7 +1808,7 @@ mod tests {
     use super::*;
     use crate::greedy::GreedyPolicy;
     use crate::mip::{MipConfig, MipPolicy};
-    use vb_trace::forecast_for;
+    use vb_trace::{forecast_for, TRIO};
 
     fn tiny_cfg() -> GroupSimConfig {
         GroupSimConfig {
@@ -1822,7 +1835,7 @@ mod tests {
 
     #[test]
     fn greedy_run_completes_and_accounts() {
-        let sim = GroupSim::new(&catalog(), &["NO-solar", "UK-wind", "PT-wind"], tiny_cfg())
+        let sim = GroupSim::new(&catalog(), &TRIO, tiny_cfg())
             .expect("Table 1 trio exists in the catalog");
         let n = sim.n_steps() as usize;
         let summary = sim.run(&mut GreedyPolicy::new());
@@ -1854,7 +1867,11 @@ mod tests {
         let mut policy = MipPolicy::new(MipConfig::mip_24h());
         let summary = sim.run(&mut policy);
         assert_eq!(summary.policy, "MIP-24h");
-        assert_eq!(policy.fallbacks_used(), 0, "exact solves should succeed");
+        assert_eq!(
+            policy.stats().fallback_epochs,
+            0,
+            "exact solves should succeed"
+        );
     }
 
     #[test]
@@ -1864,7 +1881,7 @@ mod tests {
         let single = GroupSim::new(&catalog(), &["NO-solar"], tiny_cfg())
             .expect("site exists")
             .run(&mut GreedyPolicy::new());
-        let multi = GroupSim::new(&catalog(), &["NO-solar", "UK-wind", "PT-wind"], tiny_cfg())
+        let multi = GroupSim::new(&catalog(), &TRIO, tiny_cfg())
             .expect("sites exist")
             .run(&mut GreedyPolicy::new());
         assert!(
@@ -1919,7 +1936,8 @@ mod tests {
         let cfg = tiny_cfg();
         let c = measured_catalog(cfg.start_day);
         let sim = GroupSim::new(&c, &["meter", "synthetic"], cfg.clone()).expect("covered");
-        let traces: Vec<(&Site, &TimeSeries)> = sim.site_traces().collect();
+        let traces: Vec<(&Site, &TimeSeries)> =
+            sim.sites.iter().map(|s| (&s.site, &s.actual)).collect();
         assert_eq!(traces[0].0.name, "meter");
         assert_eq!(traces[0].1, &c.trace("meter", cfg.start_day, cfg.days));
         assert_eq!(traces[1].1, &c.trace("synthetic", cfg.start_day, cfg.days));
@@ -2055,6 +2073,10 @@ mod tests {
 mod subgraph_tests {
     use super::*;
     use crate::greedy::GreedyPolicy;
+    use vb_trace::TRIO;
+
+    /// The trio and a fourth site: room for two 2-site subgraphs.
+    const FOUR_SITES: [&str; 4] = [TRIO[0], TRIO[1], TRIO[2], "ES-wind"];
 
     fn cfg_with_groups() -> GroupSimConfig {
         GroupSimConfig {
@@ -2070,7 +2092,7 @@ mod subgraph_tests {
     #[test]
     fn subgraph_restriction_runs_and_bounds_targets() {
         let catalog = Catalog::europe(42);
-        let names = ["NO-solar", "UK-wind", "PT-wind", "ES-wind"];
+        let names = FOUR_SITES;
         let summary = GroupSim::new(&catalog, &names, cfg_with_groups())
             .expect("sites exist")
             .run(&mut GreedyPolicy::new());
@@ -2081,7 +2103,7 @@ mod subgraph_tests {
     #[test]
     fn movable_targets_respect_groups() {
         let catalog = Catalog::europe(42);
-        let names = ["NO-solar", "UK-wind", "PT-wind", "ES-wind"];
+        let names = FOUR_SITES;
         let sim = GroupSim::new(&catalog, &names, cfg_with_groups()).expect("sites exist");
         assert_eq!(sim.movable_targets(0), vec![0, 1]);
         assert_eq!(sim.movable_targets(3), vec![2, 3]);
@@ -2104,7 +2126,7 @@ mod subgraph_tests {
         // Removing the latency constraint can only widen re-host options,
         // so the ungrouped run must have no more stranded app-steps.
         let catalog = Catalog::europe(42);
-        let names = ["NO-solar", "UK-wind", "PT-wind", "ES-wind"];
+        let names = FOUR_SITES;
         let grouped = GroupSim::new(&catalog, &names, cfg_with_groups())
             .expect("sites exist")
             .run(&mut GreedyPolicy::new());

@@ -8,12 +8,9 @@
 #![allow(dead_code)]
 
 use vb_sched::{AppGenConfig, GroupSim, GroupSimConfig, Policy, PolicySummary};
-use vb_trace::Catalog;
+use vb_trace::{Catalog, TRIO};
 
 pub const SEED: u64 = 42;
-
-/// The Table 1 multi-VB group (Fig 3 trio).
-pub const TRIO: [&str; 3] = ["NO-solar", "UK-wind", "PT-wind"];
 
 /// Table 1: the trio under the default config (7 days from day 120).
 pub fn run_table1(policy: &mut dyn Policy) -> PolicySummary {
@@ -22,27 +19,14 @@ pub fn run_table1(policy: &mut dyn Policy) -> PolicySummary {
         .run(policy)
 }
 
-/// The fleet bench's application mix: many tiny (1–2 VMs × 2 cores),
-/// mostly degradable apps at a fixed arrival rate.
-pub fn fleet_apps() -> AppGenConfig {
-    AppGenConfig {
-        arrivals_per_step: 4.0,
-        vms_min: 1,
-        vms_max: 2,
-        cores_per_vm: 2,
-        degradable_fraction: 0.95,
-        ..AppGenConfig::default()
-    }
-}
-
-/// The first 3-site shard of the synthetic fleet under
-/// [`fleet_apps`], 3 days at 3 h epochs: mid-size MIPs.
+/// The first 3-site shard of the synthetic fleet under the fleet app
+/// mix ([`AppGenConfig::fleet`]), 3 days at 3 h epochs: mid-size MIPs.
 pub fn run_fleet_shard(policy: &mut dyn Policy) -> PolicySummary {
     let catalog = Catalog::fleet(SEED, 3);
     let names: Vec<&str> = catalog.sites().iter().map(|s| s.name.as_str()).collect();
     let cfg = GroupSimConfig {
         days: 3,
-        app_cfg: Some(fleet_apps()),
+        app_cfg: Some(AppGenConfig::fleet()),
         ..GroupSimConfig::default()
     };
     GroupSim::new(&catalog, &names, cfg)

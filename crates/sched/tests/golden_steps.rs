@@ -26,13 +26,13 @@
 
 mod common;
 
-use common::{fleet_apps, fnv1a, summary_words, TRIO};
+use common::{fnv1a, summary_words};
 use vb_sched::policy::SiteSnapshot;
 use vb_sched::{
-    Assignment, DetailedRun, GreedyPolicy, GroupSim, GroupSimConfig, GroupStepStats, MipConfig,
-    MipPolicy, PlanContext, Policy, STEPS_PER_DAY,
+    AppGenConfig, Assignment, DetailedRun, GreedyPolicy, GroupSim, GroupSimConfig, GroupStepStats,
+    MipConfig, MipPolicy, PlanContext, Policy, STEPS_PER_DAY,
 };
-use vb_trace::Catalog;
+use vb_trace::{Catalog, TRIO};
 
 fn step_words(s: &GroupStepStats) -> [u64; 11] {
     [
@@ -173,7 +173,7 @@ fn subgraph_steps_match_golden_digest() {
         subgraphs: Some(vec![vec![0, 1], vec![2, 3]]),
         ..GroupSimConfig::default()
     };
-    let names = ["NO-solar", "UK-wind", "PT-wind", "ES-wind"];
+    let names = [TRIO[0], TRIO[1], TRIO[2], "ES-wind"];
     let run = run(
         &Catalog::europe(common::SEED),
         &names,
@@ -225,7 +225,7 @@ fn fleet_shard_steps_match_golden_digest() {
         days: 28,
         seed: common::SEED + 1,
         epoch_steps: STEPS_PER_DAY,
-        app_cfg: Some(fleet_apps()),
+        app_cfg: Some(AppGenConfig::fleet()),
         ..GroupSimConfig::default()
     };
     let run = run(&catalog, &names, cfg, &mut GreedyPolicy::new());

@@ -77,10 +77,11 @@ impl Cdf {
         count as f64 / self.sorted.len() as f64
     }
 
-    /// Quantile `q` in `[0, 1]` of the retained samples.
+    /// Quantile `q` in `[0, 1]` of the retained samples; 0.0 when none
+    /// were retained, as [`Cdf::eval`] does.
     ///
     /// # Panics
-    /// Panics if the CDF is empty or `q` is outside `[0, 1]`.
+    /// Panics if `q` is outside `[0, 1]`.
     pub fn quantile(&self, q: f64) -> f64 {
         assert!((0.0..=1.0).contains(&q), "quantile out of range");
         percentile_of_sorted(&self.sorted, q * 100.0)
@@ -131,6 +132,11 @@ mod tests {
     #[test]
     fn eval_of_empty_is_zero() {
         assert_eq!(Cdf::of(&[]).eval(1.0), 0.0);
+    }
+
+    #[test]
+    fn quantile_of_empty_is_zero() {
+        assert_eq!(Cdf::of_nonzero(&[0.0; 5]).quantile(0.5), 0.0);
     }
 
     #[test]

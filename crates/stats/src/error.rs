@@ -6,8 +6,6 @@
 //! forecast simulator in `vb-trace` is calibrated against [`mape`], and
 //! [`mae`]/[`rmse`] are provided for completeness.
 
-use crate::series::TimeSeries;
-
 /// Mean absolute percentage error, in percent.
 ///
 /// Samples where the actual value is (near) zero are skipped, the usual
@@ -93,18 +91,6 @@ pub fn mape_above(actual: &[f64], forecast: &[f64], min_actual: f64) -> f64 {
     }
 }
 
-/// MAPE between two aligned time series (see [`mape`]).
-///
-/// # Panics
-/// Panics if the series have different lengths or intervals.
-pub fn mape_series(actual: &TimeSeries, forecast: &TimeSeries) -> f64 {
-    assert_eq!(
-        actual.interval_secs, forecast.interval_secs,
-        "interval mismatch"
-    );
-    mape(&actual.values, &forecast.values)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,12 +158,5 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn mismatched_lengths_panic() {
         mape(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn series_wrapper_matches_slice_version() {
-        let a = TimeSeries::new(900, vec![100.0, 200.0]);
-        let f = TimeSeries::new(900, vec![90.0, 220.0]);
-        assert_eq!(mape_series(&a, &f), mape(&a.values, &f.values));
     }
 }

@@ -68,21 +68,6 @@ impl TimeSeries {
         self.start_secs + i as u64 * self.interval_secs
     }
 
-    /// Duration covered by the whole series, in seconds.
-    pub fn duration_secs(&self) -> u64 {
-        self.len() as u64 * self.interval_secs
-    }
-
-    /// Index of the sample covering wall-clock second `t`, if in range.
-    pub fn index_at(&self, t: u64) -> Option<usize> {
-        if t < self.start_secs {
-            return None;
-        }
-        // vb-audit: allow(div-guard, interval_secs > 0 is enforced by every constructor)
-        let i = ((t - self.start_secs) / self.interval_secs) as usize;
-        (i < self.len()).then_some(i)
-    }
-
     /// Sub-series covering samples `[lo, hi)`.
     ///
     /// # Panics
@@ -250,17 +235,6 @@ mod tests {
         let s = TimeSeries::with_start(100, 900, vec![0.0; 4]);
         assert_eq!(s.time_of(0), 100);
         assert_eq!(s.time_of(3), 100 + 3 * 900);
-        assert_eq!(s.duration_secs(), 3_600);
-    }
-
-    #[test]
-    fn index_at_maps_times_to_samples() {
-        let s = TimeSeries::with_start(900, 900, vec![0.0; 3]);
-        assert_eq!(s.index_at(0), None, "before the start");
-        assert_eq!(s.index_at(900), Some(0));
-        assert_eq!(s.index_at(1_799), Some(0), "inside first span");
-        assert_eq!(s.index_at(1_800), Some(1));
-        assert_eq!(s.index_at(900 + 3 * 900), None, "past the end");
     }
 
     #[test]

@@ -41,25 +41,28 @@ pub fn coefficient_of_variation(values: &[f64]) -> f64 {
 /// Percentile `p` in `[0, 100]` with linear interpolation between order
 /// statistics (the same convention as numpy's default). NaN samples sort
 /// after every finite value (`total_cmp` order), so they only influence
-/// the top percentiles instead of aborting the run.
+/// the top percentiles instead of aborting the run. An empty slice gives
+/// 0.0, as [`Summary::of`] does.
 ///
 /// # Panics
-/// Panics if `values` is empty or `p` is outside `[0, 100]`.
+/// Panics if `p` is outside `[0, 100]`.
 pub fn percentile(values: &[f64], p: f64) -> f64 {
-    assert!(!values.is_empty(), "percentile of empty slice");
     assert!((0.0..=100.0).contains(&p), "percentile out of range");
     let mut sorted: Vec<f64> = values.to_vec();
     sorted.sort_by(|a, b| a.total_cmp(b));
     percentile_of_sorted(&sorted, p)
 }
 
-/// Percentile on an already-sorted slice (ascending order).
+/// Percentile on an already-sorted slice (ascending order); 0.0 for an
+/// empty slice.
 ///
 /// # Panics
-/// Panics if `sorted` is empty or `p` is outside `[0, 100]`.
+/// Panics if `p` is outside `[0, 100]`.
 pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
-    assert!(!sorted.is_empty(), "percentile of empty slice");
     assert!((0.0..=100.0).contains(&p), "percentile out of range");
+    if sorted.is_empty() {
+        return 0.0;
+    }
     let rank = p / 100.0 * (sorted.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
@@ -198,9 +201,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "percentile of empty slice")]
-    fn percentile_of_empty_panics() {
-        percentile(&[], 50.0);
+    fn percentile_of_empty_is_zero() {
+        assert_eq!(percentile(&[], 50.0), 0.0);
+        assert_eq!(percentile_of_sorted(&[], 99.0), 0.0);
     }
 
     #[test]

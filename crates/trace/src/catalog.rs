@@ -97,6 +97,10 @@ pub struct Catalog {
     measured: Vec<Option<TimeSeries>>,
 }
 
+/// The Figure 3 trio, the paper's Table 1 multi-VB group: the first
+/// three sites of [`Catalog::europe`], in its order.
+pub const TRIO: [&str; 3] = ["NO-solar", "UK-wind", "PT-wind"];
+
 impl Catalog {
     /// An empty catalog over a seeded weather field.
     pub fn new(seed: u64) -> Catalog {
@@ -127,8 +131,8 @@ impl Catalog {
     }
 
     /// The catalog used throughout the reproduction: the Figure 3 trio
-    /// plus 22 more sites spread over Europe (25 total, matching the
-    /// ELIA site count).
+    /// ([`TRIO`]) plus 22 more sites spread over Europe (25 total,
+    /// matching the ELIA site count).
     pub fn europe(seed: u64) -> Catalog {
         let mut c = Catalog::new(seed);
         // The Figure 3 trio.
@@ -315,17 +319,6 @@ impl Catalog {
             .collect::<Result<Vec<_>, _>>()?;
         Ok(synthesize(&self.field, sources, start_day, days, horizons))
     }
-
-    /// Generate the trace in megawatts (normalized × capacity).
-    ///
-    /// # Panics
-    /// Panics if the site is unknown.
-    pub fn trace_mw(&self, name: &str, start_day: u32, days: u32) -> TimeSeries {
-        let site = self
-            .get(name)
-            .unwrap_or_else(|| panic!("unknown site {name}"));
-        self.trace(name, start_day, days).scale(site.capacity_mw)
-    }
 }
 
 /// `data` cut to `[start_day, start_day + days)`, every sample finite.
@@ -375,7 +368,7 @@ mod tests {
     fn europe_catalog_has_the_figure3_trio() {
         let c = Catalog::europe(1);
         assert_eq!(c.len(), 25, "25 sites, matching ELIA's site count");
-        for name in ["NO-solar", "UK-wind", "PT-wind"] {
+        for name in TRIO {
             assert!(c.get(name).is_some(), "{name} missing");
         }
         assert_eq!(c.get("NO-solar").unwrap().kind, SourceKind::Solar);
@@ -395,16 +388,6 @@ mod tests {
     fn all_sites_default_to_400mw() {
         let c = Catalog::europe(1);
         assert!(c.sites().iter().all(|s| s.capacity_mw == 400.0));
-    }
-
-    #[test]
-    fn trace_mw_scales_by_capacity() {
-        let c = Catalog::europe(2);
-        let norm = c.trace("UK-wind", 0, 2);
-        let mw = c.trace_mw("UK-wind", 0, 2);
-        for (a, b) in norm.values.iter().zip(&mw.values) {
-            assert!((a * 400.0 - b).abs() < 1e-9);
-        }
     }
 
     #[test]

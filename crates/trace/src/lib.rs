@@ -34,10 +34,11 @@
 //!   to the paper's MAPE bands (8.5–9 % at 3 h, 18–25 % at day,
 //!   44 %/75 % at week ahead; Figure 5).
 //! * [`catalog`] — a geo-referenced catalog of European sites, including
-//!   the NO-solar / UK-wind / PT-wind trio of Figure 3, all with the
-//!   400 MW peak capacity the paper assumes. [`Catalog::group_series`]
-//!   synthesizes a site group's traces and forecasts from one batch of
-//!   weather draws, drawing each stream the sites share once.
+//!   the NO-solar / UK-wind / PT-wind trio of Figure 3 ([`TRIO`]), all
+//!   with the 400 MW peak capacity the paper assumes.
+//!   [`Catalog::group_series`] synthesizes a site group's traces and
+//!   forecasts from one batch of weather draws, drawing each stream the
+//!   sites share once.
 //! * [`io`] — CSV trace and dataset serialization.
 //!
 //! Everything is deterministic given a [`u64`] seed, so experiments and
@@ -52,7 +53,7 @@ mod synth;
 pub mod weather;
 pub mod wind;
 
-pub use catalog::{Catalog, CoverageError};
+pub use catalog::{Catalog, CoverageError, TRIO};
 pub use forecast::{forecast_for, Horizon};
 pub use site::{Site, SourceKind};
 pub use solar::SolarModel;

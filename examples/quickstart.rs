@@ -8,7 +8,7 @@
 use vb_core::energy::WINDOW_3_DAYS;
 use vb_core::{MultiVb, VirtualBattery};
 use vb_sched::{GreedyPolicy, GroupSim, GroupSimConfig, MipConfig, MipPolicy};
-use vb_trace::Catalog;
+use vb_trace::{Catalog, TRIO};
 
 fn main() {
     // A catalog of synthetic European renewable sites sharing one
@@ -31,7 +31,7 @@ fn main() {
     );
 
     // 2. A multi-VB group: complementary sites flatten the variability.
-    let group = MultiVb::from_catalog(&catalog, &["NO-solar", "UK-wind", "PT-wind"], 120, 7);
+    let group = MultiVb::from_catalog(&catalog, &TRIO, 120, 7);
     println!("\nNO-solar + UK-wind + PT-wind:");
     println!(
         "  combined cov    : {:.2} ({:.1}x steadier than the steadiest member)",
@@ -48,12 +48,11 @@ fn main() {
     // 3. Schedule applications across the group for a week: the greedy
     //    baseline vs the forecast-driven MIP co-scheduler.
     let cfg = GroupSimConfig::default();
-    let names = ["NO-solar", "UK-wind", "PT-wind"];
     println!("\nscheduling one week of applications across the group…");
-    let greedy = GroupSim::new(&catalog, &names, cfg.clone())
+    let greedy = GroupSim::new(&catalog, &TRIO, cfg.clone())
         .expect("quickstart sites must exist in the catalog")
         .run(&mut GreedyPolicy::new());
-    let mip = GroupSim::new(&catalog, &names, cfg)
+    let mip = GroupSim::new(&catalog, &TRIO, cfg)
         .expect("quickstart sites must exist in the catalog")
         .run(&mut MipPolicy::new(MipConfig::mip()));
     for s in [&greedy, &mip] {

@@ -12,11 +12,10 @@
 use vb_net::{LinkSimulator, WanModel};
 use vb_sched::{GreedyPolicy, GroupSim, GroupSimConfig, MipConfig, MipPolicy, Policy};
 use vb_stats::report::{thousands, Table};
-use vb_trace::Catalog;
+use vb_trace::{Catalog, TRIO};
 
 fn main() {
     let catalog = Catalog::europe(42);
-    let names = ["NO-solar", "UK-wind", "PT-wind"];
     let cfg = GroupSimConfig::default();
 
     let mut policies: Vec<Box<dyn Policy>> = vec![
@@ -28,7 +27,7 @@ fn main() {
     ];
 
     println!(
-        "one week across {names:?} ({} cores/site, demand ~70% of mean power)\n",
+        "one week across {TRIO:?} ({} cores/site, demand ~70% of mean power)\n",
         cfg.cores_per_site
     );
     let mut table = Table::new(&[
@@ -48,7 +47,7 @@ fn main() {
         .filter(|d| !d.is_empty());
     for p in policies.iter_mut() {
         vb_telemetry::reset();
-        let s = GroupSim::new(&catalog, &names, cfg.clone())
+        let s = GroupSim::new(&catalog, &TRIO, cfg.clone())
             .expect("comparison sites must exist in the catalog")
             .run(p.as_mut());
         if let Some(dir) = &report_dir {

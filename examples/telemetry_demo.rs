@@ -9,9 +9,7 @@
 
 use virtual_battery::vb_sched::{GreedyPolicy, GroupSim, GroupSimConfig, MipConfig, MipPolicy};
 use virtual_battery::vb_telemetry::{self, RunReport};
-use virtual_battery::vb_trace::Catalog;
-
-const SITES: [&str; 3] = ["NO-solar", "UK-wind", "PT-wind"];
+use virtual_battery::vb_trace::{Catalog, TRIO};
 
 fn cfg() -> GroupSimConfig {
     GroupSimConfig {
@@ -26,7 +24,7 @@ fn cfg() -> GroupSimConfig {
 /// Run one policy inside a fresh telemetry scope and capture its report.
 fn run_policy(catalog: &Catalog, policy: &mut dyn virtual_battery::vb_sched::Policy) -> RunReport {
     vb_telemetry::reset();
-    let summary = GroupSim::new(catalog, &SITES, cfg())
+    let summary = GroupSim::new(catalog, &TRIO, cfg())
         .expect("demo sites must exist in the catalog")
         .run(policy);
     println!(
@@ -57,7 +55,7 @@ fn main() {
     let catalog = Catalog::europe(42);
     println!(
         "== group simulation: {} over {} days ==",
-        SITES.join(" + "),
+        TRIO.join(" + "),
         cfg().days
     );
 

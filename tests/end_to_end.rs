@@ -165,7 +165,11 @@ fn mip_policy_solves_exactly_throughout_a_run() {
     let _ = GroupSim::new(&catalog, &["UK-wind", "PT-wind", "NO-solar"], cfg)
         .unwrap()
         .run(&mut policy);
-    assert_eq!(policy.fallbacks_used(), 0, "no greedy fallbacks expected");
+    assert_eq!(
+        policy.stats().fallback_epochs,
+        0,
+        "no greedy fallbacks expected"
+    );
 }
 
 #[test]

@@ -12,10 +12,12 @@
 //! construction (`vb_core::fleet::build_fleet`, trace and forecast
 //! synthesis, `build_secs`) and the step loop (`run_fleet`,
 //! `event_secs`). Next to them it reports the work behind the step
-//! loop: the `sched.event_wakeups`, `sched.stale_events` and
-//! `sched.transfers` counters as deltas over the timed run, and the
-//! summed VM decisions, migration volume and dropped apps (the
-//! `FleetRun` totals). Throughput is reported as
+//! loop: the `sched.event_wakeups`, `sched.stale_events`,
+//! `sched.transfers`, `sched.power_scan_visits` and
+//! `sched.resume_scan_visits` counters as deltas over the timed run
+//! (the last two count the residents the hibernate/evict and resume
+//! scans visit), and the summed VM decisions, migration volume and
+//! dropped apps (the `FleetRun` totals). Throughput is reported as
 //! site-steps/sec (`sites × steps / secs`) and VM-decisions/sec; memory
 //! as the `VmHWM` peak-RSS proxy from `/proc/self/status` (0 where
 //! unavailable), reset before each row so every row reports its own
@@ -62,10 +64,12 @@ fn reset_peak_rss() {
 }
 
 /// The telemetry counters a row reports, as deltas over its step loop.
-const COUNTERS: [&str; 3] = [
+const COUNTERS: [&str; 5] = [
     "sched.event_wakeups",
     "sched.stale_events",
     "sched.transfers",
+    "sched.power_scan_visits",
+    "sched.resume_scan_visits",
 ];
 
 fn main() {
@@ -112,7 +116,7 @@ fn main() {
             ..
         } = run_fleet(fleet, policy);
         let event_secs = t1.elapsed().as_secs_f64();
-        let [event_wakeups, stale_events, transfers] =
+        let [event_wakeups, stale_events, transfers, power_scan_visits, resume_scan_visits] =
             std::array::from_fn(|k| counter_now(COUNTERS[k]) - before[k]);
 
         let shards = shards.len();
@@ -126,6 +130,9 @@ fn main() {
             site_steps / event_secs
         );
         println!("  {event_wakeups} wake-ups, {stale_events} stale events, {transfers} transfers");
+        println!(
+            "  {power_scan_visits} power-scan visits, {resume_scan_visits} resume-scan visits"
+        );
         println!(
             "  {vm_decisions} VM decisions ({:.0}/s), {total_gb:.1} GB moved, {dropped_apps} dropped",
             vm_decisions as f64 / event_secs
@@ -151,6 +158,8 @@ fn main() {
             ("event_wakeups".into(), event_wakeups.into()),
             ("stale_events".into(), stale_events.into()),
             ("transfers".into(), transfers.into()),
+            ("power_scan_visits".into(), power_scan_visits.into()),
+            ("resume_scan_visits".into(), resume_scan_visits.into()),
             ("total_gb".into(), total_gb.into()),
             ("dropped_apps".into(), dropped_apps.into()),
             ("peak_rss_mb".into(), peak_rss_mb().into()),

@@ -156,7 +156,10 @@ pub fn build_fleet(catalog: &Catalog, cfg: &GroupSimConfig) -> Result<Vec<FleetS
 
 /// Run every shard of a built fleet under `policy`, fanned out over
 /// `vb-par` with index-ordered assembly, and sum the shard summaries in
-/// shard order.
+/// shard order. Each shard's summary becomes one row of the
+/// `core.fleet_shards` series, whose instance names the policy and the
+/// fleet's size (`"Greedy@30"`), so the rows of two fleets run in one
+/// process never share a series.
 pub fn run_fleet(shards: Vec<FleetShard>, policy: FleetPolicy) -> FleetRun {
     let _span = vb_telemetry::span!("core.fleet_run");
     // Each worker takes its shard's simulator out of a slot: a run
@@ -176,10 +179,12 @@ pub fn run_fleet(shards: Vec<FleetShard>, policy: FleetPolicy) -> FleetRun {
             summary: sim.run(policy.as_mut()),
         }
     });
+    let sites: usize = shards.iter().map(|s| s.sites.len()).sum();
+    let instance = format!("{}@{sites}", policy.name());
     for (i, shard) in shards.iter().enumerate() {
         vb_telemetry::series_sample(
             "core.fleet_shards",
-            policy.name(),
+            &instance,
             i as u64,
             &[
                 ("sites", shard.sites.len() as f64),
@@ -270,6 +275,33 @@ mod tests {
                 .expect("shard sites exist")
                 .run(FleetPolicy::Greedy.build().as_mut());
             assert_eq!(shard.summary, alone, "shard {i}");
+        }
+    }
+
+    #[test]
+    fn fleets_of_different_sizes_write_different_series() {
+        // Sizes no other test in this binary runs, so concurrent tests
+        // cannot add rows to these instances.
+        for n in [4, 5] {
+            let catalog = Catalog::fleet(1, n);
+            run_fleet(
+                build_fleet(&catalog, &small_cfg()).expect("fleet builds"),
+                FleetPolicy::Greedy,
+            );
+        }
+        let series: Vec<_> = vb_telemetry::series_snapshot()
+            .into_iter()
+            .filter(|s| s.name == "core.fleet_shards")
+            .collect();
+        for (n, shards) in [(4, 2), (5, 2)] {
+            let instance = format!("Greedy@{n}");
+            let rows = series
+                .iter()
+                .find(|s| s.instance == instance)
+                .unwrap_or_else(|| panic!("no core.fleet_shards/{instance} series"));
+            assert_eq!(rows.epochs, (0..shards).collect::<Vec<u64>>(), "{instance}");
+            let sites: f64 = rows.column("sites").expect("sites column").iter().sum();
+            assert_eq!(sites, n as f64, "{instance} rows cover the fleet once");
         }
     }
 

@@ -322,6 +322,12 @@ struct SiteState {
     apps: Vec<AppId>,
     /// Tombstone count in `apps` (compaction trigger).
     dead: usize,
+    /// Index below which `apps` holds no running degradable app, only
+    /// tombstones, stable apps and hibernated apps: the hibernation
+    /// scan in [`GroupSim::apply_power_site`] starts here and leaves
+    /// it where it stopped. A resume lowers it to the resumed app's
+    /// slot; compaction resets it to 0.
+    hib_cursor: usize,
     /// Running committed cores (stable + degradable, not hibernated).
     allocated_cores: u32,
 }
@@ -539,6 +545,11 @@ struct EventState {
     /// Sites whose allocation changed this step (stamp = step + 1).
     touched_stamp: Vec<u64>,
     touched: Vec<usize>,
+    /// Residents visited this run by the hibernate/evict scans and by
+    /// the resume scans, flushed to `sched.power_scan_visits` and
+    /// `sched.resume_scan_visits` once after the step loop.
+    power_scan_visits: u64,
+    resume_scan_visits: u64,
 }
 
 /// The telemetry series instance of one run: the policy name and the
@@ -706,6 +717,7 @@ impl GroupSim {
                     fw,
                     apps: Vec::new(),
                     dead: 0,
+                    hib_cursor: 0,
                     allocated_cores: 0,
                 },
                 power,
@@ -747,6 +759,8 @@ impl GroupSim {
             stable_cores: vec![0; n_sites],
             touched_stamp: vec![0; n_sites],
             touched: Vec::new(),
+            power_scan_visits: 0,
+            resume_scan_visits: 0,
         };
         let sim = GroupSim {
             cfg,
@@ -907,6 +921,8 @@ impl GroupSim {
         vb_telemetry::float_counter!("sched.relaunch_gb").add(tot_relaunch_gb);
         vb_telemetry::float_counter!("sched.move_gb").add(tot_move_gb);
         vb_telemetry::float_counter!("sched.stranded_gb").add(tot_stranded_gb);
+        vb_telemetry::counter!("sched.power_scan_visits").add(self.ev.power_scan_visits);
+        vb_telemetry::counter!("sched.resume_scan_visits").add(self.ev.resume_scan_visits);
         vb_telemetry::gauge!("sched.queued_apps").set(self.queue.len() as f64);
         series.flush(&series_instance(
             policy.name(),
@@ -1120,8 +1136,14 @@ impl GroupSim {
         // `hibernate` leaves the resident list untouched, so the scan
         // walks it in place and stops at the first index that brings
         // the site back under budget — a gradual dusk decline then
-        // costs O(apps hibernated), not O(residents) per step.
-        let mut i = 0;
+        // costs O(apps hibernated), not O(residents) per step. It
+        // starts at the site's `hib_cursor` rather than at 0: the
+        // entries below it are tombstones, stable apps and hibernated
+        // apps, which the scan would skip one by one on every wake-up.
+        // Every running degradable app it passes is hibernated, so the
+        // index it stops at is the new cursor.
+        let from = self.sites[s].hib_cursor;
+        let mut i = from;
         while self.sites[s].allocated_cores > budget && i < self.sites[s].apps.len() {
             let id = self.sites[s].apps[i];
             i += 1;
@@ -1133,9 +1155,16 @@ impl GroupSim {
                 self.hibernate(id, s);
             }
         }
+        self.sites[s].hib_cursor = i;
+        self.ev.power_scan_visits += (i - from) as u64;
+        debug_assert!(
+            self.hib_cursor_holds(s),
+            "site {s}: a running degradable app sits below the hibernation cursor"
+        );
 
         // Evict stable apps (oldest resident first).
         if self.sites[s].allocated_cores > budget {
+            self.ev.power_scan_visits += self.sites[s].apps.len() as u64;
             let victims: Vec<AppId> = self.sites[s]
                 .apps
                 .iter()
@@ -1200,7 +1229,9 @@ impl GroupSim {
     }
 
     /// Resume hibernated apps at one site where its budget allows,
-    /// oldest resident first. Called for every site every step.
+    /// oldest resident first. Called for every site every step: the
+    /// guards below skip the scan unless an app may resume, and the scan
+    /// stops once no further app can.
     fn resume_site(&mut self, s: usize) {
         // Nothing hibernated here: the scan would visit every resident
         // for nothing.
@@ -1230,13 +1261,17 @@ impl GroupSim {
         // Stop once every hibernated resident has been visited: the
         // list tail past the last hibernated app holds only running
         // apps and tombstones, which the scan would skip one by one.
+        // Stop too once even the smallest hibernated app no longer fits:
+        // `min_hib_cores` bounds every hibernated resident's cores from
+        // below and the allocation only rises during the scan, so no
+        // later resident could resume. Only a resume moves the
+        // allocation, so the test runs after each one.
         let mut remaining = self.ev.hibernated_per_site[s];
         let mut resumed_any = false;
-        for i in 0..self.sites[s].apps.len() {
-            if remaining == 0 {
-                break;
-            }
+        let mut i = 0;
+        while remaining > 0 && i < self.sites[s].apps.len() {
             let id = self.sites[s].apps[i];
+            i += 1;
             if id == TOMBSTONE || !self.apps[id.0].hibernated {
                 continue;
             }
@@ -1245,8 +1280,19 @@ impl GroupSim {
             if self.sites[s].allocated_cores + cores <= budget {
                 self.resume(id, s);
                 resumed_any = true;
+                let alloc = self.sites[s].allocated_cores;
+                if alloc.saturating_add(self.ev.min_hib_cores[s]) > budget {
+                    debug_assert!(
+                        self.sites[s].apps[i..].iter().all(|&id| id == TOMBSTONE
+                            || !self.apps[id.0].hibernated
+                            || alloc + self.apps[id.0].spec.cores() > budget),
+                        "site {s}: the resume scan stopped before a hibernated app that fits"
+                    );
+                    break;
+                }
             }
         }
+        self.ev.resume_scan_visits += i as u64;
         // One threat re-arm for the whole batch: each resume raises the
         // allocation, and a higher allocation's trigger step is never
         // later than a lower one's, so the final arm dominates every
@@ -1354,6 +1400,7 @@ impl GroupSim {
         let plan = policy.plan(&ctx);
 
         let movable_ids: Vec<AppId> = movable.iter().map(|m| m.id).collect();
+        let mut placed_at: Vec<usize> = Vec::new();
         for assignment in plan {
             let id = assignment.app;
             let s = assignment.site.min(self.sites.len() - 1);
@@ -1366,8 +1413,20 @@ impl GroupSim {
                 vb_telemetry::counter!("sched.moves_planned").inc();
             } else {
                 // Initial placement: deployment, not migration traffic.
-                self.attach(id, s);
+                self.place(id, s);
+                if !placed_at.contains(&s) {
+                    placed_at.push(s);
+                }
             }
+        }
+        // One threat re-arm per site for the whole batch, as in
+        // `resume_site`: each placement raises the site's allocation, a
+        // higher allocation's trigger step is never later, and nothing
+        // reads the armed step between placements, so the final arm
+        // dominates every per-placement arm (which would only leave
+        // stale queue entries behind).
+        for s in placed_at {
+            self.arm_threat(s);
         }
         // Any new app the policy failed to assign goes to the queue.
         for a in &new_apps {
@@ -1707,7 +1766,15 @@ impl GroupSim {
         self.queue.push(id);
     }
 
+    /// Attach an app to site `s` and re-arm the site's power threat.
     fn attach(&mut self, id: AppId, s: usize) {
+        self.place(id, s);
+        self.arm_threat(s);
+    }
+
+    /// [`GroupSim::attach`] without the threat re-arm, for a batch that
+    /// arms each site once after its last placement.
+    fn place(&mut self, id: AppId, s: usize) {
         debug_assert!(self.apps[id.0].site.is_none());
         let cores = self.apps[id.0].spec.cores();
         self.apps[id.0].site = Some(s);
@@ -1724,7 +1791,6 @@ impl GroupSim {
             self.arm_drain(s);
         }
         self.touch(s);
-        self.arm_threat(s);
     }
 
     fn detach(&mut self, id: AppId) {
@@ -1748,6 +1814,7 @@ impl GroupSim {
                 }
                 self.sites[s].apps = kept;
                 self.sites[s].dead = 0;
+                self.sites[s].hib_cursor = 0;
             }
             let cores = self.apps[id.0].spec.cores();
             if !self.apps[id.0].hibernated {
@@ -1785,6 +1852,19 @@ impl GroupSim {
         self.touch(s);
     }
 
+    /// The hibernation cursor's invariant at site `s`: every resident
+    /// below `hib_cursor` is a tombstone, a stable app or hibernated.
+    fn hib_cursor_holds(&self, s: usize) -> bool {
+        let site = &self.sites[s];
+        site.hib_cursor <= site.apps.len()
+            && site.apps[..site.hib_cursor].iter().all(|&id| {
+                id == TOMBSTONE || {
+                    let a = &self.apps[id.0];
+                    a.hibernated || a.spec.kind == VmKind::Stable
+                }
+            })
+    }
+
     /// Resume a hibernated app (free of charge — no WAN traffic).
     /// Threat re-arming is the caller's job ([`GroupSim::resume_site`]
     /// arms once per batch, which dominates per-resume arming).
@@ -1792,7 +1872,9 @@ impl GroupSim {
         debug_assert!(self.apps[id.0].hibernated);
         let cores = self.apps[id.0].spec.cores();
         self.apps[id.0].hibernated = false;
-        self.sites[s].allocated_cores += cores;
+        let site = &mut self.sites[s];
+        site.hib_cursor = site.hib_cursor.min(self.apps[id.0].slot);
+        site.allocated_cores += cores;
         self.ev.group_allocated += cores as u64;
         self.ev.hibernated_apps -= 1;
         self.ev.hibernated_per_site[s] -= 1;

@@ -31,6 +31,13 @@
 //!   hold. Innovations are pure functions of their coordinates, so a
 //!   held sample equals a fresh draw and outputs never depend on what
 //!   the thread synthesized before.
+//! * Each read's AR(1) filter is a chain of dependent multiply-adds, and
+//!   most stream groups hold only one or two reads, so the batch filters
+//!   anchor reads four at a time in lockstep, across stream groups: the
+//!   four chains are independent, so their steps overlap. Each output
+//!   element still receives its terms in the order one-read-at-a-time
+//!   filtering adds them (lanes add in lane order, which is read order),
+//!   so the sums stay bit-identical.
 
 use crate::site::{haversine_km, Site};
 use std::cell::RefCell;
@@ -155,6 +162,19 @@ impl WeatherField {
     /// would (anchor index ascending, then the local stream), which is
     /// what keeps the sums bit-identical.
     ///
+    /// One read's filter is a chain of dependent multiply-adds, and most
+    /// stream groups hold only one or two reads, so anchor reads are
+    /// filtered four at a time in lockstep ([`Lanes`]), in the order the
+    /// loop visits them, each lane holding its memo window by `Rc`: no
+    /// sample is copied, and the memo holds every such window anyway, so
+    /// the lanes add no heap. The four recurrences are independent, so
+    /// their steps overlap. The output phase adds the lanes' terms at
+    /// each output index in lane order, so two lanes feeding one output
+    /// (consecutive anchors of one request) still add in anchor order,
+    /// element by element: every output element sees the same additions
+    /// in the same order as when each read is filtered alone. The lanes
+    /// flush before a local stream group and at the end.
+    ///
     /// # Panics
     /// Panics if a request's `rho` is outside `[0, 1)`.
     pub(crate) fn ar1_batch(&self, requests: &[Ar1Request<'_>]) -> Vec<Vec<f64>> {
@@ -172,6 +192,7 @@ impl WeatherField {
 
         let mut outs: Vec<Vec<f64>> = requests.iter().map(|r| vec![0.0; r.n]).collect();
         let mut draws = Vec::new();
+        let mut lanes = Lanes::default();
         ANCHOR_MEMO.with_borrow_mut(|memo| {
             memo.begin(self.seed);
             let mut first = 0;
@@ -185,20 +206,28 @@ impl WeatherField {
                     last += 1;
                 }
                 let key = stream_key(self.seed, head.draw_channel(), head.stream);
-                let innovations = if head.local {
+                if head.local {
+                    // The queued anchor reads add into the outputs
+                    // before any local read does, as a lone request's
+                    // would.
+                    lanes.flush(&mut outs);
                     draws.clear();
                     draws.extend((lo..hi).map(|t| normal(key, t)));
-                    &draws[..]
+                    for read in &reads[first..last] {
+                        let window = &draws[(read.start - lo) as usize..];
+                        read.filter_into(window, &mut outs[read.out]);
+                    }
                 } else {
                     let slot = (head.channel - 1) as usize * self.anchors.len();
-                    memo.window(slot + head.stream as usize, key, lo, hi)
-                };
-                for read in &reads[first..last] {
-                    let window = &innovations[(read.start - lo) as usize..];
-                    read.filter_into(window, &mut outs[read.out]);
+                    let (window, at) = memo.window(slot + head.stream as usize, key, lo, hi);
+                    for read in &reads[first..last] {
+                        let from = at + (read.start - lo) as usize;
+                        lanes.push(Rc::clone(&window), from, *read, &mut outs);
+                    }
                 }
                 first = last;
             }
+            lanes.flush(&mut outs);
             memo.finish();
         });
         outs
@@ -313,10 +342,16 @@ impl Read {
         }
     }
 
+    /// Scale of the innovation term that keeps the output at unit
+    /// variance.
+    fn innov(&self) -> f64 {
+        (1.0 - self.rho * self.rho).sqrt()
+    }
+
     /// AR(1)-filter `innovations` (this read's window onward) into
     /// unit-variance output and add it, scaled, into `out`.
     fn filter_into(&self, innovations: &[f64], out: &mut [f64]) {
-        let innov = (1.0 - self.rho * self.rho).sqrt();
+        let innov = self.innov();
         let (warmup, window) = innovations.split_at(self.warmup);
         let mut y = 0.0;
         for &z in warmup {
@@ -325,6 +360,91 @@ impl Read {
         for (o, &z) in out.iter_mut().zip(window) {
             y = self.rho * y + innov * z;
             *o += self.coef * y;
+        }
+    }
+}
+
+/// Reads filtered together by [`Lanes`].
+const LANES: usize = 4;
+
+/// Anchor reads queued for the lockstep filter, at most [`LANES`]: each
+/// with its stream's innovations (held by `Rc`, so the memo can move on
+/// to the next stream) and the index of its first innovation in them.
+#[derive(Default)]
+struct Lanes {
+    queued: Vec<(Rc<Vec<f64>>, usize, Read)>,
+}
+
+impl Lanes {
+    /// Queue a read; a full set of lanes is filtered at once.
+    fn push(&mut self, draws: Rc<Vec<f64>>, from: usize, read: Read, outs: &mut [Vec<f64>]) {
+        self.queued.push((draws, from, read));
+        if self.queued.len() == LANES {
+            self.flush(outs);
+        }
+    }
+
+    /// Filter every queued read into `outs` and empty the queue. Fewer
+    /// than [`LANES`] reads (before a local group, at the end) are
+    /// filtered one after another, in queue order.
+    fn flush(&mut self, outs: &mut [Vec<f64>]) {
+        match <&[_; LANES]>::try_from(&self.queued[..]) {
+            Ok(lanes) => filter_lockstep(lanes, outs),
+            Err(_) => {
+                for (draws, from, read) in &self.queued {
+                    read.filter_into(&draws[*from..], &mut outs[read.out]);
+                }
+            }
+        }
+        self.queued.clear();
+    }
+}
+
+/// Filter four reads in lockstep. The warm-ups run together up to the
+/// shortest, then each alone: nothing is written there, so any
+/// interleaving is exact. The outputs run together up to the shortest
+/// length, each index adding the lanes' terms in lane order, then each
+/// lane's tail in lane order. Lanes that feed one output belong to one
+/// request and share its length, so every output element receives its
+/// terms in lane order, as when the reads are filtered one by one.
+fn filter_lockstep(lanes: &[(Rc<Vec<f64>>, usize, Read); LANES], outs: &mut [Vec<f64>]) {
+    let read: [&Read; LANES] = std::array::from_fn(|l| &lanes[l].2);
+    let rho: [f64; LANES] = read.map(|r| r.rho);
+    let innov: [f64; LANES] = read.map(Read::innov);
+    let z: [&[f64]; LANES] =
+        std::array::from_fn(|l| &lanes[l].0[lanes[l].1..][..read[l].warmup + read[l].n]);
+    let mut y = [0.0; LANES];
+
+    let warm = read.iter().map(|r| r.warmup).min().unwrap_or(0);
+    for (((&z0, &z1), &z2), &z3) in z[0][..warm]
+        .iter()
+        .zip(&z[1][..warm])
+        .zip(&z[2][..warm])
+        .zip(&z[3][..warm])
+    {
+        for (l, zl) in [z0, z1, z2, z3].into_iter().enumerate() {
+            y[l] = rho[l] * y[l] + innov[l] * zl;
+        }
+    }
+    for l in 0..LANES {
+        for &zl in &z[l][warm..read[l].warmup] {
+            y[l] = rho[l] * y[l] + innov[l] * zl;
+        }
+    }
+
+    let n = read.iter().map(|r| r.n).min().unwrap_or(0);
+    let body: [&[f64]; LANES] = std::array::from_fn(|l| &z[l][read[l].warmup..][..n]);
+    let zipped = body[0].iter().zip(body[1]).zip(body[2]).zip(body[3]);
+    for (e, (((&z0, &z1), &z2), &z3)) in zipped.enumerate() {
+        for (l, zl) in [z0, z1, z2, z3].into_iter().enumerate() {
+            y[l] = rho[l] * y[l] + innov[l] * zl;
+            outs[read[l].out][e] += read[l].coef * y[l];
+        }
+    }
+    for l in 0..LANES {
+        for (e, &zl) in z[l][read[l].warmup..].iter().enumerate().skip(n) {
+            y[l] = rho[l] * y[l] + innov[l] * zl;
+            outs[read[l].out][e] += read[l].coef * y[l];
         }
     }
 }
@@ -382,12 +502,13 @@ impl AnchorMemo {
     }
 
     /// The innovations of anchor stream `slot` (hashed with `key`) over
-    /// the merged window `[lo, hi)`. A window inside a held one is read
-    /// from it; any other is built from the samples held windows cover,
-    /// drawing only the rest. A batch passes one stream's windows
-    /// consecutively, ascending and disjoint; when it moves on, the
-    /// windows that served the stream become its held set.
-    fn window(&mut self, slot: usize, key: u64, lo: i64, hi: i64) -> &[f64] {
+    /// the merged window `[lo, hi)`, as a held window and the index of
+    /// sample `lo` in it. A window inside a held one is read from it;
+    /// any other is built from the samples held windows cover, drawing
+    /// only the rest. A batch passes one stream's windows consecutively,
+    /// ascending and disjoint; when it moves on, the windows that served
+    /// the stream become its held set.
+    fn window(&mut self, slot: usize, key: u64, lo: i64, hi: i64) -> (Rc<Vec<f64>>, usize) {
         if self.open != Some(slot) {
             self.finish();
             self.open = Some(slot);
@@ -422,9 +543,9 @@ impl AnchorMemo {
                 }
             }
         };
+        let window = (Rc::clone(&served.draws), (lo - served.start) as usize);
         self.serving.push(served);
-        let h = &self.serving[self.serving.len() - 1];
-        &h.draws[(lo - h.start) as usize..(hi - h.start) as usize]
+        window
     }
 
     /// Make the windows that served the open stream its held set.
@@ -668,6 +789,96 @@ mod tests {
                 let lone = f.ar1(r.channel, r.site, r.rho, r.t0, r.n);
                 assert_eq!(&bits(vec![lone])[0], want, "{:?} after {name}", r.channel);
             }
+        }
+    }
+
+    /// One request's driver with every read filtered alone, from fresh
+    /// draws, in the engine's read order: no lanes and no memo.
+    fn one_read_at_a_time(f: &WeatherField, r: &Ar1Request<'_>) -> Vec<f64> {
+        let mut reads = Vec::new();
+        f.push_reads(0, r, &mut reads);
+        let mut out = vec![0.0; r.n];
+        for read in &reads {
+            let key = stream_key(f.seed, read.draw_channel(), read.stream);
+            let draws: Vec<f64> = (read.start..read.end()).map(|t| normal(key, t)).collect();
+            read.filter_into(&draws, &mut out);
+        }
+        out
+    }
+
+    #[test]
+    fn lanes_add_in_read_order_bit_for_bit() {
+        // Four requests on one channel with warm-ups from four `rho`s and
+        // four lengths, so lanes mix warm-ups, lengths and outputs; each
+        // output's anchors outnumber the lanes, so its reads straddle
+        // lane boundaries; a request on an earlier channel puts that
+        // channel's local stream group between two runs of anchor reads.
+        let f = WeatherField::new(23);
+        let a = Site::wind("a", 52.0, 0.0);
+        let b = Site::wind("b", 47.0, 8.0);
+        let req = |channel, site, rho, t0, n| Ar1Request {
+            channel,
+            site,
+            rho,
+            t0,
+            n,
+        };
+        let requests = [
+            req(Channel::WindGust, &a, 0.3, 0, 700),
+            req(Channel::WindGust, &b, 0.9, 100, 500),
+            req(Channel::WindRegime, &b, 0.95, 0, 400),
+            req(Channel::WindGust, &a, 0.99, -200, 900),
+            req(Channel::WindGust, &b, 0.997, 50, 300),
+        ];
+
+        // The batch's shape, in the order the engine queues its reads.
+        let mut reads = Vec::new();
+        for (out, r) in requests.iter().enumerate() {
+            f.push_reads(out, r, &mut reads);
+        }
+        reads.sort_by_key(|r| (r.channel, r.local, r.stream, r.start));
+        let gust = Channel::WindGust.id();
+        let gust_anchors = reads.iter().filter(|r| r.channel == gust && !r.local);
+        assert!(
+            gust_anchors.count() >= 9,
+            "too few anchor reads on one channel"
+        );
+        let first_local = reads.iter().position(|r| r.local).expect("local reads");
+        assert!(
+            reads[first_local..].iter().any(|r| !r.local),
+            "no anchor group after a local group"
+        );
+        // Lane round of each anchor read: the lanes fill in read order
+        // and flush before each local group.
+        let mut rounds = vec![Vec::new(); requests.len()];
+        let mut queued = 0;
+        for r in &reads {
+            if r.local {
+                queued = 0;
+                continue;
+            }
+            rounds[r.out].push(queued / LANES);
+            queued += 1;
+        }
+        let straddling = rounds.iter().filter(|rs| rs.first() != rs.last());
+        assert!(
+            straddling.count() >= 2,
+            "outputs within one lane round only"
+        );
+
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let batch = f.ar1_batch(&requests);
+        for (r, got) in requests.iter().zip(&batch) {
+            let lone = f.ar1(r.channel, r.site, r.rho, r.t0, r.n);
+            let reference = one_read_at_a_time(&f, r);
+            assert_eq!(bits(got), bits(&reference), "{:?} rho {}", r.channel, r.rho);
+            assert_eq!(
+                bits(&lone),
+                bits(&reference),
+                "{:?} rho {}",
+                r.channel,
+                r.rho
+            );
         }
     }
 

@@ -74,6 +74,8 @@ def fleet_row(scale, **updates):
         "event_wakeups": 16_700,
         "stale_events": 135,
         "transfers": 36_900,
+        "power_scan_visits": 500_000,
+        "resume_scan_visits": 300_000,
         "total_gb": 888_000.0,
         "dropped_apps": 1000,
         "peak_rss_mb": 120.0,
@@ -88,8 +90,20 @@ def fleet_result(rows):
 
 # The fleet row's step-loop work counts, each moved just inside and
 # just past its 1 % relative band around `fleet_row`'s value.
-FLEET_COUNTS_WITHIN_BAND = {"event_wakeups": 16_860, "stale_events": 136, "transfers": 36_540}
-FLEET_COUNTS_PAST_BAND = {"event_wakeups": 16_900, "stale_events": 137, "transfers": 36_500}
+FLEET_COUNTS_WITHIN_BAND = {
+    "event_wakeups": 16_860,
+    "stale_events": 136,
+    "transfers": 36_540,
+    "power_scan_visits": 504_000,
+    "resume_scan_visits": 302_900,
+}
+FLEET_COUNTS_PAST_BAND = {
+    "event_wakeups": 16_900,
+    "stale_events": 137,
+    "transfers": 36_500,
+    "power_scan_visits": 506_000,
+    "resume_scan_visits": 303_100,
+}
 
 
 class GateHarness(unittest.TestCase):

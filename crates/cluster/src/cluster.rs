@@ -19,8 +19,7 @@
 //! until power returns or their lifetime lapses.
 
 use crate::vm::{Vm, VmId, VmKind, VmRequest, VmState};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Cluster sizing and policy knobs. Defaults are the paper's setup.
 #[derive(Debug, Clone)]
@@ -130,6 +129,40 @@ impl FreeCoreIndex {
     fn remove(&mut self, level: u32, server: usize) {
         self.bits[level as usize * self.words_per_level + server / 64] &= !(1 << (server % 64));
         self.len[level as usize] -= 1;
+    }
+}
+
+/// The empty slots of the VM slab: a bitset, 64 slots to a word, that
+/// yields the lowest. Every word below `first` is zero, so the lowest
+/// empty slot is the first set bit from word `first` on.
+#[derive(Debug, Clone, Default)]
+struct FreeSlots {
+    words: Vec<u64>,
+    first: usize,
+}
+
+impl FreeSlots {
+    /// Mark `slot` empty.
+    fn insert(&mut self, slot: usize) {
+        let w = slot / 64;
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        self.words[w] |= 1 << (slot % 64);
+        self.first = self.first.min(w);
+    }
+
+    /// Take the lowest empty slot, if any.
+    fn pop_lowest(&mut self) -> Option<usize> {
+        while let Some(word) = self.words.get_mut(self.first) {
+            if *word != 0 {
+                let bit = word.trailing_zeros() as usize;
+                *word &= *word - 1;
+                return Some(self.first * 64 + bit);
+            }
+            self.first += 1;
+        }
+        None
     }
 }
 
@@ -290,8 +323,8 @@ pub struct Cluster {
     candidates: [Vec<u64>; 2],
     /// Slab of VMs; freed slots are `None`.
     vms: Vec<Option<Vm>>,
-    /// Indices of the `None` slots of `vms`, lowest first.
-    free_slots: BinaryHeap<Reverse<usize>>,
+    /// Indices of the `None` slots of `vms`.
+    free_slots: FreeSlots,
     /// Every live slab slot, by the step it expires at.
     departures: DepartureWheel,
     /// Scratch list of the slots [`Cluster::advance`] expires, kept for
@@ -334,7 +367,7 @@ impl Cluster {
             cfg,
             servers,
             vms: Vec::new(),
-            free_slots: BinaryHeap::new(),
+            free_slots: FreeSlots::default(),
             departures: DepartureWheel::default(),
             due_slots: Vec::new(),
             pending: VecDeque::new(),
@@ -663,7 +696,7 @@ impl Cluster {
 
     /// Store `vm` in the lowest empty slab slot, or a new one.
     fn alloc_slot(&mut self, vm: Vm) -> VmId {
-        if let Some(Reverse(idx)) = self.free_slots.pop() {
+        if let Some(idx) = self.free_slots.pop_lowest() {
             self.vms[idx] = Some(vm);
             VmId(idx)
         } else {
@@ -677,7 +710,7 @@ impl Cluster {
         let Some(vm) = self.vms[id.0].take() else {
             return;
         };
-        self.free_slots.push(Reverse(id.0));
+        self.free_slots.insert(id.0);
         self.departures
             .remove(id.0, due_step(vm.departs_at, self.now));
         match vm.state {
@@ -1276,10 +1309,12 @@ mod tests {
                 "wheel entries of slot {s}"
             );
         }
-        let mut free_slots: Vec<usize> = c.free_slots.iter().map(|&Reverse(i)| i).collect();
-        free_slots.sort_unstable();
+        let words = &c.free_slots.words;
+        let free_slots: Vec<usize> = (0..words.len() * 64)
+            .filter(|&i| (words[i / 64] >> (i % 64)) & 1 == 1)
+            .collect();
         let empty: Vec<usize> = (0..c.vms.len()).filter(|&i| c.vms[i].is_none()).collect();
-        assert_eq!(free_slots, empty, "free-slot heap vs empty slab slots");
+        assert_eq!(free_slots, empty, "free-slot set vs empty slab slots");
         // A new VM takes the lowest empty slot, or a new one at the end.
         let lowest_empty = c.vms.iter().position(Option::is_none);
         let mut probe = c.clone();

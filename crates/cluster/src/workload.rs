@@ -15,11 +15,11 @@
 use crate::vm::{VmKind, VmRequest};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vb_stats::sample::{poisson, standard_normal};
+use vb_stats::sample::{lognormal_steps, poisson};
 
 /// Discrete VM shape mix: (cores, memory GB per core, probability).
 /// Small VMs dominate, as in the Azure trace.
-const SHAPES: &[(u32, f64, f64)] = &[
+const SHAPES: [(u32, f64, f64); 7] = [
     (1, 4.0, 0.38),
     (2, 4.0, 0.25),
     (4, 4.0, 0.18),
@@ -28,6 +28,50 @@ const SHAPES: &[(u32, f64, f64)] = &[
     (24, 5.33, 0.025),
     (32, 4.0, 0.015),
 ];
+
+/// The shape a uniform `u` picks by the subtract-and-compare scan: the
+/// first shape whose probability exceeds what is left of `u` after
+/// subtracting the shapes before it, else the last. Each subtraction is
+/// monotone in `u`, so the pick is too.
+const fn scan_shape(mut u: f64) -> usize {
+    let mut i = 0;
+    while i + 1 < SHAPES.len() {
+        if u < SHAPES[i].2 {
+            return i;
+        }
+        u -= SHAPES[i].2;
+        i += 1;
+    }
+    SHAPES.len() - 1
+}
+
+/// The spacing of the uniforms `Rng::gen::<f64>` draws: `m·2⁻⁵³`.
+const UNIFORM_GRID: f64 = 1.0 / (1u64 << 53) as f64;
+
+/// `SHAPE_EDGES[i]` is the least uniform on the `2⁻⁵³` grid that
+/// [`scan_shape`] maps past shape `i`, found at compile time by
+/// bisecting the scan over the grid. As the scan is monotone, it picks
+/// for every uniform the number of edges the uniform reaches.
+const SHAPE_EDGES: [f64; SHAPES.len() - 1] = {
+    let mut edges = [1.0; SHAPES.len() - 1];
+    let mut i = 0;
+    while i < edges.len() {
+        // The scan maps `lo` to at most `i` and `hi` (or the grid's end)
+        // past it.
+        let (mut lo, mut hi) = (0u64, 1u64 << 53);
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if scan_shape(mid as f64 * UNIFORM_GRID) > i {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        edges[i] = hi as f64 * UNIFORM_GRID;
+        i += 1;
+    }
+    edges
+};
 
 /// Workload generator configuration.
 #[derive(Debug, Clone)]
@@ -87,6 +131,12 @@ impl WorkloadConfig {
         self.degradable_fraction = f;
         self
     }
+}
+
+/// The shape [`scan_shape`] picks for `u`, without its branches: the
+/// number of edges `u` reaches.
+fn pick_shape(u: f64) -> usize {
+    SHAPE_EDGES.iter().map(|&e| usize::from(u >= e)).sum()
 }
 
 /// A seeded stream of VM arrival batches.
@@ -161,22 +211,17 @@ impl Workload {
     }
 
     fn draw_shape(&mut self) -> (u32, f64) {
-        let mut u = self.rng.gen::<f64>();
-        for &(cores, mem, p) in SHAPES {
-            if u < p {
-                return (cores, mem);
-            }
-            u -= p;
-        }
-        // vb-audit: allow(no-panic, SHAPES is a non-empty compile-time table)
-        let &(cores, mem, _) = SHAPES.last().expect("non-empty shape table");
+        let (cores, mem, _) = SHAPES[pick_shape(self.rng.gen::<f64>())];
         (cores, mem)
     }
 
     fn draw_lifetime(&mut self) -> u32 {
-        let z: f64 = standard_normal(&mut self.rng);
-        let steps = self.cfg.median_lifetime_steps * (self.cfg.lifetime_sigma * z).exp();
-        (steps.round() as u32).clamp(1, self.cfg.max_lifetime_steps)
+        lognormal_steps(
+            &mut self.rng,
+            self.cfg.median_lifetime_steps,
+            self.cfg.lifetime_sigma,
+            self.cfg.max_lifetime_steps,
+        )
     }
 }
 
@@ -188,6 +233,25 @@ mod tests {
     fn shape_probabilities_sum_to_one() {
         let total: f64 = SHAPES.iter().map(|&(_, _, p)| p).sum();
         assert!((total - 1.0).abs() < 1e-9, "sum {total}");
+    }
+
+    /// Each edge and the grid point below it pick the shape the scan
+    /// picks, so the count agrees with the scan on both sides of every
+    /// step; so do a million random uniforms.
+    #[test]
+    fn edge_count_picks_the_shape_the_scan_picks() {
+        for (i, &edge) in SHAPE_EDGES.iter().enumerate() {
+            let below = edge - UNIFORM_GRID;
+            assert_eq!(scan_shape(below), i, "below edge {i}");
+            assert_eq!(scan_shape(edge), i + 1, "edge {i} at {edge}");
+            assert_eq!(pick_shape(below), i, "below edge {i}");
+            assert_eq!(pick_shape(edge), i + 1, "edge {i} at {edge}");
+        }
+        let mut rng = StdRng::seed_from_u64(9);
+        for _ in 0..1_000_000 {
+            let u = rng.gen::<f64>();
+            assert_eq!(pick_shape(u), scan_shape(u), "u = {u}");
+        }
     }
 
     #[test]

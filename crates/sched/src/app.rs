@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vb_cluster::VmKind;
-use vb_stats::sample::{poisson, standard_normal};
+use vb_stats::sample::{lognormal_steps, poisson};
 
 /// An application request.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -162,16 +162,18 @@ impl AppGen {
         } else {
             VmKind::Stable
         };
-        let z = standard_normal(&mut self.rng);
-        let lifetime = (self.cfg.median_lifetime_steps * (self.cfg.lifetime_sigma * z).exp())
-            .round()
-            .clamp(1.0, self.cfg.max_lifetime_steps as f64) as u32;
+        let lifetime_steps = lognormal_steps(
+            &mut self.rng,
+            self.cfg.median_lifetime_steps,
+            self.cfg.lifetime_sigma,
+            self.cfg.max_lifetime_steps,
+        );
         AppSpec {
             n_vms,
             cores_per_vm: self.cfg.cores_per_vm,
             mem_per_vm_gb: self.cfg.mem_per_vm_gb,
             kind,
-            lifetime_steps: lifetime,
+            lifetime_steps,
         }
     }
 }

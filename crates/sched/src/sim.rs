@@ -145,7 +145,10 @@ impl GroupSimConfig {
     /// target would size an infinite workload, one above 1 admits more
     /// cores than a site has powered), and an explicit `app_cfg` whose
     /// arrival rate is negative or not finite (the Poisson sampler
-    /// would silently draw no arrivals from it).
+    /// would silently draw no arrivals from it), whose VM-count range is
+    /// empty, or whose lifetime distribution is degenerate: a zero cap,
+    /// a median that is not finite and positive, or a σ that is not
+    /// finite (a NaN gives every app the shortest lifetime).
     ///
     /// # Errors
     /// [`SimError::Config`] naming the first offending field.
@@ -175,6 +178,34 @@ impl GroupSimConfig {
                 return bad(
                     "app_cfg.arrivals_per_step",
                     format!("must be a finite, non-negative rate, not {rate}"),
+                );
+            }
+            if app.vms_min > app.vms_max {
+                return bad(
+                    "app_cfg.vms_min",
+                    format!(
+                        "must not exceed vms_max ({}), not {}",
+                        app.vms_max, app.vms_min
+                    ),
+                );
+            }
+            let median = app.median_lifetime_steps;
+            if !(median.is_finite() && median > 0.0) {
+                return bad(
+                    "app_cfg.median_lifetime_steps",
+                    format!("must be a finite, positive step count, not {median}"),
+                );
+            }
+            if !app.lifetime_sigma.is_finite() {
+                return bad(
+                    "app_cfg.lifetime_sigma",
+                    format!("must be finite, not {}", app.lifetime_sigma),
+                );
+            }
+            if app.max_lifetime_steps == 0 {
+                return bad(
+                    "app_cfg.max_lifetime_steps",
+                    "the lifetime cap must be at least one step".into(),
                 );
             }
         }

@@ -1,12 +1,14 @@
 //! Degenerate `GroupSimConfig`s and non-finite measured traces fail
 //! `GroupSim::new` with a typed error, instead of panicking (`days = 0`
 //! in `Summary::of`, `epoch_steps = 0` as a remainder by zero, a
-//! subgraph member outside the group as an index out of bounds) or
-//! hanging (a NaN `target_util` or trace sample sizes a workload whose
-//! Poisson sampler never returned, and so did a NaN arrival rate in an
-//! explicit `app_cfg`). Cases that used to hang run on a
-//! worker thread under a wall-clock bound, so a regression fails the
-//! test instead of stalling the suite.
+//! subgraph member outside the group as an index out of bounds, an
+//! `app_cfg` with a zero lifetime cap or an empty VM-count range on its
+//! first arrival), hanging (a NaN `target_util` or trace sample sizes a
+//! workload whose Poisson sampler never returned, and so did a NaN
+//! arrival rate in an explicit `app_cfg`) or running on garbage (a NaN
+//! lifetime median or σ gave every app a 0-step lifetime). Cases that
+//! used to hang run on a worker thread under a wall-clock bound, so a
+//! regression fails the test instead of stalling the suite.
 
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
@@ -154,6 +156,78 @@ fn negative_or_infinite_arrival_rate_is_a_config_error() {
     // No arrivals at all is a valid (if idle) workload.
     let cfg = with_arrival_rate(0.0);
     assert!(GroupSim::new(&Catalog::europe(42), &["NO-solar"], cfg).is_ok());
+}
+
+fn with_apps(app: AppGenConfig) -> GroupSimConfig {
+    GroupSimConfig {
+        app_cfg: Some(app),
+        ..small()
+    }
+}
+
+/// The `SimError::Config` field `GroupSim::new` names for `app`, or
+/// `None` when the group builds.
+fn app_error(app: AppGenConfig) -> Option<&'static str> {
+    GroupSim::new(&Catalog::europe(42), &["NO-solar"], with_apps(app))
+        .err()
+        .map(|err| config_field(Some(err)))
+}
+
+#[test]
+fn zero_lifetime_cap_is_a_config_error() {
+    // A zero cap used to panic in `f64::clamp` on the first arrival.
+    let app = |max_lifetime_steps| AppGenConfig {
+        max_lifetime_steps,
+        ..AppGenConfig::default()
+    };
+    assert_eq!(app_error(app(0)), Some("app_cfg.max_lifetime_steps"));
+    assert_eq!(app_error(app(1)), None);
+}
+
+#[test]
+fn empty_vm_count_range_is_a_config_error() {
+    // `vms_min > vms_max` used to panic in `gen_range` on the first
+    // arrival.
+    let app = |vms_min, vms_max| AppGenConfig {
+        vms_min,
+        vms_max,
+        ..AppGenConfig::default()
+    };
+    assert_eq!(app_error(app(6, 5)), Some("app_cfg.vms_min"));
+    assert_eq!(app_error(app(5, 5)), None);
+}
+
+#[test]
+fn median_lifetime_that_is_not_finite_and_positive_is_a_config_error() {
+    // A NaN median used to give every app a 0-step lifetime.
+    for bad in [f64::NAN, 0.0, -144.0, f64::INFINITY] {
+        let app = AppGenConfig {
+            median_lifetime_steps: bad,
+            ..AppGenConfig::default()
+        };
+        assert_eq!(
+            app_error(app),
+            Some("app_cfg.median_lifetime_steps"),
+            "median {bad}"
+        );
+    }
+}
+
+#[test]
+fn lifetime_sigma_that_is_not_finite_is_a_config_error() {
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let app = AppGenConfig {
+            lifetime_sigma: bad,
+            ..AppGenConfig::default()
+        };
+        assert_eq!(app_error(app), Some("app_cfg.lifetime_sigma"), "σ {bad}");
+    }
+    // A zero σ gives every app the median lifetime: valid.
+    let app = AppGenConfig {
+        lifetime_sigma: 0.0,
+        ..AppGenConfig::default()
+    };
+    assert_eq!(app_error(app), None);
 }
 
 #[test]

@@ -22,8 +22,8 @@
 //!   §2.3 ("minimum power level in the window multiplied by the size of a
 //!   window").
 //!
-//! [`sample`] holds the Poisson and normal samplers that the VM and
-//! application arrival generators share.
+//! [`sample`] holds the Poisson and rounded log-normal samplers that
+//! the VM and application arrival generators share.
 //!
 //! All of those live here so the higher layers can share one tested
 //! implementation.

@@ -140,7 +140,12 @@ pub fn run(
     findings
 }
 
-const PAR_COMBINATORS: &[&str] = &["par_map", "par_map_chunked", "par_map_with"];
+const PAR_COMBINATORS: &[&str] = &[
+    "par_map",
+    "par_map_chunked",
+    "par_map_with",
+    "par_map_owned",
+];
 const SHARED_ACCUMULATORS: &[&str] = &["fetch_add", "fetch_sub", "fetch_update", "lock"];
 
 /// Scan `par_map*(...)` call extents for shared-state accumulation.

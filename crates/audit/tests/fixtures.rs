@@ -407,6 +407,18 @@ fn float_reduce_order_positive() {
 }
 
 #[test]
+fn float_reduce_order_sees_owned_item_maps() {
+    let findings = audit("det_float_reduce_owned_bad.rs", FileSpec::default());
+    assert_eq!(lints(&findings), ["float-reduce-order"]);
+    assert_eq!(findings[0].line, 8, "lock inside the closure");
+    assert!(
+        findings[0].message.contains("par_map_owned"),
+        "message names the combinator: {}",
+        findings[0]
+    );
+}
+
+#[test]
 fn float_reduce_order_negative() {
     let findings = audit("det_float_reduce_ok.rs", FileSpec::default());
     assert_eq!(findings, [], "expected clean, got: {findings:#?}");

@@ -84,6 +84,7 @@ fn ablate_peak_weight(catalog: &Catalog, cfg: &GroupSimConfig) {
     for w in [0.0, 12.0, 24.0, 48.0] {
         let mut mc = MipConfig::mip_peak();
         mc.peak_weight = w;
+        mc.name = format!("MIP-peak w{w}");
         let s = GroupSim::new(catalog, &TRIO, cfg.clone())
             .expect("benchmark sites must exist in the catalog")
             .run(&mut MipPolicy::new(mc));
@@ -106,7 +107,11 @@ fn ablate_util(catalog: &Catalog) {
             target_util: util,
             ..GroupSimConfig::default()
         };
-        let r = run_policy(catalog, &TRIO, &cfg, &mut MipPolicy::new(MipConfig::mip()));
+        let mc = MipConfig {
+            name: format!("MIP util {util}"),
+            ..MipConfig::mip()
+        };
+        let r = run_policy(catalog, &TRIO, &cfg, &mut MipPolicy::new(mc));
         t.row(&[
             format!("{util}"),
             thousands(r.0),
@@ -129,7 +134,11 @@ fn ablate_forecast_quality(catalog: &Catalog, cfg: &GroupSimConfig) {
             bucket_steps: bucket,
             ..cfg.clone()
         };
-        let r = run_policy(catalog, &TRIO, &cfg, &mut MipPolicy::new(MipConfig::mip()));
+        let mc = MipConfig {
+            name: format!("MIP {}h buckets", bucket / 4),
+            ..MipConfig::mip()
+        };
+        let r = run_policy(catalog, &TRIO, &cfg, &mut MipPolicy::new(mc));
         t.row(&[label.into(), thousands(r.0), thousands(r.1)]);
     }
     print!("{}", t.render());
@@ -154,7 +163,11 @@ fn ablate_subgraphs(catalog: &Catalog) {
             subgraphs: groups,
             ..GroupSimConfig::default()
         };
-        let r = run_policy(catalog, &names, &cfg, &mut MipPolicy::new(MipConfig::mip()));
+        let mc = MipConfig {
+            name: format!("MIP {label}"),
+            ..MipConfig::mip()
+        };
+        let r = run_policy(catalog, &names, &cfg, &mut MipPolicy::new(mc));
         t.row(&[
             label.into(),
             thousands(r.0),

@@ -489,7 +489,10 @@ impl Cluster {
     /// Apply a power budget. Returns the stable VMs evicted to satisfy
     /// it; the caller decides where they go (another site, or dropped).
     pub fn set_power(&mut self, power_frac: f64, stats: &mut StepStats) -> Vec<EvictedVm> {
-        let budget = (power_frac.clamp(0.0, 1.0) * self.cfg.total_cores() as f64).floor() as u32;
+        // `as u32` truncates and saturates: for every f64 it gives the
+        // integer `floor` then `as u32` gives, without libm's `floor`
+        // (`saturating_cast_is_floor_then_cast`).
+        let budget = (power_frac.clamp(0.0, 1.0) * self.cfg.total_cores() as f64) as u32;
         self.budget_cores = budget;
         stats.budget_cores = budget;
 
@@ -610,7 +613,8 @@ impl Cluster {
     /// absorbed by simply powering down un-allocated cores" (§3) even at
     /// sites that rarely reach nameplate output.
     fn admission_cap(&self) -> u32 {
-        (self.cfg.target_util * self.budget_cores as f64).floor() as u32
+        // Truncating cast, as in `set_power`.
+        (self.cfg.target_util * self.budget_cores as f64) as u32
     }
 
     fn finish_stats(&self, stats: &mut StepStats) {
@@ -816,6 +820,55 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn saturating_cast_is_floor_then_cast() {
+        // `set_power`, `admission_cap` (and vb-sched's budget and
+        // admission caps) cast without `floor`: `as u32` truncates
+        // toward zero and saturates, so it must give the same integer
+        // as `floor` then `as u32` for every f64.
+        let same =
+            |x: f64| assert_eq!(x as u32, x.floor() as u32, "x = {x:e} ({:#x})", x.to_bits());
+        let edges = [
+            0.0,
+            -0.0,
+            -f64::MIN_POSITIVE,
+            -0.5,
+            -1.0,
+            -1e300,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            5e-324,
+            0.5,
+            1.0 - f64::EPSILON / 2.0,
+            u32::MAX as f64 - 0.5,
+            u32::MAX as f64,
+            u32::MAX as f64 + 0.5,
+            4_294_967_296.0,
+            1e20,
+        ];
+        for x in edges {
+            same(x);
+        }
+        // Either side of every integer up to 70,000 and near 2^32.
+        let around = |n: f64| [n.next_down(), n, n.next_up()];
+        for n in (0..70_000).chain((u32::MAX - 70_000)..=u32::MAX) {
+            around(n as f64).into_iter().for_each(same);
+        }
+        around(4_294_967_296.0).into_iter().for_each(same);
+        // A dense grid of the products the sites compute: a fraction
+        // of a core count.
+        for cores in [1u32, 100, 700, 1_000, 4_000] {
+            for k in 0..=200_000u32 {
+                same(k as f64 / 200_000.0 * cores as f64);
+                same(0.7 * (k as f64 / 200_000.0 * cores as f64));
+            }
+        }
+    }
 
     fn small_cfg() -> ClusterConfig {
         ClusterConfig {

@@ -20,6 +20,13 @@
 //! 7-day MIP policy run next to a greedy one) don't leave threads idle.
 //! [`ParConfig::min_chunk`] amortises cursor traffic for cheap tasks.
 //!
+//! **Owned items.** [`par_map_owned`] consumes a `Vec` and hands each
+//! item to its task by value, for tasks that must own their input (a
+//! branch-and-bound node whose last child re-solves in the node's own
+//! simplex state). The items are split into one contiguous run per
+//! worker before any worker starts, so no item is shared and no lock is
+//! taken; results still come back in index order.
+//!
 //! **Panic propagation.** A panicking task aborts the map and re-raises
 //! the original payload on the caller thread after the remaining
 //! workers drain.
@@ -181,44 +188,23 @@ where
     // disjoint, so reassembling them in start order restores exactly the
     // sequential output.
     let cursor = AtomicUsize::new(0);
-    // Carry the caller's open span into every worker so their `par.busy`
-    // spans (and everything the tasks open) nest under the fan-out point
-    // in trace timelines.
-    let trace_ctx = vb_telemetry::trace_context();
-    let mut chunks: Vec<(usize, Vec<T>)> = Vec::with_capacity(n.div_ceil(chunk));
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let cursor = &cursor;
-                let f = &f;
-                scope.spawn(move || {
-                    let _trace = vb_telemetry::adopt_trace(trace_ctx);
-                    let _span = vb_telemetry::span!("par.busy");
-                    let mut mine: Vec<(usize, Vec<T>)> = Vec::new();
-                    let mut tasks = 0u64;
-                    loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        let end = (start + chunk).min(n);
-                        mine.push((start, (start..end).map(f).collect()));
-                        tasks += (end - start) as u64;
-                    }
-                    vb_telemetry::histogram!("par.worker_tasks").observe(tasks as f64);
-                    mine
-                })
-            })
-            .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok(mine) => chunks.extend(mine),
-                // Re-raise the task's own panic payload on the caller;
-                // the scope has already joined the remaining workers.
-                Err(payload) => std::panic::resume_unwind(payload),
+    let mut chunks: Vec<(usize, Vec<T>)> = run_workers(vec![(); threads], |()| {
+        let mut mine: Vec<(usize, Vec<T>)> = Vec::new();
+        let mut tasks = 0u64;
+        loop {
+            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+            if start >= n {
+                break;
             }
+            let end = (start + chunk).min(n);
+            mine.push((start, (start..end).map(&f).collect()));
+            tasks += (end - start) as u64;
         }
-    });
+        (mine, tasks)
+    })
+    .into_iter()
+    .flatten()
+    .collect();
 
     chunks.sort_unstable_by_key(|&(start, _)| start);
     let mut out = Vec::with_capacity(n);
@@ -227,6 +213,89 @@ where
     }
     debug_assert_eq!(out.len(), n, "every index produced exactly once");
     out
+}
+
+/// Map `f` over `items` in parallel, handing each item to its task by
+/// value; `out[i] == f(items[i])` in input order, bit-identical at any
+/// thread count. The items are split into one contiguous run per worker
+/// before the workers start (the first `n % threads` runs one item
+/// longer), so each worker owns its run outright. There is no work
+/// sharing: use it where tasks must own their input, [`par_map`]
+/// elsewhere. The worker count resolves as for [`par_map`].
+pub fn par_map_owned<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
+where
+    T: Send,
+    U: Send,
+    F: Fn(T) -> U + Sync,
+{
+    let n = items.len();
+    if n == 0 {
+        return Vec::new();
+    }
+    let threads = ParConfig::default().resolve_threads(n);
+    vb_telemetry::counter!("par.tasks").add(n as u64);
+    vb_telemetry::counter!("par.workers").add(threads as u64);
+
+    if threads <= 1 {
+        let _span = vb_telemetry::span!("par.busy");
+        vb_telemetry::histogram!("par.worker_tasks").observe(n as f64);
+        return items.into_iter().map(f).collect();
+    }
+
+    // Split off the runs from the back, then restore worker order.
+    let (base, extra) = (n / threads, n % threads);
+    let mut rest = items;
+    let mut runs: Vec<Vec<T>> = (0..threads)
+        .rev()
+        .map(|k| rest.split_off(k * base + k.min(extra)))
+        .collect();
+    runs.reverse();
+    let out: Vec<U> = run_workers(runs, |run| {
+        let tasks = run.len() as u64;
+        (run.into_iter().map(&f).collect::<Vec<U>>(), tasks)
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    debug_assert_eq!(out.len(), n, "every item mapped exactly once");
+    out
+}
+
+/// Run `work` on one scoped worker per job and return the results in
+/// job order. Each worker adopts the caller's trace context, so its
+/// `par.busy` span (and everything its tasks open) nests under the
+/// fan-out point in trace timelines, and reports the task count `work`
+/// returns to `par.worker_tasks`. A worker's panic is re-raised on the
+/// caller with its own payload once the scope has joined the rest.
+fn run_workers<J, R, W>(jobs: Vec<J>, work: W) -> Vec<R>
+where
+    J: Send,
+    R: Send,
+    W: Fn(J) -> (R, u64) + Sync,
+{
+    let trace_ctx = vb_telemetry::trace_context();
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = jobs
+            .into_iter()
+            .map(|job| {
+                scope.spawn(move || {
+                    let _trace = vb_telemetry::adopt_trace(trace_ctx);
+                    let _span = vb_telemetry::span!("par.busy");
+                    let (out, tasks) = work(job);
+                    vb_telemetry::histogram!("par.worker_tasks").observe(tasks as f64);
+                    out
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| match handle.join() {
+                Ok(out) => out,
+                Err(payload) => std::panic::resume_unwind(payload),
+            })
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -250,6 +319,36 @@ mod tests {
             let out = par_map_with(&cfg, 101, |i| (i as u64).wrapping_mul(2654435761));
             assert_eq!(out, expect, "threads = {threads}");
         }
+    }
+
+    #[test]
+    fn owned_items_match_par_map_at_every_thread_count() {
+        // Owned, non-Copy items: each task must receive exactly its own.
+        for n in [0usize, 1, 2, 3, 7, 16, 101] {
+            let expect = par_map_with(&ParConfig::with_threads(1), n, |i| format!("item {i}!"));
+            for threads in [1, 2, 3, 8, 64] {
+                let items: Vec<String> = (0..n).map(|i| format!("item {i}")).collect();
+                let out = with_threads(threads, || par_map_owned(items, |s| s + "!"));
+                assert_eq!(out, expect, "n = {n}, threads = {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn owned_task_panics_propagate_with_payload() {
+        let result = std::panic::catch_unwind(|| {
+            with_threads(4, || {
+                par_map_owned((0..32).collect(), |i: usize| {
+                    if i == 13 {
+                        panic!("owned task 13 failed");
+                    }
+                    i
+                })
+            })
+        });
+        let payload = result.expect_err("panic must propagate");
+        let message = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert_eq!(message, "owned task 13 failed");
     }
 
     #[test]

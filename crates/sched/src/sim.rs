@@ -393,7 +393,9 @@ impl SitePower {
         let budgets: Vec<u32> = (0..n_steps)
             .map(|t| {
                 let frac = actual.values.get(t).copied().unwrap_or(0.0).clamp(0.0, 1.0);
-                (frac * cores_per_site as f64).floor() as u32
+                // The saturating cast truncates: `floor` then `as u32`
+                // for every f64, without a libm call.
+                (frac * cores_per_site as f64) as u32
             })
             .collect();
         let fd_min24 = sliding_window_min(&fd.values, DAY_AHEAD_STEPS, n_steps);
@@ -1376,7 +1378,8 @@ impl GroupSim {
         (0..self.sites.len())
             .map(|s| {
                 let budget = self.budget_at(s, self.now);
-                let cap = (self.cfg.target_util * budget as f64).floor() as u32;
+                // Truncating cast: `floor` then `as u32` for every f64.
+                let cap = (self.cfg.target_util * budget as f64) as u32;
                 let raw = self.power[s]
                     .fd_min24
                     .get(now)

@@ -10,12 +10,13 @@
 //! incumbent with the open gap ([`Solution::budget_gap`]).
 //!
 //! Child nodes **warm-start** from their parent's optimal basis: each
-//! node keeps its relaxation's solved [`RevisedState`] (held in an
-//! `Arc` — branching only changes one variable's bounds, never the
-//! constraint matrix), and the child repairs primal feasibility with a
-//! dual-simplex phase instead of re-running two full phases from the
-//! all-slack basis. A child's state also shares its parent's LU factors
-//! and eta entries instead of copying them. The rounding dive chains
+//! node keeps its relaxation's solved [`RevisedState`] (branching only
+//! changes one variable's bounds, never the constraint matrix), and the
+//! child repairs primal feasibility with a dual-simplex phase instead of
+//! re-running two full phases from the all-slack basis. A child's state
+//! shares its parent's LU factors and eta entries instead of copying
+//! them, and a node's last child re-solves in the node's own state,
+//! since the node is dropped once expanded. The rounding dive chains
 //! warm starts the same way. A node's two children (and a dive level's
 //! two candidate fixings) re-solve through one `revised::Siblings`,
 //! which computes the parent's reduced costs and the branching row's
@@ -29,6 +30,11 @@
 //! possible); [`solve_mip_bounded_with`] exposes a cold mode for
 //! differential tests and pivot-count comparisons.
 //!
+//! A warm search re-solves children under a **cutoff**: a child whose
+//! dual-feasible objective has fallen behind the incumbent by more than
+//! a small margin (`CUTOFF_REL`) stops before its next dual pivot and
+//! is dropped, as the search would have dropped it once solved.
+//!
 //! Every root is a cold solve. The co-scheduler builds a new model each
 //! epoch: arrivals change its app classes, and its load-balance rows
 //! carry coefficients that follow the capacity forecast, so no epoch
@@ -37,12 +43,13 @@
 //! # Deterministic parallel search
 //!
 //! The search expands node *batches* of up to 16 nodes in parallel
-//! through `vb-par`. Parallelism is deterministic by construction:
-//! batch membership is chosen sequentially, per-node expansion is a
-//! pure function of the node, results are applied in batch index order,
-//! and heap ties break on a monotone insertion counter — so the
-//! incumbent sequence (and the returned schedule) is bit-identical at
-//! any `VB_THREADS`.
+//! through `vb-par`, each node moving into the worker that expands it.
+//! Parallelism is deterministic by construction: batch membership and
+//! the batch's cutoff are chosen sequentially, per-node expansion is a
+//! pure function of the node and the cutoff, results are applied in
+//! batch index order, and heap ties break on a monotone insertion
+//! counter — so the incumbent sequence (and the returned schedule) is
+//! bit-identical at any `VB_THREADS`.
 //!
 //! # The co-scheduler's entry point
 //!
@@ -54,10 +61,9 @@
 
 use crate::model::{Model, Sense, Solution, SolveError, VarId};
 use crate::presolve;
-use crate::revised::{self, RevisedState};
+use crate::revised::{self, ChildResult, Halt, RevisedState};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::Arc;
 
 /// Integrality tolerance: values this close to an integer count as
 /// integral.
@@ -73,15 +79,71 @@ const MAX_NODES: usize = 200_000;
 /// `VB_THREADS` and parallelism changes wall-clock only.
 const PAR_BATCH: usize = 16;
 
+/// Relative margin of the branch-and-bound cutoff ([`Cutoff`]): a child
+/// stops once the objective of its dual-feasible basic solution is worse
+/// than the incumbent by more than `CUTOFF_REL · max(1, |incumbent|)`.
+///
+/// Dual pivots only worsen that objective, each by the dual step times
+/// the leaving row's infeasibility (both non-negative), so the child's
+/// optimum can be better than its value at the cut point only by
+/// rounding: in the dual repair, and in the primal clean-up that
+/// removes reduced costs within the optimality tolerance. The search
+/// drops a child unless it beats the incumbent by 1e-9, so a cut is
+/// exact whenever that fall stays below the margin. Over the
+/// benchmark's `table1` and `fleet_mip` runs at seeds 1, 3 and 7, the
+/// largest fall after a cut point was 3.0e-15 relative, nine orders of
+/// magnitude below it, and the closest cut child finished 1.3e-6
+/// relative above the incumbent. Under `check-invariants` every cut
+/// child is finished on a copy and must be one the search drops.
+const CUTOFF_REL: f64 = 1e-6;
+
+/// Whether objective `a` beats `b` under `sense` by more than the
+/// search's 1e-9 tie margin.
+fn better(sense: Sense, a: f64, b: f64) -> bool {
+    match sense {
+        Sense::Minimize => a < b - 1e-9,
+        Sense::Maximize => a > b + 1e-9,
+    }
+}
+
+/// The incumbent a batch's children re-solve against. A child whose
+/// objective has [`crossed`](Cutoff::crossed) it cannot beat the
+/// incumbent, so its re-solve stops unfinished ([`Halt::Cutoff`]) and
+/// the child is dropped as an infeasible one is.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cutoff {
+    sense: Sense,
+    incumbent: f64,
+}
+
+impl Cutoff {
+    /// Whether a dual-feasible basic solution worth `objective` is worse
+    /// than the incumbent by more than the [`CUTOFF_REL`] margin.
+    pub(crate) fn crossed(&self, objective: f64) -> bool {
+        let margin = CUTOFF_REL * self.incumbent.abs().max(1.0);
+        match self.sense {
+            Sense::Minimize => objective > self.incumbent + margin,
+            Sense::Maximize => objective < self.incumbent - margin,
+        }
+    }
+
+    /// Whether the search drops a child that finished at `objective`
+    /// against this incumbent.
+    #[cfg(feature = "check-invariants")]
+    pub(crate) fn drops(&self, objective: f64) -> bool {
+        !better(self.sense, objective, self.incumbent)
+    }
+}
+
 /// A solver for children of one parent state, each changing one
 /// variable's bounds: called with a child's full override list.
-type ChildSolve<'s> =
-    dyn FnMut(&[(VarId, f64, f64)]) -> Result<(Solution, RevisedState), SolveError> + 's;
+type ChildSolve<'s> = dyn FnMut(&[(VarId, f64, f64)]) -> ChildResult + 's;
 
 /// Run `f` with a solver for the children of `parent` that each change
-/// `var`'s bounds. Warm starts go through one [`revised::Siblings`],
-/// which shares the parent's preparation between them; with
-/// `warm_start` off every child solves cold.
+/// `var`'s bounds, each from a clone of `parent` (the rounding dive's
+/// candidate fixings). Warm starts go through one
+/// [`revised::Siblings`], which shares the parent's preparation between
+/// them; with `warm_start` off every child solves cold.
 fn with_children<T>(
     model: &Model,
     parent: &RevisedState,
@@ -90,11 +152,37 @@ fn with_children<T>(
     f: impl FnOnce(&mut ChildSolve<'_>) -> T,
 ) -> T {
     if warm_start {
-        revised::with_siblings(model, parent, |sib| {
-            f(&mut |overrides| sib.solve(overrides, var))
+        revised::with_siblings(model, |sib| {
+            f(&mut |overrides| sib.solve(parent.clone(), overrides, var, None))
         })
     } else {
-        f(&mut |overrides| revised::solve_lp_state(model, overrides, None))
+        f(&mut |overrides| revised::solve_lp_state(model, overrides, None).map_err(Halt::Failed))
+    }
+}
+
+/// Solve the children of `parent`, one per override list in `branches`
+/// (each changing only `var`'s bounds), in order. Warm starts go
+/// through [`revised::Siblings::children`]: the last child re-solves in
+/// `parent` itself, the others in clones, and under a `cutoff` a child
+/// that cannot beat the incumbent stops with [`Halt::Cutoff`]. With
+/// `warm_start` off every child solves cold, without a cutoff.
+fn solve_children(
+    model: &Model,
+    parent: RevisedState,
+    var: VarId,
+    branches: &[Vec<(VarId, f64, f64)>],
+    warm_start: bool,
+    cutoff: Option<Cutoff>,
+) -> Vec<ChildResult> {
+    if warm_start {
+        revised::with_siblings(model, |sib| {
+            sib.children(parent, branches, var, cutoff).collect()
+        })
+    } else {
+        branches
+            .iter()
+            .map(|o| revised::solve_lp_state(model, o, None).map_err(Halt::Failed))
+            .collect()
     }
 }
 
@@ -152,7 +240,12 @@ pub fn solve_mip_kernel(model: &Model, max_nodes: usize) -> Result<Solution, Sol
 ///
 /// The node budget counts *popped* nodes: the search pops and expands
 /// at most `max_nodes` nodes, and `max_nodes == 0` does no work at all
-/// (not even the rounding dive). When the budget runs out with nodes
+/// (not even the rounding dive). A warm search expands each batch under
+/// a [`Cutoff`] at the incumbent held when the batch was chosen: a
+/// child that cannot beat it stops re-solving and is dropped
+/// (`solver.bb_cutoffs` counts them). The incumbent only improves while
+/// the batch is applied, so the apply loop would have dropped every cut
+/// child too. When the budget runs out with nodes
 /// still queued, the best incumbent is returned anytime-style, or
 /// [`SolveError::IterationLimit`] if none exists yet. If a queued
 /// node's bound still beats that incumbent, the solve is a *budget
@@ -163,15 +256,16 @@ pub fn solve_mip_kernel(model: &Model, max_nodes: usize) -> Result<Solution, Sol
 /// # Deterministic parallelism
 ///
 /// Up to [`PAR_BATCH`] nodes are expanded per round through
-/// `vb_par::par_map`. Determinism at any thread count follows from four
+/// `vb_par::par_map_owned`. Determinism at any thread count follows from four
 /// properties:
 ///
 /// 1. batch *membership* is decided sequentially (pops, budget, and
 ///    prune checks happen before any parallel work, against the same
-///    incumbent regardless of thread count);
-/// 2. expanding a node ([`expand`]) is a pure function of that node —
-///    it reads no search-global state;
-/// 3. `par_map` returns results in batch index order and they are
+///    incumbent regardless of thread count), and so is the batch's
+///    cutoff;
+/// 2. expanding a node ([`expand`]) is a pure function of that node and
+///    the cutoff — it reads no search-global state;
+/// 3. `par_map_owned` returns results in batch index order and they are
 ///    *applied* (incumbent updates, child pushes) sequentially in that
 ///    order;
 /// 4. heap ties on equal bounds break on a monotone insertion counter
@@ -193,11 +287,16 @@ fn solve_mip_from_root(
 
     let (root, mut root_state) = root;
     refresh_root(&mut root_state, &root, &int_vars, max_nodes, warm_start);
-    let root_state = Arc::new(root_state);
 
-    let better = |a: f64, b: f64| match model.sense {
-        Sense::Minimize => a < b - 1e-9,
-        Sense::Maximize => a > b + 1e-9,
+    // Rounding dive from the root: fix the most fractional variable to
+    // its nearest integer and re-solve until integral. This produces an
+    // incumbent in ~|int_vars| LP solves, making bounded solves anytime
+    // — skipped entirely under a zero budget, which asked for no work.
+    // It borrows the root state before the root node takes it.
+    let mut incumbent: Option<Solution> = if max_nodes > 0 {
+        dive(model, &int_vars, root.clone(), &root_state, warm_start)
+    } else {
+        None
     };
 
     let mut heap = BinaryHeap::new();
@@ -207,25 +306,16 @@ fn solve_mip_from_root(
         sense: model.sense,
         seq,
         overrides: Vec::new(),
-        relaxed: root.clone(),
-        state: Arc::clone(&root_state),
+        relaxed: root,
+        state: Box::new(root_state),
     });
     seq += 1;
-
-    // Rounding dive from the root: fix the most fractional variable to
-    // its nearest integer and re-solve until integral. This produces an
-    // incumbent in ~|int_vars| LP solves, making bounded solves anytime
-    // — skipped entirely under a zero budget, which asked for no work.
-    let mut incumbent: Option<Solution> = if max_nodes > 0 {
-        dive(model, &int_vars, root, &root_state, warm_start)
-    } else {
-        None
-    };
     let mut explored = 0usize;
     let mut pruned = 0u64;
     let mut improvements = 0u64;
     let mut par_batches = 0u64;
     let mut par_nodes = 0u64;
+    let mut cutoffs = 0u64;
     let budget_exhausted;
 
     loop {
@@ -240,7 +330,7 @@ fn solve_mip_from_root(
             // Bound pruning: the node's relaxation bound cannot beat
             // the incumbent.
             if let Some(inc) = &incumbent {
-                if !better(node.bound, inc.objective) {
+                if !better(model.sense, node.bound, inc.objective) {
                     pruned += 1;
                     continue;
                 }
@@ -253,18 +343,21 @@ fn solve_mip_from_root(
         }
 
         // Expand the batch: the per-node LP work, fanned out when the
-        // batch warrants it. `par_map` preserves index order.
+        // batch warrants it. Each node moves into its expansion, whose
+        // last child re-solves in the node's state; `par_map_owned`
+        // preserves index order. Warm children stop at the incumbent
+        // held now.
+        let cutoff = incumbent.as_ref().filter(|_| warm_start).map(|inc| Cutoff {
+            sense: model.sense,
+            incumbent: inc.objective,
+        });
+        let expand = |node| expand(model, &int_vars, node, warm_start, cutoff);
         let expansions: Vec<Expansion> = if batch.len() > 1 {
             par_batches += 1;
             par_nodes += batch.len() as u64;
-            vb_par::par_map(batch.len(), |i| {
-                expand(model, &int_vars, &batch[i], warm_start)
-            })
+            vb_par::par_map_owned(batch, expand)
         } else {
-            batch
-                .iter()
-                .map(|n| expand(model, &int_vars, n, warm_start))
-                .collect()
+            batch.into_iter().map(expand).collect()
         };
 
         // Apply in batch index order — the incumbent sequence is a
@@ -274,17 +367,18 @@ fn solve_mip_from_root(
                 Expansion::Integral(snapped) => {
                     let accept = incumbent
                         .as_ref()
-                        .is_none_or(|inc| better(snapped.objective, inc.objective));
+                        .is_none_or(|inc| better(model.sense, snapped.objective, inc.objective));
                     if accept {
                         incumbent = Some(snapped);
                         improvements += 1;
                     }
                 }
-                Expansion::Children(children) => {
+                Expansion::Children { children, cut } => {
+                    cutoffs += cut;
                     for child in children {
-                        let keep = incumbent
-                            .as_ref()
-                            .is_none_or(|inc| better(child.relaxed.objective, inc.objective));
+                        let keep = incumbent.as_ref().is_none_or(|inc| {
+                            better(model.sense, child.relaxed.objective, inc.objective)
+                        });
                         if keep {
                             heap.push(Node {
                                 bound: child.relaxed.objective,
@@ -305,7 +399,7 @@ fn solve_mip_from_root(
     // A budget stop: the nodes ran out while the best open node's bound
     // still beats the incumbent, so the incumbent is not proven optimal.
     let gap = match (&incumbent, heap.peek()) {
-        (Some(inc), Some(open)) if better(open.bound, inc.objective) => {
+        (Some(inc), Some(open)) if better(model.sense, open.bound, inc.objective) => {
             Some((inc.objective - open.bound).abs() / inc.objective.abs().max(1.0))
         }
         _ => None,
@@ -322,6 +416,9 @@ fn solve_mip_from_root(
     if par_batches > 0 {
         vb_telemetry::counter!("solver.bb_parallel_batches").add(par_batches);
         vb_telemetry::counter!("solver.bb_parallel_nodes").add(par_nodes);
+    }
+    if cutoffs > 0 {
+        vb_telemetry::counter!("solver.bb_cutoffs").add(cutoffs);
     }
 
     match incumbent {
@@ -355,47 +452,57 @@ fn refresh_root(
 }
 
 /// What expanding one node produced: an integral (snapped) candidate
-/// incumbent, or the surviving branch children with their solved
-/// relaxations.
+/// incumbent, or the branch children whose relaxations solved, with
+/// the number stopped at the cutoff.
 enum Expansion {
     Integral(Solution),
-    Children(Vec<Child>),
+    Children { children: Vec<Child>, cut: u64 },
 }
 
 /// One solved branch child, ready to become a heap [`Node`].
 struct Child {
     overrides: Vec<(VarId, f64, f64)>,
     relaxed: Solution,
-    state: Arc<RevisedState>,
+    state: Box<RevisedState>,
 }
 
 /// Expand one node: branch on its most fractional integer variable and
 /// solve both children's relaxations (or report the node integral). A
-/// pure function of the node — no incumbent checks, no heap access —
-/// so batches of nodes can expand in parallel with bit-identical
-/// results in any interleaving.
-fn expand(model: &Model, int_vars: &[VarId], node: &Node, warm_start: bool) -> Expansion {
+/// pure function of the node and the batch's `cutoff` — no heap access,
+/// no reads of the live incumbent — so batches of nodes can expand in
+/// parallel with bit-identical results in any interleaving. The node is
+/// consumed: its last child re-solves in its state.
+fn expand(
+    model: &Model,
+    int_vars: &[VarId],
+    node: Node,
+    warm_start: bool,
+    cutoff: Option<Cutoff>,
+) -> Expansion {
     let Some((var, value)) = most_fractional(&node.relaxed, int_vars) else {
         // Integral: candidate incumbent (round off the epsilon).
         return Expansion::Integral(snap(model, &node.relaxed, int_vars));
     };
     let branches = branch_overrides(model, &node.overrides, var, value);
-    let solved: Vec<_> = with_children(model, &node.state, var, warm_start, |solve| {
-        branches.iter().map(|o| solve(o)).collect()
-    });
+    let solved = solve_children(model, *node.state, var, &branches, warm_start, cutoff);
+    let mut cut = 0;
     let children = branches
         .into_iter()
         .zip(solved)
-        .filter_map(|(overrides, res)| {
-            let (relaxed, state) = res.ok()?;
-            Some(Child {
+        .filter_map(|(overrides, res)| match res {
+            Ok((relaxed, state)) => Some(Child {
                 overrides,
                 relaxed,
-                state: Arc::new(state),
-            })
+                state: Box::new(state),
+            }),
+            Err(Halt::Cutoff) => {
+                cut += 1;
+                None
+            }
+            Err(Halt::Failed(_)) => None,
         })
         .collect();
-    Expansion::Children(children)
+    Expansion::Children { children, cut }
 }
 
 /// The override lists of the down (`var ≤ ⌊value⌋`) and up
@@ -417,12 +524,23 @@ fn branch_overrides(
             if new_lb > new_ub + INT_EPS {
                 return None;
             }
-            let mut child = overrides.to_vec();
-            child.retain(|&(v, _, _)| v != var);
-            child.push((var, new_lb, new_ub));
-            Some(child)
+            Some(with_bounds(overrides, var, new_lb, new_ub))
         })
         .collect()
+}
+
+/// `overrides` with `var`'s entry replaced by `(var, lb, ub)` at the
+/// end, built at its final size.
+fn with_bounds(
+    overrides: &[(VarId, f64, f64)],
+    var: VarId,
+    lb: f64,
+    ub: f64,
+) -> Vec<(VarId, f64, f64)> {
+    let mut out = Vec::with_capacity(overrides.len() + 1);
+    out.extend(overrides.iter().filter(|&&(v, _, _)| v != var));
+    out.push((var, lb, ub));
+    out
 }
 
 /// Greedy rounding dive: repeatedly fix the most fractional integer
@@ -453,9 +571,7 @@ fn dive(
         .clamp(lb.ceil(), ub.floor());
         let fixed = with_children(model, &state, var, warm_start, |solve| {
             [nearest, other].into_iter().find_map(|candidate| {
-                let mut trial = overrides.clone();
-                trial.retain(|&(v, _, _)| v != var);
-                trial.push((var, candidate, candidate));
+                let trial = with_bounds(&overrides, var, candidate, candidate);
                 let (sol, st) = solve(&trial).ok()?;
                 Some((trial, sol, st))
             })
@@ -484,7 +600,9 @@ pub struct SiblingCheck {
 /// and bound tree breadth first from its root relaxation (refreshed
 /// like the search's) under engine `params`, up to
 /// `max_nodes` branched nodes, without pruning. Every node's children
-/// are solved twice: through one `revised::Siblings`, and through
+/// are solved twice: as the search solves them, through
+/// `revised::Siblings::children` without a cutoff (handed a copy of
+/// the node's state, which the last child re-solves in), and through
 /// independent [`revised::solve_lp_state_params`] warm starts from the
 /// node with the children's full override lists. Returns what it
 /// compared, or names the first child whose outcome, objective, values,
@@ -527,16 +645,23 @@ pub fn check_sibling_resolves(
         };
         check.nodes += 1;
         let branches = branch_overrides(model, &overrides, var, value);
-        let shared: Vec<_> = revised::with_siblings(model, &parent, |sib| {
-            branches
-                .iter()
-                .map(|o| {
-                    let before = revised::thread_work();
-                    let res = sib.solve(o, var);
-                    (res, revised::thread_work().since(before))
-                })
-                .collect()
+        let shared: Vec<_> = revised::with_siblings(model, |sib| {
+            let mut children = sib.children(parent.clone(), &branches, var, None);
+            std::iter::from_fn(|| {
+                let before = revised::thread_work();
+                let res = children.next()?;
+                Some((res, revised::thread_work().since(before)))
+            })
+            .collect()
         });
+        if shared.len() != branches.len() {
+            return Err(format!(
+                "node {}: {} children solved for {} branches",
+                check.nodes,
+                shared.len(),
+                branches.len()
+            ));
+        }
         let two = branches.len() == 2;
         for (k, (o, (res, work))) in branches.into_iter().zip(shared).enumerate() {
             let before = revised::thread_work();
@@ -570,14 +695,14 @@ pub fn check_sibling_resolves(
                     }
                     queue.push_back((o, sol, st));
                 }
-                (Err(e), Err(e_alone)) if e == e_alone => {
+                (Err(Halt::Failed(e)), Err(e_alone)) if e == e_alone => {
                     if e == SolveError::Infeasible {
                         check.infeasible += 1;
                     }
                 }
                 (res, alone) => {
                     return Err(format!(
-                        "{}: {:?} through siblings, {:?} alone",
+                        "{}: {:?} as the search solves it, {:?} alone",
                         at(),
                         res.err(),
                         alone.err()
@@ -648,7 +773,7 @@ struct Node {
     seq: u64,
     overrides: Vec<(VarId, f64, f64)>,
     relaxed: Solution,
-    state: Arc<RevisedState>,
+    state: Box<RevisedState>,
 }
 
 impl PartialEq for Node {

@@ -61,12 +61,21 @@
 //!
 //! Branch and bound re-solves a node's two children through one
 //! `Siblings` rather than two independent warm starts: each child
-//! changes one bound of a clone of the same parent, so the children
-//! share the parent's reduced costs and, when both leave on the same
-//! row, the first dual pricing row, and each applies only its one
-//! changed bound. Every shared value is what each clone would compute
-//! itself, so the pivots match independent warm starts bit for bit.
+//! changes one bound of a copy of the same parent (the last child
+//! re-solves in the parent itself, which the search no longer needs),
+//! so the children share the parent's reduced costs and, when both
+//! leave on the same row, the first dual pricing row, and each applies
+//! only its one changed bound. Every shared value is what each copy
+//! would compute itself, so the pivots match independent warm starts
+//! bit for bit. Under a branch-and-bound cutoff a child stops before a
+//! dual pivot once its objective shows it cannot beat the incumbent.
+//!
+//! The dual ratio test takes one pass over the pricing row's support:
+//! it finds the pivot tolerance and marks the eligible columns in a
+//! bitset, then picks the entering column from the marked ones in
+//! ascending order, exactly as a scan of every column would.
 
+use crate::branch::Cutoff;
 use crate::factor::LuFactors;
 use crate::ftran::BasisFactor;
 use crate::model::{Cmp, Model, Sense, Solution, SolveError, VarId};
@@ -201,6 +210,9 @@ struct Scratch {
     /// Basic-value shift of a bound retarget.
     shift: Vec<f64>,
     pr: PriceRow,
+    /// The dual ratio test's eligible columns, one bit each; all zero
+    /// between ratio tests.
+    eligible: Vec<u64>,
     /// Steepest-edge reference weights.
     weights: Vec<f64>,
     /// Maintained entering violations (see [`RevisedState::iterate_with`]).
@@ -247,6 +259,7 @@ impl Scratch {
             v.resize(cols, 0.0);
         }
         self.pr.fit(cols);
+        self.eligible.resize(cols.div_ceil(64), 0);
     }
 }
 
@@ -323,6 +336,26 @@ pub(crate) fn thread_work() -> Work {
     FLUSHED.with(Cell::get)
 }
 
+/// How a warm re-solve ended without an optimum.
+#[derive(Debug)]
+pub(crate) enum Halt {
+    /// The objective crossed the branch-and-bound [`Cutoff`]: the child
+    /// cannot beat the incumbent, and the search drops it unsolved.
+    Cutoff,
+    /// The solve failed as a standalone solve reports it.
+    Failed(SolveError),
+}
+
+impl From<SolveError> for Halt {
+    fn from(e: SolveError) -> Halt {
+        Halt::Failed(e)
+    }
+}
+
+/// A child re-solve's outcome: its optimum and optimal state, or why it
+/// has none.
+pub(crate) type ChildResult = Result<(Solution, RevisedState), Halt>;
+
 /// Outcome of the primal ratio test.
 enum Step {
     Flip,
@@ -396,9 +429,13 @@ pub fn solve_lp_state_params(
         if parent.n == lb.len() && parent.m == model.constraints.len() {
             let mut st = parent.clone();
             let bounds = BoundStep::All { lb: &lb, ub: &ub };
-            let res = with_scratch(st.m, st.cols, |sc| st.reoptimize(model, bounds, sc));
-            if let Some(done) = warm_outcome(res, st) {
-                return done;
+            let res = with_scratch(st.m, st.cols, |sc| st.reoptimize(model, bounds, None, sc));
+            match warm_outcome(res, st) {
+                Some(Ok(done)) => return Ok(done),
+                Some(Err(Halt::Failed(e))) => return Err(e),
+                // Only a re-solve given a cutoff stops at one; anything
+                // else re-solves cold.
+                Some(Err(Halt::Cutoff)) | None => {}
             }
         } else {
             vb_telemetry::counter!("solver.warm_start_misses").inc();
@@ -443,23 +480,20 @@ fn check_bounds(model: &Model, j: usize, lb: f64, ub: f64) -> Result<(), SolveEr
     Ok(())
 }
 
-/// Count a warm re-solve's outcome. A proven-infeasible child is a
-/// successful warm start; `None` is numerical trouble, after which the
-/// caller re-solves from scratch.
-fn warm_outcome(
-    res: Result<Solution, SolveError>,
-    st: RevisedState,
-) -> Option<Result<(Solution, RevisedState), SolveError>> {
+/// Count a warm re-solve's outcome. A proven-infeasible or cut-off
+/// child is a successful warm start; `None` is numerical trouble, after
+/// which the caller re-solves from scratch.
+fn warm_outcome(res: Result<Solution, Halt>, st: RevisedState) -> Option<ChildResult> {
     match res {
         Ok(sol) => {
             vb_telemetry::counter!("solver.warm_start_hits").inc();
             Some(Ok((sol, st)))
         }
-        Err(SolveError::Infeasible) => {
+        Err(halt @ (Halt::Cutoff | Halt::Failed(SolveError::Infeasible))) => {
             vb_telemetry::counter!("solver.warm_start_hits").inc();
-            Some(Err(SolveError::Infeasible))
+            Some(Err(halt))
         }
-        Err(_) => {
+        Err(Halt::Failed(_)) => {
             vb_telemetry::counter!("solver.warm_start_misses").inc();
             None
         }
@@ -468,7 +502,8 @@ fn warm_outcome(
 
 /// Re-solves of the children of one parent state — the two children of
 /// a branch-and-bound node, or the candidate fixings of one rounding-dive
-/// level. Each child clones the parent and changes one structural
+/// level. Each child starts from a copy of the parent (or the parent
+/// itself, once nothing else needs it) and changes one structural
 /// column's bounds, so until its first pivot it holds the parent's
 /// basis, factors and costs. The children therefore share:
 ///
@@ -485,43 +520,39 @@ fn warm_outcome(
 /// an independent [`solve_lp_state`] warm start from the parent.
 pub(crate) struct Siblings<'a> {
     model: &'a Model,
-    parent: &'a RevisedState,
     sc: &'a mut Scratch,
 }
 
-/// Run `f` over the [`Siblings`] of `parent`, on this thread's scratch.
-pub(crate) fn with_siblings<T>(
-    model: &Model,
-    parent: &RevisedState,
-    f: impl FnOnce(&mut Siblings<'_>) -> T,
-) -> T {
+/// Run `f` over one parent's [`Siblings`], on this thread's scratch.
+pub(crate) fn with_siblings<T>(model: &Model, f: impl FnOnce(&mut Siblings<'_>) -> T) -> T {
     SCRATCH.with(|sc| {
         let mut sc = sc.borrow_mut();
         sc.share.d_ready = false;
         sc.share.row = None;
-        f(&mut Siblings {
-            model,
-            parent,
-            sc: &mut sc,
-        })
+        f(&mut Siblings { model, sc: &mut sc })
     })
 }
 
-impl Siblings<'_> {
-    /// Solve the child whose structural bounds are `overrides`, which
+impl<'a> Siblings<'a> {
+    /// Solve the child whose structural bounds are `overrides`, starting
+    /// from `start`: the parent state, or a clone of it. `overrides`
     /// must differ from the bounds the parent was solved under (on this
-    /// `model`) only at `var`. Same result, counters and cold fallback
-    /// (under the parent's [`Params`]) as
-    /// `solve_lp_state_params(model, overrides, Some(parent), ..)`.
+    /// `model`) only at `var`. Without a `cutoff`, same result, counters
+    /// and cold fallback (under the parent's [`Params`]) as
+    /// `solve_lp_state_params(model, overrides, Some(parent), ..)`; with
+    /// one, the child stops with [`Halt::Cutoff`] before the first dual
+    /// pivot at which its objective has crossed it.
     pub(crate) fn solve(
         &mut self,
+        mut start: RevisedState,
         overrides: &[(VarId, f64, f64)],
         var: VarId,
-    ) -> Result<(Solution, RevisedState), SolveError> {
+        cutoff: Option<Cutoff>,
+    ) -> ChildResult {
         let _span = vb_telemetry::span!("solver.lp_solve");
         vb_telemetry::counter!("solver.lp_solves").inc();
 
-        let (model, parent) = (self.model, self.parent);
+        let model = self.model;
         let col = var.0;
         let (lb, ub) = overrides
             .iter()
@@ -531,19 +562,47 @@ impl Siblings<'_> {
                 (l, u)
             });
         check_bounds(model, col, lb, ub)?;
-        let mut st = parent.clone();
-        self.sc.fit(st.m, st.cols);
+        let params = start.params;
+        self.sc.fit(start.m, start.cols);
         let bounds = BoundStep::One { col, lb, ub };
-        let res = st.reoptimize(model, bounds, self.sc);
-        if let Some(done) = warm_outcome(res, st) {
+        let res = start.reoptimize(model, bounds, cutoff, self.sc);
+        if let Some(done) = warm_outcome(res, start) {
             return done;
         }
 
         let (lb, ub) = structural_bounds(model, overrides)?;
-        let mut st = RevisedState::build(model, lb, ub, parent.params)?;
+        let mut st = RevisedState::build(model, lb, ub, params)?;
         self.sc.fit(st.m, st.cols);
         let sol = st.solve_cold(model, self.sc)?;
         Ok((sol, st))
+    }
+
+    /// The children of `parent`, one per override list in `branches`
+    /// (each differing from the parent's bounds only at `var`), solved
+    /// in order as the iterator is advanced. Every child but the last
+    /// starts from a clone of `parent`; the last re-solves in `parent`
+    /// itself, which the caller hands over because nothing needs it
+    /// afterwards. Both starts hold the same basis, factors and values,
+    /// so every child's result is bit-identical to a warm start from a
+    /// clone.
+    pub(crate) fn children<'s>(
+        &'s mut self,
+        parent: RevisedState,
+        branches: &'s [Vec<(VarId, f64, f64)>],
+        var: VarId,
+        cutoff: Option<Cutoff>,
+    ) -> impl Iterator<Item = ChildResult> + use<'a, 's> {
+        let mut parent = Some(parent);
+        let mut rest = branches.iter();
+        std::iter::from_fn(move || {
+            let overrides = rest.next()?;
+            let start = if rest.len() == 0 {
+                parent.take()?
+            } else {
+                parent.clone()?
+            };
+            Some(self.solve(start, overrides, var, cutoff))
+        })
     }
 }
 
@@ -741,13 +800,16 @@ impl RevisedState {
     /// followed by a primal clean-up pass. A sibling re-solve
     /// ([`BoundStep::One`]) takes its reduced costs and first dual
     /// pricing row from the scratch's [`Share`], or leaves them there.
-    /// Telemetry is flushed once, on every exit.
+    /// With a `cutoff`, the repair stops with [`Halt::Cutoff`] once the
+    /// objective has crossed it. Telemetry is flushed once, on every
+    /// exit.
     fn reoptimize(
         &mut self,
         model: &Model,
         bounds: BoundStep<'_>,
+        cutoff: Option<Cutoff>,
         sc: &mut Scratch,
-    ) -> Result<Solution, SolveError> {
+    ) -> Result<Solution, Halt> {
         let share = matches!(bounds, BoundStep::One { .. });
         let result = (|| {
             self.apply_bounds(bounds, &mut sc.shift)?;
@@ -761,7 +823,7 @@ impl RevisedState {
                     sc.share.d_ready = true;
                 }
             }
-            self.dual_iterate(sc, self.art_start, share)?;
+            self.dual_iterate(model, sc, self.art_start, share, cutoff)?;
             self.iterate_with(sc, self.art_start)?;
             Ok(self.extract(model))
         })();
@@ -1091,21 +1153,32 @@ impl RevisedState {
             d,
             ..
         } = sc;
-        weights.fill(1.0);
         // Maintained violation array: `viol[j]` is the entering
         // violation of candidate `j` (−∞ for basic, fixed, or
         // out-of-limit columns), refreshed from the pricing row's
         // support after every pivot so the entering scan reads two
         // arrays instead of six.
-        viol.fill(f64::NEG_INFINITY);
         let mut active = 0u64;
+        let mut any = false;
         for (j, slot) in viol.iter_mut().enumerate().take(col_limit) {
             let v = self.entering_viol(j, d);
             if v != f64::NEG_INFINITY {
                 active += 1;
+                any |= v > COST_EPS;
             }
             *slot = v;
         }
+        // Most warm clean-ups enter nothing: with no violation above
+        // the tolerance, the first choice (steepest edge or Bland's,
+        // which scan the same `active` candidates when none qualifies)
+        // returns none, so return before filling the weights and the
+        // rest of `viol`, with the scan counted as that choice counts it.
+        if !any {
+            self.stats.scanned += active;
+            return Ok(());
+        }
+        weights.fill(1.0);
+        viol[col_limit..].fill(f64::NEG_INFINITY);
         // Set right after a stability refactorization so one bad pivot
         // cannot refactorize in a loop.
         let mut fresh = false;
@@ -1300,7 +1373,7 @@ impl RevisedState {
     /// below [`PIVOT_REL`] of the column's largest are never pivots.
     fn ratio_test(&self, enter: usize, dir: f64, ecol: &[f64]) -> Step {
         let span = self.ub[enter] - self.lb[enter]; // may be ∞
-        let tol = pivot_tol(ecol.iter().copied());
+        let tol = pivot_tol(ecol.iter().fold(0.0, |m: f64, e| m.max(e.abs())));
         let mut best_step = span;
         let mut best: Option<(usize, f64, bool)> = None; // (row, target, at_upper)
         for (i, &e) in ecol.iter().enumerate() {
@@ -1351,17 +1424,27 @@ impl RevisedState {
     /// loop. With `share`, the first iteration's pricing row is
     /// the sibling [`Share`]'s when both chose the same leaving row, and
     /// lands there when no sibling has chosen one yet.
+    ///
+    /// With a `cutoff`, the objective of the current basic solution is
+    /// computed before each pivot, and the repair stops with
+    /// [`Halt::Cutoff`] once it has crossed the cutoff. The state is
+    /// dual feasible throughout, so that objective is a bound on the
+    /// re-solve's optimum: each pivot moves it by the dual step times
+    /// the leaving row's infeasibility, both non-negative.
     fn dual_iterate(
         &mut self,
+        model: &Model,
         sc: &mut Scratch,
         col_limit: usize,
         share: bool,
-    ) -> Result<(), SolveError> {
+        cutoff: Option<Cutoff>,
+    ) -> Result<(), Halt> {
         let max_iter = 20_000 + 100 * (self.m + self.cols);
         let Scratch {
             ecol,
             rho,
             pr: own,
+            eligible,
             d,
             share: shared,
             ..
@@ -1387,6 +1470,13 @@ impl RevisedState {
             let Some((row, _, below)) = leave else {
                 return Ok(()); // primal feasible
             };
+            if let Some(cut) = cutoff {
+                if cut.crossed(self.objective(model)) {
+                    #[cfg(feature = "check-invariants")]
+                    self.assert_cut_is_dropped(model, cut, d, col_limit);
+                    return Err(Halt::Cutoff);
+                }
+            }
             let b = self.basis[row];
             let target = if below { self.lb[b] } else { self.ub[b] };
 
@@ -1411,40 +1501,8 @@ impl RevisedState {
                 into
             };
 
-            // Entering column by the dual ratio test over the row's
-            // entries (the ascending scan breaks ties on lowest index),
-            // with the primal test's relative pivot tolerance. Zero
-            // entries, most of the row, are skipped before the
-            // candidate checks.
-            let candidate =
-                |j: usize| self.basis_pos[j] == usize::MAX && self.ub[j] - self.lb[j] > EPS;
-            let tol = pivot_tol(
-                pr.support
-                    .iter()
-                    .map(|&j| j as usize)
-                    .filter(|&j| j < col_limit && candidate(j))
-                    .map(|j| pr.alpha[j]),
-            );
-            let mut enter: Option<(usize, f64)> = None;
-            for (j, &a) in pr.alpha.iter().enumerate().take(col_limit) {
-                if a.abs() <= tol || !candidate(j) {
-                    continue;
-                }
-                let eligible = if below {
-                    (!self.at_upper[j] && a < 0.0) || (self.at_upper[j] && a > 0.0)
-                } else {
-                    (!self.at_upper[j] && a > 0.0) || (self.at_upper[j] && a < 0.0)
-                };
-                if !eligible {
-                    continue;
-                }
-                let ratio = (d[j] / a).abs();
-                if enter.is_none_or(|(_, r)| ratio < r - EPS) {
-                    enter = Some((j, ratio));
-                }
-            }
-            let Some((col, _)) = enter else {
-                return Err(SolveError::Infeasible);
+            let Some(col) = self.dual_ratio_test(pr, d, below, col_limit, eligible) else {
+                return Err(Halt::Failed(SolveError::Infeasible));
             };
             self.load_column(col, ecol);
             self.ftran(ecol);
@@ -1459,7 +1517,63 @@ impl RevisedState {
             self.stats.dual_pivots += 1;
             fresh = false;
         }
-        Err(SolveError::IterationLimit)
+        Err(Halt::Failed(SolveError::IterationLimit))
+    }
+
+    /// The dual ratio test's entering column for a leaving row whose
+    /// basic value lies `below` its lower bound (else above its upper),
+    /// given the row's pricing row: among nonbasic, non-fixed candidates
+    /// below `col_limit` whose entry moves the row toward its bound, the
+    /// minimum `|d_j/α_j|`, ties within [`EPS`] to the lowest index, with
+    /// the primal test's relative pivot tolerance.
+    ///
+    /// One pass over the row's support takes the tolerance (the largest
+    /// |α| among the candidates) and marks the eligible candidates in
+    /// the column bitset `eligible`, which must be all zero and is left
+    /// so: eligibility is a sign test, which does not depend on the
+    /// tolerance. The marked columns are then walked in ascending order,
+    /// as a scan of every column would visit them; off-support entries
+    /// are exact zeros, which never pass `|α| > tol`.
+    fn dual_ratio_test(
+        &self,
+        pr: &PriceRow,
+        d: &[f64],
+        below: bool,
+        col_limit: usize,
+        eligible: &mut [u64],
+    ) -> Option<usize> {
+        let mut largest = 0.0f64;
+        for &ju in &pr.support {
+            let j = ju as usize;
+            if j >= col_limit || self.basis_pos[j] != usize::MAX || self.ub[j] - self.lb[j] <= EPS {
+                continue;
+            }
+            let a = pr.alpha[j];
+            largest = largest.max(a.abs());
+            // Entering must move the leaving row toward its bound.
+            let wants_negative = below != self.at_upper[j];
+            if (wants_negative && a < 0.0) || (!wants_negative && a > 0.0) {
+                eligible[j / 64] |= 1u64 << (j % 64);
+            }
+        }
+        let tol = pivot_tol(largest);
+        let mut enter: Option<(usize, f64)> = None;
+        for (w, word) in eligible.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let j = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let a = pr.alpha[j];
+                if a.abs() <= tol {
+                    continue;
+                }
+                let ratio = (d[j] / a).abs();
+                if enter.is_none_or(|(_, r)| ratio < r - EPS) {
+                    enter = Some((j, ratio));
+                }
+            }
+        }
+        enter.map(|(j, _)| j)
     }
 
     /// Apply a pivot: `col` becomes basic at `row`, the leaving variable
@@ -1550,23 +1664,58 @@ impl RevisedState {
         Ok(())
     }
 
-    /// Read the structural solution and objective off the state.
-    fn extract(&self, model: &Model) -> Solution {
-        let mut x = vec![0.0; self.n];
-        for (j, xj) in x.iter_mut().enumerate() {
-            *xj = if self.basis_pos[j] != usize::MAX {
-                self.xb[self.basis_pos[j]]
-            } else {
-                self.nonbasic_value(j)
-            };
+    /// Current value of column `j`: its basic value or its bound.
+    fn value(&self, j: usize) -> f64 {
+        if self.basis_pos[j] != usize::MAX {
+            self.xb[self.basis_pos[j]]
+        } else {
+            self.nonbasic_value(j)
         }
-        let objective: f64 = model
+    }
+
+    /// The model objective of the current basic solution, `Σ c_j·x_j`
+    /// over the objective's terms in order plus its constant: the value
+    /// [`RevisedState::extract`] reports, bit for bit.
+    fn objective(&self, model: &Model) -> f64 {
+        model
             .objective
             .iter()
-            .map(|&(v, coef)| coef * x[v.0])
+            .map(|&(v, coef)| coef * self.value(v.0))
             .sum::<f64>()
-            + model.objective_const;
-        Solution::new(objective, x)
+            + model.objective_const
+    }
+
+    /// Read the structural solution and objective off the state.
+    fn extract(&self, model: &Model) -> Solution {
+        let x = (0..self.n).map(|j| self.value(j)).collect();
+        Solution::new(self.objective(model), x)
+    }
+
+    /// `check-invariants`: finish a re-solve the cutoff stopped, on a
+    /// copy and as it would have run without the cutoff (the copy
+    /// computes its own first pricing row, which a sibling share would
+    /// have supplied bit for bit), and assert that the search drops the
+    /// child it would have produced.
+    #[cfg(feature = "check-invariants")]
+    fn assert_cut_is_dropped(&self, model: &Model, cut: Cutoff, d: &[f64], col_limit: usize) {
+        let at_cut = self.objective(model);
+        let mut st = self.clone();
+        let mut sc = Scratch::default();
+        sc.fit(st.m, st.cols);
+        sc.d.copy_from_slice(d);
+        let end = st
+            .dual_iterate(model, &mut sc, col_limit, false, None)
+            .and_then(|()| Ok(st.iterate_with(&mut sc, col_limit)?))
+            .map(|()| st.extract(model));
+        match end {
+            Ok(sol) => assert!(
+                cut.drops(sol.objective),
+                "a child cut at objective {at_cut} finished at {}, which the search keeps ({cut:?})",
+                sol.objective
+            ),
+            Err(Halt::Failed(SolveError::Infeasible)) => {}
+            Err(e) => panic!("a child cut at objective {at_cut} did not finish: {e:?}"),
+        }
     }
 
     /// Add the per-solve counters to telemetry and to this thread's
@@ -1688,10 +1837,11 @@ impl RevisedState {
     }
 }
 
-/// The smallest usable pivot magnitude among `entries`: the absolute
-/// [`EPS`], raised to [`PIVOT_REL`] of the largest entry.
-fn pivot_tol(entries: impl Iterator<Item = f64>) -> f64 {
-    EPS.max(PIVOT_REL * entries.fold(0.0, |m: f64, a| m.max(a.abs())))
+/// The smallest usable pivot magnitude among entries whose largest
+/// magnitude is `largest`: the absolute [`EPS`], raised to
+/// [`PIVOT_REL`] of the largest.
+fn pivot_tol(largest: f64) -> f64 {
+    EPS.max(PIVOT_REL * largest)
 }
 
 /// Objective monotonicity for primal steps (dual repair is exempt).
@@ -2092,7 +2242,7 @@ mod tests {
         let ub = vec![0.5, 0.25, 0.5, 0.25, 4.0, 0.5];
         with_scratch(driven.m, driven.cols, |sc| {
             let bounds = BoundStep::All { lb: &lb, ub: &ub };
-            driven.reoptimize(&m, bounds, sc)
+            driven.reoptimize(&m, bounds, None, sc)
         })
         .unwrap();
         assert!(
@@ -2103,6 +2253,174 @@ mod tests {
 
         assert_eq!(resolve(&parent, parent_fix), parent_before);
         assert_eq!(resolve(&sibling, sibling_fix), sibling_before);
+    }
+
+    /// SplitMix64 in [0, 1).
+    fn uniform(state: &mut u64) -> f64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) as f64 / (u64::MAX as f64 + 1.0)
+    }
+
+    fn pick<T: Copy>(state: &mut u64, from: &[T]) -> T {
+        from[(uniform(state) * from.len() as f64) as usize]
+    }
+
+    /// The dual ratio test as a scan of every column below `col_limit`,
+    /// with the tolerance taken in a pass of its own: the form the
+    /// one-pass test replaced.
+    fn dense_dual_ratio_test(
+        st: &RevisedState,
+        pr: &PriceRow,
+        d: &[f64],
+        below: bool,
+        col_limit: usize,
+    ) -> Option<usize> {
+        let candidate = |j: usize| st.basis_pos[j] == usize::MAX && st.ub[j] - st.lb[j] > EPS;
+        let largest = pr
+            .support
+            .iter()
+            .map(|&j| j as usize)
+            .filter(|&j| j < col_limit && candidate(j))
+            .fold(0.0, |m: f64, j| m.max(pr.alpha[j].abs()));
+        let tol = EPS.max(PIVOT_REL * largest);
+        let mut enter: Option<(usize, f64)> = None;
+        for (j, &a) in pr.alpha.iter().enumerate().take(col_limit) {
+            if a.abs() <= tol || !candidate(j) {
+                continue;
+            }
+            let eligible = if below {
+                (!st.at_upper[j] && a < 0.0) || (st.at_upper[j] && a > 0.0)
+            } else {
+                (!st.at_upper[j] && a > 0.0) || (st.at_upper[j] && a < 0.0)
+            };
+            if !eligible {
+                continue;
+            }
+            let ratio = (d[j] / a).abs();
+            if enter.is_none_or(|(_, r)| ratio < r - EPS) {
+                enter = Some((j, ratio));
+            }
+        }
+        enter.map(|(j, _)| j)
+    }
+
+    #[test]
+    fn one_pass_dual_ratio_test_matches_the_dense_scan() {
+        // 150 structurals, four rows (one needs an artificial), so the
+        // columns span three bitset words and `col_limit` can exclude
+        // the artificial.
+        let mut m = Model::new(Sense::Minimize);
+        let xs: Vec<VarId> = (0..150)
+            .map(|j| m.var(&format!("x{j}"), 0.0, 1.0))
+            .collect();
+        for k in 0..3 {
+            let terms: Vec<(VarId, f64)> =
+                xs.iter().skip(k).step_by(3).map(|&v| (v, 1.0)).collect();
+            let e = m.expr(&terms);
+            m.add_le(e, 10.0);
+        }
+        let e = m.expr(&[(xs[0], 1.0), (xs[1], 1.0)]);
+        m.add_ge(e, 1.0);
+        let (lb, ub) = structural_bounds(&m, &[]).unwrap();
+        let mut st = RevisedState::build(&m, lb, ub, Params::default()).unwrap();
+        assert!(st.art_start < st.cols, "the test model has an artificial");
+
+        // Ties in |α| and in |d/α|, exact zeros, entries below the
+        // absolute pivot floor, entries that only a large entry of the
+        // row (1e3, whose relative floor is 1e-8) rules out, and NaN.
+        let alphas = [
+            0.0,
+            1.0,
+            -1.0,
+            0.5,
+            -0.5,
+            2.0,
+            -2.0,
+            1e-12,
+            -1e-12,
+            5e-9,
+            -5e-9,
+            1e-3,
+            1e3,
+            -1e3,
+            f64::NAN,
+        ];
+        let costs = [0.0, 1.0, -1.0, 0.5, 2.0, 1e-10, 3.0, f64::NAN];
+        let mut state = 5u64;
+        let mut pr = PriceRow::default();
+        let mut eligible = vec![0u64; st.cols.div_ceil(64)];
+        let (mut entered, mut none) = (0, 0);
+        for trial in 0..20_000 {
+            for j in 0..st.cols {
+                st.at_upper[j] = uniform(&mut state) < 0.4;
+                st.basis_pos[j] = if uniform(&mut state) < 0.15 {
+                    0
+                } else {
+                    usize::MAX
+                };
+                let fixed = uniform(&mut state) < 0.1;
+                st.lb[j] = 0.0;
+                st.ub[j] = if fixed { 0.0 } else { 1.0 };
+            }
+            pr.fit(st.cols);
+            let density = pick(&mut state, &[0.02, 0.1, 0.4]);
+            for j in 0..st.cols {
+                if uniform(&mut state) < density {
+                    pr.add(j, pick(&mut state, &alphas));
+                }
+            }
+            let d: Vec<f64> = (0..st.cols).map(|_| pick(&mut state, &costs)).collect();
+            let below = uniform(&mut state) < 0.5;
+            let col_limit = if trial % 2 == 0 {
+                st.art_start
+            } else {
+                st.cols
+            };
+            let got = st.dual_ratio_test(&pr, &d, below, col_limit, &mut eligible);
+            let want = dense_dual_ratio_test(&st, &pr, &d, below, col_limit);
+            assert_eq!(got, want, "trial {trial}");
+            assert!(
+                eligible.iter().all(|&w| w == 0),
+                "trial {trial}: bitset left dirty"
+            );
+            if got.is_some() {
+                entered += 1;
+            } else {
+                none += 1;
+            }
+        }
+        assert!(
+            entered > 1_000 && none > 1_000,
+            "{entered} entered, {none} none"
+        );
+    }
+
+    #[test]
+    fn a_clean_up_that_enters_nothing_counts_its_scan() {
+        // At an optimum no column enters; the clean-up must still count
+        // every candidate it priced, as the steepest-edge and Bland
+        // choices do when none qualifies.
+        let m = resource_lp();
+        let (_, solved) = solve_lp_state(&m, &[], None).unwrap();
+        let candidates = (0..solved.art_start)
+            .filter(|&j| solved.basis_pos[j] == usize::MAX && solved.ub[j] - solved.lb[j] > EPS)
+            .count() as u64;
+        assert!(candidates > 0);
+        for bland_after in [BLAND_AFTER, 0] {
+            let mut st = solved.clone();
+            st.params.bland_after = bland_after;
+            let pivots = with_scratch(st.m, st.cols, |sc| {
+                st.phase2_costs(&m, &mut sc.cost);
+                st.reduced_costs(sc);
+                st.iterate_with(sc, st.art_start).unwrap();
+                st.stats.pivots + st.stats.flips
+            });
+            assert_eq!(pivots, 0, "the optimum enters nothing");
+            assert_eq!(st.stats.scanned, candidates, "bland_after {bland_after}");
+        }
     }
 
     #[test]

@@ -130,8 +130,8 @@ pub fn run(
     }
 
     // float-reduce-order: shared-state accumulation inside the token
-    // extent of a `par_map*` call. vb-par itself is exempt — its
-    // work-sharing cursor is the partitioning mechanism, and results
+    // extent of a `par_map` call. vb-par itself is exempt — its
+    // work-sharing queue is the partitioning mechanism, and results
     // are assembled in index order downstream of it.
     if !spec.threads_ok {
         findings.extend(par_closure_accumulation(file));
@@ -140,15 +140,10 @@ pub fn run(
     findings
 }
 
-const PAR_COMBINATORS: &[&str] = &[
-    "par_map",
-    "par_map_chunked",
-    "par_map_with",
-    "par_map_owned",
-];
+const PAR_COMBINATORS: &[&str] = &["par_map"];
 const SHARED_ACCUMULATORS: &[&str] = &["fetch_add", "fetch_sub", "fetch_update", "lock"];
 
-/// Scan `par_map*(...)` call extents for shared-state accumulation.
+/// Scan `par_map(...)` call extents for shared-state accumulation.
 fn par_closure_accumulation(file: &PreparedFile) -> Vec<Finding> {
     let toks = &file.toks;
     let mut findings = Vec::new();

@@ -412,7 +412,7 @@ fn float_reduce_order_sees_owned_item_maps() {
     assert_eq!(lints(&findings), ["float-reduce-order"]);
     assert_eq!(findings[0].line, 8, "lock inside the closure");
     assert!(
-        findings[0].message.contains("par_map_owned"),
+        findings[0].message.contains("`par_map`"),
         "message names the combinator: {}",
         findings[0]
     );

@@ -3,7 +3,7 @@
 
 pub fn total_energy(shards: Vec<Vec<f64>>) -> f64 {
     let total = std::sync::Mutex::new(0.0);
-    let _ = vb_par::par_map_owned(shards, |shard| {
+    let _ = vb_par::par_map(shards, |shard| {
         let sum: f64 = shard.iter().sum();
         *total.lock().unwrap() += sum;
     });

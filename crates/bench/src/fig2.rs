@@ -39,8 +39,7 @@ pub fn run(seed: u64) -> Fig2Report {
         ("BE-solar", 0, 365),
         ("BE-wind", 0, 365),
     ];
-    let mut traces = vb_par::par_map(specs.len(), |i| {
-        let (name, start, days) = specs[i];
+    let mut traces = vb_par::par_map(specs, |(name, start, days)| {
         catalog.trace(name, start, days)
     })
     .into_iter();

@@ -62,8 +62,8 @@ pub fn run(seed: u64) -> Fig4Report {
     // last-value gauges such as `net.wan_busy_fraction` do not depend on
     // which worker finishes last.
     const SOURCES: [(&str, &str); 2] = [("wind", "BE-wind"), ("solar", "BE-solar")];
-    let runs = vb_par::par_map(SOURCES.len(), |i| {
-        let power = catalog.trace(SOURCES[i].1, 60, 90); // 3 months from March
+    let runs = vb_par::par_map(SOURCES, |(_, name)| {
+        let power = catalog.trace(name, 60, 90); // 3 months from March
         simulate_paper_site(&power, seed)
     });
     let sources = SOURCES

@@ -34,8 +34,7 @@ pub fn run(seed: u64) -> Fig5Report {
     // Each source needs a year-long trace plus three forecast products —
     // independent per source, so evaluate both in parallel.
     const SOURCES: [(&str, &str); 2] = [("solar", "BE-solar"), ("wind", "BE-wind")];
-    let sources = vb_par::par_map(SOURCES.len(), |i| {
-        let (label, name) = SOURCES[i];
+    let sources = vb_par::par_map(SOURCES, |(label, name)| {
         let site = catalog.get(name).expect("catalog site");
         let year = catalog.trace(name, 0, 365);
         let mape = Horizon::all()

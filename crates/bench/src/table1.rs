@@ -49,8 +49,8 @@ pub fn run(seed: u64) -> Table1Report {
 /// so the report is identical at any thread count.
 pub fn run_on_group_with(seed: u64, names: &[&str], cfg: GroupSimConfig) -> Table1Report {
     let catalog = Catalog::europe(seed);
-    let rows = vb_par::par_map(FleetPolicy::ALL.len(), |p| {
-        let mut policy = FleetPolicy::ALL[p].build();
+    let rows = vb_par::par_map(FleetPolicy::ALL, |p| {
+        let mut policy = p.build();
         let summary = GroupSim::new(&catalog, names, cfg.clone())
             .expect("Table 1 sites must exist in the catalog")
             .run(policy.as_mut());

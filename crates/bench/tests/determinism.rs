@@ -57,7 +57,7 @@ fn span_forests_bit_match_across_thread_counts() {
         vb_telemetry::reset();
         {
             let _root = vb_telemetry::span!("treetest.root");
-            let _results = vb_par::par_map(6, |i| {
+            let _results = vb_par::par_map(0..6, |i| {
                 let _task = vb_telemetry::span!("treetest.task");
                 if i % 2 == 0 {
                     let _inner = vb_telemetry::span!("treetest.inner");
@@ -185,7 +185,9 @@ fn fleet_runs_bit_match_sequential() {
 /// incumbent sequence — hence the returned schedule — is *bit*-identical
 /// at any `VB_THREADS`. Branching-heavy placement epochs (tight
 /// capacities, near-tied costs) are solved cold by `solve_mip_kernel`
-/// at 1 and 8 threads and every value is compared by bit pattern.
+/// at 1, 2, 3 and 8 threads and every value is compared by bit pattern.
+/// At two workers the first claim on a full 16-node batch takes a run
+/// of two nodes; at three and eight every claim takes one.
 #[test]
 fn parallel_branch_and_bound_bit_matches_sequential() {
     use vb_solver::{solve_mip_kernel, Model, Sense, Solution, VarId};
@@ -259,7 +261,10 @@ fn parallel_branch_and_bound_bit_matches_sequential() {
         .counter("solver.bb_parallel_batches")
         .unwrap_or(0);
     let sequential = vb_par::with_threads(1, run);
-    let parallel = vb_par::with_threads(8, run);
+    let parallel: Vec<(usize, Vec<Solution>)> = [2, 3, 8]
+        .into_iter()
+        .map(|threads| (threads, vb_par::with_threads(threads, run)))
+        .collect();
     let batches_after = vb_telemetry::snapshot()
         .counter("solver.bb_parallel_batches")
         .unwrap_or(0);
@@ -271,20 +276,22 @@ fn parallel_branch_and_bound_bit_matches_sequential() {
         batches_after > batches_before,
         "instance too easy: no parallel node batch was ever expanded"
     );
-    assert_eq!(sequential.len(), parallel.len());
-    for (e, (a, b)) in sequential.iter().zip(&parallel).enumerate() {
-        assert_eq!(
-            a.objective.to_bits(),
-            b.objective.to_bits(),
-            "epoch {e}: objective diverged between 1 and 8 threads"
-        );
-        assert_eq!(a.values().len(), b.values().len());
-        for (j, (x, y)) in a.values().iter().zip(b.values()).enumerate() {
+    for (threads, parallel) in &parallel {
+        assert_eq!(sequential.len(), parallel.len());
+        for (e, (a, b)) in sequential.iter().zip(parallel).enumerate() {
             assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "epoch {e} var {j}: value diverged between 1 and 8 threads"
+                a.objective.to_bits(),
+                b.objective.to_bits(),
+                "epoch {e}: objective diverged between 1 and {threads} threads"
             );
+            assert_eq!(a.values().len(), b.values().len());
+            for (j, (x, y)) in a.values().iter().zip(b.values()).enumerate() {
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "epoch {e} var {j}: value diverged between 1 and {threads} threads"
+                );
+            }
         }
     }
 }

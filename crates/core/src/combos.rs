@@ -82,8 +82,7 @@ pub fn search_pairs(
         .collect();
 
     // Enumerate the in-range pairs cheaply, then score them in parallel
-    // (combined series + cov per pair); chunked claims amortise the
-    // work-sharing cursor over the ~C(n,2) small tasks.
+    // (combined series + cov per pair).
     let mut in_range = Vec::new();
     for i in 0..n {
         for j in (i + 1)..n {
@@ -93,8 +92,7 @@ pub fn search_pairs(
             }
         }
     }
-    let pairs = vb_par::par_map_chunked(in_range.len(), 16, |p| {
-        let (i, j, rtt) = in_range[p];
+    let pairs = vb_par::par_map(in_range, |(i, j, rtt)| {
         let combined = traces[i].add(&traces[j]);
         let combined_cov = coefficient_of_variation(&combined.values);
         let best_single = covs[i].min(covs[j]);

@@ -18,7 +18,6 @@
 //! independence is exactly what makes the fan-out deterministic and
 //! embarrassingly parallel.
 
-use std::sync::{Mutex, PoisonError};
 use vb_sched::{GroupSim, GroupSimConfig, PolicySummary, SimError};
 use vb_trace::Catalog;
 
@@ -139,16 +138,14 @@ pub fn build_fleet(catalog: &Catalog, cfg: &GroupSimConfig) -> Result<Vec<FleetS
     if shards.is_empty() {
         return Err(SimError::NoSites);
     }
-    vb_par::par_map(shards.len(), |i| {
-        let names: Vec<&str> = shards[i].iter().map(String::as_str).collect();
+    vb_par::par_map(shards.into_iter().enumerate(), |(i, sites)| {
+        let names: Vec<&str> = sites.iter().map(String::as_str).collect();
         let shard_cfg = GroupSimConfig {
             seed: cfg.seed.wrapping_add(1 + i as u64),
             ..cfg.clone()
         };
-        Ok(FleetShard {
-            sites: shards[i].clone(),
-            sim: GroupSim::new(catalog, &names, shard_cfg)?,
-        })
+        let sim = GroupSim::new(catalog, &names, shard_cfg)?;
+        Ok(FleetShard { sites, sim })
     })
     .into_iter()
     .collect()
@@ -162,17 +159,8 @@ pub fn build_fleet(catalog: &Catalog, cfg: &GroupSimConfig) -> Result<Vec<FleetS
 /// process never share a series.
 pub fn run_fleet(shards: Vec<FleetShard>, policy: FleetPolicy) -> FleetRun {
     let _span = vb_telemetry::span!("core.fleet_run");
-    // Each worker takes its shard's simulator out of a slot: a run
-    // consumes its `GroupSim`.
-    let slots: Vec<Mutex<Option<FleetShard>>> =
-        shards.into_iter().map(|s| Mutex::new(Some(s))).collect();
-    let shards: Vec<ShardResult> = vb_par::par_map(slots.len(), |i| {
-        // `take` cannot panic, so a poisoned slot still holds valid data.
-        // vb-audit: allow(float-reduce-order, each lock guards one shard's slot, which one task takes; nothing accumulates)
-        let mut slot = slots[i].lock().unwrap_or_else(PoisonError::into_inner);
-        // vb-audit: allow(no-panic, par_map runs each index exactly once, so every slot is still full)
-        let FleetShard { sites, sim } = slot.take().expect("each shard slot is taken once");
-        drop(slot);
+    // Each shard moves into its task: a run consumes its `GroupSim`.
+    let shards: Vec<ShardResult> = vb_par::par_map(shards, |FleetShard { sites, sim }| {
         let mut policy = policy.build();
         ShardResult {
             sites,

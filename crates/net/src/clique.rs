@@ -124,13 +124,10 @@ pub fn rank_cliques_by_cov(
     traces: &[TimeSeries],
 ) -> Vec<CliqueScore> {
     assert_eq!(graph.len(), traces.len(), "one trace per node");
-    // Per-clique scoring (combined series + cov) fans out over cores;
-    // chunked claims keep cursor traffic negligible for the thousands of
-    // small cliques a k = 4..5 sweep enumerates. The final sort is a
-    // stable total order on the deterministic per-index scores, so the
-    // ranking is identical at any thread count.
-    let mut scored: Vec<CliqueScore> = vb_par::par_map_chunked(cliques.len(), 8, |c| {
-        let nodes = &cliques[c];
+    // Per-clique scoring (combined series + cov) fans out over cores.
+    // The final sort is a stable total order on the deterministic
+    // per-index scores, so the ranking is identical at any thread count.
+    let mut scored: Vec<CliqueScore> = vb_par::par_map(cliques, |nodes| {
         let refs: Vec<&TimeSeries> = nodes.iter().map(|&i| &traces[i]).collect();
         let combined = TimeSeries::sum_of(&refs);
         CliqueScore {

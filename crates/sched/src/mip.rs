@@ -18,7 +18,7 @@
 //!   many committed cores the forecast power cannot host. Because every
 //!   objective term is non-decreasing in `d`, the optimum pins
 //!   `d = max(0, load − capacity)` exactly.
-//! * **O1 (total)** — `min Σ d · gb_per_core + Σ move_cost`: displaced
+//! * **O1 (total)** — `min Σ d · GB_PER_CORE + Σ move_cost`: displaced
 //!   capacity, converted to bytes via the memory density, plus the full
 //!   memory of any existing app the plan relocates preemptively
 //!   (`move_cost · (|c| − n[c][home])` per movable class).
@@ -29,7 +29,7 @@
 //!   planner could "pre-pay" displacement to game any LP relaxation of
 //!   it — and the simulation, not the planner, is what measures real
 //!   bytes for Table 1.
-//! * **O2 (peak)** — an auxiliary `z ≥ d[s][b] · gb_per_core` over all
+//! * **O2 (peak)** — an auxiliary `z ≥ d[s][b] · GB_PER_CORE` over all
 //!   sites and buckets; adding `λ·z` to the objective implements the
 //!   paper's second-order peak goal ("MIP-peak"): avoid concentrating
 //!   displacement in any single site-interval, spreading forced
@@ -44,7 +44,7 @@
 //! | MIP-peak | entire period  | yes       |
 //!
 //! The solve is anytime: branch & bound over the `vb-solver` simplex
-//! with a node budget ([`MipConfig::max_nodes`]). A search that runs out
+//! with a node budget ([`MAX_NODES`]). A search that runs out
 //! of nodes while an open bound still beats the plan is a *budget stop*,
 //! counted in [`MipStats::budget_stops`] with its gap on the
 //! `sched.mip_epoch` series. If the solver fails (iteration safety
@@ -61,6 +61,18 @@ use crate::sim::STEPS_PER_DAY;
 use std::collections::BTreeMap;
 use vb_solver::{LinExpr, Model, Sense, SolveError, VarId};
 
+/// GB of migration traffic the planner charges per displaced core
+/// (≈ VM memory per core of the default workload). The displacement
+/// (O1), peak (O2) and balance terms all scale with it; a preemptive
+/// move is charged its app's own memory instead. The fleet app mix
+/// carries 8 GB per core, and is planned with this value too.
+/// [`ReplicationModel`](crate::ReplicationModel) replicates this much
+/// memory per committed core.
+pub const GB_PER_CORE: f64 = 4.0;
+
+/// Branch & bound node budget per epoch (anytime solve).
+pub const MAX_NODES: usize = 400;
+
 /// MIP policy configuration.
 #[derive(Debug, Clone)]
 pub struct MipConfig {
@@ -74,9 +86,6 @@ pub struct MipConfig {
     /// on preemptive draining ([`Policy::preemptive_drain`]); at 0 the
     /// model has no peak variable and the policy never drains.
     pub peak_weight: f64,
-    /// GB of migration traffic per displaced core (≈ VM memory per
-    /// core; 4 GB for the default workload).
-    pub gb_per_core: f64,
     /// Multiplier on the preemptive-move cost relative to the app's
     /// memory. The displacement surrogate charges a doomed placement in
     /// every bucket it remains displaced, while a runtime eviction costs
@@ -90,8 +99,6 @@ pub struct MipConfig {
     /// buckets. Balances placements that the displacement objective
     /// leaves tied, keeping headroom against forecast error everywhere.
     pub balance_weight: f64,
-    /// Branch & bound node budget per epoch (anytime solve).
-    pub max_nodes: usize,
     /// Display name (Table 1 row label).
     pub name: String,
 }
@@ -102,10 +109,8 @@ impl MipConfig {
         MipConfig {
             horizon_steps: 7 * STEPS_PER_DAY,
             peak_weight: 0.0,
-            gb_per_core: 4.0,
             move_cost_factor: 6.0,
             balance_weight: 4.0,
-            max_nodes: 400,
             name: "MIP".into(),
         }
     }
@@ -115,10 +120,8 @@ impl MipConfig {
         MipConfig {
             horizon_steps: STEPS_PER_DAY,
             peak_weight: 0.0,
-            gb_per_core: 4.0,
             move_cost_factor: 6.0,
             balance_weight: 4.0,
-            max_nodes: 400,
             name: "MIP-24h".into(),
         }
     }
@@ -128,10 +131,8 @@ impl MipConfig {
         MipConfig {
             horizon_steps: 7 * STEPS_PER_DAY,
             peak_weight: 24.0,
-            gb_per_core: 4.0,
             move_cost_factor: 2.5,
             balance_weight: 4.0,
-            max_nodes: 400,
             name: "MIP-peak".into(),
         }
     }
@@ -198,7 +199,7 @@ impl MipPolicy {
         // Anytime solve: epochs arrive every 3 simulated hours; a node
         // budget keeps planning latency bounded while the root dive
         // guarantees a good incumbent.
-        let sol = vb_solver::solve_mip_kernel(&m, self.cfg.max_nodes)?;
+        let sol = vb_solver::solve_mip_kernel(&m, MAX_NODES)?;
         if sol.budget_gap().is_some() {
             self.stats.budget_stops += 1;
         }
@@ -251,7 +252,7 @@ impl MipPolicy {
             .horizon_buckets()
             .min(self.cfg.horizon_steps.div_ceil(ctx.bucket_steps.max(1)) as usize)
             .max(1);
-        let gbpc = self.cfg.gb_per_core;
+        let gbpc = GB_PER_CORE;
 
         let mut m = Model::new(Sense::Minimize);
 

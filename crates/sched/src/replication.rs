@@ -23,6 +23,7 @@
 //! under replication — a continuous, smooth load versus migration's
 //! bursty one.
 
+use crate::mip::GB_PER_CORE;
 use crate::sim::DetailedRun;
 use vb_stats::Summary;
 
@@ -46,8 +47,6 @@ pub struct ReplicationModel {
     pub dirty_fraction_per_step: f64,
     /// Steps between checkpoints (cold mode). 4 = hourly.
     pub checkpoint_interval_steps: u32,
-    /// GB of memory per committed core (matches the workload density).
-    pub gb_per_core: f64,
 }
 
 impl Default for ReplicationModel {
@@ -56,7 +55,6 @@ impl Default for ReplicationModel {
             mode: StandbyMode::Hot,
             dirty_fraction_per_step: 0.30,
             checkpoint_interval_steps: 4,
-            gb_per_core: 4.0,
         }
     }
 }
@@ -86,13 +84,14 @@ pub struct ReplicationReport {
 impl ReplicationModel {
     /// Evaluate replication for the application population of a
     /// migration-based run: the committed stable memory at each step is
-    /// what would have been continuously replicated instead.
+    /// what would have been continuously replicated instead, at the
+    /// planner's [`GB_PER_CORE`] memory per committed core.
     pub fn evaluate(&self, run: &DetailedRun) -> ReplicationReport {
         let per_step: Vec<f64> = run
             .steps
             .iter()
             .map(|s| {
-                let resident_gb = s.allocated_cores as f64 * self.gb_per_core;
+                let resident_gb = s.allocated_cores as f64 * GB_PER_CORE;
                 match self.mode {
                     StandbyMode::Hot => resident_gb * self.dirty_fraction_per_step,
                     StandbyMode::Cold => resident_gb / self.checkpoint_interval_steps.max(1) as f64,

@@ -101,6 +101,12 @@ const EVENT_BUCKET_STEPS: usize = (STEPS_PER_DAY / 2) as usize;
 /// Sentinel for "no wake-up armed" in the event queues.
 const NOT_ARMED: u64 = u64::MAX;
 
+/// Planned preemptive moves and drain moves execute at most this many
+/// per step, spreading them over the epoch instead of bursting at the
+/// planning instant (the paper's MIP-peak "spreading out migrations
+/// over time").
+const MOVES_PER_STEP: usize = 2;
+
 /// Configuration of a group simulation.
 #[derive(Debug, Clone)]
 pub struct GroupSimConfig {
@@ -123,11 +129,6 @@ pub struct GroupSimConfig {
     /// Cap on preemptive-move candidates offered to the policy per
     /// epoch (keeps the MIP small).
     pub max_movable: usize,
-    /// Planned preemptive moves execute at most this many per step,
-    /// spreading them over the epoch instead of bursting at the
-    /// planning instant (the paper's MIP-peak "spreading out migrations
-    /// over time").
-    pub moves_per_step: usize,
     /// Optional subgraph structure (Fig 6 step 2): site-index groups an
     /// application must stay inside once placed. Initial placement picks
     /// the subgraph implicitly (by picking a site); re-hosting, queued
@@ -224,7 +225,6 @@ impl Default for GroupSimConfig {
             days: 7,
             app_cfg: None,
             max_movable: 0,
-            moves_per_step: 2,
             subgraphs: None,
             seed: 42,
         }
@@ -257,6 +257,9 @@ pub struct GroupStepStats {
     pub allocated_cores: u64,
     /// Group-wide powered cores this step.
     pub budget_cores: u64,
+    /// Σ over sites of committed cores above the site's powered cores
+    /// after this step (surplus at one site cannot power another).
+    pub power_deficit_cores: u64,
 }
 
 /// Aggregate result of one policy run — one Table 1 row plus the Fig 7
@@ -601,62 +604,45 @@ pub(crate) fn series_instance<'a>(
     key
 }
 
-/// Locally-buffered rows of the per-step `sched.step_series`, flushed
-/// to the global series store in one batch at the end of a run (the
-/// store is one process-global mutex; see `run_detailed`).
-#[derive(Default)]
-struct StepSeries {
-    epochs: Vec<u64>,
-    transfer_gb: Vec<f64>,
-    move_gb: Vec<f64>,
-    queued_apps: Vec<f64>,
-    hibernated_apps: Vec<f64>,
-    power_deficit_cores: Vec<f64>,
-    allocated_cores: Vec<f64>,
-    budget_cores: Vec<f64>,
-}
-
-impl StepSeries {
-    fn with_capacity(n: usize) -> StepSeries {
-        let mut s = StepSeries::default();
-        s.epochs.reserve(n);
-        s.transfer_gb.reserve(n);
-        s.move_gb.reserve(n);
-        s.queued_apps.reserve(n);
-        s.hibernated_apps.reserve(n);
-        s.power_deficit_cores.reserve(n);
-        s.allocated_cores.reserve(n);
-        s.budget_cores.reserve(n);
-        s
+/// Write a run's per-step telemetry from its step records, in step
+/// order: its rows of the `sched.step_series` (keyed by `instance`),
+/// the `sched.step_transfer_gb` observations and the run-total transfer
+/// counters. Called once after the step loop: the series store is one
+/// process-global mutex and the counters are process-global atomics,
+/// and per-step updates from every fleet-shard thread at once would
+/// serialize the fan-out on them. The final values are the same either
+/// way.
+fn record_steps(instance: &str, steps: &[GroupStepStats]) {
+    let column = |value: fn(&GroupStepStats) -> f64| steps.iter().map(value).collect::<Vec<f64>>();
+    let epochs: Vec<u64> = steps.iter().map(|s| s.step).collect();
+    vb_telemetry::series_extend(
+        "sched.step_series",
+        instance,
+        &epochs,
+        &[
+            ("transfer_gb", &column(|s| s.transfer_gb)),
+            ("move_gb", &column(|s| s.move_gb)),
+            ("queued_apps", &column(|s| s.queued_apps as f64)),
+            ("hibernated_apps", &column(|s| s.hibernated_apps as f64)),
+            (
+                "power_deficit_cores",
+                &column(|s| s.power_deficit_cores as f64),
+            ),
+            ("allocated_cores", &column(|s| s.allocated_cores as f64)),
+            ("budget_cores", &column(|s| s.budget_cores as f64)),
+        ],
+    );
+    let transfer_gb = vb_telemetry::histogram!("sched.step_transfer_gb");
+    for s in steps {
+        transfer_gb.observe(s.transfer_gb);
     }
-
-    fn push(&mut self, step: u64, stats: &GroupStepStats, power_deficit_cores: u64) {
-        self.epochs.push(step);
-        self.transfer_gb.push(stats.transfer_gb);
-        self.move_gb.push(stats.move_gb);
-        self.queued_apps.push(stats.queued_apps as f64);
-        self.hibernated_apps.push(stats.hibernated_apps as f64);
-        self.power_deficit_cores.push(power_deficit_cores as f64);
-        self.allocated_cores.push(stats.allocated_cores as f64);
-        self.budget_cores.push(stats.budget_cores as f64);
-    }
-
-    fn flush(&self, instance: &str) {
-        vb_telemetry::series_extend(
-            "sched.step_series",
-            instance,
-            &self.epochs,
-            &[
-                ("transfer_gb", &self.transfer_gb),
-                ("move_gb", &self.move_gb),
-                ("queued_apps", &self.queued_apps),
-                ("hibernated_apps", &self.hibernated_apps),
-                ("power_deficit_cores", &self.power_deficit_cores),
-                ("allocated_cores", &self.allocated_cores),
-                ("budget_cores", &self.budget_cores),
-            ],
-        );
-    }
+    vb_telemetry::counter!("sched.transfers").add(steps.iter().map(|s| s.transfers as u64).sum());
+    vb_telemetry::float_counter!("sched.rehost_gb").add(steps.iter().map(|s| s.rehost_gb).sum());
+    vb_telemetry::float_counter!("sched.relaunch_gb")
+        .add(steps.iter().map(|s| s.relaunch_gb).sum());
+    vb_telemetry::float_counter!("sched.move_gb").add(steps.iter().map(|s| s.move_gb).sum());
+    vb_telemetry::float_counter!("sched.stranded_gb")
+        .add(steps.iter().map(|s| s.stranded_gb).sum());
 }
 
 /// The multi-VB group simulator.
@@ -841,22 +827,6 @@ impl GroupSim {
         );
         let mut steps = Vec::with_capacity(self.n_steps as usize);
         let mut epoch_arrivals: Vec<AppSpec> = Vec::new();
-        // Per-step series rows accumulate locally and flush to the
-        // process-global series store once per run: the store is behind
-        // one mutex, and per-step sampling from every fleet-shard
-        // thread at once would serialize the whole fan-out on it.
-        let mut series = StepSeries::with_capacity(self.n_steps as usize);
-        // Run-local telemetry accumulators, applied to the process
-        // globals once after the loop: per-step atomic updates from
-        // every fleet-shard thread at once are measurable against the
-        // event core's per-step floor, and the final counter values are
-        // identical either way. (The per-step transfer histogram stays
-        // in the loop: its *distribution* is the signal.)
-        let mut tot_transfers: u64 = 0;
-        let mut tot_rehost_gb = 0.0_f64;
-        let mut tot_relaunch_gb = 0.0_f64;
-        let mut tot_move_gb = 0.0_f64;
-        let mut tot_stranded_gb = 0.0_f64;
         // Wall-clock tracing at epoch granularity: a per-step span on a
         // month-long fleet run is ~10⁵ trace events per shard — past the
         // trace buffer caps and a per-step cost in its own right.
@@ -929,7 +899,7 @@ impl GroupSim {
             stats.budget_cores = self.budget_total[step as usize];
             stats.hibernated_apps = self.ev.hibernated_apps;
             stats.allocated_cores = self.ev.group_allocated;
-            let power_deficit_cores: u64 = self
+            stats.power_deficit_cores = self
                 .ev
                 .touched
                 .iter()
@@ -939,28 +909,19 @@ impl GroupSim {
                 })
                 .sum();
             self.ev.touched.clear();
-            tot_transfers += stats.transfers as u64;
-            tot_rehost_gb += stats.rehost_gb;
-            tot_relaunch_gb += stats.relaunch_gb;
-            tot_move_gb += stats.move_gb;
-            tot_stranded_gb += stats.stranded_gb;
-            vb_telemetry::histogram!("sched.step_transfer_gb").observe(stats.transfer_gb);
-            series.push(step, &stats, power_deficit_cores);
             steps.push(stats);
         }
         drop(epoch_span);
-        vb_telemetry::counter!("sched.transfers").add(tot_transfers);
-        vb_telemetry::float_counter!("sched.rehost_gb").add(tot_rehost_gb);
-        vb_telemetry::float_counter!("sched.relaunch_gb").add(tot_relaunch_gb);
-        vb_telemetry::float_counter!("sched.move_gb").add(tot_move_gb);
-        vb_telemetry::float_counter!("sched.stranded_gb").add(tot_stranded_gb);
+        record_steps(
+            &series_instance(
+                policy.name(),
+                self.sites.iter().map(|s| s.site.name.as_str()),
+            ),
+            &steps,
+        );
         vb_telemetry::counter!("sched.power_scan_visits").add(self.ev.power_scan_visits);
         vb_telemetry::counter!("sched.resume_scan_visits").add(self.ev.resume_scan_visits);
         vb_telemetry::gauge!("sched.queued_apps").set(self.queue.len() as f64);
-        series.flush(&series_instance(
-            policy.name(),
-            self.sites.iter().map(|s| s.site.name.as_str()),
-        ));
         let summary = PolicySummary::from_steps(
             policy.name(),
             &steps,
@@ -1470,12 +1431,12 @@ impl GroupSim {
         }
     }
 
-    /// Execute queued preemptive moves, at most `moves_per_step` per
+    /// Execute queued preemptive moves, at most [`MOVES_PER_STEP`] per
     /// step. Stale orders (app departed, already moved, or evicted in
     /// the meantime) are dropped silently.
     fn execute_pending_moves(&mut self, stats: &mut GroupStepStats) {
         let mut executed = 0usize;
-        while executed < self.cfg.moves_per_step {
+        while executed < MOVES_PER_STEP {
             let Some((id, target)) = self.pending_moves.pop_front() else {
                 break;
             };
@@ -1497,7 +1458,7 @@ impl GroupSim {
 
     /// Phase 4c: only sites whose armed drain deadline fires now,
     /// processed in ascending site order via a worklist, until
-    /// `moves_per_step` drain moves have run. A drain move landing on
+    /// [`MOVES_PER_STEP`] drain moves have run. A drain move landing on
     /// a *later* site can tip it into deficit mid-phase; `arm_drain`'s
     /// phase-aware `from` pushes such a site into the live worklist,
     /// so it still drains this step. A site passed over at the cap
@@ -1527,7 +1488,7 @@ impl GroupSim {
             }
             self.ev.armed_drain[s] = NOT_ARMED;
             self.ev.drain_pos = s;
-            if moved < self.cfg.moves_per_step {
+            if moved < MOVES_PER_STEP {
                 // `drain_site` re-derives the deficit from live state,
                 // so a wake-up gone moot is a no-op.
                 self.drain_site(s, policy, stats, &mut moved);
@@ -1541,7 +1502,7 @@ impl GroupSim {
     /// One site's preemptive draining: when committed stable cores
     /// exceed the worst admissible capacity of the next 24 h, move the
     /// *smallest* stable apps to policy-chosen homes — rate-limited to
-    /// `moves_per_step`, so a predicted dip drains as a stream of small
+    /// [`MOVES_PER_STEP`], so a predicted dip drains as a stream of small
     /// transfers instead of one burst ("performing more number of
     /// migrations … but each at a lower volume", §3.1).
     fn drain_site(
@@ -1594,7 +1555,7 @@ impl GroupSim {
                 .total_cmp(&self.apps[b.0].spec.mem_gb())
         });
         for id in victims {
-            if deficit <= 0.0 || *moved >= self.cfg.moves_per_step {
+            if deficit <= 0.0 || *moved >= MOVES_PER_STEP {
                 break;
             }
             let cores = self.apps[id.0].spec.cores();

@@ -24,6 +24,7 @@
 
 mod common;
 
+use vb_sched::mip::{GB_PER_CORE, MAX_NODES};
 use vb_sched::policy::SiteSnapshot;
 use vb_sched::{Assignment, MipConfig, MipPolicy, MipStats, PlanContext, Policy, PolicySummary};
 use vb_solver::{solve_mip_kernel, LinExpr, Model, Sense, VarId};
@@ -97,7 +98,7 @@ fn reference(ctx: &PlanContext, cfg: &MipConfig) -> Reference {
         .horizon_buckets()
         .min(cfg.horizon_steps.div_ceil(ctx.bucket_steps.max(1)) as usize)
         .max(1);
-    let gbpc = cfg.gb_per_core;
+    let gbpc = GB_PER_CORE;
     let mut m = Model::new(Sense::Minimize);
     let x_new: Vec<Vec<VarId>> = ctx
         .new_apps
@@ -265,7 +266,7 @@ fn check(label: &str, run: fn(&mut dyn Policy) -> PolicySummary, mip: MipConfig)
             .solve_relaxation(&pins)
             .unwrap_or_else(|err| panic!("{label} epoch {k}: plan infeasible: {err}"))
             .objective;
-        let ref_sol = solve_mip_kernel(&r.model, mip.max_nodes)
+        let ref_sol = solve_mip_kernel(&r.model, MAX_NODES)
             .unwrap_or_else(|err| panic!("{label} epoch {k}: reference failed: {err}"));
         let ref_obj = ref_sol.objective;
         let tol = 1e-6 * ref_obj.abs().max(1.0);

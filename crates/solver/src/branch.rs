@@ -256,7 +256,7 @@ pub fn solve_mip_kernel(model: &Model, max_nodes: usize) -> Result<Solution, Sol
 /// # Deterministic parallelism
 ///
 /// Up to [`PAR_BATCH`] nodes are expanded per round through
-/// `vb_par::par_map_owned`. Determinism at any thread count follows from four
+/// `vb_par::par_map`. Determinism at any thread count follows from four
 /// properties:
 ///
 /// 1. batch *membership* is decided sequentially (pops, budget, and
@@ -265,7 +265,7 @@ pub fn solve_mip_kernel(model: &Model, max_nodes: usize) -> Result<Solution, Sol
 ///    cutoff;
 /// 2. expanding a node ([`expand`]) is a pure function of that node and
 ///    the cutoff — it reads no search-global state;
-/// 3. `par_map_owned` returns results in batch index order and they are
+/// 3. `par_map` returns results in batch index order and they are
 ///    *applied* (incumbent updates, child pushes) sequentially in that
 ///    order;
 /// 4. heap ties on equal bounds break on a monotone insertion counter
@@ -344,7 +344,7 @@ fn solve_mip_from_root(
 
         // Expand the batch: the per-node LP work, fanned out when the
         // batch warrants it. Each node moves into its expansion, whose
-        // last child re-solves in the node's state; `par_map_owned`
+        // last child re-solves in the node's state; `par_map`
         // preserves index order. Warm children stop at the incumbent
         // held now.
         let cutoff = incumbent.as_ref().filter(|_| warm_start).map(|inc| Cutoff {
@@ -355,7 +355,7 @@ fn solve_mip_from_root(
         let expansions: Vec<Expansion> = if batch.len() > 1 {
             par_batches += 1;
             par_nodes += batch.len() as u64;
-            vb_par::par_map_owned(batch, expand)
+            vb_par::par_map(batch, expand)
         } else {
             batch.into_iter().map(expand).collect()
         };

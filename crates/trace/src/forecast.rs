@@ -59,20 +59,20 @@ impl Horizon {
 
 /// Error-model parameters for one (horizon, source) pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ForecastParams {
+pub(crate) struct ForecastParams {
     /// Width (in samples) of the centred moving average applied to the
     /// actuals: forecasts can't see fast fluctuations.
-    pub smooth_window: usize,
+    smooth_window: usize,
     /// Standard deviation of the multiplicative amplitude error.
-    pub mult_sigma: f64,
+    mult_sigma: f64,
     /// AR(1) persistence of the amplitude error (errors are correlated —
     /// a forecast that is too low tends to stay too low for hours).
-    pub error_rho: f64,
+    error_rho: f64,
 }
 
 impl ForecastParams {
-    /// Calibrated defaults per horizon and source kind.
-    pub fn for_horizon(horizon: Horizon, kind: SourceKind) -> ForecastParams {
+    /// Calibrated parameters per horizon and source kind.
+    pub(crate) fn for_horizon(horizon: Horizon, kind: SourceKind) -> ForecastParams {
         match (horizon, kind) {
             (Horizon::Hours3, _) => ForecastParams {
                 smooth_window: 1,
@@ -116,22 +116,10 @@ pub fn forecast_for(
     horizon: Horizon,
     field: &WeatherField,
 ) -> TimeSeries {
-    let params = ForecastParams::for_horizon(horizon, site.kind);
-    forecast_with(actual, site, horizon, params, field)
-}
-
-/// [`forecast_for`] with explicit parameters (used by the calibration
-/// tests and the forecast-sensitivity ablation).
-pub fn forecast_with(
-    actual: &TimeSeries,
-    site: &Site,
-    horizon: Horizon,
-    params: ForecastParams,
-    field: &WeatherField,
-) -> TimeSeries {
     if actual.is_empty() {
         return actual.clone();
     }
+    let params = ForecastParams::for_horizon(horizon, site.kind);
     let request = error_request(
         site,
         horizon,

@@ -77,18 +77,10 @@ pub const WEEK_AHEAD_STEPS: usize = 7 * STEPS_PER_DAY;
 
 /// Generate a normalized (0..=1 of peak capacity) generation trace for a
 /// site over `days` days starting at `start_day` (day-of-year, 0-based),
-/// using a site-specific stream of the global `seed`.
-///
-/// This is the one-call entry point used throughout the workspace; the
-/// per-source models in [`solar`] and [`wind`] expose the knobs.
-pub fn generate(site: &Site, start_day: u32, days: u32, seed: u64) -> TimeSeries {
-    let field = WeatherField::new(seed);
-    generate_in(site, start_day, days, &field)
-}
-
-/// Like [`generate`], but drawing from an existing [`WeatherField`] so
-/// that multiple sites share correlated weather. The one-site call of
-/// group synthesis ([`Catalog::group_series`]).
+/// drawing from `field`, so that sites drawn from one field share
+/// correlated weather. The one-site call of group synthesis
+/// ([`Catalog::group_series`]), with the default [`solar`] and [`wind`]
+/// models.
 pub fn generate_in(site: &Site, start_day: u32, days: u32, field: &WeatherField) -> TimeSeries {
     let source = synth::Source::Synthetic(site);
     synth::synthesize(field, vec![source], start_day, days, [])
@@ -103,9 +95,9 @@ mod tests {
     #[test]
     fn generate_is_deterministic_per_seed() {
         let site = Site::solar("test", 50.0, 4.0);
-        let a = generate(&site, 120, 4, 7);
-        let b = generate(&site, 120, 4, 7);
-        let c = generate(&site, 120, 4, 8);
+        let a = generate_in(&site, 120, 4, &WeatherField::new(7));
+        let b = generate_in(&site, 120, 4, &WeatherField::new(7));
+        let c = generate_in(&site, 120, 4, &WeatherField::new(8));
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
@@ -113,7 +105,7 @@ mod tests {
     #[test]
     fn generate_covers_requested_span_at_15min() {
         let site = Site::wind("test", 55.0, -3.0);
-        let t = generate(&site, 0, 3, 1);
+        let t = generate_in(&site, 0, 3, &WeatherField::new(1));
         assert_eq!(t.interval_secs, INTERVAL_15M);
         assert_eq!(t.len(), 3 * 96);
     }
@@ -121,7 +113,7 @@ mod tests {
     #[test]
     fn generated_power_is_normalized() {
         for site in [Site::solar("s", 45.0, 10.0), Site::wind("w", 52.0, 0.0)] {
-            let t = generate(&site, 100, 30, 42);
+            let t = generate_in(&site, 100, 30, &WeatherField::new(42));
             assert!(t.min().unwrap() >= 0.0);
             assert!(t.max().unwrap() <= 1.0);
         }

@@ -18,7 +18,7 @@
 //!    AR(1) noise on variable days → the spiky trace of Fig 2a).
 
 use crate::site::Site;
-use crate::weather::{Ar1Request, Channel, WeatherField};
+use crate::weather::{Ar1Request, Channel};
 use crate::INTERVAL_15M;
 use vb_stats::TimeSeries;
 
@@ -33,20 +33,21 @@ pub enum DayRegime {
     Overcast,
 }
 
-/// Tunable solar model. [`SolarModel::default`] is calibrated to the
-/// paper's Figure 2 statistics (see `tests/calibration.rs`).
+/// Solar model. [`SolarModel::default`] is calibrated to the paper's
+/// Figure 2 statistics (see `tests/calibration.rs`); only the day-regime
+/// thresholds, which [`SolarModel::classify`] reads, are public.
 #[derive(Debug, Clone)]
 pub struct SolarModel {
     /// Transmittance on clear days.
-    pub clear_transmittance: f64,
+    clear_transmittance: f64,
     /// Mean transmittance on overcast days.
-    pub overcast_transmittance: f64,
+    overcast_transmittance: f64,
     /// Centre of the transmittance range on variable days.
-    pub variable_mid: f64,
+    variable_mid: f64,
     /// Half-range of the variable-day oscillation.
-    pub variable_amplitude: f64,
+    variable_amplitude: f64,
     /// AR(1) persistence of the fast within-day cloud noise (per 15 min).
-    pub fast_rho: f64,
+    fast_rho: f64,
     /// Daily-driver value above which a day is clear.
     pub clear_threshold: f64,
     /// Daily-driver value below which a day is overcast. The asymmetry
@@ -54,11 +55,11 @@ pub struct SolarModel {
     /// latitude European climatology and sets Fig 2b's p75/p99 levels.
     pub overcast_threshold: f64,
     /// Optical-depth coefficient of the air-mass attenuation.
-    pub airmass_tau: f64,
+    airmass_tau: f64,
     /// Output below this fraction of capacity is clipped to zero — the
     /// inverter's minimum operating point. Together with night this gives
     /// Fig 2b's ">50 % zero samples over a year".
-    pub min_output: f64,
+    min_output: f64,
 }
 
 impl Default for SolarModel {
@@ -78,19 +79,6 @@ impl Default for SolarModel {
 }
 
 impl SolarModel {
-    /// Generate `days` days of normalized solar power for `site` at
-    /// 15-minute resolution, starting at day-of-year `start_day`.
-    pub fn generate(
-        &self,
-        site: &Site,
-        start_day: u32,
-        days: u32,
-        field: &WeatherField,
-    ) -> TimeSeries {
-        let drivers = field.ar1_batch(&self.drivers(site, start_day, days));
-        self.shape(site, start_day, days, &drivers[0], &drivers[1])
-    }
-
     /// The two cloud drivers of a window: fast within-day noise, then
     /// the slow daily driver that decides each day's regime.
     pub(crate) fn drivers<'a>(
@@ -198,6 +186,7 @@ pub fn sin_elevation(lat: f64, lon: f64, day_of_year: u32, hour_utc: f64) -> f64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{generate_in, WeatherField};
 
     const SUMMER: u32 = 171; // ~Jun 21
     const WINTER: u32 = 354; // ~Dec 21
@@ -231,7 +220,7 @@ mod tests {
     #[test]
     fn night_samples_are_exactly_zero() {
         let site = Site::solar("s", 50.8, 4.4); // Belgium, like ELIA
-        let t = SolarModel::default().generate(&site, SUMMER, 2, &WeatherField::new(1));
+        let t = generate_in(&site, SUMMER, 2, &WeatherField::new(1));
         // First sample of the day is midnight UTC — dark in June Belgium.
         assert_eq!(t.values[0], 0.0);
         let zeros = t.values.iter().filter(|&&v| v == 0.0).count();
@@ -242,7 +231,7 @@ mod tests {
     fn a_year_is_more_than_half_zeros() {
         // Fig 2b: "over 50% zero values for solar energy due to night".
         let site = Site::solar("s", 50.8, 4.4);
-        let t = SolarModel::default().generate(&site, 0, 365, &WeatherField::new(2));
+        let t = generate_in(&site, 0, 365, &WeatherField::new(2));
         let zero_frac = t.values.iter().filter(|&&v| v == 0.0).count() as f64 / t.len() as f64;
         assert!(zero_frac > 0.50, "zero fraction {zero_frac}");
         assert!(zero_frac < 0.70, "still must produce by day: {zero_frac}");
@@ -254,7 +243,7 @@ mod tests {
         let model = SolarModel::default();
         let field = WeatherField::new(3);
         // Generate a summer month and split days by regime.
-        let t = model.generate(&site, 150, 30, &field);
+        let t = generate_in(&site, 150, 30, &field);
         let daily = field.ar1(Channel::Cloud, &site, 0.995, 150 * 96, 30 * 96);
         let mut clear_peaks = Vec::new();
         let mut overcast_peaks = Vec::new();

@@ -8,9 +8,10 @@
 //! The model is a classic two-layer construction:
 //!
 //! 1. **Synoptic regime** — a slow, spatially correlated driver (shared
-//!    through [`WeatherField`], advected west→east) sets the regional
-//!    mean wind speed, sweeping between calm (~4.5 m/s) and stormy
-//!    (~14 m/s) conditions over hours-to-days.
+//!    through [`WeatherField`](crate::WeatherField), advected
+//!    west→east) sets the regional mean wind speed, sweeping between
+//!    calm (~4.5 m/s) and stormy (~14 m/s) conditions over
+//!    hours-to-days.
 //! 2. **Turbulence** — an Ornstein–Uhlenbeck process reverts the local
 //!    wind speed toward the regime mean while fast gust noise perturbs
 //!    it.
@@ -21,27 +22,28 @@
 //! the occasional cliff from full power to zero).
 
 use crate::site::Site;
-use crate::weather::{Ar1Request, Channel, WeatherField};
+use crate::weather::{Ar1Request, Channel};
 use crate::INTERVAL_15M;
 use vb_stats::TimeSeries;
 
-/// Tunable wind model; [`WindModel::default`] is calibrated against the
-/// paper's Figure 2 statistics (see `tests/calibration.rs`).
+/// Wind model; [`WindModel::default`] is calibrated against the paper's
+/// Figure 2 statistics (see `tests/calibration.rs`). Only the turbine
+/// speeds, which [`WindModel::power_curve`] reads, are public.
 #[derive(Debug, Clone)]
 pub struct WindModel {
     /// Long-run mean wind speed (m/s) in the neutral regime.
-    pub base_speed: f64,
+    base_speed: f64,
     /// How strongly the synoptic driver swings the regime mean (m/s per
     /// driver standard deviation).
-    pub regime_gain: f64,
+    regime_gain: f64,
     /// Seasonal amplitude (m/s): winter is windier in Europe.
-    pub seasonal_amplitude: f64,
+    seasonal_amplitude: f64,
     /// AR(1) persistence per 15-minute step of the synoptic driver.
-    pub regime_rho: f64,
+    regime_rho: f64,
     /// OU mean-reversion rate per 15-minute step.
-    pub reversion: f64,
+    reversion: f64,
     /// Gust (innovation) standard deviation, m/s per step.
-    pub gust_sigma: f64,
+    gust_sigma: f64,
     /// Turbine cut-in speed, m/s.
     pub cut_in: f64,
     /// Turbine rated speed, m/s.
@@ -67,19 +69,6 @@ impl Default for WindModel {
 }
 
 impl WindModel {
-    /// Generate `days` days of normalized wind power for `site` at
-    /// 15-minute resolution, starting at day-of-year `start_day`.
-    pub fn generate(
-        &self,
-        site: &Site,
-        start_day: u32,
-        days: u32,
-        field: &WeatherField,
-    ) -> TimeSeries {
-        let drivers = field.ar1_batch(&self.drivers(site, start_day, days));
-        self.shape(start_day, days, &drivers[0], &drivers[1])
-    }
-
     /// Warm-up steps of the OU integration: it starts this far before
     /// the window so the speed at any absolute instant is independent of
     /// the window start (the drivers themselves are already
@@ -164,6 +153,7 @@ impl WindModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{generate_in, WeatherField};
     use vb_stats::Summary;
 
     #[test]
@@ -184,7 +174,7 @@ mod tests {
     fn wind_rarely_reaches_zero_but_varies() {
         // Fig 2a: wind has sharp peaks and valleys, rarely zero.
         let site = Site::wind("w", 52.0, 0.0);
-        let t = WindModel::default().generate(&site, 0, 60, &WeatherField::new(4));
+        let t = generate_in(&site, 0, 60, &WeatherField::new(4));
         let zero_frac = t.values.iter().filter(|&&v| v == 0.0).count() as f64 / t.len() as f64;
         assert!(zero_frac < 0.35, "zero fraction {zero_frac}");
         let s = Summary::of(&t.values);
@@ -196,7 +186,7 @@ mod tests {
         // Fig 2b: "median values reaching at most 20% the peak capacity
         // for wind".
         let site = Site::wind("w", 52.0, 0.0);
-        let t = WindModel::default().generate(&site, 0, 365, &WeatherField::new(5));
+        let t = generate_in(&site, 0, 365, &WeatherField::new(5));
         let s = Summary::of(&t.values);
         assert!(s.p50 <= 0.25, "median {}", s.p50);
         assert!(s.max > 0.9, "should occasionally hit rated power");
@@ -205,10 +195,9 @@ mod tests {
     #[test]
     fn winter_is_windier_than_summer() {
         let site = Site::wind("w", 52.0, 0.0);
-        let model = WindModel::default();
         let field = WeatherField::new(6);
-        let winter = model.generate(&site, 0, 30, &field); // Jan
-        let summer = model.generate(&site, 180, 30, &field); // Jul
+        let winter = generate_in(&site, 0, 30, &field); // Jan
+        let summer = generate_in(&site, 180, 30, &field); // Jul
         assert!(
             Summary::of(&winter.values).mean > Summary::of(&summer.values).mean * 0.9,
             "winter {} vs summer {}",
@@ -221,8 +210,8 @@ mod tests {
     fn generation_is_deterministic() {
         let site = Site::wind("w", 52.0, 0.0);
         let f = WeatherField::new(7);
-        let a = WindModel::default().generate(&site, 10, 5, &f);
-        let b = WindModel::default().generate(&site, 10, 5, &f);
+        let a = generate_in(&site, 10, 5, &f);
+        let b = generate_in(&site, 10, 5, &f);
         assert_eq!(a, b);
     }
 }

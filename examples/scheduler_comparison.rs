@@ -20,7 +20,6 @@ fn main() {
 
     let mut policies: Vec<Box<dyn Policy>> = vec![
         Box::new(GreedyPolicy::new()),
-        Box::new(GreedyPolicy::most_headroom()),
         Box::new(MipPolicy::new(MipConfig::mip_24h())),
         Box::new(MipPolicy::new(MipConfig::mip())),
         Box::new(MipPolicy::new(MipConfig::mip_peak())),

@@ -17,7 +17,11 @@
 //! `sched.resume_scan_visits` counters as deltas over the timed run
 //! (the last two count the residents the hibernate/evict and resume
 //! scans visit), and the summed VM decisions, migration volume and
-//! dropped apps (the `FleetRun` totals). Throughput is reported as
+//! dropped apps (the `FleetRun` totals). It also prints the anchor
+//! innovations shard construction drew and copied (`trace.anchor_draws`,
+//! `trace.anchor_copied`), which depend on the thread count, since each
+//! synthesizing thread keeps its own anchor-draw memo, so they are not
+//! row keys. Throughput is reported as
 //! site-steps/sec (`sites × steps / secs`) and VM-decisions/sec; memory
 //! as the `VmHWM` peak-RSS proxy from `/proc/self/status` (0 where
 //! unavailable), reset before each row so every row reports its own
@@ -63,6 +67,10 @@ fn reset_peak_rss() {
     let _ = std::fs::write("/proc/self/clear_refs", "5");
 }
 
+/// The anchor-draw memo's counters, printed as deltas over shard
+/// construction.
+const BUILD_COUNTERS: [&str; 2] = ["trace.anchor_draws", "trace.anchor_copied"];
+
 /// The telemetry counters a row reports, as deltas over its step loop.
 const COUNTERS: [&str; 5] = [
     "sched.event_wakeups",
@@ -103,9 +111,12 @@ fn main() {
         let catalog = Catalog::fleet(DEFAULT_SEED, *n_sites);
         let policy = FleetPolicy::Greedy;
 
+        let built_before = BUILD_COUNTERS.map(counter_now);
         let t0 = Instant::now();
         let fleet = build_fleet(&catalog, &cfg).expect("fleet catalog names resolve");
         let build_secs = t0.elapsed().as_secs_f64();
+        let [anchor_draws, anchor_copied] =
+            std::array::from_fn(|k| counter_now(BUILD_COUNTERS[k]) - built_before[k]);
         let before = COUNTERS.map(counter_now);
         let t1 = Instant::now();
         let FleetRun {
@@ -128,6 +139,9 @@ fn main() {
         println!(
             "  build {build_secs:.3}s | run {event_secs:.3}s ({:.0} site-steps/s)",
             site_steps / event_secs
+        );
+        println!(
+            "  {anchor_draws} anchor innovations drawn, {anchor_copied} copied from held windows"
         );
         println!("  {event_wakeups} wake-ups, {stale_events} stale events, {transfers} transfers");
         println!(

@@ -6,11 +6,11 @@
 //! combinations improved cov by > 50 %."
 //!
 //! The catalog's traces come from one group synthesis, which draws the
-//! weather the sites share once. The sweep over all pairs is
-//! embarrassingly parallel: the per-pair cov computations are fanned out
-//! across CPU cores with `vb_par` (deterministic ordered map, so the
-//! results are identical at any thread count — see the determinism tests
-//! in `vb-bench`).
+//! weather the sites share once; that synthesis is nearly all of the
+//! sweep's cost. The per-pair cov computations then run on the calling
+//! thread, in pair order: each takes under a microsecond, too little to
+//! pay for a fan-out (the determinism tests in `vb-bench` still compare
+//! the sweep across thread counts).
 
 use vb_stats::{coefficient_of_variation, TimeSeries};
 use vb_trace::Catalog;
@@ -81,8 +81,10 @@ pub fn search_pairs(
         .map(|t| coefficient_of_variation(&t.values))
         .collect();
 
-    // Enumerate the in-range pairs cheaply, then score them in parallel
-    // (combined series + cov per pair).
+    // Enumerate the in-range pairs, then score each (combined series +
+    // cov per pair). One thread: a score takes under a microsecond, so
+    // the Europe catalog's 300 pairs took longer fanned out over two
+    // workers than on one.
     let mut in_range = Vec::new();
     for i in 0..n {
         for j in (i + 1)..n {
@@ -92,7 +94,7 @@ pub fn search_pairs(
             }
         }
     }
-    let pairs = vb_par::par_map(in_range, |(i, j, rtt)| {
+    let score = |(i, j, rtt): (usize, usize, f64)| {
         let combined = traces[i].add(&traces[j]);
         let combined_cov = coefficient_of_variation(&combined.values);
         let best_single = covs[i].min(covs[j]);
@@ -110,7 +112,8 @@ pub fn search_pairs(
             },
             rtt_ms: rtt,
         }
-    });
+    };
+    let pairs: Vec<PairImprovement> = in_range.into_iter().map(score).collect();
 
     let stats = summarize(&pairs);
     (pairs, stats)

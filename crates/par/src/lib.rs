@@ -39,12 +39,21 @@
 //!
 //! capped at the item count, so no worker starts without an item.
 //!
+//! **Nesting.** A [`par_map`] called inside another's task (a policy
+//! run's branch-and-bound batches under Table 1's per-policy fan-out)
+//! runs the one-worker path on that worker's thread: the outer map
+//! already has a worker per core, and a fresh set of scoped workers per
+//! inner batch made Table 1 slower at two workers than at one. Outputs
+//! do not change, since results go back by index either way, and
+//! `par.tasks` counts the inner items as before.
+//!
 //! **Telemetry.** `par.tasks` / `par.workers` counters, a
 //! `par.worker_tasks` histogram (work-sharing balance across workers)
 //! and `par.busy` spans. Each fan-out also captures the caller's trace
 //! context and adopts it on every worker, so worker span timelines nest
 //! under the span that launched the `par_map`.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -52,6 +61,12 @@ use std::sync::Mutex;
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// Serialises [`with_threads`] scopes (the override is process-global).
 static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
+
+thread_local! {
+    /// Set on the threads [`par_map`] starts, so a map nested in one of
+    /// their tasks stays on that thread.
+    static ON_WORKER: Cell<bool> = const { Cell::new(false) };
+}
 
 fn override_threads() -> Option<usize> {
     match OVERRIDE.load(Ordering::Relaxed) {
@@ -102,8 +117,8 @@ pub fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
 /// Map `f` over `items` in parallel, handing each item to its task by
 /// value; `out[i] == f(item i)` in input order, bit-identical at any
 /// thread count. Index sweeps pass `0..n`. The worker count resolves as
-/// the crate doc describes; with one worker this is exactly
-/// `items.into_iter().map(f).collect()`.
+/// the crate doc describes, and is one inside another map's task; with
+/// one worker this is exactly `items.into_iter().map(f).collect()`.
 pub fn par_map<I, T, F>(items: I, f: F) -> Vec<T>
 where
     I: IntoIterator,
@@ -117,7 +132,7 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let threads = workers(n);
+    let threads = if ON_WORKER.get() { 1 } else { workers(n) };
     vb_telemetry::counter!("par.tasks").add(n as u64);
     vb_telemetry::counter!("par.workers").add(threads as u64);
 
@@ -138,6 +153,7 @@ where
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(move || {
+                    ON_WORKER.set(true);
                     let _trace = vb_telemetry::adopt_trace(trace_ctx);
                     let _span = vb_telemetry::span!("par.busy");
                     let mut mine = Vec::new();
@@ -197,6 +213,34 @@ mod tests {
                 assert_eq!(out, expect, "n = {n}, threads = {threads}");
             }
         }
+    }
+
+    #[test]
+    fn nested_maps_stay_on_their_worker() {
+        let inner = |i: usize| (0..9).map(|j| format!("{i}.{j}")).collect::<Vec<_>>();
+        let expect: Vec<Vec<String>> = (0..12).map(inner).collect();
+        for threads in [2, 4] {
+            let out = with_threads(threads, || {
+                par_map(0..12, |i| {
+                    let worker = std::thread::current().id();
+                    let nested =
+                        par_map(0..9, |j| (std::thread::current().id(), format!("{i}.{j}")));
+                    assert!(
+                        nested.iter().all(|(id, _)| *id == worker),
+                        "a nested map started threads"
+                    );
+                    nested.into_iter().map(|(_, s)| s).collect::<Vec<_>>()
+                })
+            });
+            assert_eq!(out, expect, "threads = {threads}");
+        }
+        // A one-worker map runs on the caller, which is no worker: a map
+        // nested in it still fans out.
+        let caller = std::thread::current().id();
+        let ids = with_threads(2, || {
+            par_map(0..1, |_| par_map(0..2, |_| std::thread::current().id()))
+        });
+        assert!(ids[0].iter().all(|id| *id != caller));
     }
 
     #[test]

@@ -149,10 +149,12 @@ impl AppGen {
         &self.cfg
     }
 
-    /// Draw the arrivals for one 15-minute step.
-    pub fn step(&mut self) -> Vec<AppSpec> {
+    /// Draw the arrivals for one 15-minute step and append them to
+    /// `arrivals`, so a caller collecting an epoch's arrivals reuses one
+    /// buffer.
+    pub fn step_into(&mut self, arrivals: &mut Vec<AppSpec>) {
         let n = poisson(&mut self.rng, self.cfg.arrivals_per_step);
-        (0..n).map(|_| self.draw()).collect()
+        arrivals.extend((0..n).map(|_| self.draw()));
     }
 
     fn draw(&mut self) -> AppSpec {
@@ -200,8 +202,11 @@ mod tests {
     fn generator_is_deterministic() {
         let mut a = AppGen::new(AppGenConfig::default(), 5);
         let mut b = AppGen::new(AppGenConfig::default(), 5);
+        let (mut xs, mut ys) = (Vec::new(), Vec::new());
         for _ in 0..20 {
-            assert_eq!(a.step(), b.step());
+            a.step_into(&mut xs);
+            b.step_into(&mut ys);
+            assert_eq!(xs, ys);
         }
     }
 
@@ -209,7 +214,10 @@ mod tests {
     fn draws_respect_config_ranges() {
         let cfg = AppGenConfig::default();
         let mut g = AppGen::new(cfg.clone(), 6);
-        let apps: Vec<AppSpec> = (0..500).flat_map(|_| g.step()).collect();
+        let mut apps = Vec::new();
+        for _ in 0..500 {
+            g.step_into(&mut apps);
+        }
         assert!(!apps.is_empty());
         for a in &apps {
             assert!((cfg.vms_min..=cfg.vms_max).contains(&a.n_vms));

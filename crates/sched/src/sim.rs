@@ -362,6 +362,12 @@ struct SiteState {
     /// it where it stopped. A resume lowers it to the resumed app's
     /// slot; compaction resets it to 0.
     hib_cursor: usize,
+    /// Index below which `apps` holds no hibernated app: the resume
+    /// scan in [`GroupSim::resume_site`] starts here and leaves it at
+    /// the first hibernated resident it did not resume, or where it
+    /// stopped. A hibernation lowers it to the app's slot; compaction
+    /// resets it to 0.
+    resume_cursor: usize,
     /// Running committed cores (stable + degradable, not hibernated).
     allocated_cores: u32,
 }
@@ -656,6 +662,13 @@ pub struct GroupSim {
     apps: Vec<AppState>,
     /// Evicted stable apps waiting for capacity anywhere.
     queue: Vec<AppId>,
+    /// The queue [`GroupSim::relaunch_queue`] walks while failures
+    /// re-queue into `queue`; kept empty between calls to reuse its
+    /// capacity.
+    relaunching: Vec<AppId>,
+    /// The site snapshots of the last re-host decision
+    /// ([`GroupSim::fill_snapshots`]); one buffer for the whole run.
+    snapshots: Vec<SiteSnapshot>,
     gen: AppGen,
     now: u64,
     n_steps: u64,
@@ -737,6 +750,7 @@ impl GroupSim {
                     apps: Vec::new(),
                     dead: 0,
                     hib_cursor: 0,
+                    resume_cursor: 0,
                     allocated_cores: 0,
                 },
                 power,
@@ -788,6 +802,8 @@ impl GroupSim {
             budget_total,
             apps: Vec::new(),
             queue: Vec::new(),
+            relaunching: Vec::new(),
+            snapshots: Vec::with_capacity(n_sites),
             gen,
             now: 0,
             n_steps,
@@ -880,10 +896,9 @@ impl GroupSim {
             self.ev.drain_phase_done = true;
 
             // 5. Collect this step's arrivals; plan at epoch boundaries.
-            epoch_arrivals.extend(self.gen.step());
+            self.gen.step_into(&mut epoch_arrivals);
             if step % self.cfg.epoch_steps as u64 == 0 {
-                let batch = std::mem::take(&mut epoch_arrivals);
-                self.plan_epoch(batch, policy);
+                self.plan_epoch(&mut epoch_arrivals, policy);
             }
 
             // 6. Bookkeeping from the incremental counters. The deficit
@@ -1156,28 +1171,26 @@ impl GroupSim {
             "site {s}: a running degradable app sits below the hibernation cursor"
         );
 
-        // Evict stable apps (oldest resident first).
+        // Evict stable apps (oldest resident first), walking the list
+        // in place and stopping once the site is back under budget.
+        // Compaction would shift the indices under the walk, so it
+        // waits until the walk ends.
         if self.sites[s].allocated_cores > budget {
-            self.ev.power_scan_visits += self.sites[s].apps.len() as u64;
-            let victims: Vec<AppId> = self.sites[s]
-                .apps
-                .iter()
-                .copied()
-                .filter(|&id| {
-                    if id == TOMBSTONE {
-                        return false;
-                    }
-                    let a = &self.apps[id.0];
-                    !a.hibernated && a.spec.kind == VmKind::Stable
-                })
-                .collect();
-            for id in victims {
-                if self.sites[s].allocated_cores <= budget {
-                    break;
+            let mut i = 0;
+            while self.sites[s].allocated_cores > budget && i < self.sites[s].apps.len() {
+                let id = self.sites[s].apps[i];
+                i += 1;
+                if id == TOMBSTONE {
+                    continue;
                 }
-                self.detach(id);
-                evicted.push((id, s));
+                let a = &self.apps[id.0];
+                if !a.hibernated && a.spec.kind == VmKind::Stable {
+                    self.unlink(id);
+                    evicted.push((id, s));
+                }
             }
+            self.ev.power_scan_visits += i as u64;
+            self.compact(s);
         }
     }
 
@@ -1208,17 +1221,17 @@ impl GroupSim {
 
     /// Ask the policy for a re-host/relaunch target for an app of
     /// `cores` whose last site was `from`. Without subgraphs every site
-    /// is allowed, so the policy sees the full snapshot slice and local
-    /// indices are global — the restricted copy is pure overhead.
+    /// is allowed, so the policy sees every site's snapshot and local
+    /// indices are global.
     fn choose_target(&mut self, from: usize, cores: u32, policy: &mut dyn Policy) -> Option<usize> {
-        let snapshots = self.snapshots();
         if self.cfg.subgraphs.is_none() {
-            return policy.choose_rehost(&snapshots, cores);
+            self.fill_snapshots(0..self.sites.len());
+            return policy.choose_rehost(&self.snapshots, cores);
         }
         let allowed = self.movable_targets(from);
-        let restricted: Vec<SiteSnapshot> = allowed.iter().map(|&i| snapshots[i]).collect();
+        self.fill_snapshots(allowed.iter().copied());
         policy
-            .choose_rehost(&restricted, cores)
+            .choose_rehost(&self.snapshots, cores)
             .map(|local| allowed[local])
     }
 
@@ -1252,17 +1265,25 @@ impl GroupSim {
         if alloc.saturating_add(self.ev.min_hib_cores[s]) > budget {
             return;
         }
-        // Stop once every hibernated resident has been visited: the
-        // list tail past the last hibernated app holds only running
-        // apps and tombstones, which the scan would skip one by one.
-        // Stop too once even the smallest hibernated app no longer fits:
-        // `min_hib_cores` bounds every hibernated resident's cores from
-        // below and the allocation only rises during the scan, so no
-        // later resident could resume. Only a resume moves the
-        // allocation, so the test runs after each one.
+        // Start at the site's resume cursor: the list head below it
+        // holds only running apps and tombstones. Stop once every
+        // hibernated resident has been visited: the tail past the last
+        // one holds only those too. Stop as well once even the smallest
+        // hibernated app no longer fits: `min_hib_cores` bounds every
+        // hibernated resident's cores from below and the allocation
+        // only rises during the scan, so no later resident could
+        // resume. Only a resume moves the allocation, so the test runs
+        // after each one. The cursor is left at the first hibernated
+        // resident the scan passed over, or where it stopped.
+        debug_assert!(
+            self.resume_cursor_holds(s),
+            "site {s}: a hibernated app sits below the resume cursor"
+        );
+        let from = self.sites[s].resume_cursor;
+        let mut first_left = None;
         let mut remaining = self.ev.hibernated_per_site[s];
         let mut resumed_any = false;
-        let mut i = 0;
+        let mut i = from;
         while remaining > 0 && i < self.sites[s].apps.len() {
             let id = self.sites[s].apps[i];
             i += 1;
@@ -1271,7 +1292,9 @@ impl GroupSim {
             }
             remaining -= 1;
             let cores = self.apps[id.0].spec.cores();
-            if self.sites[s].allocated_cores + cores <= budget {
+            if self.sites[s].allocated_cores + cores > budget {
+                first_left.get_or_insert(i - 1);
+            } else {
                 self.resume(id, s);
                 resumed_any = true;
                 let alloc = self.sites[s].allocated_cores;
@@ -1286,7 +1309,12 @@ impl GroupSim {
                 }
             }
         }
-        self.ev.resume_scan_visits += i as u64;
+        self.sites[s].resume_cursor = first_left.unwrap_or(i);
+        self.ev.resume_scan_visits += (i - from) as u64;
+        debug_assert!(
+            self.resume_cursor_holds(s),
+            "site {s}: the resume scan left its cursor above a hibernated app"
+        );
         // One threat re-arm for the whole batch: each resume raises the
         // allocation, and a higher allocation's trigger step is never
         // later than a lower one's, so the final arm dominates every
@@ -1300,8 +1328,9 @@ impl GroupSim {
     /// Relaunch queued apps anywhere with room (relaunch = WAN
     /// traffic); failures re-queue in order.
     fn relaunch_queue(&mut self, policy: &mut dyn Policy, stats: &mut GroupStepStats) {
-        let queued = std::mem::take(&mut self.queue);
-        for id in queued {
+        let mut queued = std::mem::take(&mut self.relaunching);
+        std::mem::swap(&mut queued, &mut self.queue);
+        for &id in &queued {
             let cores = self.apps[id.0].spec.cores();
             let from = self.apps[id.0].last_site;
             match self.choose_target(from, cores, policy) {
@@ -1314,6 +1343,8 @@ impl GroupSim {
                 None => self.queue_push(id),
             }
         }
+        queued.clear();
+        self.relaunching = queued;
     }
 
     /// Site indices an app currently at `site` may move to: its
@@ -1330,44 +1361,51 @@ impl GroupSim {
         }
     }
 
-    /// Per-site state snapshots for runtime re-hosting decisions. The
+    /// Site `s`'s state snapshot for runtime re-hosting decisions. The
     /// day-ahead minimum comes from the precomputed sliding-window
     /// minima, clipped at the run's end like every day-ahead readout
     /// (see [`SitePower`]).
-    fn snapshots(&self) -> Vec<SiteSnapshot> {
-        let now = self.now as usize;
-        (0..self.sites.len())
-            .map(|s| {
-                let budget = self.budget_at(s, self.now);
-                // Truncating cast: `floor` then `as u32` for every f64.
-                let cap = (self.cfg.target_util * budget as f64) as u32;
-                let raw = self.power[s]
-                    .fd_min24
-                    .get(now)
-                    .copied()
-                    .unwrap_or(f64::INFINITY);
-                // `+∞` marks an empty window (past the forecast end,
-                // unreachable while `now < n_steps`); it reads as no
-                // admissible capacity.
-                let min_frac = if raw.is_finite() { raw } else { 0.0 };
-                SiteSnapshot {
-                    budget_cores: budget,
-                    allocated_cores: self.sites[s].allocated_cores,
-                    total_cores: self.cfg.cores_per_site,
-                    admission_cap: cap,
-                    forecast_min_24h_cores: min_frac
-                        * self.cfg.cores_per_site as f64
-                        * self.cfg.target_util,
-                }
-            })
-            .collect()
+    fn snapshot(&self, s: usize) -> SiteSnapshot {
+        let budget = self.budget_at(s, self.now);
+        // Truncating cast: `floor` then `as u32` for every f64.
+        let cap = (self.cfg.target_util * budget as f64) as u32;
+        let raw = self.power[s]
+            .fd_min24
+            .get(self.now as usize)
+            .copied()
+            .unwrap_or(f64::INFINITY);
+        // `+∞` marks an empty window (past the forecast end,
+        // unreachable while `now < n_steps`); it reads as no
+        // admissible capacity.
+        let min_frac = if raw.is_finite() { raw } else { 0.0 };
+        SiteSnapshot {
+            budget_cores: budget,
+            allocated_cores: self.sites[s].allocated_cores,
+            total_cores: self.cfg.cores_per_site,
+            admission_cap: cap,
+            forecast_min_24h_cores: min_frac
+                * self.cfg.cores_per_site as f64
+                * self.cfg.target_util,
+        }
+    }
+
+    /// Refill `self.snapshots` with the snapshots of `sites`, in order,
+    /// reusing its capacity: re-host decisions run tens of thousands of
+    /// times per fleet shard.
+    fn fill_snapshots(&mut self, sites: impl Iterator<Item = usize>) {
+        let mut buffer = std::mem::take(&mut self.snapshots);
+        buffer.clear();
+        buffer.extend(sites.map(|s| self.snapshot(s)));
+        self.snapshots = buffer;
     }
 
     /// Run the policy for an epoch batch and execute its assignments.
-    fn plan_epoch(&mut self, batch: Vec<AppSpec>, policy: &mut dyn Policy) {
+    /// Drains `batch`, leaving its capacity for the next epoch's
+    /// arrivals.
+    fn plan_epoch(&mut self, batch: &mut Vec<AppSpec>, policy: &mut dyn Policy) {
         // Register the new apps.
         let new_apps: Vec<NewApp> = batch
-            .into_iter()
+            .drain(..)
             .map(|spec| {
                 let id = AppId(self.apps.len());
                 let departs_at = self.now + spec.lifetime_steps as u64;
@@ -1512,20 +1550,12 @@ impl GroupSim {
         stats: &mut GroupStepStats,
         moved: &mut usize,
     ) {
-        let snapshots = self.snapshots();
-        let stable_cores: f64 = self.sites[s]
-            .apps
-            .iter()
-            .filter(|&&id| {
-                if id == TOMBSTONE {
-                    return false;
-                }
-                let a = &self.apps[id.0];
-                a.spec.kind == VmKind::Stable && !a.hibernated
-            })
-            .map(|id| self.apps[id.0].spec.cores() as f64)
-            .sum();
-        let mut deficit = stable_cores - snapshots[s].forecast_min_24h_cores;
+        debug_assert_eq!(
+            self.ev.stable_cores[s],
+            self.running_cores(s, VmKind::Stable)
+        );
+        let stable_cores = self.ev.stable_cores[s] as f64;
+        let mut deficit = stable_cores - self.snapshot(s).forecast_min_24h_cores;
         if deficit <= 0.0 {
             return;
         }
@@ -1554,23 +1584,23 @@ impl GroupSim {
                 .mem_gb()
                 .total_cmp(&self.apps[b.0].spec.mem_gb())
         });
+        let allowed = self.movable_targets(s);
         for id in victims {
             if deficit <= 0.0 || *moved >= MOVES_PER_STEP {
                 break;
             }
             let cores = self.apps[id.0].spec.cores();
-            let allowed = self.movable_targets(s);
-            let snapshots = self.snapshots();
-            let restricted: Vec<SiteSnapshot> = allowed.iter().map(|&i| snapshots[i]).collect();
+            self.fill_snapshots(allowed.iter().copied());
             let Some(target) = policy
-                .choose_rehost(&restricted, cores)
+                .choose_rehost(&self.snapshots, cores)
                 .map(|local| allowed[local])
             else {
                 break;
             };
             // Only drain toward genuinely safer ground.
             let score = |t: usize| {
-                snapshots[t].forecast_min_24h_cores - snapshots[t].allocated_cores as f64
+                let snapshot = self.snapshot(t);
+                snapshot.forecast_min_24h_cores - snapshot.allocated_cores as f64
             };
             if target == s || score(target) <= score(s) {
                 break;
@@ -1662,19 +1692,12 @@ impl GroupSim {
             .map(|(si, st)| {
                 // Degradable running cores absorb dips without traffic:
                 // credit them to forecast capacity rather than charging
-                // them as displaceable load.
-                let degradable: f64 = st
-                    .apps
-                    .iter()
-                    .filter(|&&id| {
-                        if id == TOMBSTONE {
-                            return false;
-                        }
-                        let a = &self.apps[id.0];
-                        a.spec.kind == VmKind::Degradable && !a.hibernated
-                    })
-                    .map(|id| self.apps[id.0].spec.cores() as f64)
-                    .sum();
+                // them as displaceable load. Stable apps never
+                // hibernate, so they are the allocation less the
+                // running stable cores.
+                let degradable = st.allocated_cores as u64 - self.ev.stable_cores[si];
+                debug_assert_eq!(degradable, self.running_cores(si, VmKind::Degradable));
+                let degradable = degradable as f64;
 
                 let mut capacity = Vec::with_capacity(buckets);
                 let mut committed = Vec::with_capacity(buckets);
@@ -1788,50 +1811,79 @@ impl GroupSim {
         self.touch(s);
     }
 
+    /// Detach an app from its site, then compact the site's resident
+    /// list if tombstones outnumber live entries.
     fn detach(&mut self, id: AppId) {
-        if let Some(s) = self.apps[id.0].site.take() {
-            // O(1) removal: tombstone the slot; compact (preserving
-            // relative order) once dead entries outnumber live ones, so
-            // the amortized cost per departure stays constant and scans
-            // over the list never see more than ~half waste.
-            let slot = self.apps[id.0].slot;
-            debug_assert_eq!(self.sites[s].apps[slot], id);
-            self.sites[s].apps[slot] = TOMBSTONE;
-            self.sites[s].dead += 1;
-            if self.sites[s].dead * 2 > self.sites[s].apps.len() {
-                let old = std::mem::take(&mut self.sites[s].apps);
-                let mut kept = Vec::with_capacity(old.len() - self.sites[s].dead);
-                for a in old {
-                    if a != TOMBSTONE {
-                        self.apps[a.0].slot = kept.len();
-                        kept.push(a);
-                    }
-                }
-                self.sites[s].apps = kept;
-                self.sites[s].dead = 0;
-                self.sites[s].hib_cursor = 0;
+        if let Some(s) = self.unlink(id) {
+            self.compact(s);
+        }
+    }
+
+    /// [`GroupSim::detach`] without the compaction, for a walk over the
+    /// resident list that compacts once it ends; returns the app's site.
+    /// O(1): the app's slot becomes a tombstone.
+    fn unlink(&mut self, id: AppId) -> Option<usize> {
+        let s = self.apps[id.0].site.take()?;
+        let slot = self.apps[id.0].slot;
+        debug_assert_eq!(self.sites[s].apps[slot], id);
+        self.sites[s].apps[slot] = TOMBSTONE;
+        self.sites[s].dead += 1;
+        let cores = self.apps[id.0].spec.cores();
+        if !self.apps[id.0].hibernated {
+            self.sites[s].allocated_cores -= cores;
+            self.ev.group_allocated -= cores as u64;
+            if self.apps[id.0].spec.kind == VmKind::Stable {
+                self.ev.stable_cores[s] -= cores as u64;
+                self.arm_drain(s);
             }
-            let cores = self.apps[id.0].spec.cores();
-            if !self.apps[id.0].hibernated {
-                self.sites[s].allocated_cores -= cores;
-                self.ev.group_allocated -= cores as u64;
-                if self.apps[id.0].spec.kind == VmKind::Stable {
-                    self.ev.stable_cores[s] -= cores as u64;
-                    self.arm_drain(s);
-                }
-                self.touch(s);
-            } else {
-                // Hibernated apps are always degradable (stable apps
-                // are evicted, never hibernated), so stable_cores and
-                // the allocation are untouched here.
-                self.apps[id.0].hibernated = false;
-                self.ev.hibernated_apps -= 1;
-                self.ev.hibernated_per_site[s] -= 1;
-                if self.ev.hibernated_per_site[s] == 0 {
-                    self.ev.min_hib_cores[s] = u32::MAX;
-                }
+            self.touch(s);
+        } else {
+            // Hibernated apps are always degradable (stable apps
+            // are evicted, never hibernated), so stable_cores and
+            // the allocation are untouched here.
+            self.apps[id.0].hibernated = false;
+            self.ev.hibernated_apps -= 1;
+            self.ev.hibernated_per_site[s] -= 1;
+            if self.ev.hibernated_per_site[s] == 0 {
+                self.ev.min_hib_cores[s] = u32::MAX;
             }
         }
+        Some(s)
+    }
+
+    /// Squeeze site `s`'s tombstones out of its resident list in place
+    /// (preserving relative order) once they outnumber live entries, so
+    /// the amortized cost per departure stays constant and scans over
+    /// the list never see more than ~half waste. Slots move, so both
+    /// scan cursors reset.
+    fn compact(&mut self, s: usize) {
+        let site = &mut self.sites[s];
+        if site.dead * 2 <= site.apps.len() {
+            return;
+        }
+        site.apps.retain(|&a| a != TOMBSTONE);
+        // Give back the capacity the list held for its peak residents:
+        // keeping it raised `study_heap_mb`.
+        site.apps.shrink_to_fit();
+        for (slot, a) in site.apps.iter().enumerate() {
+            self.apps[a.0].slot = slot;
+        }
+        site.dead = 0;
+        site.hib_cursor = 0;
+        site.resume_cursor = 0;
+    }
+
+    /// Cores of site `s`'s running residents of `kind`: the sum the
+    /// counters `stable_cores` and `allocated_cores` stand in for,
+    /// scanned for the debug checks.
+    fn running_cores(&self, s: usize, kind: VmKind) -> u64 {
+        let running = self.sites[s].apps.iter().filter(|&&id| {
+            id != TOMBSTONE && {
+                let a = &self.apps[id.0];
+                a.spec.kind == kind && !a.hibernated
+            }
+        });
+        running.map(|id| self.apps[id.0].spec.cores() as u64).sum()
     }
 
     /// Hibernate a degradable app in place (no WAN traffic).
@@ -1839,7 +1891,9 @@ impl GroupSim {
         debug_assert!(!self.apps[id.0].hibernated);
         let cores = self.apps[id.0].spec.cores();
         self.apps[id.0].hibernated = true;
-        self.sites[s].allocated_cores -= cores;
+        let site = &mut self.sites[s];
+        site.resume_cursor = site.resume_cursor.min(self.apps[id.0].slot);
+        site.allocated_cores -= cores;
         self.ev.group_allocated -= cores as u64;
         self.ev.hibernated_apps += 1;
         self.ev.hibernated_per_site[s] += 1;
@@ -1858,6 +1912,16 @@ impl GroupSim {
                     a.hibernated || a.spec.kind == VmKind::Stable
                 }
             })
+    }
+
+    /// The resume cursor's invariant at site `s`: no resident below
+    /// `resume_cursor` is hibernated.
+    fn resume_cursor_holds(&self, s: usize) -> bool {
+        let site = &self.sites[s];
+        site.resume_cursor <= site.apps.len()
+            && site.apps[..site.resume_cursor]
+                .iter()
+                .all(|&id| id == TOMBSTONE || !self.apps[id.0].hibernated)
     }
 
     /// Resume a hibernated app (free of charge — no WAN traffic).

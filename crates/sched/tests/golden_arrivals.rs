@@ -28,11 +28,11 @@ fn spec_words(a: &AppSpec) -> [u64; 5] {
 
 fn stream_digest(cfg: AppGenConfig) -> u64 {
     let mut g = AppGen::new(cfg, common::SEED);
-    let specs: Vec<AppSpec> = std::iter::repeat_with(|| g.step())
-        .flatten()
-        .take(SPECS)
-        .collect();
-    assert_eq!(specs.len(), SPECS);
+    let mut specs = Vec::with_capacity(SPECS);
+    while specs.len() < SPECS {
+        g.step_into(&mut specs);
+    }
+    specs.truncate(SPECS);
     fnv1a(specs.iter().flat_map(spec_words))
 }
 

@@ -26,11 +26,16 @@
 //!   and filters every request's slice of them, bit-identical to
 //!   serving each request alone.
 //! * Successive groups read the anchor streams over overlapping windows
-//!   too (the studies of one catalog), so each thread keeps the anchor
-//!   windows its last batch read and draws only samples it does not
-//!   hold. Innovations are pure functions of their coordinates, so a
-//!   held sample equals a fresh draw and outputs never depend on what
-//!   the thread synthesized before.
+//!   too (the studies of one catalog), so each thread keeps anchor
+//!   windows between batches and draws only samples it does not hold.
+//!   Per stream it holds the windows its last batch read there, plus
+//!   every earlier window none of them overlaps (a solar-only group
+//!   reads the gust anchors only at the forecast-error offsets, and the
+//!   gust trace window stays for the next wind group), at most four
+//!   per stream (`HELD_WINDOWS`) unless the last batch alone read more.
+//!   Innovations are pure functions of their coordinates, so a held
+//!   sample equals a fresh draw and outputs never depend on what the
+//!   thread synthesized before.
 //! * Each read's AR(1) filter is a chain of dependent multiply-adds, and
 //!   most stream groups hold only one or two reads, so the batch filters
 //!   anchor reads four at a time in lockstep, across stream groups: the
@@ -41,6 +46,7 @@
 
 use crate::site::{haversine_km, Site};
 use std::cell::RefCell;
+use std::cmp::Reverse;
 use std::rc::Rc;
 
 /// Independent driver channels. Using distinct channels guarantees, e.g.,
@@ -156,7 +162,9 @@ impl WeatherField {
     /// A local stream's merged window is drawn into one reused buffer.
     /// An anchor stream's comes from this thread's [`AnchorMemo`], which
     /// keeps the anchor windows of earlier batches and draws only the
-    /// samples they do not cover.
+    /// samples they do not cover. The batch adds the anchor innovations
+    /// it drew and those it copied from held windows to
+    /// `trace.anchor_draws` and `trace.anchor_copied` once, at its end.
     ///
     /// Each output adds its contributions in the order a lone request
     /// would (anchor index ascending, then the local stream), which is
@@ -193,7 +201,7 @@ impl WeatherField {
         let mut outs: Vec<Vec<f64>> = requests.iter().map(|r| vec![0.0; r.n]).collect();
         let mut draws = Vec::new();
         let mut lanes = Lanes::default();
-        ANCHOR_MEMO.with_borrow_mut(|memo| {
+        let (drawn, copied) = ANCHOR_MEMO.with_borrow_mut(|memo| {
             memo.begin(self.seed);
             let mut first = 0;
             while first < reads.len() {
@@ -229,7 +237,10 @@ impl WeatherField {
             }
             lanes.flush(&mut outs);
             memo.finish();
+            (memo.drawn, memo.copied)
         });
+        vb_telemetry::counter!("trace.anchor_draws").add(drawn);
+        vb_telemetry::counter!("trace.anchor_copied").add(copied);
         outs
     }
 
@@ -452,17 +463,29 @@ fn filter_lockstep(lanes: &[(Rc<Vec<f64>>, usize, Read); LANES], outs: &mut [Vec
 thread_local! {
     /// This thread's anchor-stream innovations, kept between batches.
     /// Per thread, so `vb-par` workers need no lock, and memory stays at
-    /// one window set per anchor stream per thread however many catalogs
-    /// a process builds; a worker's memo goes when the worker exits.
+    /// most [`HELD_WINDOWS`] windows per anchor stream per thread however
+    /// many catalogs a process builds; a worker's memo goes when the
+    /// worker exits.
     static ANCHOR_MEMO: RefCell<AnchorMemo> = RefCell::new(AnchorMemo::default());
 }
+
+/// Windows an anchor stream holds between batches, unless its last batch
+/// alone read more (it keeps all of those). Four covers the disjoint
+/// regions a group study reads on one stream: the trace window and the
+/// three forecast-error windows of the gust channel.
+const HELD_WINDOWS: usize = 4;
 
 /// The anchor-stream innovations one thread keeps between
 /// [`WeatherField::ar1_batch`] calls, keyed by (field seed, channel,
 /// anchor index). Each stream holds the windows that served the last
-/// batch reading it, so consecutive studies over overlapping windows
-/// draw each sample once. Local streams (one per site) are not held:
-/// they would grow with the fleet.
+/// batch reading it, and every window it held before that none of them
+/// overlaps, so a solar-only study (which reads the gust anchors only
+/// at the forecast-error offsets) leaves the gust trace window for the
+/// next wind study. A window that does overlap one the batch read is
+/// dropped, not extended: lag-shifted reads replace each other. At most
+/// [`HELD_WINDOWS`] are kept per stream, the most recently read first,
+/// unless the last batch read more. Local streams (one per site) are
+/// not held: they would grow with the fleet.
 #[derive(Default)]
 struct AnchorMemo {
     /// Seed of the field every held window belongs to.
@@ -475,17 +498,30 @@ struct AnchorMemo {
     /// have served it so far.
     open: Option<usize>,
     serving: Vec<Held>,
+    /// Batches begun on this thread: the stamp of the windows the
+    /// running batch reads.
+    batch: u64,
+    /// Innovations the running batch drew and copied from held windows
+    /// into new ones.
+    drawn: u64,
+    copied: u64,
 }
 
 /// Innovations of one anchor stream over `[start, start + draws.len())`.
 struct Held {
     start: i64,
     draws: Rc<Vec<f64>>,
+    /// The batch that last read it.
+    used: u64,
 }
 
 impl Held {
     fn end(&self) -> i64 {
         self.start + self.draws.len() as i64
+    }
+
+    fn overlaps(&self, other: &Held) -> bool {
+        self.start < other.end() && other.start < self.end()
     }
 }
 
@@ -499,6 +535,9 @@ impl AnchorMemo {
             self.held.clear();
             self.seed = seed;
         }
+        self.batch += 1;
+        self.drawn = 0;
+        self.copied = 0;
     }
 
     /// The innovations of anchor stream `slot` (hashed with `key`) over
@@ -507,7 +546,7 @@ impl AnchorMemo {
     /// any other is built from the samples held windows cover, drawing
     /// only the rest. A batch passes one stream's windows consecutively,
     /// ascending and disjoint; when it moves on, the windows that served
-    /// the stream become its held set.
+    /// the stream join its held set ([`AnchorMemo::finish`]).
     fn window(&mut self, slot: usize, key: u64, lo: i64, hi: i64) -> (Rc<Vec<f64>>, usize) {
         if self.open != Some(slot) {
             self.finish();
@@ -517,13 +556,11 @@ impl AnchorMemo {
             }
         }
         let held = &self.held[slot];
-        let served = match held.iter().find(|h| h.start <= lo && hi <= h.end()) {
-            Some(h) => Held {
-                start: h.start,
-                draws: Rc::clone(&h.draws),
-            },
+        let (start, draws) = match held.iter().find(|h| h.start <= lo && hi <= h.end()) {
+            Some(h) => (h.start, Rc::clone(&h.draws)),
             None => {
                 let mut draws = Vec::with_capacity((hi - lo) as usize);
+                let mut copied = 0;
                 let mut t = lo;
                 for h in held.iter().take_while(|h| h.start < hi) {
                     if h.end() <= t {
@@ -534,25 +571,44 @@ impl AnchorMemo {
                     let end = h.end().min(hi);
                     let (from, to) = ((t - h.start) as usize, (end - h.start) as usize);
                     draws.extend_from_slice(&h.draws[from..to]);
+                    copied += to - from;
                     t = end;
                 }
                 draws.extend((t..hi).map(|s| normal(key, s)));
-                Held {
-                    start: lo,
-                    draws: Rc::new(draws),
-                }
+                self.copied += copied as u64;
+                self.drawn += (draws.len() - copied) as u64;
+                (lo, Rc::new(draws))
             }
+        };
+        let served = Held {
+            start,
+            draws,
+            used: self.batch,
         };
         let window = (Rc::clone(&served.draws), (lo - served.start) as usize);
         self.serving.push(served);
         window
     }
 
-    /// Make the windows that served the open stream its held set.
+    /// Close the open stream: the windows that served it join its held
+    /// set, replacing every held window they overlap, and the least
+    /// recently read of the rest go until the stream holds
+    /// [`HELD_WINDOWS`].
     fn finish(&mut self) {
-        if let Some(slot) = self.open.take() {
-            self.held[slot] = std::mem::take(&mut self.serving);
+        let Some(slot) = self.open.take() else {
+            return;
+        };
+        let (held, serving) = (&mut self.held[slot], &mut self.serving);
+        // Consecutive windows of one held window are served by it.
+        serving.dedup_by(|a, b| Rc::ptr_eq(&a.draws, &b.draws));
+        held.retain(|h| !serving.iter().any(|s| s.overlaps(h)));
+        let room = HELD_WINDOWS.saturating_sub(serving.len());
+        if held.len() > room {
+            held.sort_unstable_by_key(|h| (Reverse(h.used), h.start));
+            held.truncate(room);
         }
+        held.append(serving);
+        held.sort_unstable_by_key(|h| h.start);
     }
 }
 
@@ -880,6 +936,121 @@ mod tests {
                 r.rho
             );
         }
+    }
+
+    /// The anchor innovations this thread's last batch drew, and the
+    /// windows each anchor stream holds.
+    fn memo_state() -> (u64, Vec<Vec<(i64, usize)>>) {
+        ANCHOR_MEMO.with_borrow(|memo| {
+            let held = memo.held.iter();
+            let windows = held.map(|hs| hs.iter().map(|h| (h.start, h.draws.len())).collect());
+            (memo.drawn, windows.collect())
+        })
+    }
+
+    #[test]
+    fn a_solar_group_leaves_the_gust_trace_windows_held() {
+        // A solar-only group reads the gust anchors near it only at the
+        // three forecast-error offsets; the wind group's gust trace
+        // windows on those anchors must outlive it.
+        let mut catalog = crate::Catalog::new(29);
+        catalog.push(Site::wind("w1", 52.0, 0.0));
+        catalog.push(Site::wind("w2", 50.0, 3.0));
+        catalog.push(Site::solar("s1", 51.0, 1.0));
+        catalog.push(Site::solar("s2", 49.0, 2.0));
+        let (wind, solar) = ([0, 1], [2, 3]);
+        let series = |group: &[usize]| -> Vec<u64> {
+            let out = catalog.group_series(group, 10, 3, crate::Horizon::all());
+            let out = out.expect("synthetic sites cover every window");
+            let values = out.iter().flat_map(|s| {
+                let forecasts = s.forecasts.iter().flat_map(|f| &f.values);
+                s.actual.values.iter().chain(forecasts)
+            });
+            values.map(|x| x.to_bits()).collect()
+        };
+        let fresh = |group: &[usize]| {
+            std::thread::scope(|s| s.spawn(|| series(group)).join().expect("fresh thread"))
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert_eq!(series(&wind), fresh(&wind), "wind group");
+                let (drawn, gust_trace) = memo_state();
+                assert!(drawn > 0, "a fresh thread's first batch draws");
+                assert_eq!(series(&solar), fresh(&solar), "solar group");
+                let (_, after_solar) = memo_state();
+                let gust = (Channel::WindGust.id() - 1) as usize * catalog.field().anchors.len();
+                let trace_windows = |held: &[Vec<(i64, usize)>]| -> Vec<(i64, usize)> {
+                    let streams = held.iter().skip(gust);
+                    streams
+                        .flatten()
+                        .copied()
+                        .filter(|&(start, _)| start < 1_000_000)
+                        .collect()
+                };
+                assert!(!trace_windows(&gust_trace).is_empty());
+                assert_eq!(trace_windows(&after_solar), trace_windows(&gust_trace));
+                assert_eq!(series(&wind), fresh(&wind), "wind group again");
+                assert_eq!(
+                    memo_state().0,
+                    0,
+                    "the repeated wind group drew anchor innovations"
+                );
+            })
+            .join()
+            .expect("groups on one thread");
+        });
+    }
+
+    #[test]
+    fn held_windows_stay_within_the_bound() {
+        let f = WeatherField::new(31);
+        let site = Site::wind("w", 52.0, 0.0);
+        let per_stream = |held: &[Vec<(i64, usize)>]| held.iter().map(Vec::len).max();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // Disjoint windows: each stream keeps the latest four.
+                let starts: Vec<i64> = (0..12).map(|k| k * 100_000).collect();
+                for (k, &t0) in starts.iter().enumerate() {
+                    f.ar1(Channel::WindGust, &site, 0.3, t0, 50);
+                    let (_, held) = memo_state();
+                    assert_eq!(per_stream(&held), Some((k + 1).min(HELD_WINDOWS)));
+                }
+                let (_, held) = memo_state();
+                let warmup = warmup_samples(0.3) as i64;
+                let latest: Vec<i64> = starts[starts.len() - HELD_WINDOWS..]
+                    .iter()
+                    .map(|t0| t0 - warmup)
+                    .collect();
+                for windows in held.iter().filter(|hs| !hs.is_empty()) {
+                    let kept: Vec<i64> = windows.iter().map(|&(start, _)| start).collect();
+                    assert_eq!(kept, latest, "the most recently read windows stay");
+                }
+                // One batch reading more disjoint windows keeps them all.
+                let sweep: Vec<_> = (0..6)
+                    .map(|k| Ar1Request {
+                        channel: Channel::WindGust,
+                        site: &site,
+                        rho: 0.3,
+                        t0: 5_000_000 + k * 100_000,
+                        n: 50,
+                    })
+                    .collect();
+                f.ar1_batch(&sweep);
+                assert_eq!(per_stream(&memo_state().1), Some(sweep.len()));
+                // Lag-shifted, overlapping windows replace each other.
+                for k in 0..12 {
+                    f.ar1(Channel::WindGust, &site, 0.3, 9_000_000 + 10 * k, 50);
+                }
+                let (_, held) = memo_state();
+                for windows in held.iter().filter(|hs| !hs.is_empty()) {
+                    let near = windows.iter().filter(|&&(start, _)| start >= 8_000_000);
+                    assert_eq!(near.count(), 1, "overlapping windows accumulated");
+                    assert_eq!(windows.len(), HELD_WINDOWS);
+                }
+            })
+            .join()
+            .expect("windows on one thread");
+        });
     }
 
     #[test]

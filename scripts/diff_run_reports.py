@@ -12,6 +12,8 @@ that legitimately differ between runs are excluded:
 * the `elapsed_secs` event field (timing),
 * `par.workers` / `par.worker_tasks` (reflect the thread count by
   design; `par.tasks` — the amount of work — must still match),
+* `trace.anchor_draws` / `trace.anchor_copied` (per-thread memo work,
+  which depends on the thread count by design),
 * wall-clock series columns (`secs`).
 
 Exit status 0 when the filtered reports are identical, 1 with a diff
@@ -21,7 +23,16 @@ on stdout otherwise.
 import json
 import sys
 
-EXCLUDED_METRICS = {"par.workers", "par.worker_tasks"}
+# `trace.anchor_draws` / `trace.anchor_copied` count the work of each
+# synthesizing thread's anchor-draw memo, and every vb-par worker starts
+# with an empty memo, so they depend on the thread count by design (the
+# outputs the memo serves do not).
+EXCLUDED_METRICS = {
+    "par.workers",
+    "par.worker_tasks",
+    "trace.anchor_draws",
+    "trace.anchor_copied",
+}
 EXCLUDED_EVENT_FIELDS = {"elapsed_secs"}
 EXCLUDED_SERIES_COLUMNS = {"secs"}
 

@@ -6,34 +6,35 @@
 //! * **Decision variables** — one integer count `n[c][s] ∈ [0, |c|]` per
 //!   (app class, site), with `Σ_s n[c][s] = |c|`. A class groups
 //!   interchangeable apps: newly arrived apps with the same cores and
-//!   the same number of alive buckets in the horizon, and movable apps
-//!   that also share their memory and current site. Their per-app
+//!   the same number of alive buckets in the horizon. Their per-app
 //!   binaries `x[a][s]` would be identical columns, so the counts have
 //!   the same LP relaxation while branch & bound no longer searches
 //!   permutations of equal apps. The readout hands each class's counts
-//!   to its members in context order — movable members fill their
-//!   current site first, then sites in index order.
+//!   to its members in context order, filling sites in index order.
 //! * **Displacement model** — per site `s` and look-ahead bucket `b`,
 //!   `d[s][b] ≥ load[s][b] − capacity[s][b]` with `d ≥ 0` captures how
 //!   many committed cores the forecast power cannot host. Because every
 //!   objective term is non-decreasing in `d`, the optimum pins
 //!   `d = max(0, load − capacity)` exactly.
-//! * **O1 (total)** — `min Σ d · GB_PER_CORE + Σ move_cost`: displaced
-//!   capacity, converted to bytes via the memory density, plus the full
-//!   memory of any existing app the plan relocates preemptively
-//!   (`move_cost · (|c| − n[c][home])` per movable class).
-//!   Displaced cores are what *force* migrations at run time, so this is
-//!   a convex surrogate of the paper's "total migration bytes": the
-//!   byte-exact objective (positive increments of the displacement
-//!   process) is not LP-representable without per-bucket binaries — a
-//!   planner could "pre-pay" displacement to game any LP relaxation of
-//!   it — and the simulation, not the planner, is what measures real
-//!   bytes for Table 1.
+//! * **O1 (total)** — `min Σ d · GB_PER_CORE`: displaced capacity,
+//!   converted to bytes via the memory density. Displaced cores are
+//!   what *force* migrations at run time, so this is a convex surrogate
+//!   of the paper's "total migration bytes": the byte-exact objective
+//!   (positive increments of the displacement process) is not
+//!   LP-representable without per-bucket binaries — a planner could
+//!   "pre-pay" displacement to game any LP relaxation of it — and the
+//!   simulation, not the planner, is what measures real bytes for
+//!   Table 1.
 //! * **O2 (peak)** — an auxiliary `z ≥ d[s][b] · GB_PER_CORE` over all
 //!   sites and buckets; adding `λ·z` to the objective implements the
 //!   paper's second-order peak goal ("MIP-peak"): avoid concentrating
 //!   displacement in any single site-interval, spreading forced
 //!   migrations across sites and time.
+//!
+//! The model places new apps only. Running apps are part of each site's
+//! committed load, and [`PlanContext::movable`] is not read: MIP-peak's
+//! preemptive migration is the runtime's rate-limited drain
+//! ([`Policy::preemptive_drain`]), not a planned move.
 //!
 //! The three Table 1 variants are configurations of this one model:
 //!
@@ -63,9 +64,8 @@ use vb_solver::{LinExpr, Model, Sense, SolveError, VarId};
 
 /// GB of migration traffic the planner charges per displaced core
 /// (≈ VM memory per core of the default workload). The displacement
-/// (O1), peak (O2) and balance terms all scale with it; a preemptive
-/// move is charged its app's own memory instead. The fleet app mix
-/// carries 8 GB per core, and is planned with this value too.
+/// (O1), peak (O2) and balance terms all scale with it. The fleet app
+/// mix carries 8 GB per core, and is planned with this value too.
 /// [`ReplicationModel`](crate::ReplicationModel) replicates this much
 /// memory per committed core.
 pub const GB_PER_CORE: f64 = 4.0;
@@ -86,13 +86,6 @@ pub struct MipConfig {
     /// on preemptive draining ([`Policy::preemptive_drain`]); at 0 the
     /// model has no peak variable and the policy never drains.
     pub peak_weight: f64,
-    /// Multiplier on the preemptive-move cost relative to the app's
-    /// memory. The displacement surrogate charges a doomed placement in
-    /// every bucket it remains displaced, while a runtime eviction costs
-    /// the memory only once — a factor > 1 compensates, so plain-O1
-    /// variants move only when the forecast deficit is deep and long,
-    /// while MIP-peak (whose peak term values spreading) moves earlier.
-    pub move_cost_factor: f64,
     /// Weight of the load-balance term: the §3.1 objective "balancing
     /// load between subgraphs/sites", implemented as a penalty on the
     /// worst forecast utilization across sites over the near-term
@@ -109,7 +102,6 @@ impl MipConfig {
         MipConfig {
             horizon_steps: 7 * STEPS_PER_DAY,
             peak_weight: 0.0,
-            move_cost_factor: 6.0,
             balance_weight: 4.0,
             name: "MIP".into(),
         }
@@ -120,7 +112,6 @@ impl MipConfig {
         MipConfig {
             horizon_steps: STEPS_PER_DAY,
             peak_weight: 0.0,
-            move_cost_factor: 6.0,
             balance_weight: 4.0,
             name: "MIP-24h".into(),
         }
@@ -131,7 +122,6 @@ impl MipConfig {
         MipConfig {
             horizon_steps: 7 * STEPS_PER_DAY,
             peak_weight: 24.0,
-            move_cost_factor: 2.5,
             balance_weight: 4.0,
             name: "MIP-peak".into(),
         }
@@ -212,32 +202,21 @@ impl MipPolicy {
 
         // Hand each class's counts out to its members in context order.
         let mut new_site = vec![0; ctx.new_apps.len()];
-        let mut mov_site = vec![0; ctx.movable.len()];
         for (row, class) in n.iter().zip(&classes) {
             let counts: Vec<f64> = row.iter().map(|&v| sol.value(v)).collect();
-            let sites = spread(&counts, class.members.len(), class.home).ok_or_else(|| {
+            let sites = spread(&counts, class.members.len()).ok_or_else(|| {
                 SolveError::BadModel("class counts do not partition the class".into())
             })?;
-            let dest = if class.home.is_some() {
-                &mut mov_site
-            } else {
-                &mut new_site
-            };
             for (&member, site) in class.members.iter().zip(sites) {
-                dest[member] = site;
+                new_site[member] = site;
             }
         }
-        let mut out: Vec<Assignment> = ctx
+        let out = ctx
             .new_apps
             .iter()
             .zip(new_site)
             .map(|(app, site)| Assignment { app: app.id, site })
             .collect();
-        for (app, site) in ctx.movable.iter().zip(mov_site) {
-            if site != app.current_site {
-                out.push(Assignment { app: app.id, site });
-            }
-        }
         Ok((out, sol.budget_gap()))
     }
 
@@ -258,7 +237,7 @@ impl MipPolicy {
 
         // One integer count per (class, site); the counts of a class
         // place all of its members.
-        let classes = classify(ctx, buckets, self.cfg.move_cost_factor);
+        let classes = classify(ctx, buckets);
         let n: Vec<Vec<VarId>> = classes
             .iter()
             .enumerate()
@@ -278,18 +257,6 @@ impl MipPolicy {
         }
 
         let mut objective = LinExpr::zero();
-
-        // Preemptive-move cost: moving an app away from its current site
-        // costs its full memory. Per class, cost · (|class| − n[home])
-        // expands to the constant cost·|class| with coefficient −cost on
-        // the stay-home count.
-        for (row, class) in n.iter().zip(&classes) {
-            if let Some(home) = class.home {
-                objective = objective
-                    .add_const(class.move_cost * class.members.len() as f64)
-                    .add_term(row[home], -class.move_cost);
-            }
-        }
 
         // Displacement variables per (site, bucket). Every objective
         // term is non-decreasing in d, so the optimum pins
@@ -369,79 +336,52 @@ impl MipPolicy {
     }
 }
 
-/// A class of interchangeable apps. New apps share a class when they have
-/// the same cores and the same number of alive buckets within the model
-/// horizon; movable apps must also share their memory and current site.
-/// Members of a class have identical columns in the per-app model, so one
-/// integer count per site replaces their binaries without changing the
-/// LP relaxation.
+/// A class of interchangeable new apps: the same cores and the same
+/// number of alive buckets within the model horizon. Members of a class
+/// have identical columns in the per-app model, so one integer count per
+/// site replaces their binaries without changing the LP relaxation.
 struct AppClass {
     cores: f64,
     /// Buckets `0..alive_buckets` are the ones the members are alive in.
     alive_buckets: usize,
-    /// Current site of a movable class; `None` for new apps.
-    home: Option<usize>,
-    /// Cost of moving one member off `home`.
-    move_cost: f64,
-    /// Indices into `ctx.new_apps` (or `ctx.movable` when `home` is set),
-    /// in context order.
+    /// Indices into `ctx.new_apps`, in context order.
     members: Vec<usize>,
 }
 
-/// Group the epoch's apps into classes, new apps first, each side's
-/// classes in order of first appearance.
-fn classify(ctx: &PlanContext, buckets: usize, move_cost_factor: f64) -> Vec<AppClass> {
-    let alive_buckets = |remaining: u32| {
-        (0..buckets)
-            .take_while(|&b| alive(remaining, ctx.bucket_steps, b))
-            .count()
-    };
-    // (cores, remaining steps, memory, home) per app. New apps carry no
-    // home, so no movable app shares their key.
-    let new = ctx
-        .new_apps
-        .iter()
-        .map(|a| (a.spec.cores(), a.spec.lifetime_steps, 0.0, None));
-    let movable = ctx
-        .movable
-        .iter()
-        .map(|a| (a.cores, a.remaining_steps, a.mem_gb, Some(a.current_site)));
+/// Group the epoch's new apps into classes, in order of first
+/// appearance.
+fn classify(ctx: &PlanContext, buckets: usize) -> Vec<AppClass> {
     let mut classes: Vec<AppClass> = Vec::new();
-    let mut index: BTreeMap<(u32, usize, u64, Option<usize>), usize> = BTreeMap::new();
-    for (i, (cores, remaining, mem_gb, home)) in new.enumerate().chain(movable.enumerate()) {
-        let alive = alive_buckets(remaining);
-        let c = *index
-            .entry((cores, alive, f64::to_bits(mem_gb), home))
-            .or_insert_with(|| {
-                classes.push(AppClass {
-                    cores: cores as f64,
-                    alive_buckets: alive,
-                    home,
-                    move_cost: mem_gb * move_cost_factor,
-                    members: Vec::new(),
-                });
-                classes.len() - 1
+    let mut index: BTreeMap<(u32, usize), usize> = BTreeMap::new();
+    for (i, app) in ctx.new_apps.iter().enumerate() {
+        let cores = app.spec.cores();
+        let alive = (0..buckets)
+            .take_while(|&b| alive(app.spec.lifetime_steps, ctx.bucket_steps, b))
+            .count();
+        let c = *index.entry((cores, alive)).or_insert_with(|| {
+            classes.push(AppClass {
+                cores: cores as f64,
+                alive_buckets: alive,
+                members: Vec::new(),
             });
+            classes.len() - 1
+        });
         classes[c].members.push(i);
     }
     classes
 }
 
 /// The site of each of a class's `size` members, in member order, from
-/// the class's per-site counts: members fill `home` first (movable
-/// classes stay put where they can), then the sites in index order.
+/// the class's per-site counts: members fill the sites in index order.
 /// `None` unless the rounded counts are non-negative and sum to `size`.
-fn spread(counts: &[f64], size: usize, home: Option<usize>) -> Option<Vec<usize>> {
+fn spread(counts: &[f64], size: usize) -> Option<Vec<usize>> {
     let rounded: Vec<f64> = counts.iter().map(|c| c.round()).collect();
     if rounded.iter().any(|&c| c < 0.0) || rounded.iter().sum::<f64>() != size as f64 {
         return None;
     }
-    let order = home
-        .into_iter()
-        .chain((0..counts.len()).filter(|&s| Some(s) != home));
     let mut sites = Vec::with_capacity(size);
-    for s in order {
-        sites.extend(std::iter::repeat_n(s, rounded[s] as usize));
+    for (s, &count) in rounded.iter().enumerate() {
+        sites.extend(std::iter::repeat_n(s, count as usize));
     }
     Some(sites)
 }
@@ -482,7 +422,7 @@ impl Policy for MipPolicy {
 
     fn plan(&mut self, ctx: &PlanContext) -> Vec<Assignment> {
         let _span = vb_telemetry::span!("sched.mip_plan");
-        if ctx.new_apps.is_empty() && ctx.movable.is_empty() {
+        if ctx.new_apps.is_empty() {
             return Vec::new();
         }
         if ctx.sites.len() < 2 {
@@ -513,7 +453,7 @@ impl Policy for MipPolicy {
             &crate::sim::series_instance(&self.cfg.name, ctx.sites.iter().map(|s| s.name.as_str())),
             ctx.now,
             &[
-                ("moves_planned", plan.len() as f64),
+                ("apps_placed", plan.len() as f64),
                 ("fallback", fell_back),
                 ("budget_stop", if gap.is_some() { 1.0 } else { 0.0 }),
                 ("gap", gap.unwrap_or(0.0)),
@@ -527,7 +467,7 @@ impl Policy for MipPolicy {
 mod tests {
     use super::*;
     use crate::app::AppSpec;
-    use crate::policy::{AppId, MovableApp, NewApp, SitePlanInfo};
+    use crate::policy::{AppId, NewApp, SitePlanInfo};
     use vb_cluster::VmKind;
 
     fn site(name: &str, capacity: Vec<f64>, committed: Vec<f64>) -> SitePlanInfo {
@@ -616,40 +556,6 @@ mod tests {
         };
         let plan = MipPolicy::new(MipConfig::mip()).plan(&ctx);
         assert_ne!(plan[0].site, plan[1].site, "apps must split");
-    }
-
-    #[test]
-    fn moves_an_existing_app_off_a_doomed_site_when_cheaper() {
-        // A movable app (200 cores / 800 GB) sits on a site whose
-        // forecast drops to zero. Staying costs ~500 displaced
-        // core-buckets (2 000 GB of surrogate) — moving costs its 800 GB
-        // memory once and zero displacement. The plan must move it.
-        let ctx = PlanContext {
-            now: 0,
-            bucket_steps: 12,
-            sites: vec![
-                site("doomed", vec![500.0, 100.0, 0.0, 0.0], vec![0.0; 4]),
-                site("ok", vec![500.0; 4], vec![0.0; 4]),
-            ],
-            new_apps: vec![],
-            movable: vec![MovableApp {
-                id: AppId(7),
-                current_site: 0,
-                cores: 200,
-                mem_gb: 800.0,
-                remaining_steps: 48,
-            }],
-        };
-        let mut pol = MipPolicy::new(MipConfig::mip_peak());
-        let plan = pol.plan(&ctx);
-        assert_eq!(
-            plan,
-            vec![Assignment {
-                app: AppId(7),
-                site: 1
-            }]
-        );
-        assert_eq!(pol.stats().fallback_epochs, 0);
     }
 
     #[test]
@@ -790,26 +696,19 @@ mod tests {
     }
 
     #[test]
-    fn spread_fills_home_first_then_sites_in_index_order() {
-        assert_eq!(spread(&[1.0, 2.0, 1.0], 4, None), Some(vec![0, 1, 1, 2]));
-        assert_eq!(spread(&[1.0, 2.0, 1.0], 4, Some(1)), Some(vec![1, 1, 0, 2]));
+    fn spread_fills_sites_in_index_order() {
+        assert_eq!(spread(&[1.0, 2.0, 1.0], 4), Some(vec![0, 1, 1, 2]));
         // Counts within rounding of integers are accepted; counts that
         // do not partition the class are not.
-        assert_eq!(
-            spread(&[0.999_999_9, 1.000_000_1], 2, None),
-            Some(vec![0, 1])
-        );
-        assert_eq!(spread(&[1.0, 2.0], 4, None), None);
-        assert_eq!(spread(&[-1.0, 3.0], 2, Some(0)), None);
+        assert_eq!(spread(&[0.999_999_9, 1.000_000_1], 2), Some(vec![0, 1]));
+        assert_eq!(spread(&[1.0, 2.0], 4), None);
+        assert_eq!(spread(&[-1.0, 3.0], 2), None);
     }
 
     #[test]
     fn interchangeable_apps_each_come_back_once() {
-        // Six identical new apps form one class, and four identical
-        // movable apps on a site whose power drops to 100 cores form
-        // another. Two of the movable apps (80 cores) fit; moving a
-        // third would cost its memory for nothing. So the plan keeps
-        // the class's first two members home and moves the last two.
+        // Six identical new apps form one class, and each comes back
+        // in the plan exactly once.
         let ctx = PlanContext {
             now: 0,
             bucket_steps: 12,
@@ -818,19 +717,11 @@ mod tests {
                 site("ok", vec![500.0; 4], vec![0.0; 4]),
             ],
             new_apps: (0..6).map(|i| new_app(i, 2, 48)).collect(),
-            movable: (100..104)
-                .map(|i| MovableApp {
-                    id: AppId(i),
-                    current_site: 0,
-                    cores: 40,
-                    mem_gb: 40.0,
-                    remaining_steps: 48,
-                })
-                .collect(),
+            movable: vec![],
         };
-        let classes = classify(&ctx, 4, 1.0);
+        let classes = classify(&ctx, 4);
         let sizes: Vec<usize> = classes.iter().map(|c| c.members.len()).collect();
-        assert_eq!(sizes, vec![6, 4]);
+        assert_eq!(sizes, vec![6]);
         let cfg = MipConfig {
             balance_weight: 0.0,
             ..MipConfig::mip_peak()
@@ -838,24 +729,9 @@ mod tests {
         let mut pol = MipPolicy::new(cfg);
         let plan = pol.plan(&ctx);
         assert_eq!(pol.stats().fallback_epochs, 0);
-        let new_ids: Vec<usize> = plan.iter().map(|a| a.app.0).filter(|&i| i < 100).collect();
-        assert_eq!(new_ids, vec![0, 1, 2, 3, 4, 5], "each new app exactly once");
+        let ids: Vec<usize> = plan.iter().map(|a| a.app.0).collect();
+        assert_eq!(ids, vec![0, 1, 2, 3, 4, 5], "each new app exactly once");
         assert!(plan.iter().all(|a| a.site < 2));
-        let moved: Vec<Assignment> = plan.into_iter().filter(|a| a.app.0 >= 100).collect();
-        assert_eq!(
-            moved,
-            vec![
-                Assignment {
-                    app: AppId(102),
-                    site: 1
-                },
-                Assignment {
-                    app: AppId(103),
-                    site: 1
-                },
-            ],
-            "the first members stay home"
-        );
     }
 
     #[test]

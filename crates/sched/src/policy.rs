@@ -3,10 +3,15 @@
 //!
 //! At every planning epoch the group simulation hands the policy a
 //! [`PlanContext`]: the candidate sites with their forecast capacity and
-//! committed load over the look-ahead horizon, the batch of newly
-//! arrived applications, and the existing applications that may be
-//! moved preemptively. The policy returns [`Assignment`]s; the runtime
-//! executes them and charges any preemptive move as migration traffic.
+//! committed load over the look-ahead horizon, and the batch of newly
+//! arrived applications. The policy returns [`Assignment`]s, one per new
+//! app; the runtime places them, as deployment rather than migration
+//! traffic. Preemptive migration is not a planning decision: a policy
+//! whose [`Policy::preemptive_drain`] is on has the runtime drain sites
+//! in forecast deficit, and only those drain moves are charged as
+//! preemptive traffic. [`PlanContext::movable`] and [`MovableApp`] are
+//! always empty from the group simulation; they stay in the interface
+//! because the end-to-end benchmark's plan validator reads them.
 
 use crate::app::AppSpec;
 
@@ -29,13 +34,14 @@ pub struct SitePlanInfo {
     /// the 3 h / day / week-ahead forecast products depending on each
     /// bucket's lead time.
     pub capacity_forecast_cores: Vec<f64>,
-    /// Committed (existing, non-movable) load per bucket, in cores —
+    /// Committed (existing, running stable) load per bucket, in cores —
     /// decays as existing applications reach their departure times.
     pub committed_cores: Vec<f64>,
 }
 
 /// An existing application offered to the policy for preemptive
-/// re-placement.
+/// re-placement. The group simulation offers none (see the module
+/// doc): the type stays for the end-to-end benchmark's plan validator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MovableApp {
     /// The app's identifier.
@@ -70,7 +76,10 @@ pub struct PlanContext {
     pub sites: Vec<SitePlanInfo>,
     /// Applications to place.
     pub new_apps: Vec<NewApp>,
-    /// Existing applications the policy may move (at a cost).
+    /// Existing applications the policy may move (at a cost). Always
+    /// empty from the group simulation, whose only preemptive moves are
+    /// the runtime's drain moves; kept because the end-to-end
+    /// benchmark's plan validator reads it.
     pub movable: Vec<MovableApp>,
 }
 
@@ -123,8 +132,9 @@ pub trait Policy {
     fn name(&self) -> &str;
 
     /// Decide placements for the epoch. Every [`PlanContext::new_apps`]
-    /// entry must be assigned; `movable` apps may optionally be
-    /// reassigned (omitting one keeps it where it is).
+    /// entry must be assigned; `movable` apps (none from the group
+    /// simulation) may optionally be reassigned (omitting one keeps it
+    /// where it is).
     fn plan(&mut self, ctx: &PlanContext) -> Vec<Assignment>;
 
     /// Should the runtime drain forecast-deficit sites preemptively,

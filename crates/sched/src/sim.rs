@@ -36,11 +36,11 @@
 //! later than the earliest real violation, and a wake-up gone moot is
 //! a no-op. A step therefore does exactly what a visit to every site
 //! and every app would have done. `tests/golden_steps.rs` pins every
-//! per-step stat of eight runs bit for bit, at the values such a full
+//! per-step stat of seven runs bit for bit, at the values such a full
 //! scan produces.
 
 use crate::app::{AppGen, AppGenConfig, AppSpec};
-use crate::policy::{AppId, MovableApp, NewApp, PlanContext, Policy, SitePlanInfo, SiteSnapshot};
+use crate::policy::{AppId, NewApp, PlanContext, Policy, SitePlanInfo, SiteSnapshot};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use vb_cluster::VmKind;
@@ -87,10 +87,11 @@ impl std::error::Error for SimError {}
 /// width the scheduler uses).
 pub const STEPS_PER_DAY: u32 = vb_trace::STEPS_PER_DAY as u32;
 
-/// Day-ahead look-ahead window in steps: how far `site_at_risk` and the
-/// `forecast_min_24h_cores` snapshot scan the day-ahead forecast. Both
-/// must use the same window — the policy's risk assessment is meant to
-/// see exactly the horizon the snapshot summarises.
+/// Day-ahead look-ahead window in steps: how far the
+/// `forecast_min_24h_cores` snapshot scans the day-ahead forecast (the
+/// drain's deficit test and forecast-aware re-hosting read it), and the
+/// lead time up to which a plan's forecast buckets read the day-ahead
+/// product.
 pub const DAY_AHEAD_STEPS: usize = STEPS_PER_DAY as usize;
 
 /// Width (in steps) of the coarse buckets the event core's threshold
@@ -101,10 +102,9 @@ const EVENT_BUCKET_STEPS: usize = (STEPS_PER_DAY / 2) as usize;
 /// Sentinel for "no wake-up armed" in the event queues.
 const NOT_ARMED: u64 = u64::MAX;
 
-/// Planned preemptive moves and drain moves execute at most this many
-/// per step, spreading them over the epoch instead of bursting at the
-/// planning instant (the paper's MIP-peak "spreading out migrations
-/// over time").
+/// Drain moves execute at most this many per step, so a predicted dip
+/// drains as a stream over the hours before it instead of one burst
+/// (the paper's MIP-peak "spreading out migrations over time").
 const MOVES_PER_STEP: usize = 2;
 
 /// Configuration of a group simulation.
@@ -117,7 +117,8 @@ pub struct GroupSimConfig {
     pub target_util: f64,
     /// Planning cadence in steps (default 12 = 3 h).
     pub epoch_steps: u32,
-    /// Forecast bucket width in steps for the policy's look-ahead.
+    /// Forecast bucket width in steps for the policy's look-ahead
+    /// (at least one step).
     pub bucket_steps: u32,
     /// First day-of-year of the simulated period.
     pub start_day: u32,
@@ -126,9 +127,6 @@ pub struct GroupSimConfig {
     /// Application workload; when `None`, sized to fill ~70 % of the
     /// group's mean available power.
     pub app_cfg: Option<AppGenConfig>,
-    /// Cap on preemptive-move candidates offered to the policy per
-    /// epoch (keeps the MIP small).
-    pub max_movable: usize,
     /// Optional subgraph structure (Fig 6 step 2): site-index groups an
     /// application must stay inside once placed. Initial placement picks
     /// the subgraph implicitly (by picking a site); re-hosting, queued
@@ -142,7 +140,9 @@ pub struct GroupSimConfig {
 
 impl GroupSimConfig {
     /// Reject values no simulation can run on: an empty period, a zero
-    /// planning cadence, an admission headroom outside (0, 1] (a NaN
+    /// planning cadence or forecast bucket width (a zero-step bucket
+    /// would count every app alive in every bucket of the plan), an
+    /// admission headroom outside (0, 1] (a NaN
     /// target would size an infinite workload, one above 1 admits more
     /// cores than a site has powered), and an explicit `app_cfg` whose
     /// arrival rate is negative or not finite (the Poisson sampler
@@ -165,6 +165,12 @@ impl GroupSimConfig {
             return bad(
                 "epoch_steps",
                 "the planning cadence must be at least one step".into(),
+            );
+        }
+        if self.bucket_steps == 0 {
+            return bad(
+                "bucket_steps",
+                "a forecast bucket must be at least one step wide".into(),
             );
         }
         if !(self.target_util > 0.0 && self.target_util <= 1.0) {
@@ -224,7 +230,6 @@ impl Default for GroupSimConfig {
             start_day: 120,
             days: 7,
             app_cfg: None,
-            max_movable: 0,
             subgraphs: None,
             seed: 42,
         }
@@ -237,13 +242,15 @@ pub struct GroupStepStats {
     /// Step index (15-minute intervals since simulation start).
     pub step: u64,
     /// WAN transfer volume this step (evictions re-placed + relaunches +
-    /// preemptive moves), GB.
+    /// preemptive drain moves), GB.
     pub transfer_gb: f64,
     /// Portion of `transfer_gb` from forced eviction re-hosting.
     pub rehost_gb: f64,
     /// Portion of `transfer_gb` from queued-app relaunches.
     pub relaunch_gb: f64,
-    /// Portion of `transfer_gb` from policy-ordered preemptive moves.
+    /// Portion of `transfer_gb` from preemptive drain moves (the only
+    /// preemptive moves: the runtime drains sites in forecast deficit
+    /// for policies whose [`Policy::preemptive_drain`] is on).
     pub move_gb: f64,
     /// Number of application transfers this step.
     pub transfers: usize,
@@ -282,12 +289,13 @@ pub struct PolicySummary {
     pub per_step_gb: Vec<f64>,
     /// Step-summed app-waiting time: Σ over steps of queued stable apps.
     pub unavailable_app_steps: u64,
-    /// Preemptive moves the policy ordered.
+    /// Preemptive drain moves the run made (0 unless the policy's
+    /// [`Policy::preemptive_drain`] is on).
     pub preemptive_moves: usize,
     /// Apps that expired while queued (never re-hosted).
     pub dropped_apps: usize,
     /// VM placement decisions made over the run: every attach (initial
-    /// placement, re-host, relaunch, preemptive move) counts its VMs.
+    /// placement, re-host, relaunch, drain move) counts its VMs.
     /// The fleet bench's "VM-decisions/sec" denominator.
     pub vm_decisions: u64,
 }
@@ -675,10 +683,8 @@ pub struct GroupSim {
     preemptive_moves: usize,
     dropped_apps: usize,
     vm_decisions: u64,
-    /// Last preemptive-move step per app, for the anti-thrash cooldown.
+    /// Last drain-move step per app, for the anti-thrash cooldown.
     moved_at: std::collections::BTreeMap<AppId, u64>,
-    /// Planned preemptive moves awaiting execution (app, target site).
-    pending_moves: VecDeque<(AppId, usize)>,
     /// Per-site `(allocation, budget)` as of the last resume attempt;
     /// an unchanged pair proves the attempt would be a no-op (see
     /// [`GroupSim::resume_site`]). Sentinel `u32::MAX` = never tried.
@@ -811,7 +817,6 @@ impl GroupSim {
             dropped_apps: 0,
             vm_decisions: 0,
             moved_at: std::collections::BTreeMap::new(),
-            pending_moves: VecDeque::new(),
             resume_checked: vec![(u32::MAX, u32::MAX); n_sites],
             ev,
         };
@@ -883,11 +888,7 @@ impl GroupSim {
                 self.relaunch_queue(policy, &mut stats);
             }
 
-            // 4b. Execute planned preemptive moves, rate-limited so
-            // policy-ordered migrations spread over the epoch.
-            self.execute_pending_moves(&mut stats);
-
-            // 4c. Preemptive drain (MIP-peak): gradually move apps off
+            // 4b. Preemptive drain (MIP-peak): gradually move apps off
             // sites whose day-ahead forecast shows a capacity deficit,
             // before the dip forces an eviction burst.
             if self.ev.drain_enabled {
@@ -1428,28 +1429,16 @@ impl GroupSim {
             })
             .collect();
 
-        let movable = self.pick_movable();
-        let ctx = self.build_context(&new_apps, &movable);
+        let ctx = self.build_context(&new_apps);
         let plan = policy.plan(&ctx);
 
-        let movable_ids: Vec<AppId> = movable.iter().map(|m| m.id).collect();
         let mut placed_at: Vec<usize> = Vec::new();
         for assignment in plan {
-            let id = assignment.app;
+            // Initial placement: deployment, not migration traffic.
             let s = assignment.site.min(self.sites.len() - 1);
-            if movable_ids.contains(&id) {
-                // Preemptive move: enqueue; executed rate-limited.
-                if self.apps[id.0].site == Some(s) {
-                    continue;
-                }
-                self.pending_moves.push_back((id, s));
-                vb_telemetry::counter!("sched.moves_planned").inc();
-            } else {
-                // Initial placement: deployment, not migration traffic.
-                self.place(id, s);
-                if !placed_at.contains(&s) {
-                    placed_at.push(s);
-                }
+            self.place(assignment.app, s);
+            if !placed_at.contains(&s) {
+                placed_at.push(s);
             }
         }
         // One threat re-arm per site for the whole batch, as in
@@ -1469,32 +1458,7 @@ impl GroupSim {
         }
     }
 
-    /// Execute queued preemptive moves, at most [`MOVES_PER_STEP`] per
-    /// step. Stale orders (app departed, already moved, or evicted in
-    /// the meantime) are dropped silently.
-    fn execute_pending_moves(&mut self, stats: &mut GroupStepStats) {
-        let mut executed = 0usize;
-        while executed < MOVES_PER_STEP {
-            let Some((id, target)) = self.pending_moves.pop_front() else {
-                break;
-            };
-            let app = &self.apps[id.0];
-            if app.departs_at <= self.now || app.site.is_none() || app.site == Some(target) {
-                continue; // stale order
-            }
-            self.detach(id);
-            self.attach(id, target);
-            stats.transfer_gb += self.apps[id.0].spec.mem_gb();
-            stats.move_gb += self.apps[id.0].spec.mem_gb();
-            stats.transfers += 1;
-            self.preemptive_moves += 1;
-            self.moved_at.insert(id, self.now);
-            executed += 1;
-        }
-        vb_telemetry::counter!("sched.moves_executed").add(executed as u64);
-    }
-
-    /// Phase 4c: only sites whose armed drain deadline fires now,
+    /// Phase 4b: only sites whose armed drain deadline fires now,
     /// processed in ascending site order via a worklist, until
     /// [`MOVES_PER_STEP`] drain moves have run. A drain move landing on
     /// a *later* site can tip it into deficit mid-phase; `arm_drain`'s
@@ -1617,65 +1581,8 @@ impl GroupSim {
         }
     }
 
-    /// Stable apps at sites whose forecast shows a capacity deficit,
-    /// largest first, capped at `max_movable`.
-    fn pick_movable(&self) -> Vec<MovableApp> {
-        if self.cfg.max_movable == 0 {
-            // Policies that never move residents (Greedy, MIP-24h)
-            // would scan every at-risk site's apps only to truncate to
-            // nothing.
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        for (s, site) in self.sites.iter().enumerate() {
-            if !self.site_at_risk(s) {
-                continue;
-            }
-            for &id in &site.apps {
-                if id == TOMBSTONE {
-                    continue;
-                }
-                let a = &self.apps[id.0];
-                // Anti-thrash cooldown: an app moved preemptively in the
-                // last 12 h is not offered again.
-                let recently_moved = self.moved_at.get(&id).is_some_and(|&t| self.now < t + 48);
-                if recently_moved {
-                    continue;
-                }
-                if a.spec.kind == VmKind::Stable && !a.hibernated && a.departs_at > self.now {
-                    out.push(MovableApp {
-                        id,
-                        current_site: s,
-                        cores: a.spec.cores(),
-                        mem_gb: a.spec.mem_gb(),
-                        remaining_steps: (a.departs_at - self.now) as u32,
-                    });
-                }
-            }
-        }
-        out.sort_by(|a, b| b.mem_gb.total_cmp(&a.mem_gb));
-        out.truncate(self.cfg.max_movable);
-        out
-    }
-
-    /// Does the day-ahead forecast show this site's committed cores
-    /// exceeding capacity at any point in the next day? Reads the
-    /// precomputed window minimum: `∃t: forecast[t] × cores <
-    /// committed` holds iff it holds at the window minimum (multiplying
-    /// by a non-negative constant preserves order), and an empty tail
-    /// window (`+∞` minimum) is risk-free: no step is left to violate.
-    fn site_at_risk(&self, s: usize) -> bool {
-        let committed = self.sites[s].allocated_cores as f64;
-        let min_frac = self.power[s]
-            .fd_min24
-            .get(self.now as usize)
-            .copied()
-            .unwrap_or(f64::INFINITY);
-        (min_frac * self.cfg.cores_per_site as f64) < committed
-    }
-
-    fn build_context(&self, new_apps: &[NewApp], movable: &[MovableApp]) -> PlanContext {
-        let bucket = (self.cfg.bucket_steps as usize).max(1);
+    fn build_context(&self, new_apps: &[NewApp]) -> PlanContext {
+        let bucket = self.cfg.bucket_steps as usize;
         let remaining = (self.n_steps - self.now) as usize;
         // Cap the look-ahead at a week of buckets; `.max(1)` keeps the
         // clamp range valid when one bucket already covers more than a
@@ -1684,7 +1591,6 @@ impl GroupSim {
         let week_buckets = (WEEK_AHEAD_STEPS / bucket).max(1);
         let buckets = remaining.div_ceil(bucket).clamp(1, week_buckets);
 
-        let movable_ids: Vec<AppId> = movable.iter().map(|m| m.id).collect();
         let sites = self
             .sites
             .iter()
@@ -1729,12 +1635,11 @@ impl GroupSim {
                     );
                 }
 
-                // Committed stable cores at each bucket start,
-                // excluding apps offered as movable. One departure-
-                // sorted sweep instead of a per-bucket rescan: core
-                // counts are integers, so the f64 running sum is exact
-                // and bit-identical to summing each bucket's survivors
-                // in residence order.
+                // Committed stable cores at each bucket start. One
+                // departure-sorted sweep instead of a per-bucket
+                // rescan: core counts are integers, so the f64 running
+                // sum is exact and bit-identical to summing each
+                // bucket's survivors in residence order.
                 let mut departures: Vec<(u64, u32)> = st
                     .apps
                     .iter()
@@ -1743,7 +1648,7 @@ impl GroupSim {
                             return false;
                         }
                         let a = &self.apps[id.0];
-                        a.spec.kind == VmKind::Stable && !a.hibernated && !movable_ids.contains(&id)
+                        a.spec.kind == VmKind::Stable && !a.hibernated
                     })
                     .map(|id| (self.apps[id.0].departs_at, self.apps[id.0].spec.cores()))
                     .collect();
@@ -1773,7 +1678,9 @@ impl GroupSim {
             bucket_steps: self.cfg.bucket_steps,
             sites,
             new_apps: new_apps.to_vec(),
-            movable: movable.to_vec(),
+            // Preemptive migration is the drain phase's; no running
+            // app is offered to the planner.
+            movable: Vec::new(),
         }
     }
 

@@ -6,7 +6,9 @@
 //! first arrival), hanging (a NaN `target_util` or trace sample sizes a
 //! workload whose Poisson sampler never returned, and so did a NaN
 //! arrival rate in an explicit `app_cfg`) or running on garbage (a NaN
-//! lifetime median or σ gave every app a 0-step lifetime). Cases that
+//! lifetime median or σ gave every app a 0-step lifetime, and a zero
+//! `bucket_steps` counted every app alive in every bucket of the
+//! plan). Cases that
 //! used to hang run on a worker thread under a wall-clock bound, so a
 //! regression fails the test instead of stalling the suite.
 
@@ -77,6 +79,19 @@ fn zero_epoch_steps_is_a_config_error() {
     };
     let err = GroupSim::new(&Catalog::europe(42), &["NO-solar"], cfg).err();
     assert_eq!(config_field(err), "epoch_steps");
+}
+
+/// A zero-step forecast bucket used to plan on: the context builder
+/// widened it to one step while the MIP counted every app alive in
+/// every bucket.
+#[test]
+fn zero_bucket_steps_is_a_config_error() {
+    let cfg = GroupSimConfig {
+        bucket_steps: 0,
+        ..small()
+    };
+    let err = GroupSim::new(&Catalog::europe(42), &["NO-solar"], cfg).err();
+    assert_eq!(config_field(err), "bucket_steps");
 }
 
 #[test]

@@ -14,15 +14,27 @@
 //! core must keep reproducing them.
 //!
 //! Each test also asserts, from its run, the activity it exists for
-//! (moves, drains, queued or hibernated apps), so a config that stops
+//! (drain moves, queued or hibernated apps), so a config that stops
 //! exercising its path fails instead of pinning an idle run.
 //!
 //! Re-pinning: the Greedy-planned digests (Greedy, the draining Greedy,
 //! the stressed sites and the fleet shard) never reach the solver; a
 //! change to one needs a recorded cause in `CHANGES.md`. The
-//! MIP-planned digests (MIP-24h, MIP with moves, MIP-peak and the
-//! subgraph run) also move when a plan moves. Re-pin those only
-//! together with `golden_mip.rs`, and for the same recorded cause.
+//! MIP-planned digests (MIP-24h, MIP-peak and the subgraph run) also
+//! move when a plan moves. Re-pin those only together with
+//! `golden_mip.rs`, and for the same recorded cause.
+//!
+//! Recorded re-pins:
+//! * MIP-peak `0xe843_c481_b826_ffd1` → `0x4272_385a_f849_d3ab`, when
+//!   the planner's preemptive moves were deleted and the drain became
+//!   the only preemptive migration. The old digest offered up to eight
+//!   movable apps to the MIP each epoch; the new one is the same run
+//!   with none offered, computed on the commit before the deletion.
+//!   The subgraph run offered them too and keeps
+//!   `0xdfb7_ee02_6ef0_dde4`: without the offer it is bit-identical.
+//!   The MIP-with-moves run (3 days, plain MIP) was deleted with the
+//!   moves: without them it made none, and plain MIP's per-step volumes
+//!   stay pinned by `golden_mip.rs`.
 
 mod common;
 
@@ -133,32 +145,13 @@ fn mip_24h_steps_match_golden_digest() {
     assert_digest("MIP-24h", &run, 0x6431_e054_627b_0afc);
 }
 
-/// MIP with movable apps offered: exercises the movable-app offer path
-/// and the rate-limited pending-move queue. Three days, because the
-/// first two plan no move at this seed.
-#[test]
-fn mip_with_moves_steps_match_golden_digest() {
-    let cfg = GroupSimConfig {
-        max_movable: 8,
-        days: 3,
-        ..GroupSimConfig::default()
-    };
-    let run = table1_run(cfg, &mut MipPolicy::new(MipConfig::mip()));
-    assert!(run.summary.preemptive_moves > 0, "planned moves execute");
-    assert_digest("MIP with moves", &run, 0x9912_fcf7_4ac7_b024);
-}
-
-/// MIP-peak: planned moves plus the preemptive drain, its event queue,
-/// its in-phase worklist and the ascending-order rule.
+/// MIP-peak: the preemptive drain, its event queue, its in-phase
+/// worklist and the ascending-order rule.
 #[test]
 fn mip_peak_steps_match_golden_digest() {
-    let cfg = GroupSimConfig {
-        max_movable: 8,
-        ..table1_cfg()
-    };
-    let run = table1_run(cfg, &mut MipPolicy::new(MipConfig::mip_peak()));
-    assert!(run.summary.preemptive_moves > 0, "MIP-peak moves apps");
-    assert_digest("MIP-peak", &run, 0xe843_c481_b826_ffd1);
+    let run = table1_run(table1_cfg(), &mut MipPolicy::new(MipConfig::mip_peak()));
+    assert!(run.summary.preemptive_moves > 0, "MIP-peak drains apps");
+    assert_digest("MIP-peak", &run, 0x4272_385a_f849_d3ab);
 }
 
 /// Subgraph-restricted re-hosting (Fig 6 step 2) under the drain-heavy
@@ -169,7 +162,6 @@ fn subgraph_steps_match_golden_digest() {
         cores_per_site: 400,
         days: 2,
         seed: 7,
-        max_movable: 8,
         subgraphs: Some(vec![vec![0, 1], vec![2, 3]]),
         ..GroupSimConfig::default()
     };

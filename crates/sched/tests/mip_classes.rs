@@ -8,8 +8,8 @@
 //! For each epoch it
 //!
 //! * checks that every new app is assigned exactly once, to a site in
-//!   range, that no movable app is moved twice or out of range, and
-//!   that the epoch did not fall back to greedy placement;
+//!   range, that the plan names no other app, and that the epoch did
+//!   not fall back to greedy placement;
 //! * scores the plan under the reference (binaries pinned to the plan,
 //!   LP solved over the continuous displacement and peak variables);
 //! * solves the reference with the same node budget;
@@ -87,11 +87,10 @@ fn alive(remaining: u32, bucket_steps: u32, b: usize) -> bool {
 struct Reference {
     model: Model,
     x_new: Vec<Vec<VarId>>,
-    x_mov: Vec<Vec<VarId>>,
 }
 
-/// Build the per-app model: the same displacement, peak, move-cost and
-/// balance terms as the policy's, over one binary per (app, site).
+/// Build the per-app model: the same displacement, peak and balance
+/// terms as the policy's, over one binary per (new app, site).
 fn reference(ctx: &PlanContext, cfg: &MipConfig) -> Reference {
     let n_sites = ctx.sites.len();
     let buckets = ctx
@@ -109,16 +108,7 @@ fn reference(ctx: &PlanContext, cfg: &MipConfig) -> Reference {
                 .collect()
         })
         .collect();
-    let x_mov: Vec<Vec<VarId>> = ctx
-        .movable
-        .iter()
-        .map(|a| {
-            (0..n_sites)
-                .map(|s| m.bin_var(&format!("mov{}s{s}", a.id.0)))
-                .collect()
-        })
-        .collect();
-    for row in x_new.iter().chain(&x_mov) {
+    for row in &x_new {
         let e = LinExpr {
             terms: row.iter().map(|&v| (v, 1.0)).collect(),
             constant: 0.0,
@@ -126,24 +116,12 @@ fn reference(ctx: &PlanContext, cfg: &MipConfig) -> Reference {
         m.add_eq(e, 1.0);
     }
     let mut objective = LinExpr::zero();
-    for (a, app) in ctx.movable.iter().enumerate() {
-        let cost = app.mem_gb * cfg.move_cost_factor;
-        objective = objective
-            .add_const(cost)
-            .add_term(x_mov[a][app.current_site], -cost);
-    }
     // (cores, remaining steps, binaries) of every app.
     let apps: Vec<(f64, u32, &Vec<VarId>)> = ctx
         .new_apps
         .iter()
         .zip(&x_new)
         .map(|(a, x)| (a.spec.cores() as f64, a.spec.lifetime_steps, x))
-        .chain(
-            ctx.movable
-                .iter()
-                .zip(&x_mov)
-                .map(|(a, x)| (a.cores as f64, a.remaining_steps, x)),
-        )
         .collect();
     let inf = f64::INFINITY;
     let peak_z = (cfg.peak_weight > 0.0).then(|| m.var("peak", 0.0, inf));
@@ -197,41 +175,29 @@ fn reference(ctx: &PlanContext, cfg: &MipConfig) -> Reference {
         objective = objective.add_term(z_util, cfg.balance_weight * gbpc * site_scale * 0.25);
     }
     m.set_objective(objective);
-    Reference {
-        model: m,
-        x_new,
-        x_mov,
-    }
+    Reference { model: m, x_new }
 }
 
-/// Each app's site under `plan`: new apps must be assigned exactly
-/// once, movable apps at most once, all to sites in range.
-fn plan_sites(ctx: &PlanContext, plan: &[Assignment]) -> (Vec<usize>, Vec<usize>) {
+/// Each new app's site under `plan`: every new app must be assigned
+/// exactly once, to a site in range, and no other app may appear.
+fn plan_sites(ctx: &PlanContext, plan: &[Assignment]) -> Vec<usize> {
     let n_sites = ctx.sites.len();
     let mut new_site = vec![usize::MAX; ctx.new_apps.len()];
-    let mut mov_site: Vec<usize> = ctx.movable.iter().map(|a| a.current_site).collect();
-    let mut mov_seen = vec![false; ctx.movable.len()];
     for a in plan {
         assert!(a.site < n_sites, "{a:?}: site out of range");
-        if let Some(i) = ctx.new_apps.iter().position(|n| n.id == a.app) {
-            assert_eq!(new_site[i], usize::MAX, "{a:?}: new app assigned twice");
-            new_site[i] = a.site;
-        } else {
-            let i = ctx
-                .movable
-                .iter()
-                .position(|m| m.id == a.app)
-                .unwrap_or_else(|| panic!("{a:?}: unknown app"));
-            assert!(!mov_seen[i], "{a:?}: movable app moved twice");
-            mov_seen[i] = true;
-            mov_site[i] = a.site;
-        }
+        let i = ctx
+            .new_apps
+            .iter()
+            .position(|n| n.id == a.app)
+            .unwrap_or_else(|| panic!("{a:?}: not a new app"));
+        assert_eq!(new_site[i], usize::MAX, "{a:?}: new app assigned twice");
+        new_site[i] = a.site;
     }
     assert!(
         new_site.iter().all(|&s| s != usize::MAX),
         "a new app was left unassigned"
     );
-    (new_site, mov_site)
+    new_site
 }
 
 /// Run one simulation under `mip` and check every epoch against its
@@ -250,12 +216,11 @@ fn check(label: &str, run: fn(&mut dyn Policy) -> PolicySummary, mip: MipConfig)
     let (mut both_stopped, mut better, mut equal, mut worse) = (0, 0, 0, 0);
     let (mut plan_sum, mut ref_sum) = (0.0, 0.0);
     for (k, e) in rec.epochs.iter().enumerate() {
-        let (new_site, mov_site) = plan_sites(&e.ctx, &e.plan);
+        let new_site = plan_sites(&e.ctx, &e.plan);
         assert!(!e.fell_back, "{label} epoch {k}: fell back to greedy");
         let r = reference(&e.ctx, &mip);
         let mut pins: Vec<(VarId, f64, f64)> = Vec::new();
-        let placed = r.x_new.iter().zip(&new_site);
-        for (x, &site) in placed.chain(r.x_mov.iter().zip(&mov_site)) {
+        for (x, &site) in r.x_new.iter().zip(&new_site) {
             for (s, &v) in x.iter().enumerate() {
                 let on = if s == site { 1.0 } else { 0.0 };
                 pins.push((v, on, on));

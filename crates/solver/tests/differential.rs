@@ -255,7 +255,7 @@ fn placement_mip(
             objective.push((d, 4.0));
         }
     }
-    // Mild per-placement preference costs, like the move-cost terms.
+    // Mild per-placement preference costs, so placements are not all tied.
     for row in &x {
         for &v in row {
             objective.push((v, rng.gen_range(0..6) as f64));

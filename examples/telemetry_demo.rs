@@ -15,7 +15,6 @@ fn cfg() -> GroupSimConfig {
     GroupSimConfig {
         cores_per_site: 2_000,
         days: 3,
-        max_movable: 6,
         seed: 42,
         ..GroupSimConfig::default()
     }
@@ -69,8 +68,6 @@ fn main() {
         "sched.rehost_gb",
         "sched.relaunch_gb",
         "sched.move_gb",
-        "sched.moves_planned",
-        "sched.moves_executed",
         "sched.drain_moves",
         "solver.lp_solves",
         "solver.pivots",
@@ -90,7 +87,7 @@ fn main() {
     );
     for name in [
         "sched.group_run",
-        "sched.sim_step",
+        "sched.sim_epoch",
         "sched.greedy_plan",
         "sched.mip_plan",
     ] {

@@ -1,5 +1,4 @@
-//! Fleet-scale simulation benchmark: the event-driven step core on
-//! sharded fleets.
+//! Fleet-scale simulation benchmark: the step core on sharded fleets.
 //!
 //! Runs sharded fleets at paper-scale multiples of the Table 1 group —
 //! 10× (30 sites) and 100× (300 sites) by default, 1000× opt-in via
@@ -12,12 +11,13 @@
 //! construction (`vb_core::fleet::build_fleet`, trace and forecast
 //! synthesis, `build_secs`) and the step loop (`run_fleet`,
 //! `event_secs`). Next to them it reports the work behind the step
-//! loop: the `sched.event_wakeups`, `sched.stale_events`,
-//! `sched.transfers`, `sched.power_scan_visits` and
-//! `sched.resume_scan_visits` counters as deltas over the timed run
-//! (the last two count the residents the hibernate/evict and resume
-//! scans visit), and the summed VM decisions, migration volume and
-//! dropped apps (the `FleetRun` totals). It also prints the anchor
+//! loop: the `sched.event_wakeups`, `sched.transfers`,
+//! `sched.power_scan_visits` and `sched.resume_scan_visits` counters
+//! as deltas over the timed run (the first counts the over-budget
+//! sites the power phase visits, the last two the residents the
+//! hibernate/evict and resume scans visit), and the summed VM
+//! decisions, migration volume and dropped apps (the `FleetRun`
+//! totals). It also prints the anchor
 //! innovations shard construction drew and copied (`trace.anchor_draws`,
 //! `trace.anchor_copied`), which depend on the thread count, since each
 //! synthesizing thread keeps its own anchor-draw memo, so they are not
@@ -72,9 +72,8 @@ fn reset_peak_rss() {
 const BUILD_COUNTERS: [&str; 2] = ["trace.anchor_draws", "trace.anchor_copied"];
 
 /// The telemetry counters a row reports, as deltas over its step loop.
-const COUNTERS: [&str; 5] = [
+const COUNTERS: [&str; 4] = [
     "sched.event_wakeups",
-    "sched.stale_events",
     "sched.transfers",
     "sched.power_scan_visits",
     "sched.resume_scan_visits",
@@ -127,7 +126,7 @@ fn main() {
             ..
         } = run_fleet(fleet, policy);
         let event_secs = t1.elapsed().as_secs_f64();
-        let [event_wakeups, stale_events, transfers, power_scan_visits, resume_scan_visits] =
+        let [event_wakeups, transfers, power_scan_visits, resume_scan_visits] =
             std::array::from_fn(|k| counter_now(COUNTERS[k]) - before[k]);
 
         let shards = shards.len();
@@ -143,7 +142,7 @@ fn main() {
         println!(
             "  {anchor_draws} anchor innovations drawn, {anchor_copied} copied from held windows"
         );
-        println!("  {event_wakeups} wake-ups, {stale_events} stale events, {transfers} transfers");
+        println!("  {event_wakeups} wake-ups, {transfers} transfers");
         println!(
             "  {power_scan_visits} power-scan visits, {resume_scan_visits} resume-scan visits"
         );
@@ -170,7 +169,6 @@ fn main() {
                 (vm_decisions as f64 / event_secs).into(),
             ),
             ("event_wakeups".into(), event_wakeups.into()),
-            ("stale_events".into(), stale_events.into()),
             ("transfers".into(), transfers.into()),
             ("power_scan_visits".into(), power_scan_visits.into()),
             ("resume_scan_visits".into(), resume_scan_visits.into()),

@@ -22,27 +22,24 @@
 //! power traces (same seeds), so differences are purely placement
 //! quality.
 //!
-//! ## The event-driven step core
+//! ## The step core
 //!
-//! A step visits only what can change at it. Time-bucketed event queues
-//! hold app expirations, site power threats and preemptive-drain
-//! deadlines, and incremental group counters replace per-step totals,
-//! so a quiescent site costs nothing per step. Power budgets and
+//! A step checks each of the group's sites once per phase, in
+//! ascending order: a group is one clique of a few nearby sites (two
+//! to five in the paper), so a per-site check costs less than any
+//! queue that would skip quiescent sites. What a step must not do is
+//! scan the app registry, which grows with the run: time-bucketed
+//! expiry queues detach exactly the apps due, per-site cursors and a
+//! resume memo keep the hibernate, evict and resume scans short, and
+//! incremental counters replace per-step totals. Power budgets and
 //! day-ahead forecast minima are precomputed per site once at
-//! construction, and "when does this site next violate X?" is answered
-//! by a bucketed threshold scan instead of a per-step re-check.
-//!
-//! The core's invariant is lazy arming: an armed wake-up step is never
-//! later than the earliest real violation, and a wake-up gone moot is
-//! a no-op. A step therefore does exactly what a visit to every site
-//! and every app would have done. `tests/golden_steps.rs` pins every
-//! per-step stat of seven runs bit for bit, at the values such a full
-//! scan produces.
+//! construction. `tests/golden_steps.rs` pins every per-step stat of
+//! seven runs bit for bit, at the values a visit to every site and
+//! every app produces.
 
 use crate::app::{AppGen, AppGenConfig, AppSpec};
 use crate::policy::{AppId, NewApp, PlanContext, Policy, SitePlanInfo, SiteSnapshot};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use vb_cluster::VmKind;
 use vb_stats::{Cdf, Summary, TimeSeries};
 use vb_trace::{Catalog, CoverageError, Horizon, Site, SiteSeries, WEEK_AHEAD_STEPS};
@@ -93,14 +90,6 @@ pub const STEPS_PER_DAY: u32 = vb_trace::STEPS_PER_DAY as u32;
 /// lead time up to which a plan's forecast buckets read the day-ahead
 /// product.
 pub const DAY_AHEAD_STEPS: usize = STEPS_PER_DAY as usize;
-
-/// Width (in steps) of the coarse buckets the event core's threshold
-/// scans use: per-bucket minima let "when does the budget next drop
-/// below X?" skip half a day at a time instead of testing every step.
-const EVENT_BUCKET_STEPS: usize = (STEPS_PER_DAY / 2) as usize;
-
-/// Sentinel for "no wake-up armed" in the event queues.
-const NOT_ARMED: u64 = u64::MAX;
 
 /// Drain moves execute at most this many per step, so a predicted dip
 /// drains as a stream over the hours before it instead of one burst
@@ -387,15 +376,11 @@ struct SiteState {
 /// is the day-ahead forecast's minimum over
 /// `[t, min(t + DAY_AHEAD_STEPS, len))`, `+∞` for an empty window. Every
 /// reader sees this window shorten over the last day: steps past the
-/// horizon are never played, so risk there cannot affect the run. The
-/// `*_bucket_min` arrays hold per-[`EVENT_BUCKET_STEPS`] minima so
-/// threshold scans skip whole buckets that cannot contain a violation.
+/// horizon are never played, so risk there cannot affect the run.
 #[derive(Debug, Clone)]
 struct SitePower {
     budgets: Vec<u32>,
-    budget_bucket_min: Vec<u32>,
     fd_min24: Vec<f64>,
-    fd24_bucket_min: Vec<f64>,
 }
 
 impl SitePower {
@@ -416,89 +401,7 @@ impl SitePower {
             })
             .collect();
         let fd_min24 = sliding_window_min(&fd.values, DAY_AHEAD_STEPS, n_steps);
-        let buckets = n_steps.div_ceil(EVENT_BUCKET_STEPS.max(1));
-        let budget_bucket_min = (0..buckets)
-            .map(|b| {
-                let lo = b * EVENT_BUCKET_STEPS;
-                let hi = (lo + EVENT_BUCKET_STEPS).min(n_steps);
-                budgets[lo..hi].iter().copied().min().unwrap_or(u32::MAX)
-            })
-            .collect();
-        let fd24_bucket_min = (0..buckets)
-            .map(|b| {
-                let lo = b * EVENT_BUCKET_STEPS;
-                let hi = (lo + EVENT_BUCKET_STEPS).min(n_steps);
-                fd_min24[lo..hi]
-                    .iter()
-                    .copied()
-                    .fold(f64::INFINITY, f64::min)
-            })
-            .collect();
-        SitePower {
-            budgets,
-            budget_bucket_min,
-            fd_min24,
-            fd24_bucket_min,
-        }
-    }
-
-    /// Earliest step `t >= from` with `budgets[t] < threshold`.
-    fn next_budget_below(&self, from: usize, threshold: u32) -> Option<usize> {
-        if threshold == 0 {
-            return None; // budgets are unsigned: never below zero
-        }
-        let n = self.budgets.len();
-        let w = EVENT_BUCKET_STEPS.max(1);
-        let mut t = from;
-        while t < n {
-            let b = t / w;
-            let hi = ((b + 1) * w).min(n);
-            let bucket_min = self.budget_bucket_min.get(b).copied().unwrap_or(u32::MAX);
-            if bucket_min < threshold {
-                while t < hi {
-                    if self.budgets[t] < threshold {
-                        return Some(t);
-                    }
-                    t += 1;
-                }
-            } else {
-                t = hi;
-            }
-        }
-        None
-    }
-
-    /// Earliest step `t >= from` where the day-ahead admissible floor
-    /// drops below `stable` cores: `fd_min24[t] × cores × util <
-    /// stable`, exactly `drain_site`'s trigger `stable −
-    /// forecast_min_24h_cores > 0`. Skipping a bucket is sound because
-    /// multiplying by a non-negative constant is weakly monotone under
-    /// IEEE rounding: `bucket_min × c ≥ stable` implies every step in
-    /// the bucket clears the bar too.
-    fn next_fd24_below(&self, from: usize, stable: f64, cores_f: f64, util: f64) -> Option<usize> {
-        let n = self.fd_min24.len();
-        let w = EVENT_BUCKET_STEPS.max(1);
-        let mut t = from;
-        while t < n {
-            let b = t / w;
-            let hi = ((b + 1) * w).min(n);
-            let bucket_min = self
-                .fd24_bucket_min
-                .get(b)
-                .copied()
-                .unwrap_or(f64::INFINITY);
-            if bucket_min * cores_f * util < stable {
-                while t < hi {
-                    if self.fd_min24[t] * cores_f * util < stable {
-                        return Some(t);
-                    }
-                    t += 1;
-                }
-            } else {
-                t = hi;
-            }
-        }
-        None
+        SitePower { budgets, fd_min24 }
     }
 }
 
@@ -550,32 +453,12 @@ pub struct DetailedRun {
     pub summary: PolicySummary,
 }
 
-/// Event-core state: time-bucketed wake-up queues plus incrementally
-/// maintained group counters, each O(1) per mutation.
+/// Step-core state: the time-bucketed expiry queue plus incrementally
+/// maintained counters, each O(1) per mutation.
 #[derive(Debug, Default)]
 struct EventState {
-    /// The policy drains preemptively: drain wake-ups are armed.
-    drain_enabled: bool,
     /// `expiry[t]`: apps whose `departs_at == t` (only `t < n_steps`).
     expiry: Vec<Vec<AppId>>,
-    /// `threat[t]`: sites armed to re-check `alloc > budget` at `t`.
-    threat: Vec<Vec<usize>>,
-    /// Per site: the step its pending power-threat check fires at.
-    armed_threat: Vec<u64>,
-    /// `drain[t]`: sites armed to re-check the drain deficit at `t`.
-    drain: Vec<Vec<usize>>,
-    armed_drain: Vec<u64>,
-    /// Ascending worklist for the drain phase; sites tipped into
-    /// deficit *during* the phase (by a drain move landing on them)
-    /// join it live, so the phase drains every site in deficit in
-    /// ascending site order, as a scan over all sites would.
-    drain_worklist: BinaryHeap<Reverse<usize>>,
-    in_drain_phase: bool,
-    /// True once this step's drain phase has run (or was skipped):
-    /// later arms must target the next step.
-    drain_phase_done: bool,
-    /// Site currently being drained (for the ascending-order rule).
-    drain_pos: usize,
     /// Resident hibernated apps per site — the O(1) "anything to
     /// resume here?" test of the recovery phase.
     hibernated_per_site: Vec<u32>,
@@ -592,12 +475,12 @@ struct EventState {
     /// Running stable cores per site. Stable apps never hibernate, so
     /// this equals the sum `drain_site` takes over the site's residents.
     stable_cores: Vec<u64>,
-    /// Sites whose allocation changed this step (stamp = step + 1).
-    touched_stamp: Vec<u64>,
-    touched: Vec<usize>,
-    /// Residents visited this run by the hibernate/evict scans and by
-    /// the resume scans, flushed to `sched.power_scan_visits` and
-    /// `sched.resume_scan_visits` once after the step loop.
+    /// Over-budget sites the power phase visited this run, and the
+    /// residents visited by the hibernate/evict scans and by the resume
+    /// scans, flushed to `sched.event_wakeups`,
+    /// `sched.power_scan_visits` and `sched.resume_scan_visits` once
+    /// after the step loop.
+    event_wakeups: u64,
     power_scan_visits: u64,
     resume_scan_visits: u64,
 }
@@ -781,23 +664,13 @@ impl GroupSim {
         });
         let gen = AppGen::new(app_cfg, cfg.seed);
         let ev = EventState {
-            drain_enabled: false,
             expiry: vec![Vec::new(); n_steps as usize],
-            threat: vec![Vec::new(); n_steps as usize],
-            armed_threat: vec![NOT_ARMED; n_sites],
-            drain: vec![Vec::new(); n_steps as usize],
-            armed_drain: vec![NOT_ARMED; n_sites],
-            drain_worklist: BinaryHeap::new(),
-            in_drain_phase: false,
-            drain_phase_done: false,
-            drain_pos: 0,
             hibernated_per_site: vec![0; n_sites],
             min_hib_cores: vec![u32::MAX; n_sites],
             group_allocated: 0,
             hibernated_apps: 0,
             stable_cores: vec![0; n_sites],
-            touched_stamp: vec![0; n_sites],
-            touched: Vec::new(),
+            event_wakeups: 0,
             power_scan_visits: 0,
             resume_scan_visits: 0,
         };
@@ -836,7 +709,7 @@ impl GroupSim {
     /// Run a policy and keep the full per-step telemetry alongside the
     /// summary (used by the figure benches and diagnostics).
     pub fn run_detailed(mut self, policy: &mut dyn Policy) -> DetailedRun {
-        self.ev.drain_enabled = policy.preemptive_drain();
+        let drain_enabled = policy.preemptive_drain();
         let _run_span = vb_telemetry::span!("sched.group_run");
         vb_telemetry::event(
             "sched.run_start",
@@ -860,7 +733,6 @@ impl GroupSim {
                 epoch_span = Some(vb_telemetry::span!("sched.sim_epoch"));
             }
             self.now = step;
-            self.ev.drain_phase_done = false;
             let mut stats = GroupStepStats {
                 step,
                 ..GroupStepStats::default()
@@ -891,10 +763,9 @@ impl GroupSim {
             // 4b. Preemptive drain (MIP-peak): gradually move apps off
             // sites whose day-ahead forecast shows a capacity deficit,
             // before the dip forces an eviction burst.
-            if self.ev.drain_enabled {
+            if drain_enabled {
                 self.drain_step(policy, &mut stats);
             }
-            self.ev.drain_phase_done = true;
 
             // 5. Collect this step's arrivals; plan at epoch boundaries.
             self.gen.step_into(&mut epoch_arrivals);
@@ -905,26 +776,16 @@ impl GroupSim {
             // 6. Bookkeeping from the incremental counters. The deficit
             // is the sum of per-site shortfalls, not the group-level
             // difference: surplus at one site cannot power another.
-            // Only sites whose allocation changed this step (or whose
-            // power threat fired) can carry one: an untouched
-            // overloaded site would have had its armed threat fire this
-            // step, and threat processing always restores
-            // alloc ≤ budget before later phases re-raise it (touching
-            // the site).
             stats.queued_apps = self.queue.len();
             stats.budget_cores = self.budget_total[step as usize];
             stats.hibernated_apps = self.ev.hibernated_apps;
             stats.allocated_cores = self.ev.group_allocated;
-            stats.power_deficit_cores = self
-                .ev
-                .touched
-                .iter()
-                .map(|&s| {
+            stats.power_deficit_cores = (0..self.sites.len())
+                .map(|s| {
                     (self.sites[s].allocated_cores as u64)
                         .saturating_sub(self.budget_at(s, step) as u64)
                 })
                 .sum();
-            self.ev.touched.clear();
             steps.push(stats);
         }
         drop(epoch_span);
@@ -935,9 +796,9 @@ impl GroupSim {
             ),
             &steps,
         );
+        vb_telemetry::counter!("sched.event_wakeups").add(self.ev.event_wakeups);
         vb_telemetry::counter!("sched.power_scan_visits").add(self.ev.power_scan_visits);
         vb_telemetry::counter!("sched.resume_scan_visits").add(self.ev.resume_scan_visits);
-        vb_telemetry::gauge!("sched.queued_apps").set(self.queue.len() as f64);
         let summary = PolicySummary::from_steps(
             policy.name(),
             &steps,
@@ -970,85 +831,6 @@ impl GroupSim {
                 vb_telemetry::counter!("sched.budget_gap_steps").inc();
                 0
             })
-    }
-
-    /// Mark a site's allocation as changed this step (for the step's
-    /// deficit bookkeeping); deduplicated via step stamps.
-    fn touch(&mut self, s: usize) {
-        let stamp = self.now + 1;
-        if self.ev.touched_stamp[s] != stamp {
-            self.ev.touched_stamp[s] = stamp;
-            self.ev.touched.push(s);
-        }
-    }
-
-    /// (Re-)arm site `s`'s power-threat wake-up: the earliest future
-    /// step where its precomputed budget drops below the current
-    /// allocation. Called on every allocation increase; decreases leave
-    /// a possibly-early wake-up behind, which the firing path detects
-    /// as a no-op (the lazy-invalidation half of the invariant *armed
-    /// step ≤ earliest real violation*).
-    fn arm_threat(&mut self, s: usize) {
-        // The power phase for the current step has already run by the
-        // time any allocation increase can happen, so the earliest step
-        // whose power phase can see the new allocation is `now + 1`.
-        let from = (self.now + 1) as usize;
-        match self.power[s].next_budget_below(from, self.sites[s].allocated_cores) {
-            Some(t) => {
-                if self.ev.armed_threat[s] == t as u64 {
-                    return; // already queued for exactly this step
-                }
-                self.ev.armed_threat[s] = t as u64;
-                if let Some(bucket) = self.ev.threat.get_mut(t) {
-                    bucket.push(s);
-                } else {
-                    self.ev.armed_threat[s] = NOT_ARMED;
-                }
-            }
-            None => self.ev.armed_threat[s] = NOT_ARMED,
-        }
-    }
-
-    /// (Re-)arm site `s`'s preemptive-drain wake-up: the earliest step
-    /// where the day-ahead admissible floor drops below the site's
-    /// stable cores. The target step must respect the phase the step
-    /// loop is in: before this step's drain phase, or during it ahead
-    /// of the site being drained (sites drain in ascending order), the
-    /// site may still be processed *this* step; afterwards the next
-    /// opportunity is the following step.
-    fn arm_drain(&mut self, s: usize) {
-        if !self.ev.drain_enabled {
-            return;
-        }
-        let from = if self.ev.in_drain_phase {
-            if s > self.ev.drain_pos {
-                self.now // the ascending scan has not reached s yet
-            } else {
-                self.now + 1
-            }
-        } else if self.ev.drain_phase_done {
-            self.now + 1
-        } else {
-            self.now
-        } as usize;
-        let stable = self.ev.stable_cores[s] as f64;
-        let cores_f = self.cfg.cores_per_site as f64;
-        match self.power[s].next_fd24_below(from, stable, cores_f, self.cfg.target_util) {
-            Some(t) => {
-                if self.ev.armed_drain[s] == t as u64 {
-                    return;
-                }
-                self.ev.armed_drain[s] = t as u64;
-                if t as u64 == self.now && self.ev.in_drain_phase {
-                    self.ev.drain_worklist.push(Reverse(s));
-                } else if let Some(bucket) = self.ev.drain.get_mut(t) {
-                    bucket.push(s);
-                } else {
-                    self.ev.armed_drain[s] = NOT_ARMED;
-                }
-            }
-            None => self.ev.armed_drain[s] = NOT_ARMED,
-        }
     }
 
     /// Phase 1: detach the apps whose departure bucket is due, and drop
@@ -1094,45 +876,15 @@ impl GroupSim {
         self.dropped_apps += before - self.queue.len();
     }
 
-    /// Phase 2: only sites whose armed power threat fires now. Every
-    /// allocation increase and every firing re-arms its site at the
-    /// first later step whose budget falls below the allocation (a
-    /// decrease only leaves that step early), so no other site can be
-    /// over budget here. Entries whose armed step moved on (the site
-    /// re-armed after an allocation change) are stale and skipped.
+    /// Phase 2: hibernate or evict at every site whose allocation
+    /// exceeds this step's budget, in ascending site order.
     fn apply_power(&mut self) -> Vec<(AppId, usize)> {
         let mut evicted = Vec::new();
-        let now = self.now as usize;
-        let entries = match self.ev.threat.get_mut(now) {
-            Some(bucket) => std::mem::take(bucket),
-            None => return evicted,
-        };
-        if entries.is_empty() {
-            return evicted;
-        }
-        let mut woken: Vec<usize> = Vec::with_capacity(entries.len());
-        let mut stale = 0u64;
-        for s in entries {
-            if self.ev.armed_threat[s] == self.now {
-                woken.push(s);
-            } else {
-                stale += 1;
+        for s in 0..self.sites.len() {
+            if self.sites[s].allocated_cores > self.budget_at(s, self.now) {
+                self.ev.event_wakeups += 1;
+                self.apply_power_site(s, &mut evicted);
             }
-        }
-        if stale > 0 {
-            vb_telemetry::counter!("sched.stale_events").add(stale);
-        }
-        woken.sort_unstable();
-        woken.dedup();
-        vb_telemetry::counter!("sched.event_wakeups").add(woken.len() as u64);
-        for s in woken {
-            self.ev.armed_threat[s] = NOT_ARMED;
-            // A threat may have gone moot (allocation shrank without
-            // re-arming); `apply_power_site` is then a no-op, but the
-            // site still counts as touched for deficit bookkeeping.
-            self.touch(s);
-            self.apply_power_site(s, &mut evicted);
-            self.arm_threat(s);
         }
         evicted
     }
@@ -1149,7 +901,7 @@ impl GroupSim {
         // costs O(apps hibernated), not O(residents) per step. It
         // starts at the site's `hib_cursor` rather than at 0: the
         // entries below it are tombstones, stable apps and hibernated
-        // apps, which the scan would skip one by one on every wake-up.
+        // apps, which the scan would skip one by one on every visit.
         // Every running degradable app it passes is hibernated, so the
         // index it stops at is the new cursor.
         let from = self.sites[s].hib_cursor;
@@ -1283,7 +1035,6 @@ impl GroupSim {
         let from = self.sites[s].resume_cursor;
         let mut first_left = None;
         let mut remaining = self.ev.hibernated_per_site[s];
-        let mut resumed_any = false;
         let mut i = from;
         while remaining > 0 && i < self.sites[s].apps.len() {
             let id = self.sites[s].apps[i];
@@ -1297,7 +1048,6 @@ impl GroupSim {
                 first_left.get_or_insert(i - 1);
             } else {
                 self.resume(id, s);
-                resumed_any = true;
                 let alloc = self.sites[s].allocated_cores;
                 if alloc.saturating_add(self.ev.min_hib_cores[s]) > budget {
                     debug_assert!(
@@ -1316,13 +1066,6 @@ impl GroupSim {
             self.resume_cursor_holds(s),
             "site {s}: the resume scan left its cursor above a hibernated app"
         );
-        // One threat re-arm for the whole batch: each resume raises the
-        // allocation, and a higher allocation's trigger step is never
-        // later than a lower one's, so the final arm dominates every
-        // intermediate arm the per-resume path would have pushed.
-        if resumed_any {
-            self.arm_threat(s);
-        }
         self.resume_checked[s] = (self.sites[s].allocated_cores, budget);
     }
 
@@ -1432,23 +1175,10 @@ impl GroupSim {
         let ctx = self.build_context(&new_apps);
         let plan = policy.plan(&ctx);
 
-        let mut placed_at: Vec<usize> = Vec::new();
         for assignment in plan {
             // Initial placement: deployment, not migration traffic.
             let s = assignment.site.min(self.sites.len() - 1);
-            self.place(assignment.app, s);
-            if !placed_at.contains(&s) {
-                placed_at.push(s);
-            }
-        }
-        // One threat re-arm per site for the whole batch, as in
-        // `resume_site`: each placement raises the site's allocation, a
-        // higher allocation's trigger step is never later, and nothing
-        // reads the armed step between placements, so the final arm
-        // dominates every per-placement arm (which would only leave
-        // stale queue entries behind).
-        for s in placed_at {
-            self.arm_threat(s);
+            self.attach(assignment.app, s);
         }
         // Any new app the policy failed to assign goes to the queue.
         for a in &new_apps {
@@ -1458,46 +1188,18 @@ impl GroupSim {
         }
     }
 
-    /// Phase 4b: only sites whose armed drain deadline fires now,
-    /// processed in ascending site order via a worklist, until
+    /// Phase 4b: drain each site in ascending order until
     /// [`MOVES_PER_STEP`] drain moves have run. A drain move landing on
-    /// a *later* site can tip it into deficit mid-phase; `arm_drain`'s
-    /// phase-aware `from` pushes such a site into the live worklist,
-    /// so it still drains this step. A site passed over at the cap
-    /// re-arms for the next step its deficit holds.
+    /// a later site can tip it into deficit; the pass reaches it this
+    /// step.
     fn drain_step(&mut self, policy: &mut dyn Policy, stats: &mut GroupStepStats) {
-        self.ev.in_drain_phase = true;
-        self.ev.drain_pos = 0;
-        let now = self.now as usize;
-        if let Some(bucket) = self.ev.drain.get_mut(now) {
-            let entries = std::mem::take(bucket);
-            let mut stale = 0u64;
-            for s in entries {
-                if self.ev.armed_drain[s] == self.now {
-                    self.ev.drain_worklist.push(Reverse(s));
-                } else {
-                    stale += 1;
-                }
-            }
-            if stale > 0 {
-                vb_telemetry::counter!("sched.stale_events").add(stale);
-            }
-        }
         let mut moved = 0usize;
-        while let Some(Reverse(s)) = self.ev.drain_worklist.pop() {
-            if self.ev.armed_drain[s] != self.now {
-                continue; // duplicate/stale worklist entry
+        for s in 0..self.sites.len() {
+            if moved >= MOVES_PER_STEP {
+                break;
             }
-            self.ev.armed_drain[s] = NOT_ARMED;
-            self.ev.drain_pos = s;
-            if moved < MOVES_PER_STEP {
-                // `drain_site` re-derives the deficit from live state,
-                // so a wake-up gone moot is a no-op.
-                self.drain_site(s, policy, stats, &mut moved);
-            }
-            self.arm_drain(s);
+            self.drain_site(s, policy, stats, &mut moved);
         }
-        self.ev.in_drain_phase = false;
         vb_telemetry::counter!("sched.drain_moves").add(moved as u64);
     }
 
@@ -1691,15 +1393,8 @@ impl GroupSim {
         self.queue.push(id);
     }
 
-    /// Attach an app to site `s` and re-arm the site's power threat.
+    /// Attach an app to site `s`.
     fn attach(&mut self, id: AppId, s: usize) {
-        self.place(id, s);
-        self.arm_threat(s);
-    }
-
-    /// [`GroupSim::attach`] without the threat re-arm, for a batch that
-    /// arms each site once after its last placement.
-    fn place(&mut self, id: AppId, s: usize) {
         debug_assert!(self.apps[id.0].site.is_none());
         let cores = self.apps[id.0].spec.cores();
         self.apps[id.0].site = Some(s);
@@ -1713,9 +1408,7 @@ impl GroupSim {
         self.vm_decisions += self.apps[id.0].spec.n_vms as u64;
         if self.apps[id.0].spec.kind == VmKind::Stable {
             self.ev.stable_cores[s] += cores as u64;
-            self.arm_drain(s);
         }
-        self.touch(s);
     }
 
     /// Detach an app from its site, then compact the site's resident
@@ -1741,9 +1434,7 @@ impl GroupSim {
             self.ev.group_allocated -= cores as u64;
             if self.apps[id.0].spec.kind == VmKind::Stable {
                 self.ev.stable_cores[s] -= cores as u64;
-                self.arm_drain(s);
             }
-            self.touch(s);
         } else {
             // Hibernated apps are always degradable (stable apps
             // are evicted, never hibernated), so stable_cores and
@@ -1805,7 +1496,6 @@ impl GroupSim {
         self.ev.hibernated_apps += 1;
         self.ev.hibernated_per_site[s] += 1;
         self.ev.min_hib_cores[s] = self.ev.min_hib_cores[s].min(cores);
-        self.touch(s);
     }
 
     /// The hibernation cursor's invariant at site `s`: every resident
@@ -1832,8 +1522,6 @@ impl GroupSim {
     }
 
     /// Resume a hibernated app (free of charge — no WAN traffic).
-    /// Threat re-arming is the caller's job ([`GroupSim::resume_site`]
-    /// arms once per batch, which dominates per-resume arming).
     fn resume(&mut self, id: AppId, s: usize) {
         debug_assert!(self.apps[id.0].hibernated);
         let cores = self.apps[id.0].spec.cores();
@@ -1847,7 +1535,6 @@ impl GroupSim {
         if self.ev.hibernated_per_site[s] == 0 {
             self.ev.min_hib_cores[s] = u32::MAX;
         }
-        self.touch(s);
     }
 }
 
@@ -2082,36 +1769,6 @@ mod tests {
                 if t + DAY_AHEAD_STEPS > st.fd.len() {
                     assert!(hi - lo < DAY_AHEAD_STEPS);
                 }
-            }
-        }
-    }
-
-    /// The threshold scans must agree with linear scans over the
-    /// precomputed arrays (bucket skipping is an optimization only).
-    #[test]
-    fn threshold_scans_match_linear_scans() {
-        let sim =
-            GroupSim::new(&catalog(), &["UK-wind", "NO-solar"], tiny_cfg()).expect("sites exist");
-        let p = &sim.power[0];
-        for from in [0usize, 7, 95, 100, 190, 500] {
-            for threshold in [0u32, 1, 50, 200, 400, 401] {
-                let linear = (from..p.budgets.len()).find(|&t| p.budgets[t] < threshold);
-                assert_eq!(
-                    p.next_budget_below(from, threshold),
-                    linear,
-                    "budget scan from {from} below {threshold}"
-                );
-            }
-            for stable in [0.0f64, 10.0, 150.0, 280.0, 1e9] {
-                let cores_f = sim.cfg.cores_per_site as f64;
-                let util = sim.cfg.target_util;
-                let linear =
-                    (from..p.fd_min24.len()).find(|&t| p.fd_min24[t] * cores_f * util < stable);
-                assert_eq!(
-                    p.next_fd24_below(from, stable, cores_f, util),
-                    linear,
-                    "fd24 scan from {from} below {stable}"
-                );
             }
         }
     }

@@ -99,13 +99,12 @@ FLEET_ROW_RULES = {
     "total_gb": ("rel", 0.01),
     "dropped_apps": ("rel", 0.05),
     # The step loop's work (the `sched.*` counters over the timed run):
-    # wake-ups and stale queue entries follow the power traces,
+    # wake-ups (over-budget sites) follow the power traces,
     # transfers follow the evictions, and the residents the hibernate/
     # evict and resume scans visit follow both, so libm feeds them as it
     # feeds `vm_decisions`. A lost fast path shows here as a count, not
     # only as wall-clock.
     "event_wakeups": ("rel", 0.01),
-    "stale_events": ("rel", 0.01),
     "transfers": ("rel", 0.01),
     "power_scan_visits": ("rel", 0.01),
     "resume_scan_visits": ("rel", 0.01),

@@ -72,7 +72,6 @@ def fleet_row(scale, **updates):
         "vm_decisions": 532_000,
         "vm_decisions_per_sec": 2_600_000.0,
         "event_wakeups": 16_700,
-        "stale_events": 135,
         "transfers": 36_900,
         "power_scan_visits": 500_000,
         "resume_scan_visits": 300_000,
@@ -92,14 +91,12 @@ def fleet_result(rows):
 # just past its 1 % relative band around `fleet_row`'s value.
 FLEET_COUNTS_WITHIN_BAND = {
     "event_wakeups": 16_860,
-    "stale_events": 136,
     "transfers": 36_540,
     "power_scan_visits": 504_000,
     "resume_scan_visits": 302_900,
 }
 FLEET_COUNTS_PAST_BAND = {
     "event_wakeups": 16_900,
-    "stale_events": 137,
     "transfers": 36_500,
     "power_scan_visits": 506_000,
     "resume_scan_visits": 303_100,
@@ -314,7 +311,7 @@ class FleetGateTests(GateHarness):
 
     def test_work_counts_fail_past_the_band(self):
         # More wake-ups or transfers than the baseline's band is the
-        # event core doing other work (a lost skip, a wake-up storm),
+        # step core doing other work (a lost skip, an eviction storm),
         # and fewer is as much a change.
         for key, moved in FLEET_COUNTS_PAST_BAND.items():
             with self.subTest(key=key):

@@ -19,7 +19,7 @@
 //! until power returns or their lifetime lapses.
 
 use crate::vm::{Vm, VmId, VmKind, VmRequest, VmState};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Cluster sizing and policy knobs. Defaults are the paper's setup.
 #[derive(Debug, Clone)]
@@ -59,12 +59,11 @@ struct ServerState {
     /// [`FreeCoreIndex`] in step.
     free_cores: u32,
     free_mem: f64,
-    /// Running VMs on this server. Changed only through
-    /// [`Cluster::push_running`] and [`Cluster::drop_running`], which
-    /// keep `running_of_kind` and [`Cluster::candidates`] in step.
+    /// Running VMs on this server in the order they started running: a
+    /// shadow of [`RunLists`], kept by [`Cluster::push_running`] and
+    /// [`Cluster::drop_running`] for the tests to check it against.
+    #[cfg(test)]
     running: Vec<VmId>,
-    /// How many of `running` are of each kind, by [`kind_slot`].
-    running_of_kind: [u32; 2],
 }
 
 /// Index of a VM kind in the per-kind tables.
@@ -178,9 +177,11 @@ fn due_step(departs_at: u64, now: u64) -> u64 {
 /// End of a [`DepartureWheel`] list.
 const NIL: u32 = u32::MAX;
 
-/// Longest span, in steps, the departure wheel widens to. A VM due
-/// farther ahead shares its bucket with nearer ones and is passed over
-/// until its own step comes round.
+/// Longest span, in steps, the departure wheel and the pending queue's
+/// due counts widen to. A VM due farther ahead shares its wheel bucket
+/// with nearer ones and is passed over until its own step comes round; a
+/// pending request due farther ahead is counted apart until its step
+/// comes within the span.
 const MAX_WHEEL_SPAN: u64 = 1 << 16;
 
 /// Live VMs by the step they expire at, so [`Cluster::advance`] visits
@@ -268,6 +269,194 @@ impl DepartureWheel {
     }
 }
 
+/// Each server's running VMs of each kind, in the order they started
+/// running there: one doubly linked list per server and kind, threaded
+/// through the slab slots as [`DepartureWheel`] threads its buckets. A
+/// VM joins its list's tail when placed or resumed and is unlinked when
+/// it leaves or hibernates, so the tail is the last of that kind to have
+/// started on the server, the round-robin eviction victim.
+#[derive(Debug, Clone)]
+struct RunLists {
+    /// Per server, the tail of each kind's list (by [`kind_slot`]), or
+    /// [`NIL`] when the server runs no VM of that kind.
+    tails: Vec<[u32; 2]>,
+    /// `(prev, next)` of each slab slot in its list, toward the head and
+    /// the tail.
+    links: Vec<(u32, u32)>,
+}
+
+impl RunLists {
+    fn new(n_servers: usize) -> RunLists {
+        RunLists {
+            tails: vec![[NIL; 2]; n_servers],
+            links: Vec::new(),
+        }
+    }
+
+    /// Append `slot` to server `s`'s list of kind slot `k`.
+    fn push(&mut self, s: usize, k: usize, slot: usize) {
+        if slot >= self.links.len() {
+            self.links.resize(slot + 1, (NIL, NIL));
+        }
+        let tail = self.tails[s][k];
+        self.links[slot] = (tail, NIL);
+        if tail != NIL {
+            self.links[tail as usize].1 = slot as u32;
+        }
+        self.tails[s][k] = slot as u32;
+    }
+
+    /// Unlink `slot` from server `s`'s list of kind slot `k`. True when
+    /// that list is now empty.
+    fn remove(&mut self, s: usize, k: usize, slot: usize) -> bool {
+        let (prev, next) = self.links[slot];
+        if next == NIL {
+            self.tails[s][k] = prev;
+        } else {
+            self.links[next as usize].0 = prev;
+        }
+        if prev != NIL {
+            self.links[prev as usize].1 = next;
+        }
+        self.tails[s][k] == NIL
+    }
+
+    /// The tail of server `s`'s list of kind slot `k`.
+    fn last(&self, s: usize, k: usize) -> Option<usize> {
+        let tail = self.tails[s][k];
+        (tail != NIL).then_some(tail as usize)
+    }
+}
+
+/// The step at which [`Cluster::advance`] expires a pending request that
+/// arrived at `arrived`: the end of its lifetime, or the next step for a
+/// zero-lifetime request, which counts as pending until then.
+fn pending_due(req: &VmRequest, arrived: u64) -> u64 {
+    due_step(arrived + req.lifetime_steps as u64, arrived)
+}
+
+/// Pending requests by due step, so [`Cluster::advance`] learns how many
+/// expire without a scan. A ring of `ring.len()` counts (zero or a power
+/// of two) covers the due steps `now + 1 ..= now + ring.len()`, one per
+/// bucket: step `t` is counted in bucket `t % ring.len()`. The ring
+/// widens to the longest remaining lifetime queued (up to
+/// [`MAX_WHEEL_SPAN`]); requests due farther ahead are counted in
+/// `beyond` and move into the ring when their step comes within its span.
+#[derive(Debug, Clone, Default)]
+struct DueCounts {
+    ring: Vec<u32>,
+    beyond: BTreeMap<u64, u32>,
+}
+
+impl DueCounts {
+    fn bucket(&self, due: u64) -> usize {
+        (due & (self.ring.len() as u64 - 1)) as usize
+    }
+
+    /// Count one request due at step `due`, seen at step `now < due`.
+    fn add(&mut self, due: u64, now: u64) {
+        let span = (due - now).min(MAX_WHEEL_SPAN);
+        if span > self.ring.len() as u64 {
+            self.widen(span.next_power_of_two() as usize, now);
+        }
+        if due - now <= self.ring.len() as u64 {
+            let b = self.bucket(due);
+            self.ring[b] += 1;
+        } else {
+            *self.beyond.entry(due).or_default() += 1;
+        }
+    }
+
+    /// Uncount one request due at step `due`, seen at step `now < due`.
+    fn sub(&mut self, due: u64, now: u64) {
+        if due - now <= self.ring.len() as u64 {
+            let b = self.bucket(due);
+            self.ring[b] -= 1;
+        } else if let Some(n) = self.beyond.get_mut(&due) {
+            *n -= 1;
+            if *n == 0 {
+                self.beyond.remove(&due);
+            }
+        }
+    }
+
+    /// Take the count due at step `next`, one past the current step, and
+    /// move the span on a step: the emptied bucket now stands for step
+    /// `next + ring.len()`.
+    fn expire(&mut self, next: u64) -> u32 {
+        if self.ring.is_empty() {
+            return 0;
+        }
+        let b = self.bucket(next);
+        let due = std::mem::take(&mut self.ring[b]);
+        let far = next + self.ring.len() as u64;
+        if let Some(entry) = self.beyond.first_entry() {
+            if *entry.key() == far {
+                self.ring[b] = entry.remove();
+            }
+        }
+        due
+    }
+
+    /// Recount in a ring of `len` buckets at step `now`.
+    fn widen(&mut self, len: usize, now: u64) {
+        let old = std::mem::replace(&mut self.ring, vec![0; len]);
+        for t in now + 1..=now + old.len() as u64 {
+            let count = old[(t & (old.len() as u64 - 1)) as usize];
+            let b = self.bucket(t);
+            self.ring[b] = count;
+        }
+        while let Some(entry) = self.beyond.first_entry() {
+            if *entry.key() > now + len as u64 {
+                break;
+            }
+            let (t, count) = entry.remove_entry();
+            let b = self.bucket(t);
+            self.ring[b] = count;
+        }
+    }
+}
+
+/// Rejected requests waiting for power, oldest first, with their arrival
+/// step. A request whose lifetime lapses stays in place, skipped by
+/// [`Cluster::recover`], until the lapsed requests outnumber the live
+/// ones and [`PendingQueue::expire`] drops them all; the live ones are
+/// counted by due step, so the queue's live length needs no scan.
+#[derive(Debug, Clone, Default)]
+struct PendingQueue {
+    entries: VecDeque<(VmRequest, u64)>,
+    /// Entries whose due step is still ahead.
+    live: usize,
+    due: DueCounts,
+}
+
+impl PendingQueue {
+    /// Queue `req`, arriving at step `now`.
+    fn push(&mut self, req: VmRequest, now: u64) {
+        self.due.add(pending_due(&req, now), now);
+        self.entries.push_back((req, now));
+        self.live += 1;
+    }
+
+    /// Take out entry `i`, live at step `now`.
+    fn remove(&mut self, i: usize, now: u64) {
+        if let Some((req, arrived)) = self.entries.remove(i) {
+            self.due.sub(pending_due(&req, arrived), now);
+            self.live -= 1;
+        }
+    }
+
+    /// Expire the entries due at step `next`, the new current step, and
+    /// drop every lapsed entry once they outnumber the live ones.
+    fn expire(&mut self, next: u64) {
+        self.live -= self.due.expire(next) as usize;
+        if self.entries.len() - self.live > self.live {
+            self.entries
+                .retain(|(req, arrived)| pending_due(req, *arrived) > next);
+        }
+    }
+}
+
 /// A stable VM evicted by a power shortfall, ready to be re-placed at
 /// another site by the multi-VB scheduler.
 #[derive(Debug, Clone, PartialEq)]
@@ -327,11 +516,15 @@ pub struct Cluster {
     free_slots: FreeSlots,
     /// Every live slab slot, by the step it expires at.
     departures: DepartureWheel,
+    /// Every running slab slot, by server and kind. Changed only through
+    /// [`Cluster::push_running`] and [`Cluster::drop_running`], which
+    /// keep `candidates` in step.
+    runs: RunLists,
     /// Scratch list of the slots [`Cluster::advance`] expires, kept for
     /// its capacity.
     due_slots: Vec<usize>,
-    /// Rejected requests waiting for power, with their arrival step.
-    pending: VecDeque<(VmRequest, u64)>,
+    /// Rejected requests waiting for power.
+    pending: PendingQueue,
     /// Hibernated degradable VMs, oldest first.
     hibernated: VecDeque<VmId>,
     /// Round-robin eviction cursor over servers.
@@ -355,8 +548,8 @@ impl Cluster {
             .map(|_| ServerState {
                 free_cores: cfg.cores_per_server,
                 free_mem: cfg.mem_per_server_gb,
+                #[cfg(test)]
                 running: Vec::new(),
-                running_of_kind: [0; 2],
             })
             .collect();
         let budget = cfg.total_cores();
@@ -364,13 +557,14 @@ impl Cluster {
         Cluster {
             free_index: FreeCoreIndex::new(cfg.n_servers, cfg.cores_per_server),
             candidates: [vec![0; words], vec![0; words]],
+            runs: RunLists::new(cfg.n_servers),
             cfg,
             servers,
             vms: Vec::new(),
             free_slots: FreeSlots::default(),
             departures: DepartureWheel::default(),
             due_slots: Vec::new(),
-            pending: VecDeque::new(),
+            pending: PendingQueue::default(),
             hibernated: VecDeque::new(),
             rr_cursor: 0,
             now: 0,
@@ -415,9 +609,10 @@ impl Cluster {
         self.hibernated.len()
     }
 
-    /// Length of the pending (rejected) queue.
+    /// Requests in the pending (rejected) queue whose lifetime has not
+    /// lapsed.
     pub fn pending_len(&self) -> usize {
-        self.pending.len()
+        self.pending.live
     }
 
     /// VMs whose lifetime ended while resident, over the cluster's life.
@@ -448,10 +643,10 @@ impl Cluster {
         let _evicted = self.set_power(power_frac, &mut stats);
         self.recover(&mut stats);
         for &req in arrivals {
-            let pending_before = self.pending.len();
+            let pending_before = self.pending.live;
             if self.admit(req) {
                 stats.admitted += 1;
-            } else if self.pending.len() > pending_before {
+            } else if self.pending.live > pending_before {
                 stats.queued += 1;
             }
         }
@@ -481,9 +676,7 @@ impl Cluster {
             // remove_vm above already dropped expired ones from the slab.
             self.vms[id.0].is_some()
         });
-        // Expire pending requests whose lifetime has lapsed.
-        self.pending
-            .retain(|(req, arrived)| arrived + req.lifetime_steps as u64 > next);
+        self.pending.expire(next);
     }
 
     /// Apply a power budget. Returns the stable VMs evicted to satisfy
@@ -553,20 +746,26 @@ impl Cluster {
         // but an entry that does not fit right now (capacity or
         // fragmentation) must not block smaller entries behind it. A
         // consecutive-failure bound keeps the scan cheap when the queue
-        // is long and the capacity exhausted.
+        // is long and the capacity exhausted. Lapsed entries are passed
+        // over and count toward no bound: the scan meets the live ones
+        // as it would in a queue without them.
         const MAX_CONSECUTIVE_FAILURES: usize = 200;
         let admit_cap = self.admission_cap();
         let mut i = 0usize;
         let mut failures = 0usize;
-        while i < self.pending.len() && failures < MAX_CONSECUTIVE_FAILURES {
+        while i < self.pending.entries.len() && failures < MAX_CONSECUTIVE_FAILURES {
             if self.allocated_cores >= admit_cap {
                 break;
             }
-            let (req, arrived) = self.pending[i];
+            let (req, arrived) = self.pending.entries[i];
+            if pending_due(&req, arrived) <= self.now {
+                i += 1;
+                continue;
+            }
             let fits_cap = self.allocated_cores + req.cores <= admit_cap;
             let departs_at = arrived + req.lifetime_steps as u64;
             if fits_cap && self.place(req, arrived, departs_at).is_some() {
-                self.pending.remove(i);
+                self.pending.remove(i, self.now);
                 stats.in_gb += req.mem_gb;
                 stats.migrations_in += 1;
                 failures = 0;
@@ -590,7 +789,7 @@ impl Cluster {
                 return true;
             }
         }
-        self.pending.push_back((req, self.now));
+        self.pending.push(req, self.now);
         false
     }
 
@@ -620,7 +819,7 @@ impl Cluster {
     fn finish_stats(&self, stats: &mut StepStats) {
         stats.allocated_cores = self.allocated_cores;
         stats.utilization = self.utilization();
-        stats.pending_len = self.pending.len();
+        stats.pending_len = self.pending.live;
     }
 
     /// Best-fit placement: the powered server with the fewest free cores
@@ -680,20 +879,19 @@ impl Cluster {
 
     /// Add `id`, of `kind`, to server `s`'s run list.
     fn push_running(&mut self, s: usize, id: VmId, kind: VmKind) {
-        let server = &mut self.servers[s];
-        server.running.push(id);
+        #[cfg(test)]
+        self.servers[s].running.push(id);
         let k = kind_slot(kind);
-        server.running_of_kind[k] += 1;
+        self.runs.push(s, k, id.0);
         self.candidates[k][s / 64] |= 1 << (s % 64);
     }
 
     /// Take `id`, of `kind`, off server `s`'s run list.
     fn drop_running(&mut self, s: usize, id: VmId, kind: VmKind) {
-        let server = &mut self.servers[s];
-        server.running.retain(|&v| v != id);
+        #[cfg(test)]
+        self.servers[s].running.retain(|&v| v != id);
         let k = kind_slot(kind);
-        server.running_of_kind[k] -= 1;
-        if server.running_of_kind[k] == 0 {
+        if self.runs.remove(s, k, id.0) {
             self.candidates[k][s / 64] &= !(1 << (s % 64));
         }
     }
@@ -780,9 +978,9 @@ impl Cluster {
     }
 
     /// Evict running VMs of `kind` in round-robin order over servers
-    /// (one victim per server visit, the last of that kind on its run
-    /// list), calling `evict` until the allocation fits the budget or no
-    /// candidate remains. Each visit jumps straight to the next server
+    /// (one victim per server visit, the tail of the server's run list of
+    /// that kind), calling `evict` until the allocation fits the budget or
+    /// no candidate remains. Each visit jumps straight to the next server
     /// holding a candidate, so a pass with none (the hibernation pass of
     /// an all-stable cluster) visits no server. The cursor ends one past
     /// the last victim's server, or where it was if there was none: where
@@ -800,19 +998,12 @@ impl Cluster {
             };
             self.victim_visits += 1;
             self.rr_cursor = (s + 1) % self.servers.len();
-            let victim = self.servers[s]
-                .running
-                .iter()
-                .rev()
-                .copied()
-                .find(|id| {
-                    // vb-audit: allow(no-panic, server run-lists reference only live vm slots)
-                    let vm = self.vms[id.0].as_ref().expect("listed vm exists");
-                    vm.request.kind == kind
-                })
+            let victim = self
+                .runs
+                .last(s, k)
                 // vb-audit: allow(no-panic, a candidate server runs a vm of the kind by construction)
                 .expect("candidate server has a victim");
-            evict(self, victim);
+            evict(self, VmId(victim));
         }
     }
 }
@@ -1170,6 +1361,70 @@ mod tests {
     }
 
     #[test]
+    fn pending_requests_beyond_the_count_span_wait_their_turn() {
+        let mut c = Cluster::new(small_cfg());
+        let mut st = stats();
+        c.set_power(0.0, &mut st);
+        // Due the same bucket once the ring stops widening, a turn apart.
+        let far = MAX_WHEEL_SPAN as u32 + 5;
+        assert!(!c.admit(VmRequest::stable(2, 8.0, far)));
+        assert!(!c.admit(VmRequest::stable(3, 8.0, 5)));
+        assert_eq!(c.pending.due.ring.len() as u64, MAX_WHEEL_SPAN);
+        assert_eq!(
+            c.pending.due.beyond.len(),
+            1,
+            "the far request is counted apart"
+        );
+        for _ in 0..5 {
+            c.advance();
+        }
+        assert_eq!(c.pending_len(), 1, "only the near request is due at step 5");
+        while c.now() + 1 < far as u64 {
+            c.advance();
+        }
+        assert_eq!(c.pending_len(), 1);
+        assert!(c.pending.due.beyond.is_empty(), "in the ring's span by now");
+        c.advance();
+        assert_eq!(c.pending_len(), 0, "the far request lapses at its own step");
+        assert!(c.pending.entries.is_empty(), "and the queue is compacted");
+    }
+
+    #[test]
+    fn zero_lifetime_rejected_arrivals_stay_pending_to_the_end_of_their_step() {
+        let mut c = Cluster::new(small_cfg());
+        let st = c.step(0.0, &[VmRequest::stable(1, 4.0, 0)]);
+        assert_eq!((st.queued, st.pending_len), (1, 1));
+        assert_eq!(c.pending_len(), 1);
+        c.advance();
+        assert_eq!(c.pending_len(), 0, "gone at the next step");
+    }
+
+    #[test]
+    fn recover_passes_over_lapsed_requests_without_counting_failures() {
+        let mut c = Cluster::new(small_cfg());
+        let mut st = stats();
+        c.set_power(0.0, &mut st);
+        // 300 requests lapse at step 2 ahead of 301 that stay: more than
+        // `recover`'s failure bound, but not more than the live ones, so
+        // they stay in the queue.
+        for _ in 0..300 {
+            assert!(!c.admit(VmRequest::stable(1, 1.0, 2)));
+        }
+        for _ in 0..301 {
+            assert!(!c.admit(VmRequest::stable(1, 1.0, 100)));
+        }
+        c.advance();
+        c.advance();
+        assert_eq!(c.pending_len(), 301);
+        assert_eq!(c.pending.entries.len(), 601, "lapsed requests stay queued");
+        let mut st = stats();
+        c.set_power(1.0, &mut st);
+        c.recover(&mut st);
+        assert_eq!(st.migrations_in, 28, "the admission cap's worth launches");
+        assert_eq!(c.pending_len(), 273);
+    }
+
+    #[test]
     fn zero_lifetime_arrivals_leave_at_the_next_step() {
         let mut c = Cluster::new(small_cfg());
         assert!(c.admit(VmRequest::stable(2, 8.0, 0)));
@@ -1256,7 +1511,18 @@ mod tests {
         c.now = next;
         c.hibernated.retain(|id| c.vms[id.0].is_some());
         c.pending
+            .entries
             .retain(|(req, arrived)| arrived + req.lifetime_steps as u64 > next);
+    }
+
+    /// The pending requests whose lifetime has not lapsed, in queue order.
+    fn live_pending(c: &Cluster) -> Vec<(VmRequest, u64)> {
+        c.pending
+            .entries
+            .iter()
+            .copied()
+            .filter(|(req, arrived)| pending_due(req, *arrived) > c.now)
+            .collect()
     }
 
     /// `advance` leaves the state the slab sweep left, down to the bits
@@ -1283,7 +1549,17 @@ mod tests {
         };
         assert_eq!(departures(&got), departures(&want), "slab after expiry");
         assert_eq!(got.hibernated, want.hibernated, "hibernated queue");
-        assert_eq!(got.pending, want.pending, "pending queue");
+        // The eager sweep keeps exactly the live requests; `advance`
+        // leaves lapsed ones in place until they outnumber the live.
+        let live = live_pending(&got);
+        assert_eq!(
+            live,
+            Vec::from(want.pending.entries.clone()),
+            "pending queue"
+        );
+        assert_eq!(got.pending_len(), live.len(), "live pending requests");
+        let lapsed = got.pending.entries.len() - live.len();
+        assert!(lapsed <= live.len(), "{lapsed} lapsed of {}", live.len());
         assert_eq!(
             (got.now, got.allocated_cores),
             (want.now, want.allocated_cores)
@@ -1292,6 +1568,35 @@ mod tests {
             let live = |c: &Cluster| c.vms.iter().flatten().count();
             (live(c) - live(&want)) as u64
         });
+    }
+
+    /// `recover` launches what it launches from a queue swept of lapsed
+    /// requests, in the same order, and leaves the same live requests.
+    fn assert_recover_matches_swept_queue(c: &Cluster) {
+        let mut swept = c.clone();
+        let now = c.now;
+        swept
+            .pending
+            .entries
+            .retain(|(req, arrived)| pending_due(req, *arrived) > now);
+        let mut got = c.clone();
+        let (mut got_stats, mut want_stats) = (stats(), stats());
+        got.recover(&mut got_stats);
+        swept.recover(&mut want_stats);
+        assert_eq!(got_stats, want_stats, "recover's stats");
+        assert_eq!(
+            live_pending(&got),
+            live_pending(&swept),
+            "queue after recover"
+        );
+        assert_eq!(got.pending_len(), swept.pending_len());
+        let placed = |c: &Cluster| -> Vec<Option<(u64, VmState)>> {
+            c.vms
+                .iter()
+                .map(|v| v.as_ref().map(|vm| (vm.departs_at, vm.state)))
+                .collect()
+        };
+        assert_eq!(placed(&got), placed(&swept), "slab after recover");
     }
 
     fn assert_indexes_match_scans(c: &Cluster) {
@@ -1323,21 +1628,66 @@ mod tests {
                 );
             }
         }
-        // Eviction candidates: per kind, a count of each server's running
-        // VMs and a bit for the servers with any.
+        // Run lists: the shadow list holds the VMs the slab has running on
+        // each server; read back from its tail, each kind's list is the
+        // shadow's VMs of that kind in order, with consistent links; the
+        // candidate bit is set exactly when that list is non-empty.
         for (s, server) in c.servers.iter().enumerate() {
+            let mut shadow = server.running.clone();
+            shadow.sort_unstable();
+            let on_server: Vec<VmId> = (0..c.vms.len())
+                .filter(|&i| {
+                    c.vms[i]
+                        .as_ref()
+                        .is_some_and(|vm| vm.state == VmState::Running(s))
+                })
+                .map(VmId)
+                .collect();
+            assert_eq!(shadow, on_server, "shadow run list of server {s}");
             for kind in [VmKind::Stable, VmKind::Degradable] {
                 let k = kind_slot(kind);
-                let running = server
+                let want: Vec<usize> = server
                     .running
                     .iter()
                     .filter(|id| c.vms[id.0].as_ref().expect("listed").request.kind == kind)
-                    .count();
-                assert_eq!(server.running_of_kind[k] as usize, running, "server {s}");
+                    .map(|id| id.0)
+                    .collect();
+                let mut got = Vec::new();
+                let (mut next, mut slot) = (NIL, c.runs.tails[s][k]);
+                while slot != NIL {
+                    let i = slot as usize;
+                    assert_eq!(c.runs.links[i].1, next, "forward link of slot {i}");
+                    got.push(i);
+                    (next, slot) = (slot, c.runs.links[i].0);
+                }
+                got.reverse();
+                assert_eq!(got, want, "run list of server {s}, {kind:?}");
                 let bit = (c.candidates[k][s / 64] >> (s % 64)) & 1 == 1;
-                assert_eq!(bit, running > 0, "candidate bit of server {s}, {kind:?}");
+                assert_eq!(
+                    bit,
+                    !want.is_empty(),
+                    "candidate bit of server {s}, {kind:?}"
+                );
             }
         }
+        // Pending queue: the live count and the due counts match a scan of
+        // the queue's live requests.
+        let mut by_due = BTreeMap::new();
+        for (req, arrived) in live_pending(c) {
+            *by_due.entry(pending_due(&req, arrived)).or_insert(0u32) += 1;
+        }
+        assert_eq!(c.pending_len(), by_due.values().sum::<u32>() as usize);
+        let counts = &c.pending.due;
+        let span = counts.ring.len() as u64;
+        for t in c.now + 1..=c.now + span {
+            let n = by_due.get(&t).copied().unwrap_or(0);
+            assert_eq!(counts.ring[counts.bucket(t)], n, "requests due at {t}");
+        }
+        let beyond: BTreeMap<u64, u32> = by_due
+            .range(c.now + span + 1..)
+            .map(|(&t, &n)| (t, n))
+            .collect();
+        assert_eq!(counts.beyond, beyond, "requests due past the ring");
         // The departure wheel lists each live slot once, in the bucket of
         // its due step, with consistent back links.
         let wheel = &c.departures;
@@ -1401,8 +1751,10 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        /// Lifetimes from zero: a zero-lifetime arrival leaves, or lapses
+        /// from the pending queue, at the next step.
         fn arb_request() -> impl Strategy<Value = VmRequest> {
-            (1u32..=40, 1u32..=16, 1u32..=120, proptest::bool::ANY).prop_map(
+            (1u32..=40, 1u32..=16, 0u32..=120, proptest::bool::ANY).prop_map(
                 |(cores, mem, lifetime, stable)| {
                     let mem_gb = mem as f64 * 4.0;
                     if stable {
@@ -1443,6 +1795,11 @@ mod tests {
                         assert_indexes_match_scans(&c);
                         for (power, arrivals, migrated) in &steps {
                             assert_advance_matches_sweep(&c);
+                            // The state `step` hands to `recover`.
+                            let mut before_recover = c.clone();
+                            before_recover.advance();
+                            before_recover.set_power(*power, &mut stats());
+                            assert_recover_matches_swept_queue(&before_recover);
                             c.step(*power, arrivals);
                             // Migrated-in VMs keep their remaining lifetime,
                             // which can reach past the wheel's current span

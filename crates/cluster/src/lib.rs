@@ -42,4 +42,4 @@ pub use cluster::{Cluster, ClusterConfig, StepStats};
 pub use power::{energy_report, EnergyReport, PowerModel};
 pub use sim::{simulate, simulate_paper_site, SimOutput};
 pub use vm::{VmKind, VmRequest};
-pub use workload::{Workload, WorkloadConfig};
+pub use workload::{Workload, WorkloadConfig, WorkloadError};

@@ -7,7 +7,7 @@
 //! the paper's setup ("the cluster is running at 70 % utilization").
 
 use crate::cluster::{Cluster, ClusterConfig, StepStats};
-use crate::workload::{Workload, WorkloadConfig};
+use crate::workload::{Workload, WorkloadConfig, WorkloadError};
 use vb_stats::TimeSeries;
 
 /// Result of a single-site simulation run.
@@ -71,14 +71,16 @@ impl SimOutput {
 
 /// Run a cluster against `power` (normalized to [0, 1] of full cluster
 /// power), after `warmup_steps` of full-power operation to fill the
-/// cluster to its steady state.
+/// cluster to its steady state. A `workload_cfg` that fails
+/// [`WorkloadConfig::validate`] is returned as its error, unrun.
 pub fn simulate(
     cfg: ClusterConfig,
     power: &TimeSeries,
     workload_cfg: WorkloadConfig,
     warmup_steps: usize,
     seed: u64,
-) -> SimOutput {
+) -> Result<SimOutput, WorkloadError> {
+    workload_cfg.validate()?;
     let _span = vb_telemetry::span!("cluster.simulate");
     let mut cluster = Cluster::new(cfg);
     let mut workload = Workload::new(workload_cfg, seed);
@@ -106,7 +108,7 @@ pub fn simulate(
         })
         .collect();
     emit_run_totals(&cluster, &steps);
-    SimOutput { steps }
+    Ok(SimOutput { steps })
 }
 
 /// Add one run's totals to the cluster metrics, once per run: each sum
@@ -147,6 +149,8 @@ pub fn simulate_paper_site(power: &TimeSeries, seed: u64) -> SimOutput {
     let workload = WorkloadConfig::for_cluster(mean_powered_cores.max(1), cfg.target_util);
     // Two simulated days of warm-up on top of the steady-state pre-fill.
     simulate(cfg, power, workload, 2 * vb_trace::STEPS_PER_DAY, seed)
+        // vb-audit: allow(no-panic, for_cluster's workload is valid for any core count and power trace)
+        .expect("the paper site's workload is valid")
 }
 
 #[cfg(test)]
@@ -176,7 +180,7 @@ mod tests {
     fn steady_full_power_produces_no_migrations() {
         let cfg = small_cfg();
         let wl = small_workload(&cfg);
-        let out = simulate(cfg, &flat_power(1.0, 100), wl, 50, 1);
+        let out = simulate(cfg, &flat_power(1.0, 100), wl, 50, 1).unwrap();
         let total_out: f64 = out.out_gb().iter().sum();
         assert_eq!(total_out, 0.0, "no power variation, no migration");
         assert_eq!(out.quiet_change_fraction(0.01), 1.0);
@@ -186,7 +190,7 @@ mod tests {
     fn warmed_cluster_sits_near_the_admission_target() {
         let cfg = small_cfg();
         let wl = small_workload(&cfg);
-        let out = simulate(cfg, &flat_power(1.0, 200), wl, 192, 2);
+        let out = simulate(cfg, &flat_power(1.0, 200), wl, 192, 2).unwrap();
         let util = out.mean_utilization();
         assert!(
             (0.58..=0.72).contains(&util),
@@ -202,7 +206,7 @@ mod tests {
         let mut values = vec![1.0; 50];
         values.extend(vec![0.8; 50]);
         let power = TimeSeries::new(900, values);
-        let out = simulate(cfg, &power, wl, 400, 3);
+        let out = simulate(cfg, &power, wl, 400, 3).unwrap();
         let total_out: f64 = out.out_gb().iter().sum();
         assert_eq!(total_out, 0.0, "dip to 80% absorbed at 70% utilization");
     }
@@ -215,7 +219,7 @@ mod tests {
         values.extend(vec![0.1; 20]); // collapse
         values.extend(vec![1.0; 30]); // recovery
         let power = TimeSeries::new(900, values);
-        let out = simulate(cfg, &power, wl, 400, 4);
+        let out = simulate(cfg, &power, wl, 400, 4).unwrap();
         let total_out: f64 = out.out_gb().iter().sum();
         let total_in: f64 = out.in_gb().iter().sum();
         assert!(total_out > 0.0, "collapse must evict stable VMs");
@@ -236,9 +240,20 @@ mod tests {
         let cfg = small_cfg();
         let wl = small_workload(&cfg);
         let power = flat_power(0.5, 50);
-        let a = simulate(cfg.clone(), &power, wl.clone(), 20, 7);
-        let b = simulate(cfg, &power, wl, 20, 7);
+        let a = simulate(cfg.clone(), &power, wl.clone(), 20, 7).unwrap();
+        let b = simulate(cfg, &power, wl, 20, 7).unwrap();
         assert_eq!(a.steps, b.steps);
+    }
+
+    #[test]
+    fn an_invalid_workload_is_returned_unrun() {
+        let cfg = small_cfg();
+        let wl = WorkloadConfig {
+            median_lifetime_steps: f64::NAN,
+            ..small_workload(&cfg)
+        };
+        let err = simulate(cfg, &flat_power(1.0, 10), wl, 0, 1).unwrap_err();
+        assert_eq!(err.field, "median_lifetime_steps");
     }
 
     #[test]

@@ -103,7 +103,67 @@ impl Default for WorkloadConfig {
     }
 }
 
+/// A [`WorkloadConfig`] field holds a value no workload can be drawn
+/// from.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WorkloadError {
+    /// The field's name.
+    pub field: &'static str,
+    /// What is wrong with its value.
+    pub reason: String,
+}
+
+impl std::fmt::Display for WorkloadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "invalid WorkloadConfig::{}: {}", self.field, self.reason)
+    }
+}
+
+impl std::error::Error for WorkloadError {}
+
 impl WorkloadConfig {
+    /// Check every field a draw reads. Unchecked, each rejected value
+    /// runs on a silent substitute: a NaN lifetime median or σ gives
+    /// every VM a one-step lifetime, a non-finite arrival rate draws no
+    /// arrivals, and a zero lifetime cap reads as one step.
+    pub fn validate(&self) -> Result<(), WorkloadError> {
+        let bad = |field, reason: String| Err(WorkloadError { field, reason });
+        let rate = self.arrivals_per_step;
+        if !(rate.is_finite() && rate >= 0.0) {
+            return bad(
+                "arrivals_per_step",
+                format!("must be a finite, non-negative rate, not {rate}"),
+            );
+        }
+        let fraction = self.degradable_fraction;
+        if !(0.0..=1.0).contains(&fraction) {
+            return bad(
+                "degradable_fraction",
+                format!("must be a fraction in [0, 1], not {fraction}"),
+            );
+        }
+        let median = self.median_lifetime_steps;
+        if !(median.is_finite() && median > 0.0) {
+            return bad(
+                "median_lifetime_steps",
+                format!("must be a finite, positive step count, not {median}"),
+            );
+        }
+        if !self.lifetime_sigma.is_finite() {
+            return bad(
+                "lifetime_sigma",
+                format!("must be finite, not {}", self.lifetime_sigma),
+            );
+        }
+        if self.max_lifetime_steps == 0 {
+            return bad(
+                "max_lifetime_steps",
+                "the lifetime cap must be at least one step".into(),
+            );
+        }
+        Ok(())
+    }
+
     /// Expected cores per arrival under the shape mix.
     pub fn mean_cores(&self) -> f64 {
         SHAPES.iter().map(|&(c, _, p)| c as f64 * p).sum()
@@ -322,6 +382,41 @@ mod tests {
         let deg = reqs.iter().filter(|r| r.kind == VmKind::Degradable).count();
         let frac = deg as f64 / reqs.len() as f64;
         assert!((frac - 0.5).abs() < 0.08, "degradable fraction {frac}");
+    }
+
+    #[test]
+    fn invalid_fields_are_typed_errors() {
+        type Spoil = fn(&mut WorkloadConfig);
+        let cases: [(&str, Spoil); 9] = [
+            ("median_lifetime_steps", |c| {
+                c.median_lifetime_steps = f64::NAN
+            }),
+            ("median_lifetime_steps", |c| c.median_lifetime_steps = 0.0),
+            ("median_lifetime_steps", |c| {
+                c.median_lifetime_steps = f64::INFINITY
+            }),
+            ("lifetime_sigma", |c| c.lifetime_sigma = f64::NAN),
+            ("max_lifetime_steps", |c| c.max_lifetime_steps = 0),
+            ("arrivals_per_step", |c| c.arrivals_per_step = f64::INFINITY),
+            ("arrivals_per_step", |c| c.arrivals_per_step = -1.0),
+            ("degradable_fraction", |c| c.degradable_fraction = 1.5),
+            ("degradable_fraction", |c| c.degradable_fraction = f64::NAN),
+        ];
+        for (field, spoil) in cases {
+            let mut cfg = WorkloadConfig::default();
+            spoil(&mut cfg);
+            let err = cfg.validate().expect_err(field);
+            assert_eq!(err.field, field, "{err}");
+        }
+        assert_eq!(WorkloadConfig::default().validate(), Ok(()));
+        let edges = WorkloadConfig {
+            arrivals_per_step: 0.0,
+            degradable_fraction: 1.0,
+            lifetime_sigma: 0.0,
+            max_lifetime_steps: 1,
+            ..WorkloadConfig::for_cluster(28_000, 0.7)
+        };
+        assert_eq!(edges.validate(), Ok(()));
     }
 
     #[test]

@@ -118,7 +118,7 @@ fn degradable_sites_and_primitives_match_golden_digest() {
         let power = catalog.trace(site, START_DAY, DAYS);
         let cfg = ClusterConfig::default();
         let workload = degradable_workload(&cfg, vb_stats::mean(&power.values));
-        let out = simulate(cfg, &power, workload, 2 * STEPS_PER_DAY, SEED);
+        let out = simulate(cfg, &power, workload, 2 * STEPS_PER_DAY, SEED).expect("valid workload");
         assert_eq!(out.steps.len(), power.values.len());
         hibernated += out.steps.iter().map(|s| s.hibernated).sum::<usize>();
         words.extend(out.steps.iter().flat_map(step_words));

@@ -154,6 +154,42 @@ fn cluster_migration_fits_the_wan_model() {
     assert!(busy < 0.10, "site link busy {busy}");
 }
 
+// The example's WAN sizing, compiled here so the test reads the same
+// rows the example prints.
+#[path = "../examples/migration_planner.rs"]
+#[allow(dead_code)]
+mod migration_planner;
+
+#[test]
+fn migration_planner_link_sizing_is_pinned() {
+    // `migration_planner`'s default series (BE-wind, 30 days from day
+    // 60): worst transfer delay in intervals and largest backlog in GB,
+    // as the example prints them at each link capacity.
+    let catalog = Catalog::europe(SEED);
+    let power = catalog.trace("BE-wind", 60, 30);
+    let out = virtual_battery::vb_cluster::simulate_paper_site(&power, SEED);
+    let all: Vec<f64> = out
+        .out_gb()
+        .iter()
+        .zip(out.in_gb().iter())
+        .map(|(a, b)| a + b)
+        .collect();
+    for (gbps, delay, backlog) in [
+        (50.0, 6, "30639"),
+        (100.0, 3, "25014"),
+        (200.0, 1, "13764"),
+        (400.0, 0, "0"),
+    ] {
+        let (_, max_backlog, worst_delay) = migration_planner::link_sizing(&all, gbps);
+        assert_eq!(worst_delay, delay, "worst delay at {gbps} Gbps");
+        assert_eq!(
+            format!("{max_backlog:.0}"),
+            backlog,
+            "largest backlog at {gbps} Gbps"
+        );
+    }
+}
+
 #[test]
 fn mip_policy_solves_exactly_throughout_a_run() {
     let catalog = Catalog::europe(SEED);

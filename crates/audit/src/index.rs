@@ -10,13 +10,20 @@
 //!
 //! The determinism rule family uses the index one way: compute the set
 //! of functions **reachable from output-affecting entry points**
-//! (`Policy::plan`, `GroupSim::step`, the fleet driver's `build_fleet`
-//! and `run_fleet`, `solve_mip_kernel`, and every function in a
-//! bench-root file — the paper-figure loops),
+//! (`Policy::plan`, every `step` method such as `Cluster::step`, the
+//! fleet driver's `build_fleet` and `run_fleet`, `solve_mip_kernel`,
+//! and every function in a bench-root file — the paper-figure loops),
 //! then flag nondeterminism sources only inside those extents (plus,
 //! for `unordered-iter`, anywhere in the deterministic-core crates,
 //! where struct fields feed schedules without passing through a
 //! function body).
+//!
+//! A method call on a value of another crate's type is not resolved:
+//! `run_fleet`'s `sim.run(policy)` adds no edge, so of `GroupSim`'s
+//! methods only `new` is reachable, and the step core behind `run` is
+//! not. The determinism family checks the step core only because
+//! [`crate::spec_for`] makes `crates/sched/src/` deterministic core,
+//! whole files at a time.
 
 use crate::tokens::{is_keyword, Tok, TokKind};
 use std::collections::{BTreeMap, BTreeSet};

@@ -11,9 +11,13 @@
 //! 2. **Workspace symbol index** ([`index`]) — `fn`/`struct`/`impl`
 //!    definitions, `use` imports and a lightweight call graph, built in
 //!    one pass over all crates, with taint reachability from the
-//!    output-affecting entry points (`Policy::plan`, `GroupSim::step`,
-//!    `build_fleet`, `run_fleet`, `solve_mip_kernel`, the bench figure
-//!    loops).
+//!    output-affecting entry points (`Policy::plan`, `step` methods
+//!    such as `Cluster::step`, `build_fleet`, `run_fleet`,
+//!    `solve_mip_kernel`, the bench figure loops). Cross-crate method
+//!    calls are not resolved, so no entry point reaches the step core
+//!    (`GroupSim::run` and what it calls); the determinism rules cover
+//!    it because its crate is whole-file deterministic core
+//!    ([`spec_for`]).
 //!
 //! The rules ([`rules`]) run on top: the per-line lexical lints, the
 //! determinism family (`unordered-iter`, `wallclock-in-logic`,

@@ -8,12 +8,12 @@
 //! [counters]
 //! "solver.pivots" = "total simplex pivots across all solves"
 //!
-//! [gauges]
-//! "net.wan_busy_fraction" = "fraction of wall-clock the WAN link is busy"
+//! [histograms]
+//! "solver.nnz" = "nonzeros in the LP constraint matrix"
 //! ```
 //!
 //! Section names are the metric kinds (`counters`, `float_counters`,
-//! `gauges`, `histograms`, `spans`, `events`, `series`); keys are the declared
+//! `histograms`, `spans`, `events`, `series`); keys are the declared
 //! metric names. Every telemetry call site in the workspace must name a
 //! metric declared under the matching kind.
 
@@ -35,7 +35,6 @@ pub struct ManifestAllow {
 pub const KINDS: &[&str] = &[
     "counters",
     "float_counters",
-    "gauges",
     "histograms",
     "spans",
     "events",

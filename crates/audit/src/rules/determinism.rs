@@ -19,12 +19,15 @@
 //! |                      | float combining in completion order is non-associative  |
 //!
 //! Scope: a line is checked when it sits inside the extent of a
-//! *tainted* function (reachable from `Policy::plan`, `GroupSim::step`,
-//! `build_fleet`, `run_fleet`, `solve_mip_kernel`, or a bench figure
-//! loop), or — for
+//! *tainted* function (reachable from `Policy::plan`, a `step` method
+//! such as `Cluster::step`, `build_fleet`, `run_fleet`,
+//! `solve_mip_kernel`, or a bench figure loop), or — for
 //! every rule here — anywhere in a deterministic-core crate
 //! (`spec.det_core`), where struct fields and module-level items feed
-//! the same outputs without sitting inside a function body. Sanctioned
+//! the same outputs without sitting inside a function body. The step
+//! core (`GroupSim::run` and what it calls) is checked only this second
+//! way: the index does not resolve `run_fleet`'s cross-crate
+//! `sim.run(policy)`, so no entry point reaches it. Sanctioned
 //! layers opt out per rule: `vb-telemetry` owns wall-clock timing,
 //! `vb-par` owns thread-count partitioning, the bench harness owns its
 //! env configuration.

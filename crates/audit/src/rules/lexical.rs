@@ -210,7 +210,6 @@ pub(crate) fn metric_call_sites(scanned: &crate::scanner::Scanned) -> Vec<Metric
     const PATTERNS: &[(&str, &str)] = &[
         ("float_counter!(", "float_counters"),
         ("counter!(", "counters"),
-        ("gauge!(", "gauges"),
         ("histogram!(", "histograms"),
         ("span!(", "spans"),
         ("vb_telemetry::event(", "events"),

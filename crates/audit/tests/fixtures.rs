@@ -16,8 +16,6 @@ const FIXTURE_MANIFEST: &str = r#"
 
 [float_counters]
 "fixture.volume_gb" = "volume"
-
-[gauges]
 "fixture.level" = "level"
 
 [histograms]
@@ -124,7 +122,7 @@ fn metric_name_positive() {
     );
     assert!(
         findings[1].message.contains("fixture.level"),
-        "gauge used as histogram: {}",
+        "float counter used as histogram: {}",
         findings[1]
     );
     assert!(
@@ -270,6 +268,19 @@ fn no_panic_covers_the_hot_path_crates_and_vb_stats() {
         "crates/solver/src/branch.rs",
     ] {
         assert!(!vb_audit::spec_for(rel).no_panic, "{rel} is out of scope");
+    }
+}
+
+#[test]
+fn the_step_cores_are_deterministic_core_files() {
+    // No taint root reaches `GroupSim`'s step core (the index does not
+    // resolve `run_fleet`'s cross-crate `sim.run(policy)`), so the
+    // determinism family checks it only through this whole-file scope.
+    for rel in ["crates/sched/src/sim.rs", "crates/cluster/src/cluster.rs"] {
+        assert!(
+            vb_audit::spec_for(rel).det_core,
+            "{rel} is deterministic core"
+        );
     }
 }
 

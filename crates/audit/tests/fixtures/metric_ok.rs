@@ -4,7 +4,7 @@ pub fn tick(n: f64) {
     let _span = vb_telemetry::span!("fixture.step");
     vb_telemetry::counter!("fixture.ticks").inc();
     vb_telemetry::float_counter!("fixture.volume_gb").add(n);
-    vb_telemetry::gauge!("fixture.level").set(n);
+    vb_telemetry::float_counter!("fixture.level").add(n);
     vb_telemetry::histogram!("fixture.latency_ms").record(n);
     vb_telemetry::event("fixture.done", &[]);
 }

@@ -58,9 +58,6 @@ pub fn run(seed: u64) -> Fig4Report {
 
     // The three-month per-source simulations are independent; run them
     // in parallel (the Fig 4a week run above is cheap by comparison).
-    // Everything after the simulation runs here, in source order, so
-    // last-value gauges such as `net.wan_busy_fraction` do not depend on
-    // which worker finishes last.
     const SOURCES: [(&str, &str); 2] = [("wind", "BE-wind"), ("solar", "BE-solar")];
     let runs = vb_par::par_map(SOURCES, |(_, name)| {
         let power = catalog.trace(name, 60, 90); // 3 months from March

@@ -191,12 +191,6 @@ fn print_summary(report: &RunReport) {
             println!("{name:<36} {value:>14.2}");
         }
     }
-    if !snap.gauges.is_empty() {
-        println!("\n== telemetry: gauges ==");
-        for (name, value) in &snap.gauges {
-            println!("{name:<36} {value:>14.4}");
-        }
-    }
 }
 
 fn fmt_ns(ns: u64) -> String {

@@ -7,8 +7,6 @@
 //! Exact enumeration is fine at fleet scale: the paper's graphs have
 //! tens of nodes (ELIA has 25 sites), and enumeration only extends
 //! cliques through ascending node ids, so each clique is produced once.
-//! A Bron–Kerbosch maximal-clique enumerator is provided as well for
-//! callers that want the coarsest grouping.
 
 use crate::graph::SiteGraph;
 use vb_stats::{coefficient_of_variation, TimeSeries};
@@ -47,53 +45,6 @@ fn extend_cliques(
             extend_cliques(graph, k, v + 1, current, out);
             current.pop();
         }
-    }
-}
-
-/// Enumerate all *maximal* cliques (Bron–Kerbosch with pivoting).
-pub fn maximal_cliques(graph: &SiteGraph) -> Vec<Vec<usize>> {
-    let n = graph.len();
-    let mut out = Vec::new();
-    let mut r = Vec::new();
-    let p: Vec<usize> = (0..n).collect();
-    bron_kerbosch(graph, &mut r, p, Vec::new(), &mut out);
-    out
-}
-
-fn bron_kerbosch(
-    graph: &SiteGraph,
-    r: &mut Vec<usize>,
-    mut p: Vec<usize>,
-    mut x: Vec<usize>,
-    out: &mut Vec<Vec<usize>>,
-) {
-    if p.is_empty() && x.is_empty() {
-        let mut clique = r.clone();
-        clique.sort_unstable();
-        out.push(clique);
-        return;
-    }
-    // Pivot on the vertex of P ∪ X with the most neighbors in P.
-    let pivot = p
-        .iter()
-        .chain(x.iter())
-        .copied()
-        .max_by_key(|&u| p.iter().filter(|&&v| graph.is_edge(u, v)).count())
-        // vb-audit: allow(no-panic, the p.is_empty() && x.is_empty() early return above makes the chain non-empty)
-        .expect("P ∪ X non-empty");
-    let candidates: Vec<usize> = p
-        .iter()
-        .copied()
-        .filter(|&v| !graph.is_edge(pivot, v))
-        .collect();
-    for v in candidates {
-        r.push(v);
-        let p2 = p.iter().copied().filter(|&u| graph.is_edge(u, v)).collect();
-        let x2 = x.iter().copied().filter(|&u| graph.is_edge(u, v)).collect();
-        bron_kerbosch(graph, r, p2, x2, out);
-        r.pop();
-        p.retain(|&u| u != v);
-        x.push(v);
     }
 }
 
@@ -188,14 +139,6 @@ mod tests {
                 assert!(c.windows(2).all(|w| w[0] < w[1]), "sorted, unique");
             }
         }
-    }
-
-    #[test]
-    fn maximal_cliques_of_the_dense_graph() {
-        let g = dense_graph();
-        let mut cliques = maximal_cliques(&g);
-        cliques.sort();
-        assert_eq!(cliques, vec![vec![0, 1, 2, 3], vec![4]]);
     }
 
     #[test]

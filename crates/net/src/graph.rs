@@ -82,11 +82,6 @@ impl SiteGraph {
         self.rtt[i][j]
     }
 
-    /// Neighbors of node `i` in ascending order.
-    pub fn neighbors(&self, i: usize) -> Vec<usize> {
-        (0..self.len()).filter(|&j| self.adj[i][j]).collect()
-    }
-
     /// Do the given nodes form a clique (pairwise connected)?
     pub fn is_clique(&self, nodes: &[usize]) -> bool {
         for (a, &i) in nodes.iter().enumerate() {
@@ -148,9 +143,8 @@ mod tests {
     }
 
     #[test]
-    fn neighbors_and_cliques() {
+    fn is_clique_checks_every_pair() {
         let g = triangle_plus_outlier();
-        assert_eq!(g.neighbors(0), vec![1, 2]);
         assert!(g.is_clique(&[0, 1, 2]));
         assert!(!g.is_clique(&[0, 1, 3]));
         assert!(g.is_clique(&[2]), "singletons are trivially cliques");

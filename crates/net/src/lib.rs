@@ -17,16 +17,14 @@
 //!   arguments: "a 10 terabyte spike requires ≈200 Gbps network capacity
 //!   … roughly 40 % of the share of WAN capacity per site" (§3) and
 //!   "migration occurs only 2–4 % of the time assuming 200 Gbps WAN link
-//!   per VB site" (§5).
-//! * [`flow`] — a store-and-forward transfer simulator for migration
-//!   bursts over a constrained link (backlog, completion latency).
+//!   per VB site" (§5). Its one site-link queue gives the link's busy
+//!   time, and per interval its backlog and each migration burst's
+//!   first-in-first-out delay.
 
 pub mod clique;
-pub mod flow;
 pub mod graph;
 pub mod wan;
 
-pub use clique::{k_cliques, maximal_cliques, rank_cliques_by_cov, CliqueScore};
-pub use flow::LinkSimulator;
+pub use clique::{k_cliques, rank_cliques_by_cov, CliqueScore};
 pub use graph::SiteGraph;
-pub use wan::WanModel;
+pub use wan::{QueueStep, WanModel};

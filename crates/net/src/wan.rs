@@ -10,9 +10,27 @@
 //!   link with 50 terabits/sec capacity."
 //! * §5: "migration occurs only 2-4 % of the time assuming 200 Gbps WAN
 //!   link per VB site."
+//!
+//! The site link is one fluid queue, [`WanModel::busy_profile`]: each
+//! interval's burst joins the backlog, and the link drains at most one
+//! interval's worth of seconds. [`WanModel::queue`] reads the same
+//! queue per interval: the GB still queued, and how many intervals each
+//! burst waited when bursts drain first in, first out.
 
 /// Gigabytes → gigabits.
 const GBIT_PER_GBYTE: f64 = 8.0;
+
+/// The site link's queue after one interval (see [`WanModel::queue`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct QueueStep {
+    /// GB still queued after the interval.
+    pub backlog_gb: f64,
+    /// Intervals from the one that offered a burst to the one in which
+    /// its last GB drained (0: it drained within its own interval).
+    /// `None` when the interval offered nothing, or its burst is still
+    /// queued after the last interval.
+    pub delay_intervals: Option<u64>,
+}
 
 /// Per-site WAN model.
 #[derive(Debug, Clone)]
@@ -102,6 +120,71 @@ impl WanModel {
         (busy, backlog)
     }
 
+    /// The queue behind [`busy_profile`](Self::busy_profile), read
+    /// after each interval: its backlog in GB, and the FIFO delay of the
+    /// burst the interval offered.
+    ///
+    /// One pass over `busy_profile`'s drained seconds. The backlog is the
+    /// seconds offered less the seconds drained, taken in
+    /// `busy_profile`'s own order so that it is exactly zero whenever that
+    /// queue empties, and converted to GB at the link rate. Bursts drain
+    /// in arrival order, so a burst has drained once the seconds drained
+    /// since the link was last idle reach the seconds offered since then
+    /// up to and including it, or once the queue is empty.
+    ///
+    /// A link that cannot drain — a non-positive or NaN `site_link_gbps`
+    /// or `interval_secs` — keeps every burst: the backlog after each
+    /// interval is all the GB offered so far, and no burst drains.
+    pub fn queue(&self, gb_per_interval: &[f64], interval_secs: f64) -> Vec<QueueStep> {
+        if !(self.site_link_gbps > 0.0 && interval_secs > 0.0) {
+            let mut queued = 0.0;
+            return gb_per_interval
+                .iter()
+                .map(|&gb| {
+                    queued += gb.max(0.0);
+                    QueueStep {
+                        backlog_gb: queued,
+                        delay_intervals: None,
+                    }
+                })
+                .collect();
+        }
+        let (busy, _leftover) = self.busy_profile(gb_per_interval, interval_secs);
+        let gb_per_sec = self.site_link_gbps / GBIT_PER_GBYTE;
+        let mut steps = Vec::with_capacity(gb_per_interval.len());
+        // Seconds queued; seconds drained since the link was last idle,
+        // and seconds offered since then by the bursts that have drained.
+        let (mut backlog, mut drained, mut offered) = (0.0_f64, 0.0_f64, 0.0_f64);
+        // The oldest interval whose burst may still be queued.
+        let mut head = 0;
+        for (k, (&gb, &secs)) in gb_per_interval.iter().zip(&busy).enumerate() {
+            backlog += self.drain_secs(gb);
+            backlog -= secs;
+            drained += secs;
+            steps.push(QueueStep {
+                backlog_gb: backlog * gb_per_sec,
+                delay_intervals: None,
+            });
+            while head <= k {
+                let burst_gb = gb_per_interval[head];
+                let burst = self.drain_secs(burst_gb);
+                if burst_gb > 0.0 {
+                    if !(backlog == 0.0 || drained >= offered + burst) {
+                        break;
+                    }
+                    steps[head].delay_intervals = Some((k - head) as u64);
+                }
+                offered += burst;
+                head += 1;
+            }
+            if backlog == 0.0 {
+                drained = 0.0;
+                offered = 0.0;
+            }
+        }
+        steps
+    }
+
     /// Fraction of wall-clock time the site link is busy migrating,
     /// given per-interval migration volumes (GB per `interval_secs`).
     /// This is the §5 "2-4 % of the time" statistic.
@@ -119,9 +202,7 @@ impl WanModel {
         let total_busy: f64 = busy.iter().sum();
         // Each interval's busy time is ≤ interval_secs, but summation
         // rounding can push the ratio a couple of ulps past 1.0.
-        let fraction = (total_busy / (gb_per_interval.len() as f64 * interval_secs)).min(1.0);
-        vb_telemetry::gauge!("net.wan_busy_fraction").set(fraction);
-        fraction
+        (total_busy / (gb_per_interval.len() as f64 * interval_secs)).min(1.0)
     }
 }
 
@@ -194,6 +275,78 @@ mod tests {
         for &b in &busy {
             assert!((0.0..=900.0).contains(&b));
         }
+    }
+
+    /// Each interval's FIFO delay. The default 200 Gbps link moves
+    /// 22 500 GB per 900 s interval.
+    fn delays(steps: &[QueueStep]) -> Vec<Option<u64>> {
+        steps.iter().map(|s| s.delay_intervals).collect()
+    }
+
+    #[test]
+    fn a_small_burst_drains_within_its_interval() {
+        let steps = WanModel::default().queue(&[1_000.0, 0.0], 900.0);
+        assert_eq!(steps[0].backlog_gb, 0.0);
+        assert_eq!(delays(&steps), vec![Some(0), None]);
+    }
+
+    #[test]
+    fn an_oversized_burst_queues_and_waits() {
+        // 50 000 GB needs about 2.2 intervals.
+        let steps = WanModel::default().queue(&[50_000.0, 0.0, 0.0, 0.0], 900.0);
+        assert!((steps[0].backlog_gb - 27_500.0).abs() < 1e-9);
+        assert!((steps[1].backlog_gb - 5_000.0).abs() < 1e-9);
+        assert_eq!(steps[2].backlog_gb, 0.0);
+        assert_eq!(delays(&steps), vec![Some(2), None, None, None]);
+    }
+
+    #[test]
+    fn bursts_drain_first_in_first_out() {
+        // 7 500 GB of the first burst waits; both finish in the second
+        // interval, and the first waited one interval.
+        let steps = WanModel::default().queue(&[30_000.0, 10_000.0], 900.0);
+        assert_eq!(delays(&steps), vec![Some(1), Some(0)]);
+        // A burst that exactly fills two intervals drains at the end of
+        // the second; the burst behind it waits one more.
+        let steps = WanModel::default().queue(&[45_000.0, 11_250.0, 0.0], 900.0);
+        assert_eq!(delays(&steps), vec![Some(1), Some(1), None]);
+        assert_eq!(steps[1].backlog_gb, 11_250.0);
+    }
+
+    #[test]
+    fn queue_conserves_volume() {
+        let wan = WanModel::default();
+        let offered = [40_000.0, 0.0, 10_000.0, 0.0, 0.0, 5_000.0, 0.0, 90_000.0];
+        let steps = wan.queue(&offered, 900.0);
+        let (busy, leftover) = wan.busy_profile(&offered, 900.0);
+        let drained_gb: f64 = busy.iter().sum::<f64>() * 25.0;
+        let total: f64 = offered.iter().sum();
+        let last = steps[steps.len() - 1];
+        assert!((drained_gb + last.backlog_gb - total).abs() < 1e-6);
+        assert!((last.backlog_gb - leftover * 25.0).abs() < 1e-6);
+        assert_eq!(last.delay_intervals, None, "the last burst is still queued");
+    }
+
+    #[test]
+    fn a_link_that_cannot_drain_keeps_every_burst() {
+        let offered = [1_000.0, 0.0, -5.0, 2_500.0];
+        let backlog = [1_000.0, 1_000.0, 1_000.0, 3_500.0];
+        let stuck = |steps: Vec<QueueStep>| {
+            assert_eq!(
+                steps.iter().map(|s| s.backlog_gb).collect::<Vec<_>>(),
+                backlog
+            );
+            assert!(steps.iter().all(|s| s.delay_intervals.is_none()));
+        };
+        for bad in [0.0, -200.0, f64::NAN] {
+            let wan = WanModel {
+                site_link_gbps: bad,
+                ..WanModel::default()
+            };
+            stuck(wan.queue(&offered, 900.0));
+            stuck(WanModel::default().queue(&offered, bad));
+        }
+        assert!(WanModel::default().queue(&[], 900.0).is_empty());
     }
 
     #[test]

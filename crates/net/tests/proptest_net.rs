@@ -1,8 +1,39 @@
 //! Property tests for the site graph, clique enumeration and link model.
 
 use proptest::prelude::*;
-use vb_net::{k_cliques, maximal_cliques, LinkSimulator, SiteGraph, WanModel};
+use vb_net::{k_cliques, SiteGraph, WanModel};
 use vb_trace::Site;
+
+/// A per-transfer FIFO link: each interval's burst joins the back of the
+/// queue, and the link drains `capacity_gb` per interval from the front.
+/// Returns the backlog after each interval and, for each interval that
+/// offered a burst and saw it drain, how many intervals it waited.
+fn fifo_reference(offered_gb: &[f64], capacity_gb: f64) -> (Vec<f64>, Vec<Option<u64>>) {
+    // (remaining GB, interval enqueued)
+    let mut queue: std::collections::VecDeque<(f64, usize)> = Default::default();
+    let mut backlog = Vec::new();
+    let mut delay = vec![None; offered_gb.len()];
+    for (k, &gb) in offered_gb.iter().enumerate() {
+        if gb > 0.0 {
+            queue.push_back((gb, k));
+        }
+        let mut budget = capacity_gb;
+        while budget > 1e-12 {
+            let Some(front) = queue.front_mut() else {
+                break;
+            };
+            let take = front.0.min(budget);
+            front.0 -= take;
+            budget -= take;
+            if front.0 <= 1e-12 {
+                delay[front.1] = Some((k - front.1) as u64);
+                queue.pop_front();
+            }
+        }
+        backlog.push(queue.iter().map(|t| t.0).sum());
+    }
+    (backlog, delay)
+}
 
 fn arb_sites(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Site>> {
     proptest::collection::vec((36.0..66.0f64, -10.0..26.0f64), n).prop_map(|coords| {
@@ -65,27 +96,6 @@ proptest! {
     }
 
     #[test]
-    fn maximal_cliques_cover_every_vertex(sites in arb_sites(2..10)) {
-        let g = SiteGraph::build(sites, 40.0);
-        let cliques = maximal_cliques(&g);
-        let mut covered = vec![false; g.len()];
-        for c in &cliques {
-            prop_assert!(g.is_clique(c));
-            for &v in c {
-                covered[v] = true;
-            }
-            // Maximality: no vertex outside extends the clique.
-            for v in 0..g.len() {
-                if !c.contains(&v) {
-                    let extends = c.iter().all(|&u| g.is_edge(u, v));
-                    prop_assert!(!extends, "clique {c:?} extendable by {v}");
-                }
-            }
-        }
-        prop_assert!(covered.iter().all(|&b| b), "isolated vertices are maximal 1-cliques");
-    }
-
-    #[test]
     fn diameter_bounds_member_rtts(sites in arb_sites(3..10)) {
         let g = SiteGraph::build(sites, 45.0);
         for c in k_cliques(&g, 3) {
@@ -104,15 +114,54 @@ proptest! {
         bursts in proptest::collection::vec(0.0..30_000.0f64, 1..30),
         gbps in 50.0..400.0f64,
     ) {
-        let mut link = LinkSimulator::new(gbps, 900.0);
-        link.run(&bursts);
-        // Idle long enough: backlog must reach zero.
+        // Idle long enough: the backlog must reach zero, and every burst
+        // must have drained.
+        let wan = WanModel { site_link_gbps: gbps, ..WanModel::default() };
         let total: f64 = bursts.iter().sum();
-        let intervals_needed = (total / link.capacity_gb()).ceil() as usize + 1;
-        for _ in 0..intervals_needed {
-            link.step(0.0);
+        let capacity_gb = gbps * 900.0 / 8.0;
+        let intervals_needed = (total / capacity_gb).ceil() as usize + 1;
+        let mut offered = bursts.clone();
+        offered.resize(bursts.len() + intervals_needed, 0.0);
+        let steps = wan.queue(&offered, 900.0);
+        let last = steps[steps.len() - 1];
+        prop_assert_eq!(last.backlog_gb, 0.0);
+        for (gb, step) in offered.iter().zip(&steps) {
+            prop_assert_eq!(step.delay_intervals.is_some(), *gb > 0.0);
         }
-        prop_assert!(link.backlog_gb() < 1e-6, "backlog {}", link.backlog_gb());
+    }
+
+    #[test]
+    fn queue_matches_a_per_transfer_fifo(
+        gbps in 1u32..800,
+        interval in 60u32..3_600,
+        // (kind, whole intervals, volume): kind 0 offers nothing, kind 1
+        // a burst of exactly `whole` intervals' capacity, kind 2 `volume`.
+        bursts in proptest::collection::vec((0u8..3, 1u32..4, 0.0..1.0f64), 1..60),
+    ) {
+        // Whole-number rates and intervals keep a whole-interval burst
+        // exact in GB and in seconds, so both models see it end on the
+        // interval boundary.
+        let (gbps, interval) = (f64::from(gbps), f64::from(interval));
+        let capacity_gb = gbps * interval / 8.0;
+        let offered: Vec<f64> = bursts
+            .iter()
+            .map(|&(kind, whole, volume)| match kind {
+                0 => 0.0,
+                1 => f64::from(whole) * capacity_gb,
+                _ => volume * 3.0 * capacity_gb,
+            })
+            .collect();
+        let wan = WanModel { site_link_gbps: gbps, ..WanModel::default() };
+        let steps = wan.queue(&offered, interval);
+        let (backlog, delay) = fifo_reference(&offered, capacity_gb);
+        prop_assert_eq!(steps.len(), offered.len());
+        for (k, step) in steps.iter().enumerate() {
+            prop_assert_eq!(step.delay_intervals, delay[k], "delay of burst {}", k);
+            prop_assert!(
+                (step.backlog_gb - backlog[k]).abs() <= 1e-6 * backlog[k].max(1.0),
+                "backlog after {k}: {} vs {}", step.backlog_gb, backlog[k]
+            );
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Zero-dependency observability for the virtual-battery workspace:
 //!
-//! * **Metrics** — [`counter!`], [`float_counter!`], [`gauge!`] and
-//!   [`histogram!`] resolve a name to a process-global metric once per
+//! * **Metrics** — [`counter!`], [`float_counter!`] and [`histogram!`]
+//!   resolve a name to a process-global metric once per
 //!   call site (cached in a static), then update it with a single atomic
 //!   operation. No locks on the hot path.
 //! * **Spans** — [`span!`] returns an RAII guard that times the enclosed
@@ -55,13 +55,13 @@ mod metrics;
 mod registry;
 mod span;
 
-pub use metrics::{Counter, FloatCounter, Gauge, Histogram};
+pub use metrics::{Counter, FloatCounter, Histogram};
 pub use registry::{event, events, global, reset, snapshot, Registry};
 pub use span::SpanGuard;
 
 #[doc(hidden)]
 pub mod cells {
-    pub use crate::metrics::{CounterCell, FloatCounterCell, GaugeCell, HistogramCell};
+    pub use crate::metrics::{CounterCell, FloatCounterCell, HistogramCell};
 }
 
 /// Monotonic counter handle for the named metric.
@@ -81,15 +81,6 @@ macro_rules! counter {
 macro_rules! float_counter {
     ($name:expr) => {{
         static __VB_CELL: $crate::cells::FloatCounterCell = $crate::cells::FloatCounterCell::new();
-        __VB_CELL.get($name)
-    }};
-}
-
-/// Last-value gauge handle (e.g. current utilization).
-#[macro_export]
-macro_rules! gauge {
-    ($name:expr) => {{
-        static __VB_CELL: $crate::cells::GaugeCell = $crate::cells::GaugeCell::new();
         __VB_CELL.get($name)
     }};
 }

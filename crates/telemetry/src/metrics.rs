@@ -1,5 +1,5 @@
 //! Atomic metric primitives and the per-call-site caching cells the
-//! `counter!` / `gauge!` / `histogram!` macros expand to.
+//! `counter!` / `float_counter!` / `histogram!` macros expand to.
 
 use crate::snapshot::HistogramSnapshot;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -123,42 +123,6 @@ impl FloatCounter {
 
     pub(crate) fn reset(&self) {
         self.sum.reset();
-    }
-}
-
-/// Last-value gauge (bits stored in an `AtomicU64`).
-#[derive(Debug)]
-pub struct Gauge {
-    bits: AtomicU64,
-}
-
-impl Default for Gauge {
-    fn default() -> Gauge {
-        Gauge {
-            bits: AtomicU64::new(0f64.to_bits()),
-        }
-    }
-}
-
-impl Gauge {
-    pub(crate) fn new() -> Gauge {
-        Gauge::default()
-    }
-
-    /// Overwrite the value.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-
-    pub(crate) fn reset(&self) {
-        self.bits.store(0f64.to_bits(), Ordering::Relaxed);
     }
 }
 
@@ -288,7 +252,6 @@ macro_rules! metric_cell {
 
 metric_cell!(CounterCell, Counter, counter);
 metric_cell!(FloatCounterCell, FloatCounter, float_counter);
-metric_cell!(GaugeCell, Gauge, gauge);
 
 /// Per-call-site cache for histograms; carries optional custom bounds.
 pub struct HistogramCell(OnceLock<Arc<Histogram>>);

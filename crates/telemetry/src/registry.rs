@@ -1,7 +1,7 @@
 //! Process-global metric registry, span aggregates, and the structured
 //! event stream.
 
-use crate::metrics::{Counter, FloatCounter, Gauge, Histogram, DEFAULT_BOUNDS};
+use crate::metrics::{Counter, FloatCounter, Histogram, DEFAULT_BOUNDS};
 use crate::report::{Event, Json};
 use crate::snapshot::{Snapshot, SpanStat};
 use std::collections::HashMap;
@@ -24,7 +24,6 @@ fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct Registry {
     counters: Mutex<HashMap<&'static str, Arc<Counter>>>,
     float_counters: Mutex<HashMap<&'static str, Arc<FloatCounter>>>,
-    gauges: Mutex<HashMap<&'static str, Arc<Gauge>>>,
     histograms: Mutex<HashMap<&'static str, Arc<Histogram>>>,
     spans: Mutex<HashMap<&'static str, SpanStat>>,
     events: Mutex<Vec<Event>>,
@@ -44,12 +43,6 @@ impl Registry {
             map.entry(name)
                 .or_insert_with(|| Arc::new(FloatCounter::new())),
         )
-    }
-
-    /// Get or create the named gauge.
-    pub fn gauge(&self, name: &'static str) -> Arc<Gauge> {
-        let mut map = lock_or_recover(&self.gauges);
-        Arc::clone(map.entry(name).or_insert_with(|| Arc::new(Gauge::new())))
     }
 
     /// Get or create the named histogram. `bounds` applies only on first
@@ -102,10 +95,6 @@ impl Registry {
                 .iter()
                 .map(|(&n, c)| (n.to_string(), c.get()))
                 .collect(),
-            gauges: lock_or_recover(&self.gauges)
-                .iter()
-                .map(|(&n, g)| (n.to_string(), g.get()))
-                .collect(),
             histograms: lock_or_recover(&self.histograms)
                 .iter()
                 .map(|(&n, h)| (n.to_string(), h.snapshot()))
@@ -117,7 +106,6 @@ impl Registry {
         };
         snap.counters.sort_by(|a, b| a.0.cmp(&b.0));
         snap.float_counters.sort_by(|a, b| a.0.cmp(&b.0));
-        snap.gauges.sort_by(|a, b| a.0.cmp(&b.0));
         snap.histograms.sort_by(|a, b| a.0.cmp(&b.0));
         snap.spans.sort_by(|a, b| a.0.cmp(&b.0));
         snap
@@ -132,9 +120,6 @@ impl Registry {
         }
         for c in lock_or_recover(&self.float_counters).values() {
             c.reset();
-        }
-        for g in lock_or_recover(&self.gauges).values() {
-            g.reset();
         }
         for h in lock_or_recover(&self.histograms).values() {
             h.reset();

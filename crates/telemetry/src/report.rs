@@ -496,7 +496,6 @@ impl RunReport {
                 ),
             ),
             ("float_counters".into(), num_map(&snap.float_counters)),
-            ("gauges".into(), num_map(&snap.gauges)),
             (
                 "histograms".into(),
                 Json::Obj(
@@ -704,10 +703,6 @@ fn parse_snapshot(value: &Json, offset: usize) -> Result<Snapshot, ParseError> {
     for (name, v) in obj_pairs("float_counters")? {
         let v = v.as_f64().ok_or_else(|| invalid("bad float counter"))?;
         snap.float_counters.push((name, v));
-    }
-    for (name, v) in obj_pairs("gauges")? {
-        let v = v.as_f64().ok_or_else(|| invalid("bad gauge"))?;
-        snap.gauges.push((name, v));
     }
     for (name, h) in obj_pairs("histograms")? {
         let f64_arr = |key: &str| -> Result<Vec<f64>, ParseError> {

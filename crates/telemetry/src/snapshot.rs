@@ -6,7 +6,6 @@
 pub struct Snapshot {
     pub counters: Vec<(String, u64)>,
     pub float_counters: Vec<(String, f64)>,
-    pub gauges: Vec<(String, f64)>,
     pub histograms: Vec<(String, HistogramSnapshot)>,
     pub spans: Vec<(String, SpanStat)>,
 }
@@ -26,11 +25,6 @@ impl Snapshot {
             .iter()
             .find(|(n, _)| n == name)
             .map(|&(_, v)| v)
-    }
-
-    /// Look up a gauge by name.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
 
     /// Look up a histogram by name.

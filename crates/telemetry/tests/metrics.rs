@@ -4,7 +4,7 @@
 //! Metric names are unique per test: the registry is process-global and
 //! the test harness runs tests concurrently in one process.
 
-use vb_telemetry::{counter, float_counter, gauge, histogram, span};
+use vb_telemetry::{counter, float_counter, histogram, span};
 
 #[test]
 fn counter_counts_and_saturates() {
@@ -98,16 +98,6 @@ fn float_sums_do_not_depend_on_the_order_of_their_terms() {
     assert_eq!(c.get(), 3.0);
     c.add(-3.5);
     assert_eq!(c.get(), -0.5);
-}
-
-#[test]
-fn gauge_keeps_the_last_value() {
-    let g = gauge!("test.gauge.last");
-    g.set(0.25);
-    g.set(0.75);
-    assert_eq!(g.get(), 0.75);
-    g.set(-3.5);
-    assert_eq!(g.get(), -3.5);
 }
 
 #[test]

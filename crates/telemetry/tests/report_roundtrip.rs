@@ -8,14 +8,13 @@ use vb_telemetry::{Json, RunReport};
 
 #[test]
 fn capture_serialize_parse_roundtrip() {
-    use vb_telemetry::{counter, event, float_counter, gauge, histogram, span};
+    use vb_telemetry::{counter, event, float_counter, histogram, span};
 
     vb_telemetry::reset();
     {
         let _run = span!("roundtrip.run");
         counter!("roundtrip.steps").add(7);
         float_counter!("roundtrip.gb_moved").add(12.625);
-        gauge!("roundtrip.utilization").set(0.6875);
         static BOUNDS: [f64; 3] = [1.0, 8.0, 64.0];
         for v in [0.5, 3.0, 9.0, 100.0] {
             histogram!("roundtrip.batch", &BOUNDS).observe(v);
@@ -41,7 +40,6 @@ fn capture_serialize_parse_roundtrip() {
         report.snapshot.float_counter("roundtrip.gb_moved"),
         Some(12.625)
     );
-    assert_eq!(report.snapshot.gauge("roundtrip.utilization"), Some(0.6875));
     let hist = report.snapshot.histogram("roundtrip.batch").expect("hist");
     assert_eq!(hist.counts, vec![1, 1, 1, 1]);
     assert!(report.snapshot.span("roundtrip.run").is_some());
@@ -60,7 +58,7 @@ fn parser_accepts_hand_written_reports() {
     let text = concat!(
         "{\"type\":\"event\",\"seq\":0,\"kind\":\"start\",\"fields\":{\"note\":\"a \\\"quoted\\\" name\",\"ok\":true,\"x\":null}}\n",
         "{\"type\":\"summary\",\"name\":\"hand\",\"counters\":{\"c\":3},",
-        "\"float_counters\":{\"f\":1.5},\"gauges\":{},",
+        "\"float_counters\":{\"f\":1.5},",
         "\"histograms\":{\"h\":{\"bounds\":[1.0,2.0],\"counts\":[1,0,2],\"count\":3,\"sum\":7.5,\"min\":0.5,\"max\":4.0}},",
         "\"spans\":{\"s\":{\"count\":2,\"total_ns\":100,\"min_ns\":40,\"max_ns\":60}}}\n",
     );
@@ -92,7 +90,6 @@ fn zero_event_reports_with_nonempty_snapshots_roundtrip() {
         snapshot: Snapshot {
             counters: vec![("quiet.steps".to_string(), 42)],
             float_counters: vec![("quiet.gb".to_string(), 0.0)],
-            gauges: vec![("quiet.util".to_string(), 0.25)],
             histograms: vec![(
                 "quiet.empty_hist".to_string(),
                 HistogramSnapshot {
@@ -198,7 +195,7 @@ fn parser_rejects_malformed_input() {
         RunReport::parse_jsonl("not json at all\n").is_err(),
         "not JSON"
     );
-    let dup = "{\"type\":\"summary\",\"name\":\"a\",\"counters\":{},\"float_counters\":{},\"gauges\":{},\"histograms\":{},\"spans\":{}}\n";
+    let dup = "{\"type\":\"summary\",\"name\":\"a\",\"counters\":{},\"float_counters\":{},\"histograms\":{},\"spans\":{}}\n";
     assert!(
         RunReport::parse_jsonl(&format!("{dup}{dup}")).is_err(),
         "two summaries"

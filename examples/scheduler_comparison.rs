@@ -9,7 +9,7 @@
 //! Set `VB_REPORT_DIR=some/dir` to also write one telemetry JSONL run
 //! report per policy (see `vb_telemetry::RunReport`).
 
-use vb_net::{LinkSimulator, WanModel};
+use vb_net::WanModel;
 use vb_sched::{GreedyPolicy, GroupSim, GroupSimConfig, MipConfig, MipPolicy, Policy};
 use vb_stats::report::{thousands, Table};
 use vb_trace::{Catalog, TRIO};
@@ -70,11 +70,10 @@ fn main() {
             s.unavailable_app_steps.to_string(),
         ]);
         // Drain this policy's transfer series through a 200 Gbps link.
-        let mut link = LinkSimulator::new(wan.site_link_gbps, 900.0);
-        let link_stats = link.run(&s.per_step_gb);
-        let worst_delay = link_stats
+        let worst_delay = wan
+            .queue(&s.per_step_gb, 900.0)
             .iter()
-            .map(|l| l.worst_delay_intervals)
+            .filter_map(|l| l.delay_intervals)
             .max()
             .unwrap_or(0);
         let busy = wan.busy_fraction(&s.per_step_gb, 900.0);

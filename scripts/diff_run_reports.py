@@ -4,7 +4,7 @@
 Usage: diff_run_reports.py A.jsonl B.jsonl
 
 Compares the *metric values* of the two reports — counters,
-float_counters, gauges and histogram shapes from the summary line —
+float_counters and histogram shapes from the summary line —
 the multiset of events, and the per-epoch series lines. Quantities
 that legitimately differ between runs are excluded:
 
@@ -71,7 +71,7 @@ def load(path):
 
 def filtered_summary(summary):
     out = {}
-    for section in ("counters", "float_counters", "gauges", "histograms"):
+    for section in ("counters", "float_counters", "histograms"):
         values = summary.get(section, {})
         out[section] = {
             name: value

@@ -1,10 +1,10 @@
 //! Property-based invariants spanning the workspace's core data
 //! structures: time-series algebra, energy decomposition, the purchase
-//! optimizer, CDFs, and the WAN/link models.
+//! optimizer, CDFs, and the WAN site-link queue.
 
 use proptest::prelude::*;
 use virtual_battery::vb_core::{decompose, optimize_purchase};
-use virtual_battery::vb_net::LinkSimulator;
+use virtual_battery::vb_net::WanModel;
 use virtual_battery::vb_stats::{Cdf, Summary, TimeSeries};
 
 fn power_series() -> impl Strategy<Value = TimeSeries> {
@@ -139,23 +139,29 @@ proptest! {
         prop_assert!(s.std >= 0.0);
     }
 
-    // --- Link simulator ---
+    // --- Site link ---
 
     #[test]
     fn link_conserves_volume_and_respects_capacity(
         offered in proptest::collection::vec(0.0..50_000.0f64, 1..100),
         gbps in 1.0..500.0f64,
     ) {
-        let mut link = LinkSimulator::new(gbps, 900.0);
-        let stats = link.run(&offered);
-        let drained: f64 = stats.iter().map(|s| s.drained_gb).sum();
-        let total: f64 = offered.iter().sum();
-        prop_assert!((drained + link.backlog_gb() - total).abs() < 1e-3);
-        for s in &stats {
-            prop_assert!(s.drained_gb <= link.capacity_gb() + 1e-9);
-            prop_assert!((0.0..=1.0 + 1e-9).contains(&s.utilization));
-            prop_assert!(s.backlog_gb >= -1e-9);
+        let wan = WanModel { site_link_gbps: gbps, ..WanModel::default() };
+        let steps = wan.queue(&offered, 900.0);
+        let (busy, _leftover) = wan.busy_profile(&offered, 900.0);
+        let capacity_gb = gbps * 900.0 / 8.0;
+        let mut before = 0.0;
+        let mut drained = 0.0;
+        for ((&gb, &secs), step) in offered.iter().zip(&busy).zip(&steps) {
+            let drained_gb = secs * gbps / 8.0;
+            prop_assert!((0.0..=capacity_gb + 1e-9).contains(&drained_gb));
+            prop_assert!(step.backlog_gb >= 0.0);
+            prop_assert!((before + gb - drained_gb - step.backlog_gb).abs() < 1e-3);
+            before = step.backlog_gb;
+            drained += drained_gb;
         }
+        let total: f64 = offered.iter().sum();
+        prop_assert!((drained + before - total).abs() < 1e-3);
     }
 }
 

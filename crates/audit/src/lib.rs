@@ -1,30 +1,18 @@
 //! vb-audit: the workspace lint engine.
 //!
-//! A two-layer analysis pipeline over every non-shim, non-test Rust
-//! source in the workspace:
-//!
-//! 1. **Lexing front end** — the column-preserving scanner
-//!    ([`scanner`]) strips comments, blanks string contents, and tracks
-//!    `#[cfg(test)]` extents; the token layer ([`tokens`]) lifts the
-//!    code view into identifiers/numbers/lifetimes/punctuation with
-//!    nesting depths.
-//! 2. **Workspace symbol index** ([`index`]) — `fn`/`struct`/`impl`
-//!    definitions, `use` imports and a lightweight call graph, built in
-//!    one pass over all crates, with taint reachability from the
-//!    output-affecting entry points (`Policy::plan`, `step` methods
-//!    such as `Cluster::step`, `build_fleet`, `run_fleet`,
-//!    `solve_mip_kernel`, the bench figure loops). Cross-crate method
-//!    calls are not resolved, so no entry point reaches the step core
-//!    (`GroupSim::run` and what it calls); the determinism rules cover
-//!    it because its crate is whole-file deterministic core
-//!    ([`spec_for`]).
+//! A lexical analysis pipeline over every non-shim, non-test Rust
+//! source in the workspace: the column-preserving scanner ([`scanner`])
+//! strips comments, blanks string contents, and tracks `#[cfg(test)]`
+//! extents; the token layer ([`tokens`]) lifts the code view into
+//! identifiers/numbers/lifetimes/punctuation with nesting depths.
 //!
 //! The rules ([`rules`]) run on top: the per-line lexical lints, the
 //! determinism family (`unordered-iter`, `wallclock-in-logic`,
-//! `thread-derived`, `env-read`, `float-reduce-order`), the
-//! bidirectional manifest checks (`metric-name` / `dead-metric`), and
-//! the suppression meta-rules (`allow-parse`, `stale-allow`). Run it
-//! with:
+//! `thread-derived`, `env-read`, `float-reduce-order`), which checks
+//! every line of every library file (bench binaries only emit metrics),
+//! the bidirectional manifest checks (`metric-name` / `dead-metric`),
+//! and the suppression meta-rules (`allow-parse`, `stale-allow`). Run
+//! it with:
 //!
 //! ```text
 //! cargo run -p vb-audit -- --workspace [--format=text|json|github]
@@ -33,7 +21,6 @@
 //! Exit status is non-zero when any finding survives suppression, so
 //! the CI `audit` job is blocking (`-D` semantics).
 
-pub mod index;
 pub mod manifest;
 pub mod rules;
 pub mod scanner;
@@ -66,16 +53,13 @@ impl Engine {
         self
     }
 
-    /// Audit a single source text under the given label and spec. The
-    /// symbol index is built from this file alone, so taint roots must
-    /// be local (an entry-point method or a bench-root spec).
+    /// Audit a single source text under the given label and spec.
     pub fn audit_source(&self, label: &str, src: &str, spec: FileSpec) -> Vec<Finding> {
         self.audit_sources(&[(label.to_string(), src.to_string(), spec)])
     }
 
-    /// Audit a set of sources as one workspace: the symbol index and
-    /// taint reachability span all of them, so cross-file rules see
-    /// edges between files.
+    /// Audit a set of sources as one workspace, so the cross-file
+    /// `dead-metric` rule sees the emissions of all of them.
     pub fn audit_sources(&self, sources: &[(String, String, FileSpec)]) -> Vec<Finding> {
         let files: Vec<PreparedFile> = sources
             .iter()
@@ -97,19 +81,6 @@ pub fn spec_for(rel: &str) -> FileSpec {
         "crates/stats/src/",
     ]);
     let div_guard = rel == "crates/net/src/wan.rs" || rel.starts_with("crates/stats/src/");
-    // The deterministic core: crates whose data structures feed
-    // schedules, traces and bench artifacts directly. The determinism
-    // family applies to whole files here, not just tainted extents.
-    let det_core = starts(&[
-        "crates/sched/src/",
-        "crates/cluster/src/",
-        "crates/net/src/",
-        "crates/core/src/",
-        "crates/solver/src/",
-        "crates/trace/src/",
-        "crates/stats/src/",
-        "src/",
-    ]);
     // Sanctioned layers: vb-telemetry owns wall-clock, vb-par owns
     // thread partitioning, and harness crates own env configuration.
     let telemetry = starts(&["crates/telemetry/src/"]);
@@ -119,20 +90,18 @@ pub fn spec_for(rel: &str) -> FileSpec {
     FileSpec {
         no_panic,
         div_guard,
-        det_core,
         wallclock_ok: telemetry,
         env_ok: telemetry || par || bench_src || bench_bin,
         threads_ok: par,
-        bench_root: bench_src || bench_bin,
-        index_only: bench_bin,
+        metric_only: bench_bin,
     }
 }
 
 /// Collect the workspace-relative paths of every scannable source file:
 /// `src/**/*.rs` at the root, `crates/*/src/**/*.rs`, and
-/// `crates/*/benches/*.rs` (bench binaries join the symbol index as
-/// taint roots and metric emitters). Shims, tests and examples live
-/// outside those trees and are never visited.
+/// `crates/*/benches/*.rs` (bench binaries are metric emitters, so
+/// `metric-name` and `dead-metric` see them). Shims, tests and examples
+/// live outside those trees and are never visited.
 pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let root_src = root.join("src");

@@ -1,38 +1,31 @@
 //! The determinism rule family.
 //!
 //! Every schedule, trace and bench artifact in this workspace must be
-//! bit-identical at any `VB_THREADS`. These rules taint the lexical
-//! *sources* of nondeterminism and flag them where they can reach an
-//! output-affecting entry point (see [`crate::index`] for the
-//! reachability model):
+//! bit-identical at any `VB_THREADS`. These rules flag the lexical
+//! *sources* of nondeterminism:
 //!
 //! | lint                 | source                                                  |
 //! |----------------------|---------------------------------------------------------|
-//! | `unordered-iter`     | `HashMap` / `HashSet` in code that feeds schedules or   |
-//! |                      | artifacts: iteration order varies per process           |
+//! | `unordered-iter`     | `HashMap` / `HashSet`: iteration order varies per       |
+//! |                      | process                                                 |
 //! | `wallclock-in-logic` | `Instant::now` / `SystemTime` outside `vb-telemetry`    |
 //! | `thread-derived`     | worker counts (`VB_THREADS`, `available_parallelism`)   |
-//! |                      | influencing results rather than just partitioning       |
+//! |                      | outside `vb-par`, where they could influence results    |
+//! |                      | rather than just partition work                         |
 //! | `env-read`           | `std::env::var` outside the sanctioned config / bench   |
-//! |                      | entry points                                            |
+//! |                      | layers                                                  |
 //! | `float-reduce-order` | shared-state accumulation inside a `par_map` closure —  |
 //! |                      | float combining in completion order is non-associative  |
 //!
-//! Scope: a line is checked when it sits inside the extent of a
-//! *tainted* function (reachable from `Policy::plan`, a `step` method
-//! such as `Cluster::step`, `build_fleet`, `run_fleet`,
-//! `solve_mip_kernel`, or a bench figure loop), or — for
-//! every rule here — anywhere in a deterministic-core crate
-//! (`spec.det_core`), where struct fields and module-level items feed
-//! the same outputs without sitting inside a function body. The step
-//! core (`GroupSim::run` and what it calls) is checked only this second
-//! way: the index does not resolve `run_fleet`'s cross-crate
-//! `sim.run(policy)`, so no entry point reaches it. Sanctioned
-//! layers opt out per rule: `vb-telemetry` owns wall-clock timing,
-//! `vb-par` owns thread-count partitioning, the bench harness owns its
-//! env configuration.
+//! Scope: every line of the file outside `#[cfg(test)]` code — function
+//! bodies, struct fields and module-level items alike — in every scanned
+//! file but bench binaries, which are only metric emitters. Nothing
+//! decides which functions can reach an output: a source in a helper
+//! nothing calls today is still a finding. Sanctioned layers opt out per
+//! rule: `vb-telemetry` owns wall-clock timing, `vb-par` owns
+//! thread-count partitioning, the bench harness owns its env
+//! configuration. Anything else takes a reasoned allow.
 
-use crate::index::SymbolIndex;
 use crate::rules::{Finding, PreparedFile};
 use crate::tokens::TokKind;
 
@@ -40,25 +33,9 @@ use crate::tokens::TokKind;
 /// audit's own pattern table never matches itself when self-scanning.
 const THREADS_VAR: &str = concat!("VB_T", "HREADS");
 
-pub fn run(
-    file: &PreparedFile,
-    file_id: usize,
-    index: &SymbolIndex,
-    taint: &[bool],
-) -> Vec<Finding> {
+pub fn run(file: &PreparedFile) -> Vec<Finding> {
     let mut findings = Vec::new();
     let spec = file.spec;
-    let extents = index.tainted_extents(file_id, taint);
-    let line_tainted = |lineno: usize| {
-        spec.det_core || extents.iter().any(|&(s, e, _)| s <= lineno && lineno <= e)
-    };
-    let enclosing = |lineno: usize| {
-        extents
-            .iter()
-            .filter(|&&(s, e, _)| s <= lineno && lineno <= e)
-            .min_by_key(|&&(s, e, _)| e - s)
-            .map(|&(_, _, f)| f.qual.clone())
-    };
     let push = |lint: &'static str, lineno: usize, message: String, out: &mut Vec<Finding>| {
         out.push(Finding {
             file: file.rel.clone(),
@@ -73,18 +50,12 @@ pub fn run(
         if tok.in_test || tok.kind != TokKind::Ident {
             continue;
         }
-        if (tok.text == "HashMap" || tok.text == "HashSet") && line_tainted(tok.line) {
-            let whence = match enclosing(tok.line) {
-                Some(qual) => {
-                    format!("in `{qual}`, which is reachable from an output-affecting entry point")
-                }
-                None => "at module level of a deterministic-core crate".to_string(),
-            };
+        if tok.text == "HashMap" || tok.text == "HashSet" {
             push(
                 "unordered-iter",
                 tok.line,
                 format!(
-                    "`{}` {whence}; iteration order varies per process — use BTreeMap/BTreeSet, sort keys before iterating, or add a reasoned allow",
+                    "`{}` in library code; iteration order varies per process — use BTreeMap/BTreeSet, sort keys before iterating, or add a reasoned allow",
                     tok.text
                 ),
                 &mut findings,
@@ -95,7 +66,7 @@ pub fn run(
     // Line-pattern rules against the string-blanked code view.
     for (idx, line) in file.scanned.lines.iter().enumerate() {
         let lineno = idx + 1;
-        if line.in_test || !line_tainted(lineno) {
+        if line.in_test {
             continue;
         }
         if !spec.wallclock_ok {
@@ -104,7 +75,7 @@ pub fn run(
                     push(
                         "wallclock-in-logic",
                         lineno,
-                        format!("`{pat}` in result-affecting code; wall-clock belongs to vb-telemetry (timings are excluded from determinism diffs there)"),
+                        format!("`{pat}` in library code; wall-clock belongs to vb-telemetry (timings are excluded from determinism diffs there)"),
                         &mut findings,
                     );
                 }
@@ -114,7 +85,7 @@ pub fn run(
             push(
                 "env-read",
                 lineno,
-                "`std::env::var` outside the sanctioned config/bench entry points; thread configuration through typed config structs instead".to_string(),
+                "`std::env::var` outside the sanctioned config/bench layers; thread configuration through typed config structs instead".to_string(),
                 &mut findings,
             );
         }
@@ -125,7 +96,7 @@ pub fn run(
                 push(
                     "thread-derived",
                     lineno,
-                    format!("worker-count source (`{THREADS_VAR}` / `available_parallelism`) in result-affecting code; thread counts may partition work but must never influence results"),
+                    format!("worker-count source (`{THREADS_VAR}` / `available_parallelism`) outside vb-par; thread counts may partition work but must never influence results"),
                     &mut findings,
                 );
             }

@@ -22,9 +22,9 @@ use crate::rules::{Finding, PreparedFile};
 /// its division.
 const DIV_GUARD_WINDOW: usize = 12;
 
-/// Run the lexical rules over one file. Index-only files (bench
-/// binaries) check metric names only: they are taint roots and metric
-/// emitters, not general lint subjects.
+/// Run the lexical rules over one file. Metric-only files (bench
+/// binaries) check metric names only: they are metric emitters, not
+/// general lint subjects.
 pub fn run(file: &PreparedFile, manifest: &Manifest) -> Vec<Finding> {
     let mut findings = Vec::new();
     let spec = file.spec;
@@ -65,7 +65,7 @@ pub fn run(file: &PreparedFile, manifest: &Manifest) -> Vec<Finding> {
             });
         };
 
-        if spec.index_only {
+        if spec.metric_only {
             continue;
         }
 

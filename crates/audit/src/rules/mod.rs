@@ -1,7 +1,7 @@
 //! Rule orchestration: prepared files in, surviving findings out.
 //!
 //! Individual rule families emit *raw* findings ([`lexical`] for the
-//! per-line lints, [`determinism`] for the taint-scoped family); this
+//! per-line lints, [`determinism`] for the determinism family); this
 //! module owns everything cross-cutting:
 //!
 //! * **suppression** — `// vb-audit: allow(lint, reason)` directives
@@ -22,7 +22,6 @@
 pub mod determinism;
 pub mod lexical;
 
-use crate::index::{crate_key, FileEntry, SymbolIndex};
 use crate::manifest::Manifest;
 use crate::scanner::{self, Scanned};
 use crate::tokens::{self, Tok};
@@ -72,10 +71,6 @@ pub struct FileSpec {
     pub no_panic: bool,
     /// `div-guard` (`vb-net::wan` and `vb-stats`).
     pub div_guard: bool,
-    /// Deterministic-core crate: the determinism family applies to the
-    /// whole file, not just tainted function extents (struct fields
-    /// feed schedules without sitting in a function body).
-    pub det_core: bool,
     /// Sanctioned wall-clock layer (`vb-telemetry`).
     pub wallclock_ok: bool,
     /// Sanctioned env configuration (`vb-par`, `vb-telemetry`, the
@@ -84,11 +79,9 @@ pub struct FileSpec {
     /// Sanctioned thread-count layer (`vb-par`): worker counts may
     /// partition work here.
     pub threads_ok: bool,
-    /// Every function is a taint root (bench harness and figure loops).
-    pub bench_root: bool,
-    /// Contributes symbols and metric emissions to the workspace index
-    /// but is not a lint subject beyond `metric-name` (bench binaries).
-    pub index_only: bool,
+    /// Checked by `metric-name` only, and its emissions count for
+    /// `dead-metric` (bench binaries).
+    pub metric_only: bool,
 }
 
 /// One scanned + tokenized source, ready for the rule passes.
@@ -121,23 +114,11 @@ pub fn run_all(
     manifest: &Manifest,
     check_dead_metrics: bool,
 ) -> Vec<Finding> {
-    let entries: Vec<FileEntry> = files
-        .iter()
-        .map(|f| FileEntry {
-            rel: f.rel.clone(),
-            crate_key: crate_key(&f.rel),
-            bench_root: f.spec.bench_root,
-        })
-        .collect();
-    let streams: Vec<Vec<Tok>> = files.iter().map(|f| f.toks.clone()).collect();
-    let index = SymbolIndex::build(entries, &streams);
-    let taint = index.tainted();
-
     let mut findings = Vec::new();
-    for (file_id, file) in files.iter().enumerate() {
+    for file in files {
         let mut raw = lexical::run(file, manifest);
-        if !file.spec.index_only {
-            raw.extend(determinism::run(file, file_id, &index, &taint));
+        if !file.spec.metric_only {
+            raw.extend(determinism::run(file));
         }
         findings.extend(apply_allows(file, raw));
     }
@@ -196,8 +177,8 @@ fn apply_allows(file: &PreparedFile, raw: Vec<Finding>) -> Vec<Finding> {
 
     // Stale allows: a directive that suppressed nothing. Directives
     // targeting `#[cfg(test)]` lines are exempt (rules skip test code
-    // wholesale), as are index-only files (most rules do not run).
-    if !file.spec.index_only {
+    // wholesale), as are metric-only files (most rules do not run).
+    if !file.spec.metric_only {
         for (line, lints) in &allowed {
             let in_test = file
                 .scanned

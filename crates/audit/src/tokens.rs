@@ -4,12 +4,11 @@
 //! contents while preserving columns; this module turns that code view
 //! into a flat token stream — identifiers, numbers, lifetimes and
 //! punctuation — each token carrying its 1-based line, its character
-//! column, the brace/paren nesting depth it sits at, and whether it is
-//! inside a `#[cfg(test)]` item. The symbol index ([`crate::index`])
-//! and the cross-file rules are built on this stream instead of raw
-//! line text, so they can reason about adjacency ("identifier followed
-//! by `(`"), delimiter matching and item extents without re-deriving
-//! lexical structure.
+//! column, the paren nesting depth it sits at, and whether it is
+//! inside a `#[cfg(test)]` item. The token-level rules are built on
+//! this stream instead of raw line text, so they can reason about
+//! adjacency ("identifier followed by `(`") and delimiter matching
+//! without re-deriving lexical structure.
 //!
 //! Depth convention: an opening delimiter is recorded at the depth it
 //! opens *from*, and its matching closer at the same depth, so a pair
@@ -21,8 +20,7 @@ use crate::scanner::Scanned;
 /// Kind of a lexical token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {
-    /// Identifier or keyword (the stream does not distinguish them;
-    /// consumers filter with [`is_keyword`]).
+    /// Identifier or keyword (the stream does not distinguish them).
     Ident,
     /// Numeric literal (digit-led run, underscores and suffix absorbed).
     Number,
@@ -42,9 +40,7 @@ pub struct Tok {
     pub line: usize,
     /// 0-based character column of the first character.
     pub col: usize,
-    /// `{}` nesting depth (see module docs for the convention).
-    pub brace_depth: u32,
-    /// `()` nesting depth.
+    /// `()` nesting depth (see module docs for the convention).
     pub paren_depth: u32,
     /// True when the line is inside a `#[cfg(test)]` item.
     pub in_test: bool,
@@ -53,7 +49,6 @@ pub struct Tok {
 /// Tokenize a scanned file's code view.
 pub fn tokenize(scanned: &Scanned) -> Vec<Tok> {
     let mut out = Vec::new();
-    let mut brace: u32 = 0;
     let mut paren: u32 = 0;
     for (lineno0, line) in scanned.lines.iter().enumerate() {
         let lineno = lineno0 + 1;
@@ -75,7 +70,6 @@ pub fn tokenize(scanned: &Scanned) -> Vec<Tok> {
                     text: chars[start..i].iter().collect(),
                     line: lineno,
                     col: start,
-                    brace_depth: brace,
                     paren_depth: paren,
                     in_test: line.in_test,
                 });
@@ -99,7 +93,6 @@ pub fn tokenize(scanned: &Scanned) -> Vec<Tok> {
                     text: chars[start..i].iter().collect(),
                     line: lineno,
                     col: start,
-                    brace_depth: brace,
                     paren_depth: paren,
                     in_test: line.in_test,
                 });
@@ -122,41 +115,29 @@ pub fn tokenize(scanned: &Scanned) -> Vec<Tok> {
                     text: chars[start..i].iter().collect(),
                     line: lineno,
                     col: start,
-                    brace_depth: brace,
                     paren_depth: paren,
                     in_test: line.in_test,
                 });
                 continue;
             }
-            // Punctuation: record delimiters at the depth they open
-            // from / close back to, so pairs share a depth value.
-            let (bd, pd) = match c {
-                '{' => {
-                    let d = (brace, paren);
-                    brace += 1;
-                    d
-                }
-                '}' => {
-                    brace = brace.saturating_sub(1);
-                    (brace, paren)
-                }
+            // Punctuation: record parens at the depth they open from /
+            // close back to, so pairs share a depth value.
+            let pd = match c {
                 '(' => {
-                    let d = (brace, paren);
                     paren += 1;
-                    d
+                    paren - 1
                 }
                 ')' => {
                     paren = paren.saturating_sub(1);
-                    (brace, paren)
+                    paren
                 }
-                _ => (brace, paren),
+                _ => paren,
             };
             out.push(Tok {
                 kind: TokKind::Punct,
                 text: c.to_string(),
                 line: lineno,
                 col: i,
-                brace_depth: bd,
                 paren_depth: pd,
                 in_test: line.in_test,
             });
@@ -168,49 +149,6 @@ pub fn tokenize(scanned: &Scanned) -> Vec<Tok> {
 
 fn ident_char(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
-}
-
-/// Rust keywords that can precede `(` without being calls.
-pub fn is_keyword(text: &str) -> bool {
-    matches!(
-        text,
-        "as" | "async"
-            | "await"
-            | "break"
-            | "const"
-            | "continue"
-            | "crate"
-            | "dyn"
-            | "else"
-            | "enum"
-            | "extern"
-            | "fn"
-            | "for"
-            | "if"
-            | "impl"
-            | "in"
-            | "let"
-            | "loop"
-            | "match"
-            | "mod"
-            | "move"
-            | "mut"
-            | "pub"
-            | "ref"
-            | "return"
-            | "self"
-            | "Self"
-            | "static"
-            | "struct"
-            | "super"
-            | "trait"
-            | "type"
-            | "unsafe"
-            | "use"
-            | "where"
-            | "while"
-            | "yield"
-    )
 }
 
 #[cfg(test)]
@@ -256,23 +194,16 @@ mod tests {
     fn depths_match_between_pairs() {
         let src = "fn f() {\n    g(h(1), 2);\n}\n";
         let toks = tokenize(&scan(src));
-        let opens: Vec<&Tok> = toks
-            .iter()
-            .filter(|t| t.kind == TokKind::Punct && t.text == "{")
-            .collect();
-        let closes: Vec<&Tok> = toks
-            .iter()
-            .filter(|t| t.kind == TokKind::Punct && t.text == "}")
-            .collect();
-        assert_eq!(opens.len(), 1);
-        assert_eq!(opens[0].brace_depth, closes[0].brace_depth);
-        // Inner call parens nest one deeper than the outer call's.
-        let parens: Vec<u32> = toks
-            .iter()
-            .filter(|t| t.kind == TokKind::Punct && t.text == "(")
-            .map(|t| t.paren_depth)
-            .collect();
-        assert_eq!(parens, [0, 0, 1]);
+        let depths = |delim: &str| -> Vec<u32> {
+            toks.iter()
+                .filter(|t| t.kind == TokKind::Punct && t.text == delim)
+                .map(|t| t.paren_depth)
+                .collect()
+        };
+        // Inner call parens nest one deeper than the outer call's, and
+        // each closer shares its opener's depth.
+        assert_eq!(depths("("), [0, 0, 1]);
+        assert_eq!(depths(")"), [0, 1, 0]);
     }
 
     #[test]

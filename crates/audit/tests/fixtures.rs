@@ -272,15 +272,34 @@ fn no_panic_covers_the_hot_path_crates_and_vb_stats() {
 }
 
 #[test]
-fn the_step_cores_are_deterministic_core_files() {
-    // No taint root reaches `GroupSim`'s step core (the index does not
-    // resolve `run_fleet`'s cross-crate `sim.run(policy)`), so the
-    // determinism family checks it only through this whole-file scope.
-    for rel in ["crates/sched/src/sim.rs", "crates/cluster/src/cluster.rs"] {
-        assert!(
-            vb_audit::spec_for(rel).det_core,
-            "{rel} is deterministic core"
+fn every_scanned_file_but_bench_binaries_is_checked_whole() {
+    // The determinism family has one scope: every line of every scanned
+    // file, so a module-level `HashMap` import is a finding wherever it
+    // sits, the step cores included, with no path list naming them.
+    let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let manifest = Manifest::parse(FIXTURE_MANIFEST).expect("fixture manifest parses");
+    let engine = Engine::new(manifest);
+    let mut checked = Vec::new();
+    for path in vb_audit::workspace_sources(&root).expect("workspace sources") {
+        let rel = path
+            .strip_prefix(&root)
+            .expect("source under the root")
+            .to_string_lossy()
+            .replace('\\', "/");
+        let findings = engine.audit_source(
+            &rel,
+            "use std::collections::HashMap;\n",
+            vb_audit::spec_for(&rel),
         );
+        if rel.contains("/benches/") {
+            assert_eq!(findings, [], "{rel} is a bench binary");
+        } else {
+            assert_eq!(lints(&findings), ["unordered-iter"], "{rel}");
+            checked.push(rel);
+        }
+    }
+    for rel in ["crates/sched/src/sim.rs", "crates/cluster/src/cluster.rs"] {
+        assert!(checked.iter().any(|c| c == rel), "{rel} is scanned");
     }
 }
 
@@ -288,71 +307,41 @@ fn the_step_cores_are_deterministic_core_files() {
 
 #[test]
 fn unordered_iter_positive() {
-    // `run_fleet` is a taint root; `helper` is reachable through the
-    // call edge. `unreached_scratch` and the module-level `use` line
-    // are outside every tainted extent, so they stay clean.
+    // Every HashMap/HashSet token outside test code: both names in the
+    // module-level `use`, a body, a signature and a helper nothing calls.
     let findings = audit("det_unordered_bad.rs", FileSpec::default());
-    assert_eq!(
-        lints(&findings),
-        ["unordered-iter", "unordered-iter", "unordered-iter"]
-    );
-    assert_eq!(findings[0].line, 7, "HashMap::new in run_fleet");
-    assert_eq!(findings[1].line, 14, "HashMap in helper's signature");
-    assert_eq!(findings[2].line, 15, "HashSet in helper's body");
+    assert_eq!(lints(&findings), ["unordered-iter"; 6]);
+    let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+    assert_eq!(lines, [5, 5, 8, 15, 16, 24]);
     assert!(
-        findings[0].message.contains("run_fleet"),
-        "message names the tainted function: {}",
+        findings[0].message.contains("`HashMap`"),
+        "message names the container: {}",
         findings[0]
     );
 }
 
 #[test]
 fn unordered_iter_negative() {
-    // BTreeMap in the entry point, HashMap behind a reasoned allow,
-    // HashMap in an unreached helper and in #[cfg(test)] all pass —
-    // and the allow is used, so no stale-allow either.
+    // BTreeMap, HashMap behind a reasoned allow, and HashMap in
+    // #[cfg(test)] all pass — and the allow is used, so no stale-allow
+    // either.
     let findings = audit("det_unordered_ok.rs", FileSpec::default());
     assert_eq!(findings, [], "expected clean, got: {findings:#?}");
 }
 
 #[test]
-fn unordered_iter_det_core_flags_module_level() {
-    // In a deterministic-core crate the rule covers the whole file:
-    // the `use` line and the unreached helper are findings too.
-    let spec = FileSpec {
-        det_core: true,
-        ..FileSpec::default()
-    };
-    let findings = audit("det_unordered_bad.rs", spec);
-    let module_level: Vec<&Finding> = findings.iter().filter(|f| f.line == 4).collect();
-    assert_eq!(module_level.len(), 2, "use line flags both containers");
-    assert!(
-        module_level[0].message.contains("module level"),
-        "{}",
-        module_level[0]
-    );
-    assert!(
-        findings.iter().any(|f| f.line == 23),
-        "unreached helper is in scope under det_core: {findings:#?}"
-    );
-}
-
-#[test]
 fn wallclock_positive() {
+    // The module-level `use`, Policy::plan and a helper nothing calls;
+    // the read in test code passes.
     let findings = audit("det_wallclock_bad.rs", FileSpec::default());
-    assert_eq!(lints(&findings), ["wallclock-in-logic"]);
-    assert_eq!(findings[0].line, 7, "Instant::now inside Policy::plan");
-}
-
-#[test]
-fn wallclock_negative_unreached_helper() {
-    let findings = audit("det_wallclock_ok.rs", FileSpec::default());
-    assert_eq!(findings, [], "expected clean, got: {findings:#?}");
+    assert_eq!(lints(&findings), ["wallclock-in-logic"; 3]);
+    let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+    assert_eq!(lines, [5, 11, 19]);
 }
 
 #[test]
 fn wallclock_sanctioned_layer_is_exempt() {
-    // The same Instant::now passes in the telemetry layer.
+    // The same reads pass in the telemetry layer.
     let spec = FileSpec {
         wallclock_ok: true,
         ..FileSpec::default()
@@ -363,15 +352,16 @@ fn wallclock_sanctioned_layer_is_exempt() {
 
 #[test]
 fn env_read_positive() {
+    // solve_mip_kernel and a helper nothing calls; the read in test
+    // code passes.
     let findings = audit("det_env_bad.rs", FileSpec::default());
-    assert_eq!(lints(&findings), ["env-read"]);
-    assert_eq!(findings[0].line, 5, "env::var inside solve_mip_kernel");
+    assert_eq!(lints(&findings), ["env-read"; 2]);
+    assert_eq!(findings[0].line, 6, "env::var inside solve_mip_kernel");
+    assert_eq!(findings[1].line, 15, "env::var in the unreferenced helper");
 }
 
 #[test]
-fn env_read_negative_and_sanctioned() {
-    let findings = audit("det_env_ok.rs", FileSpec::default());
-    assert_eq!(findings, [], "expected clean, got: {findings:#?}");
+fn env_read_sanctioned_layer_is_exempt() {
     let spec = FileSpec {
         env_ok: true,
         ..FileSpec::default()
@@ -382,19 +372,17 @@ fn env_read_negative_and_sanctioned() {
 
 #[test]
 fn thread_derived_positive() {
-    // Both worker-count sources fire inside GroupSim::step: the
-    // available_parallelism call and the env-var name (seen through
-    // the string-preserving view).
+    // Both worker-count sources fire: the available_parallelism import
+    // and calls, and the env-var name (seen through the
+    // string-preserving view). The probe in test code passes.
     let findings = audit("det_threads_bad.rs", FileSpec::default());
-    assert_eq!(lints(&findings), ["thread-derived", "thread-derived"]);
-    assert_eq!(findings[0].line, 10, "available_parallelism");
-    assert_eq!(findings[1].line, 11, "worker-count env var");
+    assert_eq!(lints(&findings), ["thread-derived"; 4]);
+    let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+    assert_eq!(lines, [5, 13, 14, 21]);
 }
 
 #[test]
-fn thread_derived_negative_and_sanctioned() {
-    let findings = audit("det_threads_ok.rs", FileSpec::default());
-    assert_eq!(findings, [], "expected clean, got: {findings:#?}");
+fn thread_derived_sanctioned_layer_is_exempt() {
     let spec = FileSpec {
         threads_ok: true,
         ..FileSpec::default()
@@ -405,8 +393,8 @@ fn thread_derived_negative_and_sanctioned() {
 
 #[test]
 fn float_reduce_order_positive() {
-    // Taint-independent: accumulating into shared state inside any
-    // par_map closure is non-associative regardless of reachability.
+    // Accumulating into shared state inside any par_map closure
+    // combines in completion order, which is non-associative.
     let findings = audit("det_float_reduce_bad.rs", FileSpec::default());
     assert_eq!(lints(&findings), ["float-reduce-order"]);
     assert_eq!(findings[0].line, 8, "fetch_add inside the closure");
@@ -435,35 +423,6 @@ fn float_reduce_order_negative() {
     assert_eq!(findings, [], "expected clean, got: {findings:#?}");
 }
 
-#[test]
-fn cross_crate_taint_flags_unordered_iter() {
-    // run_fleet in crate `a` calls vb_b::helper; the HashMap inside
-    // crate `b` is flagged only when both files are indexed together.
-    let a = "pub fn run_fleet(n: u64) -> u64 {\n    vb_b::helper(n)\n}\n";
-    let b = "pub fn helper(n: u64) -> u64 {\n    let mut m = std::collections::HashMap::new();\n    m.insert(n, n);\n    m.len() as u64\n}\n";
-    let manifest = Manifest::parse(FIXTURE_MANIFEST).expect("fixture manifest parses");
-    let engine = Engine::new(manifest);
-
-    let alone = engine.audit_source("crates/b/src/lib.rs", b, FileSpec::default());
-    assert_eq!(alone, [], "helper alone is unreached: {alone:#?}");
-
-    let together = engine.audit_sources(&[
-        (
-            "crates/a/src/lib.rs".to_string(),
-            a.to_string(),
-            FileSpec::default(),
-        ),
-        (
-            "crates/b/src/lib.rs".to_string(),
-            b.to_string(),
-            FileSpec::default(),
-        ),
-    ]);
-    assert_eq!(lints(&together), ["unordered-iter"], "{together:#?}");
-    assert_eq!(together[0].file, "crates/b/src/lib.rs");
-    assert_eq!(together[0].line, 2);
-}
-
 // ---- suppression meta-rules --------------------------------------------
 
 #[test]
@@ -481,8 +440,8 @@ fn stale_allow_positive() {
 }
 
 #[test]
-fn stale_allow_skips_test_code_and_index_only_files() {
-    // The same directive inside #[cfg(test)] or an index-only bench
+fn stale_allow_skips_test_code_and_metric_only_files() {
+    // The same directive inside #[cfg(test)] or a metric-only bench
     // binary is not reported: most rules never run there, so "the lint
     // no longer fires" carries no signal.
     let src =
@@ -492,12 +451,12 @@ fn stale_allow_skips_test_code_and_index_only_files() {
     assert_eq!(findings, [], "test-code allows are exempt: {findings:#?}");
 
     let spec = FileSpec {
-        index_only: true,
+        metric_only: true,
         ..FileSpec::default()
     };
     let src = "// vb-audit: allow(no-panic, fixture)\nfn f() { None::<u64>.unwrap(); }\n";
     let findings = Engine::new(manifest).audit_source("benches/fig.rs", src, spec);
-    assert_eq!(findings, [], "index-only allows are exempt: {findings:#?}");
+    assert_eq!(findings, [], "metric-only allows are exempt: {findings:#?}");
 }
 
 // ---- dead-metric -------------------------------------------------------

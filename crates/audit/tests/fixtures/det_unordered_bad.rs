@@ -1,5 +1,6 @@
-//! unordered-iter positive: HashMap/HashSet in code reachable from an
-//! output-affecting entry point (`run_fleet`), directly or via a call.
+//! unordered-iter positive: HashMap/HashSet anywhere in a library file —
+//! the module-level `use`, a function body, a signature, and a helper
+//! nothing calls.
 
 use std::collections::{HashMap, HashSet};
 
@@ -19,7 +20,7 @@ fn helper(m: &std::collections::HashMap<u64, u64>) -> u64 {
     seen.len() as u64
 }
 
-fn unreached_scratch(n: u64) -> u64 {
+fn unreferenced_cache(n: u64) -> u64 {
     let mut m = std::collections::HashMap::new();
     m.insert(n, n);
     m.len() as u64

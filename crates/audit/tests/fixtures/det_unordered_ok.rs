@@ -1,5 +1,5 @@
-//! unordered-iter negative: ordered containers, untainted helpers,
-//! test code, and a reasoned allow all pass.
+//! unordered-iter negative: ordered containers, a reasoned allow, and
+//! test code all pass.
 
 use std::collections::BTreeMap;
 
@@ -9,12 +9,6 @@ pub fn run_fleet(n: u64) -> u64 {
     // vb-audit: allow(unordered-iter, drained into a sorted Vec before any iteration)
     let cache = std::collections::HashMap::<u64, u64>::new();
     last.len() as u64 + cache.len() as u64
-}
-
-fn unreached_scratch(n: u64) -> u64 {
-    let mut m = std::collections::HashMap::new();
-    m.insert(n, n);
-    m.len() as u64
 }
 
 #[cfg(test)]

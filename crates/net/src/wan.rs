@@ -15,7 +15,11 @@
 //! interval's burst joins the backlog, and the link drains at most one
 //! interval's worth of seconds. [`WanModel::queue`] reads the same
 //! queue per interval: the GB still queued, and how many intervals each
-//! burst waited when bursts drain first in, first out.
+//! burst waited when bursts drain first in, first out. What a volume, a
+//! link rate or an interval that is not a positive number means is
+//! decided once for the queue's readouts (`busy_profile`,
+//! `busy_fraction`, `queue`): volumes and rates in
+//! [`WanModel::drain_secs`], intervals in [`WanModel::busy_profile`].
 
 /// Gigabytes → gigabits.
 const GBIT_PER_GBYTE: f64 = 8.0;
@@ -89,13 +93,22 @@ impl WanModel {
         self.required_gbps(gb) / share
     }
 
-    /// Seconds needed to drain `gb` over the provisioned site link. A
-    /// non-positive (or NaN) link rate can never drain anything.
+    /// Seconds needed to drain `gb` over the provisioned site link.
+    ///
+    /// The link's queue reads every volume through this function, so it
+    /// decides for [`busy_profile`](Self::busy_profile),
+    /// [`busy_fraction`](Self::busy_fraction) and [`queue`](Self::queue)
+    /// alike what a volume or a rate that is not a positive number means:
+    /// - a volume that is zero, negative or NaN offers no work: it takes
+    ///   0 s, as an empty interval does;
+    /// - a link whose rate is zero, negative or NaN is not modelled: any
+    ///   volume takes it 0 s, so every readout sees an idle link that
+    ///   queues nothing and passes each burst within its own interval.
     pub fn drain_secs(&self, gb: f64) -> f64 {
-        if gb <= 0.0 || self.site_link_gbps.is_nan() || self.site_link_gbps <= 0.0 {
-            0.0
-        } else {
+        if gb > 0.0 && self.site_link_gbps > 0.0 {
             gb * GBIT_PER_GBYTE / self.site_link_gbps
+        } else {
+            0.0
         }
     }
 
@@ -107,13 +120,17 @@ impl WanModel {
     /// busy into the *following* intervals rather than silently
     /// vanishing at the interval boundary: each interval's unfinished
     /// drain work carries forward as backlog. Conservation holds:
-    /// Σ busy + leftover == Σ drain_secs (up to float rounding).
+    /// Σ busy + leftover == Σ drain_secs (up to float rounding). An
+    /// `interval_secs` that is not a positive number gives the link no
+    /// time: it drains nothing, and every burst stays queued.
     pub fn busy_profile(&self, gb_per_interval: &[f64], interval_secs: f64) -> (Vec<f64>, f64) {
+        // `max` maps a NaN interval to 0 s too.
+        let window = interval_secs.max(0.0);
         let mut busy = Vec::with_capacity(gb_per_interval.len());
         let mut backlog = 0.0_f64;
         for &gb in gb_per_interval {
             backlog += self.drain_secs(gb);
-            let drained = backlog.min(interval_secs);
+            let drained = backlog.min(window);
             busy.push(drained);
             backlog -= drained;
         }
@@ -132,25 +149,17 @@ impl WanModel {
     /// since the link was last idle reach the seconds offered since then
     /// up to and including it, or once the queue is empty.
     ///
-    /// A link that cannot drain — a non-positive or NaN `site_link_gbps`
-    /// or `interval_secs` — keeps every burst: the backlog after each
-    /// interval is all the GB offered so far, and no burst drains.
+    /// Bad inputs follow [`drain_secs`](Self::drain_secs) and
+    /// `busy_profile`: an interval whose volume is not a positive number
+    /// offers no burst, a link whose rate is not a positive number queues
+    /// nothing and passes each burst within its own interval, and an
+    /// `interval_secs` that is not a positive number keeps every burst
+    /// queued.
     pub fn queue(&self, gb_per_interval: &[f64], interval_secs: f64) -> Vec<QueueStep> {
-        if !(self.site_link_gbps > 0.0 && interval_secs > 0.0) {
-            let mut queued = 0.0;
-            return gb_per_interval
-                .iter()
-                .map(|&gb| {
-                    queued += gb.max(0.0);
-                    QueueStep {
-                        backlog_gb: queued,
-                        delay_intervals: None,
-                    }
-                })
-                .collect();
-        }
         let (busy, _leftover) = self.busy_profile(gb_per_interval, interval_secs);
-        let gb_per_sec = self.site_link_gbps / GBIT_PER_GBYTE;
+        // An unmodelled link's backlog is always 0 s; `max` keeps its GB
+        // at 0 rather than a NaN or negative product.
+        let gb_per_sec = self.site_link_gbps.max(0.0) / GBIT_PER_GBYTE;
         let mut steps = Vec::with_capacity(gb_per_interval.len());
         // Seconds queued; seconds drained since the link was last idle,
         // and seconds offered since then by the bursts that have drained.
@@ -193,7 +202,8 @@ impl WanModel {
     /// subsequent intervals (see [`busy_profile`](Self::busy_profile));
     /// only backlog outstanding *after the last interval* is excluded,
     /// since the observation window ends there. Returns 0.0 for an empty
-    /// series or a non-positive (or NaN) `interval_secs`.
+    /// series or an `interval_secs` that is not a positive number, in
+    /// which the link drains nothing.
     pub fn busy_fraction(&self, gb_per_interval: &[f64], interval_secs: f64) -> f64 {
         if gb_per_interval.is_empty() || interval_secs.is_nan() || interval_secs <= 0.0 {
             return 0.0;
@@ -327,26 +337,72 @@ mod tests {
         assert_eq!(last.delay_intervals, None, "the last burst is still queued");
     }
 
+    /// The three readouts of one series: `busy_profile`'s busy seconds
+    /// and leftover, `busy_fraction`, and `queue`'s steps.
+    fn readouts(wan: &WanModel, gb: &[f64], secs: f64) -> (Vec<f64>, f64, f64, Vec<QueueStep>) {
+        let (busy, leftover) = wan.busy_profile(gb, secs);
+        (
+            busy,
+            leftover,
+            wan.busy_fraction(gb, secs),
+            wan.queue(gb, secs),
+        )
+    }
+
     #[test]
-    fn a_link_that_cannot_drain_keeps_every_burst() {
-        let offered = [1_000.0, 0.0, -5.0, 2_500.0];
-        let backlog = [1_000.0, 1_000.0, 1_000.0, 3_500.0];
-        let stuck = |steps: Vec<QueueStep>| {
-            assert_eq!(
-                steps.iter().map(|s| s.backlog_gb).collect::<Vec<_>>(),
-                backlog
-            );
-            assert!(steps.iter().all(|s| s.delay_intervals.is_none()));
-        };
+    fn a_volume_that_is_not_positive_offers_nothing() {
+        // Each readout of a series with a NaN, negative or infinitely
+        // negative volume equals that of the series with a 0 there.
+        let wan = WanModel::default();
+        let (busy, leftover, frac, steps) = readouts(&wan, &[100.0, 0.0, 0.0, 0.0], 900.0);
+        assert_eq!(
+            (busy.as_slice(), leftover),
+            (&[4.0, 0.0, 0.0, 0.0][..], 0.0)
+        );
+        assert_eq!(frac, 4.0 / 3_600.0);
+        assert!(steps.iter().all(|s| s.backlog_gb == 0.0));
+        assert_eq!(delays(&steps), vec![Some(0), None, None, None]);
+        for bad in [f64::NAN, -5.0, f64::NEG_INFINITY] {
+            let got = readouts(&wan, &[100.0, bad, 0.0, 0.0], 900.0);
+            assert_eq!(got, (busy.clone(), leftover, frac, steps.clone()), "{bad}");
+        }
+    }
+
+    #[test]
+    fn a_link_with_no_rate_is_not_modelled() {
+        // A rate of 0, below 0 or NaN drains every volume in 0 s: the
+        // link is idle, nothing is queued, and each burst passes within
+        // its own interval.
+        let offered = [1_000.0, 0.0, f64::NAN, 2_500.0];
         for bad in [0.0, -200.0, f64::NAN] {
             let wan = WanModel {
                 site_link_gbps: bad,
                 ..WanModel::default()
             };
-            stuck(wan.queue(&offered, 900.0));
-            stuck(WanModel::default().queue(&offered, bad));
+            assert_eq!(wan.drain_secs(1_000.0), 0.0);
+            let (busy, leftover, frac, steps) = readouts(&wan, &offered, 900.0);
+            assert_eq!((busy, leftover, frac), (vec![0.0; 4], 0.0, 0.0), "{bad}");
+            assert!(steps.iter().all(|s| s.backlog_gb == 0.0), "{bad}");
+            assert_eq!(delays(&steps), vec![Some(0), None, None, Some(0)]);
         }
-        assert!(WanModel::default().queue(&[], 900.0).is_empty());
+    }
+
+    #[test]
+    fn an_interval_with_no_time_keeps_every_burst() {
+        // An interval of 0 s, below 0 or NaN drains nothing: the link is
+        // idle, and the backlog is all the GB offered so far.
+        let wan = WanModel::default();
+        let offered = [1_000.0, 0.0, -5.0, 2_500.0];
+        for bad in [0.0, -900.0, f64::NAN] {
+            let (busy, leftover, frac, steps) = readouts(&wan, &offered, bad);
+            assert_eq!((busy, leftover, frac), (vec![0.0; 4], 140.0, 0.0), "{bad}");
+            assert_eq!(
+                steps.iter().map(|s| s.backlog_gb).collect::<Vec<_>>(),
+                [1_000.0, 1_000.0, 1_000.0, 3_500.0]
+            );
+            assert!(steps.iter().all(|s| s.delay_intervals.is_none()));
+        }
+        assert!(wan.queue(&[], 900.0).is_empty());
     }
 
     #[test]

@@ -70,6 +70,13 @@ use vb_solver::{LinExpr, Model, Sense, SolveError, VarId};
 /// memory per committed core.
 pub const GB_PER_CORE: f64 = 4.0;
 
+/// Weight of the load-balance term: the §3.1 objective "balancing load
+/// between subgraphs/sites", implemented as a penalty on the worst
+/// forecast utilization across sites over the near-term buckets. It
+/// balances placements that the displacement objective leaves tied,
+/// keeping headroom against forecast error everywhere.
+pub const BALANCE_WEIGHT: f64 = 4.0;
+
 /// Branch & bound node budget per epoch (anytime solve).
 pub const MAX_NODES: usize = 400;
 
@@ -86,12 +93,6 @@ pub struct MipConfig {
     /// on preemptive draining ([`Policy::preemptive_drain`]); at 0 the
     /// model has no peak variable and the policy never drains.
     pub peak_weight: f64,
-    /// Weight of the load-balance term: the §3.1 objective "balancing
-    /// load between subgraphs/sites", implemented as a penalty on the
-    /// worst forecast utilization across sites over the near-term
-    /// buckets. Balances placements that the displacement objective
-    /// leaves tied, keeping headroom against forecast error everywhere.
-    pub balance_weight: f64,
     /// Display name (Table 1 row label).
     pub name: String,
 }
@@ -102,7 +103,6 @@ impl MipConfig {
         MipConfig {
             horizon_steps: 7 * STEPS_PER_DAY,
             peak_weight: 0.0,
-            balance_weight: 4.0,
             name: "MIP".into(),
         }
     }
@@ -112,7 +112,6 @@ impl MipConfig {
         MipConfig {
             horizon_steps: STEPS_PER_DAY,
             peak_weight: 0.0,
-            balance_weight: 4.0,
             name: "MIP-24h".into(),
         }
     }
@@ -122,7 +121,6 @@ impl MipConfig {
         MipConfig {
             horizon_steps: 7 * STEPS_PER_DAY,
             peak_weight: 24.0,
-            balance_weight: 4.0,
             name: "MIP-peak".into(),
         }
     }
@@ -292,44 +290,42 @@ impl MipPolicy {
         }
 
         // Load balancing (§3.1 goal 2): penalise the worst forecast
-        // utilization across sites over the near-term buckets. The
-        // weight is expressed in "GB per site's worth of utilization":
-        // balance_weight = 1 means running one site at 100 % while
-        // others idle costs as much as displacing ~1/4 of a site-bucket.
-        if self.cfg.balance_weight > 0.0 {
-            let z_util = m.var("util", 0.0, inf);
-            let near_buckets = buckets.min(8);
-            for (s, site) in ctx.sites.iter().enumerate() {
-                // Balance against the *running minimum* capacity: a site
-                // whose power is about to collapse offers no balancing
-                // room now, however sunny or windy it currently is.
-                let mut running_min = f64::INFINITY;
-                for b in 0..near_buckets {
-                    running_min = running_min
-                        .min(site.capacity_forecast_cores.get(b).copied().unwrap_or(0.0));
-                    let cap = running_min;
-                    if cap < 0.05 * site.total_cores as f64 {
-                        continue; // dead-site buckets: displacement term rules
-                    }
-                    // z ≥ load / cap  →  (committed + Σ cores·n)/cap − z ≤ 0.
-                    let mut row = LinExpr::term(z_util, -1.0);
-                    for (counts, class) in n.iter().zip(&classes) {
-                        if b < class.alive_buckets {
-                            row = row.add_term(counts[s], class.cores / cap);
-                        }
-                    }
-                    let committed = site.committed_cores.get(b).copied().unwrap_or(0.0);
-                    m.add_le(row, -(committed / cap));
+        // utilization across sites over the near-term buckets.
+        // BALANCE_WEIGHT is expressed in "GB per site's worth of
+        // utilization": a weight of 1 means running one site at 100 %
+        // while others idle costs as much as displacing ~1/4 of a
+        // site-bucket.
+        let z_util = m.var("util", 0.0, inf);
+        let near_buckets = buckets.min(8);
+        for (s, site) in ctx.sites.iter().enumerate() {
+            // Balance against the *running minimum* capacity: a site
+            // whose power is about to collapse offers no balancing
+            // room now, however sunny or windy it currently is.
+            let mut running_min = f64::INFINITY;
+            for b in 0..near_buckets {
+                running_min =
+                    running_min.min(site.capacity_forecast_cores.get(b).copied().unwrap_or(0.0));
+                let cap = running_min;
+                if cap < 0.05 * site.total_cores as f64 {
+                    continue; // dead-site buckets: displacement term rules
                 }
+                // z ≥ load / cap  →  (committed + Σ cores·n)/cap − z ≤ 0.
+                let mut row = LinExpr::term(z_util, -1.0);
+                for (counts, class) in n.iter().zip(&classes) {
+                    if b < class.alive_buckets {
+                        row = row.add_term(counts[s], class.cores / cap);
+                    }
+                }
+                let committed = site.committed_cores.get(b).copied().unwrap_or(0.0);
+                m.add_le(row, -(committed / cap));
             }
-            let site_scale = ctx
-                .sites
-                .iter()
-                .map(|s| s.total_cores as f64)
-                .fold(0.0, f64::max);
-            objective =
-                objective.add_term(z_util, self.cfg.balance_weight * gbpc * site_scale * 0.25);
         }
+        let site_scale = ctx
+            .sites
+            .iter()
+            .map(|s| s.total_cores as f64)
+            .fold(0.0, f64::max);
+        objective = objective.add_term(z_util, BALANCE_WEIGHT * gbpc * site_scale * 0.25);
 
         m.set_objective(objective);
         (m, classes, n)
@@ -722,11 +718,7 @@ mod tests {
         let classes = classify(&ctx, 4);
         let sizes: Vec<usize> = classes.iter().map(|c| c.members.len()).collect();
         assert_eq!(sizes, vec![6]);
-        let cfg = MipConfig {
-            balance_weight: 0.0,
-            ..MipConfig::mip_peak()
-        };
-        let mut pol = MipPolicy::new(cfg);
+        let mut pol = MipPolicy::new(MipConfig::mip_peak());
         let plan = pol.plan(&ctx);
         assert_eq!(pol.stats().fallback_epochs, 0);
         let ids: Vec<usize> = plan.iter().map(|a| a.app.0).collect();

@@ -24,7 +24,7 @@
 
 mod common;
 
-use vb_sched::mip::{GB_PER_CORE, MAX_NODES};
+use vb_sched::mip::{BALANCE_WEIGHT, GB_PER_CORE, MAX_NODES};
 use vb_sched::policy::SiteSnapshot;
 use vb_sched::{Assignment, MipConfig, MipPolicy, MipStats, PlanContext, Policy, PolicySummary};
 use vb_solver::{solve_mip_kernel, LinExpr, Model, Sense, VarId};
@@ -146,34 +146,33 @@ fn reference(ctx: &PlanContext, cfg: &MipConfig) -> Reference {
     if let Some(z) = peak_z {
         objective = objective.add_term(z, cfg.peak_weight);
     }
-    if cfg.balance_weight > 0.0 {
-        let z_util = m.var("util", 0.0, inf);
-        for (s, site) in ctx.sites.iter().enumerate() {
-            let mut running_min = f64::INFINITY;
-            for b in 0..buckets.min(8) {
-                running_min =
-                    running_min.min(site.capacity_forecast_cores.get(b).copied().unwrap_or(0.0));
-                let cap = running_min;
-                if cap < 0.05 * site.total_cores as f64 {
-                    continue;
-                }
-                let mut row = LinExpr::term(z_util, -1.0);
-                for &(cores, remaining, x) in &apps {
-                    if alive(remaining, ctx.bucket_steps, b) {
-                        row = row.add_term(x[s], cores / cap);
-                    }
-                }
-                let committed = site.committed_cores.get(b).copied().unwrap_or(0.0);
-                m.add_le(row, -(committed / cap));
+    let z_util = m.var("util", 0.0, inf);
+    for (s, site) in ctx.sites.iter().enumerate() {
+        let mut running_min = f64::INFINITY;
+        for b in 0..buckets.min(8) {
+            running_min =
+                running_min.min(site.capacity_forecast_cores.get(b).copied().unwrap_or(0.0));
+            let cap = running_min;
+            if cap < 0.05 * site.total_cores as f64 {
+                continue;
             }
+            let mut row = LinExpr::term(z_util, -1.0);
+            for &(cores, remaining, x) in &apps {
+                if alive(remaining, ctx.bucket_steps, b) {
+                    row = row.add_term(x[s], cores / cap);
+                }
+            }
+            let committed = site.committed_cores.get(b).copied().unwrap_or(0.0);
+            m.add_le(row, -(committed / cap));
         }
-        let site_scale = ctx
-            .sites
-            .iter()
-            .map(|s| s.total_cores as f64)
-            .fold(0.0, f64::max);
-        objective = objective.add_term(z_util, cfg.balance_weight * gbpc * site_scale * 0.25);
     }
+    let site_scale = ctx
+        .sites
+        .iter()
+        .map(|s| s.total_cores as f64)
+        .fold(0.0, f64::max);
+    objective = objective.add_term(z_util, BALANCE_WEIGHT * gbpc * site_scale * 0.25);
+
     m.set_objective(objective);
     Reference { model: m, x_new }
 }

@@ -4,7 +4,7 @@
 use crate::metrics::{Counter, FloatCounter, Histogram, DEFAULT_BOUNDS};
 use crate::report::{Event, Json};
 use crate::snapshot::{Snapshot, SpanStat};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Lock a registry mutex, recovering from poisoning. Telemetry must stay
@@ -22,10 +22,10 @@ fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// call site first resolves its metric.
 #[derive(Default)]
 pub struct Registry {
-    counters: Mutex<HashMap<&'static str, Arc<Counter>>>,
-    float_counters: Mutex<HashMap<&'static str, Arc<FloatCounter>>>,
-    histograms: Mutex<HashMap<&'static str, Arc<Histogram>>>,
-    spans: Mutex<HashMap<&'static str, SpanStat>>,
+    counters: Mutex<BTreeMap<&'static str, Arc<Counter>>>,
+    float_counters: Mutex<BTreeMap<&'static str, Arc<FloatCounter>>>,
+    histograms: Mutex<BTreeMap<&'static str, Arc<Histogram>>>,
+    spans: Mutex<BTreeMap<&'static str, SpanStat>>,
     events: Mutex<Vec<Event>>,
 }
 
@@ -58,7 +58,7 @@ impl Registry {
 
     /// Merge a thread's span aggregates (called when a thread's
     /// outermost span closes).
-    pub(crate) fn merge_spans(&self, local: &HashMap<&'static str, SpanStat>) {
+    pub(crate) fn merge_spans(&self, local: &BTreeMap<&'static str, SpanStat>) {
         let mut map = lock_or_recover(&self.spans);
         for (name, stat) in local {
             map.entry(name).or_default().merge(stat);
@@ -86,7 +86,7 @@ impl Registry {
 
     /// Freeze every metric into plain data, sorted by name.
     pub fn snapshot(&self) -> Snapshot {
-        let mut snap = Snapshot {
+        Snapshot {
             counters: lock_or_recover(&self.counters)
                 .iter()
                 .map(|(&n, c)| (n.to_string(), c.get()))
@@ -103,12 +103,7 @@ impl Registry {
                 .iter()
                 .map(|(&n, &s)| (n.to_string(), s))
                 .collect(),
-        };
-        snap.counters.sort_by(|a, b| a.0.cmp(&b.0));
-        snap.float_counters.sort_by(|a, b| a.0.cmp(&b.0));
-        snap.histograms.sort_by(|a, b| a.0.cmp(&b.0));
-        snap.spans.sort_by(|a, b| a.0.cmp(&b.0));
-        snap
+        }
     }
 
     /// Zero every metric in place and clear span aggregates and events.

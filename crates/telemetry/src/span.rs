@@ -8,12 +8,12 @@
 
 use crate::snapshot::SpanStat;
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 thread_local! {
     static DEPTH: Cell<usize> = const { Cell::new(0) };
-    static LOCAL: RefCell<HashMap<&'static str, SpanStat>> = RefCell::new(HashMap::new());
+    static LOCAL: RefCell<BTreeMap<&'static str, SpanStat>> = const { RefCell::new(BTreeMap::new()) };
 }
 
 /// Guard returned by [`span!`](crate::span!); records the elapsed time

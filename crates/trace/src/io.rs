@@ -1,17 +1,7 @@
-//! Trace serialization: a simple CSV form for interoperability with
-//! plotting tools, and a multi-site dataset CSV, the form real ELIA and
-//! EMHIRES exports are converted to. Both parsers reject a non-finite
-//! number (`NaN`, `inf`, or a literal that overflows `f64`) with a typed
-//! error.
-//!
-//! CSV layout (one sample per line):
-//!
-//! ```csv
-//! # interval_secs=900 start_secs=0
-//! time_secs,value
-//! 0,0.000000
-//! 900,0.012345
-//! ```
+//! Trace serialization: the multi-site dataset CSV, the form real ELIA
+//! and EMHIRES exports are converted to (layout at [`dataset_to_csv`]).
+//! The parser rejects a non-finite number (`NaN`, `inf`, or a literal
+//! that overflows `f64`) with a typed error.
 
 use std::fmt::Write as _;
 use vb_stats::TimeSeries;
@@ -43,52 +33,6 @@ impl std::fmt::Display for TraceIoError {
 
 impl std::error::Error for TraceIoError {}
 
-/// Serialize a series to CSV.
-pub fn to_csv(series: &TimeSeries) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# interval_secs={} start_secs={}",
-        series.interval_secs, series.start_secs
-    );
-    out.push_str("time_secs,value\n");
-    for (i, v) in series.values.iter().enumerate() {
-        let _ = writeln!(out, "{},{:.6}", series.time_of(i), v);
-    }
-    out
-}
-
-/// Parse a series from the CSV produced by [`to_csv`].
-pub fn from_csv(text: &str) -> Result<TimeSeries, TraceIoError> {
-    let mut lines = text.lines().enumerate();
-    let (_, header) = lines
-        .next()
-        .ok_or_else(|| TraceIoError::BadHeader("empty input".into()))?;
-    let (interval_secs, start_secs) = parse_header(header)?;
-
-    let mut values = Vec::new();
-    for (line_no, line) in lines {
-        let line = line.trim();
-        if line.is_empty() || line == "time_secs,value" {
-            continue;
-        }
-        let value =
-            line.split(',')
-                .nth(1)
-                .and_then(finite)
-                .ok_or_else(|| TraceIoError::BadLine {
-                    line_no: line_no + 1,
-                    content: line.to_string(),
-                })?;
-        values.push(value);
-    }
-    Ok(TimeSeries {
-        start_secs,
-        interval_secs,
-        values,
-    })
-}
-
 /// `text` as a finite `f64`; `None` for a malformed, NaN or infinite one.
 fn finite(text: &str) -> Option<f64> {
     text.trim().parse::<f64>().ok().filter(|v| v.is_finite())
@@ -117,57 +61,6 @@ fn parse_header(header: &str) -> Result<(u64, u64), TraceIoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> TimeSeries {
-        TimeSeries::with_start(900, 900, vec![0.0, 0.25, 0.5, 1.0])
-    }
-
-    #[test]
-    fn csv_round_trips() {
-        let s = sample();
-        let parsed = from_csv(&to_csv(&s)).unwrap();
-        assert_eq!(parsed.start_secs, s.start_secs);
-        assert_eq!(parsed.interval_secs, s.interval_secs);
-        assert_eq!(parsed.values, s.values);
-    }
-
-    #[test]
-    fn csv_contains_wall_clock_times() {
-        let csv = to_csv(&sample());
-        assert!(csv.contains("900,0.000000"));
-        assert!(csv.contains("1800,0.250000"));
-    }
-
-    #[test]
-    fn csv_rejects_garbage() {
-        assert!(matches!(from_csv(""), Err(TraceIoError::BadHeader(_))));
-        assert!(matches!(
-            from_csv("not a header\n1,2"),
-            Err(TraceIoError::BadHeader(_))
-        ));
-        let bad_line = "# interval_secs=900 start_secs=0\ntime_secs,value\nxyz";
-        assert!(matches!(
-            from_csv(bad_line),
-            Err(TraceIoError::BadLine { .. })
-        ));
-        for cell in ["NaN", "inf", "-inf", "1e400"] {
-            let csv =
-                format!("# interval_secs=900 start_secs=0\ntime_secs,value\n0,0.5\n900,{cell}");
-            let content = format!("900,{cell}");
-            assert_eq!(
-                from_csv(&csv),
-                Err(TraceIoError::BadLine {
-                    line_no: 4,
-                    content
-                })
-            );
-        }
-    }
-
-    #[test]
-    fn csv_rejects_zero_interval() {
-        assert!(from_csv("# interval_secs=0 start_secs=0\n").is_err());
-    }
 
     #[test]
     fn errors_display_usefully() {
@@ -386,6 +279,15 @@ mod dataset_tests {
     fn dataset_rejects_malformed_inputs() {
         assert!(dataset_from_csv("").is_err());
         assert!(dataset_from_csv("# interval_secs=900 start_secs=0\nno sites").is_err());
+        // A first line that is not a `#` header, and a zero interval.
+        for header in [
+            "interval_secs=900 start_secs=0",
+            "# interval_secs=0 start_secs=0",
+        ] {
+            let csv = format!("{header}\n# site a solar 1 2 3\ntime_secs,a\n0,0.1");
+            let bad = TraceIoError::BadHeader(header.to_string());
+            assert_eq!(dataset_from_csv(&csv), Err(bad));
+        }
         let bad_row =
             "# interval_secs=900 start_secs=0\n# site a solar 1 2 3\ntime_secs,a\n0,0.1,0.2";
         assert!(matches!(

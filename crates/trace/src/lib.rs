@@ -39,7 +39,7 @@
 //!   [`Catalog::group_series`] synthesizes a site group's traces and
 //!   forecasts from one batch of weather draws, drawing each stream the
 //!   sites share once.
-//! * [`io`] — CSV trace and dataset serialization.
+//! * [`io`] — dataset CSV serialization.
 //!
 //! Everything is deterministic given a [`u64`] seed, so experiments and
 //! tests are reproducible bit-for-bit.

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use vb_stats::TimeSeries;
-use vb_trace::io::{from_csv, to_csv};
+use vb_trace::io::{dataset_from_csv, dataset_to_csv};
 use vb_trace::{forecast_for, generate_in, Catalog, Horizon, Site, SourceKind, WeatherField};
 
 type SeriesBits = (u64, u64, Vec<u64>);
@@ -159,7 +159,12 @@ proptest! {
         start in 0u64..10_000,
     ) {
         let ts = TimeSeries::with_start(start * 900, 900, values);
-        let parsed = from_csv(&to_csv(&ts)).unwrap();
+        let site = Site::wind("UK-wind", 53.5, -1.0);
+        let csv = dataset_to_csv(std::slice::from_ref(&site), std::slice::from_ref(&ts));
+        let (sites, traces) = dataset_from_csv(&csv).unwrap();
+        prop_assert_eq!(sites, vec![site]);
+        prop_assert_eq!(traces.len(), 1);
+        let parsed = &traces[0];
         prop_assert_eq!(parsed.start_secs, ts.start_secs);
         prop_assert_eq!(parsed.interval_secs, ts.interval_secs);
         prop_assert_eq!(parsed.len(), ts.len());

@@ -3,12 +3,12 @@
 //! The scanner ([`crate::scanner`]) strips comments and blanks string
 //! contents while preserving columns; this module turns that code view
 //! into a flat token stream — identifiers, numbers, lifetimes and
-//! punctuation — each token carrying its 1-based line, its character
-//! column, the paren nesting depth it sits at, and whether it is
-//! inside a `#[cfg(test)]` item. The token-level rules are built on
-//! this stream instead of raw line text, so they can reason about
-//! adjacency ("identifier followed by `(`") and delimiter matching
-//! without re-deriving lexical structure.
+//! punctuation — each token carrying its 1-based line, the paren
+//! nesting depth it sits at, and whether it is inside a `#[cfg(test)]`
+//! item. The token-level rules are built on this stream instead of raw
+//! line text, so they can reason about adjacency ("identifier followed
+//! by `(`") and delimiter matching without re-deriving lexical
+//! structure.
 //!
 //! Depth convention: an opening delimiter is recorded at the depth it
 //! opens *from*, and its matching closer at the same depth, so a pair
@@ -38,8 +38,6 @@ pub struct Tok {
     pub text: String,
     /// 1-based source line.
     pub line: usize,
-    /// 0-based character column of the first character.
-    pub col: usize,
     /// `()` nesting depth (see module docs for the convention).
     pub paren_depth: u32,
     /// True when the line is inside a `#[cfg(test)]` item.
@@ -69,7 +67,6 @@ pub fn tokenize(scanned: &Scanned) -> Vec<Tok> {
                     kind: TokKind::Ident,
                     text: chars[start..i].iter().collect(),
                     line: lineno,
-                    col: start,
                     paren_depth: paren,
                     in_test: line.in_test,
                 });
@@ -92,7 +89,6 @@ pub fn tokenize(scanned: &Scanned) -> Vec<Tok> {
                     kind: TokKind::Number,
                     text: chars[start..i].iter().collect(),
                     line: lineno,
-                    col: start,
                     paren_depth: paren,
                     in_test: line.in_test,
                 });
@@ -114,7 +110,6 @@ pub fn tokenize(scanned: &Scanned) -> Vec<Tok> {
                     kind: TokKind::Lifetime,
                     text: chars[start..i].iter().collect(),
                     line: lineno,
-                    col: start,
                     paren_depth: paren,
                     in_test: line.in_test,
                 });
@@ -137,7 +132,6 @@ pub fn tokenize(scanned: &Scanned) -> Vec<Tok> {
                 kind: TokKind::Punct,
                 text: c.to_string(),
                 line: lineno,
-                col: i,
                 paren_depth: pd,
                 in_test: line.in_test,
             });

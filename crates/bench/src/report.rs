@@ -5,9 +5,9 @@
 //! describes exactly one artifact run, and `finish` serializes the
 //! report to JSONL next to the build artifacts (override the directory
 //! with `VB_REPORT_DIR`, or set it to the empty string to skip the
-//! file). Setting `VB_RUN_REPORT=1` additionally prints the span/counter
-//! summary to stdout — the gated replacement for the old ad-hoc
-//! "[target completed in Ns]" progress lines.
+//! file). Setting `VB_RUN_REPORT=1` additionally prints the per-phase
+//! breakdown of the run's trace timeline (count, total, self and max
+//! time per span name) and the counters to stdout.
 //!
 //! The perf benches (`solver_perf`, `fleet_perf`) also write their rows
 //! to a `BENCH_*.json` file through [`write_bench_json`], which
@@ -88,8 +88,8 @@ impl BenchRun {
 
     /// Finish the run: capture the telemetry report, write it as JSONL
     /// plus a Chrome trace (`<name>.trace.json`, Perfetto-loadable), and
-    /// print the one-line completion notice (plus the full metric
-    /// summary when `VB_RUN_REPORT=1`).
+    /// print the one-line completion notice (plus the span breakdown and
+    /// counters when `VB_RUN_REPORT=1`).
     pub fn finish(self) {
         let elapsed = self.t0.elapsed().as_secs_f64();
         vb_telemetry::event(
@@ -101,9 +101,15 @@ impl BenchRun {
         );
         let report = RunReport::capture(self.name);
         let written = write_jsonl(&report);
-        let trace = write_trace(self.name);
+        let events = vb_telemetry::trace_events();
+        let trace = vb_telemetry::chrome_trace_json(&events);
+        let trace_path = if events.is_empty() {
+            None
+        } else {
+            write_trace(self.name, &trace)
+        };
         if verbose() {
-            print_summary(&report);
+            print_summary(&report, &trace);
         }
         match written {
             Some(path) => println!(
@@ -114,30 +120,25 @@ impl BenchRun {
             ),
             None => println!("\n[{} completed in {elapsed:.1}s]", self.name),
         }
-        if let Some((path, spans, drops)) = trace {
+        if let Some(path) = trace_path {
+            let spans = events
+                .iter()
+                .filter(|e| e.phase == vb_telemetry::TracePhase::Begin)
+                .count();
+            let drops = vb_telemetry::trace_drops();
             println!("[trace: {path} ({spans} spans, {drops} dropped)]");
         }
     }
 }
 
-/// Drain the trace timeline and write it as Chrome trace-event JSON next
-/// to the JSONL report. Returns `(path, span count, dropped events)`;
-/// `None` when tracing is off, recording is empty, or reports are
-/// disabled via `VB_REPORT_DIR=`.
-fn write_trace(name: &str) -> Option<(String, usize, u64)> {
-    let events = vb_telemetry::trace_events();
-    if events.is_empty() {
-        return None;
-    }
+/// Write the Chrome trace-event JSON next to the JSONL report. `None`
+/// when reports are disabled via `VB_REPORT_DIR=` or the write fails.
+fn write_trace(name: &str, trace: &str) -> Option<String> {
     let dir = report_dir()?;
     let path = format!("{dir}/{name}.trace.json");
     std::fs::create_dir_all(&dir).ok()?;
-    std::fs::write(&path, vb_telemetry::chrome_trace_json(&events)).ok()?;
-    let spans = events
-        .iter()
-        .filter(|e| e.phase == vb_telemetry::TracePhase::Begin)
-        .count();
-    Some((path, spans, vb_telemetry::trace_drops()))
+    std::fs::write(&path, trace).ok()?;
+    Some(path)
 }
 
 fn verbose() -> bool {
@@ -164,24 +165,17 @@ fn write_jsonl(report: &RunReport) -> Option<String> {
     Some(path)
 }
 
-/// Human-readable span and counter summary (the `VB_RUN_REPORT=1` view).
-fn print_summary(report: &RunReport) {
-    let snap = &report.snapshot;
-    if !snap.spans.is_empty() {
-        println!("\n== telemetry: spans ==");
-        println!(
-            "{:<28} {:>10} {:>12} {:>12}",
-            "span", "count", "total", "mean"
-        );
-        for (name, stat) in &snap.spans {
-            println!(
-                "{name:<28} {:>10} {:>12} {:>12}",
-                stat.count,
-                fmt_ns(stat.total_ns),
-                fmt_ns(stat.mean_ns())
-            );
+/// Human-readable span breakdown and counter summary (the
+/// `VB_RUN_REPORT=1` view). Spans come from the trace timeline, so
+/// none are listed when recording is off.
+fn print_summary(report: &RunReport, trace: &str) {
+    if let Ok(spans) = vb_telemetry::parse_chrome_trace(trace) {
+        if !spans.is_empty() {
+            println!("\n== telemetry: spans ==");
+            print!("{}", vb_telemetry::render_analysis(&spans, "", 0));
         }
     }
+    let snap = &report.snapshot;
     if !snap.counters.is_empty() || !snap.float_counters.is_empty() {
         println!("\n== telemetry: counters ==");
         for (name, value) in &snap.counters {
@@ -190,18 +184,6 @@ fn print_summary(report: &RunReport) {
         for (name, value) in &snap.float_counters {
             println!("{name:<36} {value:>14.2}");
         }
-    }
-}
-
-fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.2}s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.2}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.2}µs", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
     }
 }
 
@@ -238,13 +220,5 @@ mod tests {
         );
         assert!(lines[2].starts_with(r#"{"scale":"10x","#), "{text}");
         assert_eq!(lines[3], "]}");
-    }
-
-    #[test]
-    fn fmt_ns_picks_sensible_units() {
-        assert_eq!(fmt_ns(12), "12ns");
-        assert_eq!(fmt_ns(1_500), "1.50µs");
-        assert_eq!(fmt_ns(2_500_000), "2.50ms");
-        assert_eq!(fmt_ns(3_000_000_000), "3.00s");
     }
 }

@@ -73,18 +73,22 @@ impl WanModel {
     }
 
     /// Capacity needed to move `gb` within the migration deadline, Gbps.
-    /// A non-positive (or NaN) deadline means the burst cannot complete
-    /// at any finite rate; report zero rather than ±inf/NaN.
+    /// A volume that is not a positive number offers no work, as in
+    /// [`drain_secs`](Self::drain_secs), and needs 0 Gbps. A non-positive
+    /// (or NaN) deadline means the burst cannot complete at any finite
+    /// rate; report zero rather than ±inf/NaN.
     pub fn required_gbps(&self, gb: f64) -> f64 {
-        if self.migration_deadline_secs.is_nan() || self.migration_deadline_secs <= 0.0 {
-            return 0.0;
+        if gb > 0.0 && self.migration_deadline_secs > 0.0 {
+            gb * GBIT_PER_GBYTE / self.migration_deadline_secs
+        } else {
+            0.0
         }
-        gb * GBIT_PER_GBYTE / self.migration_deadline_secs
     }
 
     /// The required capacity for a burst as a fraction of the per-site
     /// share of the aggregate WAN (the paper's "roughly 40 %" figure for
-    /// a 10 TB spike). Returns 0.0 when the share itself is degenerate.
+    /// a 10 TB spike). Returns 0.0 when the share itself is degenerate,
+    /// and for a volume that is not a positive number.
     pub fn share_fraction(&self, gb: f64) -> f64 {
         let share = self.per_site_share_gbps();
         if share.is_nan() || share <= 0.0 {
@@ -437,6 +441,13 @@ mod tests {
                 ..WanModel::default()
             };
             assert_eq!(wan.share_fraction(10_000.0), 0.0);
+        }
+        // A volume that is not a positive number offers no work, as in
+        // `drain_secs`, on a model whose every parameter is sound.
+        let wan = WanModel::default();
+        for bad in [-5.0, f64::NEG_INFINITY, f64::NAN] {
+            assert_eq!(wan.required_gbps(bad).to_bits(), 0.0_f64.to_bits());
+            assert_eq!(wan.share_fraction(bad).to_bits(), 0.0_f64.to_bits());
         }
     }
 }

@@ -6,15 +6,14 @@
 //!   resolve a name to a process-global metric once per
 //!   call site (cached in a static), then update it with a single atomic
 //!   operation. No locks on the hot path.
-//! * **Spans** — [`span!`] returns an RAII guard that times the enclosed
-//!   scope. Durations aggregate in thread-local storage and merge into
-//!   the global registry when the outermost span on a thread closes, so
-//!   deeply nested instrumentation stays cheap.
+//! * **Spans** — [`span!`] returns an RAII guard that records a
+//!   begin/end pair in the trace timeline, its one record. With trace
+//!   recording off, a span records nothing.
 //! * **Run reports** — [`event`] records structured moments (an epoch
 //!   planned, a figure completed); [`RunReport::capture`] bundles the
-//!   event stream with a full metric snapshot and serializes to JSONL
-//!   that [`RunReport::parse_jsonl`] reads back.
-//! * **Trace timelines** — every [`span!`] also records begin/end events
+//!   event stream with the recorded series and a metric snapshot and
+//!   serializes to JSONL, which `scripts/diff_run_reports.py` compares.
+//! * **Trace timelines** — every [`span!`] records begin/end events
 //!   with span/parent/thread ids into per-thread buffers; [`trace_events`]
 //!   drains them and [`chrome_trace_json`] exports Perfetto-loadable
 //!   Chrome trace JSON. [`trace_context`]/[`adopt_trace`] carry causality
@@ -23,17 +22,28 @@
 //!   compact columnar buffer keyed by `(name, instance)`, embedded in
 //!   the run report for step-by-step inspection. See [`series`].
 //! * **Trace analysis** — [`analyze`] parses a Chrome trace back into
-//!   spans and prints per-phase wall-clock breakdowns and top-k slowest
-//!   spans (also available as the `trace_analyze` binary).
+//!   spans and prints per-phase wall-clock breakdowns (count, total and
+//!   self time) and top-k slowest spans (also available as the
+//!   `trace_analyze` binary).
 //!
 //! ```
-//! let _span = vb_telemetry::span!("example.work");
+//! use vb_telemetry::Json;
+//!
 //! vb_telemetry::counter!("example.iterations").add(10);
 //! vb_telemetry::histogram!("example.batch_size").observe(32.0);
 //! let report = vb_telemetry::RunReport::capture("example");
 //! let jsonl = report.to_jsonl();
-//! let back = vb_telemetry::RunReport::parse_jsonl(&jsonl).unwrap();
-//! assert_eq!(report, back);
+//! let summary = Json::parse(jsonl.lines().last().unwrap()).unwrap();
+//! assert_eq!(summary.get("type").and_then(Json::as_str), Some("summary"));
+//!
+//! vb_telemetry::set_trace_enabled(true);
+//! {
+//!     let _span = vb_telemetry::span!("example.work");
+//! }
+//! let trace = vb_telemetry::chrome_trace_json(&vb_telemetry::trace_events());
+//! let spans = vb_telemetry::parse_chrome_trace(&trace).unwrap();
+//! let phases = vb_telemetry::phase_breakdown(&spans);
+//! assert_eq!((phases[0].name.as_str(), phases[0].count), ("example.work", 1));
 //! ```
 
 pub mod analyze;
@@ -45,7 +55,7 @@ pub mod trace;
 pub use analyze::{parse_chrome_trace, phase_breakdown, render_analysis, PhaseStat, TraceSpan};
 pub use report::{Event, Json, RunReport};
 pub use series::{series_extend, series_sample, series_snapshot, SeriesData};
-pub use snapshot::{HistogramSnapshot, Snapshot, SpanStat};
+pub use snapshot::{HistogramSnapshot, Snapshot};
 pub use trace::{
     adopt_trace, chrome_trace_json, set_trace_enabled, trace_context, trace_drops, trace_enabled,
     trace_events, TraceAdoptGuard, TraceContext, TraceEvent, TracePhase,
@@ -102,9 +112,9 @@ macro_rules! histogram {
 
 /// Time the enclosing scope: `let _span = span!("solver.mip_solve");`.
 ///
-/// Durations are aggregated per thread and merged into the registry when
-/// the thread's outermost span closes; nested spans are tracked
-/// independently by name.
+/// Records a begin/end pair in the trace timeline (nothing while trace
+/// recording is off); [`phase_breakdown`] reads count, total and self
+/// time per name back from an exported trace.
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {

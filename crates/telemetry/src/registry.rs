@@ -1,19 +1,18 @@
-//! Process-global metric registry, span aggregates, and the structured
-//! event stream.
+//! Process-global metric registry and the structured event stream.
 
 use crate::metrics::{Counter, FloatCounter, Histogram, DEFAULT_BOUNDS};
 use crate::report::{Event, Json};
-use crate::snapshot::{Snapshot, SpanStat};
+use crate::snapshot::Snapshot;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-/// Lock a registry mutex, recovering from poisoning. Telemetry must stay
+/// Lock a telemetry mutex, recovering from poisoning. Telemetry must stay
 /// usable during unwinding: if a panic elsewhere poisoned a lock, a later
 /// `.unwrap()` here would turn the first panic into a double panic and
-/// abort the process. The guarded data (metric maps, event vectors) has
-/// no invariants a half-completed update can break, so taking the inner
-/// guard is always safe.
-fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// abort the process. The guarded data (metric maps, event vectors,
+/// series rows, the trace collector) has no invariants a half-completed
+/// update can break, so taking the inner guard is always safe.
+pub(crate) fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -25,7 +24,6 @@ pub struct Registry {
     counters: Mutex<BTreeMap<&'static str, Arc<Counter>>>,
     float_counters: Mutex<BTreeMap<&'static str, Arc<FloatCounter>>>,
     histograms: Mutex<BTreeMap<&'static str, Arc<Histogram>>>,
-    spans: Mutex<BTreeMap<&'static str, SpanStat>>,
     events: Mutex<Vec<Event>>,
 }
 
@@ -54,15 +52,6 @@ impl Registry {
                 Arc::new(Histogram::with_bounds(bounds.unwrap_or(&DEFAULT_BOUNDS)))
             }),
         )
-    }
-
-    /// Merge a thread's span aggregates (called when a thread's
-    /// outermost span closes).
-    pub(crate) fn merge_spans(&self, local: &BTreeMap<&'static str, SpanStat>) {
-        let mut map = lock_or_recover(&self.spans);
-        for (name, stat) in local {
-            map.entry(name).or_default().merge(stat);
-        }
     }
 
     /// Append a structured event to the run's stream.
@@ -99,14 +88,10 @@ impl Registry {
                 .iter()
                 .map(|(&n, h)| (n.to_string(), h.snapshot()))
                 .collect(),
-            spans: lock_or_recover(&self.spans)
-                .iter()
-                .map(|(&n, &s)| (n.to_string(), s))
-                .collect(),
         }
     }
 
-    /// Zero every metric in place and clear span aggregates and events.
+    /// Zero every metric in place and clear the events.
     /// Registrations survive, so handles cached at call sites stay
     /// valid — this is how benches separate back-to-back runs.
     pub fn reset(&self) {
@@ -119,7 +104,6 @@ impl Registry {
         for h in lock_or_recover(&self.histograms).values() {
             h.reset();
         }
-        lock_or_recover(&self.spans).clear();
         lock_or_recover(&self.events).clear();
     }
 }

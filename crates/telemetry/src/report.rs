@@ -1,12 +1,14 @@
-//! Machine-readable run reports: a JSONL event stream plus a final
-//! metric-summary line, with a parser for round-tripping.
+//! Machine-readable run reports: a JSONL event stream, one line per
+//! metric series, and a final metric-summary line. The reader is
+//! `scripts/diff_run_reports.py`; nothing in Rust parses a report back.
 //!
 //! The JSON support here is deliberately tiny (one enum, one emitter,
 //! one recursive-descent parser) to keep the crate dependency-free; the
-//! workspace policy is "no serde_json".
+//! workspace policy is "no serde_json". The parser serves the Chrome
+//! trace reader ([`crate::analyze`]) and vbbench's result lines.
 
 use crate::series::SeriesData;
-use crate::snapshot::{HistogramSnapshot, Snapshot, SpanStat};
+use crate::snapshot::Snapshot;
 use std::fmt::Write as _;
 
 /// A JSON value. Object keys keep insertion order so emitted reports are
@@ -190,7 +192,7 @@ fn emit_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// JSON / report parse failure with byte offset context.
+/// JSON parse failure with byte offset context.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     pub message: String,
@@ -411,27 +413,6 @@ impl Event {
             ("fields".into(), Json::Obj(self.fields.clone())),
         ])
     }
-
-    fn from_json(value: &Json, offset_hint: usize) -> Result<Event, ParseError> {
-        let invalid = |msg: &str| ParseError {
-            message: msg.to_string(),
-            offset: offset_hint,
-        };
-        let seq = value
-            .get("seq")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| invalid("event missing seq"))?;
-        let kind = value
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| invalid("event missing kind"))?
-            .to_string();
-        let fields = match value.get("fields") {
-            Some(Json::Obj(fields)) => fields.clone(),
-            _ => return Err(invalid("event missing fields")),
-        };
-        Ok(Event { seq, kind, fields })
-    }
 }
 
 /// A complete run report: name, event stream, per-epoch metric series,
@@ -525,89 +506,7 @@ impl RunReport {
                         .collect(),
                 ),
             ),
-            (
-                "spans".into(),
-                Json::Obj(
-                    snap.spans
-                        .iter()
-                        .map(|(n, s)| {
-                            (
-                                n.clone(),
-                                Json::Obj(vec![
-                                    ("count".into(), Json::from(s.count)),
-                                    ("total_ns".into(), Json::from(s.total_ns)),
-                                    ("min_ns".into(), Json::from(s.min_ns)),
-                                    ("max_ns".into(), Json::from(s.max_ns)),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
         ])
-    }
-
-    /// Parse a JSONL document produced by [`RunReport::to_jsonl`].
-    ///
-    /// Tolerant of blank / whitespace-only lines, CRLF line endings, and
-    /// a missing final newline; a report with zero events (just series
-    /// and/or the summary line) round-trips like any other.
-    pub fn parse_jsonl(text: &str) -> Result<RunReport, ParseError> {
-        let mut report = RunReport::default();
-        let mut saw_summary = false;
-        let mut offset = 0;
-        for line in text.split('\n') {
-            let line_offset = offset;
-            // `+ 1` for the split-off '\n'; the final segment has none,
-            // so clamp when reporting end-of-input errors below.
-            offset += line.len() + 1;
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let value = Json::parse(line).map_err(|mut e| {
-                e.offset += line_offset;
-                e
-            })?;
-            let invalid = |msg: &str| ParseError {
-                message: msg.to_string(),
-                offset: line_offset,
-            };
-            match value.get("type").and_then(Json::as_str) {
-                Some("event") => {
-                    if saw_summary {
-                        return Err(invalid("event after summary line"));
-                    }
-                    report.events.push(Event::from_json(&value, line_offset)?);
-                }
-                Some("series") => {
-                    if saw_summary {
-                        return Err(invalid("series after summary line"));
-                    }
-                    report.series.push(parse_series(&value, line_offset)?);
-                }
-                Some("summary") => {
-                    if saw_summary {
-                        return Err(invalid("duplicate summary line"));
-                    }
-                    saw_summary = true;
-                    report.name = value
-                        .get("name")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| invalid("summary missing name"))?
-                        .to_string();
-                    report.snapshot = parse_snapshot(&value, line_offset)?;
-                }
-                _ => return Err(invalid("line is neither event, series nor summary")),
-            }
-        }
-        if !saw_summary {
-            return Err(ParseError {
-                message: "missing summary line".to_string(),
-                offset: offset.min(text.len()),
-            });
-        }
-        Ok(report)
     }
 }
 
@@ -635,127 +534,4 @@ fn series_json(s: &SeriesData) -> Json {
             ),
         ),
     ])
-}
-
-fn parse_series(value: &Json, offset: usize) -> Result<SeriesData, ParseError> {
-    let invalid = |msg: &str| ParseError {
-        message: msg.to_string(),
-        offset,
-    };
-    let text_field = |key: &str| -> Result<String, ParseError> {
-        value
-            .get(key)
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| invalid(&format!("series missing {key}")))
-    };
-    let epochs = match value.get("epochs") {
-        Some(Json::Arr(items)) => items
-            .iter()
-            .map(|i| i.as_u64().ok_or_else(|| invalid("bad series epoch")))
-            .collect::<Result<Vec<u64>, ParseError>>()?,
-        _ => return Err(invalid("series missing epochs")),
-    };
-    let mut columns = Vec::new();
-    match value.get("columns") {
-        Some(Json::Obj(fields)) => {
-            for (name, vals) in fields {
-                let vals = match vals {
-                    Json::Arr(items) => items
-                        .iter()
-                        .map(|i| i.as_f64().ok_or_else(|| invalid("bad series value")))
-                        .collect::<Result<Vec<f64>, ParseError>>()?,
-                    _ => return Err(invalid("series column is not an array")),
-                };
-                if vals.len() != epochs.len() {
-                    return Err(invalid("series column length != epoch count"));
-                }
-                columns.push((name.clone(), vals));
-            }
-        }
-        _ => return Err(invalid("series missing columns")),
-    }
-    Ok(SeriesData {
-        name: text_field("name")?,
-        instance: text_field("instance")?,
-        epochs,
-        columns,
-    })
-}
-
-fn parse_snapshot(value: &Json, offset: usize) -> Result<Snapshot, ParseError> {
-    let invalid = |msg: &str| ParseError {
-        message: msg.to_string(),
-        offset,
-    };
-    let obj_pairs = |key: &str| -> Result<Vec<(String, Json)>, ParseError> {
-        match value.get(key) {
-            Some(Json::Obj(fields)) => Ok(fields.clone()),
-            _ => Err(invalid(&format!("summary missing {key}"))),
-        }
-    };
-
-    let mut snap = Snapshot::default();
-    for (name, v) in obj_pairs("counters")? {
-        let v = v.as_u64().ok_or_else(|| invalid("bad counter value"))?;
-        snap.counters.push((name, v));
-    }
-    for (name, v) in obj_pairs("float_counters")? {
-        let v = v.as_f64().ok_or_else(|| invalid("bad float counter"))?;
-        snap.float_counters.push((name, v));
-    }
-    for (name, h) in obj_pairs("histograms")? {
-        let f64_arr = |key: &str| -> Result<Vec<f64>, ParseError> {
-            match h.get(key) {
-                Some(Json::Arr(items)) => items
-                    .iter()
-                    .map(|i| i.as_f64().ok_or_else(|| invalid("bad histogram bound")))
-                    .collect(),
-                _ => Err(invalid("histogram missing bounds")),
-            }
-        };
-        let counts = match h.get("counts") {
-            Some(Json::Arr(items)) => items
-                .iter()
-                .map(|i| i.as_u64().ok_or_else(|| invalid("bad histogram count")))
-                .collect::<Result<Vec<u64>, ParseError>>()?,
-            _ => return Err(invalid("histogram missing counts")),
-        };
-        let scalar = |key: &str| {
-            h.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| invalid("bad histogram scalar"))
-        };
-        snap.histograms.push((
-            name,
-            HistogramSnapshot {
-                bounds: f64_arr("bounds")?,
-                counts,
-                count: h
-                    .get("count")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| invalid("bad histogram count"))?,
-                sum: scalar("sum")?,
-                min: scalar("min")?,
-                max: scalar("max")?,
-            },
-        ));
-    }
-    for (name, s) in obj_pairs("spans")? {
-        let field = |key: &str| {
-            s.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| invalid("bad span field"))
-        };
-        snap.spans.push((
-            name,
-            SpanStat {
-                count: field("count")?,
-                total_ns: field("total_ns")?,
-                min_ns: field("min_ns")?,
-                max_ns: field("max_ns")?,
-            },
-        ));
-    }
-    Ok(snap)
 }

@@ -24,7 +24,8 @@
 //! backfilled with zeros, and columns missing from a sample are padded
 //! with zeros, so every column always has exactly one value per epoch.
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use crate::registry::lock_or_recover;
+use std::sync::{Mutex, OnceLock};
 
 /// One recorded series: parallel `epochs` / per-column value vectors.
 /// Plain data — shared by the live store and the run-report serializer.
@@ -57,66 +58,29 @@ impl SeriesData {
     }
 }
 
-fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 fn store() -> &'static Mutex<Vec<SeriesData>> {
     static STORE: OnceLock<Mutex<Vec<SeriesData>>> = OnceLock::new();
     STORE.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-/// Append one row to the `(name, instance)` series. Sampling the
-/// same column twice at one epoch keeps the last value.
+/// Append one row to the `(name, instance)` series: a one-row
+/// [`series_extend`]. Sampling the same column twice at one epoch keeps
+/// the last value.
 pub fn series_sample(name: &'static str, instance: &str, epoch: u64, columns: &[(&str, f64)]) {
-    let mut all = lock_or_recover(store());
-    if !all.iter().any(|s| s.name == name && s.instance == instance) {
-        all.push(SeriesData {
-            name: name.to_string(),
-            instance: instance.to_string(),
-            ..SeriesData::default()
-        });
-    }
-    let Some(buf) = all
-        .iter_mut()
-        .find(|s| s.name == name && s.instance == instance)
-    else {
-        return;
-    };
-    buf.epochs.push(epoch);
-    let rows = buf.epochs.len();
-    for &(col, v) in columns {
-        let idx = match buf.columns.iter().position(|(c, _)| c == col) {
-            Some(i) => i,
-            None => {
-                // New column mid-series: backfill earlier epochs.
-                buf.columns.push((col.to_string(), vec![0.0; rows - 1]));
-                buf.columns.len() - 1
-            }
-        };
-        let vals = &mut buf.columns[idx].1;
-        if vals.len() == rows {
-            vals[rows - 1] = v;
-        } else {
-            vals.resize(rows - 1, 0.0);
-            vals.push(v);
-        }
-    }
-    for (_, vals) in &mut buf.columns {
-        if vals.len() < rows {
-            vals.resize(rows, 0.0);
-        }
-    }
+    let columns: Vec<(&str, &[f64])> = columns
+        .iter()
+        .map(|(col, v)| (*col, std::slice::from_ref(v)))
+        .collect();
+    series_extend(name, instance, &[epoch], &columns);
 }
 
 /// Append many rows to the `(name, instance)` series in one store
-/// lock — the hot-loop batching form of [`series_sample`]. A tight
-/// per-step loop (the group simulator samples every one of its
-/// thousands of steps, from every fleet-shard thread at once) pays
-/// one global mutex acquisition per *run* instead of per step; the
-/// resulting store content is identical to calling `series_sample`
-/// once per row with the same columns. Every column slice must be
-/// parallel to `epochs`.
+/// lock. A tight per-step loop (the group simulator samples every one
+/// of its thousands of steps, from every fleet-shard thread at once)
+/// pays one global mutex acquisition per *run* instead of per step.
+/// Every column slice must be parallel to `epochs`. A column new to the
+/// series is backfilled with zeros, a column missing from this call is
+/// padded with zeros, and a column named twice keeps its last values.
 pub fn series_extend(
     name: &'static str,
     instance: &str,
@@ -127,19 +91,21 @@ pub fn series_extend(
         return;
     }
     let mut all = lock_or_recover(store());
-    if !all.iter().any(|s| s.name == name && s.instance == instance) {
-        all.push(SeriesData {
-            name: name.to_string(),
-            instance: instance.to_string(),
-            ..SeriesData::default()
-        });
-    }
-    let Some(buf) = all
-        .iter_mut()
-        .find(|s| s.name == name && s.instance == instance)
-    else {
-        return;
+    let at = match all
+        .iter()
+        .position(|s| s.name == name && s.instance == instance)
+    {
+        Some(at) => at,
+        None => {
+            all.push(SeriesData {
+                name: name.to_string(),
+                instance: instance.to_string(),
+                ..SeriesData::default()
+            });
+            all.len() - 1
+        }
     };
+    let buf = &mut all[at];
     let start = buf.epochs.len();
     buf.epochs.extend_from_slice(epochs);
     let rows = buf.epochs.len();

@@ -4,10 +4,11 @@
 //!
 //! ## Recording design
 //!
-//! The hot path touches only thread-local state. Each thread appends
-//! [`TraceEvent`]s to a private buffer and flushes it into the bounded
-//! process-global collector in one lock acquisition when either the
-//! buffer fills (16 384 events) or the thread's outermost span closes.
+//! The timeline is the one record of a [`span!`] scope. The hot path
+//! touches only thread-local state. Each thread appends [`TraceEvent`]s
+//! to a private buffer and flushes it into the bounded process-global
+//! collector in one lock acquisition when either the buffer fills
+//! (16 384 events) or the thread's outermost traced span closes.
 //! The collector itself holds at most 1 048 576 events; once full,
 //! further events are dropped and counted in [`trace_drops`] — recording
 //! never blocks and never grows without bound.
@@ -21,15 +22,17 @@
 //! children of the span that launched them.
 //!
 //! Recording can be switched off at runtime with [`set_trace_enabled`]
-//! or by setting `VB_TRACE=0`.
+//! or by setting `VB_TRACE=0`; a span opened while it is off records
+//! nothing.
 //!
 //! [`span!`]: crate::span!
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::registry::lock_or_recover;
 use crate::report::Json;
 
 /// Whether a record marks a span opening or closing.
@@ -99,12 +102,6 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     Json::Arr(arr).emit()
 }
 
-/// See `registry::lock_or_recover`: telemetry must survive lock
-/// poisoning from unrelated panics.
-fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 fn trace_epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
@@ -125,8 +122,8 @@ fn enabled_flag() -> &'static AtomicBool {
     })
 }
 
-/// Turn trace recording on or off at runtime. Span timing aggregates
-/// are unaffected; only timeline records stop.
+/// Turn trace recording on or off at runtime. A span opened while
+/// recording is off records nothing.
 pub fn set_trace_enabled(on: bool) {
     enabled_flag().store(on, Ordering::Relaxed);
 }
@@ -202,9 +199,9 @@ fn flush_buf(buf: &mut Vec<TraceEvent>) {
 }
 
 /// Flush this thread's private buffer into the global collector.
-/// Called when the thread's outermost span closes and by
-/// [`trace_events`].
-pub(crate) fn flush_thread() {
+/// Called when the thread's outermost traced span closes, when an
+/// adopted context ends, and by [`trace_events`].
+fn flush_thread() {
     BUF.with(|b| flush_buf(&mut b.borrow_mut()));
 }
 
@@ -232,18 +229,20 @@ pub(crate) fn begin_span(name: &'static str) -> u64 {
 }
 
 /// Record a span closing. `id` 0 (recording was off at open) is a
-/// no-op so Begin/End records always pair up.
+/// no-op so Begin/End records always pair up. When the thread's
+/// outermost traced span closes, its buffer goes to the collector.
 pub(crate) fn end_span(id: u64, name: &'static str) {
     if id == 0 {
         return;
     }
-    OPEN.with(|s| {
+    let outermost = OPEN.with(|s| {
         let mut open = s.borrow_mut();
         // RAII guards close innermost-first; search from the top in
         // case a guard was leaked and drop everything above it.
         if let Some(pos) = open.iter().rposition(|&v| v == id) {
             open.truncate(pos);
         }
+        open.is_empty()
     });
     push(TraceEvent {
         phase: TracePhase::End,
@@ -253,6 +252,9 @@ pub(crate) fn end_span(id: u64, name: &'static str) {
         ts_ns: now_ns(),
         name,
     });
+    if outermost {
+        flush_thread();
+    }
 }
 
 /// Capture the calling thread's innermost open span as a parent link

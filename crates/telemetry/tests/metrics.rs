@@ -1,5 +1,5 @@
 //! Metric primitive semantics: counter saturation, concurrent updates,
-//! histogram bucket boundaries, and span aggregation.
+//! histogram bucket boundaries, and spans nesting in the trace timeline.
 //!
 //! Metric names are unique per test: the registry is process-global and
 //! the test harness runs tests concurrently in one process.
@@ -142,7 +142,12 @@ fn histogram_observations_survive_concurrency() {
 }
 
 #[test]
-fn spans_aggregate_across_nesting_and_threads() {
+fn spans_nest_across_threads_in_the_timeline() {
+    use vb_telemetry::{TraceEvent, TracePhase};
+
+    // No other test in this binary opens a span, so the timeline holds
+    // exactly these threads' records.
+    vb_telemetry::set_trace_enabled(true);
     std::thread::scope(|scope| {
         for _ in 0..3 {
             scope.spawn(|| {
@@ -154,15 +159,39 @@ fn spans_aggregate_across_nesting_and_threads() {
             });
         }
     });
-    let snap = vb_telemetry::snapshot();
-    let outer = snap.span("test.span.outer").expect("outer merged");
-    let inner = snap.span("test.span.inner").expect("inner merged");
-    assert_eq!(outer.count, 3);
-    assert_eq!(inner.count, 15);
-    assert!(outer.min_ns <= outer.max_ns);
-    assert!(outer.total_ns >= outer.max_ns);
+    let events = vb_telemetry::trace_events();
+    let begins = |name: &str| -> Vec<&TraceEvent> {
+        events
+            .iter()
+            .filter(|e| e.phase == TracePhase::Begin && e.name == name)
+            .collect()
+    };
+    let (outer, inner) = (begins("test.span.outer"), begins("test.span.inner"));
+    assert_eq!(outer.len(), 3);
+    assert_eq!(inner.len(), 15);
+    for span in &inner {
+        let parent = outer
+            .iter()
+            .find(|o| o.id == span.parent)
+            .expect("an inner span's parent is an outer span");
+        assert_eq!(parent.tid, span.tid, "nesting stays on its thread");
+    }
+
+    let trace = vb_telemetry::chrome_trace_json(&events);
+    let spans = vb_telemetry::parse_chrome_trace(&trace).expect("trace parses");
+    let phases = vb_telemetry::phase_breakdown(&spans);
+    let phase = |name: &str| {
+        phases
+            .iter()
+            .find(|p| p.name == name)
+            .unwrap_or_else(|| panic!("no phase {name}"))
+    };
+    let (outer, inner) = (phase("test.span.outer"), phase("test.span.inner"));
+    assert_eq!((outer.count, inner.count), (3, 15));
     assert!(
-        inner.mean_ns() <= outer.mean_ns(),
-        "inner spans nest inside outer"
+        inner.total_us <= outer.total_us,
+        "inner spans nest inside outer: {} > {}",
+        inner.total_us,
+        outer.total_us
     );
 }

@@ -8,7 +8,7 @@
 //! ```
 
 use virtual_battery::vb_sched::{GreedyPolicy, GroupSim, GroupSimConfig, MipConfig, MipPolicy};
-use virtual_battery::vb_telemetry::{self, RunReport};
+use virtual_battery::vb_telemetry::{self, PhaseStat, RunReport};
 use virtual_battery::vb_trace::{Catalog, TRIO};
 
 fn cfg() -> GroupSimConfig {
@@ -20,8 +20,12 @@ fn cfg() -> GroupSimConfig {
     }
 }
 
-/// Run one policy inside a fresh telemetry scope and capture its report.
-fn run_policy(catalog: &Catalog, policy: &mut dyn virtual_battery::vb_sched::Policy) -> RunReport {
+/// Run one policy inside a fresh telemetry scope; capture its report and
+/// the per-phase breakdown of its trace timeline.
+fn run_policy(
+    catalog: &Catalog,
+    policy: &mut dyn virtual_battery::vb_sched::Policy,
+) -> (RunReport, Vec<PhaseStat>) {
     vb_telemetry::reset();
     let summary = GroupSim::new(catalog, &TRIO, cfg())
         .expect("demo sites must exist in the catalog")
@@ -30,7 +34,12 @@ fn run_policy(catalog: &Catalog, policy: &mut dyn virtual_battery::vb_sched::Pol
         "{:<10} total {:>8.0} GB   peak {:>7.0} GB   preemptive moves {:>3}",
         summary.policy, summary.total_gb, summary.peak_gb, summary.preemptive_moves
     );
-    RunReport::capture(&summary.policy)
+    let trace = vb_telemetry::chrome_trace_json(&vb_telemetry::trace_events());
+    let spans = vb_telemetry::parse_chrome_trace(&trace).expect("an exported trace parses");
+    (
+        RunReport::capture(&summary.policy),
+        vb_telemetry::phase_breakdown(&spans),
+    )
 }
 
 fn metric(report: &RunReport, name: &str) -> String {
@@ -43,9 +52,14 @@ fn metric(report: &RunReport, name: &str) -> String {
     "-".into()
 }
 
-fn span_ms(report: &RunReport, name: &str) -> String {
-    match report.snapshot.span(name) {
-        Some(s) => format!("{:.1}ms ×{}", s.total_ns as f64 / 1e6, s.count),
+fn span_ms(phases: &[PhaseStat], name: &str) -> String {
+    match phases.iter().find(|p| p.name == name) {
+        Some(p) => format!(
+            "{:.1}ms / {:.1}ms ×{}",
+            p.total_us / 1e3,
+            p.self_us / 1e3,
+            p.count
+        ),
         None => "-".into(),
     }
 }
@@ -58,8 +72,8 @@ fn main() {
         cfg().days
     );
 
-    let greedy = run_policy(&catalog, &mut GreedyPolicy::new());
-    let mip = run_policy(&catalog, &mut MipPolicy::new(MipConfig::mip_peak()));
+    let (greedy, greedy_phases) = run_policy(&catalog, &mut GreedyPolicy::new());
+    let (mip, mip_phases) = run_policy(&catalog, &mut MipPolicy::new(MipConfig::mip_peak()));
 
     println!("\n== what the telemetry layer saw ==");
     println!("{:<34} {:>16} {:>16}", "metric", "Greedy", "MIP-peak");
@@ -82,8 +96,8 @@ fn main() {
         );
     }
     println!(
-        "\n{:<34} {:>16} {:>16}",
-        "span (total × count)", "Greedy", "MIP-peak"
+        "\n{:<34} {:>20} {:>20}",
+        "span (total / self × count)", "Greedy", "MIP-peak"
     );
     for name in [
         "sched.group_run",
@@ -92,9 +106,9 @@ fn main() {
         "sched.mip_plan",
     ] {
         println!(
-            "{name:<34} {:>16} {:>16}",
-            span_ms(&greedy, name),
-            span_ms(&mip, name)
+            "{name:<34} {:>20} {:>20}",
+            span_ms(&greedy_phases, name),
+            span_ms(&mip_phases, name)
         );
     }
 

@@ -3,12 +3,17 @@
 
 Usage: diff_run_reports.py A.jsonl B.jsonl
 
+This script is the one reader of a run report; nothing in the Rust
+workspace parses one back.
+
 Compares the *metric values* of the two reports — counters,
 float_counters and histogram shapes from the summary line —
-the multiset of events, and the per-epoch series lines. Quantities
-that legitimately differ between runs are excluded:
+the multiset of events, and the per-epoch series lines. Any other
+summary section is not compared: span timings live in the trace
+timeline (`<target>.trace.json`), not in the report, and the `spans`
+section older reports carried is ignored. Quantities that legitimately
+differ between runs are excluded:
 
-* spans (wall-clock timings, *_ns),
 * the `elapsed_secs` event field (timing),
 * `par.workers` / `par.worker_tasks` (reflect the thread count by
   design; `par.tasks` — the amount of work — must still match),
